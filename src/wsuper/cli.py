@@ -142,6 +142,9 @@ def run_pipeline(cfg):
 
 def _modp_row(cfg, nd, dat, eta, eta_label, failures):
     q = modp.build_reduced_q(dat, eta, eta_label)
+    if nd.r_odd:
+        # the m' check needs the m-invariant basis; Morita reads its row count
+        q.invariant_subspace("m")
     morita = modp.morita_dim_check(dat, eta=eta, eta_label=eta_label, q=q)
     if not morita.ok:
         failures.append({"check": "morita_dimension", "p": dat.p,
@@ -155,11 +158,19 @@ def _modp_row(cfg, nd, dat, eta, eta_label, failures):
     else:
         # m' = m, the two invariant spaces coincide by definition
         prop_ok = True
-    rw = modp.reduced_w(dat, eta, eta_label, with_relations=True)
+    rw = modp.reduced_w(dat, eta, eta_label, with_relations=True, q=q)
     if not rw.pbw_ok:
         failures.append({"check": "pbw_basis", "p": dat.p, "eta": eta_label})
-    wh = q.whittaker_subspace()
-    if wh.shape[0] * q.delta() != q.dim:
+    # right multiplication by z in m acts by eta(z), so ad z = L_z - eta(z):
+    # the Whittaker vectors are the m-invariants Morita already counted
+    mismatch = q.right_action_mismatch()
+    if mismatch is not None:
+        z, column = mismatch
+        failures.append({"check": "whittaker_dimension", "p": dat.p,
+                         "eta": eta_label,
+                         "detail": {"generator": q.engine.labels[z],
+                                    "column": column}})
+    elif morita.dim_w * q.delta() != q.dim:
         failures.append({"check": "whittaker_dimension", "p": dat.p,
                          "eta": eta_label})
     return {

@@ -6,7 +6,8 @@ systems); it is plain Gaussian elimination with deterministic pivoting, so
 echelon bases and particular solutions are reproducible.  The numpy one works
 mod p with int64 arrays and a blocked elimination whose inner update is an
 integer matrix product; it exists because the reduced-module kernels reach
-dimension a few thousand.  All integer intermediates stay far below 2**63.
+dimension a few thousand.  Its intermediates stay below block*(p-1)**2 + p, so
+it is exact only while that is below 2**63; it raises ValueError otherwise.
 """
 
 from __future__ import annotations
@@ -136,13 +137,6 @@ def solve_affine(field, mat, rhs):
     return x
 
 
-def solve_unique(field, mat, rhs):
-    x = solve_affine(field, mat, rhs)
-    if x is None:
-        raise ValueError("inconsistent linear system")
-    return x
-
-
 def invert(field, mat):
     n = len(mat)
     aug = [mat[i][:] + identity(field, n)[i] for i in range(n)]
@@ -188,6 +182,21 @@ def echelon_span(field, vectors):
 # numpy arrays mod p
 # ---------------------------------------------------------------------------
 
+BLOCK = 256
+
+
+def exact_mod_p(p, block=BLOCK):
+    """Whether the int64 eliminations below are exact at p: every
+    intermediate is bounded by block*(p-1)**2 + p."""
+    return block * (p - 1) ** 2 + p < 2 ** 63
+
+
+def _check_exact(p, block):
+    if not exact_mod_p(p, block):
+        raise ValueError("p = %d breaks the int64 bound %d*(p-1)**2 + p < 2**63"
+                         % (p, block))
+
+
 def _np_mod(a, p):
     return np.asarray(a, dtype=np.int64) % p
 
@@ -210,13 +219,14 @@ def _inv_small_mod_p(mat, p):
     return a[:, n:]
 
 
-def rank_mod_p(mat, p, block=256):
+def rank_mod_p(mat, p, block=BLOCK):
     """Rank over F_p via blocked elimination; int64 throughout.
 
-    Entry magnitudes inside a block stay below p + block*p**2 < 2**63, so no
-    overflow is possible for any prime this package accepts.
+    Entry magnitudes inside a block stay below block*(p-1)**2 + p; a prime
+    for which that reaches 2**63 raises ValueError instead of overflowing.
     """
-    a = _np_mod(mat, p).copy()
+    _check_exact(p, block)
+    a = _np_mod(mat, p)
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return 0
@@ -265,14 +275,13 @@ def rank_mod_p(mat, p, block=256):
     return r
 
 
-def nullity_mod_p(mat, p):
-    a = _np_mod(mat, p)
-    return a.shape[1] - rank_mod_p(a, p)
-
-
 def rref_mod_p(mat, p):
-    """Reduced row echelon form mod p (straightforward, for moderate sizes)."""
-    a = _np_mod(mat, p).copy()
+    """Reduced row echelon form mod p (straightforward, for moderate sizes).
+
+    Rows are reduced after every pivot, so the bound is that of a block of 1.
+    """
+    _check_exact(p, 1)
+    a = _np_mod(mat, p)
     rows, cols = a.shape
     piv = []
     r = 0

@@ -33,6 +33,9 @@ def restriction_condition(family, shape, p):
     m, n = shape
     if p < 3:
         return False, "p must be an odd prime"
+    if not linalg.exact_mod_p(p):
+        return False, ("p exceeds the int64 bound %d*(p-1)**2 + p < 2**63 of"
+                       " the mod-p kernels" % linalg.BLOCK)
     if family == "sl" and (m - n) % p == 0:
         return False, "p divides m - n = %d" % (m - n)
     if family not in ("gl", "sl", "osp"):
@@ -215,7 +218,9 @@ class ReducedQ:
         self.index = {m: i for i, m in enumerate(self.basis)}
         self._ad_cols = {}
         self._left_cols = {}
+        self._right_mismatch = {}
         self._inv_dim = {}
+        self._inv_basis = {}
 
     def _monomial_basis(self):
         e = self.engine
@@ -269,22 +274,43 @@ class ReducedQ:
         return cols
 
     def ad_columns(self, gen_index):
+        """Columns of ad b_g on Q.  For g in m the right product m*b_g that
+        `Enveloping.ad_act_gen` formed (memoized in the engine) is compared
+        with eta(g)*m on the way; the first column where they differ is kept
+        for `right_action_mismatch`."""
         cols = self._ad_cols.get(gen_index)
         if cols is None:
             e = self.engine
+            check = gen_index in self.datum.m_indices
+            eta_g = self.eta[gen_index]
             cols = []
-            for m in self.basis:
+            for j, m in enumerate(self.basis):
                 img = e.ad_act_gen(gen_index, e.element({m: e.field.one}))
                 cols.append({self.index[mm]: c for mm, c in img.terms.items()})
+                if check and e.q_reduce(e.times_gen(m, gen_index)).terms != (
+                        {m: eta_g} if eta_g else {}):
+                    self._right_mismatch.setdefault(gen_index, j)
             self._ad_cols[gen_index] = cols
         return cols
 
-    def _dense(self, cols):
-        mat = np.zeros((self.dim, self.dim), dtype=np.int64)
+    def right_action_mismatch(self):
+        """None when right multiplication by every z in m acts on Q by eta(z),
+        so that ad z = L_z - eta(z) and the m-invariants are the Whittaker
+        vectors; otherwise (z, column) of the first column where it does not."""
+        for z in self.datum.m_indices:
+            self.ad_columns(z)
+            if z in self._right_mismatch:
+                return z, self._right_mismatch[z]
+        return None
+
+    def _fill(self, out, cols):
         for j, col in enumerate(cols):
             for i, c in col.items():
-                mat[i, j] = c
-        return mat
+                out[i, j] = c
+        return out
+
+    def _dense(self, cols):
+        return self._fill(np.zeros((self.dim, self.dim), dtype=np.int64), cols)
 
     def left_matrix(self, gen_index):
         return self._dense(self.left_columns(gen_index))
@@ -301,23 +327,29 @@ class ReducedQ:
 
     def stacked_ad(self, sub):
         idx = self._sub_indices(sub)
-        if not idx:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        return np.concatenate([self.ad_matrix(z) for z in idx], axis=0)
+        n = self.dim
+        out = np.zeros((len(idx) * n, n), dtype=np.int64)
+        for k, z in enumerate(idx):
+            self._fill(out[k * n:(k + 1) * n], self.ad_columns(z))
+        return out
 
     def invariant_dimension(self, sub="m"):
-        key = ("dim", sub)
-        if key not in self._inv_dim:
+        """Dimension of the joint kernel of ad z over the chosen subalgebra;
+        read from `invariant_subspace` when that has already run."""
+        if sub not in self._inv_dim:
             stacked = self.stacked_ad(sub)
-            self._inv_dim[key] = self.dim - linalg.rank_mod_p(stacked, self.p)
-        return self._inv_dim[key]
+            self._inv_dim[sub] = self.dim - linalg.rank_mod_p(stacked, self.p)
+        return self._inv_dim[sub]
 
     def invariant_subspace(self, sub="m"):
-        """Echelonized basis (rows) of the joint kernel of ad z over the
-        chosen subalgebra."""
-        stacked = self.stacked_ad(sub)
-        basis = linalg.nullspace_mod_p(stacked, self.p)
-        self._inv_dim[("dim", sub)] = basis.shape[0]
+        """Echelonized basis (rows, read-only) of the joint kernel of ad z
+        over the chosen subalgebra, computed once per Q."""
+        basis = self._inv_basis.get(sub)
+        if basis is None:
+            basis = linalg.nullspace_mod_p(self.stacked_ad(sub), self.p)
+            basis.flags.writeable = False
+            self._inv_basis[sub] = basis
+            self._inv_dim[sub] = basis.shape[0]
         return basis
 
     def whittaker_subspace(self):
@@ -384,10 +416,12 @@ class ReducedW:
         return ctx.express_in_pbw(ctx.engine.q_mul(left, right))
 
 
-def reduced_w(datum, eta=None, eta_label="chi", with_relations=True):
+def reduced_w(datum, eta=None, eta_label="chi", with_relations=True, q=None):
     """Solve the generators over F_p, verify the PBW basis statement, and
-    (optionally) compute the relation table."""
-    q = build_reduced_q(datum, eta, eta_label)
+    (optionally) compute the relation table.  `q` is the module at this eta
+    when the caller has already built it."""
+    if q is None:
+        q = build_reduced_q(datum, eta, eta_label)
     warnings = []
     if not datum.p_guard_ok:
         warnings.append("p = %d is not above the top candidate degree %d;"

@@ -48,6 +48,14 @@ def test_composite_p_rejected(gl11):
         modp.reduce_mod_p(gl11, 9)
 
 
+def test_primes_past_the_kernel_bound_rejected(gl11):
+    ok, why = modp.restriction_condition("gl", (1, 1), 2 ** 31 - 1)
+    assert not ok and "int64 bound" in why
+    assert modp.restriction_condition("gl", (1, 1), 189812507) == (True, "")
+    with pytest.raises(ReductionError, match="int64 bound"):
+        modp.reduce_mod_p(gl11, 2 ** 31 - 1)
+
+
 def test_p_map_of_diagonal(gl11):
     mod = modp.reduce_mod_p(gl11, 3)
     lab = {b.label: b.index for b in gl11.basis}

@@ -114,3 +114,38 @@ def test_same_row_space():
     c = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int64)
     assert linalg.same_row_space_mod_p(a, b, p)
     assert not linalg.same_row_space_mod_p(a, c, p)
+
+
+def _rank_100_mod(p, seed=5):
+    # a 120x120 product of random 120x100 and 100x120 factors, exact in
+    # Python integers before the reduction mod p
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, p, (120, 100)).astype(object)
+    right = rng.integers(0, p, (100, 120)).astype(object)
+    return ((left @ right) % p).astype(np.int64)
+
+
+def test_rank_mod_p_exact_at_its_bound():
+    p = 189812507  # the largest prime with 256*(p-1)**2 + p < 2**63
+    assert linalg.exact_mod_p(p)
+    a = _rank_100_mod(p)
+    assert linalg.rank_mod_p(a, p) == 100
+    assert len(linalg.rref_mod_p(a, p)[1]) == 100
+
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 3037000453])
+def test_rank_mod_p_refuses_primes_past_its_bound(p):
+    assert not linalg.exact_mod_p(p)
+    a = _rank_100_mod(p)
+    with pytest.raises(ValueError, match="int64 bound"):
+        linalg.rank_mod_p(a, p)
+    # rref reduces after every pivot: its bound is (p-1)**2 + p < 2**63
+    assert linalg.exact_mod_p(p, block=1)
+    assert len(linalg.rref_mod_p(a, p)[1]) == 100
+
+
+def test_rref_mod_p_refuses_primes_past_its_bound():
+    p = 3037000507  # the first prime with (p-1)**2 + p >= 2**63
+    assert not linalg.exact_mod_p(p, block=1)
+    with pytest.raises(ValueError, match="int64 bound"):
+        linalg.rref_mod_p(np.eye(3, dtype=np.int64), p)
