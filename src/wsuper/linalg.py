@@ -4,10 +4,13 @@ Two implementations live here.  The generic one works over any Field object
 (list-of-list matrices, used for all rational computations and for small mod-p
 systems); it is plain Gaussian elimination with deterministic pivoting, so
 echelon bases and particular solutions are reproducible.  The numpy one works
-mod p with int64 arrays and a blocked elimination whose inner update is an
-integer matrix product; it exists because the reduced-module kernels reach
-dimension a few thousand.  Its intermediates stay below block*(p-1)**2 + p, so
-it is exact only while that is below 2**63; it raises ValueError otherwise.
+mod p through one blocked Gauss-Jordan routine, `_echelon_mod_p`, behind
+`rank_mod_p`, `rref_mod_p`, `nullspace_mod_p` and `row_space_mod_p`; it
+exists because the reduced-module kernels reach dimension a few thousand.  It
+stores integers in float64 so that its block updates run as BLAS matrix
+products, and reduces mod p once per block.  Its intermediates stay below
+BLOCK*(p-1)**2 + p, so it is exact only while that is below 2**53, that is
+for p <= 11,863,279; it raises ValueError otherwise.
 """
 
 from __future__ import annotations
@@ -182,139 +185,167 @@ def echelon_span(field, vectors):
 # numpy arrays mod p
 # ---------------------------------------------------------------------------
 
-BLOCK = 256
+BLOCK = 64
+SLAB = 256
 
 
 def exact_mod_p(p, block=BLOCK):
-    """Whether the int64 eliminations below are exact at p: every
-    intermediate is bounded by block*(p-1)**2 + p."""
-    return block * (p - 1) ** 2 + p < 2 ** 63
+    """Whether `_echelon_mod_p` is exact at p: every intermediate is an
+    integer of magnitude at most block*(p-1)**2 + p, and float64 holds such
+    integers exactly while that bound is below 2**53."""
+    return block * (p - 1) ** 2 + p < 2 ** 53
 
 
 def _check_exact(p, block):
     if not exact_mod_p(p, block):
-        raise ValueError("p = %d breaks the int64 bound %d*(p-1)**2 + p < 2**63"
+        raise ValueError("p = %d breaks the float64 bound %d*(p-1)**2 + p < 2**53"
                          % (p, block))
 
 
-def _np_mod(a, p):
-    return np.asarray(a, dtype=np.int64) % p
+def _reduce(a, p):
+    """Reduce a float64 array of integers below 2**53 mod p, in place.
+
+    a - p*floor(a/p) with 1/p rounded is off by at most one multiple of p,
+    which one fix-up each way corrects; float `%` would be several times
+    slower."""
+    t = a * (1.0 / p)
+    np.floor(t, out=t)
+    t *= p
+    a -= t
+    np.add(a, p, out=a, where=a < 0)
+    np.subtract(a, p, out=a, where=a >= p)
+    return a
 
 
-def _inv_small_mod_p(mat, p):
-    n = mat.shape[0]
-    a = np.concatenate([mat % p, np.eye(n, dtype=np.int64)], axis=1)
-    for c in range(n):
-        nz = np.nonzero(a[c:, c])[0]
+def _panel(w, p):
+    """Gauss-Jordan on one panel, row by row with a delayed reduction.
+
+    w holds the live rows of the panel's columns, entries in [0, p).  A right
+    half records each row as a combination of the pivot rows, so that the
+    pivot rows' half ends as the inverse of the pivot block.  Returns the
+    positions of the pivot rows in w (in pivot order), the pivot columns, the
+    reduced pivot rows and that inverse."""
+    m, b = w.shape
+    w = np.concatenate([w, np.zeros((m, b))], axis=1)
+    order = np.arange(m)
+    pivcols = []
+    k = 0
+    for c in range(b):
+        if k == m:
+            break
+        nz = np.flatnonzero(w[k:, c] % p)
         if nz.size == 0:
-            raise ValueError("singular pivot block")
-        i = c + int(nz[0])
-        if i != c:
-            a[[c, i]] = a[[i, c]]
-        a[c] = (a[c] * pow(int(a[c, c]), p - 2, p)) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != c]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[c])) % p
-    return a[:, n:]
+            continue
+        i = k + int(nz[0])
+        if i != k:
+            w[[k, i]] = w[[i, k]]
+            order[[k, i]] = order[[i, k]]
+        row = w[k] % p
+        row[b + k] = 1
+        row *= pow(int(row[c]), p - 2, p)
+        w[k] = row = row % p
+        mult = w[:, c] % p
+        mult[k] = 0
+        hit = np.flatnonzero(mult)
+        if hit.size:
+            # delayed reduction: entries stay below p + b*(p-1)**2
+            w[hit] -= np.outer(mult[hit], row)
+        pivcols.append(c)
+        k += 1
+    top = _reduce(w[:k], p)
+    return order[:k], pivcols, top[:, :b], top[:, b:b + k]
 
 
-def rank_mod_p(mat, p, block=BLOCK):
-    """Rank over F_p via blocked elimination; int64 throughout.
+def _update(a, lo, hi, pivabs, c, u, p):
+    """a[i, c:] -= a[i, pivabs] @ u mod p for the rows lo <= i < hi, in
+    slabs of SLAB rows, skipping rows whose multipliers are all zero."""
+    for s in range(lo, hi, SLAB):
+        e = min(s + SLAB, hi)
+        x = a[s:e, pivabs]
+        live = np.flatnonzero(x.any(axis=1))
+        if live.size == e - s:
+            blk = a[s:e, c:]
+            blk -= x @ u
+            _reduce(blk, p)
+        elif live.size:
+            rows = s + live
+            blk = a[rows, c:]
+            blk -= x[live] @ u
+            a[rows, c:] = _reduce(blk, p)
 
-    Entry magnitudes inside a block stay below block*(p-1)**2 + p; a prime
-    for which that reaches 2**63 raises ValueError instead of overflowing.
+
+def _echelon_mod_p(mat, p, block=BLOCK, reduced=True):
+    """Blocked Gauss-Jordan elimination over F_p on float64 (the scheme of
+    FFLAS-FFPACK: exact integer arithmetic in floating point, one reduction
+    mod p per block).
+
+    Each panel of `block` columns is eliminated row by row; its k pivot rows
+    move up by swapping only the rows in the way, become U = P^-1 rows with
+    the k x k pivot-block inverse P^-1, and one GEMM per slab updates every
+    other live row: rows above become reduced, rows below the Schur
+    complement.  Returns (rows, pivots): the rank rows of the reduced row
+    echelon form (float64 holding integers in [0, p)) and its pivot
+    columns.  With reduced=False the rows above each panel are left alone
+    and only the pivots are meaningful.
     """
     _check_exact(p, block)
-    a = _np_mod(mat, p)
-    rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        return 0
+    mat = np.asarray(mat)
+    rows, cols = mat.shape
+    a = np.empty((rows, cols))
+    for s in range(0, rows, SLAB):
+        a[s:s + SLAB] = mat[s:s + SLAB] % p
+    piv = []
     r = 0
     for c0 in range(0, cols, block):
         if r == rows:
             break
         c1 = min(c0 + block, cols)
-        w = a[r:, c0:c1].copy()
-        idx = np.arange(r, rows)
-        pr = 0
-        pivcols = []
-        for c in range(c1 - c0):
-            if pr == w.shape[0]:
-                break
-            col = w[pr:, c] % p
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            i = pr + int(nz[0])
-            if i != pr:
-                w[[pr, i]] = w[[i, pr]]
-                idx[[pr, i]] = idx[[i, pr]]
-            w[pr] %= p
-            wr = (w[pr] * pow(int(w[pr, c]), p - 2, p)) % p
-            mult = w[pr + 1:, c] % p
-            hit = np.nonzero(mult)[0]
-            if hit.size:
-                bi = pr + 1 + hit
-                # delayed mod: values stay bounded by p + block*p*p
-                w[bi] = w[bi] - np.outer(mult[hit], wr)
-            pivcols.append(c)
-            pr += 1
-        if pr == 0:
+        live = r + np.flatnonzero(a[r:, c0:c1].any(axis=1))
+        if live.size == 0:
             continue
-        a[r:] = a[idx]
-        k = pr
-        pivot_block = a[r:r + k, c0:c1][:, pivcols]
-        if c1 < cols:
-            u = (_inv_small_mod_p(pivot_block, p) @ a[r:r + k, c1:]) % p
-            q = a[r + k:, c0:c1][:, pivcols]
-            live = np.nonzero(q.any(axis=1))[0]
-            if live.size:
-                a[r + k + live, c1:] = (a[r + k + live, c1:] - q[live] @ u) % p
+        # every live row is nonzero mod p in the panel, so k >= 1
+        order, pivcols, head, inv = _panel(a[live, c0:c1], p)
+        k = len(pivcols)
+        pos = live[order]
+        u = _reduce(inv @ a[pos, c1:], p)
+        # move the non-pivot rows out of r..r+k-1 into the pivot rows' places
+        target = np.arange(r, r + k)
+        a[np.setdiff1d(pos, target)] = a[np.setdiff1d(target, pos)]
+        a[r:r + k, :c0] = 0
+        a[r:r + k, c0:c1] = head
+        a[r:r + k, c1:] = u
+        pivabs = [c0 + c for c in pivcols]
+        if reduced and r:
+            _update(a, 0, r, pivabs, c0, a[r:r + k, c0:], p)
+        _update(a, r + k, rows, pivabs, c1, u, p)
+        piv.extend(pivabs)
         r += k
-    return r
+    return a[:r], piv
+
+
+def rank_mod_p(mat, p, block=BLOCK):
+    """Rank over F_p by `_echelon_mod_p`; a prime past its float64 bound
+    raises ValueError.  `block` is the panel width."""
+    return len(_echelon_mod_p(mat, p, block, reduced=False)[1])
 
 
 def rref_mod_p(mat, p):
-    """Reduced row echelon form mod p (straightforward, for moderate sizes).
-
-    Rows are reduced after every pivot, so the bound is that of a block of 1.
-    """
-    _check_exact(p, 1)
-    a = _np_mod(mat, p)
-    rows, cols = a.shape
-    piv = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
-        piv.append(c)
-        r += 1
-    return a, piv
+    """Reduced row echelon form mod p, same shape as mat: (rref, pivots)."""
+    ech, piv = _echelon_mod_p(mat, p)
+    out = np.zeros(np.shape(mat), dtype=np.int64)
+    out[:len(piv)] = ech
+    return out, piv
 
 
 def nullspace_mod_p(mat, p):
-    """Canonical echelonized kernel basis, rows of shape (nullity, cols)."""
+    """Canonical echelonized kernel basis, rows of shape (nullity, cols):
+    the row for free column j is 1 at j and 0 at the other free columns."""
     a, piv = rref_mod_p(mat, p)
     cols = a.shape[1]
-    piv_set = set(piv)
-    free = [j for j in range(cols) if j not in piv_set]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, j in enumerate(free):
-        basis[k, j] = 1
-        for r, pc in enumerate(piv):
-            basis[k, pc] = (-int(a[r, j])) % p
+    free = np.setdiff1d(np.arange(cols), piv)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, piv] = (-a[:len(piv), free].T) % p
     return basis
 
 

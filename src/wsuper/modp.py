@@ -34,8 +34,8 @@ def restriction_condition(family, shape, p):
     if p < 3:
         return False, "p must be an odd prime"
     if not linalg.exact_mod_p(p):
-        return False, ("p exceeds the int64 bound %d*(p-1)**2 + p < 2**63 of"
-                       " the mod-p kernels" % linalg.BLOCK)
+        return False, ("p exceeds the float64 bound %d*(p-1)**2 + p < 2**53"
+                       " of the mod-p kernel" % linalg.BLOCK)
     if family == "sl" and (m - n) % p == 0:
         return False, "p divides m - n = %d" % (m - n)
     if family not in ("gl", "sl", "osp"):
@@ -221,6 +221,7 @@ class ReducedQ:
         self._right_mismatch = {}
         self._inv_dim = {}
         self._inv_basis = {}
+        self._mid_image = None
 
     def _monomial_basis(self):
         e = self.engine
@@ -325,6 +326,12 @@ class ReducedQ:
             return self.datum.mprime_indices
         raise ValueError("unknown subalgebra %r" % (sub,))
 
+    def _sub_key(self, sub):
+        # m' = m when r is even
+        if self._sub_indices(sub) == self.datum.m_indices:
+            return "m"
+        return "mprime"
+
     def stacked_ad(self, sub):
         idx = self._sub_indices(sub)
         n = self.dim
@@ -335,22 +342,52 @@ class ReducedQ:
 
     def invariant_dimension(self, sub="m"):
         """Dimension of the joint kernel of ad z over the chosen subalgebra;
-        read from `invariant_subspace` when that has already run."""
-        if sub not in self._inv_dim:
-            stacked = self.stacked_ad(sub)
-            self._inv_dim[sub] = self.dim - linalg.rank_mod_p(stacked, self.p)
-        return self._inv_dim[sub]
+        read from `invariant_subspace` when that has already run, and always
+        for m' (whose kernel is found inside the m-kernel)."""
+        key = self._sub_key(sub)
+        if key == "mprime":
+            return self.invariant_subspace(key).shape[0]
+        if key not in self._inv_dim:
+            stacked = self.stacked_ad(key)
+            self._inv_dim[key] = self.dim - linalg.rank_mod_p(stacked, self.p)
+        return self._inv_dim[key]
 
     def invariant_subspace(self, sub="m"):
         """Echelonized basis (rows, read-only) of the joint kernel of ad z
-        over the chosen subalgebra, computed once per Q."""
-        basis = self._inv_basis.get(sub)
+        over the chosen subalgebra, computed once per Q: the canonical
+        kernel basis of `linalg.nullspace_mod_p`, identity on its free
+        columns."""
+        key = self._sub_key(sub)
+        basis = self._inv_basis.get(key)
         if basis is None:
-            basis = linalg.nullspace_mod_p(self.stacked_ad(sub), self.p)
+            if key == "m":
+                basis = linalg.nullspace_mod_p(self.stacked_ad("m"), self.p)
+            else:
+                basis = self._mprime_invariants()
             basis.flags.writeable = False
-            self._inv_basis[sub] = basis
-            self._inv_dim[sub] = basis.shape[0]
+            self._inv_basis[key] = basis
+            self._inv_dim[key] = basis.shape[0]
         return basis
+
+    def _middle_image(self):
+        """Rows ad v_mid (x) for the rows x of the m-invariant basis (odd r),
+        computed once per Q."""
+        if self._mid_image is None:
+            ad_v = self.ad_matrix(self.datum.v_mid_index)
+            self._mid_image = (self.invariant_subspace("m") @ ad_v.T) % self.p
+            self._mid_image.flags.writeable = False
+        return self._mid_image
+
+    def _mprime_invariants(self):
+        # m' = m + <v_mid>, so Q^m' = ker(ad v_mid) on Q^m: with K the m
+        # basis, c K for the c with c (K ad_v^T) = 0
+        p = self.p
+        c = linalg.nullspace_mod_p(self._middle_image().T, p)
+        span = (c @ self.invariant_subspace("m")) % p
+        # the canonical kernel basis is the reduced echelon form read from
+        # the last column backwards
+        rows = linalg.row_space_mod_p(span[:, ::-1], p)
+        return np.ascontiguousarray(rows[::-1, ::-1])
 
     def whittaker_subspace(self):
         """Vectors on which every z in m acts by eta(z) under left
@@ -495,17 +532,17 @@ def mprime_invariants_check(datum, eta=None, q=None):
     p = datum.p
     inv_m = q.invariant_subspace("m")
     inv_mp = q.invariant_subspace("mprime")
-    vmid = datum.v_mid_index
-    ad_v = q.ad_matrix(vmid)
-    image = (inv_m @ ad_v.T) % p
-    equal = linalg.same_row_space_mod_p(image, inv_mp, p)
+    image = q._middle_image()
+    # the image lies in the m'-invariants and has their dimension
+    equal = (len(linalg.row_space_mod_p(image, p)) == inv_mp.shape[0]
+             and _in_span(inv_mp, image, p))
     proper = inv_mp.shape[0] < inv_m.shape[0]
     # witness: the middle vector class is m-invariant but not m'-invariant
     e = q.engine
-    wit = e.q_reduce(e.gen(vmid))
-    wvec = q.vector_of(wit)
-    in_m = _in_row_space(inv_m, wvec, p)
-    in_mp = _in_row_space(inv_mp, wvec, p)
+    wit = e.q_reduce(e.gen(datum.v_mid_index))
+    wvec = q.vector_of(wit)[None, :]
+    in_m = _in_span(inv_m, wvec, p)
+    in_mp = _in_span(inv_mp, wvec, p)
     return RefinedInvariantsReport(
         p=p, dim_m_invariants=int(inv_m.shape[0]),
         dim_mprime_invariants=int(inv_mp.shape[0]),
@@ -513,12 +550,12 @@ def mprime_invariants_check(datum, eta=None, q=None):
         witness_ok=bool(in_m and not in_mp))
 
 
-def _in_row_space(rows, vec, p):
-    if not rows.size:
-        return not vec.any()
-    a = linalg.rank_mod_p(rows, p)
-    b = linalg.rank_mod_p(np.concatenate([rows, vec[None, :]], axis=0), p)
-    return a == b
+def _in_span(basis, vecs, p):
+    """Whether every row of vecs lies in the span of a canonical kernel
+    basis.  Each basis row is 1 at its free column and 0 at the others and
+    past it, so v is in the span exactly when v = v[free] basis mod p."""
+    free = basis.shape[1] - 1 - np.argmax(basis[:, ::-1] != 0, axis=1)
+    return bool(np.array_equal(vecs % p, (vecs[:, free] @ basis) % p))
 
 
 def whittaker_subspace(q):

@@ -203,7 +203,7 @@ def original_basis_weights(alg, h):
 # bilinear form normalizations on g(-1)
 # ---------------------------------------------------------------------------
 
-def _reduce_against_pair(field, form, vecs, a, b, symmetric):
+def _reduce_against_pair(field, form, vecs, a, b):
     """Project vecs onto the orthogonal complement of the hyperbolic pair
     (a, b).  form(a,b) is -1 in the symplectic convention, 1 in the symmetric
     one; the formulas below only use the actual pair values."""
@@ -243,7 +243,7 @@ def symplectic_normal_basis(field, vectors, form):
         firsts.append(tuple(a))
         seconds.append(tuple(b))
         rest = [w for w in work if w is not a and w is not partner]
-        work = _reduce_against_pair(field, form, rest, a, b, symmetric=False)
+        work = _reduce_against_pair(field, form, rest, a, b)
     assert len(firsts) == s
     return firsts + list(reversed(seconds))
 
@@ -407,12 +407,6 @@ class NilpotentData:
     def r_odd(self):
         return self.r % 2 == 1
 
-    def x_index(self, i):
-        return i - 1
-
-    def y_index(self, j):
-        return self.m_count + j - 1
-
     def u_index(self, i):
         return self.m_count + self.n_count + i - 1
 
@@ -441,9 +435,6 @@ class NilpotentData:
 
     def dims_tuple(self):
         return (self.l, self.q, self.s, self.r, self.t)
-
-    def weight_of(self, gen_index):
-        return self.generators[gen_index].weight
 
     def __eq__(self, other):
         if not isinstance(other, NilpotentData):

@@ -135,22 +135,6 @@ class Enveloping:
                 clean[tuple(m)] = c
         return Element(self, clean)
 
-    def monomial(self, pairs):
-        """Normal-ordered product of generator powers given as (index, exp)."""
-        return self.normalize(pairs)
-
-    def from_vector(self, vec):
-        """Algebra element from coordinates over the adapted generators."""
-        f = self.field
-        terms = {}
-        for i, c in enumerate(vec):
-            c = f.of(c)
-            if not f.is_zero(c):
-                m = [0] * self.n_gens
-                m[i] = 1
-                terms[tuple(m)] = c
-        return Element(self, terms)
-
     # -- labels and grading ---------------------------------------------------
 
     def mono_parity(self, mono):
@@ -308,9 +292,6 @@ class Enveloping:
                     self._acc(nxt, self.times_gen(m, g), c)
                 cur = nxt
         return Element(self, cur)
-
-    def multiply(self, a, b):
-        return a * b
 
     # -- the induced module Q -------------------------------------------------
 

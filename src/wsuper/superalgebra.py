@@ -32,14 +32,6 @@ def zero_matrix(n, field=QQ):
     return [[field.zero] * n for _ in range(n)]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
-
-
 def mat_mul_plain(field, a, b):
     n = len(a)
     out = [[field.zero] * n for _ in range(n)]
@@ -64,32 +56,12 @@ def mat_pow(field, a, k):
     return out
 
 
-def mat_is_zero(field, a):
-    return all(field.is_zero(x) for row in a for x in row)
-
-
 def supertrace(field, a, m_even):
     s = field.zero
     for i in range(len(a)):
         d = a[i][i]
         s = field.add(s, d) if i < m_even else field.sub(s, d)
     return s
-
-
-def matrix_parity(a, m_even):
-    """0, 1, or None for even, odd, or inhomogeneous nonzero blocks."""
-    even = odd = False
-    n = len(a)
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != 0:
-                if (i < m_even) == (j < m_even):
-                    even = True
-                else:
-                    odd = True
-    if even and odd:
-        return None
-    return 1 if odd else 0
 
 
 def super_commutator(field, a, b, pa, pb):

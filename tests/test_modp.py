@@ -50,9 +50,11 @@ def test_composite_p_rejected(gl11):
 
 def test_primes_past_the_kernel_bound_rejected(gl11):
     ok, why = modp.restriction_condition("gl", (1, 1), 2 ** 31 - 1)
-    assert not ok and "int64 bound" in why
-    assert modp.restriction_condition("gl", (1, 1), 189812507) == (True, "")
-    with pytest.raises(ReductionError, match="int64 bound"):
+    assert not ok and "float64 bound" in why
+    assert modp.restriction_condition("gl", (1, 1), 11863279) == (True, "")
+    ok, why = modp.restriction_condition("gl", (1, 1), 11863289)
+    assert not ok and "float64 bound" in why
+    with pytest.raises(ReductionError, match="float64 bound"):
         modp.reduce_mod_p(gl11, 2 ** 31 - 1)
 
 

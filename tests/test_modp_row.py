@@ -58,13 +58,14 @@ def test_row_builds_q_once_and_eliminates_the_m_stack_once(
     rows = 2
     assert len(log["build"]) == rows
     assert not log["left"] and not log["whittaker"]
-    stacks = sorted(args[1] for args in log["stack"])
-    assert stacks == ["m"] * rows + ["mprime"] * rows
-    # the m-stack is the only (len(m) * dim Q) x dim Q matrix eliminated
+    # the m'-invariants come from inside the m-kernel: no m' stack
+    assert [args[1] for args in log["stack"]] == ["m"] * rows
+    # the m-stack is eliminated once per row and is the largest matrix
     dim = 36
     m_stack = (len(dat_osp3.m_indices) * dim, dim)
     eliminated = [args[0].shape for args in log["rank"] + log["rref"]]
     assert eliminated.count(m_stack) == rows
+    assert max(r * c for r, c in eliminated) == m_stack[0] * m_stack[1]
 
 
 @pytest.mark.parametrize("which", ["dat_osp3", "dat_sl3"])
@@ -88,6 +89,17 @@ def test_whittaker_space_is_the_shared_kernel(request, which):
         assert q.invariant_dimension("m") == wh.shape[0]
         # both are the canonical echelon basis of the same kernel
         assert np.array_equal(q.invariant_subspace("m"), wh)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_mprime_invariants_match_the_stacked_kernel(nd_osp12_reg, p):
+    # oracle: the joint kernel of the stacked ad matrices of m' = m + v_mid
+    dat = modp.reduce_datum(nd_osp12_reg, p)
+    for label, eta in dat.eta_samples(2):
+        q = modp.build_reduced_q(dat, eta, label)
+        oracle = linalg.nullspace_mod_p(q.stacked_ad("mprime"), p)
+        assert np.array_equal(q.invariant_subspace("mprime"), oracle)
+        assert q.invariant_dimension("mprime") == oracle.shape[0]
 
 
 def test_invariant_subspace_is_cached_and_read_only(dat_osp3):
@@ -132,4 +144,4 @@ def test_prime_past_the_kernel_bound_exits_2_before_q(monkeypatch, tmp_path,
                      "2", "--nilpotent", "regular", "--primes", "2147483647",
                      "--out", str(tmp_path)])
     assert code == EXIT_CONFIG and not built
-    assert "int64 bound" in capsys.readouterr().err
+    assert "float64 bound" in capsys.readouterr().err

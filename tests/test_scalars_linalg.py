@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wsuper import linalg
-from wsuper.scalars import (QQ, PrimeField, format_scalar, is_rational_square,
-                            parse_scalar)
+from wsuper.scalars import (QQ, PrimeField, _is_prime, format_scalar,
+                            is_rational_square, parse_scalar)
+
+LARGEST_PRIME = 11863279  # the largest prime with 64*(p-1)**2 + p < 2**53
 
 
 def test_scalar_roundtrip():
@@ -126,26 +129,115 @@ def _rank_100_mod(p, seed=5):
 
 
 def test_rank_mod_p_exact_at_its_bound():
-    p = 189812507  # the largest prime with 256*(p-1)**2 + p < 2**63
+    p = LARGEST_PRIME
     assert linalg.exact_mod_p(p)
     a = _rank_100_mod(p)
     assert linalg.rank_mod_p(a, p) == 100
-    assert len(linalg.rref_mod_p(a, p)[1]) == 100
+    got, piv = linalg.rref_mod_p(a, p)
+    assert len(piv) == 100
+    # intermediates near 2**53: every entry must come out reduced and exact
+    red, _ = linalg.rref(PrimeField(p), [[int(x) for x in r] for r in a])
+    assert np.array_equal(got, np.array(red, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p, x", [
+    (LARGEST_PRIME, -7 * LARGEST_PRIME),  # floor(x/p) rounds low
+    (11863213, -9004718502507566),       # floor(x/p) rounds high
+])
+def test_float_reduction_is_exact_across_the_bound(p, x):
+    # the kernel reduces integers in [-64*(p-1)**2, p) by a - p*floor(a/p)
+    lo = -64 * (p - 1) ** 2
+    xs = [x, x - 1, x + 1, lo, lo + 1, -1, 0, p - 1]
+    assert all(lo <= v < p for v in xs)
+    got = linalg._reduce(np.array(xs, dtype=np.float64), p)
+    assert got.tolist() == [v % p for v in xs]
 
 
 @pytest.mark.parametrize("p", [2 ** 31 - 1, 3037000453])
 def test_rank_mod_p_refuses_primes_past_its_bound(p):
     assert not linalg.exact_mod_p(p)
     a = _rank_100_mod(p)
-    with pytest.raises(ValueError, match="int64 bound"):
+    # both read the one blocked kernel, so both refuse
+    with pytest.raises(ValueError, match="float64 bound"):
         linalg.rank_mod_p(a, p)
-    # rref reduces after every pivot: its bound is (p-1)**2 + p < 2**63
-    assert linalg.exact_mod_p(p, block=1)
-    assert len(linalg.rref_mod_p(a, p)[1]) == 100
+    with pytest.raises(ValueError, match="float64 bound"):
+        linalg.rref_mod_p(a, p)
 
 
 def test_rref_mod_p_refuses_primes_past_its_bound():
-    p = 3037000507  # the first prime with (p-1)**2 + p >= 2**63
-    assert not linalg.exact_mod_p(p, block=1)
-    with pytest.raises(ValueError, match="int64 bound"):
+    p = 11863289  # the first prime with 64*(p-1)**2 + p >= 2**53
+    assert not linalg.exact_mod_p(p)
+    with pytest.raises(ValueError, match="float64 bound"):
         linalg.rref_mod_p(np.eye(3, dtype=np.int64), p)
+
+
+@st.composite
+def _matrices_mod_p(draw, primes, max_side=9):
+    """(a, p): a matrix mod p of random shape, often rank-deficient (a
+    product of random factors) and sometimes sparse."""
+    p = draw(primes)
+    rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    k = draw(st.integers(0, max_side))
+    entry = st.integers(0, p - 1)
+    left = np.array(draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                                  min_size=rows, max_size=rows)),
+                    dtype=object).reshape(rows, k)
+    right = np.array(draw(st.lists(st.lists(entry, min_size=cols,
+                                            max_size=cols),
+                                   min_size=k, max_size=k)),
+                     dtype=object).reshape(k, cols)
+    a = (left @ right) % p if k else np.zeros((rows, cols), dtype=object)
+    if draw(st.booleans()):
+        mask = draw(st.lists(st.booleans(), min_size=rows * cols,
+                             max_size=rows * cols))
+        a = a * np.array(mask, dtype=bool).reshape(rows, cols)
+    return np.array(a, dtype=np.int64).reshape(rows, cols), p
+
+
+def _prime_at_most(n):
+    while not _is_prime(n):
+        n -= 1
+    return n
+
+
+_any_prime = st.integers(3, LARGEST_PRIME).map(_prime_at_most)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices_mod_p(_any_prime))
+@example((np.array([[1, 2], [LARGEST_PRIME - 1, 5]], dtype=np.int64),
+          LARGEST_PRIME))
+def test_rref_mod_p_matches_generic_rref(case):
+    a, p = case
+    rows, cols = a.shape
+    red, piv = linalg.rref(PrimeField(p), [[int(x) for x in r] for r in a])
+    red = np.array(red, dtype=np.int64).reshape(rows, cols)
+    got, got_piv = linalg.rref_mod_p(a, p)
+    assert got_piv == piv
+    assert np.array_equal(got, red)
+    # narrow panels take the multi-panel Gauss-Jordan path on these sizes
+    for b in (1, 2, 3):
+        ech, ech_piv = linalg._echelon_mod_p(a, p, block=b)
+        assert ech_piv == piv
+        assert np.array_equal(ech, red[:len(piv)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices_mod_p(st.sampled_from([3, 5, 7, 101]), max_side=20))
+def test_rank_mod_p_is_independent_of_the_panel_width(case):
+    a, p = case
+    ranks = {linalg.rank_mod_p(a, p, block=b) for b in range(1, 9)}
+    assert ranks == {_naive_rank(a, p)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices_mod_p(st.sampled_from([3, 5, 7, 101]), max_side=20))
+def test_nullspace_mod_p_is_the_canonical_kernel_basis(case):
+    a, p = case
+    cols = a.shape[1]
+    ns = linalg.nullspace_mod_p(a, p)
+    assert ns.shape == (cols - linalg.rank_mod_p(a, p), cols)
+    assert not ((a.astype(object) @ ns.T.astype(object)) % p).any()
+    free = np.setdiff1d(np.arange(cols), linalg.rref_mod_p(a, p)[1])
+    assert np.array_equal(ns[:, free], np.eye(free.size, dtype=np.int64))
