@@ -12,14 +12,13 @@ from .pbw import AmbientMismatch, Element, Enveloping, FiltrationIndex, \
     engine_from_datum
 from .wchar0 import (GradedReport, LeadingShapeError, NotInvariantError,
                      SolverError, ThetaPolynomial, WContext, WGenerator,
-                     WPresentation, commutator_table, express_in_pbw,
-                     graded_check, solve_theta)
+                     WPresentation)
 from .modp import (ModularAlgebra, ModularDatum, MoritaReport, ReducedQ,
                    ReducedW, ReductionError, build_reduced_q,
                    check_graded_p_map, check_p_center_acts_zero,
-                   check_restrictedness, invariant_subspace,
-                   morita_dim_check, mprime_invariants_check, reduce_datum,
-                   reduce_mod_p, reduced_w, whittaker_subspace)
+                   check_restrictedness, morita_dim_check,
+                   mprime_invariants_check, reduce_datum, reduce_mod_p,
+                   reduced_w)
 from .presets import PresetError, resolve_nilpotent
 from .cli import PipelineConfig, run_pipeline
 

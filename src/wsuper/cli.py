@@ -125,7 +125,7 @@ def run_pipeline(cfg):
                 dat = modp.reduce_datum(nd, p)
             except modp.ReductionError as exc:
                 raise ConfigError(str(exc))
-            etas = dat.eta_samples(2) if cfg.eta_sweep else [("chi", dat.eta_chi())]
+            etas = dat.eta_samples() if cfg.eta_sweep else [("chi", dat.eta_chi())]
             for eta_label, eta in etas:
                 rows.append(_modp_row(cfg, nd, dat, eta, eta_label, failures))
         emit("modp_report.csv", serialize.modp_rows_to_csv(rows))
@@ -145,12 +145,12 @@ def _modp_row(cfg, nd, dat, eta, eta_label, failures):
     if nd.r_odd:
         # the m' check needs the m-invariant basis; Morita reads its row count
         q.invariant_subspace("m")
-    morita = modp.morita_dim_check(dat, eta=eta, eta_label=eta_label, q=q)
+    morita = modp.morita_dim_check(q)
     if not morita.ok:
         failures.append({"check": "morita_dimension", "p": dat.p,
                          "eta": eta_label})
     if nd.r_odd:
-        refined = modp.mprime_invariants_check(dat, eta=eta, q=q)
+        refined = modp.mprime_invariants_check(q)
         prop_ok = refined.ok
         if not prop_ok:
             failures.append({"check": "mprime_invariants", "p": dat.p,
@@ -158,7 +158,7 @@ def _modp_row(cfg, nd, dat, eta, eta_label, failures):
     else:
         # m' = m, the two invariant spaces coincide by definition
         prop_ok = True
-    rw = modp.reduced_w(dat, eta, eta_label, with_relations=True, q=q)
+    rw = modp.reduced_w(q)
     if not rw.pbw_ok:
         failures.append({"check": "pbw_basis", "p": dat.p, "eta": eta_label})
     # right multiplication by z in m acts by eta(z), so ad z = L_z - eta(z):
@@ -217,7 +217,10 @@ def build_parser():
         p = w.add_parser(action)
         _common_args(p)
         _nilpotent_args(p)
-        p.add_argument("--max-degree", type=int, default=10)
+        if action == "relations":
+            # w solve writes no relations and runs no graded check, the
+            # only readers of the degree bound
+            p.add_argument("--max-degree", type=int, default=10)
 
     mp = sub.add_parser("modp").add_subparsers(dest="action", required=True)
     p = mp.add_parser("suite")
@@ -269,7 +272,6 @@ def config_from_args(args):
     elif cmd == ("w", "solve"):
         cfg.relations = False
         cfg.verify = False
-        cfg.max_degree = args.max_degree
     elif cmd == ("w", "relations"):
         cfg.verify = False
         cfg.max_degree = args.max_degree

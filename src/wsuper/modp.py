@@ -84,12 +84,11 @@ def reduce_mod_p(alg, p):
     base = LieSuperalgebra(gf, alg.basis, structure, gram=gram,
                            realization=realization, p_map=p_map,
                            family=alg.family, shape=alg.shape)
-    out = ModularAlgebra(base=base, p=p,
-                         restriction_ok={"family": alg.family,
-                                         "shape": alg.shape, "p": p,
-                                         "condition": "satisfied"})
-    out.coordinatizer = coord
-    return out
+    return ModularAlgebra(base=base, p=p,
+                          restriction_ok={"family": alg.family,
+                                          "shape": alg.shape, "p": p,
+                                          "condition": "satisfied"},
+                          coordinatizer=coord)
 
 
 @dataclass
@@ -97,7 +96,7 @@ class ModularAlgebra:
     base: LieSuperalgebra
     p: int
     restriction_ok: dict
-    coordinatizer: object = None
+    coordinatizer: Coordinatizer
 
     @property
     def p_map(self):
@@ -133,14 +132,11 @@ class ModularDatum:
             change_inv = linalg.invert(gf, change)
         except ValueError:
             raise ReductionError("adapted basis degenerates mod %d" % p)
-        alg_p = mod.base
-        coord = mod.coordinatizer or Coordinatizer(gf, alg_p.realization)
         self.pmap_adapted = {}
         for i, g in enumerate(self.generators):
             if g.parity != 0:
                 continue
-            power = mat_pow(gf, alg_p.realize(list(g.vector)), p)
-            coords_orig = coord.coords(power)
+            coords_orig = p_power_coords(mod, g.vector)
             coords = linalg.mat_vec(gf, change_inv, coords_orig)
             self.pmap_adapted[i] = {t: c for t, c in enumerate(coords)
                                     if not gf.is_zero(c)}
@@ -160,20 +156,17 @@ class ModularDatum:
         """eta = chi itself."""
         return tuple(self.chi)
 
-    def eta_samples(self, count=2):
-        """chi plus shifts along duals of even co-basis generators (these span
-        the even annihilator of m intersected with the annihilator of the odd
-        part)."""
+    def eta_samples(self):
+        """chi, and chi shifted along the dual of the first even co-basis
+        generator when there is one (such duals span the even annihilator of
+        m intersected with the annihilator of the odd part)."""
         out = [("chi", self.eta_chi())]
-        gf = self.field
-        shift_targets = [i for i in range(self.cobasis_count)
-                         if self.generators[i].parity == 0]
-        for i in shift_targets:
-            if len(out) >= count:
+        for i in range(self.cobasis_count):
+            if self.generators[i].parity == 0:
+                eta = list(self.eta_chi())
+                eta[i] = self.field.add(eta[i], self.field.one)
+                out.append(("chi+%s*" % self.generators[i].label, tuple(eta)))
                 break
-            eta = list(self.eta_chi())
-            eta[i] = gf.add(eta[i], gf.one)
-            out.append(("chi+%s*" % self.generators[i].label, tuple(eta)))
         return out
 
     def validate_eta(self, eta):
@@ -238,12 +231,14 @@ class ReducedQ:
     def dim(self):
         return len(self.basis)
 
+    def _pbw_dim(self, indices):
+        """p^a 2^b for the a even and b odd generators among indices: the
+        number of reduced PBW monomials in those generators."""
+        par = [self.engine.parities[i] for i in indices]
+        return self.p ** par.count(0) * 2 ** par.count(1)
+
     def expected_dim(self):
-        nd = self.datum
-        evens = sum(1 for i in range(nd.cobasis_count)
-                    if self.engine.parities[i] == 0)
-        odds = nd.cobasis_count - evens
-        return self.p ** evens * 2 ** odds
+        return self._pbw_dim(range(self.datum.cobasis_count))
 
     def vector_of(self, elt):
         v = np.zeros(self.dim, dtype=np.int64)
@@ -252,7 +247,6 @@ class ReducedQ:
         return v
 
     def element_of(self, vec):
-        f = self.field
         terms = {}
         for i, c in enumerate(vec):
             c = int(c) % self.p
@@ -322,7 +316,7 @@ class ReducedQ:
     def _sub_indices(self, sub):
         if sub == "m":
             return self.datum.m_indices
-        if sub in ("mprime", "m'"):
+        if sub == "mprime":
             return self.datum.mprime_indices
         raise ValueError("unknown subalgebra %r" % (sub,))
 
@@ -404,16 +398,10 @@ class ReducedQ:
 
     def delta(self):
         """dim of the reduced enveloping algebra of m."""
-        nd = self.datum
-        evens = sum(1 for i in nd.m_indices if self.engine.parities[i] == 0)
-        odds = len(nd.m_indices) - evens
-        return self.p ** evens * 2 ** odds
+        return self._pbw_dim(self.datum.m_indices)
 
     def dim_reduced_enveloping(self):
-        par = [g.parity for g in self.datum.generators]
-        evens = par.count(0)
-        odds = par.count(1)
-        return self.p ** evens * 2 ** odds
+        return self._pbw_dim(range(self.engine.n_gens))
 
 
 def build_reduced_q(datum, eta=None, eta_label="chi"):
@@ -424,10 +412,6 @@ def build_reduced_q(datum, eta=None, eta_label="chi"):
         raise SolverError("reduced module dimension %d differs from p^a 2^b = %d"
                           % (q.dim, q.expected_dim()))
     return q
-
-
-def invariant_subspace(q, sub="m"):
-    return q.invariant_subspace(sub)
 
 
 @dataclass
@@ -453,12 +437,10 @@ class ReducedW:
         return ctx.express_in_pbw(ctx.engine.q_mul(left, right))
 
 
-def reduced_w(datum, eta=None, eta_label="chi", with_relations=True, q=None):
-    """Solve the generators over F_p, verify the PBW basis statement, and
-    (optionally) compute the relation table.  `q` is the module at this eta
-    when the caller has already built it."""
-    if q is None:
-        q = build_reduced_q(datum, eta, eta_label)
+def reduced_w(q):
+    """Solve the generators over F_p at the module's eta, verify the PBW basis
+    statement, and compute the relation table."""
+    datum = q.datum
     warnings = []
     if not datum.p_guard_ok:
         warnings.append("p = %d is not above the top candidate degree %d;"
@@ -466,12 +448,9 @@ def reduced_w(datum, eta=None, eta_label="chi", with_relations=True, q=None):
                         % (datum.p, datum.p_guard_bound))
     ctx = WContext(datum, engine=q.engine)
     thetas = ctx.generators()
-    nd = datum
-    l, qn = nd.l, nd.q_prime
-    expos = []
-    for combo in product(*([range(datum.p)] * l + [range(2)] * qn)):
-        expos.append(tuple(combo))
-    expos.sort()
+    # product() yields the exponents in increasing order
+    expos = list(product(*([range(datum.p)] * datum.l
+                           + [range(2)] * datum.q_prime)))
     vectors = np.zeros((len(expos), q.dim), dtype=np.int64)
     for r, expo in enumerate(expos):
         ev = ctx.eval_monomial(expo)
@@ -479,7 +458,7 @@ def reduced_w(datum, eta=None, eta_label="chi", with_relations=True, q=None):
     rank = linalg.rank_mod_p(vectors, datum.p)
     inv_dim = q.invariant_dimension("m")
     pbw_ok = (rank == len(expos) == inv_dim)
-    presentation = ctx.commutator_table() if with_relations else None
+    presentation = ctx.commutator_table()
     return ReducedW(q=q, context=ctx, thetas=thetas, pbw_exponents=expos,
                     pbw_vectors=vectors, presentation=presentation,
                     pbw_ok=pbw_ok, warnings=warnings)
@@ -495,14 +474,12 @@ class MoritaReport:
     ok: bool
 
 
-def morita_dim_check(datum, eta=None, eta_label="chi", q=None):
+def morita_dim_check(q):
     """dim U_eta(g) = delta^2 dim U_eta(g, e) with delta = dim U_eta(m)."""
-    if q is None:
-        q = build_reduced_q(datum, eta, eta_label)
     dim_u = q.dim_reduced_enveloping()
     delta = q.delta()
     dim_w = q.invariant_dimension("m")
-    return MoritaReport(p=datum.p, eta_label=q.eta_label, dim_u=dim_u,
+    return MoritaReport(p=q.p, eta_label=q.eta_label, dim_u=dim_u,
                         delta=delta, dim_w=dim_w,
                         ok=(dim_u == delta * delta * dim_w))
 
@@ -521,15 +498,14 @@ class RefinedInvariantsReport:
         return self.equal and self.proper and self.witness_ok
 
 
-def mprime_invariants_check(datum, eta=None, q=None):
+def mprime_invariants_check(q):
     """For odd r: the m'-invariants of Q equal the bracket image of the
     m-invariants under the middle odd vector, and sit properly inside the
     m-invariants (the middle vector class is the witness outside)."""
+    datum = q.datum
     if not datum.r_odd:
         raise ValueError("the refined comparison needs odd r")
-    if q is None:
-        q = build_reduced_q(datum, eta)
-    p = datum.p
+    p = q.p
     inv_m = q.invariant_subspace("m")
     inv_mp = q.invariant_subspace("mprime")
     image = q._middle_image()
@@ -556,10 +532,6 @@ def _in_span(basis, vecs, p):
     past it, so v is in the span exactly when v = v[free] basis mod p."""
     free = basis.shape[1] - 1 - np.argmax(basis[:, ::-1] != 0, axis=1)
     return bool(np.array_equal(vecs % p, (vecs[:, free] @ basis) % p))
-
-
-def whittaker_subspace(q):
-    return q.whittaker_subspace()
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +566,7 @@ def jacobson_summands(alg, x, y):
 def p_power_coords(mod, vec):
     """Coordinates of the p-th matrix power of an even element."""
     alg = mod.base
-    gf = alg.field
-    if mod.coordinatizer is None:
-        mod.coordinatizer = Coordinatizer(gf, alg.realization)
-    power = mat_pow(gf, alg.realize(list(vec)), mod.p)
+    power = mat_pow(alg.field, alg.realize(list(vec)), mod.p)
     return mod.coordinatizer.coords(power)
 
 

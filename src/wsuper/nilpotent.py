@@ -314,14 +314,7 @@ def symmetric_normal_basis(field, vectors, form):
         b = [field.div(x, form(a, bp)) for x in bp]
         firsts.append(tuple(a))
         seconds.append(tuple(b))
-        rest = []
-        for w in work:
-            da = form(w, b)
-            db = form(w, a)
-            w2 = [field.sub(field.sub(w[k], field.mul(da, a[k])), field.mul(db, b[k]))
-                  for k in range(len(w))]
-            rest.append(w2)
-        work = [list(v) for v in linalg.echelon_span(field, rest)]
+        work = _reduce_against_pair(field, form, work, a, b)
     middle_norm = None
     normalized = True
     middle = []
@@ -365,8 +358,7 @@ def _diagonalized_gram(field, work, form):
                 a = w
                 break
         if a is None:
-            a_iso = _find_rational_isotropic(field, vecs, form)
-            diag.append(field.zero if a_iso is None else field.zero)
+            diag.append(field.zero)
             break
         diag.append(form(a, a))
         rest = []
@@ -469,18 +461,7 @@ def analyze_nilpotent(alg, triple):
         else:
             scale = f.inv(ef)
     gram = [[f.mul(scale, x) for x in row] for row in alg.gram]
-
-    def form(v, w):
-        acc = f.zero
-        for i, ci in enumerate(v):
-            if f.is_zero(ci):
-                continue
-            gi = gram[i]
-            for j, cj in enumerate(w):
-                if not f.is_zero(cj):
-                    acc = f.add(acc, f.mul(f.mul(ci, cj), gi[j]))
-        return acc
-
+    form = lambda v, w: f.mul(scale, alg.form(v, w))
     chi_of = lambda v: form(e, v)
 
     layers = _eigen_layers(alg, h)
@@ -692,7 +673,8 @@ def _verify_datum(nd, layers, form):
             want = f.zero
             if i + j == 2 * s + 1:
                 want = f.of(-1) if i <= s else f.one
-            got = pairf(_u_by_label(gens, i), _u_by_label(gens, j))
+            got = pairf(_vector_by_label(gens, "u%d" % i),
+                        _vector_by_label(gens, "u%d" % j))
             if not f.is_zero(f.sub(got, want)):
                 raise NilpotentError("symplectic normal form violated at u(%d,%d)" % (i, j))
     for i in range(1, r + 1):
@@ -702,7 +684,8 @@ def _verify_datum(nd, layers, form):
                 want = f.one
             if i == j and r % 2 == 1 and i == (r + 1) // 2:
                 want = nd.middle_norm
-            got = pairf(_v_by_label(gens, i), _v_by_label(gens, j))
+            got = pairf(_vector_by_label(gens, "v%d" % i),
+                        _vector_by_label(gens, "v%d" % j))
             if not f.is_zero(f.sub(got, want)):
                 raise NilpotentError("symmetric normal form violated at v(%d,%d)" % (i, j))
 
@@ -770,32 +753,17 @@ def _verify_datum(nd, layers, form):
 
 
 def _chi_pair(nd, a, b):
-    alg, f = nd.alg, nd.alg.field
+    """chi([a, b]) = (e, [a, b]) in the normalized form."""
+    alg = nd.alg
     br = alg.bracket(list(a), list(b))
-    acc = f.zero
-    e = list(nd.triple.e)
-    for i, ci in enumerate(e):
-        if f.is_zero(ci):
-            continue
-        gi = nd.gram[i]
-        for j, cj in enumerate(br):
-            if not f.is_zero(cj):
-                acc = f.add(acc, f.mul(f.mul(ci, cj), gi[j]))
-    return acc
+    return alg.field.mul(nd.form_scale, alg.form(list(nd.triple.e), br))
 
 
-def _u_by_label(gens, i):
+def _vector_by_label(gens, label):
     for g in gens:
-        if g.label == "u%d" % i:
+        if g.label == label:
             return g.vector
-    raise KeyError(i)
-
-
-def _v_by_label(gens, i):
-    for g in gens:
-        if g.label == "v%d" % i:
-            return g.vector
-    raise KeyError(i)
+    raise KeyError(label)
 
 
 def _split_parity(alg, v, par):

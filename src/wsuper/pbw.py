@@ -378,107 +378,17 @@ class Enveloping:
 
     def leading_terms(self, q):
         """Monomials of maximal e-degree and, among those, maximal weight."""
-        if not q.terms:
-            return set()
-        n = max(self.e_degree(m) for m in q.terms)
-        at_top = [m for m in q.terms if self.e_degree(m) == n]
-        big = max(self.weight(m) for m in at_top)
-        return {m for m in at_top if self.weight(m) == big}
+        return self.leading_data(q)[2] if q.terms else set()
 
     def leading_data(self, q):
+        """(e-degree, weight, monomials) of the leading terms, or None for
+        zero."""
         if not q.terms:
             return None
         n = max(self.e_degree(m) for m in q.terms)
         at_top = [m for m in q.terms if self.e_degree(m) == n]
         big = max(self.weight(m) for m in at_top)
         return n, big, {m for m in at_top if self.weight(m) == big}
-
-    # -- closed-form left multiplication ---------------------------------------
-
-    def closed_form_left_multiply(self, w, mono):
-        """Left multiplication of a homogeneous element by the closed binomial
-        and sign-table formula, bubbling w through the x and y blocks in one
-        step.  Agrees with normalize; exercised against it in the tests."""
-        from math import comb
-        f = self.field
-        par_w = w.parity()
-        assert par_w is not None, "closed form needs a parity-homogeneous element"
-        # block boundaries inside the co-basis: x then y then u then v
-        xs = [i for i in range(self.cobasis_count) if self.labels[i][0] == "x"]
-        ys = [i for i in range(self.cobasis_count) if self.labels[i][0] == "y"]
-        tail = [i for i in range(self.n_gens) if i not in xs and i not in ys]
-        a = [mono[i] for i in xs]
-        b = [mono[i] for i in ys]
-        acc = {}
-        for ivec in _box(a):
-            binom = 1
-            for ai, ii in zip(a, ivec):
-                binom *= comb(ai, ii)
-            for jvec in _box(b):
-                coeff = f.of(binom)
-                # sign table: k_{t,0,0}=1, k_{t,0,1}=0,
-                # k_{t,1,0}=(-1)^{|w|+j_1+..+j_{t-1}}, k_{t,1,1}=-k_{t,1,0}
-                dead = False
-                jsum = 0
-                for tpos in range(len(b)):
-                    bt, jt = b[tpos], jvec[tpos]
-                    if bt == 0:
-                        if jt:
-                            dead = True
-                            break
-                        continue
-                    if jt == 0:
-                        k = -1 if (par_w + jsum) % 2 else 1
-                    else:
-                        k = 1 if (par_w + jsum) % 2 else -1
-                    if k < 0:
-                        coeff = f.neg(coeff)
-                    jsum += jt
-                if dead or f.is_zero(coeff):
-                    continue
-                if sum(ivec) % 2:
-                    coeff = f.neg(coeff)
-                # innermost first: ad x_1 .. ad x_m, then ad y_1 .. ad y_n
-                bracket = w
-                for gi, cnt in zip(xs, ivec):
-                    for _ in range(cnt):
-                        bracket = self._ad_in_u(gi, bracket)
-                for tpos in range(len(ys)):
-                    for _ in range(jvec[tpos]):
-                        bracket = self._ad_in_u(ys[tpos], bracket)
-                if bracket.is_zero():
-                    continue
-                prefix = [0] * self.n_gens
-                for gi, ai, ii in zip(xs, a, ivec):
-                    prefix[gi] = ai - ii
-                for gi, bi, ji in zip(ys, b, jvec):
-                    prefix[gi] = bi - ji
-                suffix = [0] * self.n_gens
-                for gi in tail:
-                    suffix[gi] = mono[gi]
-                term = self.element({tuple(prefix): f.one}) * bracket \
-                    * self.element({tuple(suffix): f.one})
-                self._acc(acc, term.terms, coeff)
-        return Element(self, acc)
-
-    def _ad_in_u(self, g, w):
-        """[b_g, w] inside the enveloping algebra."""
-        f = self.field
-        left = self.gen(g) * w
-        pw = w.parity()
-        sign = -1 if (self.parities[g] and pw) else 1
-        right = (w * self.gen(g)).scale(f.of(sign))
-        return left - right
-
-
-def _box(bounds):
-    """All integer vectors 0 <= i_k <= bounds[k]."""
-    if not bounds:
-        yield ()
-        return
-    for rest in _box(bounds[1:]):
-        for i in range(bounds[0] + 1):
-            yield (i,) + rest
 
 
 def engine_from_datum(nd):

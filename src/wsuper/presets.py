@@ -39,7 +39,10 @@ def resolve_nilpotent(alg, name):
                               % (name, alg.family, alg.shape))
         return _label_coords(alg, name)
     if "," in name:
-        parts = [Fraction(x) for x in name.split(",")]
+        try:
+            parts = [Fraction(x) for x in name.split(",")]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise PresetError("bad coordinate list %r: %s" % (name, exc))
         if len(parts) != alg.dim:
             raise PresetError("coordinate list has length %d, expected %d"
                               % (len(parts), alg.dim))
@@ -53,14 +56,11 @@ def _regular(alg):
     wired up, larger shapes take explicit coordinates."""
     m, n = alg.shape
     if alg.family in ("gl", "sl"):
+        # with rank-one blocks the sum is empty: the zero orbit is the only one
         acc = [alg.field.zero] * alg.dim
-        found = False
         for i in list(range(1, m)) + list(range(m + 1, m + n)):
             v = _label_coords(alg, "E%d%d" % (i, i + 1))
             acc = [alg.field.add(a, b) for a, b in zip(acc, v)]
-            found = True
-        if not found:
-            return acc  # rank-one blocks: the zero orbit is the only one
         return acc
     if alg.family == "osp" and (m, n) == (1, 2):
         # the positive even root vector: entry (m+1, m+2) of the realization

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .scalars import QQ
 
 
@@ -32,27 +33,11 @@ def zero_matrix(n, field=QQ):
     return [[field.zero] * n for _ in range(n)]
 
 
-def mat_mul_plain(field, a, b):
-    n = len(a)
-    out = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            c = ai[k]
-            if field.is_zero(c):
-                continue
-            bk = b[k]
-            for j in range(n):
-                oi[j] = field.add(oi[j], field.mul(c, bk[j]))
-    return out
-
-
 def mat_pow(field, a, k):
     n = len(a)
     out = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
     for _ in range(k):
-        out = mat_mul_plain(field, out, a)
+        out = linalg.mat_mul(field, out, a)
     return out
 
 
@@ -65,8 +50,8 @@ def supertrace(field, a, m_even):
 
 
 def super_commutator(field, a, b, pa, pb):
-    ab = mat_mul_plain(field, a, b)
-    ba = mat_mul_plain(field, b, a)
+    ab = linalg.mat_mul(field, a, b)
+    ba = linalg.mat_mul(field, b, a)
     if pa and pb:
         return _mat_add_f(field, ab, ba)
     return _mat_sub_f(field, ab, ba)
@@ -101,7 +86,7 @@ class LieSuperalgebra:
     """
 
     def __init__(self, field, basis, structure, gram=None, realization=None,
-                 p_map=None, family=None, shape=None, check=True):
+                 p_map=None, family=None, shape=None):
         self.field = field
         self.basis = list(basis)
         self.structure = dict(structure)
@@ -112,8 +97,7 @@ class LieSuperalgebra:
         self.shape = shape  # (m, n) as passed to the builder
         self.dim = len(self.basis)
         self.parities = tuple(b.parity for b in self.basis)
-        if check:
-            self._verify()
+        self._verify()
 
     # -- basic structure ----------------------------------------------------
 
@@ -297,7 +281,6 @@ class Coordinatizer:
     """Solves M = sum_i x_i R_i for matrices in the span of the realization."""
 
     def __init__(self, field, realization):
-        from . import linalg
         self.field = field
         self.n = len(realization[0])
         self.dim = len(realization)
@@ -359,8 +342,8 @@ def supertrace_gram(field, realization, m_even):
     g = [[field.zero] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
-            g[i][j] = supertrace(field, mat_mul_plain(field, realization[i],
-                                                      realization[j]), m_even)
+            g[i][j] = supertrace(field, linalg.mat_mul(
+                field, realization[i], realization[j]), m_even)
     return g
 
 
@@ -439,7 +422,6 @@ def osp_form_matrix(m, two_k):
 def build_osp(m, n):
     if n % 2 != 0 or n <= 0 or m < 0 or m + n == 0:
         raise AlgebraError("osp takes shape (m|2k) with k >= 1, got (%d|%d)" % (m, n))
-    from . import linalg
     N = m + n
     B = osp_form_matrix(m, n)
     realization = []
@@ -490,7 +472,6 @@ def invariant_form(alg):
     """The supertrace form of the realization, verified nondegenerate."""
     if alg.gram is None:
         raise AlgebraError("algebra carries no invariant form")
-    from . import linalg
     if linalg.rank(alg.field, [row[:] for row in alg.gram]) != alg.dim:
         raise DegenerateFormError("supertrace form is degenerate for %s%s"
                                   % (alg.family, alg.shape))

@@ -89,6 +89,10 @@ class WContext:
         self.engine = engine_from_datum(nd) if engine is None else engine
         self._gens = None
         self._eval_cache = {}
+        # adapted index of each generator's leading vector -> its 1-based
+        # position among the generators
+        self._position = {self.leading_gen_index(k): k
+                          for k in range(1, self.n_generators() + 1)}
 
     # -- generator bookkeeping ------------------------------------------------
 
@@ -96,6 +100,9 @@ class WContext:
         return self.nd.l + self.nd.q_prime
 
     def leading_gen_index(self, k):
+        """The W-generator to adapted-index map: theta_1..theta_l lead with
+        x_1..x_l, the next q with y_1..y_q, and the extra odd generator (odd r)
+        with v_mid."""
         nd = self.nd
         if k <= nd.l:
             return k - 1
@@ -109,8 +116,9 @@ class WContext:
                 for k in range(1, self.n_generators() + 1)]
 
     def pure_positions(self):
-        nd = self.nd
-        return set(range(nd.l)) | set(range(nd.m_count, nd.m_count + nd.q))
+        """Leading vectors of the centralizer generators (not v_mid)."""
+        limit = self.nd.l + self.nd.q
+        return {i for i, k in self._position.items() if k <= limit}
 
     # -- invariance -------------------------------------------------------------
 
@@ -247,15 +255,10 @@ class WContext:
     def check_leading_shape(self, q):
         """Leading monomials of an invariant: no u part, the x/y parts inside
         the centralizer block, and the v part at most the middle vector."""
-        nd, e = self.nd, self.engine
+        e = self.engine
         for m in e.leading_terms(q):
             for i in range(e.n_gens):
-                if not m[i]:
-                    continue
-                ok = (i < nd.l
-                      or nd.m_count <= i < nd.m_count + nd.q
-                      or (nd.r_odd and i == nd.v_mid_index))
-                if not ok:
+                if m[i] and i not in self._position:
                     raise LeadingShapeError(
                         "leading monomial involves generator %s" % e.labels[i])
 
@@ -283,20 +286,14 @@ class WContext:
         return out
 
     def _leading_to_expo(self, mono):
-        nd, e = self.nd, self.engine
         expo = [0] * self.n_generators()
-        for i in range(e.n_gens):
-            if not mono[i]:
+        for i, a in enumerate(mono):
+            if not a:
                 continue
-            if i < nd.l:
-                expo[i] = mono[i]
-            elif nd.m_count <= i < nd.m_count + nd.q:
-                expo[nd.l + (i - nd.m_count)] = mono[i]
-            elif nd.r_odd and i == nd.v_mid_index:
-                expo[nd.l + nd.q] = mono[i]
-            else:
+            if i not in self._position:
                 raise LeadingShapeError(
                     "monomial outside the centralizer block: %s" % (mono,))
+            expo[self._position[i] - 1] = a
         return tuple(expo)
 
     def express_in_pbw(self, q):
@@ -351,22 +348,17 @@ class WContext:
     def centralizer_structure(self, i, j):
         """Coefficients alpha with [Y_i, Y_j] = sum alpha_k Y_k in the
         centralizer, as a dict over 1-based generator positions."""
-        nd, e = self.nd, self.engine
-        gi = self.leading_gen_index(i)
-        gj = self.leading_gen_index(j)
+        key = (self.leading_gen_index(i), self.leading_gen_index(j))
+        limit = self.nd.l + self.nd.q
         out = {}
-        for kgen, c in e.brackets.get((gi, gj), {}).items():
-            if kgen < nd.l:
-                out[kgen + 1] = c
-            elif nd.m_count <= kgen < nd.m_count + nd.q:
-                out[nd.l + (kgen - nd.m_count) + 1] = c
-            else:
+        for kgen, c in self.engine.brackets.get(key, {}).items():
+            k = self._position.get(kgen)
+            if k is None or k > limit:
                 raise SolverError("centralizer bracket leaves the centralizer")
+            out[k] = c
         return out
 
     def commutator_table(self):
-        nd, e = self.nd, self.engine
-        f = e.field
         gens = self.generators()
         ng = self.n_generators()
         degrees = self.generator_degrees()
@@ -378,7 +370,7 @@ class WContext:
                 self._check_relation(i, j, poly, degrees)
                 relations[(i, j)] = poly
         return WPresentation(generators=gens, relations=relations,
-                             middle_norm=nd.middle_norm)
+                             middle_norm=self.nd.middle_norm)
 
     def _check_relation(self, i, j, poly, degrees):
         nd, e = self.nd, self.engine
@@ -430,7 +422,6 @@ class WContext:
     # -- graded dimension check --------------------------------------------------
 
     def graded_check(self, max_degree):
-        nd = self.nd
         degrees = self.generator_degrees()
         odd_flags = [g.parity == 1 for g in self.generators()]
         counts = _pbw_counts(degrees, odd_flags, max_degree)
@@ -512,22 +503,3 @@ def _graded_symmetric_series(degrees, odd_flags, max_degree):
             for i in range(d, max_degree + 1):
                 series[i] += series[i - d]
     return series
-
-
-def solve_theta(nd, k):
-    return WContext(nd).solve_theta(k)
-
-
-def express_in_pbw(nd, q, context=None):
-    ctx = context or WContext(nd)
-    return ctx.express_in_pbw(q)
-
-
-def commutator_table(nd, context=None):
-    ctx = context or WContext(nd)
-    return ctx.commutator_table()
-
-
-def graded_check(nd, max_degree, context=None):
-    ctx = context or WContext(nd)
-    return ctx.graded_check(max_degree)

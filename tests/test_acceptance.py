@@ -151,7 +151,7 @@ def test_acceptance_4_modp_dimensions_osp(nd_osp12_reg):
         dat = modp.reduce_datum(nd_osp12_reg, p)
         q = modp.build_reduced_q(dat)
         assert q.invariant_dimension("m") == 4 * p
-        rw = modp.reduced_w(dat, with_relations=False)
+        rw = modp.reduced_w(q)
         assert rw.dim == 4 * p and rw.pbw_ok
         elapsed = time.time() - start
         assert elapsed < 10.0, "p=%d took %.2fs" % (p, elapsed)
@@ -166,11 +166,12 @@ def test_acceptance_5_morita_identity(nd_osp12_reg, nd_sl21_e12):
     for nd in (nd_osp12_reg, nd_sl21_e12):
         for p in (3, 5, 7):
             dat = modp.reduce_datum(nd, p)
-            etas = dat.eta_samples(2)
+            etas = dat.eta_samples()
             assert len(etas) == 2
             dims = []
             for label, eta in etas:
-                rep = modp.morita_dim_check(dat, eta=eta, eta_label=label)
+                rep = modp.morita_dim_check(
+                    modp.build_reduced_q(dat, eta, label))
                 assert rep.ok, (nd.alg.family, p, label)
                 dims.append(rep.dim_w)
             assert dims[0] == dims[1]
@@ -183,7 +184,7 @@ def test_acceptance_6_mprime_invariants_osp(nd_osp12_reg):
     m-invariants and sit properly inside them, p in {3, 5}."""
     for p in (3, 5):
         dat = modp.reduce_datum(nd_osp12_reg, p)
-        rep = modp.mprime_invariants_check(dat)
+        rep = modp.mprime_invariants_check(modp.build_reduced_q(dat))
         assert rep.equal and rep.proper and rep.witness_ok
         assert rep.dim_m_invariants == 4 * p
         assert rep.dim_mprime_invariants == 2 * p

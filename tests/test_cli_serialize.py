@@ -1,5 +1,8 @@
+import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +120,25 @@ def test_cli_rejects_low_degree(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("coords", ["x,y,z,1,1,1,1,1,1",
+                                    "1/0,0,0,0,0,0,0,0,0"])
+def test_cli_rejects_malformed_coordinates(tmp_path, coords):
+    code = run_cli(tmp_path, [
+        "verify", "all", "--family", "gl", "--m", "2", "--n", "1",
+        "--nilpotent", coords, "--out", str(tmp_path / "h")])
+    assert code == EXIT_CONFIG
+
+
+def test_w_solve_has_no_degree_bound(tmp_path):
+    # w solve computes neither relations nor the graded check
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, [
+            "w", "solve", "--family", "osp", "--m", "1", "--n", "2",
+            "--nilpotent", "regular", "--max-degree", "3",
+            "--out", str(tmp_path / "i")])
+    assert exc.value.code == EXIT_CONFIG
+
+
 def test_cli_zero_config(tmp_path):
     out = tmp_path / "f"
     code = run_cli(tmp_path, [
@@ -141,3 +163,32 @@ def test_pipeline_writes_nilpotent_artifacts(tmp_path, sl21):
     assert nd.dims_tuple() == (2, 2, 0, 2, 1)
     rows = (tmp_path / "g" / "modp_report.csv").read_text().splitlines()
     assert len(rows) == 3  # header + two eta rows
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_bench_workloads_reproduce_reference_digests(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import run as bench_run
+    reference = json.loads((ROOT / "bench" / "reference.json").read_text())
+    assert sorted(reference) == sorted(bench_run.WORKLOADS)
+    for name, workload in sorted(bench_run.WORKLOADS.items()):
+        out = tmp_path / name
+        assert run_cli(tmp_path, bench_run.verify_argv(workload)
+                       + ["--out", str(out)]) == EXIT_OK
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in out.iterdir()}
+        assert digests == reference[name]["verify"], name
+
+
+def test_readme_library_example_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = list(re.finditer(r"```python\n(.*?)```", text, re.S))
+    assert len(blocks) == 1
+    # pad so that a traceback names the README's own line numbers
+    code = "\n" * text.count("\n", 0, blocks[0].start(1)) + blocks[0][1]
+    ns = {}
+    exec(compile(code, "README.md", "exec"), ns)
+    assert ns["q"].dim == 100 and ns["q"].invariant_dimension("m") == 20
+    assert ns["rw"].pbw_ok

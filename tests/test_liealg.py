@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from wsuper import build_algebra, invariant_form
+from wsuper.linalg import mat_mul
 from wsuper.superalgebra import (AlgebraError, DegenerateFormError,
-                                 mat_mul_plain, osp_form_matrix, supertrace)
+                                 osp_form_matrix, supertrace)
 from wsuper.scalars import QQ
 
 
@@ -100,5 +101,5 @@ def test_supertrace_oracle_gl11(gl11):
     # recompute the gram against raw 2x2 matrix products
     for i in range(gl11.dim):
         for j in range(gl11.dim):
-            prod = mat_mul_plain(QQ, gl11.realization[i], gl11.realization[j])
+            prod = mat_mul(QQ, gl11.realization[i], gl11.realization[j])
             assert gl11.gram[i][j] == supertrace(QQ, prod, 1)

@@ -111,7 +111,7 @@ def test_eta_validation(dat_osp3):
 
 def test_eta_shift_same_dimension(dat_osp3):
     labels = []
-    for label, eta in dat_osp3.eta_samples(2):
+    for label, eta in dat_osp3.eta_samples():
         q = modp.build_reduced_q(dat_osp3, eta, label)
         assert q.dim == 36
         labels.append(label)
@@ -136,7 +136,7 @@ def test_invariant_subspace_zero_nilpotent(dat_gl3):
 
 
 def test_reduced_w_osp5(dat_osp5):
-    rw = modp.reduced_w(dat_osp5)
+    rw = modp.reduced_w(modp.build_reduced_q(dat_osp5))
     assert rw.dim == 20 and rw.pbw_ok and not rw.warnings
     pres = rw.presentation
     gf = dat_osp5.field
@@ -148,7 +148,7 @@ def test_reduced_w_matches_char0_reduction(dat_osp5, ctx_osp12):
     # the mod-5 generators and relations are the mod-5 reductions of the
     # rational ones
     gf = dat_osp5.field
-    rw = modp.reduced_w(dat_osp5)
+    rw = modp.reduced_w(modp.build_reduced_q(dat_osp5))
     for wp, w0 in zip(rw.thetas, ctx_osp12.generators()):
         reduced = {m: gf.of(c) for m, c in w0.value.terms.items()
                    if gf.of(c) != 0}
@@ -161,32 +161,32 @@ def test_reduced_w_matches_char0_reduction(dat_osp5, ctx_osp12):
 
 
 def test_p_guard_warning_at_3(dat_osp3):
-    rw = modp.reduced_w(dat_osp3)
+    rw = modp.reduced_w(modp.build_reduced_q(dat_osp3))
     assert rw.warnings  # top candidate degree is 4 > 3
     assert rw.pbw_ok
 
 
 def test_morita_identity(dat_osp5, dat_sl3):
-    rep = modp.morita_dim_check(dat_osp5)
+    rep = modp.morita_dim_check(modp.build_reduced_q(dat_osp5))
     assert (rep.dim_u, rep.delta, rep.dim_w, rep.ok) == (500, 5, 20, True)
-    rep2 = modp.morita_dim_check(dat_sl3)
+    rep2 = modp.morita_dim_check(modp.build_reduced_q(dat_sl3))
     assert (rep2.dim_u, rep2.delta, rep2.dim_w, rep2.ok) == (1296, 6, 36, True)
 
 
 def test_morita_zero_nilpotent(dat_gl3):
-    rep = modp.morita_dim_check(dat_gl3)
+    rep = modp.morita_dim_check(modp.build_reduced_q(dat_gl3))
     assert rep.delta == 1 and rep.dim_u == rep.dim_w == 36 and rep.ok
 
 
 def test_refined_invariants_osp3(dat_osp3):
-    rep = modp.mprime_invariants_check(dat_osp3)
+    rep = modp.mprime_invariants_check(modp.build_reduced_q(dat_osp3))
     assert rep.dim_m_invariants == 12 and rep.dim_mprime_invariants == 6
     assert rep.equal and rep.proper and rep.witness_ok
 
 
 def test_refined_invariants_need_odd_r(dat_sl3):
     with pytest.raises(ValueError):
-        modp.mprime_invariants_check(dat_sl3)
+        modp.mprime_invariants_check(modp.build_reduced_q(dat_sl3))
 
 
 def test_whittaker_dimensions(dat_osp3, dat_sl3, dat_gl3):
@@ -217,7 +217,7 @@ def test_p_center_acts_zero(dat_osp3, dat_gl3):
 
 
 def test_p_center_with_shifted_eta(dat_osp3):
-    label, eta = dat_osp3.eta_samples(2)[1]
+    label, eta = dat_osp3.eta_samples()[1]
     q = modp.build_reduced_q(dat_osp3, eta, label)
     ok, lab = modp.check_p_center_acts_zero(q)
     assert ok, lab
@@ -238,8 +238,8 @@ def test_graded_p_map(dat_osp3, dat_sl3):
 
 def test_eta_uniformity_reduced_w(dat_sl3):
     dims = []
-    for label, eta in dat_sl3.eta_samples(2):
-        rw = modp.reduced_w(dat_sl3, eta, label, with_relations=False)
+    for label, eta in dat_sl3.eta_samples():
+        rw = modp.reduced_w(modp.build_reduced_q(dat_sl3, eta, label))
         assert rw.pbw_ok
         dims.append(rw.dim)
     assert dims[0] == dims[1] == 36
@@ -267,7 +267,7 @@ def test_invariant_leading_shapes_mod_p(dat_osp5):
 
 def test_reduced_w_product_table(dat_osp5):
     # multiplication on the PBW basis closes and respects the unit
-    rw = modp.reduced_w(dat_osp5, with_relations=False)
+    rw = modp.reduced_w(modp.build_reduced_q(dat_osp5))
     unit = (0, 0, 0)
     t3 = (0, 0, 1)
     assert rw.product(unit, t3).terms == {t3: 1}

@@ -71,7 +71,7 @@ def test_row_builds_q_once_and_eliminates_the_m_stack_once(
 @pytest.mark.parametrize("which", ["dat_osp3", "dat_sl3"])
 def test_right_action_is_eta_on_m(request, which):
     dat = request.getfixturevalue(which)
-    for label, eta in dat.eta_samples(2):
+    for label, eta in dat.eta_samples():
         q = modp.build_reduced_q(dat, eta, label)
         assert q.right_action_mismatch() is None
         eye = np.eye(q.dim, dtype=np.int64)
@@ -83,7 +83,7 @@ def test_right_action_is_eta_on_m(request, which):
 @pytest.mark.parametrize("which", ["dat_osp3", "dat_sl3"])
 def test_whittaker_space_is_the_shared_kernel(request, which):
     dat = request.getfixturevalue(which)
-    for label, eta in dat.eta_samples(2):
+    for label, eta in dat.eta_samples():
         q = modp.build_reduced_q(dat, eta, label)
         wh = q.whittaker_subspace()
         assert q.invariant_dimension("m") == wh.shape[0]
@@ -95,7 +95,7 @@ def test_whittaker_space_is_the_shared_kernel(request, which):
 def test_mprime_invariants_match_the_stacked_kernel(nd_osp12_reg, p):
     # oracle: the joint kernel of the stacked ad matrices of m' = m + v_mid
     dat = modp.reduce_datum(nd_osp12_reg, p)
-    for label, eta in dat.eta_samples(2):
+    for label, eta in dat.eta_samples():
         q = modp.build_reduced_q(dat, eta, label)
         oracle = linalg.nullspace_mod_p(q.stacked_ad("mprime"), p)
         assert np.array_equal(q.invariant_subspace("mprime"), oracle)

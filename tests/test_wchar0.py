@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from wsuper import linalg
+from wsuper import (analyze_nilpotent, build_algebra, linalg,
+                    resolve_nilpotent, sl2_triple)
 from wsuper.scalars import QQ
-from wsuper.wchar0 import (LeadingShapeError, NotInvariantError,
+from wsuper.wchar0 import (LeadingShapeError, NotInvariantError, SolverError,
                            ThetaPolynomial, WContext)
 
 
@@ -131,6 +132,35 @@ def test_leading_shape_rejects_bad_monomials(ctx_sl21):
     bad = e.element({e._gen_mono(ctx_sl21.nd.l): Fraction(1)})  # an x beyond l
     with pytest.raises(LeadingShapeError):
         ctx_sl21.check_leading_shape(bad)
+
+
+@pytest.fixture(scope="module")
+def ctx_gl31_e12():
+    # s = 1 and r = 2: u1 and v1 in the co-basis, u2 and v2 in m
+    alg = build_algebra("gl", 3, 1)
+    nd = analyze_nilpotent(alg, sl2_triple(alg, resolve_nilpotent(alg, "E12")))
+    assert nd.dims_tuple() == (6, 4, 1, 2, 1)
+    return WContext(nd)
+
+
+def test_leading_to_expo_rejects_u_and_m_generators(ctx_gl31_e12):
+    nd, e = ctx_gl31_e12.nd, ctx_gl31_e12.engine
+    for g in (nd.u_index(1), nd.m_indices[0]):
+        with pytest.raises(LeadingShapeError):
+            ctx_gl31_e12._leading_to_expo(e._gen_mono(g))
+
+
+def test_centralizer_structure_rejects_brackets_outside(
+        ctx_osp12, ctx_gl31_e12, monkeypatch):
+    # v_mid leads the extra odd generator, but it is not in the centralizer
+    cases = [(ctx_osp12, ctx_osp12.nd.v_mid_index),
+             (ctx_gl31_e12, ctx_gl31_e12.nd.u_index(1)),
+             (ctx_gl31_e12, ctx_gl31_e12.nd.m_indices[0])]
+    for ctx, kgen in cases:
+        with monkeypatch.context() as mp:
+            mp.setitem(ctx.engine.brackets, (0, 0), {kgen: Fraction(1)})
+            with pytest.raises(SolverError):
+                ctx.centralizer_structure(1, 1)
 
 
 def test_osp12_commutator_table(ctx_osp12):
