@@ -1,11 +1,14 @@
 """Batch driver.
 
 Subcommands: `algebra build`, `nilpotent analyze`, `w solve`, `w relations`,
-`modp suite`, `verify all`.  Artifacts are written atomically (temp file then
-rename) so failed runs leave no partial files; identical configurations give
-byte-identical outputs.  Exit codes: 0 all enabled checks passed, 1 check
-failures (with failures.json), 2 configuration errors, 3 internal solver
-failures.  The WSUPER_OUT environment variable overrides the output directory.
+`modp suite`, `verify all`.  `COMMANDS` says how far each one runs the char-0
+chain (generators, relations, graded check) and which options it takes; the
+parser and the config are both read from it.  Artifacts are written
+atomically (temp file then rename) so failed runs leave no partial files;
+identical configurations give byte-identical outputs.  Exit codes: 0 all
+enabled checks passed, 1 check failures (with failures.json), 2 the errors in
+`CONFIG_ERRORS`, 3 those in `SOLVER_ERRORS`.  The WSUPER_OUT environment
+variable overrides the output directory.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ import sys
 from dataclasses import dataclass
 
 from . import modp, serialize
-from .nilpotent import FormNormalizationError, NilpotentError, analyze_nilpotent, \
-    sl2_triple
+from .nilpotent import NilpotentError, analyze_nilpotent, sl2_triple
 from .presets import PresetError, resolve_nilpotent
 from .superalgebra import AlgebraError, build_algebra, invariant_form
-from .wchar0 import SolverError, WContext
+from .wchar0 import SolverError, WContext, WPresentation
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURES = 1
@@ -34,41 +36,54 @@ class ConfigError(ValueError):
     pass
 
 
+# every error a run can end in, by exit code (FormNormalizationError is a
+# NilpotentError, DegenerateFormError an AlgebraError)
+CONFIG_ERRORS = (ConfigError, AlgebraError, NilpotentError, PresetError,
+                 modp.ReductionError)
+SOLVER_ERRORS = (SolverError,)
+
+# How far the char-0 chain runs; each stage includes the ones before it.
+CHAR0_NONE, CHAR0_SOLVE, CHAR0_RELATIONS, CHAR0_GRADED = range(4)
+
+# The options each option group adds beyond --family, --m, --n and --out;
+# their destinations are PipelineConfig fields.
+OPTIONS = {
+    "nilpotent": (("--nilpotent", {
+        "default": "zero",
+        "help": "zero, regular, E12-style label, or coordinates"}),),
+    "max_degree": (("--max-degree", {"type": int, "default": 10}),),
+    "primes": (("--primes", {"default": "3,5"}),
+               ("--eta-sweep", {"action": "store_true"})),
+}
+
+# (command, action) -> (how far the char-0 chain runs, its option groups).
+# The degree bound guards the graded check, which only `verify all` runs.
+COMMANDS = {
+    ("algebra", "build"): (CHAR0_NONE, ()),
+    ("nilpotent", "analyze"): (CHAR0_NONE, ("nilpotent",)),
+    ("w", "solve"): (CHAR0_SOLVE, ("nilpotent",)),
+    ("w", "relations"): (CHAR0_RELATIONS, ("nilpotent",)),
+    ("modp", "suite"): (CHAR0_NONE, ("nilpotent", "primes")),
+    ("verify", "all"): (CHAR0_GRADED, ("nilpotent", "max_degree", "primes")),
+}
+
+
 @dataclass
 class PipelineConfig:
     family: str
     m: int
     n: int
     nilpotent: str = "zero"
-    char0_enabled: bool = True
-    relations: bool = True
+    char0: int = CHAR0_GRADED
     max_degree: int = 10
     primes: tuple = ()
     eta_sweep: bool = False
     out_dir: str = "."
-    verify: bool = True
 
 
 def resolve_out_dir(flag_value):
     env = os.environ.get(ENV_OUT)
     return env if env else flag_value
-
-
-def _build(cfg):
-    try:
-        alg = build_algebra(cfg.family, cfg.m, cfg.n)
-    except AlgebraError as exc:
-        raise ConfigError(str(exc))
-    return alg
-
-
-def _analyze(cfg, alg):
-    try:
-        e = resolve_nilpotent(alg, cfg.nilpotent)
-    except PresetError as exc:
-        raise ConfigError(str(exc))
-    triple = sl2_triple(alg, e)
-    return analyze_nilpotent(alg, triple)
 
 
 def run_pipeline(cfg):
@@ -83,35 +98,30 @@ def run_pipeline(cfg):
         serialize.atomic_write(path, text)
         written.append(path)
 
-    try:
-        alg = _build(cfg)
-        invariant_form(alg)
-        nd = _analyze(cfg, alg)
-    except ConfigError:
-        raise
-    except (NilpotentError, AlgebraError) as exc:
-        raise ConfigError(str(exc))
+    alg = build_algebra(cfg.family, cfg.m, cfg.n)
+    invariant_form(alg)
+    e = resolve_nilpotent(alg, cfg.nilpotent)
+    nd = analyze_nilpotent(alg, sl2_triple(alg, e))
     emit("algebra.json", serialize.dump_json(serialize.algebra_to_json(alg)))
     emit("nilpotent.json", serialize.dump_json(serialize.nilpotent_to_json(nd)))
 
-    ctx = None
-    if cfg.char0_enabled:
-        from .wchar0 import WPresentation
+    if cfg.char0 >= CHAR0_SOLVE:
         ctx = WContext(nd)
-        ctx.generators()
-        if cfg.relations:
-            top = max(g.filtration_degree for g in ctx.generators())
+        gens = ctx.generators()
+        if cfg.char0 >= CHAR0_GRADED:
+            top = max(g.filtration_degree for g in gens)
             if cfg.max_degree < top + 2:
                 raise ConfigError("max Kazhdan degree %d is below the top"
                                   " generator degree %d plus two"
                                   % (cfg.max_degree, top))
+        if cfg.char0 >= CHAR0_RELATIONS:
             pres = ctx.commutator_table()
         else:
-            pres = WPresentation(generators=ctx.generators(), relations={},
+            pres = WPresentation(generators=gens, relations={},
                                  middle_norm=nd.middle_norm)
         emit("wpresentation.json",
              serialize.dump_json(serialize.presentation_to_json(pres, ctx)))
-        if cfg.verify:
+        if cfg.char0 >= CHAR0_GRADED:
             report = ctx.graded_check(cfg.max_degree)
             if not report.ok:
                 failures.append({"check": "graded_dimensions",
@@ -121,10 +131,7 @@ def run_pipeline(cfg):
     if cfg.primes:
         rows = []
         for p in cfg.primes:
-            try:
-                dat = modp.reduce_datum(nd, p)
-            except modp.ReductionError as exc:
-                raise ConfigError(str(exc))
+            dat = modp.reduce_datum(nd, p)
             etas = dat.eta_samples() if cfg.eta_sweep else [("chi", dat.eta_chi())]
             for eta_label, eta in etas:
                 rows.append(_modp_row(cfg, nd, dat, eta, eta_label, failures))
@@ -185,58 +192,24 @@ def _modp_row(cfg, nd, dat, eta, eta_label, failures):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _common_args(p):
-    p.add_argument("--family", required=True, choices=["gl", "sl", "osp"])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", default=".")
-
-
-def _nilpotent_args(p):
-    p.add_argument("--nilpotent", default="zero",
-                   help="zero, regular, E12-style label, or coordinates")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wsuper",
         description="exact finite W-superalgebra computations over Q and F_p")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    alg = sub.add_parser("algebra").add_subparsers(dest="action", required=True)
-    p = alg.add_parser("build")
-    _common_args(p)
-
-    nil = sub.add_parser("nilpotent").add_subparsers(dest="action", required=True)
-    p = nil.add_parser("analyze")
-    _common_args(p)
-    _nilpotent_args(p)
-
-    w = sub.add_parser("w").add_subparsers(dest="action", required=True)
-    for action in ("solve", "relations"):
-        p = w.add_parser(action)
-        _common_args(p)
-        _nilpotent_args(p)
-        if action == "relations":
-            # w solve writes no relations and runs no graded check, the
-            # only readers of the degree bound
-            p.add_argument("--max-degree", type=int, default=10)
-
-    mp = sub.add_parser("modp").add_subparsers(dest="action", required=True)
-    p = mp.add_parser("suite")
-    _common_args(p)
-    _nilpotent_args(p)
-    p.add_argument("--primes", default="3,5")
-    p.add_argument("--eta-sweep", action="store_true")
-
-    v = sub.add_parser("verify").add_subparsers(dest="action", required=True)
-    p = v.add_parser("all")
-    _common_args(p)
-    _nilpotent_args(p)
-    p.add_argument("--max-degree", type=int, default=10)
-    p.add_argument("--primes", default="3,5")
-    p.add_argument("--eta-sweep", action="store_true")
-
+    actions = {}
+    for (command, action), (_, groups) in COMMANDS.items():
+        if command not in actions:
+            actions[command] = sub.add_parser(command).add_subparsers(
+                dest="action", required=True)
+        p = actions[command].add_parser(action)
+        p.add_argument("--family", required=True, choices=["gl", "sl", "osp"])
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--out", dest="out_dir", default=".")
+        for group in groups:
+            for flag, spec in OPTIONS[group]:
+                p.add_argument(flag, **spec)
     return parser
 
 
@@ -254,52 +227,21 @@ def _parse_primes(text):
 
 
 def config_from_args(args):
-    cfg = PipelineConfig(
-        family=args.family, m=args.m, n=args.n,
-        nilpotent=getattr(args, "nilpotent", "zero"),
-        out_dir=args.out,
-    )
-    cmd = (args.command, args.action)
-    if cmd == ("algebra", "build"):
-        cfg.char0_enabled = False
-        cfg.relations = False
-        cfg.verify = False
-        cfg.nilpotent = "zero"
-    elif cmd == ("nilpotent", "analyze"):
-        cfg.char0_enabled = False
-        cfg.relations = False
-        cfg.verify = False
-    elif cmd == ("w", "solve"):
-        cfg.relations = False
-        cfg.verify = False
-    elif cmd == ("w", "relations"):
-        cfg.verify = False
-        cfg.max_degree = args.max_degree
-    elif cmd == ("modp", "suite"):
-        cfg.char0_enabled = False
-        cfg.relations = False
-        cfg.verify = False
-        cfg.primes = _parse_primes(args.primes)
-        cfg.eta_sweep = bool(args.eta_sweep)
-    elif cmd == ("verify", "all"):
-        cfg.max_degree = args.max_degree
-        cfg.primes = _parse_primes(args.primes)
-        cfg.eta_sweep = bool(args.eta_sweep)
-    else:
-        raise ConfigError("unknown command %r" % (cmd,))
-    return cfg
+    fields = vars(args).copy()
+    char0, _ = COMMANDS[fields.pop("command"), fields.pop("action")]
+    if "primes" in fields:
+        fields["primes"] = _parse_primes(fields["primes"])
+    return PipelineConfig(char0=char0, **fields)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        code, failures, written = run_pipeline(cfg)
-    except ConfigError as exc:
+        code, failures, written = run_pipeline(config_from_args(args))
+    except CONFIG_ERRORS as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, FormNormalizationError) as exc:
+    except SOLVER_ERRORS as exc:
         print("solver failure: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
     for path in written:

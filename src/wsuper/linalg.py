@@ -323,10 +323,10 @@ def _echelon_mod_p(mat, p, block=BLOCK, reduced=True):
     return a[:r], piv
 
 
-def rank_mod_p(mat, p, block=BLOCK):
+def rank_mod_p(mat, p):
     """Rank over F_p by `_echelon_mod_p`; a prime past its float64 bound
-    raises ValueError.  `block` is the panel width."""
-    return len(_echelon_mod_p(mat, p, block, reduced=False)[1])
+    raises ValueError."""
+    return len(_echelon_mod_p(mat, p, reduced=False)[1])
 
 
 def rref_mod_p(mat, p):
@@ -352,9 +352,3 @@ def nullspace_mod_p(mat, p):
 def row_space_mod_p(mat, p):
     a, piv = rref_mod_p(mat, p)
     return a[: len(piv)]
-
-
-def same_row_space_mod_p(a, b, p):
-    ea = row_space_mod_p(a, p)
-    eb = row_space_mod_p(b, p)
-    return ea.shape == eb.shape and bool(np.array_equal(ea, eb))

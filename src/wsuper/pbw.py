@@ -280,11 +280,10 @@ class Enveloping:
                 self._acc(acc, prod, f.mul(c1, c2))
         return acc
 
-    def normalize(self, word, coeff=1):
+    def normalize(self, word):
         """Normal form of a word given as (generator, exponent) pairs, in any
         order; odd exponents beyond 1 contract, even ones cap mod p."""
-        f = self.field
-        cur = {self.unit_mono: f.of(coeff)}
+        cur = {self.unit_mono: self.field.one}
         for g, e in word:
             for _ in range(e):
                 nxt = {}
@@ -350,18 +349,10 @@ class Enveloping:
         return Element(self, out)
 
     def ad_act(self, z, q):
-        """z is a generator index or a coordinate vector over the generators."""
+        """Class of [b_z, lift(q)] in Q for the generator index z, after
+        checking that q is a reduced class."""
         assert self.is_q_element(q), "ad acts on reduced classes"
-        if isinstance(z, int):
-            return self.ad_act_gen(z, q)
-        f = self.field
-        acc = {}
-        for i, c in enumerate(z):
-            c = f.of(c)
-            if f.is_zero(c):
-                continue
-            self._acc(acc, self.ad_act_gen(i, q).terms, c)
-        return Element(self, acc)
+        return self.ad_act_gen(z, q)
 
     def _gen_mono(self, g):
         m = [0] * self.n_gens

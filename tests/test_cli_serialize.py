@@ -6,9 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from wsuper import serialize
-from wsuper.cli import EXIT_CONFIG, EXIT_OK, PipelineConfig, main, run_pipeline
+from wsuper import cli, serialize
+from wsuper.cli import (CHAR0_GRADED, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
+                        PipelineConfig, main, run_pipeline)
+from wsuper.modp import ReductionError
+from wsuper.nilpotent import FormNormalizationError, NilpotentError
+from wsuper.presets import PresetError
 from wsuper.serialize import SchemaError
+from wsuper.superalgebra import AlgebraError, DegenerateFormError
+from wsuper.wchar0 import SolverError
 
 
 def test_algebra_round_trip(sl21):
@@ -114,8 +120,9 @@ def test_cli_rejects_bad_preset(tmp_path):
 
 
 def test_cli_rejects_low_degree(tmp_path):
+    # the top generator degree of sl(2|1) E12 is 4, so the bound must be >= 6
     code = run_cli(tmp_path, [
-        "w", "relations", "--family", "sl", "--m", "2", "--n", "1",
+        "verify", "all", "--family", "sl", "--m", "2", "--n", "1",
         "--nilpotent", "E12", "--max-degree", "3", "--out", str(tmp_path / "e")])
     assert code == EXIT_CONFIG
 
@@ -129,14 +136,24 @@ def test_cli_rejects_malformed_coordinates(tmp_path, coords):
     assert code == EXIT_CONFIG
 
 
-def test_w_solve_has_no_degree_bound(tmp_path):
-    # w solve computes neither relations nor the graded check
+def _rejects_max_degree(tmp_path, action):
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, [
-            "w", "solve", "--family", "osp", "--m", "1", "--n", "2",
+            "w", action, "--family", "osp", "--m", "1", "--n", "2",
             "--nilpotent", "regular", "--max-degree", "3",
             "--out", str(tmp_path / "i")])
     assert exc.value.code == EXIT_CONFIG
+    assert not (tmp_path / "i").exists()
+
+
+def test_w_solve_has_no_degree_bound(tmp_path):
+    # w solve computes neither relations nor the graded check
+    _rejects_max_degree(tmp_path, "solve")
+
+
+def test_w_relations_has_no_degree_bound(tmp_path):
+    # the bound guards the graded check, which only verify all runs
+    _rejects_max_degree(tmp_path, "relations")
 
 
 def test_cli_zero_config(tmp_path):
@@ -153,7 +170,7 @@ def test_cli_zero_config(tmp_path):
 
 def test_pipeline_writes_nilpotent_artifacts(tmp_path, sl21):
     cfg = PipelineConfig(family="sl", m=2, n=1, nilpotent="E12",
-                         char0_enabled=True, relations=True, max_degree=10,
+                         char0=CHAR0_GRADED, max_degree=10,
                          primes=(3,), eta_sweep=True,
                          out_dir=str(tmp_path / "g"))
     code, failures, written = run_pipeline(cfg)
@@ -192,3 +209,88 @@ def test_readme_library_example_runs():
     exec(compile(code, "README.md", "exec"), ns)
     assert ns["q"].dim == 100 and ns["q"].invariant_dimension("m") == 20
     assert ns["rw"].pbw_ok
+
+
+def test_package_exports_the_readme_surface():
+    import ast
+    import types
+
+    import wsuper
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", text, re.S)[1]
+    imported = {alias.name for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "wsuper"
+                for alias in node.names}
+    assert imported and imported <= set(wsuper.__all__)
+    for name in wsuper.__all__:
+        assert not isinstance(getattr(wsuper, name), types.ModuleType), name
+
+
+def test_module_entry_point_runs_without_runtime_warning(tmp_path):
+    import subprocess
+    import sys
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("WSUPER_OUT", None)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "wsuper.cli",
+         "algebra", "build", "--family", "gl", "--m", "1", "--n", "1",
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert (tmp_path / "algebra.json").exists()
+
+
+# every error class a run can end in, with its exit code and stderr prefix
+ERRORS = [(cls, EXIT_CONFIG, "configuration error")
+          for cls in (cli.ConfigError, AlgebraError, DegenerateFormError,
+                      NilpotentError, FormNormalizationError, PresetError,
+                      ReductionError)]
+ERRORS.append((SolverError, EXIT_SOLVER, "solver failure"))
+
+
+@pytest.mark.parametrize("error, code, prefix", ERRORS,
+                         ids=[cls.__name__ for cls, _, _ in ERRORS])
+def test_each_error_ends_in_its_exit_code(tmp_path, monkeypatch, capsys,
+                                          error, code, prefix):
+    assert set(cli.CONFIG_ERRORS + cli.SOLVER_ERRORS) <= {
+        cls for cls, _, _ in ERRORS}
+
+    def fail(*args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "build_algebra", fail)
+    assert run_cli(tmp_path, [
+        "algebra", "build", "--family", "gl", "--m", "1", "--n", "1",
+        "--out", str(tmp_path / "x")]) == code
+    assert capsys.readouterr().err == "%s: boom\n" % prefix
+
+
+OSP12 = ["--family", "osp", "--m", "1", "--n", "2"]
+SETUP = {"algebra.json", "nilpotent.json"}
+MODP = {"modp_report.csv", "modp_report.json"}
+ARTIFACTS = {
+    ("algebra", "build"): ([], SETUP),
+    ("nilpotent", "analyze"): (["--nilpotent", "regular"], SETUP),
+    ("w", "solve"): (["--nilpotent", "regular"], SETUP | {"wpresentation.json"}),
+    ("w", "relations"): (["--nilpotent", "regular"],
+                         SETUP | {"wpresentation.json"}),
+    ("modp", "suite"): (["--nilpotent", "regular", "--primes", "3"],
+                        SETUP | MODP),
+    ("verify", "all"): (["--nilpotent", "regular", "--primes", "3"],
+                        SETUP | MODP | {"wpresentation.json"}),
+}
+
+
+def test_each_command_writes_its_artifacts(tmp_path):
+    assert sorted(ARTIFACTS) == sorted(cli.COMMANDS)
+    relations = {}
+    for (command, action), (extra, names) in ARTIFACTS.items():
+        out = tmp_path / command / action
+        assert run_cli(tmp_path, [command, action] + OSP12 + extra
+                       + ["--out", str(out)]) == EXIT_OK
+        assert {f.name for f in out.iterdir()} == names, (command, action)
+        if "wpresentation.json" in names:
+            data = serialize.load_json(str(out / "wpresentation.json"))
+            relations[command, action] = data["relations"]
+    assert relations[("w", "solve")] == []
+    assert relations[("w", "relations")] == relations[("verify", "all")] != []

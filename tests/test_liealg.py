@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from wsuper import build_algebra, invariant_form
+from wsuper import build_algebra
 from wsuper.linalg import mat_mul
 from wsuper.superalgebra import (AlgebraError, DegenerateFormError,
-                                 osp_form_matrix, supertrace)
+                                 invariant_form, osp_form_matrix, supertrace)
 from wsuper.scalars import QQ
 
 

@@ -38,7 +38,7 @@ def _count(monkeypatch, owner, name, log):
 def _suite(out_dir, primes=(3,)):
     # `modp suite` on osp(1|2) regular with both sampled etas
     return PipelineConfig(family="osp", m=1, n=2, nilpotent="regular",
-                          char0_enabled=False, relations=False, verify=False,
+                          char0=cli.CHAR0_NONE,
                           primes=primes, eta_sweep=True, out_dir=str(out_dir))
 
 

@@ -4,8 +4,8 @@ from math import comb
 
 import pytest
 
-from wsuper import engine_from_datum, reduce_datum
-from wsuper.pbw import AmbientMismatch, Element
+from wsuper import reduce_datum
+from wsuper.pbw import AmbientMismatch, Element, engine_from_datum
 
 
 @pytest.fixture(scope="module")
