@@ -6,7 +6,8 @@ extraction, and the fully finite-dimensional reduced theory mod p.
 from .superalgebra import AlgebraError, build_algebra
 from .nilpotent import NilpotentError, analyze_nilpotent, sl2_triple
 from .presets import PresetError, resolve_nilpotent
-from .wchar0 import SolverError, WContext
+from .wchar0 import (LeadingShapeError, NotInvariantError, SolverError,
+                     WContext)
 from .modp import (ReductionError, build_reduced_q, morita_dim_check,
                    mprime_invariants_check, reduce_datum, reduced_w)
 
@@ -16,6 +17,6 @@ __all__ = [
     "WContext", "reduce_datum", "build_reduced_q", "reduced_w",
     "morita_dim_check", "mprime_invariants_check",
     "AlgebraError", "NilpotentError", "PresetError", "ReductionError",
-    "SolverError",
+    "SolverError", "NotInvariantError", "LeadingShapeError",
 ]
 __version__ = "0.1.0"

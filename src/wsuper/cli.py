@@ -22,7 +22,8 @@ from . import modp, serialize
 from .nilpotent import NilpotentError, analyze_nilpotent, sl2_triple
 from .presets import PresetError, resolve_nilpotent
 from .superalgebra import AlgebraError, build_algebra, invariant_form
-from .wchar0 import SolverError, WContext, WPresentation
+from .wchar0 import (LeadingShapeError, NotInvariantError, SolverError,
+                     WContext, WPresentation)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURES = 1
@@ -40,7 +41,7 @@ class ConfigError(ValueError):
 # NilpotentError, DegenerateFormError an AlgebraError)
 CONFIG_ERRORS = (ConfigError, AlgebraError, NilpotentError, PresetError,
                  modp.ReductionError)
-SOLVER_ERRORS = (SolverError,)
+SOLVER_ERRORS = (SolverError, NotInvariantError, LeadingShapeError)
 
 # How far the char-0 chain runs; each stage includes the ones before it.
 CHAR0_NONE, CHAR0_SOLVE, CHAR0_RELATIONS, CHAR0_GRADED = range(4)
@@ -88,6 +89,8 @@ def resolve_out_dir(flag_value):
 
 def run_pipeline(cfg):
     """Returns (exit_code, failures, artifacts written)."""
+    for p in cfg.primes:  # a rejected prime leaves no artifact
+        modp.admissible_field(cfg.family, (cfg.m, cfg.n), p)
     out_dir = resolve_out_dir(cfg.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     failures = []
@@ -102,18 +105,20 @@ def run_pipeline(cfg):
     invariant_form(alg)
     e = resolve_nilpotent(alg, cfg.nilpotent)
     nd = analyze_nilpotent(alg, sl2_triple(alg, e))
+    if cfg.char0 >= CHAR0_SOLVE:
+        ctx = WContext(nd)
+    if cfg.char0 >= CHAR0_GRADED:
+        # the generator degrees are known before any generator is solved
+        top = max(ctx.generator_degrees())
+        if cfg.max_degree < top + 2:
+            raise ConfigError("max Kazhdan degree %d is below the top"
+                              " generator degree %d plus two"
+                              % (cfg.max_degree, top))
     emit("algebra.json", serialize.dump_json(serialize.algebra_to_json(alg)))
     emit("nilpotent.json", serialize.dump_json(serialize.nilpotent_to_json(nd)))
 
     if cfg.char0 >= CHAR0_SOLVE:
-        ctx = WContext(nd)
         gens = ctx.generators()
-        if cfg.char0 >= CHAR0_GRADED:
-            top = max(g.filtration_degree for g in gens)
-            if cfg.max_degree < top + 2:
-                raise ConfigError("max Kazhdan degree %d is below the top"
-                                  " generator degree %d plus two"
-                                  % (cfg.max_degree, top))
         if cfg.char0 >= CHAR0_RELATIONS:
             pres = ctx.commutator_table()
         else:

@@ -1,10 +1,10 @@
-"""Exact dense linear algebra.
+"""Exact linear algebra: two elimination routines.
 
-Two implementations live here.  The generic one works over any Field object
-(list-of-list matrices, used for all rational computations and for small mod-p
-systems); it is plain Gaussian elimination with deterministic pivoting, so
-echelon bases and particular solutions are reproducible.  The numpy one works
-mod p through one blocked Gauss-Jordan routine, `_echelon_mod_p`, behind
+The generic one, `rref`, works over any Field object: sparse Gauss-Jordan
+elimination on {column: coefficient} rows, read by every rational system and
+the small mod-p ones.  The RREF is unique, so echelon bases and particular
+solutions do not depend on the order of the rows.  The numpy one works mod p
+through one blocked Gauss-Jordan routine, `_echelon_mod_p`, behind
 `rank_mod_p`, `rref_mod_p`, `nullspace_mod_p` and `row_space_mod_p`; it
 exists because the reduced-module kernels reach dimension a few thousand.  It
 stores integers in float64 so that its block updates run as BLAS matrix
@@ -15,27 +15,18 @@ for p <= 11,863,279; it raises ValueError otherwise.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# generic field matrices (lists of lists)
+# generic field matrices
 # ---------------------------------------------------------------------------
-
-def zeros(field, rows, cols):
-    return [[field.zero] * cols for _ in range(rows)]
-
-
-def identity(field, n):
-    m = zeros(field, n, n)
-    for i in range(n):
-        m[i][i] = field.one
-    return m
-
 
 def mat_mul(field, a, b):
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(field, rows, cols)
+    out = [[field.zero] * cols for _ in range(rows)]
     for i in range(rows):
         ai = a[i]
         oi = out[i]
@@ -61,124 +52,140 @@ def mat_vec(field, a, v):
     return out
 
 
-def rref(field, mat):
-    """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
-    a = [row[:] for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        sel = None
-        for i in range(r, rows):
-            if not field.is_zero(a[i][c]):
-                sel = i
-                break
-        if sel is None:
+def _sparse_row(field, row):
+    """A fresh {column: coefficient} dict without zeros; a dense row (a
+    sequence) is keyed by position."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {j: x for j, x in items if not field.is_zero(x)}
+
+
+def _subtract(field, row, a, src, lead):
+    """row -= a * src off src's pivot column `lead`, in place; returns the
+    columns it filled in."""
+    new = []
+    for j, x in src.items():
+        if j == lead:
             continue
-        if sel != r:
-            a[r], a[sel] = a[sel], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [field.mul(inv, x) for x in a[r]]
-        for i in range(rows):
-            if i != r and not field.is_zero(a[i][c]):
-                f = a[i][c]
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-    return a, piv_cols
+        old = row.get(j)
+        if old is None:
+            row[j] = field.neg(field.mul(a, x))
+            new.append(j)
+        else:
+            v = field.sub(old, field.mul(a, x))
+            if field.is_zero(v):
+                del row[j]
+            else:
+                row[j] = v
+    return new
 
 
-def rank(field, mat):
-    return len(rref(field, mat)[1])
+def _echelon(field, rows):
+    """Forward elimination: {pivot column: row with a 1 there}.  Each row is
+    cleared of the pivot columns found so far, lowest first (a pivot row
+    fills in only to the right of its pivot), and becomes a pivot row at its
+    lowest remaining column."""
+    pivots = {}
+    for row in rows:
+        row = _sparse_row(field, row)
+        todo = [c for c in row if c in pivots]
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            a = row.pop(c, None)
+            if a is not None:  # None: cancelled, or pushed twice
+                for j in _subtract(field, row, a, pivots[c], c):
+                    if j in pivots:
+                        heappush(todo, j)
+        if row:
+            c = min(row)
+            inv = field.inv(row[c])
+            pivots[c] = {j: field.mul(inv, x) for j, x in row.items()}
+    return pivots
+
+
+def rref(field, rows):
+    """Reduced row echelon form by sparse Gauss-Jordan elimination.
+
+    rows are {column: coefficient} dicts or dense sequences; columns are any
+    mutually comparable keys, pivoted in increasing order.  Returns (reduced,
+    pivots): the nonzero RREF rows as dicts, in the order of the sorted pivot
+    columns.  Back-substitution runs from the highest pivot down, so each row
+    is cleared with rows already reduced and gains no pivot column."""
+    pivots = _echelon(field, rows)
+    order = sorted(pivots)
+    for c in reversed(order):
+        row = pivots[c]
+        for j in [j for j in row if j != c and j in pivots]:
+            _subtract(field, row, row.pop(j), pivots[j], j)
+    return [pivots[c] for c in order], order
+
+
+def rank(field, rows):
+    return len(_echelon(field, rows))
 
 
 def nullspace(field, mat, cols=None):
-    """Echelonized basis of {v : mat v = 0}, one vector per free column.
-
-    The basis is canonical: vector for free column j has entry 1 at j, zero at
-    the other free columns.
-    """
-    rows = len(mat)
+    """Canonical kernel basis of mat (sparse rows need `cols`): the vector
+    for free column j is 1 at j and 0 at the other free columns."""
     if cols is None:
-        cols = len(mat[0]) if rows else 0
-    if rows == 0:
-        return [[field.one if i == j else field.zero for i in range(cols)]
-                for j in range(cols)]
-    a, piv = rref(field, mat)
-    piv_set = set(piv)
+        cols = len(mat[0]) if mat else 0
+    reduced, piv = rref(field, mat)
     basis = []
-    for j in range(cols):
-        if j in piv_set:
-            continue
+    for j in sorted(set(range(cols)) - set(piv)):
         v = [field.zero] * cols
         v[j] = field.one
-        for r, pc in enumerate(piv):
-            v[pc] = field.neg(a[r][j])
+        for row, pc in zip(reduced, piv):
+            v[pc] = field.neg(row.get(j, field.zero))
         basis.append(v)
     return basis
 
 
-def solve_affine(field, mat, rhs):
-    """One solution of mat x = rhs with all free variables set to zero.
-
-    Returns None when the system is inconsistent.  Deterministic: the solution
-    is the reduced-echelon particular solution.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [mat[i][:] + [rhs[i]] for i in range(rows)]
-    a, piv = rref(field, aug)
-    for r, pc in enumerate(piv):
-        if pc == cols:
-            return None
+def solve_affine(field, mat, rhs, cols=None):
+    """The solution of mat x = rhs with every free variable zero, or None
+    when the system is inconsistent.  Sparse rows need `cols`, the number of
+    unknowns; the right-hand side is eliminated as column `cols`."""
+    if cols is None:
+        cols = len(mat[0]) if mat else 0
+    aug = [_sparse_row(field, row) for row in mat]
+    for row, b in zip(aug, rhs):
+        if not field.is_zero(b):
+            row[cols] = b
+    reduced, piv = rref(field, aug)
+    if piv and piv[-1] == cols:
+        return None
     x = [field.zero] * cols
-    for r, pc in enumerate(piv):
-        x[pc] = a[r][cols]
+    for row, pc in zip(reduced, piv):
+        x[pc] = row.get(cols, field.zero)
     return x
 
 
 def invert(field, mat):
     n = len(mat)
-    aug = [mat[i][:] + identity(field, n)[i] for i in range(n)]
-    a, piv = rref(field, aug)
+    aug = [_sparse_row(field, row) for row in mat]
+    for i, row in enumerate(aug):
+        row[n + i] = field.one
+    reduced, piv = rref(field, aug)
     if piv != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in a]
-
-
-def span_dim(field, vectors):
-    if not vectors:
-        return 0
-    return rank(field, [list(v) for v in vectors])
+    return [[row.get(n + j, field.zero) for j in range(n)] for row in reduced]
 
 
 def in_span(field, vectors, v):
     """Whether v lies in the row span of vectors."""
-    if all(field.is_zero(x) for x in v):
-        return True
-    if not vectors:
-        return False
-    base = [list(w) for w in vectors]
-    return rank(field, base) == rank(field, base + [list(v)])
+    return rank(field, list(vectors) + [v]) == rank(field, vectors)
 
 
 def intersect_zero(field, vectors_a, vectors_b):
     """Whether the spans of the two families intersect trivially."""
-    ra = span_dim(field, vectors_a)
-    rb = span_dim(field, vectors_b)
-    rab = span_dim(field, list(vectors_a) + list(vectors_b))
-    return rab == ra + rb
+    return (rank(field, list(vectors_a) + list(vectors_b))
+            == rank(field, vectors_a) + rank(field, vectors_b))
 
 
 def echelon_span(field, vectors):
-    """Canonical echelonized spanning set (rows of the rref, zero rows dropped)."""
-    if not vectors:
-        return []
-    a, piv = rref(field, [list(v) for v in vectors])
-    return [a[i] for i in range(len(piv))]
+    """The nonzero rows of the rref of dense vectors, as dense lists."""
+    cols = len(vectors[0]) if vectors else 0
+    return [[row.get(j, field.zero) for j in range(cols)]
+            for row in rref(field, vectors)[0]]
 
 
 # ---------------------------------------------------------------------------

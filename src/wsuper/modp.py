@@ -47,17 +47,23 @@ def _reduce_matrix(gf, mat):
     return [[gf.of(x) for x in row] for row in mat]
 
 
+def admissible_field(family, shape, p):
+    """F_p once p passes `restriction_condition`; ReductionError otherwise.
+    The CLI calls it for every prime before it builds anything."""
+    ok, why = restriction_condition(family, shape, p)
+    if not ok:
+        raise ReductionError("p = %d rejected for %s%s: %s"
+                             % (p, family, shape, why))
+    try:
+        return PrimeField(p)
+    except ValueError as exc:
+        raise ReductionError(str(exc))
+
+
 def reduce_mod_p(alg, p):
     """Reduce a rational algebra mod an odd prime, attach the p-th power map
     from the matrix realization, and verify restrictedness on basis pairs."""
-    ok, why = restriction_condition(alg.family, alg.shape, p)
-    if not ok:
-        raise ReductionError("p = %d rejected for %s%s: %s"
-                             % (p, alg.family, alg.shape, why))
-    try:
-        gf = PrimeField(p)
-    except ValueError as exc:
-        raise ReductionError(str(exc))
+    gf = admissible_field(alg.family, alg.shape, p)
     try:
         structure = {k: tuple((t, gf.of(c)) for t, c in v if gf.of(c) != 0)
                      for k, v in alg.structure.items()}

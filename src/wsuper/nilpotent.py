@@ -216,13 +216,13 @@ def _reduce_against_pair(field, form, vecs, a, b):
         w2 = [field.sub(field.sub(w[i], field.mul(ca, a[i])), field.mul(cb, b[i]))
               for i in range(len(w))]
         out.append(w2)
-    return [v for v in linalg.echelon_span(field, out)]
+    return linalg.echelon_span(field, out)
 
 
 def symplectic_normal_basis(field, vectors, form):
     """Darboux basis u_1..u_2s with form(u_i, u_j) = i* delta_{i+j,2s+1},
     where i* is -1 for i <= s and 1 otherwise."""
-    work = [list(v) for v in linalg.echelon_span(field, [list(v) for v in vectors])]
+    work = linalg.echelon_span(field, vectors)
     if len(work) % 2 != 0:
         raise NilpotentError("symplectic space of odd dimension")
     s = len(work) // 2
@@ -288,7 +288,7 @@ def symmetric_normal_basis(field, vectors, form):
     root is rational, otherwise its norm is returned as-is.
 
     Returns (vectors, middle_norm or None, normalized flag)."""
-    work = [list(v) for v in linalg.echelon_span(field, [list(v) for v in vectors])]
+    work = linalg.echelon_span(field, vectors)
     r = len(work)
     t = r // 2
     firsts = []
@@ -367,7 +367,7 @@ def _diagonalized_gram(field, work, form):
                 continue
             coef = field.div(form(w, a), form(a, a))
             rest.append([field.sub(w[k], field.mul(coef, a[k])) for k in range(len(w))])
-        vecs = [list(v) for v in linalg.echelon_span(field, rest)]
+        vecs = linalg.echelon_span(field, rest)
     return diag
 
 
@@ -441,7 +441,7 @@ def analyze_nilpotent(alg, triple):
     f = alg.field
     if alg.gram is None:
         raise NilpotentError("algebra has no invariant form")
-    if linalg.rank(f, [row[:] for row in alg.gram]) != alg.dim:
+    if linalg.rank(f, alg.gram) != alg.dim:
         raise AlgebraError("invariant form is degenerate")
     _check_triple(alg, triple)
 
@@ -486,9 +486,9 @@ def analyze_nilpotent(alg, triple):
                                  % (wt, -wt))
 
     if not zero_case:
-        if not _vector_in_layer(alg, f, e, layers.get((2, 0), [])):
+        if not linalg.in_span(f, layers.get((2, 0), []), e):
             raise NilpotentError("e is not in g(2) even part")
-        if not _vector_in_layer(alg, f, fv, layers.get((-2, 0), [])):
+        if not linalg.in_span(f, layers.get((-2, 0), []), fv):
             raise NilpotentError("f is not in g(-2) even part")
 
     # chi is supported on g(-2) even and vanishes on the odd part
@@ -506,17 +506,14 @@ def analyze_nilpotent(alg, triple):
         out = []
         for v in vecs:
             out.append(tuple(linalg.mat_vec(f, ad, list(v))))
-        return [tuple(v) for v in linalg.echelon_span(f, [list(v) for v in out])]
+        return [tuple(v) for v in linalg.echelon_span(f, out)]
 
     def kernel_in_layer(ad, vecs):
         if not vecs:
             return []
         cols = [list(v) for v in vecs]
-        mat = [[f.zero] * len(cols) for _ in range(alg.dim)]
-        for c, v in enumerate(cols):
-            img = linalg.mat_vec(f, ad, v)
-            for r in range(alg.dim):
-                mat[r][c] = img[r]
+        # column c of the system is the image of cols[c]
+        mat = list(zip(*(linalg.mat_vec(f, ad, v) for v in cols)))
         sols = linalg.nullspace(f, mat, cols=len(cols))
         out = []
         for sgl in sols:
@@ -539,8 +536,7 @@ def analyze_nilpotent(alg, triple):
             im_list.extend(im)
             # direct-sum check inside this layer of p
             if vecs:
-                if not linalg.intersect_zero(f, [list(v) for v in ge],
-                                             [list(v) for v in im]):
+                if not linalg.intersect_zero(f, ge, im):
                     raise NilpotentError("p-layer decomposition is not direct")
                 if len(ge) + len(im) != len(vecs):
                     raise NilpotentError("p-layer decomposition misses vectors")
@@ -637,17 +633,9 @@ def _parity_of_vec(alg, v):
 
 def _weight_of_vec(alg, f, v, layers):
     for (wt, par), vecs in layers.items():
-        if _vector_in_layer(alg, f, list(v), vecs):
+        if linalg.in_span(f, vecs, v):
             return wt
     raise NilpotentError("vector lies in no single weight layer")
-
-
-def _vector_in_layer(alg, f, v, vecs):
-    if all(f.is_zero(c) for c in v):
-        return True
-    if not vecs:
-        return False
-    return linalg.in_span(f, [list(w) for w in vecs], list(v))
 
 
 def _verify_datum(nd, layers, form):
@@ -710,14 +698,14 @@ def _verify_datum(nd, layers, form):
         a_p = [v for v in (_split_parity(alg, v, par) for v in ann) if v]
         b_p = [v for v in (_split_parity(alg, v, par) for v in bracket_img) if v]
         g_p = [v for v in (_split_parity(alg, v, par) for v in gf) if v]
-        da = linalg.span_dim(f, a_p)
-        db = linalg.span_dim(f, b_p)
-        dg = linalg.span_dim(f, g_p)
-        dall = linalg.span_dim(f, b_p + g_p)
+        da = linalg.rank(f, a_p)
+        db = linalg.rank(f, b_p)
+        dg = linalg.rank(f, g_p)
+        dall = linalg.rank(f, b_p + g_p)
         if db + dg != dall or dall != da:
             raise NilpotentError("annihilator of m does not split as [m',e] + g^f")
         for v in b_p + g_p:
-            if not linalg.in_span(f, a_p or [[f.zero] * alg.dim], v):
+            if not linalg.in_span(f, a_p, v):
                 raise NilpotentError("[m',e] + g^f escapes the annihilator of m")
 
     # nonnegative part: p = sum_{j>=2} [f, g(j)] + g^e, direct
@@ -729,10 +717,10 @@ def _verify_datum(nd, layers, form):
         if wt >= 2:
             for v in vecs:
                 imgf.append(alg.bracket(fv, list(v)))
-    d_ge = linalg.span_dim(f, ge)
-    d_img = linalg.span_dim(f, imgf) if imgf else 0
-    d_p = linalg.span_dim(f, p_vecs)
-    d_both = linalg.span_dim(f, ge + imgf)
+    d_ge = linalg.rank(f, ge)
+    d_img = linalg.rank(f, imgf)
+    d_p = linalg.rank(f, p_vecs)
+    d_both = linalg.rank(f, ge + imgf)
     if d_ge + d_img != d_both or d_both != d_p:
         raise NilpotentError("nonnegative part does not split as [f,g(>=2)] + g^e")
 
@@ -794,4 +782,4 @@ def _form_annihilator(nd, m_vecs):
 
 
 def _kernel_of(alg, ad):
-    return linalg.nullspace(alg.field, [row[:] for row in ad], cols=alg.dim)
+    return linalg.nullspace(alg.field, ad, cols=alg.dim)

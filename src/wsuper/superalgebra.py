@@ -284,42 +284,35 @@ class Coordinatizer:
         self.field = field
         self.n = len(realization[0])
         self.dim = len(realization)
-        rows = self.n * self.n
-        mat = [[field.zero] * self.dim for _ in range(rows)]
+        # row k of [M | I]: the k-th entries of the flattened realization
+        # matrices, then a 1 in column dim + k
+        aug = [{self.dim + k: field.one} for k in range(self.n * self.n)]
         for i, r in enumerate(realization):
             for a in range(self.n):
                 for b in range(self.n):
-                    mat[a * self.n + b][i] = r[a][b]
-        aug = [mat[i][:] + [field.one if j == i else field.zero for j in range(rows)]
-               for i in range(rows)]
+                    if not field.is_zero(r[a][b]):
+                        aug[a * self.n + b][i] = r[a][b]
         red, piv = linalg.rref(field, aug)
         if piv[: self.dim] != list(range(self.dim)):
             raise AlgebraError("realization matrices are linearly dependent")
-        self._red = red
-        self._piv = piv[: self.dim]
-        self._rank = self.dim
+        # the I part of each reduced row, keyed by flattened entry; the rows
+        # past dim are the consistency conditions
+        self._rows = [{k - self.dim: c for k, c in row.items() if k >= self.dim}
+                      for row in red]
 
     def coords(self, mat):
         f = self.field
         flat = [mat[a][b] for a in range(self.n) for b in range(self.n)]
-        x = [f.zero] * self.dim
-        for r, pc in enumerate(self._piv):
+        values = []
+        for row in self._rows:
             acc = f.zero
-            row = self._red[r]
-            for t, v in enumerate(flat):
-                if not f.is_zero(v):
-                    acc = f.add(acc, f.mul(row[self.dim + t], v))
-            x[pc] = acc
-        # consistency rows
-        for r in range(self._rank, len(self._red)):
-            acc = f.zero
-            row = self._red[r]
-            for t, v in enumerate(flat):
-                if not f.is_zero(v):
-                    acc = f.add(acc, f.mul(row[self.dim + t], v))
-            if not f.is_zero(acc):
-                raise AlgebraError("matrix lies outside the algebra")
-        return x
+            for t, c in row.items():
+                if not f.is_zero(flat[t]):
+                    acc = f.add(acc, f.mul(c, flat[t]))
+            values.append(acc)
+        if any(not f.is_zero(v) for v in values[self.dim:]):
+            raise AlgebraError("matrix lies outside the algebra")
+        return values[: self.dim]
 
 
 def structure_from_realization(field, realization, parities, m_even):
@@ -472,7 +465,7 @@ def invariant_form(alg):
     """The supertrace form of the realization, verified nondegenerate."""
     if alg.gram is None:
         raise AlgebraError("algebra carries no invariant form")
-    if linalg.rank(alg.field, [row[:] for row in alg.gram]) != alg.dim:
+    if linalg.rank(alg.field, alg.gram) != alg.dim:
         raise DegenerateFormError("supertrace form is degenerate for %s%s"
                                   % (alg.family, alg.shape))
     return alg.gram

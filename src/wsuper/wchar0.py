@@ -195,30 +195,22 @@ class WContext:
         cands = self.candidate_monomials(k)
         zs = self.m_generator_indices()
         target = e.q_reduce(e.gen(lead))
-        rows = {}
-        cols = []
-        for m in cands:
-            col = {}
+        # one sparse equation per (z, monomial) of the ad z images; the
+        # unknowns are the candidates' coefficients
+        rows, rhs = {}, {}
+        for cidx, m in enumerate(cands):
             for z in zs:
                 img = e.ad_act(z, e.element({m: f.one}))
                 for mm, c in img.terms.items():
-                    col[(z, mm)] = c
-                    rows.setdefault((z, mm), len(rows))
-            cols.append(col)
-        rhs_entries = {}
+                    rows.setdefault((z, mm), {})[cidx] = c
         for z in zs:
             img = e.ad_act(z, target)
             for mm, c in img.terms.items():
-                rhs_entries[(z, mm)] = f.neg(c)
-                rows.setdefault((z, mm), len(rows))
-        mat = [[f.zero] * len(cands) for _ in range(len(rows))]
-        for cidx, col in enumerate(cols):
-            for key, c in col.items():
-                mat[rows[key]][cidx] = c
-        rhs = [f.zero] * len(rows)
-        for key, c in rhs_entries.items():
-            rhs[rows[key]] = c
-        sol = linalg.solve_affine(f, mat, rhs)
+                rows.setdefault((z, mm), {})
+                rhs[(z, mm)] = f.neg(c)
+        sol = linalg.solve_affine(f, list(rows.values()),
+                                  [rhs.get(key, f.zero) for key in rows],
+                                  len(cands))
         if sol is None:
             raise SolverError("invariance system for generator %d has no"
                               " solution" % k)
@@ -308,7 +300,8 @@ class WContext:
         while not cur.is_zero():
             n, big, monos = e.leading_data(cur)
             key = (n, big)
-            assert prev_key is None or key < prev_key, "elimination does not descend"
+            if prev_key is not None and key >= prev_key:
+                raise SolverError("PBW elimination does not descend")
             prev_key = key
             for m in sorted(monos):
                 lam = cur.coefficient(m)
@@ -317,13 +310,15 @@ class WContext:
                 expo = self._leading_to_expo(m)
                 ev = self.eval_monomial(expo)
                 kappa = ev.coefficient(m)
-                assert not f.is_zero(kappa), "evaluated monomial lost its leading term"
+                if f.is_zero(kappa):
+                    raise SolverError("evaluated monomial lost its leading term")
                 coef = f.div(lam, kappa)
                 cur = cur - ev.scale(coef)
                 out[expo] = f.add(out.get(expo, f.zero), coef)
         out = {m: c for m, c in out.items() if not f.is_zero(c)}
         poly = ThetaPolynomial(self.n_generators(), out)
-        assert self.evaluate(poly) == q, "PBW expression does not evaluate back"
+        if self.evaluate(poly) != q:
+            raise SolverError("PBW expression does not evaluate back")
         return poly
 
     def evaluate(self, poly):
@@ -433,19 +428,14 @@ class WContext:
             expos = _pbw_monomials_of_degree(degrees, odd_flags, d)
             if not expos:
                 continue
+            # the degree-d layer of each evaluated monomial, as a sparse row
+            # keyed by PBW monomial
             vecs = []
-            support = {}
             for expo in expos:
                 ev = self.eval_monomial(expo)
-                layer = {m: c for m, c in ev.terms.items() if e.e_degree(m) == d}
-                for m in layer:
-                    support.setdefault(m, len(support))
-                vecs.append(layer)
-            mat = [[f.zero] * len(support) for _ in vecs]
-            for r, layer in enumerate(vecs):
-                for m, c in layer.items():
-                    mat[r][support[m]] = c
-            if linalg.rank(f, mat) != len(vecs):
+                vecs.append({m: c for m, c in ev.terms.items()
+                             if e.e_degree(m) == d})
+            if linalg.rank(f, vecs) != len(vecs):
                 independent = False
         ok = independent and counts == series
         return GradedReport(max_degree=max_degree, pbw_counts=counts,

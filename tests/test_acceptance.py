@@ -206,11 +206,11 @@ def _structural_checks(alg, nd):
            [[f.one if i == j else f.zero for i in range(d)] for j in range(d)])
     bracket_img = [alg.bracket(v, e) for v in mp_vecs]
     gf_basis = linalg.nullspace(f, alg.ad_matrix(fv), cols=d)
-    da = linalg.span_dim(f, ann)
-    db = linalg.span_dim(f, bracket_img) if bracket_img else 0
-    dg = linalg.span_dim(f, gf_basis)
+    da = linalg.rank(f, ann)
+    db = linalg.rank(f, bracket_img) if bracket_img else 0
+    dg = linalg.rank(f, gf_basis)
     assert db + dg == da, "annihilator dimensions do not add up"
-    assert linalg.span_dim(f, bracket_img + gf_basis) == da
+    assert linalg.rank(f, bracket_img + gf_basis) == da
     for v in bracket_img:
         assert linalg.in_span(f, ann, v)
     for v in gf_basis:
@@ -225,10 +225,10 @@ def _structural_checks(alg, nd):
             src = alg.bracket(fv, list(g.vector))
             if any(not f.is_zero(c) for c in src):
                 img_f.append(src)
-    d_ge = linalg.span_dim(f, ge_basis)
-    d_img = linalg.span_dim(f, img_f) if img_f else 0
-    assert d_ge + d_img == linalg.span_dim(f, p_vecs)
-    assert linalg.span_dim(f, ge_basis + img_f) == d_ge + d_img
+    d_ge = linalg.rank(f, ge_basis)
+    d_img = linalg.rank(f, img_f) if img_f else 0
+    assert d_ge + d_img == linalg.rank(f, p_vecs)
+    assert linalg.rank(f, ge_basis + img_f) == d_ge + d_img
     # dimension identity per parity
     for par in (0, 1):
         dim_g = sum(1 for p_ in alg.parities if p_ == par)

@@ -14,7 +14,7 @@ from wsuper.nilpotent import FormNormalizationError, NilpotentError
 from wsuper.presets import PresetError
 from wsuper.serialize import SchemaError
 from wsuper.superalgebra import AlgebraError, DegenerateFormError
-from wsuper.wchar0 import SolverError
+from wsuper.wchar0 import LeadingShapeError, NotInvariantError, SolverError
 
 
 def test_algebra_round_trip(sl21):
@@ -125,6 +125,7 @@ def test_cli_rejects_low_degree(tmp_path):
         "verify", "all", "--family", "sl", "--m", "2", "--n", "1",
         "--nilpotent", "E12", "--max-degree", "3", "--out", str(tmp_path / "e")])
     assert code == EXIT_CONFIG
+    assert list((tmp_path / "e").glob("*")) == []
 
 
 @pytest.mark.parametrize("coords", ["x,y,z,1,1,1,1,1,1",
@@ -245,7 +246,8 @@ ERRORS = [(cls, EXIT_CONFIG, "configuration error")
           for cls in (cli.ConfigError, AlgebraError, DegenerateFormError,
                       NilpotentError, FormNormalizationError, PresetError,
                       ReductionError)]
-ERRORS.append((SolverError, EXIT_SOLVER, "solver failure"))
+ERRORS += [(cls, EXIT_SOLVER, "solver failure")
+           for cls in (SolverError, NotInvariantError, LeadingShapeError)]
 
 
 @pytest.mark.parametrize("error, code, prefix", ERRORS,
@@ -263,6 +265,27 @@ def test_each_error_ends_in_its_exit_code(tmp_path, monkeypatch, capsys,
         "algebra", "build", "--family", "gl", "--m", "1", "--n", "1",
         "--out", str(tmp_path / "x")]) == code
     assert capsys.readouterr().err == "%s: boom\n" % prefix
+
+
+SL21_E12 = ["--family", "sl", "--m", "2", "--n", "1", "--nilpotent", "E12"]
+
+
+@pytest.mark.parametrize("shape, primes, last_line", [
+    (SL21_E12, "4", "prime field needs an odd prime, got 4"),
+    (SL21_E12, "2147483647", "p = 2147483647 rejected for sl(2, 1): p exceeds"
+     " the float64 bound 64*(p-1)**2 + p < 2**53 of the mod-p kernel"),
+    (["--family", "sl", "--m", "4", "--n", "1"], "3",
+     "p = 3 rejected for sl(4, 1): p divides m - n = 3"),
+], ids=["not-prime", "past-the-bound", "divides-m-n"])
+def test_rejected_prime_leaves_no_artifact(tmp_path, capsys, shape, primes,
+                                           last_line):
+    # the primes are checked before the algebra is built
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, ["modp", "suite"] + shape + [
+        "--primes", primes, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "configuration error: " + last_line
+    assert list(out.glob("*")) == []
 
 
 OSP12 = ["--family", "osp", "--m", "1", "--n", "2"]

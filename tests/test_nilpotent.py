@@ -34,7 +34,7 @@ def test_osp12_regular_triple_spans_even_part(osp12):
     tr = sl2_triple(osp12, e)
     from wsuper import linalg
     vecs = [list(tr.e), list(tr.h), list(tr.f)]
-    assert linalg.span_dim(QQ, vecs) == 3
+    assert linalg.rank(QQ, vecs) == 3
 
 
 def test_odd_nilpotent_rejected(gl11):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracle import dense_rref
 from wsuper import linalg
 from wsuper.scalars import (QQ, PrimeField, _is_prime, format_scalar,
                             is_rational_square, parse_scalar)
@@ -66,7 +67,8 @@ def test_invert_roundtrip():
             continue
         inv = linalg.invert(QQ, mat)
         prod = linalg.mat_mul(QQ, mat, inv)
-        assert prod == linalg.identity(QQ, n)
+        assert prod == [[Fraction(int(i == j)) for j in range(n)]
+                        for i in range(n)]
 
 
 def _naive_rank(a, p):
@@ -128,7 +130,7 @@ def test_rank_mod_p_exact_at_its_bound():
     got, piv = linalg.rref_mod_p(a, p)
     assert len(piv) == 100
     # intermediates near 2**53: every entry must come out reduced and exact
-    red, _ = linalg.rref(PrimeField(p), [[int(x) for x in r] for r in a])
+    red, _ = dense_rref(PrimeField(p), [[int(x) for x in r] for r in a])
     assert np.array_equal(got, np.array(red, dtype=np.int64))
 
 
@@ -203,7 +205,7 @@ _any_prime = st.integers(3, LARGEST_PRIME).map(_prime_at_most)
 def test_rref_mod_p_matches_generic_rref(case):
     a, p = case
     rows, cols = a.shape
-    red, piv = linalg.rref(PrimeField(p), [[int(x) for x in r] for r in a])
+    red, piv = dense_rref(PrimeField(p), [[int(x) for x in r] for r in a])
     red = np.array(red, dtype=np.int64).reshape(rows, cols)
     got, got_piv = linalg.rref_mod_p(a, p)
     assert got_piv == piv
@@ -234,3 +236,88 @@ def test_nullspace_mod_p_is_the_canonical_kernel_basis(case):
     assert not ((a.astype(object) @ ns.T.astype(object)) % p).any()
     free = np.setdiff1d(np.arange(cols), linalg.rref_mod_p(a, p)[1])
     assert np.array_equal(ns[:, free], np.eye(free.size, dtype=np.int64))
+
+
+_small_fraction = st.builds(Fraction, st.integers(-3, 3),
+                            st.sampled_from([1, 2, 4]))
+
+
+@st.composite
+def _field_matrices(draw, max_side=7):
+    """(field, a): a dense matrix over QQ or F_p (p = 3, 5, 7) of random
+    shape, 0 x n and n x 0 included, with many zeros; some rows are
+    combinations of earlier ones and some columns are zero."""
+    field = draw(st.sampled_from([QQ, PrimeField(3), PrimeField(5),
+                                  PrimeField(7)]))
+    rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    entry = st.one_of(st.just(Fraction(0)), _small_fraction).map(field.of)
+    a = [draw(st.lists(entry, min_size=cols, max_size=cols))
+         for _ in range(rows)]
+    for i in range(1, rows):
+        if draw(st.booleans()):
+            j = draw(st.integers(0, i - 1))
+            k = draw(st.integers(0, i - 1))
+            s, t = field.of(draw(_small_fraction)), field.of(draw(_small_fraction))
+            a[i] = [field.add(field.mul(s, x), field.mul(t, y))
+                    for x, y in zip(a[j], a[k])]
+    zero_cols = draw(st.sets(st.integers(0, max_side)))
+    a = [[field.zero if j in zero_cols else x for j, x in enumerate(row)]
+         for row in a]
+    return field, a, cols
+
+
+def _dense(field, rows, cols):
+    return [[row.get(j, field.zero) for j in range(cols)] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_field_matrices(), st.randoms(use_true_random=False))
+def test_rref_matches_the_dense_oracle(case, rng):
+    field, a, cols = case
+    red, piv = dense_rref(field, a)
+    sparse_rows = [{j: x for j, x in enumerate(row) if not field.is_zero(x)}
+                   for row in a]
+    shuffled = sparse_rows[:]
+    rng.shuffle(shuffled)
+    for rows in (a, sparse_rows, shuffled):
+        got, got_piv = linalg.rref(field, rows)
+        assert got_piv == piv
+        assert _dense(field, got, cols) == red[:len(piv)]
+        assert all(field.is_zero(x) for row in red[len(piv):] for x in row)
+        assert linalg.rank(field, rows) == len(piv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_field_matrices())
+def test_solve_affine_is_the_particular_solution_of_the_oracle(case):
+    field, aug, cols = case
+    if cols == 0:
+        return
+    n = cols - 1
+    mat = [row[:n] for row in aug]
+    rhs = [row[n] for row in aug]
+    red, piv = dense_rref(field, aug)
+    x = linalg.solve_affine(field, mat, rhs, n)
+    if n in piv:
+        assert x is None
+        return
+    want = [field.zero] * n
+    for r, pc in enumerate(piv):
+        want[pc] = red[r][n]
+    assert x == want
+    assert linalg.mat_vec(field, mat, x) == [field.of(b) for b in rhs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_field_matrices())
+def test_nullspace_is_the_identity_on_the_free_columns(case):
+    field, a, cols = case
+    _, piv = dense_rref(field, a)
+    free = [j for j in range(cols) if j not in piv]
+    ns = linalg.nullspace(field, a, cols)
+    assert len(ns) == len(free)
+    for v, j in zip(ns, free):
+        assert [v[k] for k in free] == [field.one if k == j else field.zero
+                                        for k in free]
+        assert all(field.is_zero(x) for x in linalg.mat_vec(field, a, v))

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,40 @@ def test_express_rejects_non_invariant(ctx_osp12):
     e = ctx_osp12.engine
     with pytest.raises(NotInvariantError):
         ctx_osp12.express_in_pbw(e.gen(1))
+
+
+def test_express_rejects_a_wrong_evaluation(ctx_osp12, monkeypatch):
+    e = ctx_osp12.engine
+    value = ctx_osp12.generators()[1].value
+    monkeypatch.setattr(WContext, "evaluate", lambda self, poly: e.zero())
+    with pytest.raises(SolverError, match="does not evaluate back"):
+        ctx_osp12.express_in_pbw(value)
+
+
+WRONG_EVALUATION = """
+import sys
+from wsuper import analyze_nilpotent, build_algebra, resolve_nilpotent, sl2_triple
+from wsuper.wchar0 import SolverError, WContext
+alg = build_algebra("osp", 1, 2)
+ctx = WContext(analyze_nilpotent(
+    alg, sl2_triple(alg, resolve_nilpotent(alg, "regular"))))
+value = ctx.generators()[1].value
+WContext.evaluate = lambda self, poly: ctx.engine.zero()
+try:
+    ctx.express_in_pbw(value)
+except SolverError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_wrong_evaluation_is_caught_under_python_O():
+    # python -O strips assert statements; this check must survive it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1]
+                                          / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", WRONG_EVALUATION],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 PBW expression does not evaluate back\n"
 
 
 def test_leading_shape_rejects_bad_monomials(ctx_sl21):
