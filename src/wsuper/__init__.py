@@ -5,6 +5,7 @@ extraction, and the fully finite-dimensional reduced theory mod p.
 
 from .superalgebra import AlgebraError, build_algebra
 from .nilpotent import NilpotentError, analyze_nilpotent, sl2_triple
+from .pbw import AmbientMismatch
 from .presets import PresetError, resolve_nilpotent
 from .wchar0 import (LeadingShapeError, NotInvariantError, SolverError,
                      WContext)
@@ -17,6 +18,6 @@ __all__ = [
     "WContext", "reduce_datum", "build_reduced_q", "reduced_w",
     "morita_dim_check", "mprime_invariants_check",
     "AlgebraError", "NilpotentError", "PresetError", "ReductionError",
-    "SolverError", "NotInvariantError", "LeadingShapeError",
+    "SolverError", "NotInvariantError", "LeadingShapeError", "AmbientMismatch",
 ]
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from . import modp, serialize
 from .nilpotent import NilpotentError, analyze_nilpotent, sl2_triple
+from .pbw import AmbientMismatch
 from .presets import PresetError, resolve_nilpotent
 from .superalgebra import AlgebraError, build_algebra, invariant_form
 from .wchar0 import (LeadingShapeError, NotInvariantError, SolverError,
@@ -41,7 +42,8 @@ class ConfigError(ValueError):
 # NilpotentError, DegenerateFormError an AlgebraError)
 CONFIG_ERRORS = (ConfigError, AlgebraError, NilpotentError, PresetError,
                  modp.ReductionError)
-SOLVER_ERRORS = (SolverError, NotInvariantError, LeadingShapeError)
+SOLVER_ERRORS = (SolverError, NotInvariantError, LeadingShapeError,
+                 AmbientMismatch)
 
 # How far the char-0 chain runs; each stage includes the ones before it.
 CHAR0_NONE, CHAR0_SOLVE, CHAR0_RELATIONS, CHAR0_GRADED = range(4)
@@ -153,38 +155,42 @@ def run_pipeline(cfg):
 
 
 def _modp_row(cfg, nd, dat, eta, eta_label, failures):
+    def fail(check, **detail):
+        failures.append({"check": check, "p": dat.p, "eta": eta_label,
+                         "detail": detail})
+
     q = modp.build_reduced_q(dat, eta, eta_label)
     if nd.r_odd:
         # the m' check needs the m-invariant basis; Morita reads its row count
         q.invariant_subspace("m")
     morita = modp.morita_dim_check(q)
     if not morita.ok:
-        failures.append({"check": "morita_dimension", "p": dat.p,
-                         "eta": eta_label})
+        fail("morita_dimension", dim_u=morita.dim_u, delta=morita.delta,
+             dim_w=morita.dim_w)
     if nd.r_odd:
         refined = modp.mprime_invariants_check(q)
         prop_ok = refined.ok
         if not prop_ok:
-            failures.append({"check": "mprime_invariants", "p": dat.p,
-                             "eta": eta_label})
+            fail("mprime_invariants", dim_m_invariants=refined.dim_m_invariants,
+                 dim_mprime_invariants=refined.dim_mprime_invariants,
+                 equal=refined.equal, proper=refined.proper,
+                 witness_ok=refined.witness_ok)
     else:
         # m' = m, the two invariant spaces coincide by definition
         prop_ok = True
     rw = modp.reduced_w(q)
     if not rw.pbw_ok:
-        failures.append({"check": "pbw_basis", "p": dat.p, "eta": eta_label})
+        fail("pbw_basis", rank=rw.rank, monomials=rw.dim,
+             invariant_dim=morita.dim_w)
     # right multiplication by z in m acts by eta(z), so ad z = L_z - eta(z):
     # the Whittaker vectors are the m-invariants Morita already counted
     mismatch = q.right_action_mismatch()
     if mismatch is not None:
         z, column = mismatch
-        failures.append({"check": "whittaker_dimension", "p": dat.p,
-                         "eta": eta_label,
-                         "detail": {"generator": q.engine.labels[z],
-                                    "column": column}})
+        fail("whittaker_dimension", generator=q.engine.labels[z], column=column)
     elif morita.dim_w * q.delta() != q.dim:
-        failures.append({"check": "whittaker_dimension", "p": dat.p,
-                         "eta": eta_label})
+        fail("whittaker_dimension", dim_W=morita.dim_w, delta=q.delta(),
+             dim_Q=q.dim)
     return {
         "family": cfg.family, "m": cfg.m, "n": cfg.n,
         "e_label": cfg.nilpotent, "p": dat.p, "eta_label": eta_label,

@@ -47,6 +47,18 @@ def _reduce_matrix(gf, mat):
     return [[gf.of(x) for x in row] for row in mat]
 
 
+def _reduce_table(gf, table):
+    """A {key: {k: c}} table of structure constants mod p, zeros left out;
+    ValueError when p divides a denominator."""
+    out = {}
+    for key, entries in table.items():
+        reduced = {k: r for k, r in ((k, gf.of(c)) for k, c in entries.items())
+                   if r}
+        if reduced:
+            out[key] = reduced
+    return out
+
+
 def admissible_field(family, shape, p):
     """F_p once p passes `restriction_condition`; ReductionError otherwise.
     The CLI calls it for every prime before it builds anything."""
@@ -65,9 +77,7 @@ def reduce_mod_p(alg, p):
     from the matrix realization, and verify restrictedness on basis pairs."""
     gf = admissible_field(alg.family, alg.shape, p)
     try:
-        structure = {k: tuple((t, gf.of(c)) for t, c in v if gf.of(c) != 0)
-                     for k, v in alg.structure.items()}
-        structure = {k: v for k, v in structure.items() if v}
+        structure = _reduce_table(gf, alg.structure)
         gram = _reduce_matrix(gf, alg.gram) if alg.gram is not None else None
         realization = ([_reduce_matrix(gf, m) for m in alg.realization]
                        if alg.realization is not None else None)
@@ -121,9 +131,7 @@ class ModularDatum:
         self.field = gf
         self.modular_algebra = mod
         try:
-            self.brackets = {k: {t: gf.of(c) for t, c in v.items() if gf.of(c) != 0}
-                             for k, v in nd.brackets.items()}
-            self.brackets = {k: v for k, v in self.brackets.items() if v}
+            self.brackets = _reduce_table(gf, nd.brackets)
             self.chi = tuple(gf.of(c) for c in nd.chi)
             vectors = [[gf.of(c) for c in g.vector] for g in nd.generators]
         except ValueError as exc:
@@ -427,6 +435,7 @@ class ReducedW:
     thetas: list
     pbw_exponents: list
     pbw_vectors: object      # numpy (count, dimQ)
+    rank: int                # of pbw_vectors mod p
     presentation: object
     pbw_ok: bool
     warnings: list
@@ -466,7 +475,7 @@ def reduced_w(q):
     pbw_ok = (rank == len(expos) == inv_dim)
     presentation = ctx.commutator_table()
     return ReducedW(q=q, context=ctx, thetas=thetas, pbw_exponents=expos,
-                    pbw_vectors=vectors, presentation=presentation,
+                    pbw_vectors=vectors, rank=rank, presentation=presentation,
                     pbw_ok=pbw_ok, warnings=warnings)
 
 

@@ -244,7 +244,9 @@ def symplectic_normal_basis(field, vectors, form):
         seconds.append(tuple(b))
         rest = [w for w in work if w is not a and w is not partner]
         work = _reduce_against_pair(field, form, rest, a, b)
-    assert len(firsts) == s
+    if len(firsts) != s:
+        raise NilpotentError("symplectic basis has %d pairs, expected %d"
+                             % (len(firsts), s))
     return firsts + list(reversed(seconds))
 
 
@@ -319,7 +321,9 @@ def symmetric_normal_basis(field, vectors, form):
     normalized = True
     middle = []
     if r % 2 == 1:
-        assert len(work) == 1
+        if len(work) != 1:
+            raise NilpotentError("middle line has dimension %d, expected 1"
+                                 % len(work))
         m = work[0]
         c = form(m, m)
         if field.is_zero(c):
@@ -407,7 +411,9 @@ class NilpotentData:
 
     @property
     def v_mid_index(self):
-        assert self.r_odd
+        if not self.r_odd:
+            raise NilpotentError("v_mid exists only for odd r (r = %d)"
+                                 % self.r)
         return self.v_index(self.t + 1)
 
     @property
@@ -627,7 +633,8 @@ def analyze_nilpotent(alg, triple):
 
 def _parity_of_vec(alg, v):
     p = alg.parity_of_vector(list(v))
-    assert p is not None, "adapted generator is not parity homogeneous"
+    if p is None:
+        raise NilpotentError("adapted generator is not parity homogeneous")
     return p
 
 

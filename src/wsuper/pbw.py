@@ -72,9 +72,6 @@ class Element:
     def parity(self):
         return self.engine.element_parity(self.terms)
 
-    def support(self):
-        return set(self.terms)
-
     def coefficient(self, mono):
         return self.terms.get(mono, self.engine.field.zero)
 
@@ -107,9 +104,9 @@ class Enveloping:
         self.e_degrees = tuple(w + 2 for w in self.weights)
         self.eta = None if eta is None else tuple(eta)
         self.pmap = None if pmap is None else {k: dict(v) for k, v in pmap.items()}
-        if field.char > 0:
-            assert self.eta is not None and self.pmap is not None, \
-                "reduced engine needs a p-character and a p-th power map"
+        if field.char > 0 and (self.eta is None or self.pmap is None):
+            raise AmbientMismatch("reduced engine needs a p-character and a"
+                                  " p-th power map")
         self.unit_mono = (0,) * self.n_gens
         self._gen_cache = {}
 
@@ -351,7 +348,8 @@ class Enveloping:
     def ad_act(self, z, q):
         """Class of [b_z, lift(q)] in Q for the generator index z, after
         checking that q is a reduced class."""
-        assert self.is_q_element(q), "ad acts on reduced classes"
+        if not self.is_q_element(q):
+            raise AmbientMismatch("ad acts on reduced classes")
         return self.ad_act_gen(z, q)
 
     def _gen_mono(self, g):

@@ -61,7 +61,7 @@ def algebra_to_json(alg):
         "basis": [{"index": b.index, "parity": b.parity, "label": b.label}
                   for b in alg.basis],
         "structure": [
-            [i, j, [[k, _fmt(f, c)] for k, c in sorted(entries)]]
+            [i, j, [[k, _fmt(f, c)] for k, c in sorted(entries.items())]]
             for (i, j), entries in sorted(alg.structure.items())
         ],
         "gram": None if alg.gram is None else
@@ -84,7 +84,7 @@ def algebra_from_json(data):
              for b in data["basis"]]
     structure = {}
     for i, j, entries in data["structure"]:
-        structure[(i, j)] = tuple((k, _parse(field, c)) for k, c in entries)
+        structure[(i, j)] = {k: _parse(field, c) for k, c in entries}
     gram = (None if data["gram"] is None else
             [[_parse(field, x) for x in row] for row in data["gram"]])
     realization = (None if data["realization"] is None else

@@ -3,9 +3,12 @@
 A supermatrix of size (m|n) is a list of m+n rows of Fractions; indices below m
 are even, the rest odd.  An algebra is built by picking a basis of homogeneous
 supermatrices, computing structure constants from supercommutators and the
-invariant form from the supertrace.  Skew symmetry, the super Jacobi identity
-and the four bilinear-form axioms are checked exhaustively at construction,
-which is cheap at these dimensions.
+invariant form from the supertrace.  Super skew-symmetry, the super Jacobi
+identity, evenness, supersymmetry and invariance of the form are checked on
+every basis pair and triple whenever a `LieSuperalgebra` is constructed: once
+over Q by `build_algebra`, and again for each prime when `modp.reduce_mod_p`
+rebuilds the algebra over F_p, where axiom (b) of the p-map is checked on
+every basis pair as well.
 """
 
 from __future__ import annotations
@@ -52,17 +55,8 @@ def supertrace(field, a, m_even):
 def super_commutator(field, a, b, pa, pb):
     ab = linalg.mat_mul(field, a, b)
     ba = linalg.mat_mul(field, b, a)
-    if pa and pb:
-        return _mat_add_f(field, ab, ba)
-    return _mat_sub_f(field, ab, ba)
-
-
-def _mat_add_f(field, a, b):
-    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_sub_f(field, a, b):
-    return [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    combine = field.add if pa and pb else field.sub
+    return [[combine(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +73,10 @@ class BasisVector:
 class LieSuperalgebra:
     """Finite-dimensional Lie superalgebra with a fixed homogeneous basis.
 
-    structure: dict (i, j) -> tuple of (k, coeff) pairs giving [b_i, b_j].
+    structure: dict (i, j) -> {k: coeff} giving [b_i, b_j]; zero brackets
+      and zero coefficients are left out.  `_bracket` is the one routine
+      that reads it: `bracket`, `ad_matrix` and every axiom check go through
+      it on sparse {index: coeff} vectors.
     gram: invariant form matrix (b_i, b_j), or None.
     realization: list of supermatrices, or None.
     p_map: dict even index -> coordinate tuple of b_i^[p], only mod p.
@@ -105,170 +102,152 @@ class LieSuperalgebra:
         even = sum(1 for b in self.basis if b.parity == 0)
         return (even, self.dim - even)
 
-    def bracket_basis(self, i, j):
-        return self.structure.get((i, j), ())
+    def _sparse(self, v):
+        f = self.field
+        return {i: c for i, c in enumerate(v) if not f.is_zero(c)}
+
+    def _bracket(self, v, w, out=None, scale=None):
+        """Add scale * [v, w] to out (a fresh dict by default) and return it;
+        v and w are sparse {index: coeff} vectors.  Cancelled entries stay in
+        out as zeros."""
+        f = self.field
+        out = {} if out is None else out
+        for i, a in v.items():
+            if scale is not None:
+                a = f.mul(scale, a)
+            for j, b in w.items():
+                entries = self.structure.get((i, j))
+                if entries:
+                    ab = f.mul(a, b)
+                    for k, c in entries.items():
+                        out[k] = f.add(out.get(k, f.zero), f.mul(ab, c))
+        return out
 
     def bracket(self, v, w):
         """Supercommutator of two coordinate vectors (not required homogeneous)."""
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, ci in enumerate(v):
-            if f.is_zero(ci):
-                continue
-            for j, cj in enumerate(w):
-                if f.is_zero(cj):
-                    continue
-                for k, c in self.bracket_basis(i, j):
-                    out[k] = f.add(out[k], f.mul(f.mul(ci, cj), c))
+        out = [self.field.zero] * self.dim
+        for k, c in self._bracket(self._sparse(v), self._sparse(w)).items():
+            out[k] = c
         return out
 
     def ad_matrix(self, v):
         """Matrix of ad v in the basis, columns indexed by basis vectors."""
         f = self.field
-        cols = []
+        sv = self._sparse(v)
+        mat = [[f.zero] * self.dim for _ in range(self.dim)]
         for j in range(self.dim):
-            img = [f.zero] * self.dim
-            for i, ci in enumerate(v):
-                if f.is_zero(ci):
-                    continue
-                for k, c in self.bracket_basis(i, j):
-                    img[k] = f.add(img[k], f.mul(ci, c))
-            cols.append(img)
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+            for k, c in self._bracket(sv, {j: f.one}).items():
+                mat[k][j] = c
+        return mat
 
     def parity_of_vector(self, v):
-        f = self.field
-        par = None
-        for i, c in enumerate(v):
-            if not f.is_zero(c):
-                p = self.parities[i]
-                if par is None:
-                    par = p
-                elif par != p:
-                    return None
-        return 0 if par is None else par
+        """0 or 1 for a homogeneous vector (0 for zero), None otherwise."""
+        parities = {self.parities[i] for i in self._sparse(v)}
+        return None if len(parities) > 1 else max(parities, default=0)
 
     def realize(self, v):
-        assert self.realization is not None, "no matrix realization"
+        if self.realization is None:
+            raise AlgebraError("algebra carries no matrix realization")
         f = self.field
-        n = len(self.realization[0])
-        out = [[f.zero] * n for _ in range(n)]
-        for i, c in enumerate(v):
-            if f.is_zero(c):
-                continue
-            ri = self.realization[i]
-            for a in range(n):
-                for b in range(n):
-                    out[a][b] = f.add(out[a][b], f.mul(c, ri[a][b]))
+        out = zero_matrix(len(self.realization[0]), f)
+        for i, c in self._sparse(v).items():
+            for row, ri in zip(out, self.realization[i]):
+                row[:] = [f.add(x, f.mul(c, y)) for x, y in zip(row, ri)]
         return out
 
-    def form(self, v, w):
-        assert self.gram is not None
+    def _form(self, v, w):
         f = self.field
         acc = f.zero
-        for i, ci in enumerate(v):
-            if f.is_zero(ci):
-                continue
+        for i, a in v.items():
             gi = self.gram[i]
-            for j, cj in enumerate(w):
-                if not f.is_zero(cj):
-                    acc = f.add(acc, f.mul(f.mul(ci, cj), gi[j]))
+            for j, b in w.items():
+                acc = f.add(acc, f.mul(f.mul(a, b), gi[j]))
         return acc
+
+    def form(self, v, w):
+        if self.gram is None:
+            raise AlgebraError("algebra carries no invariant form")
+        return self._form(self._sparse(v), self._sparse(w))
 
     # -- verification ---------------------------------------------------------
 
-    def _bracket_dict(self, elt, j):
-        """[elt, b_j] for a dict-represented element."""
+    def _sign(self, i, j):
+        """(-1)^{|b_i||b_j|} as a field element."""
         f = self.field
-        out = {}
-        for i, ci in elt.items():
-            for k, c in self.bracket_basis(i, j):
-                out[k] = f.add(out.get(k, f.zero), f.mul(ci, c))
-        return {k: v for k, v in out.items() if not f.is_zero(v)}
+        return f.neg(f.one) if self.parities[i] and self.parities[j] else f.one
+
+    def _vanishes(self, vec):
+        return all(self.field.is_zero(c) for c in vec.values())
 
     def _verify(self):
         f = self.field
         d = self.dim
+        unit = [{i: f.one} for i in range(d)]
+        table = self.structure
+        minus = f.neg(f.one)
         for i in range(d):
             for j in range(d):
-                # super skew-symmetry: [i,j] = -(-1)^{|i||j|}[j,i]
-                lhs = dict(self.bracket_basis(i, j))
-                rhs = dict(self.bracket_basis(j, i))
-                sign_pos = bool(self.parities[i] and self.parities[j])
-                for k in set(lhs) | set(rhs):
-                    a = lhs.get(k, f.zero)
-                    b = rhs.get(k, f.zero)
-                    expect = b if sign_pos else f.neg(b)
-                    if not f.is_zero(f.sub(a, expect)):
-                        raise AlgebraError("super skew-symmetry fails at (%d,%d)" % (i, j))
+                # super skew-symmetry: [b_i,b_j] + (-1)^{|i||j|}[b_j,b_i] = 0
+                acc = self._bracket(unit[i], unit[j])
+                self._bracket(unit[j], unit[i], acc, self._sign(i, j))
+                if not self._vanishes(acc):
+                    raise AlgebraError("super skew-symmetry fails at (%d,%d)" % (i, j))
         for i in range(d):
             for j in range(d):
-                bij = dict(self.bracket_basis(i, j))
+                bij = table.get((i, j), {})
                 for k in range(d):
                     # [b_i,[b_j,b_k]] = [[b_i,b_j],b_k] + (-1)^{|i||j|}[b_j,[b_i,b_k]]
-                    inner = dict(self.bracket_basis(j, k))
-                    lhs = {}
-                    for c_idx, cv in inner.items():
-                        for t, c in self.bracket_basis(i, c_idx):
-                            lhs[t] = f.add(lhs.get(t, f.zero), f.mul(cv, c))
-                    t1 = self._bracket_dict(bij, k)
-                    inner2 = dict(self.bracket_basis(i, k))
-                    t2 = {}
-                    for c_idx, cv in inner2.items():
-                        for t, c in self.bracket_basis(j, c_idx):
-                            t2[t] = f.add(t2.get(t, f.zero), f.mul(cv, c))
-                    sgn = -1 if (self.parities[i] and self.parities[j]) else 1
-                    for t in set(lhs) | set(t1) | set(t2):
-                        val = f.sub(lhs.get(t, f.zero), t1.get(t, f.zero))
-                        tv = t2.get(t, f.zero)
-                        val = f.sub(val, tv) if sgn > 0 else f.add(val, tv)
-                        if not f.is_zero(val):
-                            raise AlgebraError("super Jacobi fails at (%d,%d,%d)" % (i, j, k))
+                    acc = self._bracket(unit[i], table.get((j, k), {}))
+                    self._bracket(bij, unit[k], acc, minus)
+                    self._bracket(unit[j], table.get((i, k), {}), acc,
+                                  f.neg(self._sign(i, j)))
+                    if not self._vanishes(acc):
+                        raise AlgebraError("super Jacobi fails at (%d,%d,%d)" % (i, j, k))
         if self.gram is not None:
-            self._verify_form()
+            self._verify_form(unit)
         if self.p_map is not None:
-            self._verify_p_map()
+            self._verify_p_map(unit)
 
-    def _verify_form(self):
+    def _verify_form(self, unit):
         f = self.field
         d = self.dim
         g = self.gram
+        table = self.structure
         for i in range(d):
             for j in range(d):
                 if self.parities[i] != self.parities[j] and not f.is_zero(g[i][j]):
                     raise AlgebraError("form is not even")
-                sgn = -1 if (self.parities[i] and self.parities[j]) else 1
-                expect = g[j][i] if sgn > 0 else f.neg(g[j][i])
-                if not f.is_zero(f.sub(g[i][j], expect)):
+                if not f.is_zero(f.sub(g[i][j], f.mul(self._sign(i, j), g[j][i]))):
                     raise AlgebraError("form is not supersymmetric")
-        basis_vecs = [[f.one if t == i else f.zero for t in range(d)] for i in range(d)]
         for i in range(d):
             for j in range(d):
-                bij = self.bracket(basis_vecs[i], basis_vecs[j])
+                bij = table.get((i, j), {})
                 for k in range(d):
-                    lhs = self.form(bij, basis_vecs[k])
-                    rhs = self.form(basis_vecs[i], self.bracket(basis_vecs[j], basis_vecs[k]))
+                    # ([b_i,b_j], b_k) = (b_i, [b_j,b_k])
+                    lhs = self._form(bij, unit[k])
+                    rhs = self._form(unit[i], table.get((j, k), {}))
                     if not f.is_zero(f.sub(lhs, rhs)):
                         raise AlgebraError("form is not invariant")
         # nondegeneracy is checked in invariant_form: sl(n|n) builds with a
         # degenerate supertrace form and must fail only when the form is used
 
-    def _verify_p_map(self):
+    def _verify_p_map(self, unit):
         f = self.field
         p = f.char
-        assert p > 0
+        if p == 0:
+            raise AlgebraError("a p-map needs a field of positive characteristic")
         for i, coords in self.p_map.items():
-            assert self.parities[i] == 0, "p-map defined on an odd vector"
-            # axiom (b) on basis pairs: [x^[p], y] = (ad x)^p (y)
-            xpb = list(coords)
+            if self.parities[i]:
+                raise AlgebraError("p-map defined on an odd vector (%d)" % i)
+            xp = self._sparse(coords)
             for j in range(self.dim):
-                y = [f.one if t == j else f.zero for t in range(self.dim)]
-                lhs = self.bracket(xpb, y)
-                img = y
-                x = [f.one if t == i else f.zero for t in range(self.dim)]
-                for _ in range(p):
-                    img = self.bracket(x, img)
-                if any(not f.is_zero(f.sub(a, b)) for a, b in zip(lhs, img)):
+                # axiom (b) on basis pairs: [x^[p], y] - (ad x)^p (y) = 0
+                img = unit[j]
+                for _ in range(p - 1):
+                    img = self._bracket(unit[i], img)
+                acc = self._bracket(unit[i], img, self._bracket(xp, unit[j]),
+                                    f.neg(f.one))
+                if not self._vanishes(acc):
                     raise AlgebraError("restrictedness axiom (b) fails on basis pair"
                                        " (%d,%d)" % (i, j))
 
@@ -315,75 +294,68 @@ class Coordinatizer:
         return values[: self.dim]
 
 
-def structure_from_realization(field, realization, parities, m_even):
+def structure_from_realization(field, realization, parities):
+    """The table {(i, j): {k: c}} with [R_i, R_j] = sum_k c R_k."""
     coord = Coordinatizer(field, realization)
     structure = {}
-    d = len(realization)
-    for i in range(d):
-        for j in range(d):
-            br = super_commutator(field, realization[i], realization[j],
-                                  parities[i], parities[j])
-            c = coord.coords(br)
-            entries = tuple((k, v) for k, v in enumerate(c) if not field.is_zero(v))
+    for i, ri in enumerate(realization):
+        for j, rj in enumerate(realization):
+            c = coord.coords(super_commutator(field, ri, rj,
+                                              parities[i], parities[j]))
+            entries = {k: v for k, v in enumerate(c) if not field.is_zero(v)}
             if entries:
                 structure[(i, j)] = entries
-    return structure, coord
+    return structure
 
 
 def supertrace_gram(field, realization, m_even):
-    d = len(realization)
-    g = [[field.zero] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            g[i][j] = supertrace(field, linalg.mat_mul(
-                field, realization[i], realization[j]), m_even)
-    return g
+    return [[supertrace(field, linalg.mat_mul(field, a, b), m_even)
+             for b in realization] for a in realization]
 
 
 # ---------------------------------------------------------------------------
 # the three families
 # ---------------------------------------------------------------------------
 
-def _elementary(n, i, j, field=QQ):
-    m = zero_matrix(n, field)
-    m[i][j] = field.one
-    return m
-
-
-def build_gl(m, n):
-    if m < 0 or n < 0 or m + n == 0:
-        raise AlgebraError("gl(%d|%d) is not a valid shape" % (m, n))
-    N = m + n
-    basis = []
-    realization = []
-    for i in range(N):
-        for j in range(N):
-            parity = 0 if (i < m) == (j < m) else 1
-            basis.append(BasisVector(len(basis), parity, "E%d%d" % (i + 1, j + 1)))
-            realization.append(_elementary(N, i, j))
-    structure, _ = structure_from_realization(QQ, realization,
-                                              [b.parity for b in basis], m)
-    gram = supertrace_gram(QQ, realization, m)
+def _matrix_algebra(family, shape, basis, realization):
+    """The rational algebra spanned by a homogeneous realization, with its
+    supertrace form."""
+    structure = structure_from_realization(QQ, realization,
+                                           [b.parity for b in basis])
+    gram = supertrace_gram(QQ, realization, shape[0])
     return LieSuperalgebra(QQ, basis, structure, gram=gram,
-                           realization=realization, family="gl", shape=(m, n))
+                           realization=realization, family=family, shape=shape)
 
 
-def build_sl(m, n):
-    if m + n == 0 or (m, n) == (0, 0):
-        raise AlgebraError("sl(0|0) is not a valid shape")
-    if m == n:
-        # supertrace form degenerates on sl(n|n); the build itself is allowed
-        pass
+def _elementary_units(family, m, n, diagonal):
+    """The matrix units E_ij in row order, the diagonal ones only when asked,
+    as (basis, realization)."""
+    if m < 0 or n < 0 or m + n == 0:
+        raise AlgebraError("%s(%d|%d) is not a valid shape" % (family, m, n))
     N = m + n
     basis = []
     realization = []
     for i in range(N):
         for j in range(N):
-            if i == j:
+            if i == j and not diagonal:
                 continue
             parity = 0 if (i < m) == (j < m) else 1
             basis.append(BasisVector(len(basis), parity, "E%d%d" % (i + 1, j + 1)))
-            realization.append(_elementary(N, i, j))
+            mat = zero_matrix(N)
+            mat[i][j] = Fraction(1)
+            realization.append(mat)
+    return basis, realization
+
+
+def build_gl(m, n):
+    basis, realization = _elementary_units("gl", m, n, diagonal=True)
+    return _matrix_algebra("gl", (m, n), basis, realization)
+
+
+def build_sl(m, n):
+    # the supertrace form degenerates on sl(n|n); the build itself is allowed
+    basis, realization = _elementary_units("sl", m, n, diagonal=False)
+    N = m + n
     for i in range(N - 1):
         # str-homogeneous diagonal: E_ii - E_{i+1,i+1}, sign-flipped at the block edge
         mat = zero_matrix(N)
@@ -391,11 +363,7 @@ def build_sl(m, n):
         mat[i + 1][i + 1] = Fraction(-1) if (i + 1 != m) else Fraction(1)
         basis.append(BasisVector(len(basis), 0, "H%d" % (i + 1)))
         realization.append(mat)
-    structure, _ = structure_from_realization(QQ, realization,
-                                              [b.parity for b in basis], m)
-    gram = supertrace_gram(QQ, realization, m)
-    return LieSuperalgebra(QQ, basis, structure, gram=gram,
-                           realization=realization, family="sl", shape=(m, n))
+    return _matrix_algebra("sl", (m, n), basis, realization)
 
 
 def osp_form_matrix(m, two_k):
@@ -445,10 +413,7 @@ def build_osp(m, n):
             realization.append(mat)
             parities.append(target_parity)
     basis = [BasisVector(i, parities[i], "G%d" % (i + 1)) for i in range(len(realization))]
-    structure, _ = structure_from_realization(QQ, realization, parities, m)
-    gram = supertrace_gram(QQ, realization, m)
-    return LieSuperalgebra(QQ, basis, structure, gram=gram,
-                           realization=realization, family="osp", shape=(m, n))
+    return _matrix_algebra("osp", (m, n), basis, realization)
 
 
 def build_algebra(family, m, n):

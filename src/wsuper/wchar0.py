@@ -108,7 +108,8 @@ class WContext:
             return k - 1
         if k <= nd.l + nd.q:
             return nd.m_count + (k - nd.l) - 1
-        assert nd.r_odd and k == nd.l + nd.q + 1
+        if not (nd.r_odd and k == nd.l + nd.q + 1):
+            raise SolverError("no W-generator theta_%d" % k)
         return nd.v_mid_index
 
     def generator_degrees(self):
@@ -333,7 +334,8 @@ class WContext:
     def super_bracket(self, a, b):
         e = self.engine
         pa, pb = a.parity(), b.parity()
-        assert pa is not None and pb is not None
+        if pa is None or pb is None:
+            raise SolverError("super bracket of inhomogeneous elements")
         left = e.q_mul(a, b)
         right = e.q_mul(b, a)
         if pa and pb:

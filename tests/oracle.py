@@ -1,5 +1,6 @@
-"""Dense Gauss-Jordan elimination over a Field, kept as the oracle that the
-sparse `wsuper.linalg.rref` and the mod-p kernel are tested against."""
+"""Dense reference routines that the sparse code is tested against: Gauss-Jordan
+elimination over a Field (the oracle of `wsuper.linalg.rref` and the mod-p
+kernel) and the Lie superbracket on coordinate lists."""
 
 
 def dense_rref(field, mat):
@@ -31,3 +32,20 @@ def dense_rref(field, mat):
         piv_cols.append(c)
         r += 1
     return a, piv_cols
+
+
+def dense_bracket(alg, v, w):
+    """[v, w] for coordinate lists by a double loop over all coordinate
+    pairs, read straight from the structure-constant table; the oracle of
+    the sparse `LieSuperalgebra` bracket."""
+    f = alg.field
+    out = [f.zero] * alg.dim
+    for i, ci in enumerate(v):
+        if f.is_zero(ci):
+            continue
+        for j, cj in enumerate(w):
+            if f.is_zero(cj):
+                continue
+            for k, c in alg.structure.get((i, j), {}).items():
+                out[k] = f.add(out[k], f.mul(f.mul(ci, cj), c))
+    return out

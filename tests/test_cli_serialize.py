@@ -11,6 +11,7 @@ from wsuper.cli import (CHAR0_GRADED, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
                         PipelineConfig, main, run_pipeline)
 from wsuper.modp import ReductionError
 from wsuper.nilpotent import FormNormalizationError, NilpotentError
+from wsuper.pbw import AmbientMismatch
 from wsuper.presets import PresetError
 from wsuper.serialize import SchemaError
 from wsuper.superalgebra import AlgebraError, DegenerateFormError
@@ -247,7 +248,8 @@ ERRORS = [(cls, EXIT_CONFIG, "configuration error")
                       NilpotentError, FormNormalizationError, PresetError,
                       ReductionError)]
 ERRORS += [(cls, EXIT_SOLVER, "solver failure")
-           for cls in (SolverError, NotInvariantError, LeadingShapeError)]
+           for cls in (SolverError, NotInvariantError, LeadingShapeError,
+                       AmbientMismatch)]
 
 
 @pytest.mark.parametrize("error, code, prefix", ERRORS,

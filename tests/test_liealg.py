@@ -1,11 +1,20 @@
+import functools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracle import dense_bracket
 from wsuper import build_algebra
 from wsuper.linalg import mat_mul
+from wsuper.modp import reduce_mod_p
 from wsuper.superalgebra import (AlgebraError, DegenerateFormError,
-                                 invariant_form, osp_form_matrix, supertrace)
+                                 LieSuperalgebra, invariant_form,
+                                 osp_form_matrix, supertrace)
 from wsuper.scalars import QQ
 
 
@@ -21,8 +30,8 @@ def test_gl11_shape_and_even_part(gl11):
     # even part is spanned by the two commuting diagonal units
     i, j = label_index(gl11, "E11"), label_index(gl11, "E22")
     assert gl11.parities[i] == 0 and gl11.parities[j] == 0
-    assert gl11.bracket_basis(i, j) == ()
-    assert gl11.bracket_basis(i, i) == ()
+    assert (i, j) not in gl11.structure
+    assert (i, i) not in gl11.structure
 
 
 def test_sl21_supertraces_vanish(sl21):
@@ -103,3 +112,150 @@ def test_supertrace_oracle_gl11(gl11):
         for j in range(gl11.dim):
             prod = mat_mul(QQ, gl11.realization[i], gl11.realization[j])
             assert gl11.gram[i][j] == supertrace(QQ, prod, 1)
+
+
+# -- every axiom check fires on a corrupted copy of a table -------------------
+
+def _table(alg):
+    return {key: dict(entries) for key, entries in alg.structure.items()}
+
+
+def _rebuild(alg, structure=None, gram=None, p_map=None):
+    """A LieSuperalgebra on alg's basis from the given tables, alg's
+    structure constants by default."""
+    if structure is None:
+        structure = _table(alg)
+    return LieSuperalgebra(alg.field, alg.basis, structure, gram=gram,
+                           realization=alg.realization, p_map=p_map,
+                           family=alg.family, shape=alg.shape)
+
+
+def test_unchanged_copies_rebuild(gl11, sl21):
+    for alg in (gl11, sl21):
+        _rebuild(alg, gram=[row[:] for row in alg.gram])
+    mod = reduce_mod_p(gl11, 3).base
+    _rebuild(mod, gram=mod.gram, p_map=dict(mod.p_map))
+
+
+def test_flipped_constant_breaks_skew_symmetry(sl21):
+    structure = _table(sl21)
+    entries = next(entries for (i, j), entries in structure.items() if i != j)
+    k = min(entries)
+    entries[k] = -entries[k]
+    with pytest.raises(AlgebraError, match="super skew-symmetry fails"):
+        _rebuild(sl21, structure=structure)
+
+
+def test_skew_consistent_change_breaks_jacobi(gl11):
+    # [E11, E12] = 2 E12 and [E12, E11] = -2 E12 stay skew, but then
+    # [E11, [E12, E21]] = 0 while [[E11, E12], E21] + [E12, [E11, E21]]
+    # = E11 + E22
+    e11, e12 = label_index(gl11, "E11"), label_index(gl11, "E12")
+    structure = _table(gl11)
+    structure[(e11, e12)] = {e12: Fraction(2)}
+    structure[(e12, e11)] = {e12: Fraction(-2)}
+    with pytest.raises(AlgebraError, match="super Jacobi fails"):
+        _rebuild(gl11, structure=structure)
+
+
+def test_symmetric_gram_change_breaks_invariance(gl11):
+    # (E11, E11) = 2 keeps the form even and supersymmetric, but then
+    # ([E11, E12], E21) = 1 while (E11, [E12, E21]) = 2
+    e11 = label_index(gl11, "E11")
+    gram = [row[:] for row in gl11.gram]
+    gram[e11][e11] += 1
+    with pytest.raises(AlgebraError, match="form is not invariant"):
+        _rebuild(gl11, gram=gram)
+
+
+@pytest.mark.parametrize("i, j, message", [
+    ("E11", "E12", "form is not even"),
+    ("E11", "E22", "form is not supersymmetric"),
+])
+def test_one_sided_gram_change_breaks_evenness_or_supersymmetry(gl11, i, j,
+                                                               message):
+    gram = [row[:] for row in gl11.gram]
+    gram[label_index(gl11, i)][label_index(gl11, j)] += 1
+    with pytest.raises(AlgebraError, match=message):
+        _rebuild(gl11, gram=gram)
+
+
+def test_wrong_p_map_breaks_axiom_b(gl11):
+    # [E11^[3], E12] must be (ad E11)^3 E12 = E12, so E11^[3] = 0 is wrong
+    mod = reduce_mod_p(gl11, 3).base
+    p_map = dict(mod.p_map)
+    p_map[label_index(gl11, "E11")] = (0,) * mod.dim
+    with pytest.raises(AlgebraError, match="restrictedness axiom \\(b\\) fails"):
+        _rebuild(mod, gram=mod.gram, p_map=p_map)
+
+
+# -- the sparse bracket, ad and form against the dense oracle -----------------
+
+@functools.lru_cache(maxsize=None)
+def _algebra(shape, p):
+    alg = build_algebra(*shape)
+    return alg if p is None else reduce_mod_p(alg, p).base
+
+
+@st.composite
+def _vector_pairs(draw):
+    alg = _algebra(draw(st.sampled_from([("gl", 1, 1), ("sl", 2, 1),
+                                          ("osp", 1, 2)])),
+                   draw(st.sampled_from([None, 5])))
+    if alg.field.char == 0:
+        coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    else:
+        coeff = st.integers(0, 4)
+    vector = st.lists(coeff, min_size=alg.dim, max_size=alg.dim)
+    return alg, draw(vector), draw(vector)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vector_pairs())
+def test_bracket_ad_and_form_match_the_dense_oracle(case):
+    alg, v, w = case
+    f = alg.field
+    assert alg.bracket(v, w) == dense_bracket(alg, v, w)
+    columns = [dense_bracket(alg, v, [f.one if t == j else f.zero
+                                      for t in range(alg.dim)])
+               for j in range(alg.dim)]
+    assert alg.ad_matrix(v) == [list(row) for row in zip(*columns)]
+    expect = f.zero
+    for i, a in enumerate(v):
+        for j, b in enumerate(w):
+            expect = f.add(expect, f.mul(f.mul(a, b), alg.gram[i][j]))
+    assert alg.form(v, w) == expect
+
+
+# -- checks that python -O must not strip ------------------------------------
+
+STRIPPED_ASSERTS = """
+import sys
+from wsuper import analyze_nilpotent, build_algebra, resolve_nilpotent, sl2_triple
+from wsuper.modp import reduce_mod_p
+from wsuper.nilpotent import NilpotentError
+from wsuper.superalgebra import AlgebraError, LieSuperalgebra
+alg = build_algebra("sl", 2, 1)
+nd = analyze_nilpotent(alg, sl2_triple(alg, resolve_nilpotent(alg, "E12")))
+try:
+    nd.v_mid_index
+except NilpotentError as exc:
+    print(sys.flags.optimize, exc)
+mod = reduce_mod_p(build_algebra("gl", 1, 1), 3).base
+odd = mod.parities.index(1)
+try:
+    LieSuperalgebra(mod.field, mod.basis, mod.structure,
+                    p_map={odd: (0,) * mod.dim})
+except AlgebraError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_typed_checks_survive_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1]
+                                          / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", STRIPPED_ASSERTS],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("1 v_mid exists only for odd r (r = 2)\n"
+                           "1 p-map defined on an odd vector (1)\n")

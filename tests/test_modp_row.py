@@ -7,6 +7,7 @@ from that kernel.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,6 +132,33 @@ def test_right_action_mismatch_is_a_whittaker_failure(monkeypatch, tmp_path):
     assert len(checks) == 2
     # the unit monomial is the first column; w1 spans m
     assert all(f["detail"] == {"generator": "w1", "column": 0} for f in checks)
+    saved = json.loads((tmp_path / "failures.json").read_text())
+    assert saved["failures"] == failures
+
+
+@pytest.mark.parametrize("owner, name, change, check, detail", [
+    (modp.ReducedQ, "dim_reduced_enveloping", lambda dim_u: dim_u + 1,
+     "morita_dimension", {"dim_u": 109, "delta": 3, "dim_w": 12}),
+    (modp, "reduced_w", lambda rw: replace(rw, rank=rw.rank - 1, pbw_ok=False),
+     "pbw_basis", {"rank": 11, "monomials": 12, "invariant_dim": 12}),
+    (modp, "mprime_invariants_check", lambda r: replace(r, proper=False),
+     "mprime_invariants", {"dim_m_invariants": 12, "dim_mprime_invariants": 6,
+                           "equal": True, "proper": False,
+                           "witness_ok": True}),
+    # the count branch: right multiplication acts by eta, but dim W * delta
+    # is not dim Q
+    (modp, "morita_dim_check", lambda r: replace(r, dim_w=r.dim_w + 1),
+     "whittaker_dimension", {"dim_W": 13, "delta": 3, "dim_Q": 36}),
+], ids=["morita", "pbw", "mprime", "whittaker-count"])
+def test_failure_record_names_the_numbers(monkeypatch, tmp_path, owner, name,
+                                          change, check, detail):
+    monkeypatch.delenv(cli.ENV_OUT, raising=False)
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: change(original(*args)))
+    code, failures, _ = cli.run_pipeline(_suite(tmp_path))
+    assert code == EXIT_CHECK_FAILURES
+    assert failures == [{"check": check, "p": 3, "eta": label, "detail": detail}
+                        for label in ("chi", "chi+x1*")]
     saved = json.loads((tmp_path / "failures.json").read_text())
     assert saved["failures"] == failures
 

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from wsuper import reduce_datum
-from wsuper.pbw import AmbientMismatch, Element, engine_from_datum
+from wsuper.pbw import AmbientMismatch, Element, Enveloping, engine_from_datum
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +175,21 @@ def test_ad_act_examples(Eo, nd_osp12_reg):
     v1 = Eo.labels.index("v1")
     got = Eo.ad_act(v1, Eo.q_reduce(Eo.gen(v1)))
     assert got.terms == {Eo.unit_mono: f.of(nd_osp12_reg.middle_norm)}
+
+
+def test_ad_act_rejects_an_unreduced_class(Eo, nd_osp12_reg):
+    z = nd_osp12_reg.m_indices[0]
+    with pytest.raises(AmbientMismatch, match="ad acts on reduced classes"):
+        Eo.ad_act(z, Eo.gen(z))
+
+
+def test_reduced_engine_needs_eta_and_p_map(nd_osp12_reg):
+    dat = reduce_datum(nd_osp12_reg, 3)
+    with pytest.raises(AmbientMismatch, match="p-character"):
+        Enveloping(dat.field, [g.label for g in dat.generators],
+                   [g.parity for g in dat.generators],
+                   [g.weight for g in dat.generators], dat.brackets, dat.chi,
+                   dat.cobasis_count)
 
 
 def test_ad_act_lift_independent(Es, nd_sl21_e12):

@@ -165,6 +165,16 @@ def test_wrong_evaluation_is_caught_under_python_O():
     assert proc.stdout == "1 PBW expression does not evaluate back\n"
 
 
+def test_generator_index_and_bracket_reject_bad_input(ctx_sl21):
+    nd, e = ctx_sl21.nd, ctx_sl21.engine
+    # r is even for sl(2|1) E12: there is no extra odd generator
+    with pytest.raises(SolverError, match="no W-generator"):
+        ctx_sl21.leading_gen_index(nd.l + nd.q + 1)
+    mixed = e.gen(e.parities.index(0)) + e.gen(e.parities.index(1))
+    with pytest.raises(SolverError, match="inhomogeneous"):
+        ctx_sl21.super_bracket(mixed, mixed)
+
+
 def test_leading_shape_rejects_bad_monomials(ctx_sl21):
     e = ctx_sl21.engine
     bad = e.element({e._gen_mono(ctx_sl21.nd.l): Fraction(1)})  # an x beyond l
