@@ -107,6 +107,7 @@ def run_pipeline(cfg):
     invariant_form(alg)
     e = resolve_nilpotent(alg, cfg.nilpotent)
     nd = analyze_nilpotent(alg, sl2_triple(alg, e))
+    _preflight(nd, cfg.primes)
     if cfg.char0 >= CHAR0_SOLVE:
         ctx = WContext(nd)
     if cfg.char0 >= CHAR0_GRADED:
@@ -152,6 +153,18 @@ def run_pipeline(cfg):
              "failures": failures}))
         return EXIT_CHECK_FAILURES, failures, written
     return EXIT_OK, failures, written
+
+
+def _preflight(nd, primes):
+    """Refuse a prime whose Q would not fit in physical memory, before
+    anything is allocated or written."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for p in primes:
+        dim, need = modp.q_footprint(nd, p)
+        if need > memory:
+            raise ConfigError("p = %d: dim Q = %d needs about %d bytes, more"
+                              " than the %d bytes of physical memory"
+                              % (p, dim, need, memory))
 
 
 def _modp_row(cfg, nd, dat, eta, eta_label, failures):

@@ -180,27 +180,39 @@ class Enveloping:
 
     # -- core rewriting -------------------------------------------------------
 
+    # The per-term loops below do their arithmetic with the coefficients' own
+    # operators: Fractions in characteristic 0, ints with one final % p in
+    # characteristic p.
+
     def _add(self, a, b):
-        f = self.field
+        p = self.field.char
+        zero = self.field.zero
         out = dict(a)
         for m, c in b.items():
-            v = f.add(out.get(m, f.zero), c)
-            if f.is_zero(v):
-                out.pop(m, None)
-            else:
+            v = out.get(m, zero) + c
+            if p:
+                v %= p
+            if v:
                 out[m] = v
+            else:
+                out.pop(m, None)
         return out
 
     def _acc(self, acc, terms, coeff):
-        f = self.field
-        if f.is_zero(coeff):
+        p = self.field.char
+        if p:
+            coeff %= p
+        if not coeff:
             return
+        zero = self.field.zero
         for m, c in terms.items():
-            v = f.add(acc.get(m, f.zero), f.mul(coeff, c))
-            if f.is_zero(v):
-                acc.pop(m, None)
-            else:
+            v = acc.get(m, zero) + coeff * c
+            if p:
+                v %= p
+            if v:
                 acc[m] = v
+            else:
+                acc.pop(m, None)
 
     def times_gen(self, mono, g):
         """Normal form of (monomial) * b_g, as a terms dict."""
@@ -258,14 +270,18 @@ class Enveloping:
         self._gen_cache[key] = out
         return out
 
+    def times_gen_terms(self, terms, g):
+        """Normal form of (terms) * b_g, as a new terms dict."""
+        acc = {}
+        for m, c in terms.items():
+            self._acc(acc, self.times_gen(m, g), c)
+        return acc
+
     def _times_mono(self, mono, other):
         cur = {mono: self.field.one}
         for g, e in enumerate(other):
             for _ in range(e):
-                nxt = {}
-                for m, c in cur.items():
-                    self._acc(nxt, self.times_gen(m, g), c)
-                cur = nxt
+                cur = self.times_gen_terms(cur, g)
         return cur
 
     def _mul(self, a, b):
@@ -283,10 +299,7 @@ class Enveloping:
         cur = {self.unit_mono: self.field.one}
         for g, e in word:
             for _ in range(e):
-                nxt = {}
-                for m, c in cur.items():
-                    self._acc(nxt, self.times_gen(m, g), c)
-                cur = nxt
+                cur = self.times_gen_terms(cur, g)
         return Element(self, cur)
 
     # -- the induced module Q -------------------------------------------------
@@ -298,28 +311,30 @@ class Enveloping:
         else:
             terms = elt
         f = self.field
+        p = f.char
+        zero = f.zero
         char_values = self.chi if self.eta is None else self.eta
+        cb = self.cobasis_count
+        tail = (0,) * (self.n_gens - cb)
         acc = {}
         for m, c in terms.items():
             val = c
-            dead = False
-            for g in range(self.cobasis_count, self.n_gens):
+            for g in range(cb, self.n_gens):
                 e = m[g]
-                if not e:
-                    continue
-                cv = char_values[g]
-                if f.is_zero(cv):
-                    dead = True
-                    break
-                val = f.mul(val, f.pow(cv, e))
-            if dead or f.is_zero(val):
-                continue
-            mm = m[: self.cobasis_count] + (0,) * (self.n_gens - self.cobasis_count)
-            v = f.add(acc.get(mm, f.zero), val)
-            if f.is_zero(v):
-                acc.pop(mm, None)
+                if e:
+                    cv = char_values[g]
+                    if not cv:  # the term dies in Q
+                        break
+                    val *= f.pow(cv, e)
             else:
-                acc[mm] = v
+                mm = m[:cb] + tail
+                v = acc.get(mm, zero) + val
+                if p:
+                    v %= p
+                if v:
+                    acc[mm] = v
+                else:
+                    acc.pop(mm, None)
         return Element(self, acc)
 
     def is_q_element(self, elt):

@@ -26,6 +26,11 @@ def osp12():
 
 
 @pytest.fixture(scope="session")
+def gl21():
+    return build_algebra("gl", 2, 1)
+
+
+@pytest.fixture(scope="session")
 def gl22():
     return build_algebra("gl", 2, 2)
 
@@ -48,6 +53,11 @@ def nd_sl21_e12(sl21):
 @pytest.fixture(scope="session")
 def nd_osp12_reg(osp12):
     return datum(osp12, "regular")
+
+
+@pytest.fixture(scope="session")
+def nd_gl21_reg(gl21):
+    return datum(gl21, "regular")
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
-"""Dense reference routines that the sparse code is tested against: Gauss-Jordan
-elimination over a Field (the oracle of `wsuper.linalg.rref` and the mod-p
-kernel) and the Lie superbracket on coordinate lists."""
+"""Reference routines that the fast code is tested against: dense
+Gauss-Jordan elimination over a Field (the oracle of `wsuper.linalg.rref` and
+the mod-p kernel), the Lie superbracket on coordinate lists, the action
+columns of Q built one monomial at a time, and the PBW engine's per-term
+arithmetic through Field methods."""
 
 
 def dense_rref(field, mat):
@@ -49,3 +51,78 @@ def dense_bracket(alg, v, w):
             for k, c in alg.structure.get((i, j), {}).items():
                 out[k] = f.add(out[k], f.mul(f.mul(ci, cj), c))
     return out
+
+
+def per_monomial_columns(q, g):
+    """(ad columns, left columns, first right-action mismatch) of b_g on a
+    ReducedQ, one basis monomial at a time: `Enveloping.ad_act_gen` and a
+    from-scratch `Enveloping._mul` per column, and the first column where the
+    reduced right product m b_g is not eta(g) m (None if there is none, or
+    if g is not in m).  The oracle of the prefix-built `ReducedQ` columns."""
+    e = q.engine
+    one = e.field.one
+    eta_g = q.eta[g]
+    ad, left, mismatch = [], [], None
+    for j, m in enumerate(q.basis):
+        img = e.ad_act_gen(g, e.element({m: one}))
+        ad.append({q.index[mm]: c for mm, c in img.terms.items()})
+        img = e.q_reduce(e._mul({e._gen_mono(g): one}, {m: one}))
+        left.append({q.index[mm]: c for mm, c in img.terms.items()})
+        right = e.q_reduce(e.times_gen(m, g)).terms
+        if (mismatch is None and g in q.datum.m_indices
+                and right != ({m: eta_g} if eta_g else {})):
+            mismatch = j
+    return ad, left, mismatch
+
+
+# The engine's per-term loops as they read with Field methods, the oracle of
+# the operator arithmetic in `Enveloping._add`, `_acc` and `q_reduce`.
+
+def field_add(field, a, b):
+    out = dict(a)
+    for m, c in b.items():
+        v = field.add(out.get(m, field.zero), c)
+        if field.is_zero(v):
+            out.pop(m, None)
+        else:
+            out[m] = v
+    return out
+
+
+def field_acc(field, acc, terms, coeff):
+    if field.is_zero(coeff):
+        return
+    for m, c in terms.items():
+        v = field.add(acc.get(m, field.zero), field.mul(coeff, c))
+        if field.is_zero(v):
+            acc.pop(m, None)
+        else:
+            acc[m] = v
+
+
+def field_q_reduce(engine, terms):
+    f = engine.field
+    char_values = engine.chi if engine.eta is None else engine.eta
+    cb = engine.cobasis_count
+    acc = {}
+    for m, c in terms.items():
+        val = c
+        dead = False
+        for g in range(cb, engine.n_gens):
+            e = m[g]
+            if not e:
+                continue
+            cv = char_values[g]
+            if f.is_zero(cv):
+                dead = True
+                break
+            val = f.mul(val, f.pow(cv, e))
+        if dead or f.is_zero(val):
+            continue
+        mm = m[:cb] + (0,) * (engine.n_gens - cb)
+        v = f.add(acc.get(mm, f.zero), val)
+        if f.is_zero(v):
+            acc.pop(mm, None)
+        else:
+            acc[mm] = v
+    return acc
