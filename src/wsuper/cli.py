@@ -192,6 +192,9 @@ def _modp_row(cfg, nd, dat, eta, eta_label, failures):
         # m' = m, the two invariant spaces coincide by definition
         prop_ok = True
     rw = modp.reduced_w(q)
+    for warning in rw.warnings:
+        print("warning: p = %d, eta = %s: %s" % (dat.p, eta_label, warning),
+              file=sys.stderr)
     if not rw.pbw_ok:
         fail("pbw_basis", rank=rw.rank, monomials=rw.dim,
              invariant_dim=morita.dim_w)

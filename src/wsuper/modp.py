@@ -12,7 +12,6 @@ rewriting engine is generic over the base field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from . import linalg
 from .scalars import PrimeField
 from .superalgebra import LieSuperalgebra, Coordinatizer, mat_pow, AlgebraError
 from .nilpotent import AdaptedGenerator
-from .pbw import Enveloping
+from .pbw import engine_from_datum, exponent_tuples
 from .wchar0 import WContext, SolverError
 
 
@@ -129,7 +128,6 @@ class ModularDatum:
         self.nd = nd
         self.p = p
         self.field = gf
-        self.modular_algebra = mod
         try:
             self.brackets = _reduce_table(gf, nd.brackets)
             self.chi = tuple(gf.of(c) for c in nd.chi)
@@ -214,13 +212,15 @@ MONOMIAL_BYTES_PER_GEN = 8
 
 def q_footprint(nd, p):
     """(dim Q, estimated bytes) of the reduced module at p, read off the
-    datum before anything is built: the monomial basis, plus the dense int64
-    stack of the ad z for z in m and the float64 copy that
-    `linalg._echelon_mod_p` makes of it."""
+    datum before anything is built: the monomial basis, plus two dense int64
+    matrices with the float64 copy that `linalg._echelon_mod_p` makes of
+    each: the stack of the ad z for z in m, and the dim W x dim Q matrix of
+    PBW monomial vectors in `reduced_w`, dim W = p^l 2^q'."""
     gens = nd.generators
     dim = pbw_dim(p, [g.parity for g in gens[: nd.cobasis_count]])
+    dim_w = pbw_dim(p, [0] * nd.l + [1] * nd.q_prime)
     basis = dim * (MONOMIAL_BYTES + MONOMIAL_BYTES_PER_GEN * len(gens))
-    return dim, basis + 2 * 8 * len(nd.m_indices) * dim * dim
+    return dim, basis + 2 * 8 * (len(nd.m_indices) * dim + dim_w) * dim
 
 
 class ReducedQ:
@@ -234,18 +234,8 @@ class ReducedQ:
         self.p = datum.p
         self.eta = tuple(eta)
         self.eta_label = eta_label
-        self.engine = Enveloping(
-            datum.field,
-            [g.label for g in datum.generators],
-            [g.parity for g in datum.generators],
-            [g.weight for g in datum.generators],
-            datum.brackets,
-            datum.chi,
-            datum.cobasis_count,
-            eta=eta,
-            pmap=datum.pmap_adapted,
-        )
-        self.basis = self._monomial_basis()
+        self.engine = engine_from_datum(datum, self.eta, datum.pmap_adapted)
+        self.basis = self.engine.cobasis_monomials(None)
         self.index = {m: i for i, m in enumerate(self.basis)}
         self._ad_cols = {}
         self._left_cols = {}
@@ -253,17 +243,6 @@ class ReducedQ:
         self._inv_dim = {}
         self._inv_basis = {}
         self._mid_image = None
-
-    def _monomial_basis(self):
-        e = self.engine
-        p = self.p
-        ranges = []
-        for i in range(e.cobasis_count):
-            ranges.append(range(2) if e.parities[i] else range(p))
-        tail = (0,) * (e.n_gens - e.cobasis_count)
-        monos = [tuple(c) + tail for c in product(*ranges)]
-        monos.sort(key=lambda m: (e.e_degree(m), m))
-        return monos
 
     @property
     def dim(self):
@@ -522,9 +501,9 @@ def reduced_w(q):
                         % (datum.p, datum.p_guard_bound))
     ctx = WContext(datum, engine=q.engine)
     thetas = ctx.generators()
-    # product() yields the exponents in increasing order
-    expos = list(product(*([range(datum.p)] * datum.l
-                           + [range(2)] * datum.q_prime)))
+    expos = list(exponent_tuples(ctx.generator_degrees(),
+                                 [th.parity for th in thetas], datum.p - 1,
+                                 None, ()))
     vectors = np.zeros((len(expos), q.dim), dtype=np.int64)
     for r, expo in enumerate(expos):
         ev = ctx.eval_monomial(expo)

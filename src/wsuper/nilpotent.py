@@ -396,6 +396,10 @@ class NilpotentData:
     # numbers of x and y generators; t_cb is the number of co-basis v's.
 
     @property
+    def field(self):
+        return self.alg.field
+
+    @property
     def q_prime(self):
         return self.q + 1 if self.r % 2 == 1 else self.q
 

@@ -160,6 +160,15 @@ class Enveloping:
     def degree(self, mono):
         return sum(mono)
 
+    def cobasis_monomials(self, budget):
+        """The co-basis monomials of e-degree at most budget (None: all of
+        them, in characteristic p), sorted by (e-degree, tuple); in
+        characteristic p even exponents stop at p - 1."""
+        n = self.cobasis_count
+        cap = self.field.char - 1 if self.field.char else None
+        return list(exponent_tuples(self.e_degrees[:n], self.parities[:n], cap,
+                                    budget, (0,) * (self.n_gens - n)))
+
     def filtration_index(self, mono):
         return FiltrationIndex(self.e_degree(mono), self.weight(mono))
 
@@ -395,14 +404,43 @@ class Enveloping:
         return n, big, {m for m in at_top if self.weight(m) == big}
 
 
-def engine_from_datum(nd):
-    """Characteristic-zero engine of a nilpotent datum."""
+def engine_from_datum(nd, eta, pmap):
+    """The engine of a nilpotent datum: over Q when eta and pmap are None,
+    and for a datum reduced mod p the reduced engine at the p-character eta
+    with the p-th power map pmap in adapted coordinates."""
     return Enveloping(
-        nd.alg.field,
+        nd.field,
         [g.label for g in nd.generators],
         [g.parity for g in nd.generators],
         [g.weight for g in nd.generators],
         nd.brackets,
         nd.chi,
         nd.cobasis_count,
+        eta=eta,
+        pmap=pmap,
     )
+
+
+def exponent_tuples(degrees, parities, cap, budget, tail):
+    """The ordered PBW monomials over generators of the given degrees (each
+    at least 1) and parities: exponent tuples with odd exponents at most 1,
+    even ones at most cap (None: no cap) and degree sum(e_i d_i) at most
+    budget (None: no bound, which needs a cap), yielded in (degree, tuple)
+    order, each followed by tail."""
+    tops = [1 if odd else cap for odd in parities]
+    if budget is None:
+        budget = sum(t * d for t, d in zip(tops, degrees))
+    # degree -> the tuples over the last generators placed so far; putting
+    # k in front, k ascending, keeps each list in tuple order
+    suffixes = {0: [tail]}
+    for d, top in zip(degrees[::-1], tops[::-1]):
+        grown = {}
+        hi = budget // d if top is None else min(top, budget // d)
+        for k in range(hi + 1):
+            for left, known in suffixes.items():
+                if left + k * d <= budget:
+                    grown.setdefault(left + k * d, []).extend(
+                        (k,) + t for t in known)
+        suffixes = grown
+    for total in sorted(suffixes):
+        yield from suffixes[total]

@@ -13,9 +13,10 @@ re-expressed in the ordered PBW monomials by descending elimination on
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from . import linalg
-from .pbw import Element, engine_from_datum
+from .pbw import Element, engine_from_datum, exponent_tuples
 
 
 class SolverError(RuntimeError):
@@ -86,7 +87,8 @@ class WContext:
 
     def __init__(self, nd, engine=None):
         self.nd = nd
-        self.engine = engine_from_datum(nd) if engine is None else engine
+        self.engine = (engine_from_datum(nd, None, None) if engine is None
+                       else engine)
         self._gens = None
         self._eval_cache = {}
         # adapted index of each generator's leading vector -> its 1-based
@@ -123,46 +125,15 @@ class WContext:
 
     # -- invariance -------------------------------------------------------------
 
-    def m_generator_indices(self):
-        return self.nd.m_indices
-
     def is_invariant(self, q):
         e = self.engine
-        return all(e.ad_act(z, q).is_zero() for z in self.m_generator_indices())
+        return all(e.ad_act(z, q).is_zero() for z in self.nd.m_indices)
 
     def check_invariant(self, q):
         if not self.is_invariant(q):
             raise NotInvariantError("element is not invariant under ad m")
 
     # -- candidate spaces -------------------------------------------------------
-
-    def cobasis_monomials(self, max_e_degree):
-        """All co-basis exponent tuples of e-degree at most the bound, in a
-        fixed order (degree, then lexicographic)."""
-        e = self.engine
-        n = e.cobasis_count
-        degs = e.e_degrees[:n]
-        odd = [e.parities[i] for i in range(n)]
-        cap = e.field.char - 1 if e.field.char else None
-        out = []
-
-        def rec(pos, budget, acc):
-            if pos == n:
-                out.append(tuple(acc) + (0,) * (e.n_gens - n))
-                return
-            top = budget // degs[pos]
-            if odd[pos]:
-                top = min(top, 1)
-            if cap is not None:
-                top = min(top, cap)
-            for k in range(top + 1):
-                acc.append(k)
-                rec(pos + 1, budget - k * degs[pos], acc)
-                acc.pop()
-
-        rec(0, max_e_degree, [])
-        out.sort(key=lambda m: (e.e_degree(m), m))
-        return out
 
     def candidate_monomials(self, k):
         """Unknown columns for generator k: non-pure co-basis monomials of
@@ -173,7 +144,7 @@ class WContext:
         bound = e.weights[lead] + 2
         pure = self.pure_positions()
         cands = []
-        for m in self.cobasis_monomials(bound):
+        for m in e.cobasis_monomials(bound):
             if all(m[i] == 0 or i in pure for i in range(e.n_gens)):
                 continue
             if e.e_degree(m) == bound and sum(m) < 2:
@@ -194,7 +165,7 @@ class WContext:
             self.check_invariant(value)
             return self._pack_generator(k, lead, value)
         cands = self.candidate_monomials(k)
-        zs = self.m_generator_indices()
+        zs = self.nd.m_indices
         target = e.q_reduce(e.gen(lead))
         # one sparse equation per (z, monomial) of the ad z images; the
         # unknowns are the candidates' coefficients
@@ -420,16 +391,16 @@ class WContext:
 
     def graded_check(self, max_degree):
         degrees = self.generator_degrees()
-        odd_flags = [g.parity == 1 for g in self.generators()]
-        counts = _pbw_counts(degrees, odd_flags, max_degree)
+        odd_flags = [g.parity for g in self.generators()]
         series = _graded_symmetric_series(degrees, odd_flags, max_degree)
+        counts = [0] * (max_degree + 1)
         independent = True
         e = self.engine
         f = e.field
-        for d in range(max_degree + 1):
-            expos = _pbw_monomials_of_degree(degrees, odd_flags, d)
-            if not expos:
-                continue
+        layers = groupby(
+            exponent_tuples(degrees, odd_flags, None, max_degree, ()),
+            key=lambda expo: sum(a * b for a, b in zip(expo, degrees)))
+        for d, expos in layers:
             # the degree-d layer of each evaluated monomial, as a sparse row
             # keyed by PBW monomial
             vecs = []
@@ -437,6 +408,7 @@ class WContext:
                 ev = self.eval_monomial(expo)
                 vecs.append({m: c for m, c in ev.terms.items()
                              if e.e_degree(m) == d})
+            counts[d] = len(vecs)
             if linalg.rank(f, vecs) != len(vecs):
                 independent = False
         ok = independent and counts == series
@@ -452,31 +424,6 @@ class GradedReport:
     symmetric_dims: list
     leading_independent: bool
     ok: bool
-
-
-def _pbw_monomials_of_degree(degrees, odd_flags, d):
-    out = []
-
-    def rec(pos, left, acc):
-        if pos == len(degrees):
-            if left == 0:
-                out.append(tuple(acc))
-            return
-        top = left // degrees[pos]
-        if odd_flags[pos]:
-            top = min(top, 1)
-        for k in range(top + 1):
-            acc.append(k)
-            rec(pos + 1, left - k * degrees[pos], acc)
-            acc.pop()
-
-    rec(0, d, [])
-    return out
-
-
-def _pbw_counts(degrees, odd_flags, max_degree):
-    return [len(_pbw_monomials_of_degree(degrees, odd_flags, d))
-            for d in range(max_degree + 1)]
 
 
 def _graded_symmetric_series(degrees, odd_flags, max_degree):

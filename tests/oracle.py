@@ -1,8 +1,11 @@
 """Reference routines that the fast code is tested against: dense
 Gauss-Jordan elimination over a Field (the oracle of `wsuper.linalg.rref` and
 the mod-p kernel), the Lie superbracket on coordinate lists, the action
-columns of Q built one monomial at a time, and the PBW engine's per-term
-arithmetic through Field methods."""
+columns of Q built one monomial at a time, the PBW engine's per-term
+arithmetic through Field methods, and the PBW exponent tuples as a filtered
+product."""
+
+from itertools import product
 
 
 def dense_rref(field, mat):
@@ -126,3 +129,19 @@ def field_q_reduce(engine, terms):
         else:
             acc[mm] = v
     return acc
+
+
+def product_exponent_tuples(degrees, parities, cap, budget):
+    """Oracle of `wsuper.pbw.exponent_tuples`: the whole box of exponents
+    (odd at most 1, even at most cap, or at most budget // degree when there
+    is no cap), filtered by the degree bound and sorted by (degree, tuple)."""
+    tops = [1 if odd else (budget // d if cap is None else cap)
+            for d, odd in zip(degrees, parities)]
+
+    def degree(expo):
+        return sum(e * d for e, d in zip(expo, degrees))
+
+    out = [expo for expo in product(*(range(t + 1) for t in tops))
+           if budget is None or degree(expo) <= budget]
+    out.sort(key=lambda expo: (degree(expo), expo))
+    return out

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from wsuper import modp
+from wsuper import cli, modp
 from wsuper.modp import ReductionError
 from wsuper.wchar0 import WContext
 
@@ -164,6 +164,22 @@ def test_p_guard_warning_at_3(dat_osp3):
     rw = modp.reduced_w(modp.build_reduced_q(dat_osp3))
     assert rw.warnings  # top candidate degree is 4 > 3
     assert rw.pbw_ok
+
+
+def test_p_guard_warning_reaches_stderr(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.ENV_OUT, raising=False)
+    lines = {}
+    for p in (3, 5):
+        code = cli.main(["modp", "suite", "--family", "osp", "--m", "1",
+                         "--n", "2", "--nilpotent", "regular", "--primes",
+                         str(p), "--out", str(tmp_path / str(p))])
+        assert code == cli.EXIT_OK
+        lines[p] = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+    assert lines[3] == ["warning: p = 3, eta = chi: p = 3 is not above the"
+                        " top candidate degree 4; exponent caps may truncate"
+                        " identities"]
+    assert lines[5] == []
 
 
 def test_morita_identity(dat_osp5, dat_sl3):

@@ -3,24 +3,27 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracle import product_exponent_tuples
 from wsuper import reduce_datum
-from wsuper.pbw import AmbientMismatch, Element, Enveloping, engine_from_datum
+from wsuper.pbw import (AmbientMismatch, Element, Enveloping,
+                        engine_from_datum, exponent_tuples)
 
 
 @pytest.fixture(scope="module")
 def E(nd_gl11_zero):
-    return engine_from_datum(nd_gl11_zero)
+    return engine_from_datum(nd_gl11_zero, None, None)
 
 
 @pytest.fixture(scope="module")
 def Es(nd_sl21_e12):
-    return engine_from_datum(nd_sl21_e12)
+    return engine_from_datum(nd_sl21_e12, None, None)
 
 
 @pytest.fixture(scope="module")
 def Eo(nd_osp12_reg):
-    return engine_from_datum(nd_osp12_reg)
+    return engine_from_datum(nd_osp12_reg, None, None)
 
 
 def rand_elt(E, rng, nterms=3, emax=2):
@@ -65,11 +68,39 @@ def test_unit_is_neutral(Es):
         assert Es.unit() * a == a and a * Es.unit() == a
 
 
-def test_associativity_random(Es):
-    rng = random.Random(17)
-    for _ in range(15):
-        a, b, c = (rand_elt(Es, rng, 2, 1) for _ in range(3))
-        assert (a * b) * c == a * (b * c)
+@pytest.fixture(scope="module")
+def engines_q_and_mod_p(nd_gl11_zero, nd_sl21_e12, nd_osp12_reg):
+    """The engine over Q, and the reduced engine at every eta sample for
+    p = 3 and 5, of each datum."""
+    out = []
+    for nd in (nd_gl11_zero, nd_sl21_e12, nd_osp12_reg):
+        out.append(engine_from_datum(nd, None, None))
+        for p in (3, 5):
+            dat = reduce_datum(nd, p)
+            out.extend(engine_from_datum(dat, eta, dat.pmap_adapted)
+                       for _, eta in dat.eta_samples())
+    return out
+
+
+@st.composite
+def _elements(draw, E):
+    # mod p the even exponents reach the cap p - 1, so products pass
+    # through g^p = g^[p] + eta(g)^p
+    top = E.field.char - 1 if E.field.char else 2
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        mono = tuple(draw(st.integers(0, 1 if odd else top))
+                     for odd in E.parities)
+        terms[mono] = draw(st.integers(-3, 3))
+    return E.element(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_associativity_random(engines_q_and_mod_p, data):
+    E = data.draw(st.sampled_from(engines_q_and_mod_p))
+    a, b, c = (data.draw(_elements(E)) for _ in range(3))
+    assert (a * b) * c == a * (b * c)
 
 
 def test_ambient_mismatch(E, Es):
@@ -373,3 +404,17 @@ def test_odd_left_multiplication_sign(E):
                          for k, c in E.brackets.get((y2, y1), {}).items()})
     want = bracket - E.element({mono: Fraction(1)}) * w
     assert got == want == w * E.element({mono: Fraction(1)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(gens=st.lists(st.tuples(st.integers(1, 4), st.integers(0, 1)),
+                     max_size=5),
+       cap=st.one_of(st.none(), st.integers(0, 4)),
+       budget=st.one_of(st.none(), st.integers(0, 12)))
+def test_exponent_tuples_match_the_filtered_product(gens, cap, budget):
+    if cap is None and budget is None:
+        budget = 12
+    degrees = [d for d, _ in gens]
+    parities = [odd for _, odd in gens]
+    assert (list(exponent_tuples(degrees, parities, cap, budget, ()))
+            == product_exponent_tuples(degrees, parities, cap, budget))

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -80,7 +81,8 @@ def test_a_missing_prefix_is_a_solver_error(nd_osp12_reg):
 def engines(nd_osp12_reg, nd_sl21_e12):
     # a rational engine that reduces through chi, and reduced engines at
     # p = 5 and 7 that reduce through eta (chi shifted off m)
-    out = [engine_from_datum(nd_osp12_reg), engine_from_datum(nd_sl21_e12)]
+    out = [engine_from_datum(nd_osp12_reg, None, None),
+           engine_from_datum(nd_sl21_e12, None, None)]
     for nd, p in ((nd_osp12_reg, 5), (nd_sl21_e12, 7)):
         dat = modp.reduce_datum(nd, p)
         out.append(modp.build_reduced_q(dat, dat.eta_samples()[-1][1]).engine)
@@ -130,7 +132,24 @@ def test_footprint_reads_dim_q_off_the_datum(request, nd, p):
     dim, need = modp.q_footprint(nd, p)
     q = modp.build_reduced_q(modp.reduce_datum(nd, p))
     assert dim == q.dim
-    assert need >= 16 * len(nd.m_indices) * dim * dim + dim * modp.MONOMIAL_BYTES
+    dim_w = p ** nd.l * 2 ** nd.q_prime
+    assert need >= (16 * (len(nd.m_indices) * dim + dim_w) * dim
+                    + dim * modp.MONOMIAL_BYTES)
+
+
+@pytest.mark.parametrize("nd, p", CONFIGS + [("nd_gl11_zero", 3)])
+def test_q_basis_keeps_the_product_and_sort_order(request, nd, p):
+    # the basis order fixes every column, the prefix order of the left
+    # products and the engine memo
+    nd = request.getfixturevalue(nd)
+    q = modp.build_reduced_q(modp.reduce_datum(nd, p))
+    e = q.engine
+    tail = (0,) * (e.n_gens - e.cobasis_count)
+    ranges = [range(2) if odd else range(p)
+              for odd in e.parities[: e.cobasis_count]]
+    want = sorted((c + tail for c in product(*ranges)),
+                  key=lambda m: (e.e_degree(m), m))
+    assert q.basis == want
 
 
 def _limit_address_space():
@@ -141,18 +160,24 @@ def _limit_address_space():
 
 
 def test_preflight_refuses_an_oversized_q_before_any_artifact(tmp_path):
-    # gl(1|1), zero nilpotent, p = 10007: dim Q = 10007^2 * 2^2
+    # gl(1|1), zero nilpotent: m = 0 and dim Q = dim W = p^2 * 2^2.  At
+    # p = 10007 the monomial basis alone would take 64 GB; at p = 211 it
+    # takes 28 MB, and the dim W x dim Q matrix of reduced_w with its
+    # float64 copy (507 GB) is what is refused
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
     env.pop(cli.ENV_OUT, None)
-    start = time.monotonic()
-    run = subprocess.run(
-        [sys.executable, "-m", "wsuper.cli", "modp", "suite", "--family", "gl",
-         "--m", "1", "--n", "1", "--nilpotent", "zero", "--primes", "10007",
-         "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=30,
-        preexec_fn=_limit_address_space)
-    elapsed = time.monotonic() - start
-    assert run.returncode == cli.EXIT_CONFIG, run.stderr
-    assert elapsed < 2
-    assert list(tmp_path.iterdir()) == []
-    assert "dim Q = %d" % (10007 ** 2 * 4) in run.stderr
+    for p in (10007, 211):
+        out = tmp_path / str(p)
+        out.mkdir()
+        start = time.monotonic()
+        run = subprocess.run(
+            [sys.executable, "-m", "wsuper.cli", "modp", "suite", "--family",
+             "gl", "--m", "1", "--n", "1", "--nilpotent", "zero", "--primes",
+             str(p), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=30,
+            preexec_fn=_limit_address_space)
+        elapsed = time.monotonic() - start
+        assert run.returncode == cli.EXIT_CONFIG, run.stderr
+        assert elapsed < 2
+        assert list(out.iterdir()) == []
+        assert "dim Q = %d" % (p ** 2 * 4) in run.stderr

@@ -77,7 +77,7 @@ def test_sl21_theta1_against_direct_nullspace(nd_sl21_e12, ctx_sl21):
     # independent route: invariance system over all co-basis monomials of
     # e-degree <= 2, with no shape constraints, solved as a plain kernel
     e = ctx_sl21.engine
-    monos = ctx_sl21.cobasis_monomials(2)
+    monos = e.cobasis_monomials(2)
     rows = {}
     cols = []
     for m in monos:
