@@ -1,16 +1,21 @@
 """Exact linear algebra: two elimination routines.
 
 The generic one, `rref`, works over any Field object: sparse Gauss-Jordan
-elimination on {column: coefficient} rows, read by every rational system and
-the small mod-p ones.  The RREF is unique, so echelon bases and particular
-solutions do not depend on the order of the rows.  The numpy one works mod p
-through one blocked Gauss-Jordan routine, `_echelon_mod_p`, behind
-`rank_mod_p`, `rref_mod_p`, `nullspace_mod_p` and `row_space_mod_p`; it
-exists because the reduced-module kernels reach dimension a few thousand.  It
-stores integers in float64 so that its block updates run as BLAS matrix
-products, and reduces mod p once per block.  Its intermediates stay below
-BLOCK*(p-1)**2 + p, so it is exact only while that is below 2**53, that is
-for p <= 11,863,279; it raises ValueError otherwise.
+elimination on {column: coefficient} rows.  It serves every rational system
+(the generator solves, the graded check, the nilpotent analysis), the small
+mod-p ones, and the largest mod-p one: the joint kernel of ad z, z in m, on
+the reduced module Q, whose |m| dim Q rows are the transposed sparse ad
+columns (`modp.ReducedQ._m_rows`).  The RREF is unique, so echelon bases and
+particular solutions do not depend on the order of the rows; the cost does.
+The numpy one works mod p through one blocked Gauss-Jordan routine,
+`_echelon_mod_p`, behind `rank_mod_p`, `rref_mod_p`, `nullspace_mod_p` and
+`row_space_mod_p`.  It serves the dense mod-p systems, each about dim W by
+dim Q or its transpose: the PBW monomial vectors in `modp.reduced_w` and
+the m'-invariants inside the m-kernel.  It stores integers in float64 so
+that its block updates run as BLAS matrix products, and reduces mod p once
+per block.  Its intermediates stay below BLOCK*(p-1)**2 + p, so it is exact
+only while that is below 2**53, that is for p <= 11,863,279; it raises
+ValueError otherwise.
 """
 
 from __future__ import annotations

@@ -208,19 +208,27 @@ def pbw_dim(p, parities):
 # at 198 bytes for the 9 generators of gl(2|1) regular.
 MONOMIAL_BYTES = 128
 MONOMIAL_BYTES_PER_GEN = 8
+# Bytes one ad column of z in m costs on the way to the m-kernel: the sparse
+# column, its share of the transposed rows and of the pivot rows of their
+# elimination.  Measured as the rise in peak RSS over building the columns
+# and the kernel: 5.9 KB per column on gl(2|1) regular at p = 7 (2 x 19,208
+# columns), 3.2 KB at p = 5 and 1.5 KB on sl(2|1) E12 at p = 5.  Fill grows
+# with dim Q, so on a larger Q this is a floor, not a bound.
+AD_COLUMN_BYTES = 6144
 
 
 def q_footprint(nd, p):
     """(dim Q, estimated bytes) of the reduced module at p, read off the
-    datum before anything is built: the monomial basis, plus two dense int64
-    matrices with the float64 copy that `linalg._echelon_mod_p` makes of
-    each: the stack of the ad z for z in m, and the dim W x dim Q matrix of
-    PBW monomial vectors in `reduced_w`, dim W = p^l 2^q'."""
+    datum before anything is built: the monomial basis, the sparse ad
+    columns of m and their elimination, and the dim W x dim Q int64 matrix
+    of PBW monomial vectors in `reduced_w` (dim W = p^l 2^q') with the
+    float64 copy that `linalg._echelon_mod_p` makes of it."""
     gens = nd.generators
     dim = pbw_dim(p, [g.parity for g in gens[: nd.cobasis_count]])
     dim_w = pbw_dim(p, [0] * nd.l + [1] * nd.q_prime)
     basis = dim * (MONOMIAL_BYTES + MONOMIAL_BYTES_PER_GEN * len(gens))
-    return dim, basis + 2 * 8 * (len(nd.m_indices) * dim + dim_w) * dim
+    columns = AD_COLUMN_BYTES * len(nd.m_indices) * dim
+    return dim, basis + columns + 2 * 8 * dim_w * dim
 
 
 class ReducedQ:
@@ -350,14 +358,12 @@ class ReducedQ:
                 return z, self._right_mismatch[z]
         return None
 
-    def _fill(self, out, cols):
+    def _dense(self, cols):
+        out = np.zeros((self.dim, self.dim), dtype=np.int64)
         for j, col in enumerate(cols):
             for i, c in col.items():
                 out[i, j] = c
         return out
-
-    def _dense(self, cols):
-        return self._fill(np.zeros((self.dim, self.dim), dtype=np.int64), cols)
 
     def left_matrix(self, gen_index):
         return self._dense(self.left_columns(gen_index))
@@ -365,49 +371,54 @@ class ReducedQ:
     def ad_matrix(self, gen_index):
         return self._dense(self.ad_columns(gen_index))
 
-    def _sub_indices(self, sub):
-        if sub == "m":
-            return self.datum.m_indices
-        if sub == "mprime":
-            return self.datum.mprime_indices
-        raise ValueError("unknown subalgebra %r" % (sub,))
-
     def _sub_key(self, sub):
         # m' = m when r is even
-        if self._sub_indices(sub) == self.datum.m_indices:
+        if sub not in ("m", "mprime"):
+            raise ValueError("unknown subalgebra %r" % (sub,))
+        if sub == "m" or self.datum.mprime_indices == self.datum.m_indices:
             return "m"
         return "mprime"
 
-    def stacked_ad(self, sub):
-        idx = self._sub_indices(sub)
-        n = self.dim
-        out = np.zeros((len(idx) * n, n), dtype=np.int64)
+    def _m_rows(self):
+        """The rows of the ad z for z in m stacked, one {column: c} dict per
+        (z, i): the sparse ad columns transposed, never a dense matrix.  They
+        are handed out from the last basis monomial i to the first and
+        dropped once handed out.  The reduced row echelon form does not
+        depend on the order, but the cost does: ad z lowers the e-degree and
+        pivots sit at the lowest column, so rows from the top of the basis
+        fill in least."""
+        idx = self.datum.m_indices
+        rows = [{} for _ in range(len(idx) * self.dim)]
         for k, z in enumerate(idx):
-            self._fill(out[k * n:(k + 1) * n], self.ad_columns(z))
-        return out
+            for j, col in enumerate(self.ad_columns(z)):
+                for i, c in col.items():
+                    rows[i * len(idx) + k][j] = c
+        while rows:
+            yield rows.pop()
 
     def invariant_dimension(self, sub="m"):
         """Dimension of the joint kernel of ad z over the chosen subalgebra;
         read from `invariant_subspace` when that has already run, and always
-        for m' (whose kernel is found inside the m-kernel)."""
+        for m' (whose kernel is found inside the m-kernel).  Otherwise dim Q
+        less the rank of the sparse m rows."""
         key = self._sub_key(sub)
         if key == "mprime":
             return self.invariant_subspace(key).shape[0]
         if key not in self._inv_dim:
-            stacked = self.stacked_ad(key)
-            self._inv_dim[key] = self.dim - linalg.rank_mod_p(stacked, self.p)
+            self._inv_dim[key] = self.dim - linalg.rank(self.field,
+                                                        self._m_rows())
         return self._inv_dim[key]
 
     def invariant_subspace(self, sub="m"):
         """Echelonized basis (rows, read-only) of the joint kernel of ad z
         over the chosen subalgebra, computed once per Q: the canonical
-        kernel basis of `linalg.nullspace_mod_p`, identity on its free
-        columns."""
+        kernel basis, identity on its free columns."""
         key = self._sub_key(sub)
         basis = self._inv_basis.get(key)
         if basis is None:
             if key == "m":
-                basis = linalg.nullspace_mod_p(self.stacked_ad("m"), self.p)
+                basis = self._kernel_basis(
+                    *linalg.rref(self.field, self._m_rows()))
             else:
                 basis = self._mprime_invariants()
             basis.flags.writeable = False
@@ -415,12 +426,38 @@ class ReducedQ:
             self._inv_dim[key] = basis.shape[0]
         return basis
 
+    def _kernel_basis(self, reduced, piv):
+        """The canonical kernel basis of a sparse RREF on Q's columns: the
+        row for free column j is 1 at j and -c at the pivot column of each
+        reduced row with c at j (the only nonzeros of a reduced row off its
+        pivot are at free columns)."""
+        pivots = set(piv)
+        slot = {j: s for s, j in enumerate(j for j in range(self.dim)
+                                           if j not in pivots)}
+        basis = np.zeros((len(slot), self.dim), dtype=np.int64)
+        basis[np.arange(len(slot)), list(slot)] = 1
+        for row, pc in zip(reduced, piv):
+            for j, c in row.items():
+                if j != pc:
+                    basis[slot[j], pc] = -c % self.p
+        return basis
+
     def _middle_image(self):
-        """Rows ad v_mid (x) for the rows x of the m-invariant basis (odd r),
-        computed once per Q."""
+        """Rows ad v_mid (x) for the rows x of the m-invariant basis K (odd
+        r), computed once per Q as K ad_v^T from the sparse columns of
+        ad v_mid: column j with c at i adds c K[:, j] to the image's column
+        i."""
         if self._mid_image is None:
-            ad_v = self.ad_matrix(self.datum.v_mid_index)
-            self._mid_image = (self.invariant_subspace("m") @ ad_v.T) % self.p
+            basis = self.invariant_subspace("m")
+            src, dst, val = [], [], []
+            for j, col in enumerate(self.ad_columns(self.datum.v_mid_index)):
+                for i, c in col.items():
+                    src.append(j)
+                    dst.append(i)
+                    val.append(c)
+            image = np.zeros((self.dim, basis.shape[0]), dtype=np.int64)
+            np.add.at(image, dst, basis.T[src] * np.array(val)[:, None])
+            self._mid_image = np.ascontiguousarray(image.T % self.p)
             self._mid_image.flags.writeable = False
         return self._mid_image
 
@@ -472,8 +509,7 @@ class ReducedW:
     context: WContext
     thetas: list
     pbw_exponents: list
-    pbw_vectors: object      # numpy (count, dimQ)
-    rank: int                # of pbw_vectors mod p
+    rank: int                # of the PBW monomials' vectors in Q, mod p
     presentation: object
     pbw_ok: bool
     warnings: list
@@ -513,8 +549,8 @@ def reduced_w(q):
     pbw_ok = (rank == len(expos) == inv_dim)
     presentation = ctx.commutator_table()
     return ReducedW(q=q, context=ctx, thetas=thetas, pbw_exponents=expos,
-                    pbw_vectors=vectors, rank=rank, presentation=presentation,
-                    pbw_ok=pbw_ok, warnings=warnings)
+                    rank=rank, presentation=presentation, pbw_ok=pbw_ok,
+                    warnings=warnings)
 
 
 @dataclass

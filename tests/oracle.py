@@ -1,11 +1,14 @@
 """Reference routines that the fast code is tested against: dense
 Gauss-Jordan elimination over a Field (the oracle of `wsuper.linalg.rref` and
 the mod-p kernel), the Lie superbracket on coordinate lists, the action
-columns of Q built one monomial at a time, the PBW engine's per-term
+columns of Q built one monomial at a time, the dense stack of Q's ad
+matrices, the PBW engine's per-term
 arithmetic through Field methods, and the PBW exponent tuples as a filtered
 product."""
 
 from itertools import product
+
+import numpy as np
 
 
 def dense_rref(field, mat):
@@ -76,6 +79,14 @@ def per_monomial_columns(q, g):
                 and right != ({m: eta_g} if eta_g else {})):
             mismatch = j
     return ad, left, mismatch
+
+
+def stacked_ad(q, sub):
+    """The dense (|sub| dim Q) x dim Q int64 stack of the ad z for z in m
+    or m' on a ReducedQ, one block per z; the oracle of the sparse m rows
+    that `ReducedQ` eliminates."""
+    idx = q.datum.m_indices if sub == "m" else q.datum.mprime_indices
+    return np.concatenate([q.ad_matrix(z) for z in idx], axis=0)
 
 
 # The engine's per-term loops as they read with Field methods, the oracle of

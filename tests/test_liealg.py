@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,46 @@ def test_bracket_ad_and_form_match_the_dense_oracle(case):
         for j, b in enumerate(w):
             expect = f.add(expect, f.mul(f.mul(a, b), alg.gram[i][j]))
     assert alg.form(v, w) == expect
+
+
+# -- super-Jacobi on random elements ------------------------------------------
+
+JACOBI_SHAPES = [("gl", 1, 1), ("gl", 2, 1), ("gl", 1, 2), ("sl", 2, 1),
+                 ("sl", 1, 2), ("osp", 1, 2), ("osp", 2, 2), ("osp", 3, 2)]
+
+
+@st.composite
+def _vector_triples(draw):
+    alg = _algebra(draw(st.sampled_from(JACOBI_SHAPES)),
+                   draw(st.sampled_from([None, 3, 5])))
+    p = alg.field.char
+    if p == 0:
+        coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    else:
+        coeff = st.integers(0, p - 1)
+    vector = st.lists(coeff, min_size=alg.dim, max_size=alg.dim)
+    return alg, draw(vector), draw(vector), draw(vector)
+
+
+def _part(alg, v, parity):
+    return [c if alg.parities[i] == parity else alg.field.zero
+            for i, c in enumerate(v)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vector_triples())
+def test_super_jacobi_on_random_elements(case):
+    # [x, [y, z]] = [[x, y], z] + (-1)^{|x||y|} [y, [x, z]] on the homogeneous
+    # parts of three random elements, all eight parity choices
+    alg, u, v, w = case
+    f = alg.field
+    br = alg.bracket
+    for px, py, pz in product((0, 1), repeat=3):
+        x, y, z = _part(alg, u, px), _part(alg, v, py), _part(alg, w, pz)
+        sign = f.neg(f.one) if px and py else f.one
+        rhs = [f.add(a, f.mul(sign, b))
+               for a, b in zip(br(br(x, y), z), br(y, br(x, z)))]
+        assert br(x, br(y, z)) == rhs
 
 
 # -- checks that python -O must not strip ------------------------------------

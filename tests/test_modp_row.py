@@ -2,16 +2,18 @@
 
 Right multiplication by z in m acts on Q by eta(z), so ad z = L_z - eta(z)
 and the Whittaker vectors are the m-invariants.  The row builds Q once,
-eliminates the stacked ad matrix of m once and reads the Whittaker dimension
-from that kernel.
+eliminates the stacked ad matrix of m once, from its sparse rows, and reads
+the Whittaker dimension from that kernel.
 """
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oracle import stacked_ad
 from wsuper import cli, linalg, modp
 from wsuper.cli import EXIT_CHECK_FAILURES, EXIT_CONFIG, PipelineConfig
 
@@ -46,10 +48,10 @@ def _suite(out_dir, primes=(3,)):
 def test_row_builds_q_once_and_eliminates_the_m_stack_once(
         monkeypatch, tmp_path, dat_osp3):
     monkeypatch.delenv(cli.ENV_OUT, raising=False)
-    log = {name: [] for name in ("build", "stack", "left", "whittaker",
+    log = {name: [] for name in ("build", "m_rows", "left", "whittaker",
                                  "rank", "rref")}
     _count(monkeypatch, modp, "build_reduced_q", log["build"])
-    _count(monkeypatch, modp.ReducedQ, "stacked_ad", log["stack"])
+    _count(monkeypatch, modp.ReducedQ, "_m_rows", log["m_rows"])
     _count(monkeypatch, modp.ReducedQ, "left_columns", log["left"])
     _count(monkeypatch, modp.ReducedQ, "whittaker_subspace", log["whittaker"])
     _count(monkeypatch, linalg, "rank_mod_p", log["rank"])
@@ -59,14 +61,15 @@ def test_row_builds_q_once_and_eliminates_the_m_stack_once(
     rows = 2
     assert len(log["build"]) == rows
     assert not log["left"] and not log["whittaker"]
-    # the m'-invariants come from inside the m-kernel: no m' stack
-    assert [args[1] for args in log["stack"]] == ["m"] * rows
-    # the m-stack is eliminated once per row and is the largest matrix
+    # the m-stack is eliminated once per row, from its sparse rows; the
+    # m'-invariants come from inside the m-kernel, so there is no m' stack
+    assert len(log["m_rows"]) == rows
+    # no dense mod-p call receives the m-stack or anything as large
     dim = 36
     m_stack = (len(dat_osp3.m_indices) * dim, dim)
-    eliminated = [args[0].shape for args in log["rank"] + log["rref"]]
-    assert eliminated.count(m_stack) == rows
-    assert max(r * c for r, c in eliminated) == m_stack[0] * m_stack[1]
+    dense = [args[0].shape for args in log["rank"] + log["rref"]]
+    assert dense and m_stack not in dense
+    assert max(r * c for r, c in dense) < m_stack[0] * m_stack[1]
 
 
 @pytest.mark.parametrize("which", ["dat_osp3", "dat_sl3"])
@@ -98,9 +101,45 @@ def test_mprime_invariants_match_the_stacked_kernel(nd_osp12_reg, p):
     dat = modp.reduce_datum(nd_osp12_reg, p)
     for label, eta in dat.eta_samples():
         q = modp.build_reduced_q(dat, eta, label)
-        oracle = linalg.nullspace_mod_p(q.stacked_ad("mprime"), p)
+        oracle = linalg.nullspace_mod_p(stacked_ad(q, "mprime"), p)
         assert np.array_equal(q.invariant_subspace("mprime"), oracle)
         assert q.invariant_dimension("mprime") == oracle.shape[0]
+
+
+@pytest.mark.parametrize("nd, p", [
+    ("nd_osp12_reg", 3), ("nd_osp12_reg", 5), ("nd_osp12_reg", 7),
+    ("nd_sl21_e12", 3), ("nd_sl21_e12", 5)])
+def test_sparse_m_kernel_equals_the_dense_oracle(request, nd, p):
+    # oracle: the dense m-stack eliminated by the numpy kernel, and the
+    # middle image through the dense ad matrix of v_mid
+    dat = modp.reduce_datum(request.getfixturevalue(nd), p)
+    for label, eta in dat.eta_samples():
+        q = modp.build_reduced_q(dat, eta, label)
+        stack = stacked_ad(q, "m")
+        # the rank-only route, on a Q whose kernel basis has not been read
+        assert q.invariant_dimension("m") == q.dim - linalg.rank_mod_p(stack, p)
+        q = modp.build_reduced_q(dat, eta, label)
+        oracle = linalg.nullspace_mod_p(stack, p)
+        assert np.array_equal(q.invariant_subspace("m"), oracle)
+        assert q.invariant_dimension("m") == oracle.shape[0]
+        if dat.r_odd:
+            ad_v = q.ad_matrix(dat.v_mid_index)
+            assert np.array_equal(q._middle_image(), (oracle @ ad_v.T) % p)
+
+
+def test_m_kernel_never_takes_the_dense_stack(nd_sl21_e12):
+    # sl(2|1) E12 at p = 5: dim Q = 1000 and |m| = 2, so one dense int64
+    # m-stack would take 2000 * 1000 * 8 bytes
+    q = modp.build_reduced_q(modp.reduce_datum(nd_sl21_e12, 5))
+    for z in q.datum.m_indices:
+        q.ad_columns(z)
+    tracemalloc.start()
+    try:
+        assert q.invariant_dimension("m") == 100
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(q.datum.m_indices) * q.dim * q.dim * 8
 
 
 def test_invariant_subspace_is_cached_and_read_only(dat_osp3):

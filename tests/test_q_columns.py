@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -132,9 +133,18 @@ def test_footprint_reads_dim_q_off_the_datum(request, nd, p):
     dim, need = modp.q_footprint(nd, p)
     q = modp.build_reduced_q(modp.reduce_datum(nd, p))
     assert dim == q.dim
+    # the sparse route: the traced peak of the ad columns of m and of the
+    # m-kernel (its canonical basis when r is odd)
+    tracemalloc.start()
+    try:
+        if nd.r_odd:
+            q.invariant_subspace("m")
+        q.invariant_dimension("m")
+        sparse = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     dim_w = p ** nd.l * 2 ** nd.q_prime
-    assert need >= (16 * (len(nd.m_indices) * dim + dim_w) * dim
-                    + dim * modp.MONOMIAL_BYTES)
+    assert need >= sparse + 16 * dim_w * dim + dim * modp.MONOMIAL_BYTES
 
 
 @pytest.mark.parametrize("nd, p", CONFIGS + [("nd_gl11_zero", 3)])

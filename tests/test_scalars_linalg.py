@@ -288,6 +288,40 @@ def test_rref_matches_the_dense_oracle(case, rng):
         assert linalg.rank(field, rows) == len(piv)
 
 
+@st.composite
+def _sparse_rows_mod_p(draw, max_rows=30, max_cols=20):
+    """(field, rows): {column: coefficient} rows over F_p, some empty and
+    some combinations of earlier ones, like the transposed ad columns that
+    `modp.ReducedQ` eliminates."""
+    field = PrimeField(draw(st.sampled_from([3, 5, 7, 101, LARGEST_PRIME])))
+    cols = draw(st.integers(1, max_cols))
+    entry = st.integers(1, field.p - 1)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, cols - 1), entry,
+                                         max_size=4), max_size=max_rows))
+    for i in range(1, len(rows)):
+        if draw(st.booleans()):
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            s, t = draw(entry), draw(entry)
+            combo = {c: (s * rows[j].get(c, 0) + t * rows[k].get(c, 0))
+                     % field.p for c in set(rows[j]) | set(rows[k])}
+            rows[i] = {c: x for c, x in combo.items() if x}
+    return field, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_rows_mod_p(), st.randoms(use_true_random=False))
+def test_rref_mod_p_does_not_depend_on_the_row_order(case, rng):
+    # the m-kernel of Q hands its rows to rref last monomial first, as a
+    # generator; only the cost may depend on that
+    field, rows = case
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    want = linalg.rref(field, rows)
+    for order in (rows[::-1], shuffled, iter(rows[::-1])):
+        assert linalg.rref(field, order) == want
+    assert linalg.rank(field, iter(shuffled)) == len(want[1])
+
+
 @settings(max_examples=200, deadline=None)
 @given(_field_matrices())
 def test_solve_affine_is_the_particular_solution_of_the_oracle(case):
