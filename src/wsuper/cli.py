@@ -107,7 +107,7 @@ def run_pipeline(cfg):
     invariant_form(alg)
     e = resolve_nilpotent(alg, cfg.nilpotent)
     nd = analyze_nilpotent(alg, sl2_triple(alg, e))
-    _preflight(nd, cfg.primes)
+    datums = _preflight(nd, cfg.primes)
     if cfg.char0 >= CHAR0_SOLVE:
         ctx = WContext(nd)
     if cfg.char0 >= CHAR0_GRADED:
@@ -138,8 +138,7 @@ def run_pipeline(cfg):
 
     if cfg.primes:
         rows = []
-        for p in cfg.primes:
-            dat = modp.reduce_datum(nd, p)
+        for dat in datums:
             etas = dat.eta_samples() if cfg.eta_sweep else [("chi", dat.eta_chi())]
             for eta_label, eta in etas:
                 rows.append(_modp_row(cfg, nd, dat, eta, eta_label, failures))
@@ -156,15 +155,19 @@ def run_pipeline(cfg):
 
 
 def _preflight(nd, primes):
-    """Refuse a prime whose Q would not fit in physical memory, before
-    anything is allocated or written."""
+    """The datum reduced mod each prime, for the mod-p rows.  A prime whose Q
+    would not fit in physical memory, or that divides a denominator of the
+    datum, is refused before anything is allocated or written."""
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    datums = []
     for p in primes:
         dim, need = modp.q_footprint(nd, p)
         if need > memory:
             raise ConfigError("p = %d: dim Q = %d needs about %d bytes, more"
                               " than the %d bytes of physical memory"
                               % (p, dim, need, memory))
+        datums.append(modp.reduce_datum(nd, p))
+    return datums
 
 
 def _modp_row(cfg, nd, dat, eta, eta_label, failures):

@@ -1,28 +1,22 @@
-"""Exact linear algebra: two elimination routines.
+"""Exact linear algebra: one elimination routine.
 
-The generic one, `rref`, works over any Field object: sparse Gauss-Jordan
-elimination on {column: coefficient} rows.  It serves every rational system
-(the generator solves, the graded check, the nilpotent analysis), the small
-mod-p ones, and the largest mod-p one: the joint kernel of ad z, z in m, on
-the reduced module Q, whose |m| dim Q rows are the transposed sparse ad
-columns (`modp.ReducedQ._m_rows`).  The RREF is unique, so echelon bases and
-particular solutions do not depend on the order of the rows; the cost does.
-The numpy one works mod p through one blocked Gauss-Jordan routine,
-`_echelon_mod_p`, behind `rank_mod_p`, `rref_mod_p`, `nullspace_mod_p` and
-`row_space_mod_p`.  It serves the dense mod-p systems, each about dim W by
-dim Q or its transpose: the PBW monomial vectors in `modp.reduced_w` and
-the m'-invariants inside the m-kernel.  It stores integers in float64 so
-that its block updates run as BLAS matrix products, and reduces mod p once
-per block.  Its intermediates stay below BLOCK*(p-1)**2 + p, so it is exact
-only while that is below 2**53, that is for p <= 11,863,279; it raises
-ValueError otherwise.
+`rref` is sparse Gauss-Jordan elimination on {column: coefficient} rows over
+any Field object.  It serves every system wsuper solves: the rational ones
+(the generator solves, the graded check, the nilpotent analysis) and every
+mod-p one of a `verify all` row.  The largest of those is the joint kernel of
+ad z, z in m, on the reduced module Q, whose |m| dim Q rows are the
+transposed sparse ad columns (`modp.ReducedQ._m_rows`); the others are the
+PBW monomial vectors of `modp.reduced_w` and the m'-invariants inside the
+m-kernel, which go through `rank_mod_p` and `rref_mod_p`, the entry points
+over F_p.  The RREF is unique, so echelon bases and particular solutions do
+not depend on the order of the rows; the cost does.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-import numpy as np
+from .scalars import PrimeField
 
 
 # ---------------------------------------------------------------------------
@@ -129,20 +123,32 @@ def rank(field, rows):
     return len(_echelon(field, rows))
 
 
+def kernel_rows(field, reduced, piv, cols):
+    """The canonical kernel basis of an RREF (its rows and pivot columns) on
+    columns 0..cols-1, as {column: c} rows: the row for free column j is 1
+    at j and -c at the pivot column of each reduced row with c at j.  A
+    reduced row is nonzero off its pivot only at free columns to its right,
+    so j is the largest key of its row."""
+    pivots = set(piv)
+    basis = {j: {j: field.one} for j in range(cols) if j not in pivots}
+    for row, pc in zip(reduced, piv):
+        for j, c in row.items():
+            if j != pc:
+                basis[j][pc] = field.neg(c)
+    return list(basis.values())
+
+
+def _dense(field, rows, cols):
+    return [[row.get(j, field.zero) for j in range(cols)] for row in rows]
+
+
 def nullspace(field, mat, cols=None):
-    """Canonical kernel basis of mat (sparse rows need `cols`): the vector
-    for free column j is 1 at j and 0 at the other free columns."""
+    """Canonical kernel basis of mat (sparse rows need `cols`) as dense
+    vectors: the vector for free column j is 1 at j and 0 at the other free
+    columns."""
     if cols is None:
         cols = len(mat[0]) if mat else 0
-    reduced, piv = rref(field, mat)
-    basis = []
-    for j in sorted(set(range(cols)) - set(piv)):
-        v = [field.zero] * cols
-        v[j] = field.one
-        for row, pc in zip(reduced, piv):
-            v[pc] = field.neg(row.get(j, field.zero))
-        basis.append(v)
-    return basis
+    return _dense(field, kernel_rows(field, *rref(field, mat), cols), cols)
 
 
 def solve_affine(field, mat, rhs, cols=None):
@@ -189,178 +195,30 @@ def intersect_zero(field, vectors_a, vectors_b):
 def echelon_span(field, vectors):
     """The nonzero rows of the rref of dense vectors, as dense lists."""
     cols = len(vectors[0]) if vectors else 0
-    return [[row.get(j, field.zero) for j in range(cols)]
-            for row in rref(field, vectors)[0]]
+    return _dense(field, rref(field, vectors)[0], cols)
 
 
 # ---------------------------------------------------------------------------
-# numpy arrays mod p
+# F_p
 # ---------------------------------------------------------------------------
 
 BLOCK = 64
-SLAB = 256
 
 
 def exact_mod_p(p, block=BLOCK):
-    """Whether `_echelon_mod_p` is exact at p: every intermediate is an
-    integer of magnitude at most block*(p-1)**2 + p, and float64 holds such
-    integers exactly while that bound is below 2**53."""
+    """Whether block*(p-1)**2 + p < 2**53, which for block = 64 holds up to
+    p = 11,863,279, the largest prime `modp.restriction_condition` accepts.
+    It is the bound under which the blocked float64 elimination that the
+    tests keep as the dense mod-p oracle is exact; the sparse routine has
+    none."""
     return block * (p - 1) ** 2 + p < 2 ** 53
 
 
-def _check_exact(p, block):
-    if not exact_mod_p(p, block):
-        raise ValueError("p = %d breaks the float64 bound %d*(p-1)**2 + p < 2**53"
-                         % (p, block))
+def rank_mod_p(rows, p):
+    """`rank` over F_p of a list of {column: c} rows."""
+    return rank(PrimeField(p), rows)
 
 
-def _reduce(a, p):
-    """Reduce a float64 array of integers below 2**53 mod p, in place.
-
-    a - p*floor(a/p) with 1/p rounded is off by at most one multiple of p,
-    which one fix-up each way corrects; float `%` would be several times
-    slower."""
-    t = a * (1.0 / p)
-    np.floor(t, out=t)
-    t *= p
-    a -= t
-    np.add(a, p, out=a, where=a < 0)
-    np.subtract(a, p, out=a, where=a >= p)
-    return a
-
-
-def _panel(w, p):
-    """Gauss-Jordan on one panel, row by row with a delayed reduction.
-
-    w holds the live rows of the panel's columns, entries in [0, p).  A right
-    half records each row as a combination of the pivot rows, so that the
-    pivot rows' half ends as the inverse of the pivot block.  Returns the
-    positions of the pivot rows in w (in pivot order), the pivot columns, the
-    reduced pivot rows and that inverse."""
-    m, b = w.shape
-    w = np.concatenate([w, np.zeros((m, b))], axis=1)
-    order = np.arange(m)
-    pivcols = []
-    k = 0
-    for c in range(b):
-        if k == m:
-            break
-        nz = np.flatnonzero(w[k:, c] % p)
-        if nz.size == 0:
-            continue
-        i = k + int(nz[0])
-        if i != k:
-            w[[k, i]] = w[[i, k]]
-            order[[k, i]] = order[[i, k]]
-        row = w[k] % p
-        row[b + k] = 1
-        row *= pow(int(row[c]), p - 2, p)
-        w[k] = row = row % p
-        mult = w[:, c] % p
-        mult[k] = 0
-        hit = np.flatnonzero(mult)
-        if hit.size:
-            # delayed reduction: entries stay below p + b*(p-1)**2
-            w[hit] -= np.outer(mult[hit], row)
-        pivcols.append(c)
-        k += 1
-    top = _reduce(w[:k], p)
-    return order[:k], pivcols, top[:, :b], top[:, b:b + k]
-
-
-def _update(a, lo, hi, pivabs, c, u, p):
-    """a[i, c:] -= a[i, pivabs] @ u mod p for the rows lo <= i < hi, in
-    slabs of SLAB rows, skipping rows whose multipliers are all zero."""
-    for s in range(lo, hi, SLAB):
-        e = min(s + SLAB, hi)
-        x = a[s:e, pivabs]
-        live = np.flatnonzero(x.any(axis=1))
-        if live.size == e - s:
-            blk = a[s:e, c:]
-            blk -= x @ u
-            _reduce(blk, p)
-        elif live.size:
-            rows = s + live
-            blk = a[rows, c:]
-            blk -= x[live] @ u
-            a[rows, c:] = _reduce(blk, p)
-
-
-def _echelon_mod_p(mat, p, block=BLOCK, reduced=True):
-    """Blocked Gauss-Jordan elimination over F_p on float64 (the scheme of
-    FFLAS-FFPACK: exact integer arithmetic in floating point, one reduction
-    mod p per block).
-
-    Each panel of `block` columns is eliminated row by row; its k pivot rows
-    move up by swapping only the rows in the way, become U = P^-1 rows with
-    the k x k pivot-block inverse P^-1, and one GEMM per slab updates every
-    other live row: rows above become reduced, rows below the Schur
-    complement.  Returns (rows, pivots): the rank rows of the reduced row
-    echelon form (float64 holding integers in [0, p)) and its pivot
-    columns.  With reduced=False the rows above each panel are left alone
-    and only the pivots are meaningful.
-    """
-    _check_exact(p, block)
-    mat = np.asarray(mat)
-    rows, cols = mat.shape
-    a = np.empty((rows, cols))
-    for s in range(0, rows, SLAB):
-        a[s:s + SLAB] = mat[s:s + SLAB] % p
-    piv = []
-    r = 0
-    for c0 in range(0, cols, block):
-        if r == rows:
-            break
-        c1 = min(c0 + block, cols)
-        live = r + np.flatnonzero(a[r:, c0:c1].any(axis=1))
-        if live.size == 0:
-            continue
-        # every live row is nonzero mod p in the panel, so k >= 1
-        order, pivcols, head, inv = _panel(a[live, c0:c1], p)
-        k = len(pivcols)
-        pos = live[order]
-        u = _reduce(inv @ a[pos, c1:], p)
-        # move the non-pivot rows out of r..r+k-1 into the pivot rows' places
-        target = np.arange(r, r + k)
-        a[np.setdiff1d(pos, target)] = a[np.setdiff1d(target, pos)]
-        a[r:r + k, :c0] = 0
-        a[r:r + k, c0:c1] = head
-        a[r:r + k, c1:] = u
-        pivabs = [c0 + c for c in pivcols]
-        if reduced and r:
-            _update(a, 0, r, pivabs, c0, a[r:r + k, c0:], p)
-        _update(a, r + k, rows, pivabs, c1, u, p)
-        piv.extend(pivabs)
-        r += k
-    return a[:r], piv
-
-
-def rank_mod_p(mat, p):
-    """Rank over F_p by `_echelon_mod_p`; a prime past its float64 bound
-    raises ValueError."""
-    return len(_echelon_mod_p(mat, p, reduced=False)[1])
-
-
-def rref_mod_p(mat, p):
-    """Reduced row echelon form mod p, same shape as mat: (rref, pivots)."""
-    ech, piv = _echelon_mod_p(mat, p)
-    out = np.zeros(np.shape(mat), dtype=np.int64)
-    out[:len(piv)] = ech
-    return out, piv
-
-
-def nullspace_mod_p(mat, p):
-    """Canonical echelonized kernel basis, rows of shape (nullity, cols):
-    the row for free column j is 1 at j and 0 at the other free columns."""
-    a, piv = rref_mod_p(mat, p)
-    cols = a.shape[1]
-    free = np.setdiff1d(np.arange(cols), piv)
-    basis = np.zeros((free.size, cols), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, piv] = (-a[:len(piv), free].T) % p
-    return basis
-
-
-def row_space_mod_p(mat, p):
-    a, piv = rref_mod_p(mat, p)
-    return a[: len(piv)]
+def rref_mod_p(rows, p):
+    """`rref` over F_p of a list of {column: c} rows: (reduced, pivots)."""
+    return rref(PrimeField(p), rows)

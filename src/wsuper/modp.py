@@ -4,7 +4,9 @@ whole construction.
 
 The rational nilpotent datum is reduced coefficient-wise (denominators must be
 units mod p), the p-th power map comes from matrix p-th powers of the
-realization, and all kernels are computed by exact integer elimination mod p.
+realization, and every kernel and rank is computed by the sparse exact
+elimination of `linalg` on {column: c} rows mod p; no vector set of a row is
+ever a dense matrix.
 Generator solving reuses the characteristic-zero machinery verbatim since the
 rewriting engine is generic over the base field.
 """
@@ -12,8 +14,6 @@ rewriting engine is generic over the base field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import linalg
 from .scalars import PrimeField
@@ -220,9 +220,11 @@ AD_COLUMN_BYTES = 6144
 def q_footprint(nd, p):
     """(dim Q, estimated bytes) of the reduced module at p, read off the
     datum before anything is built: the monomial basis, the sparse ad
-    columns of m and their elimination, and the dim W x dim Q int64 matrix
-    of PBW monomial vectors in `reduced_w` (dim W = p^l 2^q') with the
-    float64 copy that `linalg._echelon_mod_p` makes of it."""
+    columns of m and their elimination, and 16 bytes per entry of a
+    dim W x dim Q matrix (dim W = p^l 2^q').  That last term is what the
+    PBW monomial vectors of `reduced_w` took as a dense int64 matrix and its
+    float64 copy; they are sparse rows now, so it over-counts, and it is
+    kept because it is what refuses gl(1|1) zero at p = 211."""
     gens = nd.generators
     dim = pbw_dim(p, [g.parity for g in gens[: nd.cobasis_count]])
     dim_w = pbw_dim(p, [0] * nd.l + [1] * nd.q_prime)
@@ -262,21 +264,11 @@ class ReducedQ:
     def expected_dim(self):
         return self._pbw_dim(range(self.datum.cobasis_count))
 
-    def vector_of(self, elt):
-        v = np.zeros(self.dim, dtype=np.int64)
-        for m, c in elt.terms.items():
-            v[self.index[m]] = c
-        return v
+    def vector_of(self, terms):
+        """The {basis index: c} row of the class in Q with these terms."""
+        return {self.index[m]: c for m, c in terms.items()}
 
-    def element_of(self, vec):
-        terms = {}
-        for i, c in enumerate(vec):
-            c = int(c) % self.p
-            if c:
-                terms[self.basis[i]] = c
-        return self.engine.element(terms)
-
-    # -- action matrices (sparse columns, dense on demand) ---------------------
+    # -- action matrices, as sparse columns ------------------------------------
 
     def _left_products(self, gen_index):
         """(m, b_g b^m) for every basis monomial m in basis order, the product
@@ -309,16 +301,13 @@ class ReducedQ:
             levels[deg][m] = prod
             yield m, prod
 
-    def _column(self, terms):
-        return {self.index[m]: c for m, c in terms.items()}
-
     def left_columns(self, gen_index):
         """Columns of left multiplication by b_g on Q: the classes of the
         prefix-built products of `_left_products`."""
         cols = self._left_cols.get(gen_index)
         if cols is None:
             q_reduce = self.engine.q_reduce
-            cols = [self._column(q_reduce(left).terms)
+            cols = [self.vector_of(q_reduce(left).terms)
                     for _, left in self._left_products(gen_index)]
             self._left_cols[gen_index] = cols
         return cols
@@ -344,7 +333,7 @@ class ReducedQ:
                 img = e.q_reduce(left).terms
                 sign = f.one if odd and e.mono_parity(m) else f.neg(f.one)
                 e._acc(img, right, sign)
-                cols.append(self._column(img))
+                cols.append(self.vector_of(img))
             self._ad_cols[gen_index] = cols
         return cols
 
@@ -358,19 +347,6 @@ class ReducedQ:
                 return z, self._right_mismatch[z]
         return None
 
-    def _dense(self, cols):
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for j, col in enumerate(cols):
-            for i, c in col.items():
-                out[i, j] = c
-        return out
-
-    def left_matrix(self, gen_index):
-        return self._dense(self.left_columns(gen_index))
-
-    def ad_matrix(self, gen_index):
-        return self._dense(self.ad_columns(gen_index))
-
     def _sub_key(self, sub):
         # m' = m when r is even
         if sub not in ("m", "mprime"):
@@ -379,22 +355,26 @@ class ReducedQ:
             return "m"
         return "mprime"
 
-    def _m_rows(self):
-        """The rows of the ad z for z in m stacked, one {column: c} dict per
-        (z, i): the sparse ad columns transposed, never a dense matrix.  They
-        are handed out from the last basis monomial i to the first and
-        dropped once handed out.  The reduced row echelon form does not
-        depend on the order, but the cost does: ad z lowers the e-degree and
-        pivots sit at the lowest column, so rows from the top of the basis
-        fill in least."""
-        idx = self.datum.m_indices
-        rows = [{} for _ in range(len(idx) * self.dim)]
-        for k, z in enumerate(idx):
-            for j, col in enumerate(self.ad_columns(z)):
+    def _stacked_rows(self, blocks):
+        """The rows of matrices on Q stacked, each matrix given by its sparse
+        columns: one {column: c} dict per (block k, row i), never a dense
+        matrix.  They are handed out from the last basis monomial i to the
+        first and dropped once handed out.  The reduced row echelon form does
+        not depend on the order, but the cost does: ad z lowers the e-degree
+        and pivots sit at the lowest column, so rows from the top of the
+        basis fill in least."""
+        rows = [{} for _ in range(len(blocks) * self.dim)]
+        for k, cols in enumerate(blocks):
+            for j, col in enumerate(cols):
                 for i, c in col.items():
-                    rows[i * len(idx) + k][j] = c
+                    rows[i * len(blocks) + k][j] = c
         while rows:
             yield rows.pop()
+
+    def _m_rows(self):
+        """The rows of the ad z for z in m stacked."""
+        return self._stacked_rows([self.ad_columns(z)
+                                   for z in self.datum.m_indices])
 
     def invariant_dimension(self, sub="m"):
         """Dimension of the joint kernel of ad z over the chosen subalgebra;
@@ -403,87 +383,86 @@ class ReducedQ:
         less the rank of the sparse m rows."""
         key = self._sub_key(sub)
         if key == "mprime":
-            return self.invariant_subspace(key).shape[0]
+            return len(self.invariant_subspace(key))
         if key not in self._inv_dim:
             self._inv_dim[key] = self.dim - linalg.rank(self.field,
                                                         self._m_rows())
         return self._inv_dim[key]
 
     def invariant_subspace(self, sub="m"):
-        """Echelonized basis (rows, read-only) of the joint kernel of ad z
-        over the chosen subalgebra, computed once per Q: the canonical
-        kernel basis, identity on its free columns."""
+        """Echelonized basis of the joint kernel of ad z over the chosen
+        subalgebra, computed once per Q: the canonical kernel basis as a
+        tuple of {column: c} rows, each 1 at its free column (its largest
+        key) and 0 at the other rows' free columns."""
         key = self._sub_key(sub)
         basis = self._inv_basis.get(key)
         if basis is None:
             if key == "m":
-                basis = self._kernel_basis(
-                    *linalg.rref(self.field, self._m_rows()))
+                basis = self._kernel_basis(self._m_rows())
             else:
                 basis = self._mprime_invariants()
-            basis.flags.writeable = False
-            self._inv_basis[key] = basis
-            self._inv_dim[key] = basis.shape[0]
+            basis = self._inv_basis[key] = tuple(basis)
+            self._inv_dim[key] = len(basis)
         return basis
 
-    def _kernel_basis(self, reduced, piv):
-        """The canonical kernel basis of a sparse RREF on Q's columns: the
-        row for free column j is 1 at j and -c at the pivot column of each
-        reduced row with c at j (the only nonzeros of a reduced row off its
-        pivot are at free columns)."""
-        pivots = set(piv)
-        slot = {j: s for s, j in enumerate(j for j in range(self.dim)
-                                           if j not in pivots)}
-        basis = np.zeros((len(slot), self.dim), dtype=np.int64)
-        basis[np.arange(len(slot)), list(slot)] = 1
-        for row, pc in zip(reduced, piv):
-            for j, c in row.items():
-                if j != pc:
-                    basis[slot[j], pc] = -c % self.p
-        return basis
+    def _kernel_basis(self, rows):
+        """The canonical kernel basis of sparse rows on Q's columns."""
+        return linalg.kernel_rows(self.field, *linalg.rref(self.field, rows),
+                                  self.dim)
+
+    def _combine(self, rows, coeffs):
+        """The sum of c rows[r] over the entries r: c of coeffs, mod p."""
+        out = {}
+        for r, c in coeffs.items():
+            self.engine._acc(out, rows[r], c)
+        return out
 
     def _middle_image(self):
         """Rows ad v_mid (x) for the rows x of the m-invariant basis K (odd
-        r), computed once per Q as K ad_v^T from the sparse columns of
-        ad v_mid: column j with c at i adds c K[:, j] to the image's column
-        i."""
+        r), computed once per Q: each is the combination of the sparse
+        columns of ad v_mid that x's entries weight."""
         if self._mid_image is None:
-            basis = self.invariant_subspace("m")
-            src, dst, val = [], [], []
-            for j, col in enumerate(self.ad_columns(self.datum.v_mid_index)):
-                for i, c in col.items():
-                    src.append(j)
-                    dst.append(i)
-                    val.append(c)
-            image = np.zeros((self.dim, basis.shape[0]), dtype=np.int64)
-            np.add.at(image, dst, basis.T[src] * np.array(val)[:, None])
-            self._mid_image = np.ascontiguousarray(image.T % self.p)
-            self._mid_image.flags.writeable = False
+            cols = self.ad_columns(self.datum.v_mid_index)
+            self._mid_image = tuple(self._combine(cols, x)
+                                    for x in self.invariant_subspace("m"))
         return self._mid_image
 
     def _mprime_invariants(self):
         # m' = m + <v_mid>, so Q^m' = ker(ad v_mid) on Q^m: with K the m
-        # basis, c K for the c with c (K ad_v^T) = 0
-        p = self.p
-        c = linalg.nullspace_mod_p(self._middle_image().T, p)
-        span = (c @ self.invariant_subspace("m")) % p
+        # basis, the combinations c K for the c with c (K ad_v^T) = 0, the
+        # kernel of the image's transpose
+        basis = self.invariant_subspace("m")
+        image_t = [{} for _ in range(self.dim)]
+        for r, row in enumerate(self._middle_image()):
+            for i, c in row.items():
+                image_t[i][r] = c
+        c = linalg.kernel_rows(self.field, *linalg.rref_mod_p(image_t, self.p),
+                               len(basis))
         # the canonical kernel basis is the reduced echelon form read from
         # the last column backwards
-        rows = linalg.row_space_mod_p(span[:, ::-1], p)
-        return np.ascontiguousarray(rows[::-1, ::-1])
+        top = self.dim - 1
+        flipped = [{top - j: x for j, x in self._combine(basis, ck).items()}
+                   for ck in c]
+        reduced, _ = linalg.rref_mod_p(flipped, self.p)
+        return [{top - j: x for j, x in row.items()}
+                for row in reversed(reduced)]
 
     def whittaker_subspace(self):
         """Vectors on which every z in m acts by eta(z) under left
-        multiplication."""
+        multiplication: the canonical kernel basis of the L_z - eta(z)
+        stacked, the same elimination as the m-invariants."""
+        f = self.field
         blocks = []
         for z in self.datum.m_indices:
-            mat = self.left_matrix(z)
-            shift = int(self.eta[z]) % self.p
-            mat = (mat - shift * np.eye(self.dim, dtype=np.int64)) % self.p
-            blocks.append(mat)
-        if not blocks:
-            return np.eye(self.dim, dtype=np.int64)
-        return linalg.nullspace_mod_p(np.concatenate(blocks, axis=0), self.p)
+            cols = [dict(col) for col in self.left_columns(z)]
+            for j, col in enumerate(cols):
+                v = f.sub(col.get(j, f.zero), self.eta[z])
+                if v:
+                    col[j] = v
+                else:
+                    col.pop(j, None)
+            blocks.append(cols)
+        return tuple(self._kernel_basis(self._stacked_rows(blocks)))
 
     def delta(self):
         """dim of the reduced enveloping algebra of m."""
@@ -518,13 +497,6 @@ class ReducedW:
     def dim(self):
         return len(self.pbw_exponents)
 
-    def product(self, a_expo, b_expo):
-        """Product of two PBW monomials, re-expressed in the PBW basis."""
-        ctx = self.context
-        left = ctx.eval_monomial(tuple(a_expo))
-        right = ctx.eval_monomial(tuple(b_expo))
-        return ctx.express_in_pbw(ctx.engine.q_mul(left, right))
-
 
 def reduced_w(q):
     """Solve the generators over F_p at the module's eta, verify the PBW basis
@@ -540,10 +512,8 @@ def reduced_w(q):
     expos = list(exponent_tuples(ctx.generator_degrees(),
                                  [th.parity for th in thetas], datum.p - 1,
                                  None, ()))
-    vectors = np.zeros((len(expos), q.dim), dtype=np.int64)
-    for r, expo in enumerate(expos):
-        ev = ctx.eval_monomial(expo)
-        vectors[r] = q.vector_of(ev)
+    # ranked in their degree order; the reverse order fills in far more
+    vectors = [q.vector_of(ctx.eval_monomial(expo).terms) for expo in expos]
     rank = linalg.rank_mod_p(vectors, datum.p)
     inv_dim = q.invariant_dimension("m")
     pbw_ok = (rank == len(expos) == inv_dim)
@@ -599,57 +569,29 @@ def mprime_invariants_check(q):
     inv_mp = q.invariant_subspace("mprime")
     image = q._middle_image()
     # the image lies in the m'-invariants and has their dimension
-    equal = (len(linalg.row_space_mod_p(image, p)) == inv_mp.shape[0]
-             and _in_span(inv_mp, image, p))
-    proper = inv_mp.shape[0] < inv_m.shape[0]
+    equal = (linalg.rank_mod_p(list(image), p) == len(inv_mp)
+             and _in_span(q, inv_mp, image))
+    proper = len(inv_mp) < len(inv_m)
     # witness: the middle vector class is m-invariant but not m'-invariant
     e = q.engine
-    wit = e.q_reduce(e.gen(datum.v_mid_index))
-    wvec = q.vector_of(wit)[None, :]
-    in_m = _in_span(inv_m, wvec, p)
-    in_mp = _in_span(inv_mp, wvec, p)
+    wvec = [q.vector_of(e.q_reduce(e.gen(datum.v_mid_index)).terms)]
+    in_m = _in_span(q, inv_m, wvec)
+    in_mp = _in_span(q, inv_mp, wvec)
     return RefinedInvariantsReport(
-        p=p, dim_m_invariants=int(inv_m.shape[0]),
-        dim_mprime_invariants=int(inv_mp.shape[0]),
-        equal=bool(equal), proper=bool(proper),
-        witness_ok=bool(in_m and not in_mp))
+        p=p, dim_m_invariants=len(inv_m), dim_mprime_invariants=len(inv_mp),
+        equal=equal, proper=proper, witness_ok=in_m and not in_mp)
 
 
-def _in_span(basis, vecs, p):
-    """Whether every row of vecs lies in the span of a canonical kernel
-    basis.  Each basis row is 1 at its free column and 0 at the others and
-    past it, so v is in the span exactly when v = v[free] basis mod p."""
-    free = basis.shape[1] - 1 - np.argmax(basis[:, ::-1] != 0, axis=1)
-    return bool(np.array_equal(vecs % p, (vecs[:, free] @ basis) % p))
-
-
-# ---------------------------------------------------------------------------
-# restrictedness property checks
-# ---------------------------------------------------------------------------
-
-def jacobson_summands(alg, x, y):
-    """The s_i(x, y) with i s_i the lambda^{i-1} coefficient of
-    (ad(lambda x + y))^{p-1}(x); exact polynomial arithmetic in lambda."""
-    gf = alg.field
-    p = gf.char
-    d = alg.dim
-    # element of g[lambda]: list of coordinate vectors per lambda power
-    cur = [list(x)]
-    for _ in range(p - 1):
-        nxt = [[gf.zero] * d for _ in range(len(cur) + 1)]
-        for deg, vec in enumerate(cur):
-            bx = alg.bracket(list(x), vec)
-            by = alg.bracket(list(y), vec)
-            for t in range(d):
-                nxt[deg + 1][t] = gf.add(nxt[deg + 1][t], bx[t])
-                nxt[deg][t] = gf.add(nxt[deg][t], by[t])
-        cur = nxt
-    out = {}
-    for i in range(1, p):
-        coeff = cur[i - 1] if i - 1 < len(cur) else [gf.zero] * d
-        inv = gf.inv(gf.of(i))
-        out[i] = [gf.mul(inv, c) for c in coeff]
-    return out
+def _in_span(q, basis, vecs):
+    """Whether every {column: c} row of vecs lies in the span of a canonical
+    kernel basis on Q.  Each basis row is 1 at its free column, its largest
+    key, and 0 at the other rows' free columns, so v is in the span exactly
+    when v is the combination of the basis rows that v's entries at their
+    free columns weight."""
+    free = {max(row): r for r, row in enumerate(basis)}
+    return all(q._combine(basis, {free[j]: c for j, c in v.items()
+                                  if j in free}) == v
+               for v in vecs)
 
 
 def p_power_coords(mod, vec):
@@ -657,81 +599,3 @@ def p_power_coords(mod, vec):
     alg = mod.base
     power = mat_pow(alg.field, alg.realize(list(vec)), mod.p)
     return mod.coordinatizer.coords(power)
-
-
-def check_restrictedness(mod, trials, rng):
-    """Randomized checks of the three restrictedness axioms."""
-    alg = mod.base
-    gf = alg.field
-    p = mod.p
-    even_idx = [b.index for b in alg.basis if b.parity == 0]
-    for _ in range(trials):
-        x = [gf.zero] * alg.dim
-        y = [gf.zero] * alg.dim
-        for i in even_idx:
-            x[i] = gf.of(rng.randrange(p))
-            y[i] = gf.of(rng.randrange(p))
-        k = gf.of(rng.randrange(1, p))
-        # (a): (k x)^[p] = k^p x^[p]
-        kx = [gf.mul(k, c) for c in x]
-        lhs = p_power_coords(mod, kx)
-        xp = p_power_coords(mod, x)
-        kp = gf.pow(k, p)
-        if any(not gf.is_zero(gf.sub(a, gf.mul(kp, b))) for a, b in zip(lhs, xp)):
-            return False, "axiom (a) fails"
-        # (b): [x^[p], y'] = (ad x)^p (y') on a random full vector y'
-        yfull = [gf.of(rng.randrange(p)) for _ in range(alg.dim)]
-        lhs = alg.bracket(list(xp), yfull)
-        img = yfull
-        for _ in range(p):
-            img = alg.bracket(x, img)
-        if any(not gf.is_zero(gf.sub(a, b)) for a, b in zip(lhs, img)):
-            return False, "axiom (b) fails"
-        # (c): (x+y)^[p] = x^[p] + y^[p] + sum s_i(x,y)
-        xy = [gf.add(a, b) for a, b in zip(x, y)]
-        lhs = p_power_coords(mod, xy)
-        rhs = [gf.add(a, b) for a, b in zip(xp, p_power_coords(mod, y))]
-        for i, vec in jacobson_summands(alg, x, y).items():
-            rhs = [gf.add(a, b) for a, b in zip(rhs, vec)]
-        if any(not gf.is_zero(gf.sub(a, b)) for a, b in zip(lhs, rhs)):
-            return False, "axiom (c) fails"
-    return True, ""
-
-
-def check_graded_p_map(datum):
-    """x in g(i) even implies x^[p] in g(pi); in particular m is restricted."""
-    gf = datum.field
-    for i, g in enumerate(datum.generators):
-        if g.parity != 0:
-            continue
-        coords = datum.pmap_adapted.get(i, {})
-        for k, c in coords.items():
-            if gf.is_zero(c):
-                continue
-            if datum.generators[k].weight != datum.p * g.weight:
-                return False, ("p-th power of %s leaves the expected layer"
-                               % g.label)
-    return True, ""
-
-
-def check_p_center_acts_zero(q):
-    """x^p - x^[p] - eta(x)^p annihilates the reduced module, per even
-    generator."""
-    e = q.engine
-    gf = e.field
-    p = q.p
-    for i in range(e.n_gens):
-        if e.parities[i]:
-            continue
-        left = q.left_matrix(i)
-        power = np.eye(q.dim, dtype=np.int64)
-        for _ in range(p):
-            power = (power @ left) % p
-        xp = np.zeros((q.dim, q.dim), dtype=np.int64)
-        for k, c in q.datum.pmap_adapted.get(i, {}).items():
-            xp = (xp + int(c) * q.left_matrix(k)) % p
-        etap = int(gf.pow(q.eta[i], p))
-        total = (power - xp - etap * np.eye(q.dim, dtype=np.int64)) % p
-        if total.any():
-            return False, e.labels[i]
-    return True, ""

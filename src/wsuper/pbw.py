@@ -13,17 +13,9 @@ immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class AmbientMismatch(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class FiltrationIndex:
-    e_degree: int
-    weight: int
 
 
 class Element:
@@ -157,9 +149,6 @@ class Enveloping:
     def weight(self, mono):
         return sum(e * w for e, w in zip(mono, self.weights))
 
-    def degree(self, mono):
-        return sum(mono)
-
     def cobasis_monomials(self, budget):
         """The co-basis monomials of e-degree at most budget (None: all of
         them, in characteristic p), sorted by (e-degree, tuple); in
@@ -168,9 +157,6 @@ class Enveloping:
         cap = self.field.char - 1 if self.field.char else None
         return list(exponent_tuples(self.e_degrees[:n], self.parities[:n], cap,
                                     budget, (0,) * (self.n_gens - n)))
-
-    def filtration_index(self, mono):
-        return FiltrationIndex(self.e_degree(mono), self.weight(mono))
 
     def format_element(self, terms):
         if not terms:
@@ -302,15 +288,6 @@ class Enveloping:
                 self._acc(acc, prod, f.mul(c1, c2))
         return acc
 
-    def normalize(self, word):
-        """Normal form of a word given as (generator, exponent) pairs, in any
-        order; odd exponents beyond 1 contract, even ones cap mod p."""
-        cur = {self.unit_mono: self.field.one}
-        for g, e in word:
-            for _ in range(e):
-                cur = self.times_gen_terms(cur, g)
-        return Element(self, cur)
-
     # -- the induced module Q -------------------------------------------------
 
     def q_reduce(self, elt):
@@ -382,12 +359,6 @@ class Enveloping:
         return tuple(m)
 
     # -- filtration tools ------------------------------------------------------
-
-    def pi_project(self, q, i, j):
-        """Keep exactly the monomials with e-degree i and weight j."""
-        terms = {m: c for m, c in q.terms.items()
-                 if self.e_degree(m) == i and self.weight(m) == j}
-        return Element(self, terms)
 
     def leading_terms(self, q):
         """Monomials of maximal e-degree and, among those, maximal weight."""

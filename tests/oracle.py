@@ -1,14 +1,16 @@
 """Reference routines that the fast code is tested against: dense
-Gauss-Jordan elimination over a Field (the oracle of `wsuper.linalg.rref` and
-the mod-p kernel), the Lie superbracket on coordinate lists, the action
-columns of Q built one monomial at a time, the dense stack of Q's ad
-matrices, the PBW engine's per-term
-arithmetic through Field methods, and the PBW exponent tuples as a filtered
-product."""
+Gauss-Jordan elimination over a Field (the oracle of `wsuper.linalg.rref`),
+the blocked float64 elimination mod p (the dense mod-p oracle), the Lie
+superbracket on coordinate lists, the action columns of Q built one monomial
+at a time, Q's action matrices and the dense stack of its ad matrices, the
+PBW engine's per-term arithmetic through Field methods, and the PBW exponent
+tuples as a filtered product."""
 
 from itertools import product
 
 import numpy as np
+
+from wsuper.linalg import BLOCK, exact_mod_p
 
 
 def dense_rref(field, mat):
@@ -81,12 +83,55 @@ def per_monomial_columns(q, g):
     return ad, left, mismatch
 
 
+def dense_rows(rows, cols):
+    """{column: c} rows as a dense int64 array with `cols` columns."""
+    out = np.zeros((len(rows), cols), dtype=np.int64)
+    for r, row in enumerate(rows):
+        for j, c in row.items():
+            out[r, j] = c
+    return out
+
+
+def left_matrix(q, g):
+    """The dense matrix of left multiplication by b_g on a ReducedQ."""
+    return dense_rows(q.left_columns(g), q.dim).T
+
+
+def ad_matrix(q, g):
+    """The dense matrix of ad b_g on a ReducedQ."""
+    return dense_rows(q.ad_columns(g), q.dim).T
+
+
 def stacked_ad(q, sub):
     """The dense (|sub| dim Q) x dim Q int64 stack of the ad z for z in m
     or m' on a ReducedQ, one block per z; the oracle of the sparse m rows
     that `ReducedQ` eliminates."""
     idx = q.datum.m_indices if sub == "m" else q.datum.mprime_indices
-    return np.concatenate([q.ad_matrix(z) for z in idx], axis=0)
+    return np.concatenate([ad_matrix(q, z) for z in idx], axis=0)
+
+
+def check_p_center_acts_zero(q):
+    """x^p - x^[p] - eta(x)^p annihilates the reduced module, per even
+    generator."""
+    e = q.engine
+    gf = e.field
+    p = q.p
+    eye = np.eye(q.dim, dtype=np.int64)
+    for i in range(e.n_gens):
+        if e.parities[i]:
+            continue
+        left = left_matrix(q, i)
+        power = eye
+        for _ in range(p):
+            power = (power @ left) % p
+        xp = np.zeros((q.dim, q.dim), dtype=np.int64)
+        for k, c in q.datum.pmap_adapted.get(i, {}).items():
+            xp = (xp + int(c) * left_matrix(q, k)) % p
+        etap = int(gf.pow(q.eta[i], p))
+        total = (power - xp - etap * eye) % p
+        if total.any():
+            return False, e.labels[i]
+    return True, ""
 
 
 # The engine's per-term loops as they read with Field methods, the oracle of
@@ -156,3 +201,168 @@ def product_exponent_tuples(degrees, parities, cap, budget):
            if budget is None or degree(expo) <= budget]
     out.sort(key=lambda expo: (degree(expo), expo))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the dense mod-p oracle: blocked Gauss-Jordan on float64
+# ---------------------------------------------------------------------------
+# It stores integers in float64 so that its block updates run as BLAS matrix
+# products, and reduces mod p once per block.  Every intermediate is an
+# integer of magnitude at most block*(p-1)**2 + p, so it is exact only while
+# that is below 2**53 (`wsuper.linalg.exact_mod_p`), that is for
+# p <= 11,863,279; it raises ValueError otherwise.
+
+SLAB = 256
+
+
+def _check_exact(p, block):
+    if not exact_mod_p(p, block):
+        raise ValueError("p = %d breaks the float64 bound %d*(p-1)**2 + p < 2**53"
+                         % (p, block))
+
+
+def _reduce(a, p):
+    """Reduce a float64 array of integers below 2**53 mod p, in place.
+
+    a - p*floor(a/p) with 1/p rounded is off by at most one multiple of p,
+    which one fix-up each way corrects; float `%` would be several times
+    slower."""
+    t = a * (1.0 / p)
+    np.floor(t, out=t)
+    t *= p
+    a -= t
+    np.add(a, p, out=a, where=a < 0)
+    np.subtract(a, p, out=a, where=a >= p)
+    return a
+
+
+def _panel(w, p):
+    """Gauss-Jordan on one panel, row by row with a delayed reduction.
+
+    w holds the live rows of the panel's columns, entries in [0, p).  A right
+    half records each row as a combination of the pivot rows, so that the
+    pivot rows' half ends as the inverse of the pivot block.  Returns the
+    positions of the pivot rows in w (in pivot order), the pivot columns, the
+    reduced pivot rows and that inverse."""
+    m, b = w.shape
+    w = np.concatenate([w, np.zeros((m, b))], axis=1)
+    order = np.arange(m)
+    pivcols = []
+    k = 0
+    for c in range(b):
+        if k == m:
+            break
+        nz = np.flatnonzero(w[k:, c] % p)
+        if nz.size == 0:
+            continue
+        i = k + int(nz[0])
+        if i != k:
+            w[[k, i]] = w[[i, k]]
+            order[[k, i]] = order[[i, k]]
+        row = w[k] % p
+        row[b + k] = 1
+        row *= pow(int(row[c]), p - 2, p)
+        w[k] = row = row % p
+        mult = w[:, c] % p
+        mult[k] = 0
+        hit = np.flatnonzero(mult)
+        if hit.size:
+            # delayed reduction: entries stay below p + b*(p-1)**2
+            w[hit] -= np.outer(mult[hit], row)
+        pivcols.append(c)
+        k += 1
+    top = _reduce(w[:k], p)
+    return order[:k], pivcols, top[:, :b], top[:, b:b + k]
+
+
+def _update(a, lo, hi, pivabs, c, u, p):
+    """a[i, c:] -= a[i, pivabs] @ u mod p for the rows lo <= i < hi, in
+    slabs of SLAB rows, skipping rows whose multipliers are all zero."""
+    for s in range(lo, hi, SLAB):
+        e = min(s + SLAB, hi)
+        x = a[s:e, pivabs]
+        live = np.flatnonzero(x.any(axis=1))
+        if live.size == e - s:
+            blk = a[s:e, c:]
+            blk -= x @ u
+            _reduce(blk, p)
+        elif live.size:
+            rows = s + live
+            blk = a[rows, c:]
+            blk -= x[live] @ u
+            a[rows, c:] = _reduce(blk, p)
+
+
+def _echelon_mod_p(mat, p, block=BLOCK, reduced=True):
+    """Blocked Gauss-Jordan elimination over F_p on float64 (the scheme of
+    FFLAS-FFPACK: exact integer arithmetic in floating point, one reduction
+    mod p per block).
+
+    Each panel of `block` columns is eliminated row by row; its k pivot rows
+    move up by swapping only the rows in the way, become U = P^-1 rows with
+    the k x k pivot-block inverse P^-1, and one GEMM per slab updates every
+    other live row: rows above become reduced, rows below the Schur
+    complement.  Returns (rows, pivots): the rank rows of the reduced row
+    echelon form (float64 holding integers in [0, p)) and its pivot
+    columns.  With reduced=False the rows above each panel are left alone
+    and only the pivots are meaningful.
+    """
+    _check_exact(p, block)
+    mat = np.asarray(mat)
+    rows, cols = mat.shape
+    a = np.empty((rows, cols))
+    for s in range(0, rows, SLAB):
+        a[s:s + SLAB] = mat[s:s + SLAB] % p
+    piv = []
+    r = 0
+    for c0 in range(0, cols, block):
+        if r == rows:
+            break
+        c1 = min(c0 + block, cols)
+        live = r + np.flatnonzero(a[r:, c0:c1].any(axis=1))
+        if live.size == 0:
+            continue
+        # every live row is nonzero mod p in the panel, so k >= 1
+        order, pivcols, head, inv = _panel(a[live, c0:c1], p)
+        k = len(pivcols)
+        pos = live[order]
+        u = _reduce(inv @ a[pos, c1:], p)
+        # move the non-pivot rows out of r..r+k-1 into the pivot rows' places
+        target = np.arange(r, r + k)
+        a[np.setdiff1d(pos, target)] = a[np.setdiff1d(target, pos)]
+        a[r:r + k, :c0] = 0
+        a[r:r + k, c0:c1] = head
+        a[r:r + k, c1:] = u
+        pivabs = [c0 + c for c in pivcols]
+        if reduced and r:
+            _update(a, 0, r, pivabs, c0, a[r:r + k, c0:], p)
+        _update(a, r + k, rows, pivabs, c1, u, p)
+        piv.extend(pivabs)
+        r += k
+    return a[:r], piv
+
+
+def dense_rank_mod_p(mat, p):
+    """Rank over F_p by `_echelon_mod_p`; a prime past its float64 bound
+    raises ValueError."""
+    return len(_echelon_mod_p(mat, p, reduced=False)[1])
+
+
+def dense_rref_mod_p(mat, p):
+    """Reduced row echelon form mod p, same shape as mat: (rref, pivots)."""
+    ech, piv = _echelon_mod_p(mat, p)
+    out = np.zeros(np.shape(mat), dtype=np.int64)
+    out[:len(piv)] = ech
+    return out, piv
+
+
+def dense_nullspace_mod_p(mat, p):
+    """Canonical echelonized kernel basis, rows of shape (nullity, cols):
+    the row for free column j is 1 at j and 0 at the other free columns."""
+    a, piv = dense_rref_mod_p(mat, p)
+    cols = a.shape[1]
+    free = np.setdiff1d(np.arange(cols), piv)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, piv] = (-a[:len(piv), free].T) % p
+    return basis

@@ -290,6 +290,53 @@ def test_rejected_prime_leaves_no_artifact(tmp_path, capsys, shape, primes,
     assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize("shape, primes, last_line", [
+    (["--family", "gl", "--m", "3", "--n", "1", "--nilpotent", "regular"], "3",
+     "p = 3 divides an adapted-basis denominator: denominator of 1/3"
+     " vanishes mod 3"),
+    (["--family", "osp", "--m", "1", "--n", "4", "--nilpotent",
+      "0,0,1,0,0,0,0,0,-1,0,0,0,0,0"], "5,3",
+     "p = 5 divides an adapted-basis denominator: denominator of 3/5"
+     " vanishes mod 5"),
+], ids=["gl31-regular", "osp14-sp4-principal"])
+def test_prime_dividing_a_datum_denominator_leaves_no_artifact(
+        tmp_path, capsys, monkeypatch, shape, primes, last_line):
+    # the datum is reduced mod every prime before any artifact is written,
+    # and before the char-0 chain spends its time
+    solved = []
+    monkeypatch.setattr(cli.WContext, "generators",
+                        lambda self: solved.append(self))
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, ["verify", "all"] + shape + [
+        "--primes", primes, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "configuration error: " + last_line
+    assert list(out.glob("*")) == [] and not solved
+
+
+ODD_R = {
+    # osp(3|2), e the root vector of sp(2): r = 1
+    "osp32": ("osp", 3, 2, "0,0,0,1,0,0,0,0,0,0,0,0"),
+    # osp(1|4), e the principal nilpotent of sp(4)
+    "osp14": ("osp", 1, 4, "0,0,1,0,0,0,0,0,-1,0,0,0,0,0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ODD_R))
+def test_odd_r_char0_chain_beyond_osp12(tmp_path, monkeypatch, case):
+    # the paper's odd case: m' = m + <v_mid> and the extra odd generator
+    monkeypatch.delenv(cli.ENV_OUT, raising=False)
+    family, m, n, e = ODD_R[case]
+    code, failures, _ = run_pipeline(PipelineConfig(
+        family=family, m=m, n=n, nilpotent=e, out_dir=str(tmp_path)))
+    assert code == EXIT_OK and not failures
+    nd = json.loads((tmp_path / "nilpotent.json").read_text())
+    pres = json.loads((tmp_path / "wpresentation.json").read_text())
+    assert nd["dims"]["r"] % 2 == 1
+    assert nd["middle_norm"] is not None
+    assert pres["middle_norm"] == nd["middle_norm"]
+
+
 OSP12 = ["--family", "osp", "--m", "1", "--n", "2"]
 SETUP = {"algebra.json", "nilpotent.json"}
 MODP = {"modp_report.csv", "modp_report.json"}

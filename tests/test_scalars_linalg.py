@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracle import dense_rref
+from oracle import (_echelon_mod_p, _reduce, dense_nullspace_mod_p,
+                    dense_rank_mod_p, dense_rows, dense_rref,
+                    dense_rref_mod_p)
 from wsuper import linalg
 from wsuper.scalars import (QQ, PrimeField, _is_prime, format_scalar,
                             is_rational_square, parse_scalar)
@@ -100,7 +102,7 @@ def test_block_rank_matches_naive():
         n = int(rng.integers(1, 40))
         k = int(rng.integers(1, min(m, n) + 1))
         a = (rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n))) % p
-        piv = linalg._echelon_mod_p(a, p, block=5, reduced=False)[1]
+        piv = _echelon_mod_p(a, p, block=5, reduced=False)[1]
         assert len(piv) == _naive_rank(a, p)
 
 
@@ -108,8 +110,8 @@ def test_nullspace_mod_p_is_kernel():
     rng = np.random.default_rng(3)
     for p in (3, 5, 7):
         a = rng.integers(0, p, (12, 20))
-        ns = linalg.nullspace_mod_p(a, p)
-        assert ns.shape[0] == 20 - linalg.rank_mod_p(a, p)
+        ns = dense_nullspace_mod_p(a, p)
+        assert ns.shape[0] == 20 - dense_rank_mod_p(a, p)
         assert not ((a @ ns.T) % p).any()
 
 
@@ -126,8 +128,8 @@ def test_rank_mod_p_exact_at_its_bound():
     p = LARGEST_PRIME
     assert linalg.exact_mod_p(p)
     a = _rank_100_mod(p)
-    assert linalg.rank_mod_p(a, p) == 100
-    got, piv = linalg.rref_mod_p(a, p)
+    assert dense_rank_mod_p(a, p) == 100
+    got, piv = dense_rref_mod_p(a, p)
     assert len(piv) == 100
     # intermediates near 2**53: every entry must come out reduced and exact
     red, _ = dense_rref(PrimeField(p), [[int(x) for x in r] for r in a])
@@ -143,7 +145,7 @@ def test_float_reduction_is_exact_across_the_bound(p, x):
     lo = -64 * (p - 1) ** 2
     xs = [x, x - 1, x + 1, lo, lo + 1, -1, 0, p - 1]
     assert all(lo <= v < p for v in xs)
-    got = linalg._reduce(np.array(xs, dtype=np.float64), p)
+    got = _reduce(np.array(xs, dtype=np.float64), p)
     assert got.tolist() == [v % p for v in xs]
 
 
@@ -151,18 +153,18 @@ def test_float_reduction_is_exact_across_the_bound(p, x):
 def test_rank_mod_p_refuses_primes_past_its_bound(p):
     assert not linalg.exact_mod_p(p)
     a = _rank_100_mod(p)
-    # both read the one blocked kernel, so both refuse
+    # both read the one blocked oracle kernel, so both refuse
     with pytest.raises(ValueError, match="float64 bound"):
-        linalg.rank_mod_p(a, p)
+        dense_rank_mod_p(a, p)
     with pytest.raises(ValueError, match="float64 bound"):
-        linalg.rref_mod_p(a, p)
+        dense_rref_mod_p(a, p)
 
 
 def test_rref_mod_p_refuses_primes_past_its_bound():
     p = 11863289  # the first prime with 64*(p-1)**2 + p >= 2**53
     assert not linalg.exact_mod_p(p)
     with pytest.raises(ValueError, match="float64 bound"):
-        linalg.rref_mod_p(np.eye(3, dtype=np.int64), p)
+        dense_rref_mod_p(np.eye(3, dtype=np.int64), p)
 
 
 @st.composite
@@ -207,12 +209,12 @@ def test_rref_mod_p_matches_generic_rref(case):
     rows, cols = a.shape
     red, piv = dense_rref(PrimeField(p), [[int(x) for x in r] for r in a])
     red = np.array(red, dtype=np.int64).reshape(rows, cols)
-    got, got_piv = linalg.rref_mod_p(a, p)
+    got, got_piv = dense_rref_mod_p(a, p)
     assert got_piv == piv
     assert np.array_equal(got, red)
     # narrow panels take the multi-panel Gauss-Jordan path on these sizes
     for b in (1, 2, 3):
-        ech, ech_piv = linalg._echelon_mod_p(a, p, block=b)
+        ech, ech_piv = _echelon_mod_p(a, p, block=b)
         assert ech_piv == piv
         assert np.array_equal(ech, red[:len(piv)])
 
@@ -221,7 +223,7 @@ def test_rref_mod_p_matches_generic_rref(case):
 @given(_matrices_mod_p(st.sampled_from([3, 5, 7, 101]), max_side=20))
 def test_rank_mod_p_is_independent_of_the_panel_width(case):
     a, p = case
-    ranks = {len(linalg._echelon_mod_p(a, p, block=b, reduced=False)[1])
+    ranks = {len(_echelon_mod_p(a, p, block=b, reduced=False)[1])
              for b in range(1, 9)}
     assert ranks == {_naive_rank(a, p)}
 
@@ -231,11 +233,32 @@ def test_rank_mod_p_is_independent_of_the_panel_width(case):
 def test_nullspace_mod_p_is_the_canonical_kernel_basis(case):
     a, p = case
     cols = a.shape[1]
-    ns = linalg.nullspace_mod_p(a, p)
-    assert ns.shape == (cols - linalg.rank_mod_p(a, p), cols)
+    ns = dense_nullspace_mod_p(a, p)
+    assert ns.shape == (cols - dense_rank_mod_p(a, p), cols)
     assert not ((a.astype(object) @ ns.T.astype(object)) % p).any()
-    free = np.setdiff1d(np.arange(cols), linalg.rref_mod_p(a, p)[1])
+    free = np.setdiff1d(np.arange(cols), dense_rref_mod_p(a, p)[1])
     assert np.array_equal(ns[:, free], np.eye(free.size, dtype=np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices_mod_p(_any_prime))
+def test_sparse_entry_points_mod_p_match_the_dense_oracle(case):
+    # linalg.rank_mod_p and rref_mod_p take {column: c} rows
+    a, p = case
+    rows, cols = a.shape
+    sparse = [{j: int(x) for j, x in enumerate(r) if x} for r in a]
+    want, want_piv = dense_rref_mod_p(a, p)
+    got, piv = linalg.rref_mod_p(sparse, p)
+    assert piv == want_piv
+    assert np.array_equal(dense_rows(got, cols),
+                          want[:len(piv)])
+    assert linalg.rank_mod_p(sparse, p) == len(piv)
+    kernel = linalg.kernel_rows(PrimeField(p), got, piv, cols)
+    assert np.array_equal(dense_rows(kernel, cols),
+                          dense_nullspace_mod_p(a, p))
+    # the free column of each kernel row is its largest key
+    assert [max(r) for r in kernel] == [j for j in range(cols)
+                                        if j not in piv]
 
 
 _small_fraction = st.builds(Fraction, st.integers(-3, 3),
