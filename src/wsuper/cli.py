@@ -7,8 +7,9 @@ parser and the config are both read from it.  Artifacts are written
 atomically (temp file then rename) so failed runs leave no partial files;
 identical configurations give byte-identical outputs.  Exit codes: 0 all
 enabled checks passed, 1 check failures (with failures.json), 2 the errors in
-`CONFIG_ERRORS`, 3 those in `SOLVER_ERRORS`.  The WSUPER_OUT environment
-variable overrides the output directory.
+`CONFIG_ERRORS`, 3 those in `SOLVER_ERRORS`, 4 a stage that ran out of memory
+(one stderr line names it; nothing more is written).  The WSUPER_OUT
+environment variable overrides the output directory.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import modp, serialize
@@ -30,12 +32,26 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURES = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+EXIT_MEMORY = 4
 
 ENV_OUT = "WSUPER_OUT"
 
 
 class ConfigError(ValueError):
     pass
+
+
+class StageMemoryError(MemoryError):
+    """A MemoryError raised inside a pipeline stage; str() names the stage."""
+
+
+@contextmanager
+def _stage(name):
+    """Re-raise a MemoryError of the block as a StageMemoryError naming it."""
+    try:
+        yield
+    except MemoryError:
+        raise StageMemoryError(name) from None
 
 
 # every error a run can end in, by exit code (FormNormalizationError is a
@@ -103,13 +119,16 @@ def run_pipeline(cfg):
         serialize.atomic_write(path, text)
         written.append(path)
 
-    alg = build_algebra(cfg.family, cfg.m, cfg.n)
-    invariant_form(alg)
-    e = resolve_nilpotent(alg, cfg.nilpotent)
-    nd = analyze_nilpotent(alg, sl2_triple(alg, e))
+    with _stage("algebra build"):
+        alg = build_algebra(cfg.family, cfg.m, cfg.n)
+        invariant_form(alg)
+    with _stage("nilpotent analysis"):
+        e = resolve_nilpotent(alg, cfg.nilpotent)
+        nd = analyze_nilpotent(alg, sl2_triple(alg, e))
     datums = _preflight(nd, cfg.primes)
     if cfg.char0 >= CHAR0_SOLVE:
-        ctx = WContext(nd)
+        with _stage("char-0 solve"):
+            ctx = WContext(nd)
     if cfg.char0 >= CHAR0_GRADED:
         # the generator degrees are known before any generator is solved
         top = max(ctx.generator_degrees())
@@ -121,16 +140,18 @@ def run_pipeline(cfg):
     emit("nilpotent.json", serialize.dump_json(serialize.nilpotent_to_json(nd)))
 
     if cfg.char0 >= CHAR0_SOLVE:
-        gens = ctx.generators()
-        if cfg.char0 >= CHAR0_RELATIONS:
-            pres = ctx.commutator_table()
-        else:
-            pres = WPresentation(generators=gens, relations={},
-                                 middle_norm=nd.middle_norm)
+        with _stage("char-0 solve"):
+            gens = ctx.generators()
+            if cfg.char0 >= CHAR0_RELATIONS:
+                pres = ctx.commutator_table()
+            else:
+                pres = WPresentation(generators=gens, relations={},
+                                     middle_norm=nd.middle_norm)
         emit("wpresentation.json",
              serialize.dump_json(serialize.presentation_to_json(pres, ctx)))
         if cfg.char0 >= CHAR0_GRADED:
-            report = ctx.graded_check(cfg.max_degree)
+            with _stage("char-0 solve"):
+                report = ctx.graded_check(cfg.max_degree)
             if not report.ok:
                 failures.append({"check": "graded_dimensions",
                                  "detail": {"counts": report.pbw_counts,
@@ -141,7 +162,9 @@ def run_pipeline(cfg):
         for dat in datums:
             etas = dat.eta_samples() if cfg.eta_sweep else [("chi", dat.eta_chi())]
             for eta_label, eta in etas:
-                rows.append(_modp_row(cfg, nd, dat, eta, eta_label, failures))
+                with _stage("mod-p row, p = %d, eta = %s" % (dat.p, eta_label)):
+                    rows.append(_modp_row(cfg, nd, dat, eta, eta_label,
+                                          failures))
         emit("modp_report.csv", serialize.modp_rows_to_csv(rows))
         emit("modp_report.json", serialize.dump_json(
             {"schema": serialize.SCHEMA, "kind": "modp_report", "rows": rows}))
@@ -166,7 +189,8 @@ def _preflight(nd, primes):
             raise ConfigError("p = %d: dim Q = %d needs about %d bytes, more"
                               " than the %d bytes of physical memory"
                               % (p, dim, need, memory))
-        datums.append(modp.reduce_datum(nd, p))
+        with _stage("mod-p reduction, p = %d" % p):
+            datums.append(modp.reduce_datum(nd, p))
     return datums
 
 
@@ -274,6 +298,10 @@ def main(argv=None):
     except SOLVER_ERRORS as exc:
         print("solver failure: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
+    except MemoryError as exc:
+        where = ": %s" % exc if isinstance(exc, StageMemoryError) else ""
+        print("out of memory%s" % where, file=sys.stderr)
+        return EXIT_MEMORY
     for path in written:
         print("wrote %s" % path)
     if failures:

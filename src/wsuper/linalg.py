@@ -9,7 +9,9 @@ transposed sparse ad columns (`modp.ReducedQ._m_rows`); the others are the
 PBW monomial vectors of `modp.reduced_w` and the m'-invariants inside the
 m-kernel, which go through `rank_mod_p` and `rref_mod_p`, the entry points
 over F_p.  The RREF is unique, so echelon bases and particular solutions do
-not depend on the order of the rows; the cost does.
+not depend on the order of the rows; the cost does.  The elimination uses
+Python's operators on the entries: over F_p each entry is reduced mod p when
+its row enters and after each update, and each pivot costs one `field.inv`.
 """
 
 from __future__ import annotations
@@ -52,29 +54,34 @@ def mat_vec(field, a, v):
 
 
 def _sparse_row(field, row):
-    """A fresh {column: coefficient} dict without zeros; a dense row (a
-    sequence) is keyed by position."""
+    """A fresh {column: coefficient} dict without zeros, its entries reduced
+    mod p over F_p; a dense row (a sequence) is keyed by position."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {j: x for j, x in items if not field.is_zero(x)}
+    p = field.char
+    if p:
+        return {j: x % p for j, x in items if x % p}
+    return {j: x for j, x in items if x}
 
 
-def _subtract(field, row, a, src, lead):
-    """row -= a * src off src's pivot column `lead`, in place; returns the
-    columns it filled in."""
+def _subtract(p, row, a, src, lead):
+    """row -= a * src off src's pivot column `lead`, in place, mod p when
+    p > 0; returns the columns it filled in."""
     new = []
     for j, x in src.items():
         if j == lead:
             continue
         old = row.get(j)
         if old is None:
-            row[j] = field.neg(field.mul(a, x))
+            row[j] = -a * x % p if p else -a * x
             new.append(j)
         else:
-            v = field.sub(old, field.mul(a, x))
-            if field.is_zero(v):
-                del row[j]
-            else:
+            v = old - a * x
+            if p:
+                v %= p
+            if v:
                 row[j] = v
+            else:
+                del row[j]
     return new
 
 
@@ -83,6 +90,7 @@ def _echelon(field, rows):
     cleared of the pivot columns found so far, lowest first (a pivot row
     fills in only to the right of its pivot), and becomes a pivot row at its
     lowest remaining column."""
+    p = field.char
     pivots = {}
     for row in rows:
         row = _sparse_row(field, row)
@@ -92,13 +100,16 @@ def _echelon(field, rows):
             c = heappop(todo)
             a = row.pop(c, None)
             if a is not None:  # None: cancelled, or pushed twice
-                for j in _subtract(field, row, a, pivots[c], c):
+                for j in _subtract(p, row, a, pivots[c], c):
                     if j in pivots:
                         heappush(todo, j)
         if row:
             c = min(row)
             inv = field.inv(row[c])
-            pivots[c] = {j: field.mul(inv, x) for j, x in row.items()}
+            if p:
+                pivots[c] = {j: inv * x % p for j, x in row.items()}
+            else:
+                pivots[c] = {j: inv * x for j, x in row.items()}
     return pivots
 
 
@@ -110,12 +121,13 @@ def rref(field, rows):
     pivots): the nonzero RREF rows as dicts, in the order of the sorted pivot
     columns.  Back-substitution runs from the highest pivot down, so each row
     is cleared with rows already reduced and gains no pivot column."""
+    p = field.char
     pivots = _echelon(field, rows)
     order = sorted(pivots)
     for c in reversed(order):
         row = pivots[c]
         for j in [j for j in row if j != c and j in pivots]:
-            _subtract(field, row, row.pop(j), pivots[j], j)
+            _subtract(p, row, row.pop(j), pivots[j], j)
     return [pivots[c] for c in order], order
 
 

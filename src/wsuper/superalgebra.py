@@ -8,11 +8,15 @@ identity, evenness, supersymmetry and invariance of the form are checked on
 every basis pair and triple whenever a `LieSuperalgebra` is constructed: once
 over Q by `build_algebra`, and again for each prime when `modp.reduce_mod_p`
 rebuilds the algebra over F_p, where axiom (b) of the p-map is checked on
-every basis pair as well.
+every basis pair as well.  The checks run in Python ints: over Q on the table
+and the gram each scaled by the lcm of its denominators, over F_p on the
+residues.  One sparse bracket, `_bracket`, serves the checks and the
+`bracket` and `ad_matrix` methods.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,16 +74,56 @@ class BasisVector:
     label: str
 
 
+def _bracket(table, v, w, out, scale=1):
+    """Add scale * [v, w] to out and return it.  v and w are sparse
+    {index: coeff} vectors, table is {(i, j): {k: c}}; the arithmetic is
+    Python's own, so over F_p the caller reduces the entries of out mod p.
+    Cancelled entries stay in out as zeros."""
+    for i, a in v.items():
+        if scale != 1:
+            a = scale * a
+        for j, b in w.items():
+            entries = table.get((i, j))
+            if entries:
+                ab = a * b
+                for k, c in entries.items():
+                    out[k] = out.get(k, 0) + ab * c
+    return out
+
+
+def _common_denominator(values):
+    """The lcm of the denominators of rationals or ints."""
+    return math.lcm(1, *{c.denominator for c in values})
+
+
+def _integral(c, den):
+    """The int c * den, where den is a multiple of c's denominator."""
+    return c.numerator * (den // c.denominator)
+
+
+def _nonzero(vec, p):
+    """Whether the int vector {index: c} is nonzero (mod p when p > 0)."""
+    if p:
+        return any(c % p for c in vec.values())
+    return any(vec.values())
+
+
 class LieSuperalgebra:
     """Finite-dimensional Lie superalgebra with a fixed homogeneous basis.
 
     structure: dict (i, j) -> {k: coeff} giving [b_i, b_j]; zero brackets
-      and zero coefficients are left out.  `_bracket` is the one routine
-      that reads it: `bracket`, `ad_matrix` and every axiom check go through
-      it on sparse {index: coeff} vectors.
+      and zero coefficients are left out.  The module-level `_bracket` is
+      the one routine that reads it: `bracket`, `ad_matrix` and every axiom
+      check go through it on sparse {index: coeff} vectors.
     gram: invariant form matrix (b_i, b_j), or None.
     realization: list of supermatrices, or None.
     p_map: dict even index -> coordinate tuple of b_i^[p], only mod p.
+
+    The axioms are checked on every basis pair and triple in Python ints:
+    over Q on the table times the lcm of its denominators and the gram times
+    the lcm of its own, over F_p on the residues, reduced mod p once per
+    tested value.  Every identity is homogeneous in the table and in the
+    gram, so the scaled one vanishes exactly when the rational one does.
     """
 
     def __init__(self, field, basis, structure, gram=None, realization=None,
@@ -106,27 +150,16 @@ class LieSuperalgebra:
         f = self.field
         return {i: c for i, c in enumerate(v) if not f.is_zero(c)}
 
-    def _bracket(self, v, w, out=None, scale=None):
-        """Add scale * [v, w] to out (a fresh dict by default) and return it;
-        v and w are sparse {index: coeff} vectors.  Cancelled entries stay in
-        out as zeros."""
-        f = self.field
-        out = {} if out is None else out
-        for i, a in v.items():
-            if scale is not None:
-                a = f.mul(scale, a)
-            for j, b in w.items():
-                entries = self.structure.get((i, j))
-                if entries:
-                    ab = f.mul(a, b)
-                    for k, c in entries.items():
-                        out[k] = f.add(out.get(k, f.zero), f.mul(ab, c))
-        return out
+    def _reduced(self, vec):
+        """The entries of a `_bracket` result as field elements."""
+        p = self.field.char
+        return {k: c % p for k, c in vec.items()} if p else vec
 
     def bracket(self, v, w):
         """Supercommutator of two coordinate vectors (not required homogeneous)."""
         out = [self.field.zero] * self.dim
-        for k, c in self._bracket(self._sparse(v), self._sparse(w)).items():
+        br = _bracket(self.structure, self._sparse(v), self._sparse(w), {})
+        for k, c in self._reduced(br).items():
             out[k] = c
         return out
 
@@ -136,7 +169,8 @@ class LieSuperalgebra:
         sv = self._sparse(v)
         mat = [[f.zero] * self.dim for _ in range(self.dim)]
         for j in range(self.dim):
-            for k, c in self._bracket(sv, {j: f.one}).items():
+            br = _bracket(self.structure, sv, {j: 1}, {})
+            for k, c in self._reduced(br).items():
                 mat[k][j] = c
         return mat
 
@@ -155,99 +189,108 @@ class LieSuperalgebra:
                 row[:] = [f.add(x, f.mul(c, y)) for x, y in zip(row, ri)]
         return out
 
-    def _form(self, v, w):
-        f = self.field
-        acc = f.zero
-        for i, a in v.items():
-            gi = self.gram[i]
-            for j, b in w.items():
-                acc = f.add(acc, f.mul(f.mul(a, b), gi[j]))
-        return acc
-
     def form(self, v, w):
         if self.gram is None:
             raise AlgebraError("algebra carries no invariant form")
-        return self._form(self._sparse(v), self._sparse(w))
+        f = self.field
+        acc = f.zero
+        sw = self._sparse(w)
+        for i, a in self._sparse(v).items():
+            gi = self.gram[i]
+            for j, b in sw.items():
+                acc = f.add(acc, f.mul(f.mul(a, b), gi[j]))
+        return acc
 
     # -- verification ---------------------------------------------------------
 
-    def _sign(self, i, j):
-        """(-1)^{|b_i||b_j|} as a field element."""
-        f = self.field
-        return f.neg(f.one) if self.parities[i] and self.parities[j] else f.one
-
-    def _vanishes(self, vec):
-        return all(self.field.is_zero(c) for c in vec.values())
-
     def _verify(self):
-        f = self.field
+        p = self.field.char
         d = self.dim
-        unit = [{i: f.one} for i in range(d)]
-        table = self.structure
-        minus = f.neg(f.one)
+        par = self.parities
+        den = _common_denominator(c for entries in self.structure.values()
+                                  for c in entries.values())
+        table = {key: {k: _integral(c, den) for k, c in entries.items()}
+                 for key, entries in self.structure.items()}
+        unit = [{i: 1} for i in range(d)]
         for i in range(d):
             for j in range(d):
                 # super skew-symmetry: [b_i,b_j] + (-1)^{|i||j|}[b_j,b_i] = 0
-                acc = self._bracket(unit[i], unit[j])
-                self._bracket(unit[j], unit[i], acc, self._sign(i, j))
-                if not self._vanishes(acc):
+                acc = _bracket(table, unit[i], unit[j], {})
+                _bracket(table, unit[j], unit[i], acc,
+                         -1 if par[i] and par[j] else 1)
+                if _nonzero(acc, p):
                     raise AlgebraError("super skew-symmetry fails at (%d,%d)" % (i, j))
+        empty = {}
         for i in range(d):
             for j in range(d):
-                bij = table.get((i, j), {})
+                bij = table.get((i, j), empty)
+                sign = 1 if par[i] and par[j] else -1
                 for k in range(d):
                     # [b_i,[b_j,b_k]] = [[b_i,b_j],b_k] + (-1)^{|i||j|}[b_j,[b_i,b_k]]
-                    acc = self._bracket(unit[i], table.get((j, k), {}))
-                    self._bracket(bij, unit[k], acc, minus)
-                    self._bracket(unit[j], table.get((i, k), {}), acc,
-                                  f.neg(self._sign(i, j)))
-                    if not self._vanishes(acc):
+                    jk = table.get((j, k), empty)
+                    ik = table.get((i, k), empty)
+                    if not (bij or jk or ik):
+                        continue  # all three terms are zero
+                    acc = _bracket(table, unit[i], jk, {})
+                    _bracket(table, bij, unit[k], acc, -1)
+                    _bracket(table, unit[j], ik, acc, sign)
+                    if _nonzero(acc, p):
                         raise AlgebraError("super Jacobi fails at (%d,%d,%d)" % (i, j, k))
         if self.gram is not None:
-            self._verify_form(unit)
+            self._verify_form(table)
         if self.p_map is not None:
-            self._verify_p_map(unit)
+            self._verify_p_map(table, unit)
 
-    def _verify_form(self, unit):
-        f = self.field
+    def _verify_form(self, table):
+        p = self.field.char
         d = self.dim
-        g = self.gram
-        table = self.structure
+        par = self.parities
+        den = _common_denominator(c for row in self.gram for c in row)
+        g = [[_integral(c, den) for c in row] for row in self.gram]
         for i in range(d):
             for j in range(d):
-                if self.parities[i] != self.parities[j] and not f.is_zero(g[i][j]):
+                if par[i] != par[j] and (g[i][j] % p if p else g[i][j]):
                     raise AlgebraError("form is not even")
-                if not f.is_zero(f.sub(g[i][j], f.mul(self._sign(i, j), g[j][i]))):
+                v = g[i][j] + g[j][i] if par[i] and par[j] else g[i][j] - g[j][i]
+                if v % p if p else v:
                     raise AlgebraError("form is not supersymmetric")
+        # column k of the gram, so that (v, b_k) reads only v's support
+        columns = list(zip(*g))
+        empty = {}
         for i in range(d):
+            gi = g[i]
             for j in range(d):
-                bij = table.get((i, j), {})
+                bij = table.get((i, j), empty)
                 for k in range(d):
                     # ([b_i,b_j], b_k) = (b_i, [b_j,b_k])
-                    lhs = self._form(bij, unit[k])
-                    rhs = self._form(unit[i], table.get((j, k), {}))
-                    if not f.is_zero(f.sub(lhs, rhs)):
+                    jk = table.get((j, k), empty)
+                    if not (bij or jk):
+                        continue  # both sides are zero
+                    gk = columns[k]
+                    v = (sum(c * gk[t] for t, c in bij.items())
+                         - sum(c * gi[t] for t, c in jk.items()))
+                    if v % p if p else v:
                         raise AlgebraError("form is not invariant")
         # nondegeneracy is checked in invariant_form: sl(n|n) builds with a
         # degenerate supertrace form and must fail only when the form is used
 
-    def _verify_p_map(self, unit):
-        f = self.field
-        p = f.char
+    def _verify_p_map(self, table, unit):
+        p = self.field.char
         if p == 0:
             raise AlgebraError("a p-map needs a field of positive characteristic")
         for i, coords in self.p_map.items():
             if self.parities[i]:
                 raise AlgebraError("p-map defined on an odd vector (%d)" % i)
-            xp = self._sparse(coords)
+            xp = {k: c for k, c in enumerate(coords) if c % p}
             for j in range(self.dim):
                 # axiom (b) on basis pairs: [x^[p], y] - (ad x)^p (y) = 0
                 img = unit[j]
                 for _ in range(p - 1):
-                    img = self._bracket(unit[i], img)
-                acc = self._bracket(unit[i], img, self._bracket(xp, unit[j]),
-                                    f.neg(f.one))
-                if not self._vanishes(acc):
+                    img = {k: c % p for k, c in
+                           _bracket(table, unit[i], img, {}).items() if c % p}
+                acc = _bracket(table, unit[i], img,
+                               _bracket(table, xp, unit[j], {}), -1)
+                if _nonzero(acc, p):
                     raise AlgebraError("restrictedness axiom (b) fails on basis pair"
                                        " (%d,%d)" % (i, j))
 

@@ -3,14 +3,16 @@ Gauss-Jordan elimination over a Field (the oracle of `wsuper.linalg.rref`),
 the blocked float64 elimination mod p (the dense mod-p oracle), the Lie
 superbracket on coordinate lists, the action columns of Q built one monomial
 at a time, Q's action matrices and the dense stack of its ad matrices, the
-PBW engine's per-term arithmetic through Field methods, and the PBW exponent
-tuples as a filtered product."""
+PBW engine's per-term arithmetic through Field methods, the PBW exponent
+tuples as a filtered product, and the Lie superalgebra axiom checks through
+Field methods."""
 
 from itertools import product
 
 import numpy as np
 
 from wsuper.linalg import BLOCK, exact_mod_p
+from wsuper.superalgebra import AlgebraError
 
 
 def dense_rref(field, mat):
@@ -59,6 +61,118 @@ def dense_bracket(alg, v, w):
             for k, c in alg.structure.get((i, j), {}).items():
                 out[k] = f.add(out[k], f.mul(f.mul(ci, cj), c))
     return out
+
+
+
+# The axiom checks of `LieSuperalgebra` as they read with Field methods on
+# the table's own scalars, the oracle of its integer checks.  Each raises the
+# AlgebraError that the algebra's constructor raises first, in the same loop
+# order.
+
+def field_bracket(field, structure, v, w, out=None, scale=None):
+    """Add scale * [v, w] to out (a fresh dict by default) and return it;
+    v and w are sparse {index: coeff} vectors."""
+    f = field
+    out = {} if out is None else out
+    for i, a in v.items():
+        if scale is not None:
+            a = f.mul(scale, a)
+        for j, b in w.items():
+            entries = structure.get((i, j))
+            if entries:
+                ab = f.mul(a, b)
+                for k, c in entries.items():
+                    out[k] = f.add(out.get(k, f.zero), f.mul(ab, c))
+    return out
+
+
+def _field_sign(field, parities, i, j):
+    return field.neg(field.one) if parities[i] and parities[j] else field.one
+
+
+def _field_vanishes(field, vec):
+    return all(field.is_zero(c) for c in vec.values())
+
+
+def _field_form(field, gram, v, w):
+    f = field
+    acc = f.zero
+    for i, a in v.items():
+        for j, b in w.items():
+            acc = f.add(acc, f.mul(f.mul(a, b), gram[i][j]))
+    return acc
+
+
+def check_axioms(field, parities, structure, gram=None, p_map=None):
+    """Super skew-symmetry and super Jacobi on every basis pair and triple,
+    then evenness, supersymmetry and invariance of the gram, then axiom (b)
+    of the p-map on every basis pair."""
+    f = field
+    d = len(parities)
+    unit = [{i: f.one} for i in range(d)]
+    minus = f.neg(f.one)
+    for i in range(d):
+        for j in range(d):
+            acc = field_bracket(f, structure, unit[i], unit[j])
+            field_bracket(f, structure, unit[j], unit[i], acc,
+                          _field_sign(f, parities, i, j))
+            if not _field_vanishes(f, acc):
+                raise AlgebraError("super skew-symmetry fails at (%d,%d)" % (i, j))
+    for i in range(d):
+        for j in range(d):
+            bij = structure.get((i, j), {})
+            for k in range(d):
+                acc = field_bracket(f, structure, unit[i],
+                                    structure.get((j, k), {}))
+                field_bracket(f, structure, bij, unit[k], acc, minus)
+                field_bracket(f, structure, unit[j], structure.get((i, k), {}),
+                              acc, f.neg(_field_sign(f, parities, i, j)))
+                if not _field_vanishes(f, acc):
+                    raise AlgebraError("super Jacobi fails at (%d,%d,%d)"
+                                       % (i, j, k))
+    if gram is not None:
+        _check_form(f, parities, structure, gram, unit)
+    if p_map is not None:
+        _check_p_map(f, parities, structure, p_map, unit)
+
+
+def _check_form(f, parities, structure, g, unit):
+    d = len(parities)
+    for i in range(d):
+        for j in range(d):
+            if parities[i] != parities[j] and not f.is_zero(g[i][j]):
+                raise AlgebraError("form is not even")
+            sign = _field_sign(f, parities, i, j)
+            if not f.is_zero(f.sub(g[i][j], f.mul(sign, g[j][i]))):
+                raise AlgebraError("form is not supersymmetric")
+    for i in range(d):
+        for j in range(d):
+            bij = structure.get((i, j), {})
+            for k in range(d):
+                lhs = _field_form(f, g, bij, unit[k])
+                rhs = _field_form(f, g, unit[i], structure.get((j, k), {}))
+                if not f.is_zero(f.sub(lhs, rhs)):
+                    raise AlgebraError("form is not invariant")
+
+
+def _check_p_map(f, parities, structure, p_map, unit):
+    p = f.char
+    if p == 0:
+        raise AlgebraError("a p-map needs a field of positive characteristic")
+    for i, coords in p_map.items():
+        if parities[i]:
+            raise AlgebraError("p-map defined on an odd vector (%d)" % i)
+        xp = {k: c for k, c in enumerate(coords) if not f.is_zero(c)}
+        for j in range(len(parities)):
+            img = unit[j]
+            for _ in range(p - 1):
+                img = field_bracket(f, structure, unit[i], img)
+            acc = field_bracket(f, structure, unit[i], img,
+                                field_bracket(f, structure, xp, unit[j]),
+                                f.neg(f.one))
+            if not _field_vanishes(f, acc):
+                raise AlgebraError("restrictedness axiom (b) fails on basis pair"
+                                   " (%d,%d)" % (i, j))
 
 
 def per_monomial_columns(q, g):

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from wsuper import cli, serialize
-from wsuper.cli import (CHAR0_GRADED, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
-                        PipelineConfig, main, run_pipeline)
+from wsuper import cli, modp, serialize
+from wsuper.cli import (CHAR0_GRADED, EXIT_CONFIG, EXIT_MEMORY, EXIT_OK,
+                        EXIT_SOLVER, PipelineConfig, main, run_pipeline)
 from wsuper.modp import ReductionError
 from wsuper.nilpotent import FormNormalizationError, NilpotentError
 from wsuper.pbw import AmbientMismatch
@@ -242,20 +242,22 @@ def test_module_entry_point_runs_without_runtime_warning(tmp_path):
     assert (tmp_path / "algebra.json").exists()
 
 
-# every error class a run can end in, with its exit code and stderr prefix
-ERRORS = [(cls, EXIT_CONFIG, "configuration error")
+# every error class a run can end in, with its exit code and the stderr line
+# it prints when the algebra build raises it with the message "boom"
+ERRORS = [(cls, EXIT_CONFIG, "configuration error: boom")
           for cls in (cli.ConfigError, AlgebraError, DegenerateFormError,
                       NilpotentError, FormNormalizationError, PresetError,
                       ReductionError)]
-ERRORS += [(cls, EXIT_SOLVER, "solver failure")
+ERRORS += [(cls, EXIT_SOLVER, "solver failure: boom")
            for cls in (SolverError, NotInvariantError, LeadingShapeError,
                        AmbientMismatch)]
+ERRORS += [(MemoryError, EXIT_MEMORY, "out of memory: algebra build")]
 
 
-@pytest.mark.parametrize("error, code, prefix", ERRORS,
+@pytest.mark.parametrize("error, code, line", ERRORS,
                          ids=[cls.__name__ for cls, _, _ in ERRORS])
 def test_each_error_ends_in_its_exit_code(tmp_path, monkeypatch, capsys,
-                                          error, code, prefix):
+                                          error, code, line):
     assert set(cli.CONFIG_ERRORS + cli.SOLVER_ERRORS) <= {
         cls for cls, _, _ in ERRORS}
 
@@ -266,7 +268,40 @@ def test_each_error_ends_in_its_exit_code(tmp_path, monkeypatch, capsys,
     assert run_cli(tmp_path, [
         "algebra", "build", "--family", "gl", "--m", "1", "--n", "1",
         "--out", str(tmp_path / "x")]) == code
-    assert capsys.readouterr().err == "%s: boom\n" % prefix
+    assert capsys.readouterr().err == line + "\n"
+
+
+OSP12_REGULAR = ["--family", "osp", "--m", "1", "--n", "2",
+                 "--nilpotent", "regular"]
+
+
+def _raise_memory_error(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("target, command, stage, before", [
+    ((cli, "build_algebra"), ["nilpotent", "analyze"], "algebra build", []),
+    ((cli, "analyze_nilpotent"), ["nilpotent", "analyze"],
+     "nilpotent analysis", []),
+    ((modp, "reduce_datum"), ["modp", "suite", "--primes", "3"],
+     "mod-p reduction, p = 3", []),
+    ((cli.WContext, "generators"), ["w", "solve"], "char-0 solve",
+     ["algebra.json", "nilpotent.json"]),
+    ((modp, "build_reduced_q"), ["modp", "suite", "--primes", "3,5"],
+     "mod-p row, p = 3, eta = chi", ["algebra.json", "nilpotent.json"]),
+], ids=["algebra", "nilpotent", "reduction", "char0", "modp-row"])
+def test_memory_error_names_its_stage_and_writes_nothing_after(
+        tmp_path, monkeypatch, capsys, target, command, stage, before):
+    # a MemoryError is not a failed check: it exits 4, not 1, prints one
+    # line, and the run writes no artifact once it is raised
+    monkeypatch.setattr(*target, _raise_memory_error)
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, command + OSP12_REGULAR
+                   + ["--out", str(out)]) == EXIT_MEMORY
+    captured = capsys.readouterr()
+    assert captured.err == "out of memory: %s\n" % stage
+    assert captured.out == ""
+    assert sorted(f.name for f in out.glob("*")) == before
 
 
 SL21_E12 = ["--family", "sl", "--m", "2", "--n", "1", "--nilpotent", "E12"]

@@ -9,13 +9,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import dense_bracket
+from oracle import check_axioms, dense_bracket
 from wsuper import build_algebra
 from wsuper.linalg import mat_mul
 from wsuper.modp import reduce_mod_p
 from wsuper.superalgebra import (AlgebraError, DegenerateFormError,
                                  LieSuperalgebra, invariant_form,
-                                 osp_form_matrix, supertrace)
+                                 osp_form_matrix, structure_from_realization,
+                                 supertrace, supertrace_gram)
 from wsuper.scalars import QQ
 
 
@@ -188,6 +189,111 @@ def test_wrong_p_map_breaks_axiom_b(gl11):
     p_map[label_index(gl11, "E11")] = (0,) * mod.dim
     with pytest.raises(AlgebraError, match="restrictedness axiom \\(b\\) fails"):
         _rebuild(mod, gram=mod.gram, p_map=p_map)
+
+
+# -- the integer checks against the Field-method axiom oracle -----------------
+
+def _verdict(check, *args):
+    """The message of the AlgebraError that check(*args) raises, or None."""
+    try:
+        check(*args)
+    except AlgebraError as exc:
+        return str(exc)
+    return None
+
+
+def _both_verdicts(alg, structure, gram, p_map=None):
+    """(the constructor's verdict, the oracle's) on alg's basis."""
+    return (_verdict(_rebuild, alg, structure, gram, p_map),
+            _verdict(check_axioms, alg.field, alg.parities, structure, gram,
+                     p_map))
+
+
+def _shift_constant(field, structure, i, j, k, delta):
+    entries = structure.setdefault((i, j), {})
+    c = field.add(entries.get(k, field.zero), delta)
+    if field.is_zero(c):
+        del entries[k]
+    else:
+        entries[k] = c
+    if not entries:
+        del structure[(i, j)]
+
+
+@st.composite
+def _corruptions(draw):
+    alg = _algebra(draw(st.sampled_from([("gl", 1, 1), ("sl", 2, 1),
+                                          ("osp", 1, 2), ("osp", 3, 2)])),
+                   draw(st.sampled_from([None, 3, 5])))
+    p = alg.field.char
+    if p == 0:
+        delta = draw(st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                               st.sampled_from([1, 2, 3])))
+    else:
+        delta = draw(st.integers(1, p - 1))
+    index = st.integers(0, alg.dim - 1)
+    return (alg, draw(st.sampled_from(["structure", "gram"])), draw(index),
+            draw(index), draw(index), delta, draw(st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_corruptions())
+def test_integer_checks_agree_with_the_field_oracle(case):
+    # one structure constant or gram entry moved by delta; with `mirror` its
+    # partner moves too, so that skew-symmetry or supersymmetry still holds
+    # and the later checks decide
+    alg, target, i, j, k, delta, mirror = case
+    f = alg.field
+    sign = f.neg(f.one) if alg.parities[i] and alg.parities[j] else f.one
+    structure = _table(alg)
+    gram = [row[:] for row in alg.gram]
+    if target == "structure":
+        _shift_constant(f, structure, i, j, k, delta)
+        if mirror and i != j:
+            _shift_constant(f, structure, j, i, k, f.neg(f.mul(sign, delta)))
+    else:
+        gram[i][j] = f.add(gram[i][j], delta)
+        if mirror and i != j:
+            gram[j][i] = f.add(gram[j][i], f.mul(sign, delta))
+    built, expected = _both_verdicts(alg, structure, gram, alg.p_map)
+    assert built == expected
+
+
+def _halved(alg, label):
+    """The structure constants and the supertrace gram of alg's realization
+    with the basis vector `label` divided by 2."""
+    t = label_index(alg, label)
+    realization = [[[c / 2 for c in row] for row in mat] if b == t else mat
+                   for b, mat in enumerate(alg.realization)]
+    return (structure_from_realization(QQ, realization, alg.parities),
+            supertrace_gram(QQ, realization, alg.shape[0]))
+
+
+def test_rescaled_sl21_builds_over_its_common_denominator(sl21):
+    structure, gram = _halved(sl21, "E13")
+    assert {c.denominator for entries in structure.values()
+            for c in entries.values()} == {1, 2}
+    assert {c.denominator for row in gram for c in row} == {1, 2}
+    assert _both_verdicts(sl21, structure, gram) == (None, None)
+
+
+@pytest.mark.parametrize("target, message", [
+    ("structure", "super Jacobi fails"),
+    ("gram", "form is not invariant"),
+])
+def test_rescaled_sl21_rejects_a_half_step(sl21, target, message):
+    # [E13/2, E31] and [E31, E13/2] both move by H1/2, which keeps the
+    # table skew; (H1, H1) moves by 1/2, which keeps the gram supersymmetric
+    structure, gram = _halved(sl21, "E13")
+    e13, e31, h1 = (label_index(sl21, b) for b in ("E13", "E31", "H1"))
+    if target == "structure":
+        _shift_constant(QQ, structure, e13, e31, h1, Fraction(1, 2))
+        _shift_constant(QQ, structure, e31, e13, h1, Fraction(1, 2))
+    else:
+        gram[h1][h1] += Fraction(1, 2)
+    built, expected = _both_verdicts(sl21, structure, gram)
+    assert built == expected
+    assert built.startswith(message)
 
 
 # -- the sparse bracket, ad and form against the dense oracle -----------------
