@@ -7,9 +7,10 @@ parser and the config are both read from it.  Artifacts are written
 atomically (temp file then rename) so failed runs leave no partial files;
 identical configurations give byte-identical outputs.  Exit codes: 0 all
 enabled checks passed, 1 check failures (with failures.json), 2 the errors in
-`CONFIG_ERRORS`, 3 those in `SOLVER_ERRORS`, 4 a stage that ran out of memory
-(one stderr line names it; nothing more is written).  The WSUPER_OUT
-environment variable overrides the output directory.
+`CONFIG_ERRORS`, 3 those in `SOLVER_ERRORS`, 4 a stage that ran out of memory,
+5 any other exception, an internal error (for 4 and 5 one stderr line names
+the stage, and nothing more is written).  The WSUPER_OUT environment variable
+overrides the output directory.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_CHECK_FAILURES = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_MEMORY = 4
+EXIT_INTERNAL = 5
 
 ENV_OUT = "WSUPER_OUT"
 
@@ -45,13 +47,9 @@ class StageMemoryError(MemoryError):
     """A MemoryError raised inside a pipeline stage; str() names the stage."""
 
 
-@contextmanager
-def _stage(name):
-    """Re-raise a MemoryError of the block as a StageMemoryError naming it."""
-    try:
-        yield
-    except MemoryError:
-        raise StageMemoryError(name) from None
+class InternalError(Exception):
+    """Any other exception raised inside a pipeline stage; str() names the
+    stage, the exception's type and its message."""
 
 
 # every error a run can end in, by exit code (FormNormalizationError is a
@@ -60,6 +58,23 @@ CONFIG_ERRORS = (ConfigError, AlgebraError, NilpotentError, PresetError,
                  modp.ReductionError)
 SOLVER_ERRORS = (SolverError, NotInvariantError, LeadingShapeError,
                  AmbientMismatch)
+
+
+@contextmanager
+def _stage(name):
+    """Re-raise a MemoryError of the block as a StageMemoryError naming it,
+    and an exception outside CONFIG_ERRORS and SOLVER_ERRORS as an
+    InternalError naming it."""
+    try:
+        yield
+    except MemoryError:
+        raise StageMemoryError(name) from None
+    except CONFIG_ERRORS + SOLVER_ERRORS:
+        raise
+    except Exception as exc:
+        raise InternalError("%s: %s: %s" % (name, type(exc).__name__, exc)) \
+            from exc
+
 
 # How far the char-0 chain runs; each stage includes the ones before it.
 CHAR0_NONE, CHAR0_SOLVE, CHAR0_RELATIONS, CHAR0_GRADED = range(4)
@@ -106,17 +121,21 @@ def resolve_out_dir(flag_value):
 
 
 def run_pipeline(cfg):
-    """Returns (exit_code, failures, artifacts written)."""
-    for p in cfg.primes:  # a rejected prime leaves no artifact
-        modp.admissible_field(cfg.family, (cfg.m, cfg.n), p)
-    out_dir = resolve_out_dir(cfg.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    """Returns (exit_code, failures, artifacts written).  Every step that
+    computes or writes runs inside a `_stage`."""
+    with _stage("set-up"):
+        for p in cfg.primes:  # a rejected prime leaves no artifact
+            modp.admissible_field(cfg.family, (cfg.m, cfg.n), p)
+        out_dir = resolve_out_dir(cfg.out_dir)
+        os.makedirs(out_dir, exist_ok=True)
     failures = []
     written = []
 
-    def emit(name, text):
+    def emit(name, render):
+        # render() gives the artifact's text
         path = os.path.join(out_dir, name)
-        serialize.atomic_write(path, text)
+        with _stage("writing %s" % name):
+            serialize.atomic_write(path, render())
         written.append(path)
 
     with _stage("algebra build"):
@@ -129,15 +148,17 @@ def run_pipeline(cfg):
     if cfg.char0 >= CHAR0_SOLVE:
         with _stage("char-0 solve"):
             ctx = WContext(nd)
-    if cfg.char0 >= CHAR0_GRADED:
-        # the generator degrees are known before any generator is solved
-        top = max(ctx.generator_degrees())
-        if cfg.max_degree < top + 2:
-            raise ConfigError("max Kazhdan degree %d is below the top"
-                              " generator degree %d plus two"
-                              % (cfg.max_degree, top))
-    emit("algebra.json", serialize.dump_json(serialize.algebra_to_json(alg)))
-    emit("nilpotent.json", serialize.dump_json(serialize.nilpotent_to_json(nd)))
+            if cfg.char0 >= CHAR0_GRADED:
+                # the generator degrees are known before any is solved
+                top = max(ctx.generator_degrees())
+                if cfg.max_degree < top + 2:
+                    raise ConfigError("max Kazhdan degree %d is below the top"
+                                      " generator degree %d plus two"
+                                      % (cfg.max_degree, top))
+    emit("algebra.json",
+         lambda: serialize.dump_json(serialize.algebra_to_json(alg)))
+    emit("nilpotent.json",
+         lambda: serialize.dump_json(serialize.nilpotent_to_json(nd)))
 
     if cfg.char0 >= CHAR0_SOLVE:
         with _stage("char-0 solve"):
@@ -147,8 +168,8 @@ def run_pipeline(cfg):
             else:
                 pres = WPresentation(generators=gens, relations={},
                                      middle_norm=nd.middle_norm)
-        emit("wpresentation.json",
-             serialize.dump_json(serialize.presentation_to_json(pres, ctx)))
+        emit("wpresentation.json", lambda: serialize.dump_json(
+            serialize.presentation_to_json(pres, ctx)))
         if cfg.char0 >= CHAR0_GRADED:
             with _stage("char-0 solve"):
                 report = ctx.graded_check(cfg.max_degree)
@@ -165,12 +186,12 @@ def run_pipeline(cfg):
                 with _stage("mod-p row, p = %d, eta = %s" % (dat.p, eta_label)):
                     rows.append(_modp_row(cfg, nd, dat, eta, eta_label,
                                           failures))
-        emit("modp_report.csv", serialize.modp_rows_to_csv(rows))
-        emit("modp_report.json", serialize.dump_json(
+        emit("modp_report.csv", lambda: serialize.modp_rows_to_csv(rows))
+        emit("modp_report.json", lambda: serialize.dump_json(
             {"schema": serialize.SCHEMA, "kind": "modp_report", "rows": rows}))
 
     if failures:
-        emit("failures.json", serialize.dump_json(
+        emit("failures.json", lambda: serialize.dump_json(
             {"schema": serialize.SCHEMA, "kind": "failures",
              "failures": failures}))
         return EXIT_CHECK_FAILURES, failures, written
@@ -181,10 +202,11 @@ def _preflight(nd, primes):
     """The datum reduced mod each prime, for the mod-p rows.  A prime whose Q
     would not fit in physical memory, or that divides a denominator of the
     datum, is refused before anything is allocated or written."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     datums = []
     for p in primes:
-        dim, need = modp.q_footprint(nd, p)
+        with _stage("mod-p preflight, p = %d" % p):
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            dim, need = modp.q_footprint(nd, p)
         if need > memory:
             raise ConfigError("p = %d: dim Q = %d needs about %d bytes, more"
                               " than the %d bytes of physical memory"
@@ -302,6 +324,9 @@ def main(argv=None):
         where = ": %s" % exc if isinstance(exc, StageMemoryError) else ""
         print("out of memory%s" % where, file=sys.stderr)
         return EXIT_MEMORY
+    except InternalError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
     for path in written:
         print("wrote %s" % path)
     if failures:

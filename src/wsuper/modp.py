@@ -272,12 +272,13 @@ class ReducedQ:
 
     def _left_products(self, gen_index):
         """(m, b_g b^m) for every basis monomial m in basis order, the product
-        unreduced.  Each is built from an earlier one: b_g b^m = (b_g b^m') b_t
-        for the last generator t of m and m' = m with that exponent lowered,
-        which precedes m because every co-basis e-degree is at least 1.  These
-        are the products `Enveloping._times_mono` forms one generator at a
-        time.  The basis is sorted by e-degree, so only the products of the
-        last `reach` e-degrees are kept."""
+        unreduced, as an engine pair (den 1).  Each is built from an earlier
+        one: b_g b^m = (b_g b^m') b_t for the last generator t of m and m' = m
+        with that exponent lowered, which precedes m because every co-basis
+        e-degree is at least 1.  This is the prefix trie of
+        `Enveloping._product`, walked in basis order: the basis is sorted by
+        e-degree, so only the products of the last `reach` e-degrees are
+        kept."""
         e = self.engine
         degrees = e.e_degrees[: e.cobasis_count]
         reach = max(degrees, default=0)
@@ -286,7 +287,7 @@ class ReducedQ:
             deg = e.e_degree(m)
             top = max((i for i, x in enumerate(m) if x), default=-1)
             if top < 0:
-                prod = {e._gen_mono(gen_index): e.field.one}
+                prod = ({e._gen_mono(gen_index): 1}, 1)
             else:
                 prefix = m[:top] + (m[top] - 1,) + m[top + 1:]
                 base = levels.get(deg - degrees[top], {}).get(prefix)
@@ -306,8 +307,8 @@ class ReducedQ:
         prefix-built products of `_left_products`."""
         cols = self._left_cols.get(gen_index)
         if cols is None:
-            q_reduce = self.engine.q_reduce
-            cols = [self.vector_of(q_reduce(left).terms)
+            q_reduce = self.engine.q_reduce_pair
+            cols = [self.vector_of(q_reduce(left)[0])
                     for _, left in self._left_products(gen_index)]
             self._left_cols[gen_index] = cols
         return cols
@@ -321,18 +322,16 @@ class ReducedQ:
         cols = self._ad_cols.get(gen_index)
         if cols is None:
             e = self.engine
-            f = e.field
             odd = e.parities[gen_index]
             check = gen_index in self.datum.m_indices
             eta_g = self.eta[gen_index]
             cols = []
             for j, (m, left) in enumerate(self._left_products(gen_index)):
-                right = e.q_reduce(e.times_gen(m, gen_index)).terms
+                right = e.q_reduce_pair(e.times_gen(m, gen_index))[0]
                 if check and right != ({m: eta_g} if eta_g else {}):
                     self._right_mismatch.setdefault(gen_index, j)
-                img = e.q_reduce(left).terms
-                sign = f.one if odd and e.mono_parity(m) else f.neg(f.one)
-                e._acc(img, right, sign)
+                img = e.q_reduce_pair(left)[0]
+                e._acc(img, 1, right, 1 if odd and e.mono_parity(m) else -1)
                 cols.append(self.vector_of(img))
             self._ad_cols[gen_index] = cols
         return cols
@@ -414,7 +413,7 @@ class ReducedQ:
         """The sum of c rows[r] over the entries r: c of coeffs, mod p."""
         out = {}
         for r, c in coeffs.items():
-            self.engine._acc(out, rows[r], c)
+            self.engine._acc(out, 1, rows[r], c)
         return out
 
     def _middle_image(self):

@@ -7,11 +7,22 @@ u, v first, the generators of m last), so reducing to Q is a suffix rewrite.
 Normal ordering is rightmost-disorder-first bubbling with memoized
 single-generator products; odd squares contract through the bracket, and in
 characteristic p an even generator reaching exponent p contracts through the
-p-th power map plus the p-character.  Every operation is a pure function of
-immutable inputs.
+p-th power map plus the p-character.  A product a b is built monomial by
+monomial of b from the products with their prefixes, each prefix once.
+
+Inside the engine coefficients are Python-int numerators over one
+denominator per combination, in lowest terms (denominator 1 and residues mod
+p in characteristic p); an Element's terms hold Fractions over Q and residues
+mod p.  Every operation is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+
+# the pair of the empty combination
+_EMPTY = ({}, 1)
 
 
 class AmbientMismatch(ValueError):
@@ -100,6 +111,21 @@ class Enveloping:
             raise AmbientMismatch("reduced engine needs a p-character and a"
                                   " p-th power map")
         self.unit_mono = (0,) * self.n_gens
+        # the structure the rewriting reads, as pairs (see "core rewriting")
+        self._bracket_pairs = {k: self._scaled(v)
+                               for k, v in self.brackets.items()}
+        half = field.div(field.one, field.of(2))
+        self._half_squares = {
+            g: self._scaled({k: field.mul(half, c) for k, c in
+                             self.brackets.get((g, g), {}).items()})
+            for g in range(self.n_gens) if self.parities[g]}
+        self._char_pairs = tuple(
+            (c.numerator, c.denominator)
+            for c in (self.chi if self.eta is None else self.eta))
+        if field.char:
+            self._pmap_pairs = {g: self._scaled(v)
+                                for g, v in self.pmap.items()}
+            self._etap = tuple(field.pow(c, field.char) for c in self.eta)
         self._gen_cache = {}
 
     # -- construction of elements -------------------------------------------
@@ -175,9 +201,13 @@ class Enveloping:
 
     # -- core rewriting -------------------------------------------------------
 
-    # The per-term loops below do their arithmetic with the coefficients' own
-    # operators: Fractions in characteristic 0, ints with one final % p in
-    # characteristic p.
+    # Inside the engine a combination of monomials is a pair (nums, den): a
+    # {monomial: int} dict over one positive denominator.  The multiply-adds
+    # are integer operations; each result is brought to lowest terms (den and
+    # the numerators coprime, den 1 when empty) with one gcd.  Characteristic
+    # p is the case den = 1, with residues reduced by one % p per update.
+    # Fractions appear only in Element terms (`_terms`), and `_add` below adds
+    # those with the coefficients' own operators.
 
     def _add(self, a, b):
         p = self.field.char
@@ -193,135 +223,196 @@ class Enveloping:
                 out.pop(m, None)
         return out
 
-    def _acc(self, acc, terms, coeff):
+    def _scaled(self, terms):
+        """The pair of Element terms: integer numerators over the least
+        common denominator (1 for residues mod p)."""
+        p = self.field.char
+        den = lcm(*(c.denominator for c in terms.values()))
+        nums = {}
+        for m, c in terms.items():
+            v = c.numerator * (den // c.denominator)
+            if p:
+                v %= p
+            if v:
+                nums[m] = v
+        return nums, den
+
+    def _terms(self, nums, den):
+        """Element terms of a pair: Fractions over Q, residues mod p."""
+        if self.field.char:
+            return nums
+        return {m: Fraction(c, den) for m, c in nums.items()}
+
+    @staticmethod
+    def _widen(acc, den, d):
+        """Rewrite acc/den over lcm(den, d) in place; returns that lcm."""
+        grow = d // gcd(den, d)
+        for m in acc:
+            acc[m] *= grow
+        return den * grow
+
+    @staticmethod
+    def _lowest(nums, den):
+        """The pair (nums, den) divided by the gcd of den and the numerators."""
+        if den > 1:
+            g = gcd(den, *nums.values())
+            if g > 1:
+                for m in nums:
+                    nums[m] //= g
+                den //= g
+        return nums, den
+
+    def _acc(self, acc, den, terms, c, cden=1):
+        """acc/den += (c/cden) terms in place, for integer terms; returns the
+        denominator of acc, widened when cden does not divide it."""
+        if den % cden:
+            den = self._widen(acc, den, cden)
+        c *= den // cden
         p = self.field.char
         if p:
-            coeff %= p
-        if not coeff:
-            return
-        zero = self.field.zero
-        for m, c in terms.items():
-            v = acc.get(m, zero) + coeff * c
+            c %= p
+        if not c:
+            return den
+        for m, t in terms.items():
+            v = acc.get(m, 0) + c * t
             if p:
                 v %= p
             if v:
                 acc[m] = v
             else:
                 acc.pop(m, None)
+        return den
+
+    def _acc_gens(self, acc, den, mono, coeffs):
+        """acc/den += mono * sum_k c_k b_k in place, for the pair coeffs =
+        ({k: c_k}, cden); returns the denominator of acc."""
+        nums, cden = coeffs
+        for k, c in nums.items():
+            tn, td = self.times_gen(mono, k)
+            den = self._acc(acc, den, tn, c, cden * td)
+        return den
 
     def times_gen(self, mono, g):
-        """Normal form of (monomial) * b_g, as a terms dict."""
+        """Normal form of (monomial) * b_g, as a pair in lowest terms.  The
+        memo `_gen_cache` holds every one computed, as its numerator dict
+        alone when the denominator is 1 (always, in characteristic p)."""
         key = (mono, g)
         hit = self._gen_cache.get(key)
         if hit is not None:
-            return hit
-        f = self.field
+            return hit if type(hit) is tuple else (hit, 1)
+        p = self.field.char
         top = -1
         for i in range(self.n_gens - 1, -1, -1):
             if mono[i]:
                 top = i
                 break
+        acc, den = {}, 1
         if top <= g:
+            prefix = mono[:g] + (0,) + mono[g + 1:]
             if self.parities[g] and mono[g] == 1:
-                # odd square: strip the trailing g and contract through [g,g]
-                prefix = list(mono)
-                prefix[g] = 0
-                half = f.div(f.one, f.of(2))
-                acc = {}
-                for k, c in self.brackets.get((g, g), {}).items():
-                    self._acc(acc, self.times_gen(tuple(prefix), k), f.mul(half, c))
-                out = acc
-            elif (self.field.char > 0 and not self.parities[g]
-                  and mono[g] == self.field.char - 1):
+                # odd square: strip the trailing g and contract through
+                # [g,g]/2
+                den = self._acc_gens(acc, den, prefix, self._half_squares[g])
+            elif p and not self.parities[g] and mono[g] == p - 1:
                 # exponent cap: g^p = g^[p] + eta(g)^p
-                prefix = list(mono)
-                prefix[g] = 0
-                prefix = tuple(prefix)
-                acc = {}
-                for k, c in self.pmap.get(g, {}).items():
-                    self._acc(acc, self.times_gen(prefix, k), c)
-                etap = f.pow(self.eta[g], self.field.char)
-                self._acc(acc, {prefix: f.one}, etap)
-                out = acc
+                den = self._acc_gens(acc, den, prefix,
+                                     self._pmap_pairs.get(g, _EMPTY))
+                den = self._acc(acc, den, {prefix: 1}, self._etap[g])
             else:
-                m2 = list(mono)
-                m2[g] += 1
-                out = {tuple(m2): f.one}
+                acc[mono[:g] + (mono[g] + 1,) + mono[g + 1:]] = 1
         else:
             # bubble g past the trailing generator: b_top b_g =
             # (-1)^{|top||g|} b_g b_top + [b_top, b_g]
-            m2 = list(mono)
-            m2[top] -= 1
-            m2 = tuple(m2)
-            sign = -1 if (self.parities[top] and self.parities[g]) else 1
-            acc = {}
-            inner = self.times_gen(m2, g)
+            m2 = mono[:top] + (mono[top] - 1,) + mono[top + 1:]
+            swap = self.parities[top] and self.parities[g]
+            inner, iden = self.times_gen(m2, g)
             for mm, c in inner.items():
-                cc = c if sign > 0 else f.neg(c)
-                self._acc(acc, self.times_gen(mm, top), cc)
-            for k, c in self.brackets.get((top, g), {}).items():
-                self._acc(acc, self.times_gen(m2, k), c)
-            out = acc
-        self._gen_cache[key] = out
+                tn, td = self.times_gen(mm, top)
+                den = self._acc(acc, den, tn, -c if swap else c, iden * td)
+            den = self._acc_gens(acc, den, m2,
+                                 self._bracket_pairs.get((top, g), _EMPTY))
+        out = self._lowest(acc, den)
+        self._gen_cache[key] = out if out[1] > 1 else out[0]
         return out
 
-    def times_gen_terms(self, terms, g):
-        """Normal form of (terms) * b_g, as a new terms dict."""
-        acc = {}
-        for m, c in terms.items():
-            self._acc(acc, self.times_gen(m, g), c)
-        return acc
+    def times_gen_terms(self, pair, g):
+        """Normal form of (pair) * b_g, as a new pair in lowest terms."""
+        nums, den = pair
+        acc, out = {}, 1
+        for m, c in nums.items():
+            tn, td = self.times_gen(m, g)
+            out = self._acc(acc, out, tn, c, den * td)
+        return self._lowest(acc, out)
 
-    def _times_mono(self, mono, other):
-        cur = {mono: self.field.one}
-        for g, e in enumerate(other):
-            for _ in range(e):
-                cur = self.times_gen_terms(cur, g)
-        return cur
+    def _prefix_product(self, known, m):
+        """a b^m from the {monomial: a b^monomial} pairs known (the unit among
+        them): (a b^m') b_t, with t the last generator of m and m' = m with
+        that exponent lowered, is stored for every prefix m' it needs."""
+        hit = known.get(m)
+        if hit is None:
+            top = len(m) - 1
+            while not m[top]:
+                top -= 1
+            prefix = m[:top] + (m[top] - 1,) + m[top + 1:]
+            hit = known[m] = self.times_gen_terms(
+                self._prefix_product(known, prefix), top)
+        return hit
+
+    def _product(self, a, b):
+        """a b for pairs: a times each monomial of b through its prefixes, so
+        that each prefix is multiplied once."""
+        known = {self.unit_mono: a}
+        bnums, bden = b
+        acc, den = {}, 1
+        for m, c in bnums.items():
+            pnums, pden = self._prefix_product(known, m)
+            den = self._acc(acc, den, pnums, c, bden * pden)
+        return self._lowest(acc, den)
 
     def _mul(self, a, b):
-        f = self.field
-        acc = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                prod = self._times_mono(m1, m2)
-                self._acc(acc, prod, f.mul(c1, c2))
-        return acc
+        """The product of two Element term dicts, as Element terms."""
+        return self._terms(*self._product(self._scaled(a), self._scaled(b)))
 
     # -- the induced module Q -------------------------------------------------
 
-    def q_reduce(self, elt):
-        """Image in Q: trailing m-part generators act through chi (or eta)."""
-        if isinstance(elt, Element):
-            terms = elt.terms
-        else:
-            terms = elt
+    def q_reduce_pair(self, pair):
+        """Image in Q of a pair, as a new pair in lowest terms: trailing
+        m-part generators act through chi (or eta)."""
+        nums, den = pair
         f = self.field
         p = f.char
-        zero = f.zero
-        char_values = self.chi if self.eta is None else self.eta
         cb = self.cobasis_count
         tail = (0,) * (self.n_gens - cb)
-        acc = {}
-        for m, c in terms.items():
-            val = c
+        char_pairs = self._char_pairs
+        acc, out = {}, den
+        for m, c in nums.items():
+            cden = den
             for g in range(cb, self.n_gens):
                 e = m[g]
                 if e:
-                    cv = char_values[g]
-                    if not cv:  # the term dies in Q
+                    cn, cd = char_pairs[g]
+                    if not cn:  # the term dies in Q
                         break
-                    val *= f.pow(cv, e)
+                    c *= f.pow(cn, e)
+                    cden *= cd ** e
             else:
+                if out % cden:
+                    out = self._widen(acc, out, cden)
                 mm = m[:cb] + tail
-                v = acc.get(mm, zero) + val
+                v = acc.get(mm, 0) + c * (out // cden)
                 if p:
                     v %= p
                 if v:
                     acc[mm] = v
                 else:
                     acc.pop(mm, None)
-        return Element(self, acc)
+        return self._lowest(acc, out)
+
+    def q_reduce(self, elt):
+        """Image in Q of an Element (or of Element terms)."""
+        terms = elt.terms if isinstance(elt, Element) else elt
+        return Element(self, self._terms(*self.q_reduce_pair(
+            self._scaled(terms))))
 
     def is_q_element(self, elt):
         return all(all(m[g] == 0 for g in range(self.cobasis_count, self.n_gens))
@@ -331,20 +422,21 @@ class Enveloping:
         """Product in Q of two reduced classes via canonical lifts.  Well
         defined when the right factor is invariant; also used for plain left
         action of lifted elements."""
-        return self.q_reduce(a * b)
+        a._check(b)
+        prod = self._product(self._scaled(a.terms), self._scaled(b.terms))
+        return Element(self, self._terms(*self.q_reduce_pair(prod)))
 
     def ad_act_gen(self, g, q):
-        """Class of [b_g, lift(q)] in Q."""
-        f = self.field
-        out = {}
-        left = self._mul({self._gen_mono(g): f.one}, q.terms)
-        self._acc(out, self.q_reduce(left).terms, f.one)
+        """Class of [b_g, lift(q)] in Q: b_g b^m - (-1)^{|g||m|} b^m b_g over
+        the terms c b^m of q, reduced to Q once."""
+        nums, den = self._scaled(q.terms)
+        acc, out = self._product(({self._gen_mono(g): 1}, 1), (nums, den))
         pg = self.parities[g]
-        for m, c in q.terms.items():
-            sign = -1 if (pg and self.mono_parity(m)) else 1
-            right = self.q_reduce(self.times_gen(m, g))
-            self._acc(out, right.terms, f.neg(c) if sign > 0 else c)
-        return Element(self, out)
+        for m, c in nums.items():
+            tn, td = self.times_gen(m, g)
+            odd = pg and self.mono_parity(m)
+            out = self._acc(acc, out, tn, c if odd else -c, den * td)
+        return Element(self, self._terms(*self.q_reduce_pair((acc, out))))
 
     def ad_act(self, z, q):
         """Class of [b_z, lift(q)] in Q for the generator index z, after

@@ -1,9 +1,11 @@
 """Exact scalar fields: the rationals and prime fields F_p.
 
-Every coefficient in the package is either a fractions.Fraction (characteristic
-zero) or a python int in 0..p-1 (characteristic p).  A Field object bundles the
-arithmetic so that the rewriting engine and the linear algebra are generic over
-the two cases.  No floating point is used anywhere.
+Every coefficient the package hands out is either a fractions.Fraction
+(characteristic zero) or a python int in 0..p-1 (characteristic p).  A Field
+object bundles the arithmetic so that the code is generic over the two
+cases.  The PBW engine (`pbw.Enveloping`) keeps its coefficients inside as
+int numerators over one denominator and forms Fractions only in the terms of
+the Elements it returns.  No floating point is used anywhere.
 """
 
 from __future__ import annotations

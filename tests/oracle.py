@@ -3,10 +3,11 @@ Gauss-Jordan elimination over a Field (the oracle of `wsuper.linalg.rref`),
 the blocked float64 elimination mod p (the dense mod-p oracle), the Lie
 superbracket on coordinate lists, the action columns of Q built one monomial
 at a time, Q's action matrices and the dense stack of its ad matrices, the
-PBW engine's per-term arithmetic through Field methods, the PBW exponent
-tuples as a filtered product, and the Lie superalgebra axiom checks through
-Field methods."""
+PBW engine's normal ordering and per-term arithmetic through Field methods,
+the PBW exponent tuples as a filtered product, and the Lie superalgebra
+axiom checks through Field methods."""
 
+import weakref
 from itertools import product
 
 import numpy as np
@@ -177,20 +178,21 @@ def _check_p_map(f, parities, structure, p_map, unit):
 
 def per_monomial_columns(q, g):
     """(ad columns, left columns, first right-action mismatch) of b_g on a
-    ReducedQ, one basis monomial at a time: `Enveloping.ad_act_gen` and a
-    from-scratch `Enveloping._mul` per column, and the first column where the
-    reduced right product m b_g is not eta(g) m (None if there is none, or
-    if g is not in m).  The oracle of the prefix-built `ReducedQ` columns."""
+    ReducedQ, one basis monomial at a time through the Field-method oracles:
+    `field_ad_act` and the from-scratch product `field_mul` per column, and
+    the first column where the reduced right product m b_g is not eta(g) m
+    (None if there is none, or if g is not in m).  The oracle of the
+    prefix-built `ReducedQ` columns."""
     e = q.engine
     one = e.field.one
     eta_g = q.eta[g]
     ad, left, mismatch = [], [], None
     for j, m in enumerate(q.basis):
-        img = e.ad_act_gen(g, e.element({m: one}))
-        ad.append({q.index[mm]: c for mm, c in img.terms.items()})
-        img = e.q_reduce(e._mul({e._gen_mono(g): one}, {m: one}))
-        left.append({q.index[mm]: c for mm, c in img.terms.items()})
-        right = e.q_reduce(e.times_gen(m, g)).terms
+        img = field_ad_act(e, g, {m: one})
+        ad.append({q.index[mm]: c for mm, c in img.items()})
+        img = field_q_reduce(e, field_mul(e, {e._gen_mono(g): one}, {m: one}))
+        left.append({q.index[mm]: c for mm, c in img.items()})
+        right = field_q_reduce(e, field_times_gen(e, m, g))
         if (mismatch is None and g in q.datum.m_indices
                 and right != ({m: eta_g} if eta_g else {})):
             mismatch = j
@@ -248,8 +250,11 @@ def check_p_center_acts_zero(q):
     return True, ""
 
 
-# The engine's per-term loops as they read with Field methods, the oracle of
-# the operator arithmetic in `Enveloping._add`, `_acc` and `q_reduce`.
+# The engine's per-term loops as they read with Field methods on Element
+# terms (Fractions over Q, residues mod p), the oracle of its integer
+# arithmetic: `field_add` of `Enveloping._add`, `field_acc` of `_acc`,
+# `field_q_reduce` of `q_reduce`, and the normal ordering below of
+# `times_gen`, `_mul`, `q_mul` and `ad_act`.
 
 def field_add(field, a, b):
     out = dict(a)
@@ -299,6 +304,82 @@ def field_q_reduce(engine, terms):
         else:
             acc[mm] = v
     return acc
+
+
+# per engine: {(monomial, g): the Field-method normal form of monomial b_g}
+_FIELD_MEMO = weakref.WeakKeyDictionary()
+
+
+def field_times_gen(engine, mono, g):
+    """Normal form of (monomial) * b_g as Element terms: rightmost-disorder
+    bubbling, odd squares through [g,g]/2 and, mod p, the exponent cap
+    through g^p = g^[p] + eta(g)^p, all with Field methods."""
+    memo = _FIELD_MEMO.setdefault(engine, {})
+    hit = memo.get((mono, g))
+    if hit is not None:
+        return hit
+    f = engine.field
+    top = max((i for i, x in enumerate(mono) if x), default=-1)
+    out = {}
+    if top <= g:
+        prefix = mono[:g] + (0,) + mono[g + 1:]
+        if engine.parities[g] and mono[g] == 1:
+            half = f.div(f.one, f.of(2))
+            for k, c in engine.brackets.get((g, g), {}).items():
+                field_acc(f, out, field_times_gen(engine, prefix, k),
+                          f.mul(half, c))
+        elif f.char and not engine.parities[g] and mono[g] == f.char - 1:
+            for k, c in engine.pmap.get(g, {}).items():
+                field_acc(f, out, field_times_gen(engine, prefix, k), c)
+            field_acc(f, out, {prefix: f.one}, f.pow(engine.eta[g], f.char))
+        else:
+            out[mono[:g] + (mono[g] + 1,) + mono[g + 1:]] = f.one
+    else:
+        m2 = mono[:top] + (mono[top] - 1,) + mono[top + 1:]
+        swap = engine.parities[top] and engine.parities[g]
+        for mm, c in field_times_gen(engine, m2, g).items():
+            field_acc(f, out, field_times_gen(engine, mm, top),
+                      f.neg(c) if swap else c)
+        for k, c in engine.brackets.get((top, g), {}).items():
+            field_acc(f, out, field_times_gen(engine, m2, k), c)
+    memo[(mono, g)] = out
+    return out
+
+
+def field_mul(engine, a, b):
+    """The product of Element terms a and b, pair of terms by pair of terms,
+    each monomial of b applied to a monomial of a one generator at a time
+    from scratch."""
+    f = engine.field
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            cur = {m1: f.one}
+            for g, e in enumerate(m2):
+                for _ in range(e):
+                    nxt = {}
+                    for m, c in cur.items():
+                        field_acc(f, nxt, field_times_gen(engine, m, g), c)
+                    cur = nxt
+            field_acc(f, out, cur, f.mul(c1, c2))
+    return out
+
+
+def field_q_mul(engine, a, b):
+    """The class in Q of the product of Element terms a and b."""
+    return field_q_reduce(engine, field_mul(engine, a, b))
+
+
+def field_ad_act(engine, g, q):
+    """The class of [b_g, q] in Q for Element terms q on the co-basis: the
+    reduced b_g q less (-1)^{|g||m|} c times the reduced b^m b_g per term."""
+    f = engine.field
+    out = field_q_mul(engine, {engine._gen_mono(g): f.one}, q)
+    for m, c in q.items():
+        odd = engine.parities[g] and engine.mono_parity(m)
+        field_acc(f, out, field_q_reduce(engine, field_times_gen(engine, m, g)),
+                  c if odd else f.neg(c))
+    return out
 
 
 def product_exponent_tuples(degrees, parities, cap, budget):

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from wsuper import cli, modp, serialize
-from wsuper.cli import (CHAR0_GRADED, EXIT_CONFIG, EXIT_MEMORY, EXIT_OK,
-                        EXIT_SOLVER, PipelineConfig, main, run_pipeline)
+from wsuper.cli import (CHAR0_GRADED, EXIT_CONFIG, EXIT_INTERNAL, EXIT_MEMORY,
+                        EXIT_OK, EXIT_SOLVER, PipelineConfig, main,
+                        run_pipeline)
 from wsuper.modp import ReductionError
 from wsuper.nilpotent import FormNormalizationError, NilpotentError
 from wsuper.pbw import AmbientMismatch
@@ -252,6 +253,8 @@ ERRORS += [(cls, EXIT_SOLVER, "solver failure: boom")
            for cls in (SolverError, NotInvariantError, LeadingShapeError,
                        AmbientMismatch)]
 ERRORS += [(MemoryError, EXIT_MEMORY, "out of memory: algebra build")]
+ERRORS += [(RuntimeError, EXIT_INTERNAL,
+            "internal error: algebra build: RuntimeError: boom")]
 
 
 @pytest.mark.parametrize("error, code, line", ERRORS,
@@ -300,6 +303,38 @@ def test_memory_error_names_its_stage_and_writes_nothing_after(
                    + ["--out", str(out)]) == EXIT_MEMORY
     captured = capsys.readouterr()
     assert captured.err == "out of memory: %s\n" % stage
+    assert captured.out == ""
+    assert sorted(f.name for f in out.glob("*")) == before
+
+
+def _raise_runtime_error(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("target, command, stage, before", [
+    ((cli, "build_algebra"), ["nilpotent", "analyze"], "algebra build", []),
+    ((cli, "analyze_nilpotent"), ["nilpotent", "analyze"],
+     "nilpotent analysis", []),
+    ((modp, "q_footprint"), ["modp", "suite", "--primes", "3"],
+     "mod-p preflight, p = 3", []),
+    ((cli.WContext, "commutator_table"), ["w", "relations"], "char-0 solve",
+     ["algebra.json", "nilpotent.json"]),
+    ((modp, "morita_dim_check"), ["modp", "suite", "--primes", "3,5"],
+     "mod-p row, p = 3, eta = chi", ["algebra.json", "nilpotent.json"]),
+    ((serialize, "nilpotent_to_json"), ["nilpotent", "analyze"],
+     "writing nilpotent.json", ["algebra.json"]),
+], ids=["algebra", "nilpotent", "preflight", "char0", "modp-row", "write"])
+def test_internal_error_names_its_stage_and_writes_nothing_after(
+        tmp_path, monkeypatch, capsys, target, command, stage, before):
+    # an exception outside the typed errors is not a failed check either: it
+    # exits 5, prints one line naming the stage and no traceback, and the run
+    # writes no artifact once it is raised
+    monkeypatch.setattr(*target, _raise_runtime_error)
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, command + OSP12_REGULAR
+                   + ["--out", str(out)]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: %s: RuntimeError: boom\n" % stage
     assert captured.out == ""
     assert sorted(f.name for f in out.glob("*")) == before
 

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import product_exponent_tuples
-from wsuper import reduce_datum
+from oracle import (field_acc, field_ad_act, field_mul, field_q_mul,
+                    field_q_reduce, product_exponent_tuples)
+from wsuper import (analyze_nilpotent, build_algebra, reduce_datum,
+                    resolve_nilpotent, sl2_triple)
 from wsuper.pbw import (AmbientMismatch, Element, Enveloping,
                         engine_from_datum, exponent_tuples)
 
@@ -29,11 +31,11 @@ def Eo(nd_osp12_reg):
 def normalize(E, word):
     """Normal form of a word given as (generator, exponent) pairs, in any
     order; odd exponents beyond 1 contract, even ones cap mod p."""
-    cur = {E.unit_mono: E.field.one}
+    cur = ({E.unit_mono: 1}, 1)
     for g, e in word:
         for _ in range(e):
             cur = E.times_gen_terms(cur, g)
-    return Element(E, cur)
+    return Element(E, E._terms(*cur))
 
 
 def rand_elt(E, rng, nterms=3, emax=2):
@@ -344,7 +346,7 @@ def closed_form_left_multiply(E, w, mono):
                 suffix[gi] = mono[gi]
             term = E.element({tuple(prefix): f.one}) * bracket \
                 * E.element({tuple(suffix): f.one})
-            E._acc(acc, term.terms, coeff)
+            field_acc(f, acc, term.terms, coeff)
     return Element(E, acc)
 
 
@@ -433,3 +435,93 @@ def test_exponent_tuples_match_the_filtered_product(gens, cap, budget):
     parities = [odd for _, odd in gens]
     assert (list(exponent_tuples(degrees, parities, cap, budget, ()))
             == product_exponent_tuples(degrees, parities, cap, budget))
+
+
+# -- the integer engine against the Field-method oracle -----------------------
+
+@pytest.fixture(scope="module")
+def oracle_engines(nd_gl21_reg, nd_osp12_reg):
+    """gl(2|1) and osp(1|2) regular (odd squares and the 1/2 of their
+    contraction) over Q, and reduced at p = 5 at every eta sample; and
+    gl(3|1) regular over Q, whose chi has denominator 4 and whose brackets
+    have denominators 2 and 3."""
+    out = []
+    for nd in (nd_gl21_reg, nd_osp12_reg):
+        out.append(engine_from_datum(nd, None, None))
+        dat = reduce_datum(nd, 5)
+        out.extend(engine_from_datum(dat, eta, dat.pmap_adapted)
+                   for _, eta in dat.eta_samples())
+    alg = build_algebra("gl", 3, 1)
+    nd = analyze_nilpotent(alg, sl2_triple(alg, resolve_nilpotent(alg,
+                                                                 "regular")))
+    out.append(engine_from_datum(nd, None, None))
+    return out
+
+
+@st.composite
+def _oracle_terms(draw, E, span):
+    """Element terms over the first `span` generators: a few monomials of at
+    most three letters (even exponents up to the cap p - 1 mod p, so that
+    products reach g^p), with coefficients over denominators 1, 2, 3, 4, 6
+    and 9 over Q and residues mod p."""
+    p = E.field.char
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        mono = [0] * E.n_gens
+        for g in draw(st.lists(st.integers(0, span - 1), max_size=3)):
+            mono[g] = 1 if E.parities[g] else draw(
+                st.integers(1, p - 1 if p else 2))
+        if p:
+            c = draw(st.integers(0, p - 1))
+        else:
+            c = Fraction(draw(st.integers(-6, 6)),
+                         draw(st.sampled_from([1, 2, 3, 4, 6, 9])))
+        terms[tuple(mono)] = c
+    return E.element(terms).terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mul_q_mul_and_ad_act_equal_the_field_oracle(oracle_engines, data):
+    E = data.draw(st.sampled_from(oracle_engines))
+    a = data.draw(_oracle_terms(E, E.n_gens))
+    b = data.draw(_oracle_terms(E, E.n_gens))
+    assert E._mul(a, b) == field_mul(E, a, b)
+    # the pair of the product is the lowest-terms pair of the oracle's
+    assert (E._product(E._scaled(a), E._scaled(b))
+            == E._scaled(field_mul(E, a, b)))
+    # a and b have m-part letters: chi (eta) acts on them
+    assert E.q_reduce(Element(E, a)).terms == field_q_reduce(E, a)
+    qa = data.draw(_oracle_terms(E, E.cobasis_count))
+    qb = data.draw(_oracle_terms(E, E.cobasis_count))
+    assert (E.q_mul(Element(E, qa), Element(E, qb)).terms
+            == field_q_mul(E, qa, qb))
+    g = data.draw(st.integers(0, E.n_gens - 1))
+    assert E.ad_act(g, Element(E, qa)).terms == field_ad_act(E, g, qa)
+
+
+def _in_lowest_terms(pair):
+    nums, den = pair
+    return (den >= 1 and all(isinstance(c, int) and c for c in nums.values())
+            and gcd(den, *nums.values()) == 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_char0_memo_entries_are_in_lowest_terms(oracle_engines, data):
+    E = data.draw(st.sampled_from([E for E in oracle_engines
+                                   if not E.field.char]))
+    a = data.draw(_oracle_terms(E, E.n_gens))
+    b = data.draw(_oracle_terms(E, E.cobasis_count))
+    E._mul(a, b)
+    E.ad_act(data.draw(st.integers(0, E.n_gens - 1)), E.element(b))
+    assert E._gen_cache
+    # an entry is its numerator dict alone when the denominator is 1
+    bad = [key for key, entry in E._gen_cache.items()
+           if not _in_lowest_terms(entry if type(entry) is tuple
+                                   else (entry, 1))
+           or type(entry) is tuple and entry[1] == 1]
+    assert not bad
+    assert all(E.times_gen(*key) == (entry if type(entry) is tuple
+                                     else (entry, 1))
+               for key, entry in E._gen_cache.items())

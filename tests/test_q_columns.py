@@ -1,6 +1,6 @@
 """The action columns of Q, built from their prefixes, against the
-per-monomial route; the operator arithmetic of the PBW engine against Field
-methods; and the dim Q preflight."""
+per-monomial Field-method route; the integer arithmetic of the PBW engine
+against Field methods; and the dim Q preflight."""
 
 import os
 import re
@@ -75,7 +75,7 @@ def test_a_missing_prefix_is_a_solver_error(nd_osp12_reg):
 
 
 # ---------------------------------------------------------------------------
-# operator arithmetic in the engine's per-term loops
+# integer arithmetic in the engine's per-term loops
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -114,10 +114,15 @@ def test_operator_arithmetic_equals_the_field_methods(engines, data):
         b[m] = -a[m] + (p * data.draw(st.integers(-1, 1)) if p else 0)
     coeff = data.draw(coeffs)
     assert e._add(a, b) == field_add(e.field, a, b)
-    got, want = dict(a), dict(a)
-    e._acc(got, b, coeff)
+    # _acc on the integer pair of a, with coeff as num/den, lands on the
+    # lowest-terms pair of the Field-method sum; mod p it adds b's raw ints
+    want = dict(a)
     field_acc(e.field, want, b, coeff)
-    assert got == want
+    got, den = e._scaled(a)
+    bnums, bden = (b, 1) if p else e._scaled(b)
+    coeff = Fraction(coeff)
+    den = e._acc(got, den, bnums, coeff.numerator, coeff.denominator * bden)
+    assert e._lowest(got, den) == e._scaled(want)
     assert e.q_reduce(b).terms == field_q_reduce(e, b)
     merged = field_add(e.field, a, b)
     assert e.q_reduce(merged).terms == field_q_reduce(e, merged)
