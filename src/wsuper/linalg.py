@@ -42,17 +42,6 @@ def mat_mul(field, a, b):
     return out
 
 
-def mat_vec(field, a, v):
-    out = []
-    for row in a:
-        acc = field.zero
-        for c, x in zip(row, v):
-            if not field.is_zero(c) and not field.is_zero(x):
-                acc = field.add(acc, field.mul(c, x))
-        out.append(acc)
-    return out
-
-
 def _sparse_row(field, row):
     """A fresh {column: coefficient} dict without zeros, its entries reduced
     mod p over F_p; a dense row (a sequence) is keyed by position."""
@@ -150,19 +139,6 @@ def kernel_rows(field, reduced, piv, cols):
     return list(basis.values())
 
 
-def _dense(field, rows, cols):
-    return [[row.get(j, field.zero) for j in range(cols)] for row in rows]
-
-
-def nullspace(field, mat, cols=None):
-    """Canonical kernel basis of mat (sparse rows need `cols`) as dense
-    vectors: the vector for free column j is 1 at j and 0 at the other free
-    columns."""
-    if cols is None:
-        cols = len(mat[0]) if mat else 0
-    return _dense(field, kernel_rows(field, *rref(field, mat), cols), cols)
-
-
 def solve_affine(field, mat, rhs, cols=None):
     """The solution of mat x = rhs with every free variable zero, or None
     when the system is inconsistent.  Sparse rows need `cols`, the number of
@@ -182,15 +158,18 @@ def solve_affine(field, mat, rhs, cols=None):
     return x
 
 
-def invert(field, mat):
-    n = len(mat)
-    aug = [_sparse_row(field, row) for row in mat]
+def invert(field, rows):
+    """The inverse of the square matrix with the given rows ({column: c}
+    dicts or dense sequences), as {column: c} rows; ValueError when it is
+    singular."""
+    n = len(rows)
+    aug = [_sparse_row(field, row) for row in rows]
     for i, row in enumerate(aug):
         row[n + i] = field.one
     reduced, piv = rref(field, aug)
     if piv != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[row.get(n + j, field.zero) for j in range(n)] for row in reduced]
+    return [{j - n: c for j, c in row.items() if j >= n} for row in reduced]
 
 
 def in_span(field, vectors, v):
@@ -202,12 +181,6 @@ def intersect_zero(field, vectors_a, vectors_b):
     """Whether the spans of the two families intersect trivially."""
     return (rank(field, list(vectors_a) + list(vectors_b))
             == rank(field, vectors_a) + rank(field, vectors_b))
-
-
-def echelon_span(field, vectors):
-    """The nonzero rows of the rref of dense vectors, as dense lists."""
-    cols = len(vectors[0]) if vectors else 0
-    return _dense(field, rref(field, vectors)[0], cols)
 
 
 # ---------------------------------------------------------------------------

@@ -138,20 +138,22 @@ class ModularDatum:
         self.generators = [
             AdaptedGenerator(tuple(v), g.parity, g.weight, g.label, g.kind)
             for g, v in zip(nd.generators, vectors)]
-        change = [[vectors[j][i] for j in range(len(vectors))]
-                  for i in range(nd.alg.dim)]
+        # row k of the inverse holds the adapted coordinates of b_k
         try:
-            change_inv = linalg.invert(gf, change)
+            inverse = linalg.invert(gf, vectors)
         except ValueError:
             raise ReductionError("adapted basis degenerates mod %d" % p)
         self.pmap_adapted = {}
         for i, g in enumerate(self.generators):
             if g.parity != 0:
                 continue
-            coords_orig = p_power_coords(mod, g.vector)
-            coords = linalg.mat_vec(gf, change_inv, coords_orig)
-            self.pmap_adapted[i] = {t: c for t, c in enumerate(coords)
-                                    if not gf.is_zero(c)}
+            coords = {}
+            for k, c in enumerate(p_power_coords(mod, g.vector)):
+                if c:
+                    for t, x in inverse[k].items():
+                        coords[t] = (coords.get(t, 0) + c * x) % p
+            self.pmap_adapted[i] = {t: c for t, c in sorted(coords.items())
+                                    if c}
         self.cobasis_count = nd.cobasis_count
         self.middle_norm = None if nd.middle_norm is None else gf.of(nd.middle_norm)
         # exponent caps must not truncate below the candidate filtration degree

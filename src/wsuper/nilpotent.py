@@ -6,8 +6,17 @@ co-basis generators x (even, weight >= 0), y (odd, weight >= 0), u (even,
 weight -1, symplectically normalized), v (odd, weight -1, symmetrically
 normalized), followed by the generators of m.  All the structural identities
 (the orthogonal decomposition of the annihilator of m, the decomposition of
-the nonnegative part, the dimension count per parity) are asserted here, so a
-NilpotentData that constructs at all is already verified.
+the nonnegative part, the dimension count per parity) are checked here, and
+each one that fails raises NilpotentError, so a NilpotentData that constructs
+at all is already verified.
+
+The analysis is rational and sparse.  An algebra over F_p is refused with
+NilpotentError; the mod-p layer reduces the rational datum instead.  Every
+vector is a {basis index: Fraction} dict without zeros: brackets go through
+`superalgebra._bracket`, the form through the rows of the gram, and every
+span, rank and kernel through `linalg.rref`, `rank` and `kernel_rows`.  Dense
+coordinate tuples appear only where the datum is stored, in `Sl2Triple` and
+`AdaptedGenerator.vector`.
 """
 
 from __future__ import annotations
@@ -16,8 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .scalars import is_rational_square
-from .superalgebra import AlgebraError
+from .scalars import QQ, is_rational_square
+from .superalgebra import AlgebraError, _bracket
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class NilpotentError(ValueError):
@@ -53,130 +65,175 @@ class AdaptedGenerator:
 
 
 # ---------------------------------------------------------------------------
+# sparse rational vectors
+# ---------------------------------------------------------------------------
+
+def _rational(alg):
+    if alg.field.char:
+        raise NilpotentError("the nilpotent analysis runs over Q, not over"
+                             " F_%d; reduce the rational datum instead"
+                             % alg.field.char)
+
+
+def _sparse(v):
+    return {i: c for i, c in enumerate(v) if c}
+
+
+def _dense(v, dim):
+    return tuple(v.get(i, ZERO) for i in range(dim))
+
+
+def _combine(terms):
+    """The sum of c * v over the (c, v) pairs, without zeros."""
+    out = {}
+    for c, v in terms:
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def _dot(u, v):
+    return sum((c * v[k] for k, c in u.items() if k in v), ZERO)
+
+
+def _br(alg, v, w):
+    """[v, w] without zeros."""
+    return {k: c for k, c in _bracket(alg.structure, v, w, {}).items() if c}
+
+
+def _ad_columns(alg, v):
+    """The columns [v, b_j] of ad v."""
+    return [_br(alg, v, {j: ONE}) for j in range(alg.dim)]
+
+
+def _rows(columns, n):
+    """The n rows of the matrix with the given {row: c} columns."""
+    rows = [{} for _ in range(n)]
+    for c, col in enumerate(columns):
+        for r, x in col.items():
+            rows[r][c] = x
+    return rows
+
+
+def _kernel(columns, n):
+    """The canonical kernel basis, as {column: c} rows, of the matrix with n
+    rows and the given columns."""
+    reduced, piv = linalg.rref(QQ, _rows(columns, n))
+    return linalg.kernel_rows(QQ, reduced, piv, len(columns))
+
+
+def _covector(gram_rows, v):
+    """The functional (v, .) as a {index: c} dict."""
+    return _combine((c, gram_rows[i]) for i, c in v.items())
+
+
+# ---------------------------------------------------------------------------
 # sl2 triples
 # ---------------------------------------------------------------------------
 
 def is_nilpotent_element(alg, e):
-    ad = alg.ad_matrix(list(e))
-    f = alg.field
-    power = [row[:] for row in ad]
-    for _ in range(alg.dim):
-        if all(f.is_zero(x) for row in power for x in row):
+    """Whether (ad e)^(dim + 1) kills every basis vector."""
+    _rational(alg)
+    e = _sparse(e)
+    images = [{j: ONE} for j in range(alg.dim)]
+    for _ in range(alg.dim + 1):
+        images = [w for w in (_br(alg, e, v) for v in images) if w]
+        if not images:
             return True
-        power = linalg.mat_mul(f, power, ad)
-    return all(f.is_zero(x) for row in power for x in row)
+    return False
+
+
+def _solve_even(even, columns, rhs):
+    """The vector sum_c x_c b_{even[c]} for the particular solution x (free
+    variables zero) of the system with one column per index in `even`, or
+    None when the system is inconsistent."""
+    sol = linalg.solve_affine(QQ, _rows(columns, len(rhs)), rhs, len(even))
+    if sol is None:
+        return None
+    return {i: x for i, x in zip(even, sol) if x}
 
 
 def sl2_triple(alg, e):
     """Complete an even nilpotent e to (e, h, f) with [h,e]=2e, [h,f]=-2f,
     [e,f]=h.  Solutions are picked deterministically (echelon particular
     solutions with free variables zero)."""
-    f = alg.field
-    e = [f.of(c) for c in e]
-    par = alg.parity_of_vector(e)
-    if par == 1:
+    _rational(alg)
+    dim = alg.dim
+    e = [QQ.of(c) for c in e]
+    ev = _sparse(e)
+    if {alg.parities[i] for i in ev} == {1}:
         raise NilpotentError("nilpotent element must be even")
-    if all(f.is_zero(c) for c in e):
-        z = tuple([f.zero] * alg.dim)
+    if not ev:
+        z = (ZERO,) * dim
         return Sl2Triple(z, z, z)
     if not is_nilpotent_element(alg, e):
         raise NilpotentError("element is not ad-nilpotent")
-    ad_e = alg.ad_matrix(e)
-    ad_e2 = linalg.mat_mul(f, ad_e, ad_e)
-    even_cols = [i for i in range(alg.dim) if alg.parities[i] == 0]
+    even = [i for i in range(dim) if alg.parities[i] == 0]
+    ad_e = [_br(alg, ev, {i: ONE}) for i in even]
     # step 1: h = [e, w] with (ad e)^2 w = -2e
-    mat = [[ad_e2[r][c] for c in even_cols] for r in range(alg.dim)]
-    rhs = [f.mul(f.of(-2), c) for c in e]
-    sol = linalg.solve_affine(f, mat, rhs)
-    if sol is None:
+    w = _solve_even(even, [_br(alg, ev, col) for col in ad_e],
+                    [-2 * c for c in e])
+    if w is None:
         raise NilpotentError("no sl2 completion: h equation unsolvable")
-    w = [f.zero] * alg.dim
-    for c, i in enumerate(even_cols):
-        w[i] = sol[c]
-    h = alg.bracket(e, w)
-    # step 2: f with [e,f] = h and [h,f] = -2f
-    ad_h = alg.ad_matrix(h)
-    rows = []
-    rhs2 = []
-    for r in range(alg.dim):
-        rows.append([ad_e[r][c] for c in even_cols])
-        rhs2.append(h[r])
-    for r in range(alg.dim):
-        row = [ad_h[r][c] for c in even_cols]
-        row = [f.add(row[t], f.of(2) if even_cols[t] == r else f.zero)
-               for t in range(len(even_cols))]
-        rows.append(row)
-        rhs2.append(f.zero)
-    sol = linalg.solve_affine(f, rows, rhs2)
-    if sol is None:
+    h = _br(alg, ev, w)
+    # step 2: f with [e,f] = h (rows 0..dim-1) and [h,f] + 2f = 0 (the rest)
+    columns = []
+    for col, i in zip(ad_e, even):
+        shifted = _combine([(1, _br(alg, h, {i: ONE})), (2, {i: ONE})])
+        columns.append({**col, **{dim + r: x for r, x in shifted.items()}})
+    fv = _solve_even(even, columns, list(_dense(h, dim)) + [ZERO] * dim)
+    if fv is None:
         raise NilpotentError("no sl2 completion: f equation unsolvable")
-    fv = [f.zero] * alg.dim
-    for c, i in enumerate(even_cols):
-        fv[i] = sol[c]
-    triple = Sl2Triple(tuple(e), tuple(h), tuple(fv))
+    triple = Sl2Triple(tuple(e), _dense(h, dim), _dense(fv, dim))
     _check_triple(alg, triple)
     return triple
 
 
 def _check_triple(alg, tr):
-    f = alg.field
+    """The three sl2 relations, failing at the lowest coordinate where one
+    fails and, at that coordinate, in the order below."""
     if tr.is_zero():
         return
-    he = alg.bracket(list(tr.h), list(tr.e))
-    hf = alg.bracket(list(tr.h), list(tr.f))
-    ef = alg.bracket(list(tr.e), list(tr.f))
-    for i in range(alg.dim):
-        if not f.is_zero(f.sub(he[i], f.mul(f.of(2), tr.e[i]))):
-            raise NilpotentError("[h,e] != 2e")
-        if not f.is_zero(f.add(hf[i], f.mul(f.of(2), tr.f[i]))):
-            raise NilpotentError("[h,f] != -2f")
-        if not f.is_zero(f.sub(ef[i], tr.h[i])):
-            raise NilpotentError("[e,f] != h")
+    e, h, f = _sparse(tr.e), _sparse(tr.h), _sparse(tr.f)
+    residues = [
+        (_combine([(1, _br(alg, h, e)), (-2, e)]), "[h,e] != 2e"),
+        (_combine([(1, _br(alg, h, f)), (2, f)]), "[h,f] != -2f"),
+        (_combine([(1, _br(alg, e, f)), (-1, h)]), "[e,f] != h"),
+    ]
+    bad = [(min(res), k) for k, (res, _) in enumerate(residues) if res]
+    if bad:
+        raise NilpotentError(residues[min(bad)[1]][1])
 
 
 # ---------------------------------------------------------------------------
 # weight-space decomposition
 # ---------------------------------------------------------------------------
 
-def _eigen_layers(alg, h):
-    """Exact eigenspace bases of ad h per (integer weight, parity).
+def _eigen_layers(alg, ad_h):
+    """Exact eigenspace bases of ad h per (integer weight, parity), from the
+    columns of ad h.
 
     Returns dict (weight, parity) -> list of vectors.  Fails if ad h is not
     diagonalizable with integer eigenvalues.
     """
-    f = alg.field
     d = alg.dim
-    ad_h = alg.ad_matrix(list(h))
-    bound = 0
-    for row in ad_h:
-        s = sum(abs(Fraction(x)) for x in row)
-        bound = max(bound, int(s) + 1)
+    row_sums = [ZERO] * d
+    for col in ad_h:
+        for r, x in col.items():
+            row_sums[r] += abs(x)
+    bound = max((int(s) + 1 for s in row_sums), default=0)
     layers = {}
-    total = 0
     for wt in range(-bound, bound + 1):
         for par in (0, 1):
             cols = [i for i in range(d) if alg.parities[i] == par]
             if not cols:
                 continue
-            mat = []
-            for r in range(d):
-                row = []
-                for c in cols:
-                    v = ad_h[r][c]
-                    if c == r:
-                        v = f.sub(v, f.of(wt))
-                    row.append(v)
-                mat.append(row)
-            basis = linalg.nullspace(f, mat, cols=len(cols))
-            vecs = []
-            for b in basis:
-                vec = [f.zero] * d
-                for t, c in enumerate(cols):
-                    vec[c] = b[t]
-                vecs.append(tuple(vec))
+            shifted = [_combine([(1, ad_h[i]), (-wt, {i: ONE})]) for i in cols]
+            vecs = [{cols[t]: c for t, c in row.items()}
+                    for row in _kernel(shifted, d)]
             if vecs:
                 layers[(wt, par)] = vecs
-                total += len(vecs)
+    total = sum(len(vecs) for vecs in layers.values())
     if total != d:
         raise NilpotentError("ad h is not integrally diagonalizable"
                              " (found %d of %d dimensions)" % (total, d))
@@ -185,15 +242,11 @@ def _eigen_layers(alg, h):
 
 def original_basis_weights(alg, h):
     """Per-basis-vector ad-h eigenvalues, or None if the basis is not graded."""
-    f = alg.field
-    ad_h = alg.ad_matrix(list(h))
+    _rational(alg)
     weights = []
-    for j in range(alg.dim):
-        wt = ad_h[j][j]
-        for i in range(alg.dim):
-            if i != j and not f.is_zero(ad_h[i][j]):
-                return None
-        if f.char == 0 and Fraction(wt).denominator != 1:
+    for j, col in enumerate(_ad_columns(alg, _sparse(h))):
+        wt = col.get(j, ZERO)
+        if col.keys() - {j} or wt.denominator != 1:
             return None
         weights.append(int(wt))
     return tuple(weights)
@@ -203,26 +256,21 @@ def original_basis_weights(alg, h):
 # bilinear form normalizations on g(-1)
 # ---------------------------------------------------------------------------
 
-def _reduce_against_pair(field, form, vecs, a, b):
+def _reduce_against_pair(form, vecs, a, b):
     """Project vecs onto the orthogonal complement of the hyperbolic pair
     (a, b).  form(a,b) is -1 in the symplectic convention, 1 in the symmetric
     one; the formulas below only use the actual pair values."""
-    fab = form(a, b)
-    out = []
-    for w in vecs:
-        ca = field.div(form(w, b), fab)
-        fba = form(b, a)
-        cb = field.div(form(w, a), fba)
-        w2 = [field.sub(field.sub(w[i], field.mul(ca, a[i])), field.mul(cb, b[i]))
-              for i in range(len(w))]
-        out.append(w2)
-    return linalg.echelon_span(field, out)
+    fab, fba = form(a, b), form(b, a)
+    out = [_combine([(1, w), (-form(w, b) / fab, a), (-form(w, a) / fba, b)])
+           for w in vecs]
+    return linalg.rref(QQ, out)[0]
 
 
-def symplectic_normal_basis(field, vectors, form):
+def symplectic_normal_basis(vectors, form):
     """Darboux basis u_1..u_2s with form(u_i, u_j) = i* delta_{i+j,2s+1},
-    where i* is -1 for i <= s and 1 otherwise."""
-    work = linalg.echelon_span(field, vectors)
+    where i* is -1 for i <= s and 1 otherwise.  The vectors are {index: c}
+    dicts over Q."""
+    work = linalg.rref(QQ, vectors)[0]
     if len(work) % 2 != 0:
         raise NilpotentError("symplectic space of odd dimension")
     s = len(work) // 2
@@ -230,93 +278,75 @@ def symplectic_normal_basis(field, vectors, form):
     seconds = []
     while work:
         a = work[0]
-        partner = None
-        for cand in work[1:]:
-            if not field.is_zero(form(a, cand)):
-                partner = cand
-                break
+        partner = next((cand for cand in work[1:] if form(a, cand)), None)
         if partner is None:
             raise NilpotentError("degenerate symplectic form")
         beta = form(a, partner)
         # scale so that form(a, b) = -1
-        b = [field.div(field.neg(x), beta) for x in partner]
-        firsts.append(tuple(a))
-        seconds.append(tuple(b))
+        b = {k: -x / beta for k, x in partner.items()}
+        firsts.append(a)
+        seconds.append(b)
         rest = [w for w in work if w is not a and w is not partner]
-        work = _reduce_against_pair(field, form, rest, a, b)
+        work = _reduce_against_pair(form, rest, a, b)
     if len(firsts) != s:
         raise NilpotentError("symplectic basis has %d pairs, expected %d"
                              % (len(firsts), s))
-    return firsts + list(reversed(seconds))
+    return firsts + seconds[::-1]
 
 
-def _square_root_in(field, x):
-    if field.char == 0:
-        return is_rational_square(x)
-    return _square_mod_p(field, x)
-
-
-def _find_rational_isotropic(field, work, form):
+def _find_rational_isotropic(work, form):
     for w in work:
-        if field.is_zero(form(w, w)):
-            return list(w)
-    # try two-vector combinations w_i + t w_j with t in the base field
-    for i in range(len(work)):
-        for j in range(len(work)):
+        if not form(w, w):
+            return w
+    # try two-vector combinations w_i + t w_j with t rational
+    for i, wi in enumerate(work):
+        for j, wj in enumerate(work):
             if i == j:
                 continue
-            a = form(work[i], work[i])
-            b = form(work[j], work[j])
-            c = form(work[i], work[j])
-            disc = field.sub(field.mul(c, c), field.mul(a, b))
-            ok, root = _square_root_in(field, disc)
+            a, b, c = form(wi, wi), form(wj, wj), form(wi, wj)
+            ok, root = is_rational_square(c * c - a * b)
             if not ok:
                 continue
             # a + 2tc + t^2 b = 0
-            if field.is_zero(b):
-                if field.is_zero(c):
+            if not b:
+                if not c:
                     continue
-                t = field.div(field.neg(a), field.mul(field.of(2), c))
+                t = -a / (2 * c)
             else:
-                t = field.div(field.sub(root, c), b)
-            return [field.add(work[i][k], field.mul(t, work[j][k]))
-                    for k in range(len(work[i]))]
+                t = (root - c) / b
+            return _combine([(1, wi), (t, wj)])
     return None
 
 
-def symmetric_normal_basis(field, vectors, form):
+def symmetric_normal_basis(vectors, form):
     """Basis v_1..v_r with form(v_i, v_j) = delta_{i+j,r+1} off the middle;
     for odd r the self-paired middle vector gets norm 1 when the needed square
-    root is rational, otherwise its norm is returned as-is.
+    root is rational, otherwise its norm is returned as-is.  The vectors are
+    {index: c} dicts over Q.
 
     Returns (vectors, middle_norm or None, normalized flag)."""
-    work = linalg.echelon_span(field, vectors)
+    work = linalg.rref(QQ, vectors)[0]
     r = len(work)
-    t = r // 2
     firsts = []
     seconds = []
-    for _ in range(t):
-        a = _find_rational_isotropic(field, work, form)
+    for _ in range(r // 2):
+        a = _find_rational_isotropic(work, form)
         if a is None:
-            achieved = _diagonalized_gram(field, work, form)
             raise FormNormalizationError(
-                "no rational isotropic vector for a hyperbolic pair", achieved)
-        partner = None
-        for cand in work:
-            if not field.is_zero(form(a, cand)):
-                partner = cand
-                break
+                "no rational isotropic vector for a hyperbolic pair",
+                _diagonalized_gram(work, form))
+        partner = next((cand for cand in work if form(a, cand)), None)
         if partner is None:
             raise NilpotentError("degenerate symmetric form")
         beta = form(a, partner)
         zz = form(partner, partner)
         # make the partner isotropic, then scale the pairing to 1
-        bp = [field.sub(partner[k], field.mul(field.div(zz, field.mul(field.of(2), beta)), a[k]))
-              for k in range(len(a))]
-        b = [field.div(x, form(a, bp)) for x in bp]
-        firsts.append(tuple(a))
-        seconds.append(tuple(b))
-        work = _reduce_against_pair(field, form, work, a, b)
+        bp = _combine([(1, partner), (-zz / (2 * beta), a)])
+        fabp = form(a, bp)
+        b = {k: x / fabp for k, x in bp.items()}
+        firsts.append(a)
+        seconds.append(b)
+        work = _reduce_against_pair(form, work, a, b)
     middle_norm = None
     normalized = True
     middle = []
@@ -326,52 +356,34 @@ def symmetric_normal_basis(field, vectors, form):
                                  % len(work))
         m = work[0]
         c = form(m, m)
-        if field.is_zero(c):
+        if not c:
             raise NilpotentError("degenerate symmetric form on the middle line")
-        square, root = _square_root_in(field, c)
+        square, root = is_rational_square(c)
         if square:
-            m = [field.div(x, root) for x in m]
-            middle_norm = field.one
-            normalized = True
+            m = {k: x / root for k, x in m.items()}
+            middle_norm = ONE
         else:
             middle_norm = c
             normalized = False
-        middle = [tuple(m)]
+        middle = [m]
     elif work:
         raise NilpotentError("symmetric normalization left unexpected vectors")
-    return firsts + middle + list(reversed(seconds)), middle_norm, normalized
+    return firsts + middle + seconds[::-1], middle_norm, normalized
 
 
-def _square_mod_p(field, c):
-    p = field.char
-    c = c % p
-    for x in range(1, p):
-        if (x * x) % p == c:
-            return True, x
-    return False, None
-
-
-def _diagonalized_gram(field, work, form):
+def _diagonalized_gram(work, form):
     """Gram-Schmidt diagonal of the form, reported with the obstruction."""
-    vecs = [list(v) for v in work]
+    vecs = list(work)
     diag = []
     while vecs:
-        a = None
-        for w in vecs:
-            if not field.is_zero(form(w, w)):
-                a = w
-                break
+        a = next((w for w in vecs if form(w, w)), None)
         if a is None:
-            diag.append(field.zero)
+            diag.append(ZERO)
             break
-        diag.append(form(a, a))
-        rest = []
-        for w in vecs:
-            if w is a:
-                continue
-            coef = field.div(form(w, a), form(a, a))
-            rest.append([field.sub(w[k], field.mul(coef, a[k])) for k in range(len(w))])
-        vecs = linalg.echelon_span(field, rest)
+        faa = form(a, a)
+        diag.append(faa)
+        vecs = linalg.rref(QQ, [_combine([(1, w), (-form(w, a) / faa, a)])
+                                for w in vecs if w is not a])[0]
     return diag
 
 
@@ -448,105 +460,89 @@ class NilpotentData:
 
 
 def analyze_nilpotent(alg, triple):
-    f = alg.field
+    _rational(alg)
     if alg.gram is None:
         raise NilpotentError("algebra has no invariant form")
-    if linalg.rank(f, alg.gram) != alg.dim:
+    if linalg.rank(QQ, alg.gram) != alg.dim:
         raise AlgebraError("invariant form is degenerate")
     _check_triple(alg, triple)
 
-    e, h, fv = list(triple.e), list(triple.h), list(triple.f)
+    dim = alg.dim
+    e, h, fv = _sparse(triple.e), _sparse(triple.h), _sparse(triple.f)
     zero_case = triple.is_zero()
 
     # normalize the form so that (e, f) = 1; an isotropic triple ((e,f) = 0,
     # possible in gl(n|n)-like algebras) keeps the raw form and is flagged
+    gram_rows = [_sparse(row) for row in alg.gram]
     ef_normalized = True
-    if zero_case:
-        scale = f.one
-    else:
-        ef = alg.form(e, fv)
-        if f.is_zero(ef):
-            scale = f.one
-            ef_normalized = False
+    scale = ONE
+    if not zero_case:
+        ef = _dot(_covector(gram_rows, e), fv)
+        if ef:
+            scale = 1 / ef
+            gram_rows = [{j: scale * c for j, c in row.items()}
+                         for row in gram_rows]
         else:
-            scale = f.inv(ef)
-    gram = [[f.mul(scale, x) for x in row] for row in alg.gram]
-    form = lambda v, w: f.mul(scale, alg.form(v, w))
-    chi_of = lambda v: form(e, v)
+            ef_normalized = False
+    chi_row = _covector(gram_rows, e)
+    chi_of = lambda v: _dot(chi_row, v)
 
-    layers = _eigen_layers(alg, h)
-    weights_orig = original_basis_weights(alg, h)
+    layers = _eigen_layers(alg, _ad_columns(alg, h))
+    weights_orig = original_basis_weights(alg, triple.h)
     min_wt = min(w for (w, p) in layers)
     max_wt = max(w for (w, p) in layers)
 
     # cross-weight orthogonality and nondegenerate pairing g(i) with g(-i)
-    for (wi, pi_), vi in layers.items():
-        for (wj, pj), vj in layers.items():
+    covectors = {key: [_covector(gram_rows, a) for a in vecs]
+                 for key, vecs in layers.items()}
+    for (wi, _), vi in covectors.items():
+        for (wj, _), vj in layers.items():
             if wi + wj != 0:
                 for a in vi:
                     for b in vj:
-                        if not f.is_zero(form(list(a), list(b))):
+                        if _dot(a, b):
                             raise NilpotentError("(g(i),g(j)) != 0 for i+j != 0")
     for (wt, par) in list(layers):
         mate = layers.get((-wt, par), [])
-        blk = [[form(list(a), list(b)) for b in mate] for a in layers[(wt, par)]]
+        blk = [{t: _dot(a, b) for t, b in enumerate(mate)}
+               for a in covectors[(wt, par)]]
         if len(mate) != len(layers[(wt, par)]) or (
-                blk and linalg.rank(f, blk) != len(blk)):
+                blk and linalg.rank(QQ, blk) != len(blk)):
             raise NilpotentError("g(%d) does not pair nondegenerately with g(%d)"
                                  % (wt, -wt))
 
     if not zero_case:
-        if not linalg.in_span(f, layers.get((2, 0), []), e):
+        if not linalg.in_span(QQ, layers.get((2, 0), []), e):
             raise NilpotentError("e is not in g(2) even part")
-        if not linalg.in_span(f, layers.get((-2, 0), []), fv):
+        if not linalg.in_span(QQ, layers.get((-2, 0), []), fv):
             raise NilpotentError("f is not in g(-2) even part")
 
     # chi is supported on g(-2) even and vanishes on the odd part
     for (wt, par), vecs in layers.items():
         for v in vecs:
-            val = chi_of(list(v))
-            if (wt != -2 or par != 0) and not f.is_zero(val):
+            if (wt != -2 or par != 0) and chi_of(v):
                 raise NilpotentError("chi does not vanish on g(%d) parity %d"
                                      % (wt, par))
 
-    ad_e = alg.ad_matrix(e)
-    ad_f = alg.ad_matrix(fv)
+    def image_under(x, vecs):
+        return linalg.rref(QQ, [_br(alg, x, v) for v in vecs])[0]
 
-    def image_under(ad, vecs):
-        out = []
-        for v in vecs:
-            out.append(tuple(linalg.mat_vec(f, ad, list(v))))
-        return [tuple(v) for v in linalg.echelon_span(f, out)]
-
-    def kernel_in_layer(ad, vecs):
-        if not vecs:
-            return []
-        cols = [list(v) for v in vecs]
-        # column c of the system is the image of cols[c]
-        mat = list(zip(*(linalg.mat_vec(f, ad, v) for v in cols)))
-        sols = linalg.nullspace(f, mat, cols=len(cols))
-        out = []
-        for sgl in sols:
-            vec = [f.zero] * alg.dim
-            for t, coef in enumerate(sgl):
-                for r in range(alg.dim):
-                    vec[r] = f.add(vec[r], f.mul(coef, cols[t][r]))
-            out.append(tuple(vec))
-        return out
+    def kernel_in_layer(x, vecs):
+        return [_combine((c, vecs[t]) for t, c in row.items())
+                for row in _kernel([_br(alg, x, v) for v in vecs], dim)]
 
     # centralizer layers and the complement inside p
     xs_ge, xs_im, ys_ge, ys_im = [], [], [], []
     for wt in range(0, max_wt + 1):
         for par, ge_list, im_list in ((0, xs_ge, xs_im), (1, ys_ge, ys_im)):
             vecs = layers.get((wt, par), [])
-            ge = kernel_in_layer(ad_e, vecs)
+            ge = kernel_in_layer(e, vecs)
             ge_list.extend(ge)
-            src = layers.get((wt + 2, par), [])
-            im = image_under(ad_f, src)
+            im = image_under(fv, layers.get((wt + 2, par), []))
             im_list.extend(im)
             # direct-sum check inside this layer of p
             if vecs:
-                if not linalg.intersect_zero(f, ge, im):
+                if not linalg.intersect_zero(QQ, ge, im):
                     raise NilpotentError("p-layer decomposition is not direct")
                 if len(ge) + len(im) != len(vecs):
                     raise NilpotentError("p-layer decomposition misses vectors")
@@ -561,12 +557,12 @@ def analyze_nilpotent(alg, triple):
     odd_m1 = layers.get((-1, 1), [])
     if len(even_m1) % 2 != 0:
         raise NilpotentError("dim g(-1) even part is odd")
-    pair_form = lambda a, b: chi_of(alg.bracket(list(a), list(b)))
-    us = symplectic_normal_basis(f, even_m1, pair_form) if even_m1 else []
+    pair_form = lambda a, b: chi_of(_br(alg, a, b))
+    us = symplectic_normal_basis(even_m1, pair_form) if even_m1 else []
     s = len(us) // 2
     if odd_m1:
         vs, middle_norm, middle_normalized = symmetric_normal_basis(
-            f, odd_m1, pair_form)
+            odd_m1, pair_form)
     else:
         vs, middle_norm, middle_normalized = [], None, True
     r = len(vs)
@@ -581,48 +577,49 @@ def analyze_nilpotent(alg, triple):
     m_even_g1 = us[s:]          # u_{s+1}..u_{2s}
     m_odd_g1 = vs[t_cb:]        # v_{t_cb+1}..v_r
 
+    vecs = []
     generators = []
+
+    def add(v, parity, weight, label, kind):
+        vecs.append(v)
+        generators.append(AdaptedGenerator(_dense(v, dim), parity, weight,
+                                           label, kind))
+
     for i, v in enumerate(xs):
-        generators.append(AdaptedGenerator(tuple(v), 0, _weight_of_vec(alg, f, v, layers),
-                                           "x%d" % (i + 1), "x"))
+        add(v, 0, _weight_of_vec(v, layers), "x%d" % (i + 1), "x")
     for i, v in enumerate(ys):
-        generators.append(AdaptedGenerator(tuple(v), 1, _weight_of_vec(alg, f, v, layers),
-                                           "y%d" % (i + 1), "y"))
+        add(v, 1, _weight_of_vec(v, layers), "y%d" % (i + 1), "y")
     for i, v in enumerate(us[:s]):
-        generators.append(AdaptedGenerator(tuple(v), 0, -1, "u%d" % (i + 1), "u"))
+        add(v, 0, -1, "u%d" % (i + 1), "u")
     for i, v in enumerate(vs[:t_cb]):
-        generators.append(AdaptedGenerator(tuple(v), 1, -1, "v%d" % (i + 1), "v"))
+        add(v, 1, -1, "v%d" % (i + 1), "v")
     cobasis_count = len(generators)
     for i, v in enumerate(m_even_g1):
-        generators.append(AdaptedGenerator(tuple(v), 0, -1, "u%d" % (s + i + 1), "m"))
+        add(v, 0, -1, "u%d" % (s + i + 1), "m")
     for i, v in enumerate(m_odd_g1):
-        generators.append(AdaptedGenerator(tuple(v), 1, -1, "v%d" % (t_cb + i + 1), "m"))
+        add(v, 1, -1, "v%d" % (t_cb + i + 1), "m")
     for i, v in enumerate(deep):
-        generators.append(AdaptedGenerator(tuple(v), _parity_of_vec(alg, v),
-                                           _weight_of_vec(alg, f, v, layers),
-                                           "w%d" % (i + 1), "m"))
+        add(v, _parity_of_vec(alg, v), _weight_of_vec(v, layers),
+            "w%d" % (i + 1), "m")
 
-    # change of basis and adapted structure constants
-    change = [[generators[j].vector[i] for j in range(len(generators))]
-              for i in range(alg.dim)]
+    # adapted structure constants: row k of the inverse holds the adapted
+    # coordinates of the basis vector b_k
     try:
-        change_inv = linalg.invert(f, change)
+        coords = linalg.invert(QQ, vecs)
     except ValueError:
         raise NilpotentError("adapted generators do not form a basis")
     brackets = {}
-    for i, gi in enumerate(generators):
-        for j, gj in enumerate(generators):
-            br = alg.bracket(list(gi.vector), list(gj.vector))
-            coords = linalg.mat_vec(f, change_inv, br)
-            entry = {k: c for k, c in enumerate(coords) if not f.is_zero(c)}
+    for i, vi in enumerate(vecs):
+        for j, vj in enumerate(vecs):
+            entry = _combine((c, coords[k]) for k, c in _br(alg, vi, vj).items())
             if entry:
-                brackets[(i, j)] = entry
+                brackets[(i, j)] = dict(sorted(entry.items()))
 
-    chi = tuple(chi_of(list(g.vector)) for g in generators)
+    chi = tuple(chi_of(v) for v in vecs)
 
     nd = NilpotentData(
         alg, triple,
-        gram=gram, form_scale=scale, weights_original=weights_orig,
+        form_scale=scale, weights_original=weights_orig,
         generators=generators, brackets=brackets, chi=chi,
         cobasis_count=cobasis_count,
         l=l, q=q, s=s, r=r, t=t, t_cb=t_cb,
@@ -631,31 +628,36 @@ def analyze_nilpotent(alg, triple):
         ef_normalized=ef_normalized,
         layer_dims={k: len(v) for k, v in layers.items()},
     )
-    _verify_datum(nd, layers, form)
+    _verify_datum(nd, layers, gram_rows)
     return nd
 
 
 def _parity_of_vec(alg, v):
-    p = alg.parity_of_vector(list(v))
-    if p is None:
+    parities = {alg.parities[i] for i in v}
+    if len(parities) > 1:
         raise NilpotentError("adapted generator is not parity homogeneous")
-    return p
+    return max(parities, default=0)
 
 
-def _weight_of_vec(alg, f, v, layers):
+def _weight_of_vec(v, layers):
+    # each layer's vectors are a basis of the layer
     for (wt, par), vecs in layers.items():
-        if linalg.in_span(f, vecs, v):
+        if linalg.rank(QQ, vecs + [v]) == len(vecs):
             return wt
     raise NilpotentError("vector lies in no single weight layer")
 
 
-def _verify_datum(nd, layers, form):
+def _verify_datum(nd, layers, gram_rows):
     """The structural identities: m-annihilator decomposition, decomposition
     of the nonnegative part, dimension identity per parity, and the normal
-    forms of the weight -1 pairings."""
-    alg, f = nd.alg, nd.alg.field
-    e, fv = list(nd.triple.e), list(nd.triple.f)
+    forms of the weight -1 pairings.  gram_rows are the rows of the
+    normalized form."""
+    alg = nd.alg
+    dim = alg.dim
+    e, fv = _sparse(nd.triple.e), _sparse(nd.triple.f)
     gens = nd.generators
+    vecs = [_sparse(g.vector) for g in gens]
+    chi_row = _covector(gram_rows, e)
 
     # weights and parities of generators are consistent
     for g in gens:
@@ -666,72 +668,59 @@ def _verify_datum(nd, layers, form):
 
     # u/v gram shapes
     s, r = nd.s, nd.r
-    pairf = lambda a, b: _chi_pair(nd, a, b)
+    by_label = {g.label: v for g, v in zip(gens, vecs)}
+    pairf = lambda a, b: _dot(chi_row, _br(alg, by_label[a], by_label[b]))
     for i in range(1, 2 * s + 1):
         for j in range(1, 2 * s + 1):
-            want = f.zero
+            want = 0
             if i + j == 2 * s + 1:
-                want = f.of(-1) if i <= s else f.one
-            got = pairf(_vector_by_label(gens, "u%d" % i),
-                        _vector_by_label(gens, "u%d" % j))
-            if not f.is_zero(f.sub(got, want)):
+                want = -1 if i <= s else 1
+            if pairf("u%d" % i, "u%d" % j) != want:
                 raise NilpotentError("symplectic normal form violated at u(%d,%d)" % (i, j))
     for i in range(1, r + 1):
         for j in range(1, r + 1):
-            want = f.zero
+            want = 0
             if i + j == r + 1 and i != j:
-                want = f.one
+                want = 1
             if i == j and r % 2 == 1 and i == (r + 1) // 2:
                 want = nd.middle_norm
-            got = pairf(_vector_by_label(gens, "v%d" % i),
-                        _vector_by_label(gens, "v%d" % j))
-            if not f.is_zero(f.sub(got, want)):
+            if pairf("v%d" % i, "v%d" % j) != want:
                 raise NilpotentError("symmetric normal form violated at v(%d,%d)" % (i, j))
 
     # x spans the even centralizer, y the odd one
-    ad_e = alg.ad_matrix(e)
     for k in range(nd.l):
-        img = linalg.mat_vec(f, ad_e, list(gens[k].vector))
-        if any(not f.is_zero(c) for c in img):
+        if _br(alg, e, vecs[k]):
             raise NilpotentError("x%d is not in the centralizer" % (k + 1))
     for k in range(nd.q):
-        img = linalg.mat_vec(f, ad_e, list(gens[nd.m_count + k].vector))
-        if any(not f.is_zero(c) for c in img):
+        if _br(alg, e, vecs[nd.m_count + k]):
             raise NilpotentError("y%d is not in the centralizer" % (k + 1))
 
     # m-annihilator decomposition: ann(m) = [m', e] + g^f, direct, per parity
-    m_vecs = [list(gens[i].vector) for i in nd.m_indices]
-    mprime_vecs = [list(gens[i].vector) for i in nd.mprime_indices]
-    ann = _form_annihilator(nd, m_vecs)
-    bracket_img = [alg.bracket(v, e) for v in mprime_vecs]
-    gf = _kernel_of(alg, alg.ad_matrix(fv))
+    ann = linalg.kernel_rows(QQ, *linalg.rref(
+        QQ, [_covector(gram_rows, vecs[i]) for i in nd.m_indices]), dim)
+    bracket_img = [_br(alg, vecs[i], e) for i in nd.mprime_indices]
+    gf = _kernel(_ad_columns(alg, fv), dim)
     for par in (0, 1):
-        a_p = [v for v in (_split_parity(alg, v, par) for v in ann) if v]
-        b_p = [v for v in (_split_parity(alg, v, par) for v in bracket_img) if v]
-        g_p = [v for v in (_split_parity(alg, v, par) for v in gf) if v]
-        da = linalg.rank(f, a_p)
-        db = linalg.rank(f, b_p)
-        dg = linalg.rank(f, g_p)
-        dall = linalg.rank(f, b_p + g_p)
+        a_p, b_p, g_p = ([w for w in (_parity_part(alg, v, par) for v in vs)
+                          if w] for vs in (ann, bracket_img, gf))
+        da = linalg.rank(QQ, a_p)
+        db = linalg.rank(QQ, b_p)
+        dg = linalg.rank(QQ, g_p)
+        dall = linalg.rank(QQ, b_p + g_p)
         if db + dg != dall or dall != da:
             raise NilpotentError("annihilator of m does not split as [m',e] + g^f")
-        for v in b_p + g_p:
-            if not linalg.in_span(f, a_p, v):
-                raise NilpotentError("[m',e] + g^f escapes the annihilator of m")
+        if linalg.rank(QQ, a_p + b_p + g_p) != da:
+            raise NilpotentError("[m',e] + g^f escapes the annihilator of m")
 
     # nonnegative part: p = sum_{j>=2} [f, g(j)] + g^e, direct
-    p_vecs = [list(gens[i].vector) for i in nd.p_indices]
-    ge = [list(gens[i].vector) for i in range(nd.l)] + \
-         [list(gens[nd.m_count + j].vector) for j in range(nd.q)]
-    imgf = []
-    for (wt, par), vecs in layers.items():
-        if wt >= 2:
-            for v in vecs:
-                imgf.append(alg.bracket(fv, list(v)))
-    d_ge = linalg.rank(f, ge)
-    d_img = linalg.rank(f, imgf)
-    d_p = linalg.rank(f, p_vecs)
-    d_both = linalg.rank(f, ge + imgf)
+    p_vecs = [vecs[i] for i in nd.p_indices]
+    ge = vecs[:nd.l] + vecs[nd.m_count:nd.m_count + nd.q]
+    imgf = [_br(alg, fv, v) for (wt, par), vs in layers.items() if wt >= 2
+            for v in vs]
+    d_ge = linalg.rank(QQ, ge)
+    d_img = linalg.rank(QQ, imgf)
+    d_p = linalg.rank(QQ, p_vecs)
+    d_both = linalg.rank(QQ, ge + imgf)
     if d_ge + d_img != d_both or d_both != d_p:
         raise NilpotentError("nonnegative part does not split as [f,g(>=2)] + g^e")
 
@@ -751,46 +740,5 @@ def _verify_datum(nd, layers, form):
             raise NilpotentError("dimension identity fails for parity %d" % par)
 
 
-def _chi_pair(nd, a, b):
-    """chi([a, b]) = (e, [a, b]) in the normalized form."""
-    alg = nd.alg
-    br = alg.bracket(list(a), list(b))
-    return alg.field.mul(nd.form_scale, alg.form(list(nd.triple.e), br))
-
-
-def _vector_by_label(gens, label):
-    for g in gens:
-        if g.label == label:
-            return g.vector
-    raise KeyError(label)
-
-
-def _split_parity(alg, v, par):
-    f = alg.field
-    out = [c if alg.parities[i] == par else f.zero for i, c in enumerate(v)]
-    if all(f.is_zero(c) for c in out):
-        return None
-    return out
-
-
-def _form_annihilator(nd, m_vecs):
-    """Vectors x with (x, m) = 0, via the normalized gram."""
-    alg, f = nd.alg, nd.alg.field
-    if not m_vecs:
-        return [[f.one if i == j else f.zero for i in range(alg.dim)]
-                for j in range(alg.dim)]
-    rows = []
-    for v in m_vecs:
-        row = []
-        for j in range(alg.dim):
-            acc = f.zero
-            for i, ci in enumerate(v):
-                if not f.is_zero(ci):
-                    acc = f.add(acc, f.mul(ci, nd.gram[i][j]))
-            row.append(acc)
-        rows.append(row)
-    return linalg.nullspace(f, rows, cols=alg.dim)
-
-
-def _kernel_of(alg, ad):
-    return linalg.nullspace(alg.field, ad, cols=alg.dim)
+def _parity_part(alg, v, par):
+    return {i: c for i, c in v.items() if alg.parities[i] == par}

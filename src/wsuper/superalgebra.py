@@ -11,7 +11,7 @@ rebuilds the algebra over F_p, where axiom (b) of the p-map is checked on
 every basis pair as well.  The checks run in Python ints: over Q on the table
 and the gram each scaled by the lcm of its denominators, over F_p on the
 residues.  One sparse bracket, `_bracket`, serves the checks and the
-`bracket` and `ad_matrix` methods.
+nilpotent analysis.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class LieSuperalgebra:
 
     structure: dict (i, j) -> {k: coeff} giving [b_i, b_j]; zero brackets
       and zero coefficients are left out.  The module-level `_bracket` is
-      the one routine that reads it: `bracket`, `ad_matrix` and every axiom
-      check go through it on sparse {index: coeff} vectors.
+      the one routine that reads it: every axiom check and the nilpotent
+      analysis go through it on sparse {index: coeff} vectors.
     gram: invariant form matrix (b_i, b_j), or None.
     realization: list of supermatrices, or None.
     p_map: dict even index -> coordinate tuple of b_i^[p], only mod p.
@@ -146,60 +146,17 @@ class LieSuperalgebra:
         even = sum(1 for b in self.basis if b.parity == 0)
         return (even, self.dim - even)
 
-    def _sparse(self, v):
-        f = self.field
-        return {i: c for i, c in enumerate(v) if not f.is_zero(c)}
-
-    def _reduced(self, vec):
-        """The entries of a `_bracket` result as field elements."""
-        p = self.field.char
-        return {k: c % p for k, c in vec.items()} if p else vec
-
-    def bracket(self, v, w):
-        """Supercommutator of two coordinate vectors (not required homogeneous)."""
-        out = [self.field.zero] * self.dim
-        br = _bracket(self.structure, self._sparse(v), self._sparse(w), {})
-        for k, c in self._reduced(br).items():
-            out[k] = c
-        return out
-
-    def ad_matrix(self, v):
-        """Matrix of ad v in the basis, columns indexed by basis vectors."""
-        f = self.field
-        sv = self._sparse(v)
-        mat = [[f.zero] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            br = _bracket(self.structure, sv, {j: 1}, {})
-            for k, c in self._reduced(br).items():
-                mat[k][j] = c
-        return mat
-
-    def parity_of_vector(self, v):
-        """0 or 1 for a homogeneous vector (0 for zero), None otherwise."""
-        parities = {self.parities[i] for i in self._sparse(v)}
-        return None if len(parities) > 1 else max(parities, default=0)
-
     def realize(self, v):
         if self.realization is None:
             raise AlgebraError("algebra carries no matrix realization")
         f = self.field
         out = zero_matrix(len(self.realization[0]), f)
-        for i, c in self._sparse(v).items():
-            for row, ri in zip(out, self.realization[i]):
+        for c, mat in zip(v, self.realization):
+            if f.is_zero(c):
+                continue
+            for row, ri in zip(out, mat):
                 row[:] = [f.add(x, f.mul(c, y)) for x, y in zip(row, ri)]
         return out
-
-    def form(self, v, w):
-        if self.gram is None:
-            raise AlgebraError("algebra carries no invariant form")
-        f = self.field
-        acc = f.zero
-        sw = self._sparse(w)
-        for i, a in self._sparse(v).items():
-            gi = self.gram[i]
-            for j, b in sw.items():
-                acc = f.add(acc, f.mul(f.mul(a, b), gi[j]))
-        return acc
 
     # -- verification ---------------------------------------------------------
 
@@ -449,10 +406,11 @@ def build_osp(m, n):
                         coef += Fraction(sgn) * B[a][i]
                     row.append(coef)
                 rows.append(row)
-        for v in linalg.nullspace(QQ, rows, cols=len(positions)):
+        for v in linalg.kernel_rows(QQ, *linalg.rref(QQ, rows), len(positions)):
             mat = zero_matrix(N)
-            for (pos, c) in zip(positions, v):
-                mat[pos[0]][pos[1]] = c
+            for t, c in v.items():
+                i, j = positions[t]
+                mat[i][j] = c
             realization.append(mat)
             parities.append(target_parity)
     basis = [BasisVector(i, parities[i], "G%d" % (i + 1)) for i in range(len(realization))]

@@ -1,11 +1,12 @@
 """Reference routines that the fast code is tested against: dense
 Gauss-Jordan elimination over a Field (the oracle of `wsuper.linalg.rref`),
-the blocked float64 elimination mod p (the dense mod-p oracle), the Lie
-superbracket on coordinate lists, the action columns of Q built one monomial
-at a time, Q's action matrices and the dense stack of its ad matrices, the
-PBW engine's normal ordering and per-term arithmetic through Field methods,
-the PBW exponent tuples as a filtered product, and the Lie superalgebra
-axiom checks through Field methods."""
+with the dense inverse, kernel and matrix-vector product built on it, the
+blocked float64 elimination mod p (the dense mod-p oracle), the Lie
+superbracket, ad matrix and invariant form on coordinate lists, the action
+columns of Q built one monomial at a time, Q's action matrices and the dense
+stack of its ad matrices, the PBW engine's normal ordering and per-term
+arithmetic through Field methods, the PBW exponent tuples as a filtered
+product, and the Lie superalgebra axiom checks through Field methods."""
 
 import weakref
 from itertools import product
@@ -63,6 +64,77 @@ def dense_bracket(alg, v, w):
                 out[k] = f.add(out[k], f.mul(f.mul(ci, cj), c))
     return out
 
+
+# Dense coordinate-list helpers the package used to have: the matrix-vector
+# product, the inverse and the kernel basis from `dense_rref`, and the ad
+# matrix and invariant form of an algebra from its table and gram.  They
+# check the sparse nilpotent analysis and `linalg` from outside.
+
+def mat_vec(field, a, v):
+    """The product of a list-of-lists matrix and a coordinate list."""
+    out = []
+    for row in a:
+        acc = field.zero
+        for c, x in zip(row, v):
+            acc = field.add(acc, field.mul(c, x))
+        out.append(acc)
+    return out
+
+
+def dense_invert(field, mat):
+    """The inverse of a square list-of-lists matrix, by `dense_rref` of
+    [mat | I]; ValueError when it is singular."""
+    n = len(mat)
+    aug = [list(row) + [field.one if j == i else field.zero for j in range(n)]
+           for i, row in enumerate(mat)]
+    red, piv = dense_rref(field, aug)
+    if piv != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
+
+
+def dense_nullspace(field, mat, cols=None):
+    """The kernel basis of a list-of-lists matrix from `dense_rref`: the
+    vector for free column j is 1 at j and 0 at the other free columns."""
+    if cols is None:
+        cols = len(mat[0]) if mat else 0
+    red, piv = dense_rref(field, mat)
+    out = []
+    for j in range(cols):
+        if j in piv:
+            continue
+        v = [field.zero] * cols
+        v[j] = field.one
+        for row, pc in zip(red, piv):
+            v[pc] = field.neg(row[j])
+        out.append(v)
+    return out
+
+
+def dense_ad(alg, v):
+    """The matrix of ad v, column j the `dense_bracket` of v and b_j."""
+    f = alg.field
+    columns = [dense_bracket(alg, v, [f.one if t == j else f.zero
+                                      for t in range(alg.dim)])
+               for j in range(alg.dim)]
+    return [list(row) for row in zip(*columns)]
+
+
+def dense_form(alg, v, w):
+    """The invariant form of two coordinate lists, from the gram."""
+    f = alg.field
+    acc = f.zero
+    for i, a in enumerate(v):
+        for j, b in enumerate(w):
+            acc = f.add(acc, f.mul(f.mul(a, b), alg.gram[i][j]))
+    return acc
+
+
+def chi_pair(nd, a, b):
+    """chi([a, b]) = (e, [a, b]) in the normalized form of a datum."""
+    alg = nd.alg
+    return alg.field.mul(nd.form_scale, dense_form(
+        alg, list(nd.triple.e), dense_bracket(alg, list(a), list(b))))
 
 
 # The axiom checks of `LieSuperalgebra` as they read with Field methods on

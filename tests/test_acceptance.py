@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 
 from checks import check_graded_p_map, check_restrictedness
-from oracle import left_matrix
+from oracle import (dense_ad, dense_bracket, dense_invert, dense_nullspace,
+                    left_matrix, mat_vec)
 from wsuper import linalg, modp
 from wsuper.scalars import QQ
 from wsuper.nilpotent import analyze_nilpotent, sl2_triple
@@ -92,13 +93,13 @@ def test_acceptance_2_even_case_sl21(nd_sl21_e12):
     change = [[nd_sl21_e12.generators[j].vector[i]
                for j in range(len(nd_sl21_e12.generators))]
               for i in range(alg.dim)]
-    inv = linalg.invert(QQ, change)
+    inv = dense_invert(QQ, change)
     degrees = ctx.generator_degrees()
     for (i, j), poly in pres.relations.items():
         gi = ctx.leading_gen_index(i)
         gj = ctx.leading_gen_index(j)
-        coords = linalg.mat_vec(QQ, inv, alg.bracket(
-            list(nd_sl21_e12.generators[gi].vector),
+        coords = mat_vec(QQ, inv, dense_bracket(
+            alg, list(nd_sl21_e12.generators[gi].vector),
             list(nd_sl21_e12.generators[gj].vector)))
         linear = poly.linear_terms()
         bound = degrees[i - 1] + degrees[j - 1] - 2
@@ -203,12 +204,13 @@ def _structural_checks(alg, nd):
     # annihilator of m under the normalized form
     rows = []
     for v in m_vecs:
-        rows.append([sum(v[i] * nd.gram[i][j] for i in range(d))
+        rows.append([sum(v[i] * nd.form_scale * alg.gram[i][j]
+                         for i in range(d))
                      for j in range(d)])
-    ann = (linalg.nullspace(f, rows, cols=d) if rows else
+    ann = (dense_nullspace(f, rows, cols=d) if rows else
            [[f.one if i == j else f.zero for i in range(d)] for j in range(d)])
-    bracket_img = [alg.bracket(v, e) for v in mp_vecs]
-    gf_basis = linalg.nullspace(f, alg.ad_matrix(fv), cols=d)
+    bracket_img = [dense_bracket(alg, v, e) for v in mp_vecs]
+    gf_basis = dense_nullspace(f, dense_ad(alg, fv), cols=d)
     da = linalg.rank(f, ann)
     db = linalg.rank(f, bracket_img) if bracket_img else 0
     dg = linalg.rank(f, gf_basis)
@@ -219,13 +221,13 @@ def _structural_checks(alg, nd):
     for v in gf_basis:
         assert linalg.in_span(f, ann, v)
     # the nonnegative part splits off the centralizer
-    ge_basis = linalg.nullspace(f, alg.ad_matrix(e), cols=d)
+    ge_basis = dense_nullspace(f, dense_ad(alg, e), cols=d)
     p_vecs = [list(nd.generators[i].vector) for i in nd.p_indices]
     # [f, g(j)] for j >= 2, generated from the adapted vectors of weight >= 2
     img_f = []
     for g in nd.generators:
         if g.weight >= 2:
-            src = alg.bracket(fv, list(g.vector))
+            src = dense_bracket(alg, fv, list(g.vector))
             if any(not f.is_zero(c) for c in src):
                 img_f.append(src)
     d_ge = linalg.rank(f, ge_basis)

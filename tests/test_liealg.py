@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import check_axioms, dense_bracket
+from oracle import check_axioms, dense_ad, dense_bracket, dense_form
 from wsuper import build_algebra
 from wsuper.linalg import mat_mul
 from wsuper.modp import reduce_mod_p
+from wsuper.nilpotent import _ad_columns, _covector, _dot
 from wsuper.superalgebra import (AlgebraError, DegenerateFormError,
-                                 LieSuperalgebra, invariant_form,
+                                 LieSuperalgebra, _bracket, invariant_form,
                                  osp_form_matrix, structure_from_realization,
                                  supertrace, supertrace_gram)
 from wsuper.scalars import QQ
@@ -95,10 +96,11 @@ def test_form_axioms_exhaustive(sl21, osp12):
         basis = [[Fraction(int(t == i)) for t in range(d)] for i in range(d)]
         for i in range(d):
             for j in range(d):
-                bij = alg.bracket(basis[i], basis[j])
+                bij = dense_bracket(alg, basis[i], basis[j])
                 for k in range(d):
-                    lhs = alg.form(bij, basis[k])
-                    rhs = alg.form(basis[i], alg.bracket(basis[j], basis[k]))
+                    lhs = dense_form(alg, bij, basis[k])
+                    rhs = dense_form(alg, basis[i],
+                                     dense_bracket(alg, basis[j], basis[k]))
                     assert lhs == rhs
 
 
@@ -317,21 +319,37 @@ def _vector_pairs(draw):
     return alg, draw(vector), draw(vector)
 
 
+def _sparse(alg, v):
+    return {i: c for i, c in enumerate(v) if not alg.field.is_zero(c)}
+
+
+def _coords(alg, vec):
+    """A sparse {index: c} vector as a coordinate list over alg's field."""
+    out = [alg.field.zero] * alg.dim
+    for k, c in vec.items():
+        out[k] = alg.field.of(c)
+    return out
+
+
+def _sparse_bracket(alg, v, w):
+    """[v, w] of coordinate lists through the sparse `_bracket`."""
+    return _coords(alg, _bracket(alg.structure, _sparse(alg, v),
+                                 _sparse(alg, w), {}))
+
+
 @settings(max_examples=60, deadline=None)
 @given(_vector_pairs())
 def test_bracket_ad_and_form_match_the_dense_oracle(case):
+    # the sparse bracket, the ad columns and the form through the gram's
+    # rows that the nilpotent analysis reads, against the dense oracles
     alg, v, w = case
     f = alg.field
-    assert alg.bracket(v, w) == dense_bracket(alg, v, w)
-    columns = [dense_bracket(alg, v, [f.one if t == j else f.zero
-                                      for t in range(alg.dim)])
-               for j in range(alg.dim)]
-    assert alg.ad_matrix(v) == [list(row) for row in zip(*columns)]
-    expect = f.zero
-    for i, a in enumerate(v):
-        for j, b in enumerate(w):
-            expect = f.add(expect, f.mul(f.mul(a, b), alg.gram[i][j]))
-    assert alg.form(v, w) == expect
+    sv, sw = _sparse(alg, v), _sparse(alg, w)
+    assert _sparse_bracket(alg, v, w) == dense_bracket(alg, v, w)
+    assert ([_coords(alg, col) for col in _ad_columns(alg, sv)]
+            == [list(col) for col in zip(*dense_ad(alg, v))])
+    rows = [_sparse(alg, row) for row in alg.gram]
+    assert f.of(_dot(_covector(rows, sv), sw)) == dense_form(alg, v, w)
 
 
 # -- super-Jacobi on random elements ------------------------------------------
@@ -365,7 +383,7 @@ def test_super_jacobi_on_random_elements(case):
     # parts of three random elements, all eight parity choices
     alg, u, v, w = case
     f = alg.field
-    br = alg.bracket
+    br = functools.partial(_sparse_bracket, alg)
     for px, py, pz in product((0, 1), repeat=3):
         x, y, z = _part(alg, u, px), _part(alg, v, py), _part(alg, w, pz)
         sign = f.neg(f.one) if px and py else f.one

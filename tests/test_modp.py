@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from checks import check_graded_p_map, check_restrictedness
-from oracle import (ad_matrix, check_p_center_acts_zero, dense_rows,
-                    left_matrix)
+from oracle import (ad_matrix, check_p_center_acts_zero, dense_bracket,
+                    dense_rows, left_matrix)
 from wsuper import cli, modp
 from wsuper.modp import ReductionError
 from wsuper.wchar0 import WContext
@@ -76,10 +76,10 @@ def test_p_map_of_diagonal(gl11):
     x[lab["E11"]] = 1
     y = [0] * alg.dim
     y[lab["E12"]] = 1
-    lhs = alg.bracket(list(mod.p_map[lab["E11"]]), y)
+    lhs = dense_bracket(alg, list(mod.p_map[lab["E11"]]), y)
     img = y
     for _ in range(3):
-        img = alg.bracket(x, img)
+        img = dense_bracket(alg, x, img)
     assert lhs == img
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracle import (_echelon_mod_p, _reduce, dense_nullspace_mod_p,
-                    dense_rank_mod_p, dense_rows, dense_rref,
-                    dense_rref_mod_p)
+from oracle import (_echelon_mod_p, _reduce, dense_invert,
+                    dense_nullspace_mod_p, dense_rank_mod_p, dense_rows,
+                    dense_rref, dense_rref_mod_p, mat_vec)
 from wsuper import linalg
 from wsuper.scalars import (QQ, PrimeField, _is_prime, format_scalar,
                             is_rational_square, parse_scalar)
@@ -53,8 +53,8 @@ def test_rref_solve_nullspace_small():
     mat = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     red, piv = linalg.rref(QQ, mat)
     assert piv == [0]
-    ns = linalg.nullspace(QQ, mat)
-    assert ns == [[Fraction(-2), Fraction(1)]]
+    ns = linalg.kernel_rows(QQ, red, piv, 2)
+    assert ns == [{0: Fraction(-2), 1: Fraction(1)}]
     sol = linalg.solve_affine(QQ, mat, [Fraction(3), Fraction(6)])
     assert sol == [Fraction(3), Fraction(0)]
     assert linalg.solve_affine(QQ, mat, [Fraction(3), Fraction(7)]) is None
@@ -67,7 +67,9 @@ def test_invert_roundtrip():
         mat = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
         if linalg.rank(QQ, [r[:] for r in mat]) < n:
             continue
-        inv = linalg.invert(QQ, mat)
+        inv = [[row.get(j, Fraction(0)) for j in range(n)]
+               for row in linalg.invert(QQ, mat)]
+        assert inv == dense_invert(QQ, mat)
         prod = linalg.mat_mul(QQ, mat, inv)
         assert prod == [[Fraction(int(i == j)) for j in range(n)]
                         for i in range(n)]
@@ -363,7 +365,7 @@ def test_solve_affine_is_the_particular_solution_of_the_oracle(case):
     for r, pc in enumerate(piv):
         want[pc] = red[r][n]
     assert x == want
-    assert linalg.mat_vec(field, mat, x) == [field.of(b) for b in rhs]
+    assert mat_vec(field, mat, x) == [field.of(b) for b in rhs]
 
 
 @settings(max_examples=200, deadline=None)
@@ -372,9 +374,10 @@ def test_nullspace_is_the_identity_on_the_free_columns(case):
     field, a, cols = case
     _, piv = dense_rref(field, a)
     free = [j for j in range(cols) if j not in piv]
-    ns = linalg.nullspace(field, a, cols)
+    ns = _dense(field, linalg.kernel_rows(field, *linalg.rref(field, a), cols),
+                cols)
     assert len(ns) == len(free)
     for v, j in zip(ns, free):
         assert [v[k] for k in free] == [field.one if k == j else field.zero
                                         for k in free]
-        assert all(field.is_zero(x) for x in linalg.mat_vec(field, a, v))
+        assert all(field.is_zero(x) for x in mat_vec(field, a, v))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from oracle import dense_bracket, dense_invert, dense_nullspace, mat_vec
 from wsuper import (analyze_nilpotent, build_algebra, linalg,
                     resolve_nilpotent, sl2_triple)
 from wsuper.scalars import QQ
@@ -92,7 +93,7 @@ def test_sl21_theta1_against_direct_nullspace(nd_sl21_e12, ctx_sl21):
     for ci, col in enumerate(cols):
         for key, c in col.items():
             mat[rows[key]][ci] = c
-    kernel = linalg.nullspace(QQ, mat, cols=len(monos))
+    kernel = dense_nullspace(QQ, mat, cols=len(monos))
     # theta1's coefficient vector over those monomials lies in the kernel span
     th1 = ctx_sl21.generators()[0].value
     vec = [th1.coefficient(m) for m in monos]
@@ -247,13 +248,13 @@ def test_sl21_linear_parts_match_centralizer(ctx_sl21, nd_sl21_e12):
     degrees = ctx_sl21.generator_degrees()
     change = [[nd.generators[j].vector[i] for j in range(len(nd.generators))]
               for i in range(alg.dim)]
-    inv = linalg.invert(QQ, change)
+    inv = dense_invert(QQ, change)
     for (i, j), poly in pres.relations.items():
         gi = ctx_sl21.leading_gen_index(i)
         gj = ctx_sl21.leading_gen_index(j)
-        br = alg.bracket(list(nd.generators[gi].vector),
-                         list(nd.generators[gj].vector))
-        coords = linalg.mat_vec(QQ, inv, br)
+        br = dense_bracket(alg, list(nd.generators[gi].vector),
+                           list(nd.generators[gj].vector))
+        coords = mat_vec(QQ, inv, br)
         bound = degrees[i - 1] + degrees[j - 1] - 2
         linear = poly.linear_terms()
         for t in range(ctx_sl21.n_generators()):
