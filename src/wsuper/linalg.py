@@ -3,15 +3,18 @@
 `rref` is sparse Gauss-Jordan elimination on {column: coefficient} rows over
 any Field object.  It serves every system wsuper solves: the rational ones
 (the generator solves, the graded check, the nilpotent analysis) and every
-mod-p one of a `verify all` row.  The largest of those is the joint kernel of
-ad z, z in m, on the reduced module Q, whose |m| dim Q rows are the
-transposed sparse ad columns (`modp.ReducedQ._m_rows`); the others are the
-PBW monomial vectors of `modp.reduced_w` and the m'-invariants inside the
-m-kernel, which go through `rank_mod_p` and `rref_mod_p`, the entry points
-over F_p.  The RREF is unique, so echelon bases and particular solutions do
-not depend on the order of the rows; the cost does.  The elimination uses
-Python's operators on the entries: over F_p each entry is reduced mod p when
-its row enters and after each update, and each pivot costs one `field.inv`.
+mod-p one of a `verify all` row.  The largest of those are the links of the
+joint kernel of ad z, z in m, on the reduced module Q
+(`modp.ReducedQ._m_kernel`): the transposed sparse ad columns of the first
+generator, then the transposed images of each kernel basis under the next
+one, each at most dim Q rows and streamed in as a generator.  The PBW
+monomial vectors of `modp.reduced_w` and the image of the m-invariants
+under the middle odd vector go through `rank_mod_p`, one of the two entry
+points over F_p, as lists.  The RREF is unique, so echelon bases and
+particular solutions do not depend on the order of the rows; the cost does.
+The elimination uses Python's operators on the entries: over F_p each entry
+is reduced mod p when its row enters and after each update, and each pivot
+costs one `field.inv`.
 """
 
 from __future__ import annotations

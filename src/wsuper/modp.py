@@ -211,19 +211,20 @@ def pbw_dim(p, parities):
 MONOMIAL_BYTES = 128
 MONOMIAL_BYTES_PER_GEN = 8
 # Bytes one ad column of z in m costs on the way to the m-kernel: the sparse
-# column, its share of the transposed rows and of the pivot rows of their
-# elimination.  Measured as the rise in peak RSS over building the columns
-# and the kernel: 5.9 KB per column on gl(2|1) regular at p = 7 (2 x 19,208
-# columns), 3.2 KB at p = 5 and 1.5 KB on sl(2|1) E12 at p = 5.  Fill grows
-# with dim Q, so on a larger Q this is a floor, not a bound.
+# column, kept for every link and the right-action check, and its share of
+# a link's transposed rows, pivot rows and kernel basis.  Measured as the
+# rise in peak RSS over building the columns and the kernel: 4.7 KB per
+# column on gl(2|1) regular at p = 7 (2 x 19,208 columns), 2.7 KB at p = 5
+# and 1.3 KB on sl(2|1) E12 at p = 5.  Fill grows with dim Q, so on a larger
+# Q this is a floor, not a bound.
 AD_COLUMN_BYTES = 6144
 
 
 def q_footprint(nd, p):
     """(dim Q, estimated bytes) of the reduced module at p, read off the
     datum before anything is built: the monomial basis, the sparse ad
-    columns of m and their elimination, and 16 bytes per entry of a
-    dim W x dim Q matrix (dim W = p^l 2^q').  That last term is what the
+    columns of m and the m-kernel's eliminations, and 16 bytes per entry of
+    a dim W x dim Q matrix (dim W = p^l 2^q').  That last term is what the
     PBW monomial vectors of `reduced_w` took as a dense int64 matrix and its
     float64 copy; they are sparse rows now, so it over-counts, and it is
     kept because it is what refuses gl(1|1) zero at p = 211."""
@@ -369,39 +370,65 @@ class ReducedQ:
             for j, col in enumerate(cols):
                 for i, c in col.items():
                     rows[i * len(blocks) + k][j] = c
-        while rows:
-            yield rows.pop()
+        return _popping(rows)
 
-    def _m_rows(self):
-        """The rows of the ad z for z in m stacked."""
-        return self._stacked_rows([self.ad_columns(z)
-                                   for z in self.datum.m_indices])
+    def _m_order(self):
+        """m's generators sorted by (parity, weight, index), even ones first.
+        The chain's result does not depend on the order, but its cost does:
+        on gl(2|1) regular at p = 5 the kernel took 0.7 s with w1 first and
+        1.5 s with v2 first (Python 3.11, a shared 2-vCPU host)."""
+        gens = self.datum.generators
+        return sorted(self.datum.m_indices,
+                      key=lambda z: (gens[z].parity, gens[z].weight, z))
+
+    def _m_kernel(self, order, rank_only=False):
+        """The joint kernel of ad z over the generators z in order, one link
+        at a time: the canonical kernel basis of ad z_1 from its own dim Q
+        sparse rows, then the kernel of each later ad z on the previous
+        basis (`_restricted_kernel`).  No elimination sees more than dim Q
+        rows.  With rank_only, the dimension alone, from a rank at the last
+        link; with no generators, the unit basis of Q."""
+        if not order:
+            return self.dim if rank_only else [{j: self.field.one}
+                                               for j in range(self.dim)]
+        rows = self._stacked_rows([self.ad_columns(order[0])])
+        if rank_only and len(order) == 1:
+            return self.dim - linalg.rank(self.field, rows)
+        basis = self._kernel_basis(rows)
+        for k, z in enumerate(order[1:], 2):
+            cols = self.ad_columns(z)
+            basis = self._restricted_kernel(
+                basis, (self._combine(cols, x) for x in basis),
+                rank_only and k == len(order))
+        return basis
 
     def invariant_dimension(self, sub="m"):
         """Dimension of the joint kernel of ad z over the chosen subalgebra;
         read from `invariant_subspace` when that has already run, and always
-        for m' (whose kernel is found inside the m-kernel).  Otherwise dim Q
-        less the rank of the sparse m rows."""
+        for m' (whose kernel is found inside the m-kernel).  Otherwise the
+        m chain with a rank at its last link."""
         key = self._sub_key(sub)
         if key == "mprime":
             return len(self.invariant_subspace(key))
         if key not in self._inv_dim:
-            self._inv_dim[key] = self.dim - linalg.rank(self.field,
-                                                        self._m_rows())
+            self._inv_dim[key] = self._m_kernel(self._m_order(),
+                                                rank_only=True)
         return self._inv_dim[key]
 
     def invariant_subspace(self, sub="m"):
         """Echelonized basis of the joint kernel of ad z over the chosen
         subalgebra, computed once per Q: the canonical kernel basis as a
         tuple of {column: c} rows, each 1 at its free column (its largest
-        key) and 0 at the other rows' free columns."""
+        key) and 0 at the other rows' free columns.  m' = m + <v_mid> is one
+        more link of the chain, on the m basis through the middle image."""
         key = self._sub_key(sub)
         basis = self._inv_basis.get(key)
         if basis is None:
             if key == "m":
-                basis = self._kernel_basis(self._m_rows())
+                basis = self._m_kernel(self._m_order())
             else:
-                basis = self._mprime_invariants()
+                basis = self._restricted_kernel(self.invariant_subspace("m"),
+                                                self._middle_image())
             basis = self._inv_basis[key] = tuple(basis)
             self._inv_dim[key] = len(basis)
         return basis
@@ -410,6 +437,34 @@ class ReducedQ:
         """The canonical kernel basis of sparse rows on Q's columns."""
         return linalg.kernel_rows(self.field, *linalg.rref(self.field, rows),
                                   self.dim)
+
+    def _restricted_kernel(self, basis, image, rank_only=False):
+        """The kernel of a map on the span of a canonical kernel basis K,
+        given the image of each row of K: the combinations c K with
+        sum_r c_r image_r = 0, so c runs over the kernel of the image's
+        transpose.  The transposed rows are built as the images stream in,
+        and handed to the elimination from the last basis monomial down.
+        With rank_only, the kernel's dimension alone.
+
+        The combinations by the canonical kernel basis of c are canonical
+        again, in the same order: the rows of K are sorted by their free
+        columns f_r, row r is 1 at f_r and 0 at the others', so c K is c_r
+        at f_r; a c row with largest key s, 1 there and 0 at the other free
+        s', gives a row with largest key f_s, 1 there and 0 at the other
+        f_s'."""
+        image_t = [{} for _ in range(self.dim)]
+        for r, row in enumerate(image):
+            for i, c in row.items():
+                image_t[i][r] = c
+        rows = _popping(image_t)
+        if rank_only:
+            return len(basis) - linalg.rank(self.field, rows)
+        kernel = linalg.kernel_rows(self.field, *linalg.rref(self.field, rows),
+                                    len(basis))
+        # copied, because a sum's dict keeps the room of its cancelled terms:
+        # on osp(3|2) at p = 3 the m and m' bases take 4.4 and 4.1 MB
+        # uncopied, 2.9 and 2.0 MB copied
+        return [dict(self._combine(basis, c)) for c in kernel]
 
     def _combine(self, rows, coeffs):
         """The sum of c rows[r] over the entries r: c of coeffs, mod p."""
@@ -427,26 +482,6 @@ class ReducedQ:
             self._mid_image = tuple(self._combine(cols, x)
                                     for x in self.invariant_subspace("m"))
         return self._mid_image
-
-    def _mprime_invariants(self):
-        # m' = m + <v_mid>, so Q^m' = ker(ad v_mid) on Q^m: with K the m
-        # basis, the combinations c K for the c with c (K ad_v^T) = 0, the
-        # kernel of the image's transpose
-        basis = self.invariant_subspace("m")
-        image_t = [{} for _ in range(self.dim)]
-        for r, row in enumerate(self._middle_image()):
-            for i, c in row.items():
-                image_t[i][r] = c
-        c = linalg.kernel_rows(self.field, *linalg.rref_mod_p(image_t, self.p),
-                               len(basis))
-        # the canonical kernel basis is the reduced echelon form read from
-        # the last column backwards
-        top = self.dim - 1
-        flipped = [{top - j: x for j, x in self._combine(basis, ck).items()}
-                   for ck in c]
-        reduced, _ = linalg.rref_mod_p(flipped, self.p)
-        return [{top - j: x for j, x in row.items()}
-                for row in reversed(reduced)]
 
     def whittaker_subspace(self):
         """Vectors on which every z in m acts by eta(z) under left
@@ -471,6 +506,13 @@ class ReducedQ:
 
     def dim_reduced_enveloping(self):
         return self._pbw_dim(range(self.engine.n_gens))
+
+
+def _popping(rows):
+    """Hand out the rows from the last to the first, each dropped from the
+    list once handed out."""
+    while rows:
+        yield rows.pop()
 
 
 def build_reduced_q(datum, eta=None, eta_label="chi"):

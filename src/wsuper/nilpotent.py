@@ -419,9 +419,6 @@ class NilpotentData:
     def r_odd(self):
         return self.r % 2 == 1
 
-    def u_index(self, i):
-        return self.m_count + self.n_count + i - 1
-
     def v_index(self, i):
         return self.m_count + self.n_count + self.s + i - 1
 
@@ -446,9 +443,6 @@ class NilpotentData:
     @property
     def p_indices(self):
         return list(range(0, self.m_count + self.n_count))
-
-    def dims_tuple(self):
-        return (self.l, self.q, self.s, self.r, self.t)
 
     def __eq__(self, other):
         if not isinstance(other, NilpotentData):

@@ -240,8 +240,3 @@ def atomic_write(path, text):
     with open(tmp, "w") as fh:
         fh.write(text)
     os.replace(tmp, path)
-
-
-def load_json(path):
-    with open(path) as fh:
-        return json.load(fh)

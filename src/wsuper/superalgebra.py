@@ -41,10 +41,16 @@ def zero_matrix(n, field=QQ):
 
 
 def mat_pow(field, a, k):
+    """a**k by repeated squaring: one product per set bit of k and one
+    squaring per bit below the top one."""
     n = len(a)
     out = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    for _ in range(k):
-        out = linalg.mat_mul(field, out, a)
+    while k:
+        if k & 1:
+            out = linalg.mat_mul(field, out, a)
+        k >>= 1
+        if k:
+            a = linalg.mat_mul(field, a, a)
     return out
 
 
@@ -141,10 +147,6 @@ class LieSuperalgebra:
         self._verify()
 
     # -- basic structure ----------------------------------------------------
-
-    def dim_pair(self):
-        even = sum(1 for b in self.basis if b.parity == 0)
-        return (even, self.dim - even)
 
     def realize(self, v):
         if self.realization is None:

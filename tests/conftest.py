@@ -61,6 +61,18 @@ def nd_gl21_reg(gl21):
 
 
 @pytest.fixture(scope="session")
+def nd_osp22():
+    # even r; m is spanned by an odd v2 and an even w1
+    return datum(build_algebra("osp", 2, 2), "0,1,0,0,0,0,0,0")
+
+
+@pytest.fixture(scope="session")
+def nd_osp32():
+    # odd r; m is spanned by an odd v3 and an even w1, v_mid lies outside
+    return datum(build_algebra("osp", 3, 2), "0,0,0,1,0,0,0,0,0,0,0,0")
+
+
+@pytest.fixture(scope="session")
 def ctx_sl21(nd_sl21_e12):
     ctx = WContext(nd_sl21_e12)
     ctx.generators()

@@ -3,16 +3,18 @@ Gauss-Jordan elimination over a Field (the oracle of `wsuper.linalg.rref`),
 with the dense inverse, kernel and matrix-vector product built on it, the
 blocked float64 elimination mod p (the dense mod-p oracle), the Lie
 superbracket, ad matrix and invariant form on coordinate lists, the action
-columns of Q built one monomial at a time, Q's action matrices and the dense
-stack of its ad matrices, the PBW engine's normal ordering and per-term
-arithmetic through Field methods, the PBW exponent tuples as a filtered
-product, and the Lie superalgebra axiom checks through Field methods."""
+columns of Q built one monomial at a time, Q's action matrices, the dense
+stack of its ad matrices and the sparse stacked kernel, the PBW engine's
+normal ordering and per-term arithmetic through Field methods, the PBW
+exponent tuples as a filtered product, the Lie superalgebra axiom checks
+through Field methods, and matrix powers as a loop of products."""
 
 import weakref
 from itertools import product
 
 import numpy as np
 
+from wsuper import linalg
 from wsuper.linalg import BLOCK, exact_mod_p
 from wsuper.superalgebra import AlgebraError
 
@@ -62,6 +64,17 @@ def dense_bracket(alg, v, w):
                 continue
             for k, c in alg.structure.get((i, j), {}).items():
                 out[k] = f.add(out[k], f.mul(f.mul(ci, cj), c))
+    return out
+
+
+def naive_mat_pow(field, a, k):
+    """a**k as k products with a, one after another; the oracle of the
+    repeated squaring in `wsuper.superalgebra.mat_pow`."""
+    n = len(a)
+    out = [[field.one if i == j else field.zero for j in range(n)]
+           for i in range(n)]
+    for _ in range(k):
+        out = linalg.mat_mul(field, out, a)
     return out
 
 
@@ -296,6 +309,22 @@ def stacked_ad(q, sub):
     that `ReducedQ` eliminates."""
     idx = q.datum.m_indices if sub == "m" else q.datum.mprime_indices
     return np.concatenate([ad_matrix(q, z) for z in idx], axis=0)
+
+
+def sparse_stacked_kernel(q, sub):
+    """The canonical basis of the joint kernel of ad z for z in m or m' on a
+    ReducedQ, from one sparse elimination of all their rows stacked: one
+    {column: c} row per (z, basis monomial), fed from the last monomial
+    down.  The oracle of the chain `ReducedQ` takes, one generator at a
+    time."""
+    idx = q.datum.m_indices if sub == "m" else q.datum.mprime_indices
+    rows = [{} for _ in range(len(idx) * q.dim)]
+    for k, z in enumerate(idx):
+        for j, col in enumerate(q.ad_columns(z)):
+            for i, c in col.items():
+                rows[i * len(idx) + k][j] = c
+    reduced, piv = linalg.rref(q.field, reversed(rows))
+    return linalg.kernel_rows(q.field, reduced, piv, q.dim)
 
 
 def check_p_center_acts_zero(q):

@@ -178,9 +178,9 @@ def test_pipeline_writes_nilpotent_artifacts(tmp_path, sl21):
                          out_dir=str(tmp_path / "g"))
     code, failures, written = run_pipeline(cfg)
     assert code == EXIT_OK and not failures
-    data = serialize.load_json(os.path.join(cfg.out_dir, "nilpotent.json"))
+    data = json.loads((tmp_path / "g" / "nilpotent.json").read_text())
     nd = serialize.nilpotent_from_json(data, sl21)
-    assert nd.dims_tuple() == (2, 2, 0, 2, 1)
+    assert (nd.l, nd.q, nd.s, nd.r, nd.t) == (2, 2, 0, 2, 1)
     rows = (tmp_path / "g" / "modp_report.csv").read_text().splitlines()
     assert len(rows) == 3  # header + two eta rows
 
@@ -432,7 +432,7 @@ def test_each_command_writes_its_artifacts(tmp_path):
                        + ["--out", str(out)]) == EXIT_OK
         assert {f.name for f in out.iterdir()} == names, (command, action)
         if "wpresentation.json" in names:
-            data = serialize.load_json(str(out / "wpresentation.json"))
+            data = json.loads((out / "wpresentation.json").read_text())
             relations[command, action] = data["relations"]
     assert relations[("w", "solve")] == []
     assert relations[("w", "relations")] == relations[("verify", "all")] != []

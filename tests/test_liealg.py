@@ -9,16 +9,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import check_axioms, dense_ad, dense_bracket, dense_form
-from wsuper import build_algebra
+from oracle import (check_axioms, dense_ad, dense_bracket, dense_form,
+                    naive_mat_pow)
+from wsuper import build_algebra, linalg
 from wsuper.linalg import mat_mul
 from wsuper.modp import reduce_mod_p
 from wsuper.nilpotent import _ad_columns, _covector, _dot
 from wsuper.superalgebra import (AlgebraError, DegenerateFormError,
                                  LieSuperalgebra, _bracket, invariant_form,
-                                 osp_form_matrix, structure_from_realization,
+                                 mat_pow, osp_form_matrix,
+                                 structure_from_realization,
                                  supertrace, supertrace_gram)
-from wsuper.scalars import QQ
+from wsuper.scalars import QQ, PrimeField
 
 
 def label_index(alg, label):
@@ -29,7 +31,7 @@ def label_index(alg, label):
 
 
 def test_gl11_shape_and_even_part(gl11):
-    assert gl11.dim_pair() == (2, 2)
+    assert (gl11.parities.count(0), gl11.parities.count(1)) == (2, 2)
     # even part is spanned by the two commuting diagonal units
     i, j = label_index(gl11, "E11"), label_index(gl11, "E22")
     assert gl11.parities[i] == 0 and gl11.parities[j] == 0
@@ -38,13 +40,13 @@ def test_gl11_shape_and_even_part(gl11):
 
 
 def test_sl21_supertraces_vanish(sl21):
-    assert sl21.dim_pair() == (4, 4)
+    assert (sl21.parities.count(0), sl21.parities.count(1)) == (4, 4)
     for mat in sl21.realization:
         assert supertrace(QQ, mat, 2) == 0
 
 
 def test_osp12_shape(osp12):
-    assert osp12.dim_pair() == (3, 2)
+    assert (osp12.parities.count(0), osp12.parities.count(1)) == (3, 2)
 
 
 def test_osp12_defining_condition(osp12):
@@ -182,6 +184,39 @@ def test_one_sided_gram_change_breaks_evenness_or_supersymmetry(gl11, i, j,
     gram[label_index(gl11, i)][label_index(gl11, j)] += 1
     with pytest.raises(AlgebraError, match=message):
         _rebuild(gl11, gram=gram)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(7)],
+                         ids=["QQ", "F3", "F7"])
+def test_mat_pow_equals_the_product_loop(sl21, field):
+    # an sl(2|1) element with every basis vector in it, and a shifted one
+    # that is not nilpotent
+    x = [[field.of(c) for c in row] for row in sl21.realize(
+        [Fraction(k + 1, 2) for k in range(sl21.dim)])]
+    y = [[field.add(c, field.one) if i == j else c for j, c in enumerate(row)]
+         for i, row in enumerate(x)]
+    for a in (x, y):
+        for k in list(range(10)) + [16, 31, 100]:
+            assert mat_pow(field, a, k) == naive_mat_pow(field, a, k), k
+
+
+def test_mat_pow_takes_logarithmically_many_products(monkeypatch):
+    p = 100_003
+    gf = PrimeField(p)
+    calls = []
+    original = linalg.mat_mul
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    # Fermat on the diagonal, and the unipotent [[1, 1], [0, 1]] ** p = 1
+    assert mat_pow(gf, [[2, 0], [0, 3]], p) == [[2, 0], [0, 3]]
+    assert mat_pow(gf, [[1, 1], [0, 1]], p) == [[1, 0], [0, 1]]
+    # per power, 16 squarings and one product per set bit of p (24 in
+    # all); the loop took p
+    assert len(calls) == 2 * (p.bit_length() - 1 + bin(p).count("1")) == 48
 
 
 def test_wrong_p_map_breaks_axiom_b(gl11):

@@ -1,20 +1,23 @@
 """The structure of one `verify all` mod-p row: each object is computed once.
 
 Right multiplication by z in m acts on Q by eta(z), so ad z = L_z - eta(z)
-and the Whittaker vectors are the m-invariants.  The row builds Q once,
-eliminates the stacked ad matrix of m once, from its sparse rows, and reads
-the Whittaker dimension from that kernel.
+and the Whittaker vectors are the m-invariants.  The row builds Q once and
+the sparse ad columns of each generator once.  It takes the m-kernel one
+generator at a time, even generators first, so that no elimination sees
+more than dim Q rows, and reads the Whittaker dimension from that kernel.
 """
 
 import json
 import tracemalloc
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from oracle import (ad_matrix, dense_nullspace_mod_p, dense_rank_mod_p,
-                    dense_rows, left_matrix, stacked_ad)
+                    dense_rows, left_matrix, sparse_stacked_kernel,
+                    stacked_ad)
 from wsuper import cli, linalg, modp
 from wsuper.cli import EXIT_CHECK_FAILURES, EXIT_CONFIG, PipelineConfig
 
@@ -39,36 +42,70 @@ def _count(monkeypatch, owner, name, log):
     monkeypatch.setattr(owner, name, counted)
 
 
-def _suite(out_dir, primes=(3,)):
-    # `modp suite` on osp(1|2) regular with both sampled etas
-    return PipelineConfig(family="osp", m=1, n=2, nilpotent="regular",
+def _suite(out_dir, primes=(3,), shape=(1, 2), nilpotent="regular"):
+    # `modp suite` on osp with both sampled etas, osp(1|2) regular by default
+    return PipelineConfig(family="osp", m=shape[0], n=shape[1],
+                          nilpotent=nilpotent,
                           char0=cli.CHAR0_NONE,
                           primes=primes, eta_sweep=True, out_dir=str(out_dir))
 
 
-def test_row_builds_q_once_and_eliminates_the_m_stack_once(
-        monkeypatch, tmp_path, dat_osp3):
+@pytest.mark.parametrize("shape, nilpotent", [
+    ((1, 2), "regular"), ((2, 2), "0,1,0,0,0,0,0,0")], ids=["osp12", "osp22"])
+def test_row_builds_q_and_each_ad_column_set_once(monkeypatch, tmp_path,
+                                                  shape, nilpotent):
+    # osp(1|2) regular: odd r, |m| = 1, and the m' link through v_mid;
+    # osp(2|2): even r, |m| = 2, so the chain has two links
     monkeypatch.delenv(cli.ENV_OUT, raising=False)
-    log = {name: [] for name in ("build", "m_rows", "left", "whittaker",
+    log = {name: [] for name in ("build", "init", "left", "whittaker",
                                  "rank", "rref")}
     _count(monkeypatch, modp, "build_reduced_q", log["build"])
-    _count(monkeypatch, modp.ReducedQ, "_m_rows", log["m_rows"])
+    _count(monkeypatch, modp.ReducedQ, "__init__", log["init"])
     _count(monkeypatch, modp.ReducedQ, "left_columns", log["left"])
     _count(monkeypatch, modp.ReducedQ, "whittaker_subspace", log["whittaker"])
     _count(monkeypatch, linalg, "rank_mod_p", log["rank"])
     _count(monkeypatch, linalg, "rref_mod_p", log["rref"])
-    code, failures, _ = cli.run_pipeline(_suite(tmp_path))
+    built, eliminated = [], []
+    ad_columns = modp.ReducedQ.ad_columns
+
+    def counted_columns(q, g):
+        if g not in q._ad_cols:
+            built.append((id(q), g))
+        return ad_columns(q, g)
+
+    echelon = linalg._echelon
+
+    def counted_echelon(field, rows):
+        tally = [0]
+
+        def counted_rows():
+            for row in rows:
+                tally[0] += 1
+                yield row
+
+        try:
+            return echelon(field, counted_rows())
+        finally:
+            eliminated.append(tally[0])
+
+    monkeypatch.setattr(modp.ReducedQ, "ad_columns", counted_columns)
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    code, failures, _ = cli.run_pipeline(
+        _suite(tmp_path, shape=shape, nilpotent=nilpotent))
     assert code == cli.EXIT_OK and not failures
     rows = 2
-    assert len(log["build"]) == rows
+    qs = [args[0] for args in log["init"]]
+    assert len(log["build"]) == len(qs) == rows
     assert not log["left"] and not log["whittaker"]
-    # the m-stack is eliminated once per row, from its sparse rows; the
-    # m'-invariants come from inside the m-kernel, so there is no m' stack
-    assert len(log["m_rows"]) == rows
-    # per row, the F_p entry points rank the PBW vectors and the middle
-    # image, and eliminate the image's transpose and the m' span; each gets
-    # a list of sparse rows, never the m-stack
-    assert len(log["rank"]) == len(log["rref"]) == 2 * rows
+    # the ad columns of each z in m, and of v_mid for odd r, once per Q
+    dat = qs[0].datum
+    acted = sorted(dat.m_indices + ([dat.v_mid_index] if dat.r_odd else []))
+    assert sorted(built) == sorted((id(q), g) for q in qs for g in acted)
+    # every kernel, rank and echelon form of the row has at most dim Q rows
+    assert eliminated and max(eliminated) <= qs[0].dim
+    # per row, the F_p entry points rank the PBW vectors and, for odd r,
+    # the middle image; each gets a list of sparse rows
+    assert len(log["rank"]) == (2 if dat.r_odd else 1) * rows
     calls = [args[0] for args in log["rank"] + log["rref"]]
     assert all(type(vecs) is list and all(type(v) is dict for v in vecs)
                for vecs in calls)
@@ -111,10 +148,12 @@ def test_mprime_invariants_match_the_stacked_kernel(nd_osp12_reg, p):
 
 @pytest.mark.parametrize("nd, p", [
     ("nd_osp12_reg", 3), ("nd_osp12_reg", 5), ("nd_osp12_reg", 7),
-    ("nd_sl21_e12", 3), ("nd_sl21_e12", 5)])
+    ("nd_sl21_e12", 3), ("nd_sl21_e12", 5), ("nd_gl21_reg", 3),
+    ("nd_osp22", 3)])
 def test_sparse_m_kernel_equals_the_dense_oracle(request, nd, p):
     # oracle: the dense m-stack eliminated by the float64 kernel, and the
-    # middle image through the dense ad matrix of v_mid
+    # middle image through the dense ad matrix of v_mid; gl(2|1) and
+    # osp(2|2) have an odd and an even generator in m
     dat = modp.reduce_datum(request.getfixturevalue(nd), p)
     for label, eta in dat.eta_samples():
         q = modp.build_reduced_q(dat, eta, label)
@@ -130,6 +169,46 @@ def test_sparse_m_kernel_equals_the_dense_oracle(request, nd, p):
             ad_v = ad_matrix(q, dat.v_mid_index)
             image = dense_rows(q._middle_image(), q.dim)
             assert np.array_equal(image, (oracle @ ad_v.T) % p)
+
+
+def test_odd_r_chain_equals_the_sparse_stacked_kernel(nd_osp32):
+    # osp(3|2): odd r with |m| = 2, dim Q = 7776 at p = 3, too large for
+    # the dense oracle; m' adds v_mid as a third link
+    q = modp.build_reduced_q(modp.reduce_datum(nd_osp32, 3))
+    for sub in ("m", "mprime"):
+        want = sparse_stacked_kernel(q, sub)
+        assert list(q.invariant_subspace(sub)) == want
+        assert q.invariant_dimension(sub) == len(want)
+    assert (len(q.invariant_subspace("m")),
+            len(q.invariant_subspace("mprime"))) == (1296, 648)
+    _check_every_order(q)
+
+
+def _check_every_order(q):
+    dat = q.datum
+    # even generators first
+    assert [dat.generators[z].parity for z in q._m_order()] == [0, 1]
+    basis = q.invariant_subspace("m")
+    for order in permutations(dat.m_indices):
+        assert q._m_kernel(list(order)) == list(basis)
+        assert q._m_kernel(list(order), rank_only=True) == len(basis)
+
+
+@pytest.mark.parametrize("nd, p", [
+    ("nd_sl21_e12", 5), ("nd_gl21_reg", 3), ("nd_osp22", 3)])
+def test_every_order_of_m_gives_the_same_kernel(request, nd, p):
+    # and on osp(3|2) in the test above
+    _check_every_order(modp.build_reduced_q(
+        modp.reduce_datum(request.getfixturevalue(nd), p)))
+
+
+def test_zero_nilpotent_kernel_is_all_of_q(nd_gl11_zero):
+    # m = 0: no link, Q^m = Q, and the oracle eliminates no row
+    q = modp.build_reduced_q(modp.reduce_datum(nd_gl11_zero, 3))
+    unit = [{j: 1} for j in range(q.dim)]
+    assert q.invariant_dimension("m") == q.dim == 36
+    assert list(q.invariant_subspace("m")) == unit
+    assert sparse_stacked_kernel(q, "m") == unit
 
 
 def test_m_kernel_never_takes_the_dense_stack(nd_sl21_e12):

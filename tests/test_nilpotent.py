@@ -54,7 +54,7 @@ def test_non_nilpotent_rejected(gl11):
 
 def test_osp12_datum(nd_osp12_reg):
     nd = nd_osp12_reg
-    assert nd.dims_tuple() == (1, 1, 0, 1, 0)
+    assert (nd.l, nd.q, nd.s, nd.r, nd.t) == (1, 1, 0, 1, 0)
     assert nd.r_odd
     m_par = [nd.generators[i].parity for i in nd.m_indices]
     assert (m_par.count(0), m_par.count(1)) == (1, 0)
@@ -65,7 +65,7 @@ def test_osp12_datum(nd_osp12_reg):
 
 def test_sl21_datum(nd_sl21_e12):
     nd = nd_sl21_e12
-    assert nd.dims_tuple() == (2, 2, 0, 2, 1)
+    assert (nd.l, nd.q, nd.s, nd.r, nd.t) == (2, 2, 0, 2, 1)
     m_par = [nd.generators[i].parity for i in nd.m_indices]
     assert (m_par.count(0), m_par.count(1)) == (1, 1)
     # dimension identity: dim g - dim g^e = 2 dim g(-2) + dim g(-1), per parity
@@ -81,7 +81,7 @@ def test_sl21_datum(nd_sl21_e12):
 
 def test_zero_datum_is_trivial(nd_gl11_zero):
     nd = nd_gl11_zero
-    assert nd.dims_tuple() == (2, 2, 0, 0, 0)
+    assert (nd.l, nd.q, nd.s, nd.r, nd.t) == (2, 2, 0, 0, 0)
     assert nd.m_indices == []
     assert nd.cobasis_count == nd.alg.dim
     assert all(c == 0 for c in nd.chi)
@@ -103,10 +103,10 @@ def test_chi_is_normalized(nd_sl21_e12):
 
 def test_gl22_both_nilpotents(gl22):
     nd1 = analyze_nilpotent(gl22, sl2_triple(gl22, coords(gl22, "E12")))
-    assert nd1.dims_tuple() == (6, 4, 0, 4, 2)
+    assert (nd1.l, nd1.q, nd1.s, nd1.r, nd1.t) == (6, 4, 0, 4, 2)
     assert nd1.ef_normalized
     nd2 = analyze_nilpotent(gl22, sl2_triple(gl22, coords(gl22, "E34")))
-    assert nd2.dims_tuple() == (6, 4, 0, 4, 2)
+    assert (nd2.l, nd2.q, nd2.s, nd2.r, nd2.t) == (6, 4, 0, 4, 2)
     # the two-block sum is isotropic for the supertrace form but the
     # structural decompositions still hold (the analyzer checks them)
     e = [a + b for a, b in zip(coords(gl22, "E12"), coords(gl22, "E34"))]

@@ -188,22 +188,24 @@ def ctx_gl31_e12():
     # s = 1 and r = 2: u1 and v1 in the co-basis, u2 and v2 in m
     alg = build_algebra("gl", 3, 1)
     nd = analyze_nilpotent(alg, sl2_triple(alg, resolve_nilpotent(alg, "E12")))
-    assert nd.dims_tuple() == (6, 4, 1, 2, 1)
+    assert (nd.l, nd.q, nd.s, nd.r, nd.t) == (6, 4, 1, 2, 1)
     return WContext(nd)
 
 
 def test_leading_to_expo_rejects_u_and_m_generators(ctx_gl31_e12):
     nd, e = ctx_gl31_e12.nd, ctx_gl31_e12.engine
-    for g in (nd.u_index(1), nd.m_indices[0]):
+    # u1 follows the x and y generators
+    for g in (nd.m_count + nd.n_count, nd.m_indices[0]):
         with pytest.raises(LeadingShapeError):
             ctx_gl31_e12._leading_to_expo(e._gen_mono(g))
 
 
 def test_centralizer_structure_rejects_brackets_outside(
         ctx_osp12, ctx_gl31_e12, monkeypatch):
-    # v_mid leads the extra odd generator, but it is not in the centralizer
+    # v_mid leads the extra odd generator, but it is not in the centralizer;
+    # neither are u1 (after the x and y generators) and m
     cases = [(ctx_osp12, ctx_osp12.nd.v_mid_index),
-             (ctx_gl31_e12, ctx_gl31_e12.nd.u_index(1)),
+             (ctx_gl31_e12, ctx_gl31_e12.nd.m_count + ctx_gl31_e12.nd.n_count),
              (ctx_gl31_e12, ctx_gl31_e12.nd.m_indices[0])]
     for ctx, kgen in cases:
         with monkeypatch.context() as mp:
@@ -345,7 +347,7 @@ def test_osp32_odd_r_with_pair():
     target[3][4] = Fraction(1)
     e = Coordinatizer(QQ, alg.realization).coords(target)
     nd = analyze_nilpotent(alg, sl2_triple(alg, e))
-    assert nd.dims_tuple() == (4, 3, 0, 3, 1)
+    assert (nd.l, nd.q, nd.s, nd.r, nd.t) == (4, 3, 0, 3, 1)
     assert nd.r_odd and nd.t_cb == 2 and nd.middle_norm == 2
     ctx = WContext(nd)
     gens = ctx.generators()
@@ -364,11 +366,11 @@ def test_gl31_symplectic_variables_in_pipeline():
     from wsuper.presets import resolve_nilpotent
     alg = build_algebra("gl", 3, 1)
     nd = analyze_nilpotent(alg, sl2_triple(alg, resolve_nilpotent(alg, "E13")))
-    assert nd.dims_tuple() == (6, 4, 1, 2, 1)
+    assert (nd.l, nd.q, nd.s, nd.r, nd.t) == (6, 4, 1, 2, 1)
     ctx = WContext(nd)
     gens = ctx.generators()
     assert len(gens) == 10
-    u_pos = nd.u_index(1)
+    u_pos = nd.m_count + nd.n_count  # u1, after the x and y generators
     for w in gens:
         ctx.check_leading_shape(w.value)
         for m in ctx.engine.leading_terms(w.value):
