@@ -125,7 +125,7 @@ def run_pipeline(cfg):
     computes or writes runs inside a `_stage`."""
     with _stage("set-up"):
         for p in cfg.primes:  # a rejected prime leaves no artifact
-            modp.admissible_field(cfg.family, (cfg.m, cfg.n), p)
+            modp.check_restriction(cfg.family, (cfg.m, cfg.n), p)
         out_dir = resolve_out_dir(cfg.out_dir)
         os.makedirs(out_dir, exist_ok=True)
     failures = []
@@ -200,9 +200,11 @@ def run_pipeline(cfg):
 
 def _preflight(nd, primes):
     """The datum reduced mod each prime, for the mod-p rows.  A prime whose Q
-    would not fit in physical memory, or that divides a denominator of the
-    datum, is refused before anything is allocated or written."""
-    datums = []
+    would not fit in physical memory is refused first, for every prime,
+    before anything is allocated or written; then each reduction tests that
+    p is prime (`modp.admissible_field`, O(sqrt p) divisions, so only once
+    p is known to be small) and refuses a p that divides a denominator of
+    the datum."""
     for p in primes:
         with _stage("mod-p preflight, p = %d" % p):
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -211,6 +213,8 @@ def _preflight(nd, primes):
             raise ConfigError("p = %d: dim Q = %d needs about %d bytes, more"
                               " than the %d bytes of physical memory"
                               % (p, dim, need, memory))
+    datums = []
+    for p in primes:
         with _stage("mod-p reduction, p = %d" % p):
             datums.append(modp.reduce_datum(nd, p))
     return datums

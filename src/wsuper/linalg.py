@@ -14,7 +14,9 @@ points over F_p, as lists.  The RREF is unique, so echelon bases and
 particular solutions do not depend on the order of the rows; the cost does.
 The elimination uses Python's operators on the entries: over F_p each entry
 is reduced mod p when its row enters and after each update, and each pivot
-costs one `field.inv`.
+costs one `field.inv`.  Python ints do not overflow, so the routine is exact
+for every prime p and puts no bound on it; the size of Q, which grows as a
+power of p, is what bounds p (`modp.q_footprint`).
 """
 
 from __future__ import annotations
@@ -189,18 +191,6 @@ def intersect_zero(field, vectors_a, vectors_b):
 # ---------------------------------------------------------------------------
 # F_p
 # ---------------------------------------------------------------------------
-
-BLOCK = 64
-
-
-def exact_mod_p(p, block=BLOCK):
-    """Whether block*(p-1)**2 + p < 2**53, which for block = 64 holds up to
-    p = 11,863,279, the largest prime `modp.restriction_condition` accepts.
-    It is the bound under which the blocked float64 elimination that the
-    tests keep as the dense mod-p oracle is exact; the sparse routine has
-    none."""
-    return block * (p - 1) ** 2 + p < 2 ** 53
-
 
 def rank_mod_p(rows, p):
     """`rank` over F_p of a list of {column: c} rows."""

@@ -27,19 +27,20 @@ class ReductionError(ValueError):
     pass
 
 
-def restriction_condition(family, shape, p):
-    """The admissible-prime condition per family."""
+def check_restriction(family, shape, p):
+    """The admissible-prime conditions that cost O(1): p >= 3, a supported
+    family, and for sl that p does not divide m - n; ReductionError naming
+    the first that fails.  Primality is left to `admissible_field`."""
     m, n = shape
     if p < 3:
-        return False, "p must be an odd prime"
-    if not linalg.exact_mod_p(p):
-        return False, ("p exceeds the float64 bound %d*(p-1)**2 + p < 2**53"
-                       " of the mod-p kernel" % linalg.BLOCK)
-    if family == "sl" and (m - n) % p == 0:
-        return False, "p divides m - n = %d" % (m - n)
-    if family not in ("gl", "sl", "osp"):
-        return False, "unsupported family %r" % family
-    return True, ""
+        why = "p must be an odd prime"
+    elif family == "sl" and (m - n) % p == 0:
+        why = "p divides m - n = %d" % (m - n)
+    elif family not in ("gl", "sl", "osp"):
+        why = "unsupported family %r" % family
+    else:
+        return
+    raise ReductionError("p = %d rejected for %s%s: %s" % (p, family, shape, why))
 
 
 def _reduce_matrix(gf, mat):
@@ -59,12 +60,11 @@ def _reduce_table(gf, table):
 
 
 def admissible_field(family, shape, p):
-    """F_p once p passes `restriction_condition`; ReductionError otherwise.
-    The CLI calls it for every prime before it builds anything."""
-    ok, why = restriction_condition(family, shape, p)
-    if not ok:
-        raise ReductionError("p = %d rejected for %s%s: %s"
-                             % (p, family, shape, why))
+    """F_p once p passes `check_restriction` and is prime; ReductionError
+    otherwise.  Primality costs O(sqrt p) divisions, so the CLI reaches
+    this, through `reduce_datum`, only after `q_footprint` has refused every
+    p whose Q cannot fit in memory."""
+    check_restriction(family, shape, p)
     try:
         return PrimeField(p)
     except ValueError as exc:
@@ -99,18 +99,13 @@ def reduce_mod_p(alg, p):
     base = LieSuperalgebra(gf, alg.basis, structure, gram=gram,
                            realization=realization, p_map=p_map,
                            family=alg.family, shape=alg.shape)
-    return ModularAlgebra(base=base, p=p,
-                          restriction_ok={"family": alg.family,
-                                          "shape": alg.shape, "p": p,
-                                          "condition": "satisfied"},
-                          coordinatizer=coord)
+    return ModularAlgebra(base=base, p=p, coordinatizer=coord)
 
 
 @dataclass
 class ModularAlgebra:
     base: LieSuperalgebra
     p: int
-    restriction_ok: dict
     coordinatizer: Coordinatizer
 
     @property
@@ -124,7 +119,7 @@ class ModularDatum:
 
     def __init__(self, nd, p):
         mod = reduce_mod_p(nd.alg, p)
-        gf = PrimeField(p)
+        gf = mod.base.field
         self.nd = nd
         self.p = p
         self.field = gf
@@ -226,8 +221,10 @@ def q_footprint(nd, p):
     columns of m and the m-kernel's eliminations, and 16 bytes per entry of
     a dim W x dim Q matrix (dim W = p^l 2^q').  That last term is what the
     PBW monomial vectors of `reduced_w` took as a dense int64 matrix and its
-    float64 copy; they are sparse rows now, so it over-counts, and it is
-    kept because it is what refuses gl(1|1) zero at p = 211."""
+    floating-point copy; they are sparse rows now, so it over-counts, and it
+    is kept because it is what refuses gl(1|1) zero at p = 211.  It needs no
+    primality test and is the one size gate on p: dim Q is p^a 2^b, so a p
+    whose Q fits is small enough for `PrimeField`'s test."""
     gens = nd.generators
     dim = pbw_dim(p, [g.parity for g in gens[: nd.cobasis_count]])
     dim_w = pbw_dim(p, [0] * nd.l + [1] * nd.q_prime)

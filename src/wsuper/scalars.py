@@ -146,24 +146,6 @@ def format_scalar(x, p=None):
     return "%d" % (x % p)
 
 
-def parse_scalar(s, p=None):
-    """Inverse of format_scalar.  Rejects malformed input such as "1/0"."""
-    if not isinstance(s, str):
-        raise ValueError("scalar must be a string, got %r" % (s,))
-    if p is None:
-        if "/" in s:
-            num, _, den = s.partition("/")
-            d = int(den)
-            if d == 0:
-                raise ValueError("zero denominator in scalar %r" % s)
-            return Fraction(int(num), d)
-        return Fraction(int(s))
-    v = int(s)
-    if not 0 <= v < p:
-        raise ValueError("residue %r out of range mod %d" % (s, p))
-    return v
-
-
 def is_rational_square(x):
     """Return (True, root) when the positive rational x is a square in Q."""
     f = Fraction(x)

@@ -10,40 +10,15 @@ import io
 import json
 import os
 
-from .scalars import QQ, PrimeField, format_scalar, parse_scalar
-from .superalgebra import BasisVector, LieSuperalgebra
-from .nilpotent import Sl2Triple, analyze_nilpotent
-from .wchar0 import ThetaPolynomial, WPresentation
+from .scalars import format_scalar
 
 SCHEMA = "wsuper/1"
-
-
-class SchemaError(ValueError):
-    pass
-
-
-def _check_schema(data, kind):
-    if data.get("schema") != SCHEMA:
-        raise SchemaError("expected schema %r, got %r"
-                          % (SCHEMA, data.get("schema")))
-    if data.get("kind") != kind:
-        raise SchemaError("expected kind %r, got %r" % (kind, data.get("kind")))
 
 
 def _fmt(field, x):
     if field.char == 0:
         return format_scalar(x)
     return int(x) % field.char
-
-
-def _parse(field, s):
-    if field.char == 0:
-        return parse_scalar(s)
-    if isinstance(s, int):
-        if not 0 <= s < field.char:
-            raise SchemaError("residue %r out of range mod %d" % (s, field.char))
-        return s
-    return parse_scalar(s, field.char)
 
 
 # ---------------------------------------------------------------------------
@@ -74,29 +49,6 @@ def algebra_to_json(alg):
                   for i, coords in sorted(alg.p_map.items())],
     }
     return data
-
-
-def algebra_from_json(data):
-    _check_schema(data, "algebra")
-    p = data.get("p")
-    field = QQ if p is None else PrimeField(p)
-    basis = [BasisVector(b["index"], b["parity"], b["label"])
-             for b in data["basis"]]
-    structure = {}
-    for i, j, entries in data["structure"]:
-        structure[(i, j)] = {k: _parse(field, c) for k, c in entries}
-    gram = (None if data["gram"] is None else
-            [[_parse(field, x) for x in row] for row in data["gram"]])
-    realization = (None if data["realization"] is None else
-                   [[[_parse(field, x) for x in row] for row in mat]
-                    for mat in data["realization"]])
-    p_map = (None if data.get("p_map") is None else
-             {i: tuple(_parse(field, c) for c in coords)
-              for i, coords in data["p_map"]})
-    shape = tuple(data["shape"]) if data.get("shape") else None
-    return LieSuperalgebra(field, basis, structure, gram=gram,
-                           realization=realization, p_map=p_map,
-                           family=data.get("family"), shape=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -132,31 +84,6 @@ def nilpotent_to_json(nd):
     }
 
 
-def nilpotent_from_json(data, alg):
-    """Rebuild by re-running the analysis on the stored triple, then check the
-    stored datum matches; the construction is deterministic so this is the
-    identity on serialized outputs."""
-    _check_schema(data, "nilpotent")
-    f = alg.field
-    triple = Sl2Triple(
-        tuple(_parse(f, c) for c in data["triple"]["e"]),
-        tuple(_parse(f, c) for c in data["triple"]["h"]),
-        tuple(_parse(f, c) for c in data["triple"]["f"]),
-    )
-    nd = analyze_nilpotent(alg, triple)
-    stored = [(g["label"], g["kind"], g["parity"], g["weight"],
-               tuple(_parse(f, c) for c in g["vector"]))
-              for g in data["generators"]]
-    rebuilt = [(g.label, g.kind, g.parity, g.weight, g.vector)
-               for g in nd.generators]
-    if stored != rebuilt:
-        raise SchemaError("stored nilpotent datum disagrees with the"
-                          " deterministic reconstruction")
-    if [_fmt(f, c) for c in nd.chi] != data["chi"]:
-        raise SchemaError("stored chi disagrees with the reconstruction")
-    return nd
-
-
 # ---------------------------------------------------------------------------
 # W presentations
 # ---------------------------------------------------------------------------
@@ -164,11 +91,6 @@ def nilpotent_from_json(data, alg):
 def _poly_json(field, poly):
     return [[list(mono), _fmt(field, c)]
             for mono, c in sorted(poly.terms.items())]
-
-
-def _poly_parse(field, nvars, data):
-    return ThetaPolynomial(nvars, {tuple(m): _parse(field, c)
-                                   for m, c in data})
 
 
 def presentation_to_json(pres, ctx):
@@ -192,25 +114,6 @@ def presentation_to_json(pres, ctx):
             for (i, j), poly in sorted(pres.relations.items())
         ],
     }
-
-
-def presentation_from_json(data, ctx):
-    _check_schema(data, "wpresentation")
-    f = ctx.engine.field
-    gens = ctx.generators()
-    if len(gens) != len(data["generators"]):
-        raise SchemaError("generator count mismatch")
-    for g, gd in zip(gens, data["generators"]):
-        value = {tuple(m): _parse(f, c) for m, c in gd["value"]}
-        if value != g.value.terms:
-            raise SchemaError("stored generator %s disagrees with the"
-                              " deterministic solve" % gd["label"])
-    nvars = ctx.n_generators()
-    relations = {}
-    for i, j, terms in data["relations"]:
-        relations[(i, j)] = _poly_parse(f, nvars, terms)
-    return WPresentation(generators=gens, relations=relations,
-                         middle_norm=ctx.nd.middle_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ invariant form from the supertrace.  Super skew-symmetry, the super Jacobi
 identity, evenness, supersymmetry and invariance of the form are checked on
 every basis pair and triple whenever a `LieSuperalgebra` is constructed: once
 over Q by `build_algebra`, and again for each prime when `modp.reduce_mod_p`
-rebuilds the algebra over F_p, where axiom (b) of the p-map is checked on
-every basis pair as well.  The checks run in Python ints: over Q on the table
-and the gram each scaled by the lcm of its denominators, over F_p on the
+rebuilds the algebra over F_p, where axiom (b) of the p-map,
+[x^[p], y] = (ad x)^p (y), is checked on every basis pair as well: (ad x)^p
+is taken once per even basis vector x by the repeated squaring of `mat_pow`,
+about 2·log2(p) products of d × d matrices, and its column j is compared
+with [x^[p], b_j].  The checks run in Python ints: over Q on the table and
+the gram each scaled by the lcm of its denominators, over F_p on the
 residues.  One sparse bracket, `_bracket`, serves the checks and the
 nilpotent analysis.
 """
@@ -235,20 +238,24 @@ class LieSuperalgebra:
 
     def _verify_p_map(self, table, unit):
         p = self.field.char
+        d = self.dim
         if p == 0:
             raise AlgebraError("a p-map needs a field of positive characteristic")
         for i, coords in self.p_map.items():
             if self.parities[i]:
                 raise AlgebraError("p-map defined on an odd vector (%d)" % i)
             xp = {k: c for k, c in enumerate(coords) if c % p}
-            for j in range(self.dim):
+            # (ad x)^p by squaring; column j is (ad x)^p (b_j)
+            ad = [[0] * d for _ in range(d)]
+            for j in range(d):
+                for k, c in table.get((i, j), {}).items():
+                    ad[k][j] = c % p
+            power = mat_pow(self.field, ad, p)
+            for j in range(d):
                 # axiom (b) on basis pairs: [x^[p], y] - (ad x)^p (y) = 0
-                img = unit[j]
-                for _ in range(p - 1):
-                    img = {k: c % p for k, c in
-                           _bracket(table, unit[i], img, {}).items() if c % p}
-                acc = _bracket(table, unit[i], img,
-                               _bracket(table, xp, unit[j], {}), -1)
+                acc = _bracket(table, xp, unit[j], {})
+                for k in range(d):
+                    acc[k] = acc.get(k, 0) - power[k][j]
                 if _nonzero(acc, p):
                     raise AlgebraError("restrictedness axiom (b) fails on basis pair"
                                        " (%d,%d)" % (i, j))

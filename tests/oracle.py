@@ -7,7 +7,8 @@ columns of Q built one monomial at a time, Q's action matrices, the dense
 stack of its ad matrices and the sparse stacked kernel, the PBW engine's
 normal ordering and per-term arithmetic through Field methods, the PBW
 exponent tuples as a filtered product, the Lie superalgebra axiom checks
-through Field methods, and matrix powers as a loop of products."""
+through Field methods (axiom (b) of the p-map as p brackets in a row, the
+restrictedness oracle), and matrix powers as a loop of products."""
 
 import weakref
 from itertools import product
@@ -15,7 +16,6 @@ from itertools import product
 import numpy as np
 
 from wsuper import linalg
-from wsuper.linalg import BLOCK, exact_mod_p
 from wsuper.superalgebra import AlgebraError
 
 
@@ -219,7 +219,7 @@ def check_axioms(field, parities, structure, gram=None, p_map=None):
     if gram is not None:
         _check_form(f, parities, structure, gram, unit)
     if p_map is not None:
-        _check_p_map(f, parities, structure, p_map, unit)
+        check_p_map(f, parities, structure, p_map)
 
 
 def _check_form(f, parities, structure, g, unit):
@@ -241,10 +241,15 @@ def _check_form(f, parities, structure, g, unit):
                     raise AlgebraError("form is not invariant")
 
 
-def _check_p_map(f, parities, structure, p_map, unit):
+def check_p_map(f, parities, structure, p_map):
+    """Axiom (b) of the p-map, [x^[p], y] = (ad x)^p (y), on every basis
+    pair, with (ad x)^p (y) as p brackets in a row: the restrictedness
+    oracle of the squaring check in `LieSuperalgebra`, with its errors in
+    the same order."""
     p = f.char
     if p == 0:
         raise AlgebraError("a p-map needs a field of positive characteristic")
+    unit = [{i: f.one} for i in range(len(parities))]
     for i, coords in p_map.items():
         if parities[i]:
             raise AlgebraError("p-map defined on an odd vector (%d)" % i)
@@ -505,10 +510,18 @@ def product_exponent_tuples(degrees, parities, cap, budget):
 # It stores integers in float64 so that its block updates run as BLAS matrix
 # products, and reduces mod p once per block.  Every intermediate is an
 # integer of magnitude at most block*(p-1)**2 + p, so it is exact only while
-# that is below 2**53 (`wsuper.linalg.exact_mod_p`), that is for
-# p <= 11,863,279; it raises ValueError otherwise.
+# that is below 2**53 (`exact_mod_p`), that is for p <= 11,863,279; it raises
+# ValueError otherwise.  The sparse elimination of `wsuper.linalg` works on
+# Python ints and has no such bound.
 
+BLOCK = 64
 SLAB = 256
+
+
+def exact_mod_p(p, block=BLOCK):
+    """Whether block*(p-1)**2 + p < 2**53, which for block = 64 holds up to
+    p = 11,863,279: the bound under which this oracle is exact."""
+    return block * (p - 1) ** 2 + p < 2 ** 53
 
 
 def _check_exact(p, block):

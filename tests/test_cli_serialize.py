@@ -2,10 +2,15 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import loaders
+from loaders import SchemaError
 from wsuper import cli, modp, serialize
 from wsuper.cli import (CHAR0_GRADED, EXIT_CONFIG, EXIT_INTERNAL, EXIT_MEMORY,
                         EXIT_OK, EXIT_SOLVER, PipelineConfig, main,
@@ -14,14 +19,13 @@ from wsuper.modp import ReductionError
 from wsuper.nilpotent import FormNormalizationError, NilpotentError
 from wsuper.pbw import AmbientMismatch
 from wsuper.presets import PresetError
-from wsuper.serialize import SchemaError
 from wsuper.superalgebra import AlgebraError, DegenerateFormError
 from wsuper.wchar0 import LeadingShapeError, NotInvariantError, SolverError
 
 
 def test_algebra_round_trip(sl21):
     data = serialize.algebra_to_json(sl21)
-    back = serialize.algebra_from_json(data)
+    back = loaders.algebra_from_json(data)
     assert serialize.algebra_to_json(back) == data
     assert back.structure == sl21.structure
     assert back.gram == sl21.gram
@@ -31,14 +35,14 @@ def test_algebra_round_trip_mod_p(sl21):
     from wsuper import modp
     mod = modp.reduce_mod_p(sl21, 3)
     data = serialize.algebra_to_json(mod.base)
-    back = serialize.algebra_from_json(data)
+    back = loaders.algebra_from_json(data)
     assert serialize.algebra_to_json(back) == data
     assert back.p_map == mod.base.p_map
 
 
 def test_nilpotent_round_trip(sl21, nd_sl21_e12):
     data = serialize.nilpotent_to_json(nd_sl21_e12)
-    back = serialize.nilpotent_from_json(data, sl21)
+    back = loaders.nilpotent_from_json(data, sl21)
     assert back == nd_sl21_e12
     assert serialize.nilpotent_to_json(back) == data
 
@@ -47,13 +51,13 @@ def test_nilpotent_reload_detects_tampering(sl21, nd_sl21_e12):
     data = json.loads(json.dumps(serialize.nilpotent_to_json(nd_sl21_e12)))
     data["chi"][0] = "1/2"
     with pytest.raises(SchemaError):
-        serialize.nilpotent_from_json(data, sl21)
+        loaders.nilpotent_from_json(data, sl21)
 
 
 def test_presentation_round_trip(ctx_osp12):
     pres = ctx_osp12.commutator_table()
     data = serialize.presentation_to_json(pres, ctx_osp12)
-    back = serialize.presentation_from_json(data, ctx_osp12)
+    back = loaders.presentation_from_json(data, ctx_osp12)
     assert serialize.presentation_to_json(back, ctx_osp12) == data
     assert back.relations == pres.relations
 
@@ -62,7 +66,7 @@ def test_schema_version_enforced(sl21):
     data = serialize.algebra_to_json(sl21)
     data["schema"] = "wsuper/0"
     with pytest.raises(SchemaError):
-        serialize.algebra_from_json(data)
+        loaders.algebra_from_json(data)
 
 
 def test_structure_constant_order_is_stable(osp12):
@@ -179,7 +183,7 @@ def test_pipeline_writes_nilpotent_artifacts(tmp_path, sl21):
     code, failures, written = run_pipeline(cfg)
     assert code == EXIT_OK and not failures
     data = json.loads((tmp_path / "g" / "nilpotent.json").read_text())
-    nd = serialize.nilpotent_from_json(data, sl21)
+    nd = loaders.nilpotent_from_json(data, sl21)
     assert (nd.l, nd.q, nd.s, nd.r, nd.t) == (2, 2, 0, 2, 1)
     rows = (tmp_path / "g" / "modp_report.csv").read_text().splitlines()
     assert len(rows) == 3  # header + two eta rows
@@ -230,8 +234,6 @@ def test_package_exports_the_readme_surface():
 
 
 def test_module_entry_point_runs_without_runtime_warning(tmp_path):
-    import subprocess
-    import sys
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("WSUPER_OUT", None)
     proc = subprocess.run(
@@ -342,22 +344,52 @@ def test_internal_error_names_its_stage_and_writes_nothing_after(
 SL21_E12 = ["--family", "sl", "--m", "2", "--n", "1", "--nilpotent", "E12"]
 
 
+def _oversized(p):
+    # sl(2|1) E12: dim Q = p^3 * 2^3
+    return (r"p = %d: dim Q = %d needs about \d+ bytes, more than the \d+"
+            r" bytes of physical memory" % (p, 8 * p ** 3))
+
+
 @pytest.mark.parametrize("shape, primes, last_line", [
-    (SL21_E12, "4", "prime field needs an odd prime, got 4"),
-    (SL21_E12, "2147483647", "p = 2147483647 rejected for sl(2, 1): p exceeds"
-     " the float64 bound 64*(p-1)**2 + p < 2**53 of the mod-p kernel"),
+    (SL21_E12, "4", re.escape("prime field needs an odd prime, got 4")),
+    (SL21_E12, "2147483647", _oversized(2147483647)),
     (["--family", "sl", "--m", "4", "--n", "1"], "3",
-     "p = 3 rejected for sl(4, 1): p divides m - n = 3"),
-], ids=["not-prime", "past-the-bound", "divides-m-n"])
+     re.escape("p = 3 rejected for sl(4, 1): p divides m - n = 3")),
+], ids=["not-prime", "q-past-memory", "divides-m-n"])
 def test_rejected_prime_leaves_no_artifact(tmp_path, capsys, shape, primes,
                                            last_line):
-    # the primes are checked before the algebra is built
+    # the restriction is checked before the algebra is built, the size of Q
+    # and then primality before the datum is reduced mod any prime
     out = tmp_path / "out"
     assert run_cli(tmp_path, ["modp", "suite"] + shape + [
         "--primes", primes, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
-    assert err[-1] == "configuration error: " + last_line
+    assert re.fullmatch("configuration error: " + last_line, err[-1]), err
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("primes, last_line", [
+    ("2147483647", _oversized(2147483647)),
+    ("618970019642690137449562111", _oversized(2 ** 89 - 1)),
+    ("4", re.escape("prime field needs an odd prime, got 4")),
+    ("9", re.escape("prime field needs an odd prime, got 9")),
+], ids=["2^31-1", "2^89-1", "4", "9"])
+def test_verify_all_refuses_a_prime_within_5_s(tmp_path, primes, last_line):
+    # the size of Q is the one gate on p, and it comes before the O(sqrt p)
+    # primality test: trial division of 2^89 - 1 would not end
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop(cli.ENV_OUT, None)
+    start = time.monotonic()
+    run = subprocess.run(
+        [sys.executable, "-m", "wsuper.cli", "verify", "all"] + SL21_E12
+        + ["--primes", primes, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert time.monotonic() - start < 5
+    assert run.returncode == EXIT_CONFIG, run.stderr
+    assert re.fullmatch("configuration error: " + last_line,
+                        run.stderr.splitlines()[-1]), run.stderr
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("shape, primes, last_line", [
@@ -405,6 +437,22 @@ def test_odd_r_char0_chain_beyond_osp12(tmp_path, monkeypatch, case):
     assert nd["dims"]["r"] % 2 == 1
     assert nd["middle_norm"] is not None
     assert pres["middle_norm"] == nd["middle_norm"]
+
+
+def test_odd_r_modp_row_beyond_osp12(tmp_path, monkeypatch):
+    # osp(3|2) at p = 3, eta = chi: the m'-invariants, Morita, PBW and
+    # Whittaker checks of an odd-r row on a 7776-dimensional Q
+    monkeypatch.delenv(cli.ENV_OUT, raising=False)
+    family, m, n, e = ODD_R["osp32"]
+    code, failures, _ = run_pipeline(PipelineConfig(
+        family=family, m=m, n=n, nilpotent=e, primes=(3,),
+        out_dir=str(tmp_path)))
+    assert code == EXIT_OK and failures == []
+    report = json.loads((tmp_path / "modp_report.json").read_text())
+    assert report["rows"] == [{
+        "family": "osp", "m": 3, "n": 2, "e_label": e, "p": 3,
+        "eta_label": "chi", "dim_Q": 7776, "delta": 6, "dim_W": 1296,
+        "morita_ok": True, "prop_small_ok": True, "pbw_ok": True}]
 
 
 OSP12 = ["--family", "osp", "--m", "1", "--n", "2"]

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import (check_axioms, dense_ad, dense_bracket, dense_form,
-                    naive_mat_pow)
+from oracle import (check_axioms, check_p_map, dense_ad, dense_bracket,
+                    dense_form, naive_mat_pow)
 from wsuper import build_algebra, linalg
 from wsuper.linalg import mat_mul
 from wsuper.modp import reduce_mod_p
@@ -294,6 +294,59 @@ def test_integer_checks_agree_with_the_field_oracle(case):
             gram[j][i] = f.add(gram[j][i], f.mul(sign, delta))
     built, expected = _both_verdicts(alg, structure, gram, alg.p_map)
     assert built == expected
+
+
+P_MAP_SHAPES = [("sl", 2, 1), ("osp", 1, 2), ("gl", 2, 1), ("osp", 1, 4)]
+
+
+def _p_map_verdicts(alg, p_map):
+    """(the constructor's verdict, the bracket-loop oracle's) on a p-map."""
+    return (_verdict(_rebuild, alg, None, alg.gram, p_map),
+            _verdict(check_p_map, alg.field, alg.parities, alg.structure,
+                     p_map))
+
+
+@st.composite
+def _perturbed_p_maps(draw):
+    """An algebra over F_p and its p-map with one coordinate of b_i^[p]
+    moved by delta, delta = 0 the valid p-map; an odd i adds a p-map entry
+    on an odd vector."""
+    alg = _algebra(draw(st.sampled_from(P_MAP_SHAPES)),
+                   draw(st.sampled_from([3, 5, 7, 11])))
+    p = alg.field.char
+    i = draw(st.integers(0, alg.dim - 1))
+    k = draw(st.integers(0, alg.dim - 1))
+    coords = list(alg.p_map.get(i, (0,) * alg.dim))
+    coords[k] = (coords[k] + draw(st.integers(0, p - 1))) % p
+    return alg, {**alg.p_map, i: tuple(coords)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_perturbed_p_maps())
+def test_squaring_check_agrees_with_the_bracket_loop(case):
+    # (ad x)^p by squaring against p brackets in a row: the same verdict and
+    # the same message, which names the first failing basis pair
+    alg, p_map = case
+    built, expected = _p_map_verdicts(alg, p_map)
+    assert built == expected
+
+
+@pytest.mark.parametrize("shape", P_MAP_SHAPES, ids=lambda s: "%s%d%d" % s)
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_squaring_check_agrees_on_every_shifted_p_map(shape, p):
+    # the valid p-map passes both checks; then b_i^[p] + b_i for each even
+    # b_i in turn, which both checks must judge alike
+    alg = _algebra(shape, p)
+    assert _p_map_verdicts(alg, alg.p_map) == (None, None)
+    failed = 0
+    for i, coords in alg.p_map.items():
+        shifted = list(coords)
+        shifted[i] = (shifted[i] + 1) % p
+        built, expected = _p_map_verdicts(alg, {**alg.p_map,
+                                                i: tuple(shifted)})
+        assert built == expected
+        failed += built is not None
+    assert failed
 
 
 def _halved(alg, label):

@@ -286,13 +286,19 @@ def test_failure_record_names_the_numbers(monkeypatch, tmp_path, owner, name,
     assert saved["failures"] == failures
 
 
-def test_prime_past_the_kernel_bound_exits_2_before_q(monkeypatch, tmp_path,
-                                                      capsys):
+def test_prime_with_an_oversized_q_exits_2_before_q(monkeypatch, tmp_path,
+                                                   capsys):
+    # osp(1|2) regular at p = 2^31 - 1: dim Q = p^2 * 2^2 cannot fit, so
+    # the run stops before it reduces the datum, builds a Q or writes a file
     monkeypatch.delenv(cli.ENV_OUT, raising=False)
-    built = []
+    reduced, built = [], []
+    _count(monkeypatch, modp, "reduce_datum", reduced)
     _count(monkeypatch, modp, "build_reduced_q", built)
     code = cli.main(["verify", "all", "--family", "osp", "--m", "1", "--n",
                      "2", "--nilpotent", "regular", "--primes", "2147483647",
                      "--out", str(tmp_path)])
-    assert code == EXIT_CONFIG and not built
-    assert "float64 bound" in capsys.readouterr().err
+    assert code == EXIT_CONFIG and not reduced and not built
+    err = capsys.readouterr().err
+    assert "dim Q = %d" % (4 * 2147483647 ** 2) in err
+    assert "physical memory" in err
+    assert list(tmp_path.iterdir()) == []

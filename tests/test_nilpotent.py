@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import loaders
 from oracle import chi_pair
 from wsuper import (analyze_nilpotent, build_algebra, cli, modp,
                     resolve_nilpotent, serialize, sl2_triple)
@@ -242,7 +243,7 @@ def test_analysis_over_f_p_is_refused(sl21, nd_sl21_e12):
 
 def test_analysis_of_a_serialized_f_p_algebra_is_refused(sl21, nd_sl21_e12):
     base = modp.reduce_mod_p(sl21, 3).base
-    alg = serialize.algebra_from_json(
+    alg = loaders.algebra_from_json(
         json.loads(serialize.dump_json(serialize.algebra_to_json(base))))
     assert alg.field.char == 3
     data = json.loads(serialize.dump_json(
@@ -250,4 +251,4 @@ def test_analysis_of_a_serialized_f_p_algebra_is_refused(sl21, nd_sl21_e12):
     data["triple"] = {k: [str(base.field.of(c)) for c in getattr(
         nd_sl21_e12.triple, k)] for k in "ehf"}
     with pytest.raises(NilpotentError, match="over Q"):
-        serialize.nilpotent_from_json(data, alg)
+        loaders.nilpotent_from_json(data, alg)

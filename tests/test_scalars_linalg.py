@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from loaders import parse_scalar
 from oracle import (_echelon_mod_p, _reduce, dense_invert,
                     dense_nullspace_mod_p, dense_rank_mod_p, dense_rows,
-                    dense_rref, dense_rref_mod_p, mat_vec)
+                    dense_rref, dense_rref_mod_p, exact_mod_p, mat_vec)
 from wsuper import linalg
 from wsuper.scalars import (QQ, PrimeField, _is_prime, format_scalar,
-                            is_rational_square, parse_scalar)
+                            is_rational_square)
 
-LARGEST_PRIME = 11863279  # the largest prime with 64*(p-1)**2 + p < 2**53
+# the largest prime with 64*(p-1)**2 + p < 2**53, the float64 oracle's bound
+LARGEST_PRIME = 11863279
 
 
 def test_scalar_roundtrip():
@@ -128,7 +130,7 @@ def _rank_100_mod(p, seed=5):
 
 def test_rank_mod_p_exact_at_its_bound():
     p = LARGEST_PRIME
-    assert linalg.exact_mod_p(p)
+    assert exact_mod_p(p)
     a = _rank_100_mod(p)
     assert dense_rank_mod_p(a, p) == 100
     got, piv = dense_rref_mod_p(a, p)
@@ -153,7 +155,7 @@ def test_float_reduction_is_exact_across_the_bound(p, x):
 
 @pytest.mark.parametrize("p", [2 ** 31 - 1, 3037000453])
 def test_rank_mod_p_refuses_primes_past_its_bound(p):
-    assert not linalg.exact_mod_p(p)
+    assert not exact_mod_p(p)
     a = _rank_100_mod(p)
     # both read the one blocked oracle kernel, so both refuse
     with pytest.raises(ValueError, match="float64 bound"):
@@ -164,7 +166,7 @@ def test_rank_mod_p_refuses_primes_past_its_bound(p):
 
 def test_rref_mod_p_refuses_primes_past_its_bound():
     p = 11863289  # the first prime with 64*(p-1)**2 + p >= 2**53
-    assert not linalg.exact_mod_p(p)
+    assert not exact_mod_p(p)
     with pytest.raises(ValueError, match="float64 bound"):
         dense_rref_mod_p(np.eye(3, dtype=np.int64), p)
 
