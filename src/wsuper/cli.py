@@ -202,9 +202,8 @@ def _preflight(nd, primes):
     """The datum reduced mod each prime, for the mod-p rows.  A prime whose Q
     would not fit in physical memory is refused first, for every prime,
     before anything is allocated or written; then each reduction tests that
-    p is prime (`modp.admissible_field`, O(sqrt p) divisions, so only once
-    p is known to be small) and refuses a p that divides a denominator of
-    the datum."""
+    p is prime (`modp.admissible_field`) and refuses a p that divides a
+    denominator of the datum."""
     for p in primes:
         with _stage("mod-p preflight, p = %d" % p):
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

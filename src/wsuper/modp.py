@@ -6,7 +6,10 @@ The rational nilpotent datum is reduced coefficient-wise (denominators must be
 units mod p), the p-th power map comes from matrix p-th powers of the
 realization, and every kernel and rank is computed by the sparse exact
 elimination of `linalg` on {column: c} rows mod p; no vector set of a row is
-ever a dense matrix.
+ever a dense matrix.  The action columns of Q come from the left action of
+U_eta on Q's basis indices (`ReducedQ._left_actor`): a basis monomial is a
+mixed-radix integer over its exponent caps, and the action of a generator is
+memoized per basis index, so no product in U is formed for them.
 Generator solving reuses the characteristic-zero machinery verbatim since the
 rewriting engine is generic over the base field.
 """
@@ -61,9 +64,9 @@ def _reduce_table(gf, table):
 
 def admissible_field(family, shape, p):
     """F_p once p passes `check_restriction` and is prime; ReductionError
-    otherwise.  Primality costs O(sqrt p) divisions, so the CLI reaches
-    this, through `reduce_datum`, only after `q_footprint` has refused every
-    p whose Q cannot fit in memory."""
+    otherwise, also for a p at or past `scalars.MILLER_RABIN_BOUND`, where
+    the primality test is not proven exact.  The test costs 13 modular
+    powers, so it needs no size gate of its own."""
     check_restriction(family, shape, p)
     try:
         return PrimeField(p)
@@ -202,16 +205,21 @@ def pbw_dim(p, parities):
 
 # Bytes one basis monomial of Q costs in Python: its exponent tuple (40 plus
 # 8 per generator), its list slot and its entry in the index dict; measured
-# at 198 bytes for the 9 generators of gl(2|1) regular.
+# at 198 bytes for the 9 generators of gl(2|1) regular.  The mixed-radix
+# layout of the action columns adds 98 bytes more once built (tracemalloc,
+# gl(2|1) regular at p = 5 and 7); the columns it builds take 0.6 KB less
+# per column of each z in m (AD_COLUMN_BYTES), so the sum is still covered.
 MONOMIAL_BYTES = 128
 MONOMIAL_BYTES_PER_GEN = 8
 # Bytes one ad column of z in m costs on the way to the m-kernel: the sparse
 # column, kept for every link and the right-action check, and its share of
 # a link's transposed rows, pivot rows and kernel basis.  Measured as the
-# rise in peak RSS over building the columns and the kernel: 4.7 KB per
-# column on gl(2|1) regular at p = 7 (2 x 19,208 columns), 2.7 KB at p = 5
-# and 1.3 KB on sl(2|1) E12 at p = 5.  Fill grows with dim Q, so on a larger
-# Q this is a floor, not a bound.
+# rise in the process's VmHWM over building the columns and the kernel on a
+# built Q: 4.1 KB per column on gl(2|1) regular at p = 7 (2 x 19,208
+# columns), 2.1 KB at p = 5 and 0.7 KB on sl(2|1) E12 at p = 5 (4.7, 2.7 and
+# 1.3 KB when the columns were products in U, whose memo stayed in the
+# engine).  Fill grows with dim Q, so on a larger Q this is a floor, not a
+# bound.
 AD_COLUMN_BYTES = 6144
 
 
@@ -223,8 +231,7 @@ def q_footprint(nd, p):
     PBW monomial vectors of `reduced_w` took as a dense int64 matrix and its
     floating-point copy; they are sparse rows now, so it over-counts, and it
     is kept because it is what refuses gl(1|1) zero at p = 211.  It needs no
-    primality test and is the one size gate on p: dim Q is p^a 2^b, so a p
-    whose Q fits is small enough for `PrimeField`'s test."""
+    primality test and is the one size gate on p."""
     gens = nd.generators
     dim = pbw_dim(p, [g.parity for g in gens[: nd.cobasis_count]])
     dim_w = pbw_dim(p, [0] * nd.l + [1] * nd.q_prime)
@@ -248,6 +255,7 @@ class ReducedQ:
         self.basis = self.engine.cobasis_monomials(None)
         self.index = {m: i for i, m in enumerate(self.basis)}
         self._ad_cols = {}
+        self._layout = None
         self._left_cols = {}
         self._right_mismatch = {}
         self._inv_dim = {}
@@ -270,69 +278,197 @@ class ReducedQ:
 
     # -- action matrices, as sparse columns ------------------------------------
 
-    def _left_products(self, gen_index):
-        """(m, b_g b^m) for every basis monomial m in basis order, the product
-        unreduced, as an engine pair (den 1).  Each is built from an earlier
-        one: b_g b^m = (b_g b^m') b_t for the last generator t of m and m' = m
-        with that exponent lowered, which precedes m because every co-basis
-        e-degree is at least 1.  This is the prefix trie of
-        `Enveloping._product`, walked in basis order: the basis is sorted by
-        e-degree, so only the products of the last `reach` e-degrees are
-        kept."""
+    def _basis_layout(self):
+        """Q's basis read as mixed-radix integers, computed once per Q.  The
+        code of a monomial has the exponent of co-basis generator i as its
+        digit i, in base p for an even and 2 for an odd generator, the first
+        generator the most significant.  Returned as (first, lower, upper,
+        code, at, radix): per basis index j the first generator s of its
+        monomial (the co-basis count for the unit), the indices of the
+        monomial with s's exponent lowered and raised by one (-1 past the
+        cap), and the code; `at` maps a code to its basis index; radix holds
+        the place values of the digits.  SolverError names the first
+        monomial out of place when the basis is not every reduced PBW
+        monomial, each once, in (e-degree, tuple) order."""
+        if self._layout is None:
+            e = self.engine
+            cb = e.cobasis_count
+            base = [2 if e.parities[i] else self.p for i in range(cb)]
+            radix = [1] * cb
+            for i in range(cb - 2, -1, -1):
+                radix[i] = radix[i + 1] * base[i + 1]
+            size = radix[0] * base[0] if cb else 1
+            tail = (0,) * (e.n_gens - cb)
+            at = [-1] * size
+            first, code = [], []
+            prev = None
+            for j, m in enumerate(self.basis):
+                c, s, deg = 0, cb, 0
+                ok = m[cb:] == tail
+                for i in range(cb if ok else 0):
+                    x = m[i]
+                    if not 0 <= x < base[i]:
+                        ok = False
+                        break
+                    if x:
+                        if s == cb:
+                            s = i
+                        c += x * radix[i]
+                        deg += x * e.e_degrees[i]
+                key = (deg, m)
+                if not ok or (prev is not None and key <= prev):
+                    raise SolverError(
+                        "Q's basis has %s at index %d, out of the (e-degree,"
+                        " tuple) order of the reduced PBW monomials" % (m, j))
+                prev = key
+                at[c] = j
+                first.append(s)
+                code.append(c)
+            if len(code) != size:
+                raise SolverError("Q's basis has %d monomials, not p^a 2^b ="
+                                  " %d" % (len(code), size))
+            lower, upper = [-1] * size, [-1] * size
+            for j, s in enumerate(first):
+                if s < cb:
+                    c = code[j]
+                    lower[j] = at[c - radix[s]]
+                    if c // radix[s] % base[s] < base[s] - 1:
+                        upper[j] = at[c + radix[s]]
+            self._layout = first, lower, upper, code, at, radix
+        return self._layout
+
+    def _left_actor(self):
+        """(act, memo): act(g, j) is L_g[j], the image of basis monomial j
+        under left multiplication by b_g, as a {basis index: c} dict, by the
+        left action of U_eta on Q itself: no product in U is formed.  With s
+        the first generator of b^m = b_s b^m'' (m'' with s's exponent lowered
+        by one):
+        - on the unit, L_g[1] is b_g for a co-basis g and eta(g) for g in m
+          (the engine's eta);
+        - for g < s, L_g[m] is the raised monomial;
+        - for g = s, it is the raised monomial below the cap, and at the cap
+          the odd square [b_s, b_s]/2 acting on m'', or for even s
+          b_s^[p] + eta(s)^p acting on m with s's exponent set to 0;
+        - for g > s, L_g[m] = (-1)^{|g||s|} L_s(L_g[m'']) + L_[b_g,b_s][m''].
+        Every L_k[i] that act computes is kept in memo, at k * dim Q + i;
+        where b_s only raises a monomial of L_g[m''], the last case writes
+        the raised monomial without a call.  A result equal to another
+        L_k[i] may be that dict itself, so results are read-only.  Any order
+        of requests gives the same results.  On osp(3|2) at p = 3, sl(2|1)
+        E12 at p = 7, gl(2|1) regular at p = 5 and osp(1|2) regular at
+        p = 11, the recursion was at most 4 calls deep in basis order and 23
+        in reverse order."""
         e = self.engine
-        degrees = e.e_degrees[: e.cobasis_count]
-        reach = max(degrees, default=0)
-        levels = {}  # e-degree -> {m: b_g b^m}
-        for m in self.basis:
-            deg = e.e_degree(m)
-            top = max((i for i, x in enumerate(m) if x), default=-1)
-            if top < 0:
-                prod = ({e._gen_mono(gen_index): 1}, 1)
+        first, lower, upper, code, at, radix = self._basis_layout()
+        dim = self.dim
+        p = self.p
+        cb = e.cobasis_count
+        odd = e.parities
+        eta = e.eta
+        etap = e._etap
+        brackets = {k: v for k, (v, _) in e._bracket_pairs.items()}
+        halves = {g: v for g, (v, _) in e._half_squares.items()}
+        pmaps = {g: v for g, (v, _) in e._pmap_pairs.items()}
+        memo = [None] * (e.n_gens * dim)
+
+        def act(g, j):
+            v = memo[g * dim + j]
+            if v is not None:
+                return v
+            s = first[j]
+            if g < s:
+                v = {at[code[j] + radix[g]]: 1}
+            elif s == cb:
+                # g in m, on the unit
+                v = {j: eta[g]} if eta[g] else {}
+            elif g == s and upper[j] >= 0:
+                v = {upper[j]: 1}
             else:
-                prefix = m[:top] + (m[top] - 1,) + m[top + 1:]
-                base = levels.get(deg - degrees[top], {}).get(prefix)
-                if base is None:
-                    raise SolverError("the left product on %s needs its prefix"
-                                      " %s earlier in the basis" % (m, prefix))
-                prod = e.times_gen_terms(base, top)
-            if deg not in levels:
-                for low in [k for k in levels if k < deg - reach]:
-                    del levels[low]
-                levels[deg] = {}
-            levels[deg][m] = prod
-            yield m, prod
+                v, terms = {}, []
+                if g > s:
+                    # b_g b_s = (-1)^{|g||s|} b_s b_g + [b_g, b_s]
+                    on = lower[j]
+                    row, neg = s * dim, odd[g] and odd[s]
+                    for i, c in act(g, on).items():
+                        if neg:
+                            c = p - c
+                        # b_s on a monomial it only raises
+                        if first[i] > s:
+                            v[at[code[i] + radix[s]]] = c
+                        elif first[i] == s and upper[i] >= 0:
+                            v[upper[i]] = c
+                        else:
+                            w = memo[row + i]
+                            if w is None:
+                                w = act(s, i)
+                            terms.append((w, c))
+                    pairs = brackets.get((g, s))
+                elif odd[s]:
+                    # the odd square b_s b_s = [b_s, b_s]/2
+                    on = lower[j]
+                    pairs = halves[s]
+                else:
+                    # the cap b_s^p = b_s^[p] + eta(s)^p
+                    on = at[code[j] - (p - 1) * radix[s]]
+                    pairs = pmaps.get(s)
+                    if etap[s]:
+                        v[on] = etap[s]
+                terms += [(act(k, on), c) for k, c in (pairs or {}).items()]
+                if len(terms) == 1 and not v and terms[0][1] == 1:
+                    v = terms[0][0]
+                elif terms:
+                    get = v.get
+                    for w, c in terms:
+                        for i, t in w.items():
+                            x = (get(i, 0) + c * t) % p
+                            if x:
+                                v[i] = x
+                            else:
+                                v.pop(i, None)
+            memo[g * dim + j] = v
+            return v
+
+        return act, memo
+
+    def _left_action(self, gen_index):
+        """The columns of left multiplication by b_g on Q, from
+        `_left_actor` in basis order.  The memo is emptied once they are
+        built: that frees every L_k[i] no column holds at once, not when
+        the cyclic garbage collector reaches act, which refers to itself."""
+        act, memo = self._left_actor()
+        cols = [act(gen_index, j) for j in range(self.dim)]
+        memo.clear()
+        return cols
 
     def left_columns(self, gen_index):
-        """Columns of left multiplication by b_g on Q: the classes of the
-        prefix-built products of `_left_products`."""
+        """Columns of left multiplication by b_g on Q, from `_left_action`."""
         cols = self._left_cols.get(gen_index)
         if cols is None:
-            q_reduce = self.engine.q_reduce_pair
-            cols = [self.vector_of(q_reduce(left)[0])
-                    for _, left in self._left_products(gen_index)]
-            self._left_cols[gen_index] = cols
+            cols = self._left_cols[gen_index] = self._left_action(gen_index)
         return cols
 
     def ad_columns(self, gen_index):
-        """Columns of ad b_g on Q: the class of b_g b^m - (-1)^{|g||m|} b^m b_g
-        for each basis monomial m, with b_g b^m from `_left_products` and the
-        right product b^m b_g reduced once.  For g in m that reduced right
-        product is compared exactly with eta(g) m; the first column where they
-        differ is kept for `right_action_mismatch`."""
+        """Columns of ad b_g on Q: L_g[m] - (-1)^{|g||m|} m b_g for each basis
+        monomial m, with L_g from `_left_action` and the right product m b_g
+        reduced by the engine.  For g in m that reduced right product is
+        compared exactly with eta(g) m; the first column where they differ
+        is kept for `right_action_mismatch`.  A column whose right product
+        is zero is the left column's own dict."""
         cols = self._ad_cols.get(gen_index)
         if cols is None:
             e = self.engine
             odd = e.parities[gen_index]
             check = gen_index in self.datum.m_indices
             eta_g = self.eta[gen_index]
-            cols = []
-            for j, (m, left) in enumerate(self._left_products(gen_index)):
+            cols = self._left_action(gen_index)
+            for j, m in enumerate(self.basis):
                 right = e.q_reduce_pair(e.times_gen(m, gen_index))[0]
                 if check and right != ({m: eta_g} if eta_g else {}):
                     self._right_mismatch.setdefault(gen_index, j)
-                img = e.q_reduce_pair(left)[0]
-                e._acc(img, 1, right, 1 if odd and e.mono_parity(m) else -1)
-                cols.append(self.vector_of(img))
+                if right:
+                    col = cols[j] = dict(cols[j])
+                    e._acc(col, 1, self.vector_of(right),
+                           1 if odd and e.mono_parity(m) else -1)
             self._ad_cols[gen_index] = cols
         return cols
 

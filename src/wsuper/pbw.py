@@ -8,7 +8,11 @@ Normal ordering is rightmost-disorder-first bubbling with memoized
 single-generator products; odd squares contract through the bracket, and in
 characteristic p an even generator reaching exponent p contracts through the
 p-th power map plus the p-character.  A product a b is built monomial by
-monomial of b from the products with their prefixes, each prefix once.
+monomial of b from the products with their prefixes, each prefix once.  The
+action columns of the module Q mod p are not built here: `modp.ReducedQ`
+acts on Q's basis indices with the engine's rewriting tables (brackets, odd
+squares, p-th power map, eta) and takes only the right products m b_g from
+`times_gen`.
 
 Inside the engine coefficients are Python-int numerators over one
 denominator per combination, in lowest terms (denominator 1 and residues mod

@@ -67,7 +67,8 @@ class Rationals:
 
 
 class PrimeField:
-    """F_p for an odd prime p; elements are ints reduced to 0..p-1."""
+    """F_p for an odd prime p below MILLER_RABIN_BOUND, where primality is
+    decided exactly; elements are ints reduced to 0..p-1."""
 
     def __init__(self, p):
         if p < 3 or not _is_prime(p):
@@ -127,14 +128,41 @@ class PrimeField:
 QQ = Rationals()
 
 
+# The least strong pseudoprime to all 13 prime bases 2..41, so the
+# Miller-Rabin test to those bases is exact below it: J. Sorenson and
+# J. Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86
+# (2017), 985-1003 (arXiv:1509.00864, 2015).
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n):
+    """Whether n is prime, by the Miller-Rabin test to the prime bases
+    2..41, which is deterministic below MILLER_RABIN_BOUND; ValueError at
+    or above it, where no proof covers these bases."""
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError("primality of %d is not decided: the Miller-Rabin"
+                         " test to the bases 2..41 is proven exact only below"
+                         " %d" % (n, MILLER_RABIN_BOUND))
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        r += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -9,6 +9,7 @@ from oracle import (ad_matrix, check_p_center_acts_zero, dense_bracket,
                     dense_rows, left_matrix)
 from wsuper import cli, modp
 from wsuper.modp import ReductionError
+from wsuper.scalars import MILLER_RABIN_BOUND
 from wsuper.wchar0 import WContext
 
 
@@ -62,6 +63,17 @@ def test_large_primes_reduce_within_a_second(gl11):
         mod = modp.reduce_mod_p(gl11, p)
         assert time.perf_counter() - start < 1
         assert mod.base.field.char == p and len(mod.p_map) == 2
+
+
+def test_primality_is_decided_fast_up_to_its_proven_bound(gl11):
+    # Miller-Rabin to the prime bases 2..41, not trial division; past the
+    # bound where that test is proven exact, p is refused by name
+    start = time.perf_counter()
+    mod = modp.reduce_mod_p(gl11, 2 ** 61 - 1)
+    assert time.perf_counter() - start < 1
+    assert mod.base.field.char == 2 ** 61 - 1
+    with pytest.raises(ReductionError, match=str(MILLER_RABIN_BOUND)):
+        modp.reduce_mod_p(gl11, 2 ** 89 - 1)
 
 
 def test_p_map_of_diagonal(gl11):

@@ -7,6 +7,7 @@ generator at a time, even generators first, so that no elimination sees
 more than dim Q rows, and reads the Whittaker dimension from that kernel.
 """
 
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -302,3 +303,48 @@ def test_prime_with_an_oversized_q_exits_2_before_q(monkeypatch, tmp_path,
     assert "dim Q = %d" % (4 * 2147483647 ** 2) in err
     assert "physical memory" in err
     assert list(tmp_path.iterdir()) == []
+
+
+# sha256 of every artifact of `verify all` on three mod-p rows, each prime
+# with both sampled etas: sl(2|1) E12 (even r, the largest Q of the three),
+# gl(2|1) regular (odd co-basis generators, so the left action passes
+# through the odd-square and cap contractions) and osp(2|2) (|m| = 2)
+GOLDEN_ROWS = {
+    "sl21-E12": (
+        ["--family", "sl", "--m", "2", "--n", "1", "--nilpotent", "E12",
+         "--primes", "3,5,7"],
+        {"algebra.json": "1d8763e15247d1f68d17eba5cc8bff4e0504f64d879daca25fa981bda0cffc5c",
+         "modp_report.csv": "dedc39e93fe649555557aaf16a4389f7eb46be7aa3d5550ff0c61f08dff006e6",
+         "modp_report.json": "0238639009040e649516006e54474e8bef52ad7b52cded8b95dd22a75cc6b9fa",
+         "nilpotent.json": "2ce1b440503b41cab7ff48e43ff3b6e7372de2dfccef98bb7c75c2293348f70f",
+         "wpresentation.json": "f7a17ad5fe18bb4a80b050333623e6838c390a7e18f7b6625191590da2a57945"}),
+    "gl21-regular": (
+        ["--family", "gl", "--m", "2", "--n", "1", "--nilpotent", "regular",
+         "--primes", "3"],
+        {"algebra.json": "640a17fb451e586bb98be5567990fa9cbd99b4927fbe942393c0f7d7827b14cf",
+         "modp_report.csv": "6f64037a1f22a757051d169b77af48ad5464f715df988f9bb3cb31d6f6bb5681",
+         "modp_report.json": "37856e44e239a80fbd9aab5673d203f2c339fcc628619b3ff0199455fc30964f",
+         "nilpotent.json": "c321a28ea377327057db38f8932c6d60ca5a63dba941ecba45dd4b26daa6c269",
+         "wpresentation.json": "de33ff7de3c7ffd07dd13ffc033bb30f701d20fbdb12a7f005a41eed5b505240"}),
+    "osp22": (
+        ["--family", "osp", "--m", "2", "--n", "2", "--nilpotent",
+         "0,1,0,0,0,0,0,0", "--primes", "3,5"],
+        {"algebra.json": "73fad24e723b61c7c43b32a74932049c87d93a7447f5c9c71b130d4198f0c372",
+         "modp_report.csv": "fdd4be5359e19e73c297b3a73f18500e10b6edae12cfa0bf574f5f7d0355e03f",
+         "modp_report.json": "9006d5ee75186c400a8c3c91276843bd8438f405ee5b736b25d43a8272e14679",
+         "nilpotent.json": "9a6cd5f074d836349440c769b8114e14483c656d9276984c17b15c2f1599a6ed",
+         "wpresentation.json": "69947f0b96516fe306ff808c44947459d26baeadb84b4c064814e0112df8f48a"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ROWS))
+def test_modp_row_artifacts_reproduce_golden_digests(name, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.delenv(cli.ENV_OUT, raising=False)
+    args, digests = GOLDEN_ROWS[name]
+    code = cli.main(["verify", "all", *args, "--eta-sweep",
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(digests)
+    for f, want in digests.items():
+        assert hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() == want, f

@@ -1,6 +1,7 @@
-"""The action columns of Q, built from their prefixes, against the
-per-monomial Field-method route; the integer arithmetic of the PBW engine
-against Field methods; and the dim Q preflight."""
+"""The action columns of Q, built by the left action of U_eta on Q's basis
+indices, against the per-monomial Field-method route and in any order of
+requests; the integer arithmetic of the PBW engine against Field methods;
+and the dim Q preflight."""
 
 import os
 import re
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -24,9 +26,11 @@ from wsuper.wchar0 import SolverError
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # (datum fixture, p): gl(2|1) regular has odd co-basis generators, so its
-# products pass through the odd-square contraction and the odd signs
+# columns pass through the odd-square contraction and the odd signs; osp(2|2)
+# has an odd and an even generator in m
 CONFIGS = [("nd_sl21_e12", 3), ("nd_sl21_e12", 5), ("nd_osp12_reg", 3),
-           ("nd_osp12_reg", 5), ("nd_osp12_reg", 7), ("nd_gl21_reg", 3)]
+           ("nd_osp12_reg", 5), ("nd_osp12_reg", 7), ("nd_gl21_reg", 3),
+           ("nd_osp22", 3), ("nd_sl21_e12", 7)]
 
 
 def _acted_on(dat):
@@ -67,11 +71,69 @@ def test_right_mismatch_under_a_wrong_eta_equals_the_oracle(request, nd, p):
     assert q.right_action_mismatch() == (z, oracle[z])
 
 
-def test_a_missing_prefix_is_a_solver_error(nd_osp12_reg):
-    q = modp.build_reduced_q(modp.reduce_datum(nd_osp12_reg, 3))
-    q.basis = q.basis[::-1]
-    with pytest.raises(SolverError, match=re.escape(str(q.basis[0]))):
-        q.left_columns(q.datum.m_indices[0])
+@pytest.fixture(scope="module")
+def small_qs(nd_osp12_reg, nd_sl21_e12, nd_gl21_reg, nd_osp22):
+    # (Q, the in-order columns of every generator) at the shifted eta, so
+    # that eta reaches the co-basis
+    out = []
+    for nd, p in ((nd_osp12_reg, 5), (nd_sl21_e12, 3), (nd_gl21_reg, 3),
+                  (nd_osp22, 3)):
+        dat = modp.reduce_datum(nd, p)
+        q = modp.build_reduced_q(dat, dat.eta_samples()[-1][1])
+        out.append((q, [q._left_action(g) for g in range(q.engine.n_gens)]))
+    return out
+
+
+@contextmanager
+def _default_recursion_limit():
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_columns_requested_in_reverse_equal_the_in_order_ones(small_qs):
+    with _default_recursion_limit():
+        for q, cols in small_qs:
+            for g in _acted_on(q.datum):
+                act, _ = q._left_actor()
+                got = [act(g, j) for j in reversed(range(q.dim))]
+                assert got[::-1] == cols[g]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_columns_in_any_order_equal_the_in_order_ones(small_qs, data):
+    q, cols = data.draw(st.sampled_from(small_qs))
+    pairs = st.tuples(st.integers(0, q.engine.n_gens - 1),
+                      st.integers(0, q.dim - 1))
+    act, _ = q._left_actor()
+    with _default_recursion_limit():
+        for g, j in data.draw(st.lists(pairs, min_size=1, max_size=60)):
+            assert act(g, j) == cols[g][j]
+
+
+def test_a_basis_out_of_order_is_a_solver_error(nd_osp12_reg):
+    # the columns read Q's basis as the reduced PBW monomials in (e-degree,
+    # tuple) order; any other list is refused by its first monomial out of
+    # place, or by its length
+    dat = modp.reduce_datum(nd_osp12_reg, 3)
+    q = modp.build_reduced_q(dat)
+    top = q.basis[-1]
+    over = (3,) + q.basis[1][1:]
+    for basis, name in ((q.basis[::-1], q.basis[-2]),
+                        (q.basis[:1] + [over] + q.basis[2:], over),
+                        (q.basis[:5] + q.basis[6:] + [top], top)):
+        q = modp.build_reduced_q(dat)
+        q.basis = basis
+        with pytest.raises(SolverError, match=re.escape(str(name))):
+            q.left_columns(dat.m_indices[0])
+    q = modp.build_reduced_q(dat)
+    q.basis = q.basis[:-1]
+    with pytest.raises(SolverError, match="%d monomials" % (q.dim,)):
+        q.ad_columns(dat.m_indices[0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from oracle import (_echelon_mod_p, _reduce, dense_invert,
                     dense_nullspace_mod_p, dense_rank_mod_p, dense_rows,
                     dense_rref, dense_rref_mod_p, exact_mod_p, mat_vec)
 from wsuper import linalg
-from wsuper.scalars import (QQ, PrimeField, _is_prime, format_scalar,
-                            is_rational_square)
+from wsuper.scalars import (MILLER_RABIN_BOUND, QQ, PrimeField, _is_prime,
+                            format_scalar, is_rational_square)
 
 # the largest prime with 64*(p-1)**2 + p < 2**53, the float64 oracle's bound
 LARGEST_PRIME = 11863279
@@ -35,6 +35,45 @@ def test_prime_field_rejects_non_primes():
     for bad in (1, 2, 4, 9, 15):
         with pytest.raises(ValueError):
             PrimeField(bad)
+
+
+def _by_trial_division(n, primes):
+    # primes holds every prime up to sqrt(n)
+    if n < 2:
+        return False
+    for q in primes:
+        if q * q > n:
+            break
+        if n % q == 0:
+            return False
+    return True
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    small = [q for q in range(2, 448) if _by_trial_division(q, range(2, q))]
+    assert [n for n in range(200_000) if _is_prime(n)] == [
+        n for n in range(200_000) if _by_trial_division(n, small)]
+
+
+def test_strong_pseudoprimes_are_composite():
+    # the least strong pseudoprimes to the bases 2; 2..7; 2..23; 2..37 (so
+    # only the base 41 sees through the last)
+    for n in (2047, 3215031751, 3825123056546413051,
+              318665857834031151167461):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match="odd prime"):
+            PrimeField(n)
+    assert _is_prime(2 ** 31 - 1) and _is_prime(2 ** 61 - 1)
+    assert not _is_prime(2 ** 61 + 1)
+
+
+def test_primality_past_the_proven_bound_is_refused():
+    for n in (MILLER_RABIN_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
+            PrimeField(n)
+    # the bound is the least strong pseudoprime to all 13 bases; below it
+    # every n is decided
+    assert not _is_prime(MILLER_RABIN_BOUND - 1)
 
 
 def test_prime_field_fraction_coercion():
