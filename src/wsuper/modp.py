@@ -6,12 +6,14 @@ The rational nilpotent datum is reduced coefficient-wise (denominators must be
 units mod p), the p-th power map comes from matrix p-th powers of the
 realization, and every kernel and rank is computed by the sparse exact
 elimination of `linalg` on {column: c} rows mod p; no vector set of a row is
-ever a dense matrix.  The action columns of Q come from the left action of
-U_eta on Q's basis indices (`ReducedQ._left_actor`): a basis monomial is a
-mixed-radix integer over its exponent caps, and the action of a generator is
-memoized per basis index, so no product in U is formed for them.
-Generator solving reuses the characteristic-zero machinery verbatim since the
-rewriting engine is generic over the base field.
+ever a dense matrix.  The action columns of Q, the vectors of the reduced
+W-superalgebra's PBW monomials and the m' witness come from the left action
+of U_eta on Q's basis indices (`ReducedQ._left_actor`): a basis monomial is
+a mixed-radix integer over its exponent caps, and the action of a generator
+is memoized per basis index, so no product in U is formed for them.
+Generator solving and the relation table reuse the characteristic-zero
+machinery verbatim since the rewriting engine is generic over the base
+field.
 """
 
 from __future__ import annotations
@@ -440,6 +442,85 @@ class ReducedQ:
         memo.clear()
         return cols
 
+    def _lift_actor(self):
+        """(lift, memo): lift(terms, v) is u v for the element u of U_eta
+        with these {monomial: c} terms and a {basis index: c} vector v of
+        Q, with memo the `_left_actor` memo it fills.  Each term c b^m acts
+        as L_{g_1}(... L_{g_r}(v)); the tails b^{m'} v that the terms share
+        are computed once per call, by the first generator f of m',
+        b^{m'} v = L_f(b^{m' - e_f} v), and dropped when it returns.  The
+        result is a new dict; v is only read."""
+        act, memo = self._left_actor()
+        first, _, upper, code, at, radix = self._basis_layout()
+        p = self.p
+        acc = self.engine._acc
+        unit = self.engine.unit_mono
+
+        def apply(g, v):
+            # L_g(v); b_g only raises a monomial whose first generator is
+            # not below g (below its cap), and distinct monomials rise to
+            # distinct ones, so those terms are written without a sum and
+            # leave no memo entry
+            w, rest = {}, []
+            for j, c in v.items():
+                s = first[j]
+                if s > g:
+                    w[at[code[j] + radix[g]]] = c
+                elif s == g and upper[j] >= 0:
+                    w[upper[j]] = c
+                else:
+                    rest.append((j, c))
+            get = w.get
+            for j, c in rest:
+                for i, t in act(g, j).items():
+                    x = (get(i, 0) + c * t) % p
+                    if x:
+                        w[i] = x
+                    else:
+                        w.pop(i, None)
+            return w
+
+        def on(m, tails):
+            # b^m v, with tails holding b^{m'} v for the unit m' among others
+            w = tails.get(m)
+            if w is None:
+                f = next(i for i, x in enumerate(m) if x)
+                w = tails[m] = apply(
+                    f, on(m[:f] + (m[f] - 1,) + m[f + 1:], tails))
+            return w
+
+        def lift(terms, v):
+            tails = {unit: v}
+            out = {}
+            for m, c in terms.items():
+                acc(out, 1, on(m, tails), c)
+            return out
+
+        return lift, memo
+
+    def pbw_vectors(self, thetas, expos):
+        """The {basis index: c} vector of the class theta^a in Q for each
+        exponent tuple a of expos, by the left action of U_eta on Q: with k
+        the first generator of a, theta^a 1 = theta_k (theta^{a-e_k} 1),
+        where theta_k acts as its lift (`_lift_actor`).  Q is a left
+        U_eta-module, so this is the class of the product theta^a in U,
+        exactly, and no product in U is formed.  Each a - e_k must come
+        before a in expos, as in (degree, tuple) order.  One memo of L_g[j]
+        serves the whole evaluation and is emptied at its end."""
+        lift, memo = self._lift_actor()
+        lifts = [th.value.terms for th in thetas]
+        known = {}
+        for a in expos:
+            k = next((i for i, x in enumerate(a) if x), None)
+            if k is None:
+                # the unit is basis index 0
+                known[a] = {0: 1}
+            else:
+                known[a] = lift(lifts[k],
+                                known[a[:k] + (a[k] - 1,) + a[k + 1:]])
+        memo.clear()
+        return [known[a] for a in expos]
+
     def left_columns(self, gen_index):
         """Columns of left multiplication by b_g on Q, from `_left_action`."""
         cols = self._left_cols.get(gen_index)
@@ -676,7 +757,11 @@ class ReducedW:
 
 def reduced_w(q):
     """Solve the generators over F_p at the module's eta, verify the PBW basis
-    statement, and compute the relation table."""
+    statement, and compute the relation table.  The PBW statement is the
+    rank over F_p of the vectors theta^a 1 in Q of the ordered monomials,
+    each from the one before it by the left action of a generator's lift
+    (`ReducedQ.pbw_vectors`), against their count and dim Q^m; only the
+    relation table forms products in U."""
     datum = q.datum
     warnings = []
     if not datum.p_guard_ok:
@@ -689,7 +774,7 @@ def reduced_w(q):
                                  [th.parity for th in thetas], datum.p - 1,
                                  None, ()))
     # ranked in their degree order; the reverse order fills in far more
-    vectors = [q.vector_of(ctx.eval_monomial(expo).terms) for expo in expos]
+    vectors = q.pbw_vectors(thetas, expos)
     rank = linalg.rank_mod_p(vectors, datum.p)
     inv_dim = q.invariant_dimension("m")
     pbw_ok = (rank == len(expos) == inv_dim)
@@ -748,9 +833,11 @@ def mprime_invariants_check(q):
     equal = (linalg.rank_mod_p(list(image), p) == len(inv_mp)
              and _in_span(q, inv_mp, image))
     proper = len(inv_mp) < len(inv_m)
-    # witness: the middle vector class is m-invariant but not m'-invariant
-    e = q.engine
-    wvec = [q.vector_of(e.q_reduce(e.gen(datum.v_mid_index)).terms)]
+    # witness: the middle vector class, b_mid acting on the unit (basis
+    # index 0), is m-invariant but not m'-invariant
+    act, memo = q._left_actor()
+    wvec = [act(datum.v_mid_index, 0)]
+    memo.clear()
     in_m = _in_span(q, inv_m, wvec)
     in_mp = _in_span(q, inv_mp, wvec)
     return RefinedInvariantsReport(

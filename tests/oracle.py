@@ -3,9 +3,10 @@ Gauss-Jordan elimination over a Field (the oracle of `wsuper.linalg.rref`),
 with the dense inverse, kernel and matrix-vector product built on it, the
 blocked float64 elimination mod p (the dense mod-p oracle), the Lie
 superbracket, ad matrix and invariant form on coordinate lists, the action
-columns of Q built one monomial at a time, Q's action matrices, the dense
-stack of its ad matrices and the sparse stacked kernel, the PBW engine's
-normal ordering and per-term arithmetic through Field methods, the PBW
+columns of Q built one monomial at a time, the PBW vectors of the reduced
+W-superalgebra as products in U, Q's action matrices, the dense stack of
+its ad matrices and the sparse stacked kernel, the PBW engine's normal
+ordering and per-term arithmetic through Field methods, the PBW
 exponent tuples as a filtered product, the Lie superalgebra axiom checks
 through Field methods (axiom (b) of the p-map as p brackets in a row, the
 restrictedness oracle), and matrix powers as a loop of products."""
@@ -287,6 +288,15 @@ def per_monomial_columns(q, g):
                 and right != ({m: eta_g} if eta_g else {})):
             mismatch = j
     return ad, left, mismatch
+
+
+def pbw_vectors_by_products(q, ctx, expos):
+    """The {basis index: c} vector of each PBW monomial theta^a of a
+    WContext on the ReducedQ's engine, as a product in U:
+    `WContext.eval_monomial` forms theta^{a - e_last} theta_last by
+    `Enveloping.q_mul`, and `ReducedQ.vector_of` reads the class on Q's
+    basis.  The oracle of `ReducedQ.pbw_vectors`."""
+    return [q.vector_of(ctx.eval_monomial(a).terms) for a in expos]
 
 
 def dense_rows(rows, cols):

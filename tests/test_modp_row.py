@@ -19,7 +19,7 @@ import pytest
 from oracle import (ad_matrix, dense_nullspace_mod_p, dense_rank_mod_p,
                     dense_rows, left_matrix, sparse_stacked_kernel,
                     stacked_ad)
-from wsuper import cli, linalg, modp
+from wsuper import cli, linalg, modp, pbw, wchar0
 from wsuper.cli import EXIT_CHECK_FAILURES, EXIT_CONFIG, PipelineConfig
 
 
@@ -110,6 +110,42 @@ def test_row_builds_q_and_each_ad_column_set_once(monkeypatch, tmp_path,
     calls = [args[0] for args in log["rank"] + log["rref"]]
     assert all(type(vecs) is list and all(type(v) is dict for v in vecs)
                for vecs in calls)
+
+
+@pytest.mark.parametrize("which", ["dat_osp3", "dat_sl3"])
+def test_reduced_w_forms_no_pbw_monomial_by_products(request, monkeypatch,
+                                                     which):
+    # the PBW vectors come from the left action of U_eta on Q: during
+    # reduced_w, eval_monomial runs only inside the relation table, and
+    # q_mul runs no more often than in that table alone
+    dat = request.getfixturevalue(which)
+    products, evals, in_table = [], [], [False]
+    _count(monkeypatch, pbw.Enveloping, "q_mul", products)
+    ctx = wchar0.WContext(dat, engine=modp.build_reduced_q(dat).engine)
+    ctx.generators()
+    ctx.commutator_table()
+    alone = len(products)
+    del products[:]
+    evaluate = wchar0.WContext.eval_monomial
+    table = wchar0.WContext.commutator_table
+
+    def counted_eval(self, expo):
+        evals.append(in_table[0])
+        return evaluate(self, expo)
+
+    def flagged_table(self):
+        in_table[0] = True
+        try:
+            return table(self)
+        finally:
+            in_table[0] = False
+
+    monkeypatch.setattr(wchar0.WContext, "eval_monomial", counted_eval)
+    monkeypatch.setattr(wchar0.WContext, "commutator_table", flagged_table)
+    rw = modp.reduced_w(modp.build_reduced_q(dat))
+    assert rw.pbw_ok
+    assert evals and all(evals)
+    assert 0 < len(products) <= alone
 
 
 @pytest.mark.parametrize("which", ["dat_osp3", "dat_sl3"])

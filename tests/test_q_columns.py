@@ -1,7 +1,9 @@
 """The action columns of Q, built by the left action of U_eta on Q's basis
 indices, against the per-monomial Field-method route and in any order of
-requests; the integer arithmetic of the PBW engine against Field methods;
-and the dim Q preflight."""
+requests; the PBW vectors of the reduced W-superalgebra and the action of
+elements of U_eta, by the same left action, against products in U; the
+integer arithmetic of the PBW engine against Field methods; and the dim Q
+preflight."""
 
 import os
 import re
@@ -18,10 +20,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import field_acc, field_add, field_q_reduce, per_monomial_columns
+from oracle import (field_acc, field_add, field_q_reduce,
+                    pbw_vectors_by_products, per_monomial_columns)
 from wsuper import cli, modp
-from wsuper.pbw import engine_from_datum
-from wsuper.wchar0 import SolverError
+from wsuper.pbw import engine_from_datum, exponent_tuples
+from wsuper.wchar0 import SolverError, WContext
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -113,6 +116,45 @@ def test_columns_in_any_order_equal_the_in_order_ones(small_qs, data):
     with _default_recursion_limit():
         for g, j in data.draw(st.lists(pairs, min_size=1, max_size=60)):
             assert act(g, j) == cols[g][j]
+
+
+@pytest.mark.parametrize("nd, p", CONFIGS)
+def test_pbw_vectors_equal_the_product_oracle(request, nd, p):
+    # theta^a 1 by the left action of U_eta on Q against theta^a formed in
+    # U, at every eta of the row
+    dat = modp.reduce_datum(request.getfixturevalue(nd), p)
+    for label, eta in dat.eta_samples():
+        q = modp.build_reduced_q(dat, eta, label)
+        ctx = WContext(dat, engine=q.engine)
+        thetas = ctx.generators()
+        expos = list(exponent_tuples(ctx.generator_degrees(),
+                                     [th.parity for th in thetas], p - 1,
+                                     None, ()))
+        assert q.pbw_vectors(thetas, expos) == pbw_vectors_by_products(
+            q, ctx, expos)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_an_element_acts_on_q_as_its_product_in_u(small_qs, data):
+    # u v for a random element u of U_eta, in reduced PBW monomials over
+    # every generator, and a random sparse vector v of Q, against the
+    # product of u with the lift of v in U, reduced to Q
+    q, _ = data.draw(st.sampled_from(small_qs))
+    e = q.engine
+    monos = st.tuples(*[st.integers(0, 1 if odd else q.p - 1)
+                        for odd in e.parities])
+    coeffs = st.integers(1, q.p - 1)
+    u = data.draw(st.dictionaries(monos, coeffs, min_size=1, max_size=5))
+    v = data.draw(st.dictionaries(st.integers(0, q.dim - 1), coeffs,
+                                  max_size=6))
+    lift, memo = q._lift_actor()
+    with _default_recursion_limit():
+        got = lift(u, v)
+    memo.clear()
+    prod = e.q_mul(e.element(u), e.element({q.basis[j]: c
+                                            for j, c in v.items()}))
+    assert got == q.vector_of(prod.terms)
 
 
 def test_a_basis_out_of_order_is_a_solver_error(nd_osp12_reg):
@@ -239,8 +281,8 @@ def _limit_address_space():
 def test_preflight_refuses_an_oversized_q_before_any_artifact(tmp_path):
     # gl(1|1), zero nilpotent: m = 0 and dim Q = dim W = p^2 * 2^2.  At
     # p = 10007 the monomial basis alone would take 64 GB; at p = 211 it
-    # takes 28 MB, and the dim W x dim Q matrix of reduced_w with its
-    # float64 copy (507 GB) is what is refused
+    # takes 28 MB, and q_footprint's dim W x dim Q term (507 GB at 16
+    # bytes per entry) is what is refused
     env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
     env.pop(cli.ENV_OUT, None)
     for p in (10007, 211):
