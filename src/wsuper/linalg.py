@@ -1,29 +1,39 @@
 """Exact linear algebra: one elimination routine.
 
 `rref` is sparse Gauss-Jordan elimination on {column: coefficient} rows over
-any Field object.  It serves every system wsuper solves: the rational ones
-(the generator solves, the graded check, the nilpotent analysis) and every
-mod-p one of a `verify all` row.  The largest of those are the links of the
-joint kernel of ad z, z in m, on the reduced module Q
-(`modp.ReducedQ._m_kernel`): the transposed sparse ad columns of the first
-generator, then the transposed images of each kernel basis under the next
-one, each at most dim Q rows and streamed in as a generator.  The PBW
-monomial vectors of `modp.reduced_w` and the image of the m-invariants
-under the middle odd vector go through `rank_mod_p`, one of the two entry
-points over F_p, as lists.  The RREF is unique, so echelon bases and
-particular solutions do not depend on the order of the rows; the cost does.
-The elimination uses Python's operators on the entries: over F_p each entry
-is reduced mod p when its row enters and after each update, and each pivot
-costs one `field.inv`.  Python ints do not overflow, so the routine is exact
-for every prime p and puts no bound on it; the size of Q, which grows as a
-power of p, is what bounds p (`modp.q_footprint`).
-"""
+Q or F_p.  It serves every system wsuper solves: the rational ones (the
+generator solves, the graded check, the nilpotent analysis, the coordinates
+of a realization) and every mod-p one of a `verify all` row.  The largest of
+those are the links of the joint kernel of ad z, z in m, on the reduced
+module Q (`modp.ReducedQ._m_kernel`): the transposed sparse ad columns of
+the first generator, then the transposed images of each kernel basis under
+the next one, each at most dim Q rows and streamed in as a generator.  The
+PBW monomial vectors of `modp.reduced_w` go through `rank_mod_p`, one of the
+two entry points over F_p, as a list.  The RREF is unique, so echelon bases
+and particular solutions do not depend on the order of the rows; the cost
+does.
 
+Inside, every row is a {column: int} dict.  Over Q a row enters as its
+numerators over the lcm of its denominators; a pivot row is a pair (row,
+den) in lowest terms with den > 0 its entry at the pivot, so that row/den is
+1 there (`scalars.lowest`, the helper of the PBW engine's pairs).  Clearing
+a pivot column from a row whose entry a there is not a multiple of den first
+rewrites row/a over lcm(a, den) (`scalars.widen`): the row is scaled by
+den/gcd(a, den), and every update is an integer multiply-add.  Fractions are
+formed only in the reduced rows `rref` returns.  Over F_p den is 1: each
+entry is reduced mod p when its row enters and after each update, and each
+pivot costs one `field.inv`.  The branch between the two is taken once per
+row or per update call, never per entry.  Python ints do not overflow, so
+the routine is exact for every prime p and puts no bound on it; the size of
+Q, which grows as a power of p, is what bounds p (`modp.q_footprint`).
+"""
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
 
-from .scalars import PrimeField
+from .scalars import PrimeField, lowest, widen
 
 
 # ---------------------------------------------------------------------------
@@ -47,47 +57,87 @@ def mat_mul(field, a, b):
     return out
 
 
-def _sparse_row(field, row):
-    """A fresh {column: coefficient} dict without zeros, its entries reduced
-    mod p over F_p; a dense row (a sequence) is keyed by position."""
+def _int_row(row, p):
+    """A fresh {column: int} dict without zeros: over F_p the entries
+    reduced mod p, over Q the row times the lcm of its denominators (the
+    elimination may scale a row by any nonzero factor); a dense row (a
+    sequence) is keyed by position."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    p = field.char
     if p:
         return {j: x % p for j, x in items if x % p}
-    return {j: x for j, x in items if x}
+    items = [(j, x) for j, x in items if x]
+    den = lcm(1, *(x.denominator for _, x in items))
+    return {j: x.numerator * (den // x.denominator) for j, x in items}
 
 
-def _subtract(p, row, a, src, lead):
-    """row -= a * src off src's pivot column `lead`, in place, mod p when
-    p > 0; returns the columns it filled in."""
+def _subtract(p, row, a, pivot, lead):
+    """Clear column `lead`, whose entry a has been popped, from row with the
+    pivot row of `lead`, a pair (src, den) with den at `lead`, in place and
+    mod p when p > 0; returns the columns it filled in.  Over Q row/a is
+    first rewritten over lcm(a, den) when den does not divide a, so that
+    row is scaled by den/g and loses (a/g) src, g = gcd(a, den); over F_p
+    den is 1 and row loses a src."""
+    src, den = pivot
+    if den > 1:
+        a = widen(row, a, den) // den if a % den else a // den
     new = []
-    for j, x in src.items():
-        if j == lead:
-            continue
-        old = row.get(j)
-        if old is None:
-            row[j] = -a * x % p if p else -a * x
-            new.append(j)
-        else:
-            v = old - a * x
-            if p:
-                v %= p
-            if v:
-                row[j] = v
+    if p:
+        for j, x in src.items():
+            if j == lead:
+                continue
+            old = row.get(j)
+            if old is None:
+                row[j] = -a * x % p
+                new.append(j)
             else:
-                del row[j]
+                v = (old - a * x) % p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+    else:
+        for j, x in src.items():
+            if j == lead:
+                continue
+            old = row.get(j)
+            if old is None:
+                row[j] = -a * x
+                new.append(j)
+            else:
+                v = old - a * x
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
     return new
 
 
+def _pivot_row(field, row, c):
+    """The pair (row, den) of a row whose lowest column is c: over F_p the
+    row times the inverse of its entry at c, with den 1; over Q the row in
+    lowest terms with den > 0 at c."""
+    p = field.char
+    a = row[c]
+    if p:
+        inv = field.inv(a)
+        return {j: inv * x % p for j, x in row.items()}, 1
+    if a < 0:
+        for j in row:
+            row[j] = -row[j]
+        a = -a
+    return lowest(row, a)
+
+
 def _echelon(field, rows):
-    """Forward elimination: {pivot column: row with a 1 there}.  Each row is
-    cleared of the pivot columns found so far, lowest first (a pivot row
-    fills in only to the right of its pivot), and becomes a pivot row at its
-    lowest remaining column."""
+    """Forward elimination: {pivot column: (row, den)}, each row an int
+    dict with den at its pivot column (`_pivot_row`).  Each row is cleared
+    of the pivot columns found so far, lowest first (a pivot row fills in
+    only to the right of its pivot), and becomes a pivot row at its lowest
+    remaining column."""
     p = field.char
     pivots = {}
     for row in rows:
-        row = _sparse_row(field, row)
+        row = _int_row(row, p)
         todo = [c for c in row if c in pivots]
         heapify(todo)
         while todo:
@@ -99,11 +149,7 @@ def _echelon(field, rows):
                         heappush(todo, j)
         if row:
             c = min(row)
-            inv = field.inv(row[c])
-            if p:
-                pivots[c] = {j: inv * x % p for j, x in row.items()}
-            else:
-                pivots[c] = {j: inv * x for j, x in row.items()}
+            pivots[c] = _pivot_row(field, row, c)
     return pivots
 
 
@@ -113,16 +159,24 @@ def rref(field, rows):
     rows are {column: coefficient} dicts or dense sequences; columns are any
     mutually comparable keys, pivoted in increasing order.  Returns (reduced,
     pivots): the nonzero RREF rows as dicts, in the order of the sorted pivot
-    columns.  Back-substitution runs from the highest pivot down, so each row
-    is cleared with rows already reduced and gains no pivot column."""
+    columns, with Fraction entries over Q and residues over F_p.
+    Back-substitution runs from the highest pivot down, so each row is
+    cleared with rows already reduced and gains no pivot column; a row
+    rescaled on the way is brought back to lowest terms over its entry at
+    its pivot."""
     p = field.char
     pivots = _echelon(field, rows)
     order = sorted(pivots)
     for c in reversed(order):
-        row = pivots[c]
+        row = pivots[c][0]
         for j in [j for j in row if j != c and j in pivots]:
             _subtract(p, row, row.pop(j), pivots[j], j)
-    return [pivots[c] for c in order], order
+        pivots[c] = lowest(row, row[c])
+    reduced = [pivots[c] for c in order]
+    if p:
+        return [row for row, _ in reduced], order
+    return [{j: Fraction(x, den) for j, x in row.items()}
+            for row, den in reduced], order
 
 
 def rank(field, rows):
@@ -144,13 +198,19 @@ def kernel_rows(field, reduced, piv, cols):
     return list(basis.values())
 
 
+def _copy(row):
+    """A fresh {column: c} dict of a row given as a dict or a dense
+    sequence."""
+    return dict(row) if isinstance(row, dict) else dict(enumerate(row))
+
+
 def solve_affine(field, mat, rhs, cols=None):
     """The solution of mat x = rhs with every free variable zero, or None
     when the system is inconsistent.  Sparse rows need `cols`, the number of
     unknowns; the right-hand side is eliminated as column `cols`."""
     if cols is None:
         cols = len(mat[0]) if mat else 0
-    aug = [_sparse_row(field, row) for row in mat]
+    aug = [_copy(row) for row in mat]
     for row, b in zip(aug, rhs):
         if not field.is_zero(b):
             row[cols] = b
@@ -168,7 +228,7 @@ def invert(field, rows):
     dicts or dense sequences), as {column: c} rows; ValueError when it is
     singular."""
     n = len(rows)
-    aug = [_sparse_row(field, row) for row in rows]
+    aug = [_copy(row) for row in rows]
     for i, row in enumerate(aug):
         row[n + i] = field.one
     reduced, piv = rref(field, aug)

@@ -23,7 +23,9 @@ mod p.  Every operation is a pure function of immutable inputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
+
+from .scalars import lowest, widen
 
 # the pair of the empty combination
 _EMPTY = ({}, 1)
@@ -207,9 +209,10 @@ class Enveloping:
 
     # Inside the engine a combination of monomials is a pair (nums, den): a
     # {monomial: int} dict over one positive denominator.  The multiply-adds
-    # are integer operations; each result is brought to lowest terms (den and
-    # the numerators coprime, den 1 when empty) with one gcd.  Characteristic
-    # p is the case den = 1, with residues reduced by one % p per update.
+    # are integer operations (`scalars.widen`); each result is brought to
+    # lowest terms (den and the numerators coprime, den 1 when empty) with one
+    # gcd (`scalars.lowest`).  Characteristic p is the case den = 1, with
+    # residues reduced by one % p per update.
     # Fractions appear only in Element terms (`_terms`), and `_add` below adds
     # those with the coefficients' own operators.
 
@@ -247,30 +250,11 @@ class Enveloping:
             return nums
         return {m: Fraction(c, den) for m, c in nums.items()}
 
-    @staticmethod
-    def _widen(acc, den, d):
-        """Rewrite acc/den over lcm(den, d) in place; returns that lcm."""
-        grow = d // gcd(den, d)
-        for m in acc:
-            acc[m] *= grow
-        return den * grow
-
-    @staticmethod
-    def _lowest(nums, den):
-        """The pair (nums, den) divided by the gcd of den and the numerators."""
-        if den > 1:
-            g = gcd(den, *nums.values())
-            if g > 1:
-                for m in nums:
-                    nums[m] //= g
-                den //= g
-        return nums, den
-
     def _acc(self, acc, den, terms, c, cden=1):
         """acc/den += (c/cden) terms in place, for integer terms; returns the
         denominator of acc, widened when cden does not divide it."""
         if den % cden:
-            den = self._widen(acc, den, cden)
+            den = widen(acc, den, cden)
         c *= den // cden
         p = self.field.char
         if p:
@@ -335,7 +319,7 @@ class Enveloping:
                 den = self._acc(acc, den, tn, -c if swap else c, iden * td)
             den = self._acc_gens(acc, den, m2,
                                  self._bracket_pairs.get((top, g), _EMPTY))
-        out = self._lowest(acc, den)
+        out = lowest(acc, den)
         self._gen_cache[key] = out if out[1] > 1 else out[0]
         return out
 
@@ -346,7 +330,7 @@ class Enveloping:
         for m, c in nums.items():
             tn, td = self.times_gen(m, g)
             out = self._acc(acc, out, tn, c, den * td)
-        return self._lowest(acc, out)
+        return lowest(acc, out)
 
     def _prefix_product(self, known, m):
         """a b^m from the {monomial: a b^monomial} pairs known (the unit among
@@ -371,7 +355,7 @@ class Enveloping:
         for m, c in bnums.items():
             pnums, pden = self._prefix_product(known, m)
             den = self._acc(acc, den, pnums, c, bden * pden)
-        return self._lowest(acc, den)
+        return lowest(acc, den)
 
     def _mul(self, a, b):
         """The product of two Element term dicts, as Element terms."""
@@ -401,7 +385,7 @@ class Enveloping:
                     cden *= cd ** e
             else:
                 if out % cden:
-                    out = self._widen(acc, out, cden)
+                    out = widen(acc, out, cden)
                 mm = m[:cb] + tail
                 v = acc.get(mm, 0) + c * (out // cden)
                 if p:
@@ -410,7 +394,7 @@ class Enveloping:
                     acc[mm] = v
                 else:
                     acc.pop(mm, None)
-        return self._lowest(acc, out)
+        return lowest(acc, out)
 
     def q_reduce(self, elt):
         """Image in Q of an Element (or of Element terms)."""

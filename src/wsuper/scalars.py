@@ -3,15 +3,18 @@
 Every coefficient the package hands out is either a fractions.Fraction
 (characteristic zero) or a python int in 0..p-1 (characteristic p).  A Field
 object bundles the arithmetic so that the code is generic over the two
-cases.  The PBW engine (`pbw.Enveloping`) keeps its coefficients inside as
-int numerators over one denominator and forms Fractions only in the terms of
-the Elements it returns.  No floating point is used anywhere.
+cases.  The PBW engine (`pbw.Enveloping`) and the rational elimination
+(`linalg`) keep their coefficients inside as int numerators over one
+positive denominator, {key: int} dicts brought together by `widen` and to
+lowest terms by `lowest`, and form Fractions only in what they return.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 
 
 class Rationals:
@@ -126,6 +129,31 @@ class PrimeField:
 
 
 QQ = Rationals()
+
+
+# ---------------------------------------------------------------------------
+# int numerators over one denominator
+# ---------------------------------------------------------------------------
+
+def widen(nums, den, d):
+    """Rewrite the {key: int} numerators nums over den as numerators over
+    lcm(den, d), in place; returns that lcm (its sign is den's)."""
+    grow = d // gcd(den, d)
+    for k in nums:
+        nums[k] *= grow
+    return den * grow
+
+
+def lowest(nums, den):
+    """The pair (nums, den), den > 0, divided by the gcd of den and the
+    numerators, in place: den and the numerators coprime."""
+    if den > 1:
+        g = gcd(den, *nums.values())
+        if g > 1:
+            for k in nums:
+                nums[k] //= g
+            den //= g
+    return nums, den
 
 
 # The least strong pseudoprime to all 13 prime bases 2..41, so the

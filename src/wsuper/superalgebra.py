@@ -3,7 +3,12 @@
 A supermatrix of size (m|n) is a list of m+n rows of Fractions; indices below m
 are even, the rest odd.  An algebra is built by picking a basis of homogeneous
 supermatrices, computing structure constants from supercommutators and the
-invariant form from the supertrace.  Super skew-symmetry, the super Jacobi
+invariant form from the supertrace.  Both read sparse views of the
+realization's matrices ({row: {column: c}}, `_sparse`): a supercommutator is
+formed from the nonzero entries alone and coordinatized through the reduced
+rows of the `Coordinatizer`, read by column, and a gram entry str(R_i R_j)
+sums the products of R_i's entries with their transposed partners in R_j.
+The realization itself stays dense.  Super skew-symmetry, the super Jacobi
 identity, evenness, supersymmetry and invariance of the form are checked on
 every basis pair and triple whenever a `LieSuperalgebra` is constructed: once
 over Q by `build_algebra`, and again for each prime when `modp.reduce_mod_p`
@@ -57,19 +62,14 @@ def mat_pow(field, a, k):
     return out
 
 
-def supertrace(field, a, m_even):
-    s = field.zero
-    for i in range(len(a)):
-        d = a[i][i]
-        s = field.add(s, d) if i < m_even else field.sub(s, d)
-    return s
-
-
-def super_commutator(field, a, b, pa, pb):
-    ab = linalg.mat_mul(field, a, b)
-    ba = linalg.mat_mul(field, b, a)
-    combine = field.add if pa and pb else field.sub
-    return [[combine(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
+def _sparse(mat):
+    """The sparse view of a matrix: {row: {column: c}} without zeros."""
+    view = {}
+    for i, row in enumerate(mat):
+        entries = {j: c for j, c in enumerate(row) if c}
+        if entries:
+            view[i] = entries
+    return view
 
 
 # ---------------------------------------------------------------------------
@@ -283,43 +283,90 @@ class Coordinatizer:
         red, piv = linalg.rref(field, aug)
         if piv[: self.dim] != list(range(self.dim)):
             raise AlgebraError("realization matrices are linearly dependent")
-        # the I part of each reduced row, keyed by flattened entry; the rows
-        # past dim are the consistency conditions
-        self._rows = [{k - self.dim: c for k, c in row.items() if k >= self.dim}
-                      for row in red]
+        # the I part of the reduced rows, read by column: flattened entry
+        # t -> [(row, c)]; the rows past dim are the consistency conditions
+        self._columns = {}
+        for i, row in enumerate(red):
+            for k, c in row.items():
+                if k >= self.dim:
+                    self._columns.setdefault(k - self.dim, []).append((i, c))
+
+    def sparse_coords(self, entries):
+        """The nonzero coordinates {i: x_i}, in increasing i, of the matrix
+        with the {flattened entry: c} entries."""
+        f = self.field
+        values = {}
+        for t, v in entries.items():
+            if f.is_zero(v):
+                continue
+            for i, c in self._columns.get(t, ()):
+                values[i] = f.add(values.get(i, f.zero), f.mul(c, v))
+        out = {}
+        for i in sorted(values):
+            v = values[i]
+            if not f.is_zero(v):
+                if i >= self.dim:
+                    raise AlgebraError("matrix lies outside the algebra")
+                out[i] = v
+        return out
 
     def coords(self, mat):
         f = self.field
-        flat = [mat[a][b] for a in range(self.n) for b in range(self.n)]
-        values = []
-        for row in self._rows:
-            acc = f.zero
-            for t, c in row.items():
-                if not f.is_zero(flat[t]):
-                    acc = f.add(acc, f.mul(c, flat[t]))
-            values.append(acc)
-        if any(not f.is_zero(v) for v in values[self.dim:]):
-            raise AlgebraError("matrix lies outside the algebra")
-        return values[: self.dim]
+        n = self.n
+        sparse = self.sparse_coords({a * n + b: x for a, row in enumerate(mat)
+                                     for b, x in enumerate(row)})
+        return [sparse.get(i, f.zero) for i in range(self.dim)]
+
+
+def _super_commutator(field, a, b, n, odd):
+    """[A, B] = AB - (-1)^{|A||B|} BA for sparse views, as {flattened
+    entry: c}; odd says whether both A and B are odd."""
+    out = {}
+    for x_rows, y_rows, combine in ((a, b, field.add),
+                                    (b, a, field.add if odd else field.sub)):
+        for r, xr in x_rows.items():
+            for k, x in xr.items():
+                yk = y_rows.get(k)
+                if yk:
+                    for c, y in yk.items():
+                        t = r * n + c
+                        out[t] = combine(out.get(t, field.zero),
+                                         field.mul(x, y))
+    return out
 
 
 def structure_from_realization(field, realization, parities):
-    """The table {(i, j): {k: c}} with [R_i, R_j] = sum_k c R_k."""
+    """The table {(i, j): {k: c}} with [R_i, R_j] = sum_k c R_k, from the
+    sparse views of the R_i."""
     coord = Coordinatizer(field, realization)
+    n = coord.n
+    views = [_sparse(r) for r in realization]
     structure = {}
-    for i, ri in enumerate(realization):
-        for j, rj in enumerate(realization):
-            c = coord.coords(super_commutator(field, ri, rj,
-                                              parities[i], parities[j]))
-            entries = {k: v for k, v in enumerate(c) if not field.is_zero(v)}
+    for i, a in enumerate(views):
+        for j, b in enumerate(views):
+            entries = coord.sparse_coords(_super_commutator(
+                field, a, b, n, parities[i] and parities[j]))
             if entries:
                 structure[(i, j)] = entries
     return structure
 
 
 def supertrace_gram(field, realization, m_even):
-    return [[supertrace(field, linalg.mat_mul(field, a, b), m_even)
-             for b in realization] for a in realization]
+    """The gram (R_i, R_j) = str(R_i R_j) of the sparse views: the sum of
+    (R_i)_{rk} (R_j)_{kr}, with a minus sign for odd r."""
+    views = [_sparse(r) for r in realization]
+
+    def str_product(a, b):
+        s = field.zero
+        for r, ar in a.items():
+            combine = field.add if r < m_even else field.sub
+            for k, x in ar.items():
+                y = b.get(k, {}).get(r)
+                if y is not None:
+                    s = combine(s, field.mul(x, y))
+        return s
+
+    return [[str_product(a, b) for b in views] for a in views]
 
 
 # ---------------------------------------------------------------------------

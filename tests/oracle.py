@@ -1,6 +1,10 @@
 """Reference routines that the fast code is tested against: dense
 Gauss-Jordan elimination over a Field (the oracle of `wsuper.linalg.rref`),
 with the dense inverse, kernel and matrix-vector product built on it, the
+sparse elimination on the entries' own operators (Fractions over Q, the
+route `linalg` took before its rows became integers), the dense
+supercommutators, supertraces and coordinates of the realization (the
+oracle of the sparse structure constants and gram), the
 blocked float64 elimination mod p (the dense mod-p oracle), the Lie
 superbracket, ad matrix and invariant form on coordinate lists, the action
 columns of Q built one monomial at a time, the PBW vectors of the reduced
@@ -12,6 +16,7 @@ through Field methods (axiom (b) of the p-map as p brackets in a row, the
 restrictedness oracle), and matrix powers as a loop of products."""
 
 import weakref
+from heapq import heapify, heappop, heappush
 from itertools import product
 
 import numpy as np
@@ -49,6 +54,154 @@ def dense_rref(field, mat):
         piv_cols.append(c)
         r += 1
     return a, piv_cols
+
+
+# The sparse Gauss-Jordan elimination on the entries' own operators: over Q
+# every update is a Fraction operation.  It is the oracle of `linalg`'s
+# elimination on integer rows, entry point for entry point.
+
+def _fraction_row(field, row):
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    p = field.char
+    if p:
+        return {j: x % p for j, x in items if x % p}
+    return {j: x for j, x in items if x}
+
+
+def _fraction_subtract(p, row, a, src, lead):
+    new = []
+    for j, x in src.items():
+        if j == lead:
+            continue
+        old = row.get(j)
+        if old is None:
+            row[j] = -a * x % p if p else -a * x
+            new.append(j)
+        else:
+            v = old - a * x
+            if p:
+                v %= p
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+    return new
+
+
+def _fraction_echelon(field, rows):
+    p = field.char
+    pivots = {}
+    for row in rows:
+        row = _fraction_row(field, row)
+        todo = [c for c in row if c in pivots]
+        heapify(todo)
+        while todo:
+            c = heappop(todo)
+            a = row.pop(c, None)
+            if a is not None:
+                for j in _fraction_subtract(p, row, a, pivots[c], c):
+                    if j in pivots:
+                        heappush(todo, j)
+        if row:
+            c = min(row)
+            inv = field.inv(row[c])
+            if p:
+                pivots[c] = {j: inv * x % p for j, x in row.items()}
+            else:
+                pivots[c] = {j: inv * x for j, x in row.items()}
+    return pivots
+
+
+def fraction_rref(field, rows):
+    """`linalg.rref` with every update on the entries' own operators."""
+    p = field.char
+    pivots = _fraction_echelon(field, rows)
+    order = sorted(pivots)
+    for c in reversed(order):
+        row = pivots[c]
+        for j in [j for j in row if j != c and j in pivots]:
+            _fraction_subtract(p, row, row.pop(j), pivots[j], j)
+    return [pivots[c] for c in order], order
+
+
+def fraction_rank(field, rows):
+    return len(_fraction_echelon(field, rows))
+
+
+def fraction_solve_affine(field, mat, rhs, cols):
+    """`linalg.solve_affine` on `fraction_rref`."""
+    aug = [_fraction_row(field, row) for row in mat]
+    for row, b in zip(aug, rhs):
+        if not field.is_zero(b):
+            row[cols] = b
+    reduced, piv = fraction_rref(field, aug)
+    if piv and piv[-1] == cols:
+        return None
+    x = [field.zero] * cols
+    for row, pc in zip(reduced, piv):
+        x[pc] = row.get(cols, field.zero)
+    return x
+
+
+def fraction_invert(field, rows):
+    """`linalg.invert` on `fraction_rref`."""
+    n = len(rows)
+    aug = [_fraction_row(field, row) for row in rows]
+    for i, row in enumerate(aug):
+        row[n + i] = field.one
+    reduced, piv = fraction_rref(field, aug)
+    if piv != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [{j - n: c for j, c in row.items() if j >= n} for row in reduced]
+
+
+# The structure constants and gram of a matrix realization as they read on
+# dense matrices through Field methods: the oracle of the sparse views in
+# `superalgebra.structure_from_realization` and `supertrace_gram`.
+
+def supertrace(field, a, m_even):
+    s = field.zero
+    for i in range(len(a)):
+        d = a[i][i]
+        s = field.add(s, d) if i < m_even else field.sub(s, d)
+    return s
+
+
+def super_commutator(field, a, b, pa, pb):
+    ab = linalg.mat_mul(field, a, b)
+    ba = linalg.mat_mul(field, b, a)
+    combine = field.add if pa and pb else field.sub
+    return [[combine(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
+
+
+def dense_structure(field, realization, parities):
+    """{(i, j): {k: c}} from dense supercommutators, each solved for its
+    coordinates by `dense_rref` of the flattened realization."""
+    n = len(realization[0])
+    d = len(realization)
+    flat = [[r[a][b] for a in range(n) for b in range(n)] for r in realization]
+    structure = {}
+    for i, ri in enumerate(realization):
+        for j, rj in enumerate(realization):
+            m = super_commutator(field, ri, rj, parities[i], parities[j])
+            target = [m[a][b] for a in range(n) for b in range(n)]
+            # columns R_1 .. R_d, then the target
+            aug = [[flat[k][t] for k in range(d)] + [target[t]]
+                   for t in range(n * n)]
+            red, piv = dense_rref(field, aug)
+            if d in piv:
+                raise AlgebraError("matrix lies outside the algebra")
+            entries = {k: red[r][d] for r, k in enumerate(piv)
+                       if not field.is_zero(red[r][d])}
+            if entries:
+                structure[(i, j)] = entries
+    return structure
+
+
+def dense_gram(field, realization, m_even):
+    """(R_i, R_j) = str(R_i R_j) of dense products."""
+    return [[supertrace(field, linalg.mat_mul(field, a, b), m_even)
+             for b in realization] for a in realization]
 
 
 def dense_bracket(alg, v, w):

@@ -10,16 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle import (check_axioms, check_p_map, dense_ad, dense_bracket,
-                    dense_form, naive_mat_pow)
+                    dense_form, dense_gram, dense_structure, naive_mat_pow,
+                    supertrace)
 from wsuper import build_algebra, linalg
 from wsuper.linalg import mat_mul
 from wsuper.modp import reduce_mod_p
 from wsuper.nilpotent import _ad_columns, _covector, _dot
-from wsuper.superalgebra import (AlgebraError, DegenerateFormError,
-                                 LieSuperalgebra, _bracket, invariant_form,
+from wsuper.superalgebra import (AlgebraError, Coordinatizer,
+                                 DegenerateFormError, LieSuperalgebra,
+                                 _bracket, invariant_form,
                                  mat_pow, osp_form_matrix,
                                  structure_from_realization,
-                                 supertrace, supertrace_gram)
+                                 supertrace_gram)
 from wsuper.scalars import QQ, PrimeField
 
 
@@ -384,6 +386,61 @@ def test_rescaled_sl21_rejects_a_half_step(sl21, target, message):
     built, expected = _both_verdicts(sl21, structure, gram)
     assert built == expected
     assert built.startswith(message)
+
+
+# -- the sparse structure constants and gram against the dense oracle --------
+
+SHAPES = [("gl", 1, 1), ("gl", 2, 1), ("gl", 2, 2), ("sl", 2, 1),
+          ("sl", 2, 2), ("osp", 1, 2), ("osp", 2, 2), ("osp", 3, 2),
+          ("osp", 1, 4)]
+
+
+def _fractions_only(structure, gram):
+    return (all(type(c) is Fraction for entries in structure.values()
+                for c in entries.values())
+            and all(type(c) is Fraction for row in gram for c in row))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "%s%d%d" % s)
+def test_sparse_structure_and_gram_equal_the_dense_oracle(shape):
+    alg = build_algebra(*shape)
+    realization = alg.realization
+    assert alg.structure == dense_structure(QQ, realization, alg.parities)
+    assert alg.gram == dense_gram(QQ, realization, shape[1])
+    assert _fractions_only(alg.structure, alg.gram)
+
+
+@pytest.mark.parametrize("shape, label", [
+    (("sl", 2, 1), "E13"), (("gl", 2, 1), "E11"), (("gl", 2, 2), "E34"),
+    (("osp", 1, 2), "G2"), (("osp", 3, 2), "G5")],
+    ids=lambda v: v if isinstance(v, str) else "%s%d%d" % v)
+def test_sparse_structure_and_gram_equal_the_dense_oracle_rescaled(shape,
+                                                                   label):
+    # one basis vector divided by 2: the constants and the gram pick up
+    # halves and twos, and both routes must agree on them
+    alg = build_algebra(*shape)
+    structure, gram = _halved(alg, label)
+    t = label_index(alg, label)
+    realization = [[[c / 2 for c in row] for row in mat] if b == t else mat
+                   for b, mat in enumerate(alg.realization)]
+    assert structure == dense_structure(QQ, realization, alg.parities)
+    assert gram == dense_gram(QQ, realization, shape[1])
+    assert structure != alg.structure
+    assert _fractions_only(structure, gram)
+
+
+def test_coordinates_of_a_matrix_outside_the_algebra_are_refused(sl21):
+    # the identity has supertrace 2 - 1 = 1, so it is not in sl(2|1)
+    coord = Coordinatizer(QQ, sl21.realization)
+    with pytest.raises(AlgebraError, match="outside the algebra"):
+        coord.coords([[Fraction(int(i == j)) for j in range(3)]
+                      for i in range(3)])
+    with pytest.raises(AlgebraError, match="outside the algebra"):
+        coord.sparse_coords({0: Fraction(1), 4: Fraction(1),
+                             8: Fraction(1)})
+    e13 = sl21.realization[label_index(sl21, "E13")]
+    assert coord.coords(e13) == [Fraction(int(b.label == "E13"))
+                                 for b in sl21.basis]
 
 
 # -- the sparse bracket, ad and form against the dense oracle -----------------

@@ -104,9 +104,10 @@ def test_row_builds_q_and_each_ad_column_set_once(monkeypatch, tmp_path,
     assert sorted(built) == sorted((id(q), g) for q in qs for g in acted)
     # every kernel, rank and echelon form of the row has at most dim Q rows
     assert eliminated and max(eliminated) <= qs[0].dim
-    # per row, the F_p entry points rank the PBW vectors and, for odd r,
-    # the middle image; each gets a list of sparse rows
-    assert len(log["rank"]) == (2 if dat.r_odd else 1) * rows
+    # per row, the F_p entry points rank the PBW vectors alone (the m'
+    # check reads the middle image's rank off the m' link); each gets a
+    # list of sparse rows
+    assert len(log["rank"]) == rows
     calls = [args[0] for args in log["rank"] + log["rref"]]
     assert all(type(vecs) is list and all(type(v) is dict for v in vecs)
                for vecs in calls)
@@ -261,6 +262,49 @@ def test_m_kernel_never_takes_the_dense_stack(nd_sl21_e12):
     finally:
         tracemalloc.stop()
     assert peak < len(q.datum.m_indices) * q.dim * q.dim * 8
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_mprime_check_ranks_nothing(monkeypatch, nd_osp12_reg, p):
+    # rank-nullity on the m' link fixes the middle image's rank, so the
+    # check runs no rank_mod_p of its own
+    ranks = []
+    _count(monkeypatch, linalg, "rank_mod_p", ranks)
+    dat = modp.reduce_datum(nd_osp12_reg, p)
+    for label, eta in dat.eta_samples():
+        rep = modp.mprime_invariants_check(
+            modp.build_reduced_q(dat, eta, label))
+        assert rep.ok
+        assert rep.dim_m_invariants == 2 * rep.dim_mprime_invariants
+    assert not ranks
+
+
+@pytest.mark.parametrize("drop", [0, -1])
+def test_mprime_check_fails_on_a_basis_missing_a_row(dat_osp3, drop):
+    # an m' basis that lost a row no longer has the image's dimension
+    q = modp.build_reduced_q(dat_osp3)
+    basis = list(q.invariant_subspace("mprime"))
+    del basis[drop]
+    q._inv_basis["mprime"] = tuple(basis)
+    rep = modp.mprime_invariants_check(q)
+    assert rep.dim_mprime_invariants == len(basis)
+    assert rep.equal is False and not rep.ok
+
+
+@pytest.mark.parametrize("which", ["dat_osp3", "dat_sl3"])
+def test_ad_columns_leave_no_right_product_in_the_memo(request, which):
+    # the right-action check's products m b_z, z in m, are read once and
+    # not kept by the engine; a product the memo held before stays
+    dat = request.getfixturevalue(which)
+    q = modp.build_reduced_q(dat)
+    memo = q.engine._gen_cache
+    held = (q.basis[0], q.datum.m_indices[0])
+    q.engine.times_gen(*held)
+    before = set(memo)
+    for g in q.datum.m_indices:
+        q.ad_columns(g)
+    assert q.right_action_mismatch() is None
+    assert set(memo) == before and held in memo
 
 
 def test_invariant_subspace_is_cached_and_read_only(dat_osp3):

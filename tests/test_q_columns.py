@@ -24,6 +24,7 @@ from oracle import (field_acc, field_add, field_q_reduce,
                     pbw_vectors_by_products, per_monomial_columns)
 from wsuper import cli, modp
 from wsuper.pbw import engine_from_datum, exponent_tuples
+from wsuper.scalars import lowest
 from wsuper.wchar0 import SolverError, WContext
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -226,7 +227,7 @@ def test_operator_arithmetic_equals_the_field_methods(engines, data):
     bnums, bden = (b, 1) if p else e._scaled(b)
     coeff = Fraction(coeff)
     den = e._acc(got, den, bnums, coeff.numerator, coeff.denominator * bden)
-    assert e._lowest(got, den) == e._scaled(want)
+    assert lowest(got, den) == e._scaled(want)
     assert e.q_reduce(b).terms == field_q_reduce(e, b)
     merged = field_add(e.field, a, b)
     assert e.q_reduce(merged).terms == field_q_reduce(e, merged)

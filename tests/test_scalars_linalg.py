@@ -8,7 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from loaders import parse_scalar
 from oracle import (_echelon_mod_p, _reduce, dense_invert,
                     dense_nullspace_mod_p, dense_rank_mod_p, dense_rows,
-                    dense_rref, dense_rref_mod_p, exact_mod_p, mat_vec)
+                    dense_rref, dense_rref_mod_p, exact_mod_p,
+                    fraction_invert, fraction_rank, fraction_rref,
+                    fraction_solve_affine, mat_vec)
 from wsuper import linalg
 from wsuper.scalars import (MILLER_RABIN_BOUND, QQ, PrimeField, _is_prime,
                             format_scalar, is_rational_square)
@@ -422,3 +424,144 @@ def test_nullspace_is_the_identity_on_the_free_columns(case):
         assert [v[k] for k in free] == [field.one if k == j else field.zero
                                         for k in free]
         assert all(field.is_zero(x) for x in mat_vec(field, a, v))
+
+
+# -- the integer elimination over Q against the Fraction oracle ---------------
+
+_wide_fraction = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                           st.integers(1, 10 ** 6))
+_rational = st.one_of(st.just(Fraction(0)), _small_fraction, _wide_fraction,
+                      st.integers(-5, 5).map(Fraction))
+
+
+@st.composite
+def _rational_rows(draw, max_rows=10, max_cols=6):
+    """(rows, cols): {column: Fraction} rows on cols columns, as many as
+    twice cols: random rows with denominators up to 10**6, zero rows,
+    duplicates, negated rows (negative leads) and combinations of earlier
+    rows, which cancel to zero in the elimination."""
+    cols = draw(st.integers(1, max_cols))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        kind = draw(st.sampled_from(["random", "zero", "duplicate",
+                                     "negated", "combination"])
+                    if rows else st.just("random"))
+        if kind == "random":
+            row = {j: x for j, x in ((j, draw(_rational))
+                                     for j in range(cols)) if x}
+        elif kind == "zero":
+            row = {}
+        else:
+            a = rows[draw(st.integers(0, len(rows) - 1))]
+            b = rows[draw(st.integers(0, len(rows) - 1))]
+            if kind == "duplicate":
+                row = dict(a)
+            elif kind == "negated":
+                row = {j: -x for j, x in a.items()}
+            else:
+                s, t = draw(_rational), draw(_rational)
+                row = {j: s * a.get(j, 0) + t * b.get(j, 0)
+                       for j in set(a) | set(b)}
+                row = {j: x for j, x in row.items() if x}
+        rows.append(row)
+    return rows, cols
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_rows(), st.booleans())
+def test_rational_rref_and_rank_match_the_fraction_oracle(case, dense):
+    rows, cols = case
+    if dense:
+        rows = [[row.get(j, Fraction(0)) for j in range(cols)]
+                for row in rows]
+    want = fraction_rref(QQ, rows)
+    got = linalg.rref(QQ, rows)
+    assert got == want
+    assert _all_fractions(got[0])
+    assert linalg.rank(QQ, rows) == fraction_rank(QQ, rows) == len(want[1])
+    kernel = linalg.kernel_rows(QQ, *got, cols)
+    assert kernel == linalg.kernel_rows(QQ, *want, cols)
+    assert _all_fractions(kernel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_rows(), st.data())
+def test_rational_solve_affine_matches_the_fraction_oracle(case, data):
+    rows, cols = case
+    rhs = data.draw(st.lists(_rational, min_size=len(rows),
+                             max_size=len(rows)))
+    want = fraction_solve_affine(QQ, rows, rhs, cols)
+    got = linalg.solve_affine(QQ, rows, rhs, cols)
+    assert got == want
+    if got is not None:
+        assert all(type(x) is Fraction for x in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(_rational, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_rational_invert_matches_the_fraction_oracle(mat):
+    try:
+        want = fraction_invert(QQ, mat)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            linalg.invert(QQ, mat)
+        return
+    got = linalg.invert(QQ, mat)
+    assert got == want
+    assert _all_fractions(got)
+
+
+_FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",
+                       "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                       "__floordiv__", "__mod__", "__neg__", "__abs__",
+                       "__pow__")
+
+
+def test_rational_elimination_does_no_fraction_arithmetic(monkeypatch,
+                                                          nd_sl21_e12):
+    # the rational systems of an algebra build, a nilpotent analysis and a
+    # generator solve: while a row is eliminated (`_echelon`, and each
+    # `_subtract` of the back-substitution) no Fraction operator runs
+    from wsuper import analyze_nilpotent, build_algebra, resolve_nilpotent
+    from wsuper import sl2_triple
+    from wsuper.wchar0 import WContext
+    inside, ops, updates = [0], [], []
+
+    def counting(name):
+        original = getattr(Fraction, name)
+
+        def counted(*args):
+            if inside[0]:
+                ops.append(name)
+            return original(*args)
+        return counted
+
+    def flagged(original, log=None):
+        def run(*args):
+            if log is not None:
+                log.append(args[0])
+            inside[0] += 1
+            try:
+                return original(*args)
+            finally:
+                inside[0] -= 1
+        return run
+
+    for name in _FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, counting(name))
+    monkeypatch.setattr(linalg, "_echelon", flagged(linalg._echelon))
+    monkeypatch.setattr(linalg, "_subtract",
+                        flagged(linalg._subtract, updates))
+    alg = build_algebra("osp", 1, 2)
+    nd = analyze_nilpotent(alg, sl2_triple(alg, resolve_nilpotent(
+        alg, "regular")))
+    WContext(nd).generators()
+    WContext(nd_sl21_e12).generators()
+    assert updates and not any(updates)  # every update over Q (p = 0)
+    assert not ops

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from oracle import dense_bracket, dense_invert, dense_nullspace, mat_vec
-from wsuper import (analyze_nilpotent, build_algebra, linalg,
+from wsuper import (analyze_nilpotent, build_algebra, cli, linalg,
                     resolve_nilpotent, sl2_triple)
 from wsuper.scalars import QQ
 from wsuper.wchar0 import (LeadingShapeError, NotInvariantError, SolverError,
@@ -378,3 +379,27 @@ def test_gl31_symplectic_variables_in_pipeline():
     rep = ctx.graded_check(8)
     assert rep.ok
     assert rep.pbw_counts == [1, 0, 5, 4, 14, 20, 38, 56, 95]
+
+
+# sha256 of wpresentation.json, recorded while the rational elimination
+# still ran on Fractions: the integer rows must reproduce them byte for byte
+GOLDEN_PRESENTATIONS = {
+    "gl41-solve": (
+        ["w", "solve", "--family", "gl", "--m", "4", "--n", "1",
+         "--nilpotent", "regular"],
+        "2df57015ad3248c0d4113a5239b6c9a6a595e467f0d163f2681160f7f2d7e4dc"),
+    "gl32-relations": (
+        ["w", "relations", "--family", "gl", "--m", "3", "--n", "2",
+         "--nilpotent", "regular"],
+        "5d6edb4d731a1f7eeb3da157a147a3ae1568f45d06fc1e8a922e438268b9798d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PRESENTATIONS))
+def test_char0_presentation_reproduces_its_golden_digest(name, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.delenv(cli.ENV_OUT, raising=False)
+    args, want = GOLDEN_PRESENTATIONS[name]
+    assert cli.main([*args, "--out", str(tmp_path)]) == cli.EXIT_OK
+    got = hashlib.sha256((tmp_path / "wpresentation.json").read_bytes())
+    assert got.hexdigest() == want
