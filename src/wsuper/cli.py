@@ -127,7 +127,11 @@ def run_pipeline(cfg):
         for p in cfg.primes:  # a rejected prime leaves no artifact
             modp.check_restriction(cfg.family, (cfg.m, cfg.n), p)
         out_dir = resolve_out_dir(cfg.out_dir)
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("output directory %r cannot be made: %s"
+                              % (out_dir, exc.strerror or exc))
     failures = []
     written = []
 
@@ -225,9 +229,6 @@ def _modp_row(cfg, nd, dat, eta, eta_label, failures):
                          "detail": detail})
 
     q = modp.build_reduced_q(dat, eta, eta_label)
-    if nd.r_odd:
-        # the m' check needs the m-invariant basis; Morita reads its row count
-        q.invariant_subspace("m")
     morita = modp.morita_dim_check(q)
     if not morita.ok:
         fail("morita_dimension", dim_u=morita.dim_u, delta=morita.delta,
@@ -293,15 +294,20 @@ def build_parser():
 
 
 def _parse_primes(text):
+    """The comma-separated primes as ints; ConfigError on a bad item and on
+    a prime given twice, whose row would be computed and written twice."""
     out = []
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
         try:
-            out.append(int(item))
+            p = int(item)
         except ValueError:
             raise ConfigError("bad prime %r" % item)
+        if p in out:
+            raise ConfigError("prime %d is given twice" % p)
+        out.append(p)
     return tuple(out)
 
 

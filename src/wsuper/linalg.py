@@ -204,12 +204,10 @@ def _copy(row):
     return dict(row) if isinstance(row, dict) else dict(enumerate(row))
 
 
-def solve_affine(field, mat, rhs, cols=None):
+def solve_affine(field, mat, rhs, cols):
     """The solution of mat x = rhs with every free variable zero, or None
-    when the system is inconsistent.  Sparse rows need `cols`, the number of
-    unknowns; the right-hand side is eliminated as column `cols`."""
-    if cols is None:
-        cols = len(mat[0]) if mat else 0
+    when the system is inconsistent.  cols is the number of unknowns, which
+    a sparse row does not tell; the right-hand side is column `cols`."""
     aug = [_copy(row) for row in mat]
     for row, b in zip(aug, rhs):
         if not field.is_zero(b):

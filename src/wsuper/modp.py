@@ -6,11 +6,12 @@ The rational nilpotent datum is reduced coefficient-wise (denominators must be
 units mod p), the p-th power map comes from matrix p-th powers of the
 realization, and every kernel and rank is computed by the sparse exact
 elimination of `linalg` on {column: c} rows mod p; no vector set of a row is
-ever a dense matrix.  The action columns of Q, the vectors of the reduced
-W-superalgebra's PBW monomials and the m' witness come from the left action
-of U_eta on Q's basis indices (`ReducedQ._left_actor`): a basis monomial is
-a mixed-radix integer over its exponent caps, and the action of a generator
-is memoized per basis index, so no product in U is formed for them.
+ever a dense matrix.  The action columns of Q and the vectors of the
+reduced W-superalgebra's PBW monomials come from the left action of U_eta on
+Q's basis indices (`ReducedQ._left_actor`): a basis monomial is a
+mixed-radix integer over its exponent caps, and the action of a generator is
+memoized per basis index, so no product in U is formed for them.  The
+Whittaker vectors are the m-kernel, as ad z = L_z - eta(z) for z in m.
 Generator solving and the relation table reuse the characteristic-zero
 machinery verbatim since the rewriting engine is generic over the base
 field.
@@ -218,10 +219,8 @@ MONOMIAL_BYTES_PER_GEN = 8
 # a link's transposed rows, pivot rows and kernel basis.  Measured as the
 # rise in the process's VmHWM over building the columns and the kernel on a
 # built Q: 4.1 KB per column on gl(2|1) regular at p = 7 (2 x 19,208
-# columns), 2.1 KB at p = 5 and 0.7 KB on sl(2|1) E12 at p = 5 (4.7, 2.7 and
-# 1.3 KB when the columns were products in U, whose memo stayed in the
-# engine).  Fill grows with dim Q, so on a larger Q this is a floor, not a
-# bound.
+# columns), 2.1 KB at p = 5 and 0.7 KB on sl(2|1) E12 at p = 5.  Fill grows
+# with dim Q, so on a larger Q this is a floor, not a bound.
 AD_COLUMN_BYTES = 6144
 
 
@@ -243,8 +242,9 @@ def q_footprint(nd, p):
 
 
 class ReducedQ:
-    """The finite-dimensional induced module at a p-character eta, with its
-    monomial basis and the action matrices."""
+    """The finite-dimensional induced module at a p-character eta: its
+    monomial basis, checked and laid out once, the sparse ad columns of each
+    generator, and the m-kernel, also the Whittaker space, each built once."""
 
     def __init__(self, datum, eta, eta_label="chi"):
         datum.validate_eta(eta)
@@ -256,9 +256,8 @@ class ReducedQ:
         self.engine = engine_from_datum(datum, self.eta, datum.pmap_adapted)
         self.basis = self.engine.cobasis_monomials(None)
         self.index = {m: i for i, m in enumerate(self.basis)}
+        self._layout = self._basis_layout()
         self._ad_cols = {}
-        self._layout = None
-        self._left_cols = {}
         self._right_mismatch = {}
         self._inv_dim = {}
         self._inv_basis = {}
@@ -271,9 +270,6 @@ class ReducedQ:
     def _pbw_dim(self, indices):
         return pbw_dim(self.p, [self.engine.parities[i] for i in indices])
 
-    def expected_dim(self):
-        return self._pbw_dim(range(self.datum.cobasis_count))
-
     def vector_of(self, terms):
         """The {basis index: c} row of the class in Q with these terms."""
         return {self.index[m]: c for m, c in terms.items()}
@@ -281,7 +277,7 @@ class ReducedQ:
     # -- action matrices, as sparse columns ------------------------------------
 
     def _basis_layout(self):
-        """Q's basis read as mixed-radix integers, computed once per Q.  The
+        """Q's basis read as mixed-radix integers, built once, when Q is.  The
         code of a monomial has the exponent of co-basis generator i as its
         digit i, in base p for an even and 2 for an odd generator, the first
         generator the most significant.  Returned as (first, lower, upper,
@@ -289,55 +285,54 @@ class ReducedQ:
         monomial (the co-basis count for the unit), the indices of the
         monomial with s's exponent lowered and raised by one (-1 past the
         cap), and the code; `at` maps a code to its basis index; radix holds
-        the place values of the digits.  SolverError names the first
-        monomial out of place when the basis is not every reduced PBW
-        monomial, each once, in (e-degree, tuple) order."""
-        if self._layout is None:
-            e = self.engine
-            cb = e.cobasis_count
-            base = [2 if e.parities[i] else self.p for i in range(cb)]
-            radix = [1] * cb
-            for i in range(cb - 2, -1, -1):
-                radix[i] = radix[i + 1] * base[i + 1]
-            size = radix[0] * base[0] if cb else 1
-            tail = (0,) * (e.n_gens - cb)
-            at = [-1] * size
-            first, code = [], []
-            prev = None
-            for j, m in enumerate(self.basis):
-                c, s, deg = 0, cb, 0
-                ok = m[cb:] == tail
-                for i in range(cb if ok else 0):
-                    x = m[i]
-                    if not 0 <= x < base[i]:
-                        ok = False
-                        break
-                    if x:
-                        if s == cb:
-                            s = i
-                        c += x * radix[i]
-                        deg += x * e.e_degrees[i]
-                key = (deg, m)
-                if not ok or (prev is not None and key <= prev):
-                    raise SolverError(
-                        "Q's basis has %s at index %d, out of the (e-degree,"
-                        " tuple) order of the reduced PBW monomials" % (m, j))
-                prev = key
-                at[c] = j
-                first.append(s)
-                code.append(c)
-            if len(code) != size:
-                raise SolverError("Q's basis has %d monomials, not p^a 2^b ="
-                                  " %d" % (len(code), size))
-            lower, upper = [-1] * size, [-1] * size
-            for j, s in enumerate(first):
-                if s < cb:
-                    c = code[j]
-                    lower[j] = at[c - radix[s]]
-                    if c // radix[s] % base[s] < base[s] - 1:
-                        upper[j] = at[c + radix[s]]
-            self._layout = first, lower, upper, code, at, radix
-        return self._layout
+        the place values of the digits.  This is the one check of Q's basis:
+        SolverError names the first monomial out of place, or the count,
+        when the basis is not every reduced PBW monomial, each once, in
+        (e-degree, tuple) order."""
+        e = self.engine
+        cb = e.cobasis_count
+        base = [2 if e.parities[i] else self.p for i in range(cb)]
+        radix = [1] * cb
+        for i in range(cb - 2, -1, -1):
+            radix[i] = radix[i + 1] * base[i + 1]
+        size = radix[0] * base[0] if cb else 1
+        tail = (0,) * (e.n_gens - cb)
+        at = [-1] * size
+        first, code = [], []
+        prev = None
+        for j, m in enumerate(self.basis):
+            c, s, deg = 0, cb, 0
+            ok = m[cb:] == tail
+            for i in range(cb if ok else 0):
+                x = m[i]
+                if not 0 <= x < base[i]:
+                    ok = False
+                    break
+                if x:
+                    if s == cb:
+                        s = i
+                    c += x * radix[i]
+                    deg += x * e.e_degrees[i]
+            key = (deg, m)
+            if not ok or (prev is not None and key <= prev):
+                raise SolverError(
+                    "Q's basis has %s at index %d, out of the (e-degree,"
+                    " tuple) order of the reduced PBW monomials" % (m, j))
+            prev = key
+            at[c] = j
+            first.append(s)
+            code.append(c)
+        if len(code) != size:
+            raise SolverError("Q's basis has %d monomials, not p^a 2^b ="
+                              " %d" % (len(code), size))
+        lower, upper = [-1] * size, [-1] * size
+        for j, s in enumerate(first):
+            if s < cb:
+                c = code[j]
+                lower[j] = at[c - radix[s]]
+                if c // radix[s] % base[s] < base[s] - 1:
+                    upper[j] = at[c + radix[s]]
+        return first, lower, upper, code, at, radix
 
     def _left_actor(self):
         """(act, memo): act(g, j) is L_g[j], the image of basis monomial j
@@ -361,7 +356,7 @@ class ReducedQ:
         p = 11, the recursion was at most 4 calls deep in basis order and 23
         in reverse order."""
         e = self.engine
-        first, lower, upper, code, at, radix = self._basis_layout()
+        first, lower, upper, code, at, radix = self._layout
         dim = self.dim
         p = self.p
         cb = e.cobasis_count
@@ -451,7 +446,7 @@ class ReducedQ:
         b^{m'} v = L_f(b^{m' - e_f} v), and dropped when it returns.  The
         result is a new dict; v is only read."""
         act, memo = self._left_actor()
-        first, _, upper, code, at, radix = self._basis_layout()
+        first, _, upper, code, at, radix = self._layout
         p = self.p
         acc = self.engine._acc
         unit = self.engine.unit_mono
@@ -522,11 +517,9 @@ class ReducedQ:
         return [known[a] for a in expos]
 
     def left_columns(self, gen_index):
-        """Columns of left multiplication by b_g on Q, from `_left_action`."""
-        cols = self._left_cols.get(gen_index)
-        if cols is None:
-            cols = self._left_cols[gen_index] = self._left_action(gen_index)
-        return cols
+        """Columns of left multiplication by b_g on Q, built afresh by
+        `_left_action`; nothing in the mod-p row reads them."""
+        return self._left_action(gen_index)
 
     def ad_columns(self, gen_index):
         """Columns of ad b_g on Q: L_g[m] - (-1)^{|g||m|} m b_g for each basis
@@ -579,20 +572,20 @@ class ReducedQ:
             return "m"
         return "mprime"
 
-    def _stacked_rows(self, blocks):
-        """The rows of matrices on Q stacked, each matrix given by its sparse
-        columns: one {column: c} dict per (block k, row i), never a dense
-        matrix.  They are handed out from the last basis monomial i to the
-        first and dropped once handed out.  The reduced row echelon form does
-        not depend on the order, but the cost does: ad z lowers the e-degree
-        and pivots sit at the lowest column, so rows from the top of the
-        basis fill in least."""
-        rows = [{} for _ in range(len(blocks) * self.dim)]
-        for k, cols in enumerate(blocks):
-            for j, col in enumerate(cols):
-                for i, c in col.items():
-                    rows[i * len(blocks) + k][j] = c
-        return _popping(rows)
+    def _transposed(self, cols):
+        """The dim Q rows of the matrix whose sparse columns (vectors on Q)
+        cols streams in, one {column: c} dict per basis monomial, never a
+        dense matrix.  They are handed out from the last basis monomial to
+        the first and dropped once handed out.  The reduced row echelon form
+        does not depend on the order, but the cost does: ad z lowers the
+        e-degree and pivots sit at the lowest column, so rows from the top
+        of the basis fill in least."""
+        rows = [{} for _ in range(self.dim)]
+        for j, col in enumerate(cols):
+            for i, c in col.items():
+                rows[i][j] = c
+        while rows:
+            yield rows.pop()
 
     def _m_order(self):
         """m's generators sorted by (parity, weight, index), even ones first.
@@ -613,10 +606,11 @@ class ReducedQ:
         if not order:
             return self.dim if rank_only else [{j: self.field.one}
                                                for j in range(self.dim)]
-        rows = self._stacked_rows([self.ad_columns(order[0])])
+        rows = self._transposed(self.ad_columns(order[0]))
         if rank_only and len(order) == 1:
             return self.dim - linalg.rank(self.field, rows)
-        basis = self._kernel_basis(rows)
+        basis = linalg.kernel_rows(self.field, *linalg.rref(self.field, rows),
+                                   self.dim)
         for k, z in enumerate(order[1:], 2):
             cols = self.ad_columns(z)
             basis = self._restricted_kernel(
@@ -625,12 +619,12 @@ class ReducedQ:
         return basis
 
     def invariant_dimension(self, sub="m"):
-        """Dimension of the joint kernel of ad z over the chosen subalgebra;
-        read from `invariant_subspace` when that has already run, and always
-        for m' (whose kernel is found inside the m-kernel).  Otherwise the
-        m chain with a rank at its last link."""
+        """Dimension of the joint kernel of ad z over the chosen subalgebra:
+        for odd r the length of `invariant_subspace`, whose m basis the m'
+        link needs; for even r that length once it has run, and otherwise
+        the m chain with a rank at its last link."""
         key = self._sub_key(sub)
-        if key == "mprime":
+        if self.datum.r_odd:
             return len(self.invariant_subspace(key))
         if key not in self._inv_dim:
             self._inv_dim[key] = self._m_kernel(self._m_order(),
@@ -655,11 +649,6 @@ class ReducedQ:
             self._inv_dim[key] = len(basis)
         return basis
 
-    def _kernel_basis(self, rows):
-        """The canonical kernel basis of sparse rows on Q's columns."""
-        return linalg.kernel_rows(self.field, *linalg.rref(self.field, rows),
-                                  self.dim)
-
     def _restricted_kernel(self, basis, image, rank_only=False):
         """The kernel of a map on the span of a canonical kernel basis K,
         given the image of each row of K: the combinations c K with
@@ -674,11 +663,7 @@ class ReducedQ:
         at f_r; a c row with largest key s, 1 there and 0 at the other free
         s', gives a row with largest key f_s, 1 there and 0 at the other
         f_s'."""
-        image_t = [{} for _ in range(self.dim)]
-        for r, row in enumerate(image):
-            for i, c in row.items():
-                image_t[i][r] = c
-        rows = _popping(image_t)
+        rows = self._transposed(image)
         if rank_only:
             return len(basis) - linalg.rank(self.field, rows)
         kernel = linalg.kernel_rows(self.field, *linalg.rref(self.field, rows),
@@ -707,20 +692,17 @@ class ReducedQ:
 
     def whittaker_subspace(self):
         """Vectors on which every z in m acts by eta(z) under left
-        multiplication: the canonical kernel basis of the L_z - eta(z)
-        stacked, the same elimination as the m-invariants."""
-        f = self.field
-        blocks = []
-        for z in self.datum.m_indices:
-            cols = [dict(col) for col in self.left_columns(z)]
-            for j, col in enumerate(cols):
-                v = f.sub(col.get(j, f.zero), self.eta[z])
-                if v:
-                    col[j] = v
-                else:
-                    col.pop(j, None)
-            blocks.append(cols)
-        return tuple(self._kernel_basis(self._stacked_rows(blocks)))
+        multiplication: `invariant_subspace("m")` itself, since ad z =
+        L_z - eta(z) once `right_action_mismatch` is None; SolverError
+        naming z and the column otherwise."""
+        mismatch = self.right_action_mismatch()
+        if mismatch is not None:
+            z, column = mismatch
+            label = self.engine.labels[z]
+            raise SolverError("right multiplication by %s does not act by"
+                              " eta(%s) on column %d of Q" % (label, label,
+                                                              column))
+        return self.invariant_subspace("m")
 
     def delta(self):
         """dim of the reduced enveloping algebra of m."""
@@ -730,21 +712,12 @@ class ReducedQ:
         return self._pbw_dim(range(self.engine.n_gens))
 
 
-def _popping(rows):
-    """Hand out the rows from the last to the first, each dropped from the
-    list once handed out."""
-    while rows:
-        yield rows.pop()
-
-
 def build_reduced_q(datum, eta=None, eta_label="chi"):
+    """Q at eta (chi by default); SolverError when its basis is not every
+    reduced PBW monomial in order (`ReducedQ._basis_layout`)."""
     if eta is None:
         eta = datum.eta_chi()
-    q = ReducedQ(datum, eta, eta_label)
-    if q.dim != q.expected_dim():
-        raise SolverError("reduced module dimension %d differs from p^a 2^b = %d"
-                          % (q.dim, q.expected_dim()))
-    return q
+    return ReducedQ(datum, eta, eta_label)
 
 
 @dataclass
@@ -843,11 +816,9 @@ def mprime_invariants_check(q):
     equal = (len(inv_m) - len(inv_mp) == len(inv_mp)
              and _in_span(q, inv_mp, image))
     proper = len(inv_mp) < len(inv_m)
-    # witness: the middle vector class, b_mid acting on the unit (basis
-    # index 0), is m-invariant but not m'-invariant
-    act, memo = q._left_actor()
-    wvec = [act(datum.v_mid_index, 0)]
-    memo.clear()
+    # witness: the middle vector class, the basis monomial b_mid, is
+    # m-invariant but not m'-invariant
+    wvec = [q.vector_of({q.engine._gen_mono(datum.v_mid_index): 1})]
     in_m = _in_span(q, inv_m, wvec)
     in_mp = _in_span(q, inv_mp, wvec)
     return RefinedInvariantsReport(

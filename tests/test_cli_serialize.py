@@ -111,6 +111,39 @@ def test_cli_env_var_overrides_out(tmp_path):
     assert not flagdir.exists()
 
 
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_an_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys,
+                                                         via_env):
+    # the directory cannot be made, which is the configuration's fault, not
+    # an internal one; the file is left as it was
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    args = ["algebra", "build", "--family", "gl", "--m", "1", "--n", "1"]
+    if via_env:
+        code = run_cli(tmp_path, args + ["--out", str(tmp_path / "flag")],
+                       env_out=afile)
+    else:
+        code = run_cli(tmp_path, args + ["--out", str(afile)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("configuration error: output directory %r"
+                              % str(afile)), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+    assert afile.read_text() == "kept"
+
+
+def test_a_prime_given_twice_is_a_config_error(tmp_path, capsys):
+    # the row would be computed twice and written twice to the report
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, [
+        "modp", "suite", "--family", "osp", "--m", "1", "--n", "2",
+        "--nilpotent", "regular", "--primes", "5,3, 5", "--out",
+        str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "configuration error: prime 5 is given twice"
+    assert not out.exists()
+
+
 def test_cli_rejects_p2(tmp_path):
     code = run_cli(tmp_path, [
         "modp", "suite", "--family", "gl", "--m", "1", "--n", "1",

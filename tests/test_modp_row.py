@@ -172,6 +172,42 @@ def test_whittaker_space_is_the_shared_kernel(request, which):
         assert q.invariant_subspace("m") == wh
 
 
+@pytest.mark.parametrize("which", ["dat_osp3", "dat_sl3"])
+def test_whittaker_subspace_reads_the_m_kernel(request, monkeypatch, which):
+    # once the m-kernel is known, the Whittaker vectors cost no elimination
+    # and no left action: they are that kernel's tuple
+    dat = request.getfixturevalue(which)
+    for label, eta in dat.eta_samples():
+        q = modp.build_reduced_q(dat, eta, label)
+        basis = q.invariant_subspace("m")
+        echelons, actions = [], []
+        with monkeypatch.context() as patch:
+            _count(patch, linalg, "_echelon", echelons)
+            _count(patch, modp.ReducedQ, "_left_action", actions)
+            assert q.whittaker_subspace() is basis
+        assert not echelons and not actions
+
+
+def test_odd_r_row_builds_each_left_action_once(monkeypatch, tmp_path):
+    # osp(1|2) regular `modp suite`, both etas: per Q the left action of
+    # each z in m and of v_mid is built once, for its ad columns; the PBW
+    # vectors take one more actor, and the m' witness, a basis monomial,
+    # takes none
+    monkeypatch.delenv(cli.ENV_OUT, raising=False)
+    actions, actors = [], []
+    _count(monkeypatch, modp.ReducedQ, "_left_action", actions)
+    _count(monkeypatch, modp.ReducedQ, "_left_actor", actors)
+    code, failures, _ = cli.run_pipeline(_suite(tmp_path))
+    assert code == cli.EXIT_OK and not failures
+    qs = {id(args[0]): args[0] for args in actors}
+    assert len(qs) == 2
+    dat = next(iter(qs.values())).datum
+    acted = dat.m_indices + [dat.v_mid_index]
+    assert sorted((id(q), g) for q, g in actions) == sorted(
+        (i, g) for i in qs for g in acted)
+    assert len(actors) == len(qs) * (len(acted) + 1)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_mprime_invariants_match_the_stacked_kernel(nd_osp12_reg, p):
     # oracle: the joint kernel of the stacked ad matrices of m' = m + v_mid

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracle import (field_acc, field_add, field_q_reduce,
                     pbw_vectors_by_products, per_monomial_columns)
-from wsuper import cli, modp
+from wsuper import cli, modp, pbw
 from wsuper.pbw import engine_from_datum, exponent_tuples
 from wsuper.scalars import lowest
 from wsuper.wchar0 import SolverError, WContext
@@ -73,6 +73,27 @@ def test_right_mismatch_under_a_wrong_eta_equals_the_oracle(request, nd, p):
             oracle[g] = mismatch
     assert q._right_mismatch == oracle
     assert q.right_action_mismatch() == (z, oracle[z])
+
+
+@pytest.mark.parametrize("nd, p", [("nd_sl21_e12", 3), ("nd_osp12_reg", 5),
+                                   ("nd_gl21_reg", 3), ("nd_osp22", 3)])
+def test_whittaker_vectors_under_a_wrong_eta_are_a_solver_error(request, nd,
+                                                                 p):
+    # the same fault: the Whittaker vectors are the m-kernel only while
+    # right multiplication acts by eta, so they name z and the column the
+    # oracle finds first
+    dat = modp.reduce_datum(request.getfixturevalue(nd), p)
+    q = modp.build_reduced_q(dat)
+    z = dat.m_indices[0]
+    wrong = list(q.eta)
+    wrong[z] = dat.field.add(wrong[z], 1)
+    q.eta = tuple(wrong)
+    column = per_monomial_columns(q, z)[2]
+    label = q.engine.labels[z]
+    with pytest.raises(SolverError, match=re.escape(
+            "right multiplication by %s does not act by eta(%s) on column %d"
+            " of Q" % (label, label, column))):
+        q.whittaker_subspace()
 
 
 @pytest.fixture(scope="module")
@@ -158,25 +179,22 @@ def test_an_element_acts_on_q_as_its_product_in_u(small_qs, data):
     assert got == q.vector_of(prod.terms)
 
 
-def test_a_basis_out_of_order_is_a_solver_error(nd_osp12_reg):
+def test_a_basis_out_of_order_is_a_solver_error(monkeypatch, nd_osp12_reg):
     # the columns read Q's basis as the reduced PBW monomials in (e-degree,
-    # tuple) order; any other list is refused by its first monomial out of
-    # place, or by its length
+    # tuple) order; build_reduced_q refuses any other enumeration by its
+    # first monomial out of place, or by its length
     dat = modp.reduce_datum(nd_osp12_reg, 3)
-    q = modp.build_reduced_q(dat)
-    top = q.basis[-1]
-    over = (3,) + q.basis[1][1:]
-    for basis, name in ((q.basis[::-1], q.basis[-2]),
-                        (q.basis[:1] + [over] + q.basis[2:], over),
-                        (q.basis[:5] + q.basis[6:] + [top], top)):
-        q = modp.build_reduced_q(dat)
-        q.basis = basis
+    basis = modp.build_reduced_q(dat).basis
+    top = basis[-1]
+    over = (3,) + basis[1][1:]
+    for wrong, name in ((basis[::-1], basis[-2]),
+                        (basis[:1] + [over] + basis[2:], over),
+                        (basis[:5] + basis[6:] + [top], top),
+                        (basis[:-1], "%d monomials" % (len(basis) - 1))):
+        monkeypatch.setattr(pbw.Enveloping, "cobasis_monomials",
+                            lambda self, budget, wrong=wrong: list(wrong))
         with pytest.raises(SolverError, match=re.escape(str(name))):
-            q.left_columns(dat.m_indices[0])
-    q = modp.build_reduced_q(dat)
-    q.basis = q.basis[:-1]
-    with pytest.raises(SolverError, match="%d monomials" % (q.dim,)):
-        q.ad_columns(dat.m_indices[0])
+            modp.build_reduced_q(dat)
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,19 @@ def test_rref_solve_nullspace_small():
     assert piv == [0]
     ns = linalg.kernel_rows(QQ, red, piv, 2)
     assert ns == [{0: Fraction(-2), 1: Fraction(1)}]
-    sol = linalg.solve_affine(QQ, mat, [Fraction(3), Fraction(6)])
+    sol = linalg.solve_affine(QQ, mat, [Fraction(3), Fraction(6)], 2)
     assert sol == [Fraction(3), Fraction(0)]
-    assert linalg.solve_affine(QQ, mat, [Fraction(3), Fraction(7)]) is None
+    assert linalg.solve_affine(QQ, mat, [Fraction(3), Fraction(7)], 2) is None
+
+
+def test_solve_affine_takes_the_unknowns_from_cols():
+    # a sparse row's length is its nonzero count, not the number of
+    # unknowns, so the count is never inferred
+    assert linalg.solve_affine(QQ, [{2: 1}], [1], 3) == [0, 0, 1]
+    assert linalg.solve_affine(QQ, [{0: 1, 2: 1}], [1], 3) == [1, 0, 0]
+    assert linalg.solve_affine(QQ, [{0: 1, 2: 1}], [1], 4) == [1, 0, 0, 0]
+    with pytest.raises(TypeError):
+        linalg.solve_affine(QQ, [{2: 1}], [1])
 
 
 def test_invert_roundtrip():
