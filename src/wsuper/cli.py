@@ -18,8 +18,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from . import modp, serialize
 from .nilpotent import NilpotentError, analyze_nilpotent, sl2_triple
@@ -102,17 +102,11 @@ COMMANDS = {
 }
 
 
-@dataclass
-class PipelineConfig:
-    family: str
-    m: int
-    n: int
-    nilpotent: str = "zero"
-    char0: int = CHAR0_GRADED
-    max_degree: int = 10
-    primes: tuple = ()
-    eta_sweep: bool = False
-    out_dir: str = "."
+class PipelineConfig(namedtuple(
+        "PipelineConfig", "family m n nilpotent char0 max_degree primes"
+        " eta_sweep out_dir",
+        defaults=("zero", CHAR0_GRADED, 10, (), False, "."))):
+    __slots__ = ()
 
 
 def resolve_out_dir(flag_value):

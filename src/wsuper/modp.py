@@ -19,7 +19,7 @@ field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 from .scalars import PrimeField
@@ -108,11 +108,10 @@ def reduce_mod_p(alg, p):
     return ModularAlgebra(base=base, p=p, coordinatizer=coord)
 
 
-@dataclass
-class ModularAlgebra:
-    base: LieSuperalgebra
-    p: int
-    coordinatizer: Coordinatizer
+class ModularAlgebra(namedtuple("ModularAlgebra", "base p coordinatizer")):
+    """base: the `LieSuperalgebra` over F_p; coordinatizer: the
+    `Coordinatizer` of its realization."""
+    __slots__ = ()
 
     @property
     def p_map(self):
@@ -720,16 +719,10 @@ def build_reduced_q(datum, eta=None, eta_label="chi"):
     return ReducedQ(datum, eta, eta_label)
 
 
-@dataclass
-class ReducedW:
-    q: ReducedQ
-    context: WContext
-    thetas: list
-    pbw_exponents: list
-    rank: int                # of the PBW monomials' vectors in Q, mod p
-    presentation: object
-    pbw_ok: bool
-    warnings: list
+class ReducedW(namedtuple("ReducedW", "q context thetas pbw_exponents rank"
+                                      " presentation pbw_ok warnings")):
+    """rank: of the PBW monomials' vectors in Q, mod p."""
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -765,14 +758,9 @@ def reduced_w(q):
                     warnings=warnings)
 
 
-@dataclass
-class MoritaReport:
-    p: int
-    eta_label: str
-    dim_u: int
-    delta: int
-    dim_w: int
-    ok: bool
+class MoritaReport(namedtuple("MoritaReport",
+                              "p eta_label dim_u delta dim_w ok")):
+    __slots__ = ()
 
 
 def morita_dim_check(q):
@@ -785,14 +773,10 @@ def morita_dim_check(q):
                         ok=(dim_u == delta * delta * dim_w))
 
 
-@dataclass
-class RefinedInvariantsReport:
-    p: int
-    dim_m_invariants: int
-    dim_mprime_invariants: int
-    equal: bool
-    proper: bool
-    witness_ok: bool
+class RefinedInvariantsReport(namedtuple(
+        "RefinedInvariantsReport", "p dim_m_invariants dim_mprime_invariants"
+        " equal proper witness_ok")):
+    __slots__ = ()
 
     @property
     def ok(self):

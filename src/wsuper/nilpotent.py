@@ -21,7 +21,7 @@ coordinate tuples appear only where the datum is stored, in `Sl2Triple` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -45,23 +45,19 @@ class FormNormalizationError(NilpotentError):
         self.achieved = achieved
 
 
-@dataclass(frozen=True)
-class Sl2Triple:
-    e: tuple
-    h: tuple
-    f: tuple
+class Sl2Triple(namedtuple("Sl2Triple", "e h f")):
+    """The coordinate tuples of e, h and f."""
+    __slots__ = ()
 
     def is_zero(self):
         return all(x == 0 for x in self.e)
 
 
-@dataclass(frozen=True)
-class AdaptedGenerator:
-    vector: tuple      # coordinates in the original basis
-    parity: int
-    weight: int
-    label: str
-    kind: str          # one of "x", "y", "u", "v", "m"
+class AdaptedGenerator(namedtuple("AdaptedGenerator",
+                                  "vector parity weight label kind")):
+    """vector: coordinates in the original basis; kind: one of "x", "y",
+    "u", "v", "m"."""
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -8,24 +8,31 @@ realization's matrices ({row: {column: c}}, `_sparse`): a supercommutator is
 formed from the nonzero entries alone and coordinatized through the reduced
 rows of the `Coordinatizer`, read by column, and a gram entry str(R_i R_j)
 sums the products of R_i's entries with their transposed partners in R_j.
-The realization itself stays dense.  Super skew-symmetry, the super Jacobi
-identity, evenness, supersymmetry and invariance of the form are checked on
-every basis pair and triple whenever a `LieSuperalgebra` is constructed: once
-over Q by `build_algebra`, and again for each prime when `modp.reduce_mod_p`
-rebuilds the algebra over F_p, where axiom (b) of the p-map,
+The realization itself stays dense.  The axioms are checked whenever a
+`LieSuperalgebra` is constructed: once over Q by `build_algebra`, and again
+for each prime when `modp.reduce_mod_p` rebuilds the algebra over F_p.
+Super skew-symmetry, evenness and supersymmetry of the form are checked on
+every basis pair.  The super Jacobi identity and invariance of the form are
+checked one basis pair (i, j) at a time, on every b_k at once, as identities
+of operators read from the nonzero columns of ad:
+ad_i ad_j - (-1)^{|i||j|} ad_j ad_i - ad_[b_i,b_j] = 0, column by column,
+and ([b_i,b_j], .) = (b_i, ad_j .), from the sparse rows of the gram.  The
+column k of a pair's identity is the identity on the triple (i, j, k), so
+these are the same identities as on every basis triple, and the first
+failing triple is named.  Over F_p axiom (b) of the p-map,
 [x^[p], y] = (ad x)^p (y), is checked on every basis pair as well: (ad x)^p
 is taken once per even basis vector x by the repeated squaring of `mat_pow`,
 about 2·log2(p) products of d × d matrices, and its column j is compared
 with [x^[p], b_j].  The checks run in Python ints: over Q on the table and
 the gram each scaled by the lcm of its denominators, over F_p on the
-residues.  One sparse bracket, `_bracket`, serves the checks and the
+residues.  One sparse bracket, `_bracket`, serves the p-map check and the
 nilpotent analysis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -76,11 +83,9 @@ def _sparse(mat):
 # the algebra object
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BasisVector:
-    index: int
-    parity: int   # 0 even, 1 odd
-    label: str
+class BasisVector(namedtuple("BasisVector", "index parity label")):
+    """A basis vector: its index, parity (0 even, 1 odd) and label."""
+    __slots__ = ()
 
 
 def _bracket(table, v, w, out, scale=1):
@@ -117,22 +122,41 @@ def _nonzero(vec, p):
     return any(vec.values())
 
 
+def _compose(acc, outer, inner, d, scale):
+    """Add scale * (outer inner) to acc.  The operators are {column: {row:
+    c}} with only nonzero columns; acc is flat, {d * column + row: c}, so a
+    pair's whole identity is one dict."""
+    for k, col in inner.items():
+        base = d * k
+        for t, c in col.items():
+            image = outer.get(t)
+            if image:
+                c *= scale
+                for u, x in image.items():
+                    acc[base + u] = acc.get(base + u, 0) + c * x
+
+
 class LieSuperalgebra:
     """Finite-dimensional Lie superalgebra with a fixed homogeneous basis.
 
     structure: dict (i, j) -> {k: coeff} giving [b_i, b_j]; zero brackets
-      and zero coefficients are left out.  The module-level `_bracket` is
-      the one routine that reads it: every axiom check and the nilpotent
-      analysis go through it on sparse {index: coeff} vectors.
+      and zero coefficients are left out.  The module-level `_bracket`
+      reads it on sparse {index: coeff} vectors for the nilpotent analysis
+      and the p-map check; the other axiom checks read it as the columns of
+      ad, ad_i = {k: [b_i, b_k]}.
     gram: invariant form matrix (b_i, b_j), or None.
     realization: list of supermatrices, or None.
     p_map: dict even index -> coordinate tuple of b_i^[p], only mod p.
 
-    The axioms are checked on every basis pair and triple in Python ints:
-    over Q on the table times the lcm of its denominators and the gram times
-    the lcm of its own, over F_p on the residues, reduced mod p once per
-    tested value.  Every identity is homogeneous in the table and in the
-    gram, so the scaled one vanishes exactly when the rational one does.
+    The axioms are checked in Python ints: over Q on the table times the
+    lcm of its denominators and the gram times the lcm of its own, over F_p
+    on the residues, reduced mod p once per tested value.  Every identity is
+    homogeneous in the table and in the gram, so the scaled one vanishes
+    exactly when the rational one does.  The identities on basis triples
+    are checked one pair (i, j) at a time, as operator identities on the
+    columns of ad (`_verify_brackets`, `_verify_form`): a pair's identity
+    holds exactly when it holds on every (i, j, k), and an error names the
+    first failing triple in lexicographic order, or the first failing pair.
     """
 
     def __init__(self, field, basis, structure, gram=None, realization=None,
@@ -166,44 +190,55 @@ class LieSuperalgebra:
     # -- verification ---------------------------------------------------------
 
     def _verify(self):
-        p = self.field.char
-        d = self.dim
-        par = self.parities
         den = _common_denominator(c for entries in self.structure.values()
                                   for c in entries.values())
         table = {key: {k: _integral(c, den) for k, c in entries.items()}
                  for key, entries in self.structure.items()}
-        unit = [{i: 1} for i in range(d)]
-        for i in range(d):
-            for j in range(d):
-                # super skew-symmetry: [b_i,b_j] + (-1)^{|i||j|}[b_j,b_i] = 0
-                acc = _bracket(table, unit[i], unit[j], {})
-                _bracket(table, unit[j], unit[i], acc,
-                         -1 if par[i] and par[j] else 1)
-                if _nonzero(acc, p):
-                    raise AlgebraError("super skew-symmetry fails at (%d,%d)" % (i, j))
+        # ad by columns: ad[i][k] = [b_i, b_k], nonzero brackets only
+        ad = [{} for _ in range(self.dim)]
+        for (i, k), entries in table.items():
+            if entries:
+                ad[i][k] = entries
+        self._verify_brackets(table, ad)
+        if self.gram is not None:
+            self._verify_form(table, ad)
+        if self.p_map is not None:
+            self._verify_p_map(table, ad)
+
+    def _verify_brackets(self, table, ad):
+        p = self.field.char
+        d = self.dim
+        par = self.parities
         empty = {}
         for i in range(d):
             for j in range(d):
-                bij = table.get((i, j), empty)
-                sign = 1 if par[i] and par[j] else -1
-                for k in range(d):
-                    # [b_i,[b_j,b_k]] = [[b_i,b_j],b_k] + (-1)^{|i||j|}[b_j,[b_i,b_k]]
-                    jk = table.get((j, k), empty)
-                    ik = table.get((i, k), empty)
-                    if not (bij or jk or ik):
-                        continue  # all three terms are zero
-                    acc = _bracket(table, unit[i], jk, {})
-                    _bracket(table, bij, unit[k], acc, -1)
-                    _bracket(table, unit[j], ik, acc, sign)
-                    if _nonzero(acc, p):
-                        raise AlgebraError("super Jacobi fails at (%d,%d,%d)" % (i, j, k))
-        if self.gram is not None:
-            self._verify_form(table)
-        if self.p_map is not None:
-            self._verify_p_map(table, unit)
+                # super skew-symmetry: [b_i,b_j] + (-1)^{|i||j|}[b_j,b_i] = 0
+                acc = dict(table.get((i, j), empty))
+                sign = -1 if par[i] and par[j] else 1
+                for k, c in table.get((j, i), empty).items():
+                    acc[k] = acc.get(k, 0) + sign * c
+                if _nonzero(acc, p):
+                    raise AlgebraError("super skew-symmetry fails at (%d,%d)" % (i, j))
+        for i in range(d):
+            for j in range(d):
+                # super Jacobi on every b_k at once, as the operator identity
+                # ad_i ad_j - (-1)^{|i||j|} ad_j ad_i - ad_[b_i,b_j] = 0;
+                # its column k is the triple (i, j, k)
+                acc = {}
+                _compose(acc, ad[i], ad[j], d, 1)
+                _compose(acc, ad[j], ad[i], d, 1 if par[i] and par[j] else -1)
+                for t, c in table.get((i, j), empty).items():
+                    # ad_[b_i,b_j] is the sum of c ad_t over [b_i,b_j]'s terms
+                    for k, col in ad[t].items():
+                        base = d * k
+                        for u, x in col.items():
+                            acc[base + u] = acc.get(base + u, 0) - c * x
+                bad = [key for key, c in acc.items() if (c % p if p else c)]
+                if bad:
+                    raise AlgebraError("super Jacobi fails at (%d,%d,%d)"
+                                       % (i, j, min(bad) // d))
 
-    def _verify_form(self, table):
+    def _verify_form(self, table, ad):
         p = self.field.char
         d = self.dim
         par = self.parities
@@ -216,41 +251,45 @@ class LieSuperalgebra:
                 v = g[i][j] + g[j][i] if par[i] and par[j] else g[i][j] - g[j][i]
                 if v % p if p else v:
                     raise AlgebraError("form is not supersymmetric")
-        # column k of the gram, so that (v, b_k) reads only v's support
-        columns = list(zip(*g))
+        rows = [{k: c for k, c in enumerate(row) if c} for row in g]
         empty = {}
         for i in range(d):
-            gi = g[i]
+            gi = rows[i]
             for j in range(d):
-                bij = table.get((i, j), empty)
-                for k in range(d):
-                    # ([b_i,b_j], b_k) = (b_i, [b_j,b_k])
-                    jk = table.get((j, k), empty)
-                    if not (bij or jk):
-                        continue  # both sides are zero
-                    gk = columns[k]
-                    v = (sum(c * gk[t] for t, c in bij.items())
-                         - sum(c * gi[t] for t, c in jk.items()))
-                    if v % p if p else v:
-                        raise AlgebraError("form is not invariant")
+                # invariance on every b_k at once: the row functional
+                # ([b_i,b_j], .) equals (b_i, ad_j .)
+                acc = {}
+                for t, c in table.get((i, j), empty).items():
+                    for k, x in rows[t].items():
+                        acc[k] = acc.get(k, 0) + c * x
+                for k, col in ad[j].items():
+                    v = acc.get(k, 0)
+                    for t, c in col.items():
+                        x = gi.get(t)
+                        if x:
+                            v -= c * x
+                    acc[k] = v
+                if _nonzero(acc, p):
+                    raise AlgebraError("form is not invariant")
         # nondegeneracy is checked in invariant_form: sl(n|n) builds with a
         # degenerate supertrace form and must fail only when the form is used
 
-    def _verify_p_map(self, table, unit):
+    def _verify_p_map(self, table, ad):
         p = self.field.char
         d = self.dim
         if p == 0:
             raise AlgebraError("a p-map needs a field of positive characteristic")
+        unit = [{i: 1} for i in range(d)]
         for i, coords in self.p_map.items():
             if self.parities[i]:
                 raise AlgebraError("p-map defined on an odd vector (%d)" % i)
             xp = {k: c for k, c in enumerate(coords) if c % p}
             # (ad x)^p by squaring; column j is (ad x)^p (b_j)
-            ad = [[0] * d for _ in range(d)]
-            for j in range(d):
-                for k, c in table.get((i, j), {}).items():
-                    ad[k][j] = c % p
-            power = mat_pow(self.field, ad, p)
+            ad_x = [[0] * d for _ in range(d)]
+            for j, col in ad[i].items():
+                for k, c in col.items():
+                    ad_x[k][j] = c % p
+            power = mat_pow(self.field, ad_x, p)
             for j in range(d):
                 # axiom (b) on basis pairs: [x^[p], y] - (ad x)^p (y) = 0
                 acc = _bracket(table, xp, unit[j], {})

@@ -12,11 +12,11 @@ re-expressed in the ordered PBW monomials by descending elimination on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import groupby
 
 from . import linalg
-from .pbw import Element, engine_from_datum, exponent_tuples
+from .pbw import engine_from_datum, exponent_tuples
 
 
 class SolverError(RuntimeError):
@@ -31,15 +31,13 @@ class LeadingShapeError(ValueError):
     pass
 
 
-@dataclass
-class WGenerator:
-    index: int              # 1-based position among the generators
-    leading_gen: int        # adapted generator index of the leading term
-    label: str
-    parity: int
-    weight: int             # m_k, the adjoint weight of the leading vector
-    filtration_degree: int  # m_k + 2
-    value: Element          # the class in Q, applied to the cyclic vector
+class WGenerator(namedtuple("WGenerator", "index leading_gen label parity"
+                                          " weight filtration_degree value")):
+    """index: 1-based position among the generators; leading_gen: adapted
+    generator index of the leading term; weight: m_k, the adjoint weight of
+    the leading vector; filtration_degree: m_k + 2; value: the class in Q
+    (an `Element`), applied to the cyclic vector."""
+    __slots__ = ()
 
 
 class ThetaPolynomial:
@@ -71,11 +69,10 @@ class ThetaPolynomial:
         return "ThetaPolynomial(%r)" % (self.terms,)
 
 
-@dataclass
-class WPresentation:
-    generators: list
-    relations: dict        # (i, j), 1-based, i <= j -> ThetaPolynomial
-    middle_norm: object
+class WPresentation(namedtuple("WPresentation",
+                               "generators relations middle_norm")):
+    """relations: (i, j), 1-based, i <= j -> ThetaPolynomial."""
+    __slots__ = ()
 
     def relation(self, i, j):
         return self.relations[(i, j)]
@@ -417,13 +414,9 @@ class WContext:
                             ok=ok)
 
 
-@dataclass
-class GradedReport:
-    max_degree: int
-    pbw_counts: list
-    symmetric_dims: list
-    leading_independent: bool
-    ok: bool
+class GradedReport(namedtuple("GradedReport", "max_degree pbw_counts"
+                              " symmetric_dims leading_independent ok")):
+    __slots__ = ()
 
 
 def _graded_symmetric_series(degrees, odd_flags, max_degree):

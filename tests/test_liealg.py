@@ -261,9 +261,13 @@ def _shift_constant(field, structure, i, j, k, delta):
 
 @st.composite
 def _corruptions(draw):
-    alg = _algebra(draw(st.sampled_from([("gl", 1, 1), ("sl", 2, 1),
-                                          ("osp", 1, 2), ("osp", 3, 2)])),
-                   draw(st.sampled_from([None, 3, 5])))
+    # gl(2|1), gl(3|1) and sl(2|2) have a sparse ad, whose empty columns the
+    # per-pair checks skip; every p divides m - n = 0 of sl(2|2)
+    shape = draw(st.sampled_from([("gl", 1, 1), ("sl", 2, 1), ("osp", 1, 2),
+                                  ("osp", 3, 2), ("gl", 2, 1), ("gl", 3, 1),
+                                  ("sl", 2, 2)]))
+    alg = _algebra(shape, draw(st.sampled_from(
+        [None] if shape == ("sl", 2, 2) else [None, 3, 5])))
     p = alg.field.char
     if p == 0:
         delta = draw(st.builds(Fraction, st.integers(-3, 3).filter(bool),
@@ -275,7 +279,7 @@ def _corruptions(draw):
             draw(index), draw(index), delta, draw(st.booleans()))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(_corruptions())
 def test_integer_checks_agree_with_the_field_oracle(case):
     # one structure constant or gram entry moved by delta; with `mirror` its

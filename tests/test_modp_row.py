@@ -10,7 +10,6 @@ more than dim Q rows, and reads the Whittaker dimension from that kernel.
 import hashlib
 import json
 import tracemalloc
-from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -379,15 +378,16 @@ def test_right_action_mismatch_is_a_whittaker_failure(monkeypatch, tmp_path):
 @pytest.mark.parametrize("owner, name, change, check, detail", [
     (modp.ReducedQ, "dim_reduced_enveloping", lambda dim_u: dim_u + 1,
      "morita_dimension", {"dim_u": 109, "delta": 3, "dim_w": 12}),
-    (modp, "reduced_w", lambda rw: replace(rw, rank=rw.rank - 1, pbw_ok=False),
+    (modp, "reduced_w",
+     lambda rw: rw._replace(rank=rw.rank - 1, pbw_ok=False),
      "pbw_basis", {"rank": 11, "monomials": 12, "invariant_dim": 12}),
-    (modp, "mprime_invariants_check", lambda r: replace(r, proper=False),
+    (modp, "mprime_invariants_check", lambda r: r._replace(proper=False),
      "mprime_invariants", {"dim_m_invariants": 12, "dim_mprime_invariants": 6,
                            "equal": True, "proper": False,
                            "witness_ok": True}),
     # the count branch: right multiplication acts by eta, but dim W * delta
     # is not dim Q
-    (modp, "morita_dim_check", lambda r: replace(r, dim_w=r.dim_w + 1),
+    (modp, "morita_dim_check", lambda r: r._replace(dim_w=r.dim_w + 1),
      "whittaker_dimension", {"dim_W": 13, "delta": 3, "dim_Q": 36}),
 ], ids=["morita", "pbw", "mprime", "whittaker-count"])
 def test_failure_record_names_the_numbers(monkeypatch, tmp_path, owner, name,

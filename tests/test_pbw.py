@@ -512,7 +512,10 @@ def test_char0_memo_entries_are_in_lowest_terms(oracle_engines, data):
     E = data.draw(st.sampled_from([E for E in oracle_engines
                                    if not E.field.char]))
     a = data.draw(_oracle_terms(E, E.n_gens))
-    b = data.draw(_oracle_terms(E, E.cobasis_count))
+    # a nonzero b, so that ad_act stores the product of each of b's
+    # monomials with the generator even when no earlier example has filled
+    # the module-scoped engine's memo
+    b = data.draw(_oracle_terms(E, E.cobasis_count).filter(bool))
     E._mul(a, b)
     E.ad_act(data.draw(st.integers(0, E.n_gens - 1)), E.element(b))
     assert E._gen_cache
