@@ -49,6 +49,18 @@ def check_restriction(family, shape, p):
     raise ReductionError("p = %d rejected for %s%s: %s" % (p, family, shape, why))
 
 
+def _madd(acc, terms, c, p):
+    """acc += c terms in place, mod p, for {key: residue} dicts; entries
+    that cancel are dropped."""
+    get = acc.get
+    for k, t in terms.items():
+        x = (get(k, 0) + c * t) % p
+        if x:
+            acc[k] = x
+        else:
+            acc.pop(k, None)
+
+
 def _reduce_matrix(gf, mat):
     return [[gf.of(x) for x in row] for row in mat]
 
@@ -149,11 +161,8 @@ class ModularDatum:
                 continue
             coords = {}
             for k, c in enumerate(p_power_coords(mod, g.vector)):
-                if c:
-                    for t, x in inverse[k].items():
-                        coords[t] = (coords.get(t, 0) + c * x) % p
-            self.pmap_adapted[i] = {t: c for t, c in sorted(coords.items())
-                                    if c}
+                _madd(coords, inverse[k], c, p)
+            self.pmap_adapted[i] = dict(sorted(coords.items()))
         self.cobasis_count = nd.cobasis_count
         self.middle_norm = None if nd.middle_norm is None else gf.of(nd.middle_norm)
         # exponent caps must not truncate below the candidate filtration degree
@@ -334,38 +343,62 @@ class ReducedQ:
         return first, lower, upper, code, at, radix
 
     def _left_actor(self):
-        """(act, memo): act(g, j) is L_g[j], the image of basis monomial j
-        under left multiplication by b_g, as a {basis index: c} dict, by the
-        left action of U_eta on Q itself: no product in U is formed.  With s
-        the first generator of b^m = b_s b^m'' (m'' with s's exponent lowered
-        by one):
+        """(act, apply, memo): act(g, j) is L_g[j], the image of basis
+        monomial j under left multiplication by b_g, as a {basis index: c}
+        dict, by the left action of U_eta on Q itself: no product in U is
+        formed.  With s the first generator of b^m = b_s b^m'' (m'' with s's
+        exponent lowered by one):
         - on the unit, L_g[1] is b_g for a co-basis g and eta(g) for g in m
           (the engine's eta);
         - for g < s, L_g[m] is the raised monomial;
         - for g = s, it is the raised monomial below the cap, and at the cap
-          the odd square [b_s, b_s]/2 acting on m'', or for even s
-          b_s^[p] + eta(s)^p acting on m with s's exponent set to 0;
+          the odd square [b_s, b_s]/2 = (p+1)/2 [b_s, b_s] acting on m'', or
+          for even s b_s^[p] + eta(s) acting on m with s's exponent set to 0
+          (eta(s)^p = eta(s) in F_p);
         - for g > s, L_g[m] = (-1)^{|g||s|} L_s(L_g[m'']) + L_[b_g,b_s][m''].
-        Every L_k[i] that act computes is kept in memo, at k * dim Q + i;
-        where b_s only raises a monomial of L_g[m''], the last case writes
-        the raised monomial without a call.  A result equal to another
-        L_k[i] may be that dict itself, so results are read-only.  Any order
-        of requests gives the same results.  On osp(3|2) at p = 3, sl(2|1)
-        E12 at p = 7, gl(2|1) regular at p = 5 and osp(1|2) regular at
-        p = 11, the recursion was at most 4 calls deep in basis order and 23
-        in reverse order."""
-        e = self.engine
+        The brackets and b_s^[p] are the datum's tables, in adapted
+        coordinates.  apply(g, v, neg) is L_g(v), or -L_g(v) with neg, for
+        a {basis index: c} vector v, as a new dict: the last case is
+        apply(s, L_g[m''], neg) with neg when g and s are odd, plus the
+        bracket terms, and `_lift_actor` acts by apply alone.  Every L_k[i]
+        that act computes is kept in memo, at k * dim Q + i.  A result equal
+        to another L_k[i] may be that dict itself, so results are read-only.
+        Any order of requests gives the same results.  On osp(3|2) at p = 3,
+        sl(2|1) E12 at p = 7, gl(2|1) regular at p = 5 and osp(1|2) regular
+        at p = 11, the recursion was at most 4 calls deep in basis order and
+        23 in reverse order."""
         first, lower, upper, code, at, radix = self._layout
         dim = self.dim
         p = self.p
-        cb = e.cobasis_count
-        odd = e.parities
-        eta = e.eta
-        etap = e._etap
-        brackets = {k: v for k, (v, _) in e._bracket_pairs.items()}
-        halves = {g: v for g, (v, _) in e._half_squares.items()}
-        pmaps = {g: v for g, (v, _) in e._pmap_pairs.items()}
-        memo = [None] * (e.n_gens * dim)
+        datum = self.datum
+        cb = datum.cobasis_count
+        odd = self.engine.parities
+        eta = self.engine.eta
+        brackets = datum.brackets
+        pmaps = datum.pmap_adapted
+        halves = {g: {k: (p + 1) // 2 * c % p for k, c in v.items()}
+                  for (g, t), v in brackets.items() if g == t}
+        memo = [None] * (len(odd) * dim)
+
+        def apply(g, v, neg=False):
+            # b_g only raises a monomial whose first generator is not below g
+            # (below its cap), and distinct monomials rise to distinct ones,
+            # so those terms are written without a sum and leave no memo entry
+            w, rest = {}, []
+            for j, c in v.items():
+                if neg:
+                    c = p - c
+                s = first[j]
+                if s > g:
+                    w[at[code[j] + radix[g]]] = c
+                elif s == g and upper[j] >= 0:
+                    w[upper[j]] = c
+                else:
+                    rest.append((j, c))
+            row = g * dim
+            for j, c in rest:
+                _madd(w, memo[row + j] or act(g, j), c, p)
+            return w
 
         def act(g, j):
             v = memo[g * dim + j]
@@ -380,58 +413,37 @@ class ReducedQ:
             elif g == s and upper[j] >= 0:
                 v = {upper[j]: 1}
             else:
-                v, terms = {}, []
                 if g > s:
                     # b_g b_s = (-1)^{|g||s|} b_s b_g + [b_g, b_s]
                     on = lower[j]
-                    row, neg = s * dim, odd[g] and odd[s]
-                    for i, c in act(g, on).items():
-                        if neg:
-                            c = p - c
-                        # b_s on a monomial it only raises
-                        if first[i] > s:
-                            v[at[code[i] + radix[s]]] = c
-                        elif first[i] == s and upper[i] >= 0:
-                            v[upper[i]] = c
-                        else:
-                            w = memo[row + i]
-                            if w is None:
-                                w = act(s, i)
-                            terms.append((w, c))
+                    v = apply(s, act(g, on), odd[g] and odd[s])
                     pairs = brackets.get((g, s))
                 elif odd[s]:
                     # the odd square b_s b_s = [b_s, b_s]/2
-                    on = lower[j]
-                    pairs = halves[s]
+                    on, v = lower[j], {}
+                    pairs = halves.get(s)
                 else:
-                    # the cap b_s^p = b_s^[p] + eta(s)^p
+                    # the cap b_s^p = b_s^[p] + eta(s)
                     on = at[code[j] - (p - 1) * radix[s]]
+                    v = {on: eta[s]} if eta[s] else {}
                     pairs = pmaps.get(s)
-                    if etap[s]:
-                        v[on] = etap[s]
-                terms += [(act(k, on), c) for k, c in (pairs or {}).items()]
+                terms = [(act(k, on), c) for k, c in (pairs or {}).items()]
                 if len(terms) == 1 and not v and terms[0][1] == 1:
                     v = terms[0][0]
-                elif terms:
-                    get = v.get
+                else:
                     for w, c in terms:
-                        for i, t in w.items():
-                            x = (get(i, 0) + c * t) % p
-                            if x:
-                                v[i] = x
-                            else:
-                                v.pop(i, None)
+                        _madd(v, w, c, p)
             memo[g * dim + j] = v
             return v
 
-        return act, memo
+        return act, apply, memo
 
     def _left_action(self, gen_index):
         """The columns of left multiplication by b_g on Q, from
         `_left_actor` in basis order.  The memo is emptied once they are
         built: that frees every L_k[i] no column holds at once, not when
         the cyclic garbage collector reaches act, which refers to itself."""
-        act, memo = self._left_actor()
+        act, _, memo = self._left_actor()
         cols = [act(gen_index, j) for j in range(self.dim)]
         memo.clear()
         return cols
@@ -440,39 +452,13 @@ class ReducedQ:
         """(lift, memo): lift(terms, v) is u v for the element u of U_eta
         with these {monomial: c} terms and a {basis index: c} vector v of
         Q, with memo the `_left_actor` memo it fills.  Each term c b^m acts
-        as L_{g_1}(... L_{g_r}(v)); the tails b^{m'} v that the terms share
-        are computed once per call, by the first generator f of m',
-        b^{m'} v = L_f(b^{m' - e_f} v), and dropped when it returns.  The
-        result is a new dict; v is only read."""
-        act, memo = self._left_actor()
-        first, _, upper, code, at, radix = self._layout
+        as L_{g_1}(... L_{g_r}(v)), each L_g by the actor's apply; the tails
+        b^{m'} v that the terms share are computed once per call, by the
+        first generator f of m', b^{m'} v = L_f(b^{m' - e_f} v), and dropped
+        when it returns.  The result is a new dict; v is only read."""
+        _, apply, memo = self._left_actor()
         p = self.p
-        acc = self.engine._acc
         unit = self.engine.unit_mono
-
-        def apply(g, v):
-            # L_g(v); b_g only raises a monomial whose first generator is
-            # not below g (below its cap), and distinct monomials rise to
-            # distinct ones, so those terms are written without a sum and
-            # leave no memo entry
-            w, rest = {}, []
-            for j, c in v.items():
-                s = first[j]
-                if s > g:
-                    w[at[code[j] + radix[g]]] = c
-                elif s == g and upper[j] >= 0:
-                    w[upper[j]] = c
-                else:
-                    rest.append((j, c))
-            get = w.get
-            for j, c in rest:
-                for i, t in act(g, j).items():
-                    x = (get(i, 0) + c * t) % p
-                    if x:
-                        w[i] = x
-                    else:
-                        w.pop(i, None)
-            return w
 
         def on(m, tails):
             # b^m v, with tails holding b^{m'} v for the unit m' among others
@@ -487,7 +473,7 @@ class ReducedQ:
             tails = {unit: v}
             out = {}
             for m, c in terms.items():
-                acc(out, 1, on(m, tails), c)
+                _madd(out, on(m, tails), c, p)
             return out
 
         return lift, memo
@@ -548,8 +534,8 @@ class ReducedQ:
                     self._right_mismatch.setdefault(gen_index, j)
                 if right:
                     col = cols[j] = dict(cols[j])
-                    e._acc(col, 1, self.vector_of(right),
-                           1 if odd and e.mono_parity(m) else -1)
+                    _madd(col, self.vector_of(right),
+                          1 if odd and e.mono_parity(m) else -1, self.p)
             self._ad_cols[gen_index] = cols
         return cols
 
@@ -676,7 +662,7 @@ class ReducedQ:
         """The sum of c rows[r] over the entries r: c of coeffs, mod p."""
         out = {}
         for r, c in coeffs.items():
-            self.engine._acc(out, 1, rows[r], c)
+            _madd(out, rows[r], c, self.p)
         return out
 
     def _middle_image(self):
@@ -802,7 +788,7 @@ def mprime_invariants_check(q):
     proper = len(inv_mp) < len(inv_m)
     # witness: the middle vector class, the basis monomial b_mid, is
     # m-invariant but not m'-invariant
-    wvec = [q.vector_of({q.engine._gen_mono(datum.v_mid_index): 1})]
+    wvec = [q.vector_of(q.engine.gen(datum.v_mid_index).terms)]
     in_m = _in_span(q, inv_m, wvec)
     in_mp = _in_span(q, inv_mp, wvec)
     return RefinedInvariantsReport(

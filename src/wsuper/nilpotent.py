@@ -236,11 +236,11 @@ def _eigen_layers(alg, ad_h):
     return layers
 
 
-def original_basis_weights(alg, h):
-    """Per-basis-vector ad-h eigenvalues, or None if the basis is not graded."""
-    _rational(alg)
+def original_basis_weights(ad_h):
+    """Per-basis-vector ad-h eigenvalues from the columns of ad h, or None if
+    the basis is not graded."""
     weights = []
-    for j, col in enumerate(_ad_columns(alg, _sparse(h))):
+    for j, col in enumerate(ad_h):
         wt = col.get(j, ZERO)
         if col.keys() - {j} or wt.denominator != 1:
             return None
@@ -477,8 +477,9 @@ def analyze_nilpotent(alg, triple):
     chi_row = _covector(gram_rows, e)
     chi_of = lambda v: _dot(chi_row, v)
 
-    layers = _eigen_layers(alg, _ad_columns(alg, h))
-    weights_orig = original_basis_weights(alg, triple.h)
+    ad_h = _ad_columns(alg, h)
+    layers = _eigen_layers(alg, ad_h)
+    weights_orig = original_basis_weights(ad_h)
     min_wt = min(w for (w, p) in layers)
     max_wt = max(w for (w, p) in layers)
 

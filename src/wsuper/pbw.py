@@ -10,9 +10,9 @@ characteristic p an even generator reaching exponent p contracts through the
 p-th power map plus the p-character.  A product a b is built monomial by
 monomial of b from the products with their prefixes, each prefix once.  The
 action columns of the module Q mod p are not built here: `modp.ReducedQ`
-acts on Q's basis indices with the engine's rewriting tables (brackets, odd
-squares, p-th power map, eta) and takes only the right products m b_g from
-`times_gen`.
+acts on Q's basis indices with the reduced datum's brackets and p-th power
+map and the engine's public eta, and takes only the right products m b_g
+from `times_gen`.
 
 Inside the engine coefficients are Python-int numerators over one
 denominator per combination, in lowest terms (denominator 1 and residues mod
@@ -97,7 +97,8 @@ class Enveloping:
     datum, with the module reduction onto Q.
 
     In characteristic p the engine is the reduced algebra at the p-character
-    eta: even generator powers are capped at p-1 through g^p = g^[p] + eta(g)^p.
+    eta: even generator powers are capped at p-1 through g^p = g^[p] + eta(g)^p,
+    where eta(g)^p = eta(g) since eta(g) lies in F_p.
     """
 
     def __init__(self, field, labels, parities, weights, brackets, chi,
@@ -131,7 +132,6 @@ class Enveloping:
         if field.char:
             self._pmap_pairs = {g: self._scaled(v)
                                 for g, v in self.pmap.items()}
-            self._etap = tuple(field.pow(c, field.char) for c in self.eta)
         self._gen_cache = {}
 
     # -- construction of elements -------------------------------------------
@@ -302,10 +302,11 @@ class Enveloping:
                 # [g,g]/2
                 den = self._acc_gens(acc, den, prefix, self._half_squares[g])
             elif p and not self.parities[g] and mono[g] == p - 1:
-                # exponent cap: g^p = g^[p] + eta(g)^p
+                # exponent cap: g^p = g^[p] + eta(g)^p, and eta(g)^p =
+                # eta(g) in F_p
                 den = self._acc_gens(acc, den, prefix,
                                      self._pmap_pairs.get(g, _EMPTY))
-                den = self._acc(acc, den, {prefix: 1}, self._etap[g])
+                den = self._acc(acc, den, {prefix: 1}, self.eta[g])
             else:
                 acc[mono[:g] + (mono[g] + 1,) + mono[g + 1:]] = 1
         else:

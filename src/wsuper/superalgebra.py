@@ -88,14 +88,12 @@ class BasisVector(namedtuple("BasisVector", "index parity label")):
     __slots__ = ()
 
 
-def _bracket(table, v, w, out, scale=1):
-    """Add scale * [v, w] to out and return it.  v and w are sparse
-    {index: coeff} vectors, table is {(i, j): {k: c}}; the arithmetic is
-    Python's own, so over F_p the caller reduces the entries of out mod p.
-    Cancelled entries stay in out as zeros."""
+def _bracket(table, v, w, out):
+    """Add [v, w] to out and return it.  v and w are sparse {index: coeff}
+    vectors, table is {(i, j): {k: c}}; the arithmetic is Python's own, so
+    over F_p the caller reduces the entries of out mod p.  Cancelled entries
+    stay in out as zeros."""
     for i, a in v.items():
-        if scale != 1:
-            a = scale * a
         for j, b in w.items():
             entries = table.get((i, j))
             if entries:

@@ -6,6 +6,7 @@ integer arithmetic of the PBW engine against Field methods; and the dim Q
 preflight."""
 
 import os
+import random
 import re
 import resource
 import subprocess
@@ -123,7 +124,7 @@ def test_columns_requested_in_reverse_equal_the_in_order_ones(small_qs):
     with _default_recursion_limit():
         for q, cols in small_qs:
             for g in _acted_on(q.datum):
-                act, _ = q._left_actor()
+                act, _, _ = q._left_actor()
                 got = [act(g, j) for j in reversed(range(q.dim))]
                 assert got[::-1] == cols[g]
 
@@ -134,7 +135,7 @@ def test_columns_in_any_order_equal_the_in_order_ones(small_qs, data):
     q, cols = data.draw(st.sampled_from(small_qs))
     pairs = st.tuples(st.integers(0, q.engine.n_gens - 1),
                       st.integers(0, q.dim - 1))
-    act, _ = q._left_actor()
+    act, _, _ = q._left_actor()
     with _default_recursion_limit():
         for g, j in data.draw(st.lists(pairs, min_size=1, max_size=60)):
             assert act(g, j) == cols[g][j]
@@ -154,6 +155,72 @@ def test_pbw_vectors_equal_the_product_oracle(request, nd, p):
                                      None, ()))
         assert q.pbw_vectors(thetas, expos) == pbw_vectors_by_products(
             q, ctx, expos)
+
+
+@pytest.mark.parametrize("nd, p", CONFIGS)
+def test_apply_is_the_sum_of_the_left_columns(request, nd, p):
+    # the actor's apply(g, v), which writes the monomials b_g only raises and
+    # sums L_g[j] for the rest, against sum_j v_j L_g[j] over the in-order
+    # columns, for every generator g at every eta of the row; negated, as
+    # act's g > s case calls it on the odd-odd swap
+    dat = modp.reduce_datum(request.getfixturevalue(nd), p)
+    rng = random.Random(p)
+    for label, eta in dat.eta_samples():
+        q = modp.build_reduced_q(dat, eta, label)
+        _, apply, _ = q._left_actor()
+        for g in range(q.engine.n_gens):
+            cols = q._left_action(g)
+            for size in (1, 2, 5, 9):
+                v = {rng.randrange(q.dim): rng.randrange(1, p)
+                     for _ in range(size)}
+                want = {}
+                for j, c in v.items():
+                    for i, t in cols[j].items():
+                        want[i] = (want.get(i, 0) + c * t) % p
+                want = {i: c for i, c in want.items() if c}
+                seen = dict(v)
+                assert apply(g, v) == want
+                assert apply(g, v, True) == {i: p - c for i, c in want.items()}
+                assert v == seen
+
+
+class _PublicEngine:
+    """An engine with every private attribute refused but `_gen_cache`, the
+    memo that `ReducedQ.ad_columns` leaves as it found it."""
+
+    def __init__(self, engine):
+        self.__dict__["_PublicEngine__engine"] = engine
+
+    def __getattr__(self, name):
+        if name.startswith("_") and name != "_gen_cache":
+            raise AttributeError("private engine attribute %s" % name)
+        return getattr(self.__engine, name)
+
+
+@pytest.mark.parametrize("nd, p", [("nd_sl21_e12", 5), ("nd_osp12_reg", 3),
+                                   ("nd_osp12_reg", 5), ("nd_gl21_reg", 3),
+                                   ("nd_osp22", 3)])
+def test_the_row_reads_only_public_engine_names(request, nd, p):
+    # Q's m-chain, its PBW vectors and, for odd r, the m' comparison read
+    # the engine's public names and its memo alone; the thetas are solved
+    # on the real engine first, and every result equals the unwrapped Q's
+    dat = modp.reduce_datum(request.getfixturevalue(nd), p)
+    for label, eta in dat.eta_samples():
+        plain = modp.build_reduced_q(dat, eta, label)
+        q = modp.build_reduced_q(dat, eta, label)
+        ctx = WContext(dat, engine=q.engine)
+        thetas = ctx.generators()
+        expos = list(exponent_tuples(ctx.generator_degrees(),
+                                     [th.parity for th in thetas], p - 1,
+                                     None, ()))
+        q.engine = _PublicEngine(q.engine)
+        assert q.whittaker_subspace() == plain.whittaker_subspace()
+        assert q.invariant_dimension("m") == plain.invariant_dimension("m")
+        assert q.pbw_vectors(thetas, expos) == plain.pbw_vectors(thetas,
+                                                                 expos)
+        if dat.r_odd:
+            assert (modp.mprime_invariants_check(q)
+                    == modp.mprime_invariants_check(plain))
 
 
 @settings(max_examples=60, deadline=None)
