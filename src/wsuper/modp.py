@@ -366,7 +366,8 @@ class ReducedQ:
         Any order of requests gives the same results.  On osp(3|2) at p = 3,
         sl(2|1) E12 at p = 7, gl(2|1) regular at p = 5 and osp(1|2) regular
         at p = 11, the recursion was at most 4 calls deep in basis order and
-        23 in reverse order."""
+        23 in reverse order.  `pbw.Enveloping.left_gen` is its twin on
+        monomials, which `Enveloping.ad_act` uses in every characteristic."""
         first, lower, upper, code, at, radix = self._layout
         dim = self.dim
         p = self.p

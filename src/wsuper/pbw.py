@@ -8,11 +8,17 @@ Normal ordering is rightmost-disorder-first bubbling with memoized
 single-generator products; odd squares contract through the bracket, and in
 characteristic p an even generator reaching exponent p contracts through the
 p-th power map plus the p-character.  A product a b is built monomial by
-monomial of b from the products with their prefixes, each prefix once.  The
-action columns of the module Q mod p are not built here: `modp.ReducedQ`
-acts on Q's basis indices with the reduced datum's brackets and p-th power
-map and the engine's public eta, and takes only the right products m b_g
-from `times_gen`.
+monomial of b from the products with their prefixes, each prefix once.
+
+The adjoint action on Q (`ad_act`) forms no product in U: it is the left
+action of U on Q itself, L_g on Q's monomials (`left_gen`, memoized per
+(g, monomial)), less the reduced right products b^m b_g, which for g in m
+are chi(g) b^m.  `left_gen` is the monomial-keyed twin of
+`modp.ReducedQ._left_actor`, which acts on Q's basis indices with the
+reduced datum's brackets and p-th power map and the engine's public eta.
+That index-keyed actor stays, because the mod-p chain's action columns are
+its hot loop; `modp.ReducedQ` takes only the right products m b_g from
+`times_gen`.
 
 Inside the engine coefficients are Python-int numerators over one
 denominator per combination, in lowest terms (denominator 1 and residues mod
@@ -133,6 +139,7 @@ class Enveloping:
             self._pmap_pairs = {g: self._scaled(v)
                                 for g, v in self.pmap.items()}
         self._gen_cache = {}
+        self._left_cache = {}
 
     # -- construction of elements -------------------------------------------
 
@@ -415,21 +422,126 @@ class Enveloping:
         prod = self._product(self._scaled(a.terms), self._scaled(b.terms))
         return Element(self, self._terms(*self.q_reduce_pair(prod)))
 
-    def ad_act_gen(self, g, q):
-        """Class of [b_g, lift(q)] in Q: b_g b^m - (-1)^{|g||m|} b^m b_g over
-        the terms c b^m of q, reduced to Q once."""
-        nums, den = self._scaled(q.terms)
-        acc, out = self._product(({self._gen_mono(g): 1}, 1), (nums, den))
-        pg = self.parities[g]
+    def left_gen(self, g, mono):
+        """L_g[b^mono], the class in Q of b_g b^mono for a co-basis monomial,
+        as a pair in lowest terms, by the left action of U on Q itself: no
+        product in U is formed.  The case analysis is that of the mod-p
+        `modp.ReducedQ._left_actor`, on monomials instead of basis indices.
+        With s the first generator of b^mono = b_s b^m'' (m'' with s's
+        exponent lowered by one):
+        - on the unit, L_g[1] is b_g for a co-basis g and chi(g) (eta(g)
+          in characteristic p) for g in m;
+        - for g < s, and for g = s below its cap, the raised monomial;
+        - for g = s at the cap, the odd square [b_s, b_s]/2 acting on m'',
+          or for even s, in characteristic p, b_s^[p] + eta(s) acting on
+          mono with s's exponent set to 0 (eta(s)^p = eta(s) in F_p);
+        - for g > s, L_g[mono] = (-1)^{|g||s|} L_s(L_g[m'']) +
+          L_[b_g,b_s][m''].
+        The memo `_left_cache` holds the last two cases, keyed by (g, mono),
+        as the numerator dict alone when the denominator is 1 (always, in
+        characteristic p); the raised monomials and the unit cost less than
+        their entries would."""
+        hit = self._left_cache.get((g, mono))
+        if hit is not None:
+            return hit if type(hit) is tuple else (hit, 1)
+        s = self._first(mono)
+        if s == self.cobasis_count and g >= s:
+            # g in m, on the unit
+            cn, cd = self._char_pairs[g]
+            return ({mono: cn}, cd) if cn else _EMPTY
+        odd = self.parities[s] if g == s else 0
+        if g < s or (g == s and not odd
+                     and mono[s] != self.field.char - 1):
+            return {mono[:g] + (mono[g] + 1,) + mono[g + 1:]: 1}, 1
+        if g > s:
+            # b_g b_s = (-1)^{|g||s|} b_s b_g + [b_g, b_s]
+            on = mono[:s] + (mono[s] - 1,) + mono[s + 1:]
+            acc, den = self._left_apply(s, self.left_gen(g, on),
+                                        self.parities[s] and self.parities[g])
+            pairs = self._bracket_pairs.get((g, s), _EMPTY)
+        elif odd:
+            # the odd square b_s b_s = [b_s, b_s]/2
+            on, acc, den = mono[:s] + (0,) + mono[s + 1:], {}, 1
+            pairs = self._half_squares[s]
+        else:
+            # the cap b_s^p = b_s^[p] + eta(s)
+            on, den = mono[:s] + (0,) + mono[s + 1:], 1
+            acc = {on: self.eta[s]} if self.eta[s] else {}
+            pairs = self._pmap_pairs.get(s, _EMPTY)
+        nums, cden = pairs
+        for k, c in nums.items():
+            tn, td = self.left_gen(k, on)
+            den = self._acc(acc, den, tn, c, cden * td)
+        out = lowest(acc, den)
+        self._left_cache[g, mono] = out if out[1] > 1 else out[0]
+        return out
+
+    def _first(self, mono):
+        """The first generator of a co-basis monomial, the co-basis count
+        for the unit."""
+        for i in range(self.cobasis_count):
+            if mono[i]:
+                return i
+        return self.cobasis_count
+
+    def _left_apply(self, g, pair, neg=False):
+        """L_g on a pair of classes in Q, or -L_g with neg, as a new pair
+        (acc, den) that is not brought to lowest terms.  b_g only raises a
+        monomial whose first generator is not below g (below its cap), and
+        distinct monomials rise to distinct ones, so those terms are written
+        without a sum; the others are `left_gen`'s."""
+        nums, den = pair
+        p = self.field.char
+        # the exponent at which b_g b^m is not raised when g is m's first
+        # generator: its cap, and for g in m the unit's 0
+        if g >= self.cobasis_count:
+            cap = 0
+        else:
+            cap = 1 if self.parities[g] else p - 1
+        acc, rest = {}, []
         for m, c in nums.items():
-            tn, td = self.times_gen(m, g)
-            odd = pg and self.mono_parity(m)
-            out = self._acc(acc, out, tn, c if odd else -c, den * td)
-        return Element(self, self._terms(*self.q_reduce_pair((acc, out))))
+            if neg:
+                c = -c % p if p else -c
+            s = self._first(m)
+            if s > g or (s == g and m[g] != cap):
+                acc[m[:g] + (m[g] + 1,) + m[g + 1:]] = c
+            else:
+                rest.append((m, c))
+        out = den
+        for m, c in rest:
+            tn, td = self.left_gen(g, m)
+            out = self._acc(acc, out, tn, c, den * td)
+        return acc, out
+
+    def ad_act_gen(self, g, q):
+        """Class of [b_g, lift(q)] in Q: L_g q less (-1)^{|g||m|} c times
+        the reduced b^m b_g over the terms c b^m of q, with L_g the left
+        action of U on Q (`left_gen`, the monomial-keyed twin of
+        `modp.ReducedQ._left_actor`, whose basis-index memo serves the
+        mod-p chain's columns).  For z in m, b^m b_z is ordered and acts on
+        Q by chi(z), so ad z = L_z - chi(z) on Q: the sign (-1)^{|z||m|}
+        is kept, though chi vanishes on odd z."""
+        nums, den = self._scaled(q.terms)
+        acc, out = self._left_apply(g, (nums, den))
+        pg = self.parities[g]
+        if g >= self.cobasis_count:
+            cn, cd = self._char_pairs[g]
+            if cn:
+                signed = {m: c if pg and self.mono_parity(m) else -c
+                          for m, c in nums.items()}
+                out = self._acc(acc, out, signed, cn, den * cd)
+        else:
+            for m, c in nums.items():
+                tn, td = self.q_reduce_pair(self.times_gen(m, g))
+                odd = pg and self.mono_parity(m)
+                out = self._acc(acc, out, tn, c if odd else -c, den * td)
+        return Element(self, self._terms(acc, out))
 
     def ad_act(self, z, q):
         """Class of [b_z, lift(q)] in Q for the generator index z, after
-        checking that q is a reduced class."""
+        checking that q is a reduced class: `ad_act_gen`, by the left action
+        of U on Q, the route of `modp.ReducedQ._left_actor` in every
+        characteristic."""
         if not self.is_q_element(q):
             raise AmbientMismatch("ad acts on reduced classes")
         return self.ad_act_gen(z, q)

@@ -31,6 +31,79 @@ class LeadingShapeError(ValueError):
     pass
 
 
+def m_generators(nd):
+    """A generating set S of m, as sorted adapted indices: chosen once per
+    datum (the rational one, or one reduced mod p, over its own field and
+    brackets) and kept on it, when first asked for.
+
+    ad is a homomorphism of Lie superalgebras, so the kernels of ad x and
+    ad y lie in the kernel of ad [x, y]: an element is m-invariant exactly
+    when ad z kills it for each z in S.  m lies in negative degrees, hence
+    is nilpotent, so any S that spans m modulo [m, m] generates it.  S is
+    picked greedily, weight nearest 0 first and then by index, each z kept
+    when it raises the rank modulo [m, m], and checked by
+    `check_generates_m`."""
+    known = vars(nd).get("_m_generators")
+    if known is None:
+        known = nd._m_generators = check_generates_m(nd, _spanning_set(nd))
+    return known
+
+
+def _spanning_set(nd):
+    """The greedy picks of m modulo [m, m]: the pivot columns past the
+    brackets of a matrix whose columns are the brackets [b_i, b_j] of m,
+    then the unit vector of each z of m in the order of `m_generators`."""
+    m = nd.m_indices
+    inside = set(m)
+    gens = nd.generators
+    order = sorted(m, key=lambda z: (-gens[z].weight, z))
+    cols = [v for (i, j), v in nd.brackets.items()
+            if i in inside and j in inside]
+    rows = {k: {} for k in m}
+    for c, v in enumerate(cols):
+        for k, x in v.items():
+            rows[k][c] = x
+    for t, z in enumerate(order):
+        rows[z][len(cols) + t] = nd.field.one
+    _, piv = linalg.rref(nd.field, list(rows.values()))
+    return sorted(order[c - len(cols)] for c in piv if c >= len(cols))
+
+
+def check_generates_m(nd, gens):
+    """gens, once the span of their closure under brackets is checked to be
+    m; SolverError otherwise.  The closure is the smallest subspace that
+    holds gens and is stable under ad s for each s in gens, grown one round
+    of brackets at a time."""
+    f = nd.field
+    m = nd.m_indices
+    basis = [{z: f.one} for z in gens]
+    while True:
+        grown = basis + [_bracket_with(f, nd.brackets, s, v)
+                         for s in gens for v in basis]
+        reduced, piv = linalg.rref(f, grown)
+        if len(piv) == len(basis):
+            break
+        basis = reduced
+    inside = set(m)
+    if len(basis) != len(m) or any(k not in inside for v in basis
+                                   for k in v):
+        raise SolverError(
+            "generators %s of m span a subalgebra of dimension %d, not m's"
+            " %d" % ([nd.generators[z].label for z in gens], len(basis),
+                     len(m)))
+    return list(gens)
+
+
+def _bracket_with(f, brackets, s, v):
+    """[b_s, v] for a {adapted index: c} vector v; `linalg.rref` drops the
+    zeros it may hold."""
+    out = {}
+    for j, c in v.items():
+        for k, b in brackets.get((s, j), {}).items():
+            out[k] = f.add(out.get(k, f.zero), f.mul(c, b))
+    return out
+
+
 class WGenerator(namedtuple("WGenerator", "index leading_gen label parity"
                                           " weight filtration_degree value")):
     """index: 1-based position among the generators; leading_gen: adapted
@@ -123,8 +196,10 @@ class WContext:
     # -- invariance -------------------------------------------------------------
 
     def is_invariant(self, q):
+        """Whether ad z kills q for each z in `m_generators`, which is
+        invariance under all of m."""
         e = self.engine
-        return all(e.ad_act(z, q).is_zero() for z in self.nd.m_indices)
+        return all(e.ad_act(z, q).is_zero() for z in m_generators(self.nd))
 
     def check_invariant(self, q):
         if not self.is_invariant(q):
@@ -162,10 +237,10 @@ class WContext:
             self.check_invariant(value)
             return self._pack_generator(k, lead, value)
         cands = self.candidate_monomials(k)
-        zs = self.nd.m_indices
+        zs = m_generators(nd)
         target = e.q_reduce(e.gen(lead))
-        # one sparse equation per (z, monomial) of the ad z images; the
-        # unknowns are the candidates' coefficients
+        # one sparse equation per (z, monomial) of the ad z images, z in a
+        # generating set of m; the unknowns are the candidates' coefficients
         rows, rhs = {}, {}
         for cidx, m in enumerate(cands):
             for z in zs:

@@ -500,6 +500,30 @@ def test_mul_q_mul_and_ad_act_equal_the_field_oracle(oracle_engines, data):
     assert E.ad_act(g, Element(E, qa)).terms == field_ad_act(E, g, qa)
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ad_act_of_every_generator_equals_the_field_oracle(oracle_engines,
+                                                           data):
+    # the left action of U on Q (`Enveloping.left_gen`) for each g, in m and
+    # outside it, on every engine; each q holds a co-basis generator s at
+    # its cap (exponent p - 1 mod p for an even s, 1 for an odd one), so
+    # that b_s acting on it contracts a p-th power or an odd square; at the
+    # second eta sample eta is nonzero on the first even co-basis generator
+    for E in oracle_engines:
+        p = E.field.char
+        q = dict(data.draw(_oracle_terms(E, E.cobasis_count)))
+        s = data.draw(st.integers(0, E.cobasis_count - 1))
+        capped = [0] * E.n_gens
+        capped[s] = 1 if E.parities[s] else (p - 1 if p else 2)
+        q[tuple(capped)] = E.field.one
+        for g in range(E.n_gens):
+            assert (E.ad_act(g, Element(E, q)).terms
+                    == field_ad_act(E, g, q))
+            assert (E._terms(*E.left_gen(g, E.unit_mono))
+                    == field_q_mul(E, {E._gen_mono(g): E.field.one},
+                                   {E.unit_mono: E.field.one}))
+
+
 def _in_lowest_terms(pair):
     nums, den = pair
     return (den >= 1 and all(isinstance(c, int) and c for c in nums.values())
@@ -512,19 +536,24 @@ def test_char0_memo_entries_are_in_lowest_terms(oracle_engines, data):
     E = data.draw(st.sampled_from([E for E in oracle_engines
                                    if not E.field.char]))
     a = data.draw(_oracle_terms(E, E.n_gens))
-    # a nonzero b, so that ad_act stores the product of each of b's
-    # monomials with the generator even when no earlier example has filled
-    # the module-scoped engine's memo
-    b = data.draw(_oracle_terms(E, E.cobasis_count).filter(bool))
+    # a b with a monomial other than the unit, so that ad_act stores the
+    # product of each of b's monomials with each co-basis generator, and
+    # each g in m a bracket term of the left action, even when no earlier
+    # example has filled the module-scoped engine's memos
+    b = data.draw(_oracle_terms(E, E.cobasis_count).filter(
+        lambda t: any(any(m) for m in t)))
     E._mul(a, b)
-    E.ad_act(data.draw(st.integers(0, E.n_gens - 1)), E.element(b))
-    assert E._gen_cache
-    # an entry is its numerator dict alone when the denominator is 1
-    bad = [key for key, entry in E._gen_cache.items()
-           if not _in_lowest_terms(entry if type(entry) is tuple
-                                   else (entry, 1))
-           or type(entry) is tuple and entry[1] == 1]
-    assert not bad
-    assert all(E.times_gen(*key) == (entry if type(entry) is tuple
+    for g in range(E.n_gens):
+        E.ad_act(g, E.element(b))
+    assert E._gen_cache and E._left_cache
+    for memo, compute in ((E._gen_cache, E.times_gen),
+                          (E._left_cache, E.left_gen)):
+        # an entry is its numerator dict alone when the denominator is 1
+        bad = [key for key, entry in memo.items()
+               if not _in_lowest_terms(entry if type(entry) is tuple
+                                       else (entry, 1))
+               or type(entry) is tuple and entry[1] == 1]
+        assert not bad
+        assert all(compute(*key) == (entry if type(entry) is tuple
                                      else (entry, 1))
-               for key, entry in E._gen_cache.items())
+                   for key, entry in memo.items())

@@ -10,7 +10,7 @@ import pytest
 
 from oracle import dense_bracket, dense_invert, dense_nullspace, mat_vec
 from wsuper import (analyze_nilpotent, build_algebra, cli, linalg,
-                    resolve_nilpotent, sl2_triple)
+                    resolve_nilpotent, sl2_triple, wchar0)
 from wsuper.scalars import QQ
 from wsuper.wchar0 import (LeadingShapeError, NotInvariantError, SolverError,
                            ThetaPolynomial, WContext)
@@ -403,3 +403,61 @@ def test_char0_presentation_reproduces_its_golden_digest(name, tmp_path,
     assert cli.main([*args, "--out", str(tmp_path)]) == cli.EXIT_OK
     got = hashlib.sha256((tmp_path / "wpresentation.json").read_bytes())
     assert got.hexdigest() == want
+
+
+# every configuration whose generators tier-1 solves over Q
+CHAR0_CONFIGS = [
+    ("gl", 1, 1, "zero"), ("sl", 2, 1, "E12"), ("osp", 1, 2, "regular"),
+    ("gl", 2, 1, "regular"), ("osp", 2, 2, "0,1,0,0,0,0,0,0"),
+    ("osp", 3, 2, "0,0,0,1,0,0,0,0,0,0,0,0"), ("gl", 3, 1, "E12"),
+    ("gl", 3, 1, "E13"), ("gl", 3, 1, "regular"), ("gl", 4, 1, "regular"),
+    ("gl", 3, 2, "regular"),
+]
+
+
+def _fresh_datum(family, m, n, nilpotent):
+    alg = build_algebra(family, m, n)
+    return analyze_nilpotent(alg, sl2_triple(alg, resolve_nilpotent(
+        alg, nilpotent)))
+
+
+@pytest.mark.parametrize("config", CHAR0_CONFIGS,
+                         ids=["%s%d%d-%s" % c for c in CHAR0_CONFIGS])
+def test_solves_over_a_generating_set_equal_the_solves_over_m(config,
+                                                              monkeypatch):
+    nd = _fresh_datum(*config)
+    # the generating set is chosen when first asked for, not by the analysis
+    assert "_m_generators" not in vars(nd)
+    gens = WContext(nd).generators()
+    S = vars(nd)["_m_generators"]
+    assert set(S) <= set(nd.m_indices)
+    if config in (("gl", 3, 1, "regular"), ("gl", 4, 1, "regular"),
+                  ("gl", 3, 2, "regular")):
+        # m is not abelian there, so S is smaller than m
+        assert len(S) < len(nd.m_indices)
+    monkeypatch.setattr(wchar0, "m_generators", lambda nd: nd.m_indices)
+    over_m = WContext(nd).generators()
+    # each context has its own engine, so the values compare by their terms
+    assert ([g._replace(value=g.value.terms) for g in gens]
+            == [g._replace(value=g.value.terms) for g in over_m])
+
+
+def test_a_set_that_does_not_generate_m_is_a_solver_error(monkeypatch,
+                                                          tmp_path):
+    nd = _fresh_datum("gl", 3, 1, "regular")
+    S = wchar0.m_generators(nd)
+    assert len(S) == 4 and len(nd.m_indices) == 5
+    for z in S:
+        with pytest.raises(SolverError, match="not m's 5"):
+            wchar0.check_generates_m(nd, [s for s in S if s != z])
+    # the greedy pick losing its last generator: the solve and the CLI stop
+    # with the solver's exit code
+    spanning = wchar0._spanning_set
+    monkeypatch.setattr(wchar0, "_spanning_set",
+                        lambda nd: spanning(nd)[:-1])
+    with pytest.raises(SolverError, match="not m's 5"):
+        WContext(_fresh_datum("gl", 3, 1, "regular")).generators()
+    monkeypatch.delenv(cli.ENV_OUT, raising=False)
+    assert cli.main(["w", "solve", "--family", "gl", "--m", "3", "--n", "1",
+                     "--nilpotent", "regular", "--out", str(tmp_path)]
+                    ) == cli.EXIT_SOLVER
