@@ -1,6 +1,8 @@
 """Exact finite W-superalgebra computations for gl(m|n), sl(m|n) and osp(m|2k)
-with a nilpotent datum: PBW normal ordering over Q, generator and relation
-extraction, and the fully finite-dimensional reduced theory mod p.
+with a nilpotent datum: normal ordering in the induced module Q (U itself for
+the zero nilpotent) by the left action of U, generator and relation
+extraction over the rationals, and the fully finite-dimensional reduced
+theory mod p.
 """
 
 from .superalgebra import AlgebraError, build_algebra

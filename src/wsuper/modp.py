@@ -6,15 +6,15 @@ The rational nilpotent datum is reduced coefficient-wise (denominators must be
 units mod p), the p-th power map comes from matrix p-th powers of the
 realization, and every kernel and rank is computed by the sparse exact
 elimination of `linalg` on {column: c} rows mod p; no vector set of a row is
-ever a dense matrix.  The action columns of Q and the vectors of the
-reduced W-superalgebra's PBW monomials come from the left action of U_eta on
-Q's basis indices (`ReducedQ._left_actor`): a basis monomial is a
-mixed-radix integer over its exponent caps, and the action of a generator is
-memoized per basis index, so no product in U is formed for them.  The
-Whittaker vectors are the m-kernel, as ad z = L_z - eta(z) for z in m.
-Generator solving and the relation table reuse the characteristic-zero
-machinery verbatim since the rewriting engine is generic over the base
-field.
+ever a dense matrix.  The action columns of Q, with their right products
+m b_g, and the vectors of the reduced W-superalgebra's PBW monomials come
+from the left action of U_eta on Q's basis indices (`ReducedQ._left_actor`):
+a basis monomial is a mixed-radix integer over its exponent caps, and the
+action of a generator is memoized per basis index; no product in U is formed
+and no private name of the engine is read.  The Whittaker vectors are the
+m-kernel, as ad z = L_z - eta(z) for z in m.  Generator solving and the
+relation table reuse the characteristic-zero machinery, the engine's left
+action on Q's monomials, verbatim since it is generic over the base field.
 """
 
 from __future__ import annotations
@@ -263,7 +263,6 @@ class ReducedQ:
         self.eta_label = eta_label
         self.engine = engine_from_datum(datum, self.eta, datum.pmap_adapted)
         self.basis = self.engine.cobasis_monomials(None)
-        self.index = {m: i for i, m in enumerate(self.basis)}
         self._layout = self._basis_layout()
         self._ad_cols = {}
         self._right_mismatch = {}
@@ -279,8 +278,20 @@ class ReducedQ:
         return pbw_dim(self.p, [self.engine.parities[i] for i in indices])
 
     def vector_of(self, terms):
-        """The {basis index: c} row of the class in Q with these terms."""
-        return {self.index[m]: c for m, c in terms.items()}
+        """The {basis index: c} row of the class in Q with these terms, each
+        monomial read by its mixed-radix code (`_basis_layout`).  KeyError
+        for a monomial that is not a basis monomial of Q: one with a letter
+        of m, or with an exponent past its cap, whose digit would alias
+        into the next one."""
+        at, radix = self._layout[4], self._layout[5]
+        cb = len(radix)
+        caps = [2 if odd else self.p for odd in self.engine.parities[:cb]]
+        out = {}
+        for m, c in terms.items():
+            if any(m[cb:]) or not all(0 <= x < b for x, b in zip(m, caps)):
+                raise KeyError(m)
+            out[at[sum(x * r for x, r in zip(m, radix))]] = c
+        return out
 
     # -- action matrices, as sparse columns ------------------------------------
 
@@ -367,7 +378,7 @@ class ReducedQ:
         sl(2|1) E12 at p = 7, gl(2|1) regular at p = 5 and osp(1|2) regular
         at p = 11, the recursion was at most 4 calls deep in basis order and
         23 in reverse order.  `pbw.Enveloping.left_gen` is its twin on
-        monomials, which `Enveloping.ad_act` uses in every characteristic."""
+        monomials, which `q_mul` and `ad_act` use in every characteristic."""
         first, lower, upper, code, at, radix = self._layout
         dim = self.dim
         p = self.p
@@ -439,13 +450,22 @@ class ReducedQ:
 
         return act, apply, memo
 
-    def _left_action(self, gen_index):
+    def _left_action(self, gen_index, right=False):
         """The columns of left multiplication by b_g on Q, from
-        `_left_actor` in basis order.  The memo is emptied once they are
-        built: that frees every L_k[i] no column holds at once, not when
-        the cyclic garbage collector reaches act, which refers to itself."""
-        act, _, memo = self._left_actor()
+        `_left_actor` in basis order; with right, paired with the classes
+        R_g[j] of the right products b^m b_g (m basis monomial j) by the same
+        actor: R_g[unit] = L_g[unit], and R_g[j] = L_s(R_g[lower j]) for the
+        first generator s of m.  The memo is emptied once they are built:
+        that frees every L_k[i] no column holds at once, not when the cyclic
+        garbage collector reaches act, which refers to itself."""
+        act, apply, memo = self._left_actor()
         cols = [act(gen_index, j) for j in range(self.dim)]
+        if right:
+            first, lower = self._layout[:2]
+            rights = [cols[0]]
+            for j in range(1, self.dim):
+                rights.append(apply(first[j], rights[lower[j]]))
+            cols = cols, rights
         memo.clear()
         return cols
 
@@ -508,34 +528,26 @@ class ReducedQ:
         return self._left_action(gen_index)
 
     def ad_columns(self, gen_index):
-        """Columns of ad b_g on Q: L_g[m] - (-1)^{|g||m|} m b_g for each basis
-        monomial m, with L_g from `_left_action` and the right product m b_g
-        reduced by the engine.  For g in m that reduced right product is
-        compared exactly with eta(g) m; the first column where they differ
-        is kept for `right_action_mismatch`.  A column whose right product
-        is zero is the left column's own dict.  For g in m the engine's
-        memo keeps none of these right products that it did not hold
-        before: only this check reads them (each one raises g's exponent,
-        so the engine stores nothing else on the way), and on gl(2|1)
-        regular at p = 7 they were 38,416 entries and 15.5 MB."""
+        """Columns of ad b_g on Q: L_g[m] - (-1)^{|g||m|} R_g[m] for each
+        basis monomial m, with L_g[m] and the class R_g[m] of the right
+        product m b_g both from `_left_action`, so the engine is not asked
+        for either.  For g in m, R_g[m] is compared exactly with eta(g) m;
+        the first column where they differ is kept for
+        `right_action_mismatch`.  A column whose right product is zero is
+        the left column's own dict."""
         cols = self._ad_cols.get(gen_index)
         if cols is None:
             e = self.engine
             odd = e.parities[gen_index]
             check = gen_index in self.datum.m_indices
             eta_g = self.eta[gen_index]
-            cols = self._left_action(gen_index)
-            memo = e._gen_cache
-            for j, m in enumerate(self.basis):
-                fresh = check and (m, gen_index) not in memo
-                right = e.q_reduce_pair(e.times_gen(m, gen_index))[0]
-                if fresh:
-                    del memo[m, gen_index]
-                if check and right != ({m: eta_g} if eta_g else {}):
+            cols, rights = self._left_action(gen_index, right=True)
+            for j, (m, right) in enumerate(zip(self.basis, rights)):
+                if check and right != ({j: eta_g} if eta_g else {}):
                     self._right_mismatch.setdefault(gen_index, j)
                 if right:
                     col = cols[j] = dict(cols[j])
-                    _madd(col, self.vector_of(right),
+                    _madd(col, right,
                           1 if odd and e.mono_parity(m) else -1, self.p)
             self._ad_cols[gen_index] = cols
         return cols
@@ -721,8 +733,8 @@ def reduced_w(q):
     statement, and compute the relation table.  The PBW statement is the
     rank over F_p of the vectors theta^a 1 in Q of the ordered monomials,
     each from the one before it by the left action of a generator's lift
-    (`ReducedQ.pbw_vectors`), against their count and dim Q^m; only the
-    relation table forms products in U."""
+    (`ReducedQ.pbw_vectors`), against their count and dim Q^m; the
+    relation table takes its classes from the engine's left action."""
     datum = q.datum
     warnings = []
     if not datum.p_guard_ok:

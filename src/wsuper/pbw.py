@@ -1,24 +1,21 @@
-"""Exact arithmetic in the enveloping algebra on nilpotent-adapted generators,
-and in the induced module Q obtained by quotienting the left ideal generated
-by z - chi(z) for z in m.
+"""Exact arithmetic in the induced module Q of a nilpotent datum: the
+enveloping algebra on nilpotent-adapted generators modulo the left ideal
+generated by z - chi(z) for z in m (U itself for the zero nilpotent, where m
+is 0), and its reduced version mod p.
 
 Monomials are exponent tuples over the adapted generator order (co-basis x, y,
-u, v first, the generators of m last), so reducing to Q is a suffix rewrite.
-Normal ordering is rightmost-disorder-first bubbling with memoized
-single-generator products; odd squares contract through the bracket, and in
-characteristic p an even generator reaching exponent p contracts through the
-p-th power map plus the p-character.  A product a b is built monomial by
-monomial of b from the products with their prefixes, each prefix once.
-
-The adjoint action on Q (`ad_act`) forms no product in U: it is the left
-action of U on Q itself, L_g on Q's monomials (`left_gen`, memoized per
-(g, monomial)), less the reduced right products b^m b_g, which for g in m
-are chi(g) b^m.  `left_gen` is the monomial-keyed twin of
-`modp.ReducedQ._left_actor`, which acts on Q's basis indices with the
-reduced datum's brackets and p-th power map and the engine's public eta.
-That index-keyed actor stays, because the mod-p chain's action columns are
-its hot loop; `modp.ReducedQ` takes only the right products m b_g from
-`times_gen`.
+u, v first, the generators of m last), so a class in Q is a combination of
+co-basis monomials and reducing a monomial to Q is a suffix rewrite.  Every
+class is normal-ordered by the left action of U on Q itself, L_g on Q's
+monomials (`left_gen`, memoized per (g, monomial)); odd squares contract
+through the bracket, and in characteristic p an even generator reaching
+exponent p contracts through the p-th power map plus the p-character.  No
+product in U is formed: the class of a b is lift(a) acting on the class of b
+(`q_mul`), and the adjoint action (`ad_act`) is L_g less the right products
+b^m b_g, b^m acting on the class of b_g, which for g in m is chi(g) b^m.
+`left_gen` is the monomial-keyed twin of `modp.ReducedQ._left_actor`, which
+acts on Q's basis indices with the reduced datum's brackets and p-th power
+map and the engine's public eta, for the mod-p chain's action columns.
 
 Inside the engine coefficients are Python-int numerators over one
 denominator per combination, in lowest terms (denominator 1 and residues mod
@@ -59,10 +56,6 @@ class Element:
         f = self.engine.field
         neg = {m: f.neg(c) for m, c in other.terms.items()}
         return Element(self.engine, self.engine._add(self.terms, neg))
-
-    def __mul__(self, other):
-        self._check(other)
-        return Element(self.engine, self.engine._mul(self.terms, other.terms))
 
     def scale(self, c):
         f = self.engine.field
@@ -139,7 +132,6 @@ class Enveloping:
             self._pmap_pairs = {g: self._scaled(v)
                                 for g, v in self.pmap.items()}
         self._gen_cache = {}
-        self._left_cache = {}
 
     # -- construction of elements -------------------------------------------
 
@@ -278,97 +270,6 @@ class Enveloping:
                 acc.pop(m, None)
         return den
 
-    def _acc_gens(self, acc, den, mono, coeffs):
-        """acc/den += mono * sum_k c_k b_k in place, for the pair coeffs =
-        ({k: c_k}, cden); returns the denominator of acc."""
-        nums, cden = coeffs
-        for k, c in nums.items():
-            tn, td = self.times_gen(mono, k)
-            den = self._acc(acc, den, tn, c, cden * td)
-        return den
-
-    def times_gen(self, mono, g):
-        """Normal form of (monomial) * b_g, as a pair in lowest terms.  The
-        memo `_gen_cache` holds every one computed, as its numerator dict
-        alone when the denominator is 1 (always, in characteristic p)."""
-        key = (mono, g)
-        hit = self._gen_cache.get(key)
-        if hit is not None:
-            return hit if type(hit) is tuple else (hit, 1)
-        p = self.field.char
-        top = -1
-        for i in range(self.n_gens - 1, -1, -1):
-            if mono[i]:
-                top = i
-                break
-        acc, den = {}, 1
-        if top <= g:
-            prefix = mono[:g] + (0,) + mono[g + 1:]
-            if self.parities[g] and mono[g] == 1:
-                # odd square: strip the trailing g and contract through
-                # [g,g]/2
-                den = self._acc_gens(acc, den, prefix, self._half_squares[g])
-            elif p and not self.parities[g] and mono[g] == p - 1:
-                # exponent cap: g^p = g^[p] + eta(g)^p, and eta(g)^p =
-                # eta(g) in F_p
-                den = self._acc_gens(acc, den, prefix,
-                                     self._pmap_pairs.get(g, _EMPTY))
-                den = self._acc(acc, den, {prefix: 1}, self.eta[g])
-            else:
-                acc[mono[:g] + (mono[g] + 1,) + mono[g + 1:]] = 1
-        else:
-            # bubble g past the trailing generator: b_top b_g =
-            # (-1)^{|top||g|} b_g b_top + [b_top, b_g]
-            m2 = mono[:top] + (mono[top] - 1,) + mono[top + 1:]
-            swap = self.parities[top] and self.parities[g]
-            inner, iden = self.times_gen(m2, g)
-            for mm, c in inner.items():
-                tn, td = self.times_gen(mm, top)
-                den = self._acc(acc, den, tn, -c if swap else c, iden * td)
-            den = self._acc_gens(acc, den, m2,
-                                 self._bracket_pairs.get((top, g), _EMPTY))
-        out = lowest(acc, den)
-        self._gen_cache[key] = out if out[1] > 1 else out[0]
-        return out
-
-    def times_gen_terms(self, pair, g):
-        """Normal form of (pair) * b_g, as a new pair in lowest terms."""
-        nums, den = pair
-        acc, out = {}, 1
-        for m, c in nums.items():
-            tn, td = self.times_gen(m, g)
-            out = self._acc(acc, out, tn, c, den * td)
-        return lowest(acc, out)
-
-    def _prefix_product(self, known, m):
-        """a b^m from the {monomial: a b^monomial} pairs known (the unit among
-        them): (a b^m') b_t, with t the last generator of m and m' = m with
-        that exponent lowered, is stored for every prefix m' it needs."""
-        hit = known.get(m)
-        if hit is None:
-            top = len(m) - 1
-            while not m[top]:
-                top -= 1
-            prefix = m[:top] + (m[top] - 1,) + m[top + 1:]
-            hit = known[m] = self.times_gen_terms(
-                self._prefix_product(known, prefix), top)
-        return hit
-
-    def _product(self, a, b):
-        """a b for pairs: a times each monomial of b through its prefixes, so
-        that each prefix is multiplied once."""
-        known = {self.unit_mono: a}
-        bnums, bden = b
-        acc, den = {}, 1
-        for m, c in bnums.items():
-            pnums, pden = self._prefix_product(known, m)
-            den = self._acc(acc, den, pnums, c, bden * pden)
-        return lowest(acc, den)
-
-    def _mul(self, a, b):
-        """The product of two Element term dicts, as Element terms."""
-        return self._terms(*self._product(self._scaled(a), self._scaled(b)))
-
     # -- the induced module Q -------------------------------------------------
 
     def q_reduce_pair(self, pair):
@@ -415,12 +316,40 @@ class Enveloping:
                    for m in elt.terms)
 
     def q_mul(self, a, b):
-        """Product in Q of two reduced classes via canonical lifts.  Well
-        defined when the right factor is invariant; also used for plain left
-        action of lifted elements."""
+        """The class in Q of lift(a) b: a, read as an element of U, acting
+        on the class of b (`_lift_apply`), so that no product in U is formed.
+        For classes a and b it is their product via canonical lifts, well
+        defined when b is invariant."""
         a._check(b)
-        prod = self._product(self._scaled(a.terms), self._scaled(b.terms))
-        return Element(self, self._terms(*self.q_reduce_pair(prod)))
+        return Element(self, self._terms(*self._lift_apply(
+            self._scaled(a.terms), self.q_reduce_pair(self._scaled(b.terms)))))
+
+    def _lift_apply(self, u, v):
+        """u v for a pair u over all generators and a pair v of classes in
+        Q, as a new pair in lowest terms: each term c b^m of u acts as
+        L_{g_1}(... L_{g_r}(v)) for the letters g_1 <= ... <= g_r of m, each
+        L_g by `_left_apply`.  The terms are taken in the order of their
+        reversed tuples, so that terms ending in the same letters follow
+        each other, and only the current term's chain is kept: b^{m'} v for
+        the tails m' of m, which the next term reuses as far as their
+        letters agree."""
+        nums, den = u
+        acc, out = {}, 1
+        # (letter, b^{m'} v) from the unit up; the unit's letter is -1
+        chain = [(-1, v)]
+        for m in sorted(nums, key=lambda m: m[::-1]):
+            letters = [g for g in range(self.n_gens - 1, -1, -1)
+                       for _ in range(m[g])]
+            k = 0
+            while (k < len(letters) and k + 1 < len(chain)
+                   and chain[k + 1][0] == letters[k]):
+                k += 1
+            del chain[k + 1:]
+            for g in letters[k:]:
+                chain.append((g, lowest(*self._left_apply(g, chain[-1][1]))))
+            tn, td = chain[-1][1]
+            out = self._acc(acc, out, tn, nums[m], den * td)
+        return lowest(acc, out)
 
     def left_gen(self, g, mono):
         """L_g[b^mono], the class in Q of b_g b^mono for a co-basis monomial,
@@ -437,11 +366,11 @@ class Enveloping:
           mono with s's exponent set to 0 (eta(s)^p = eta(s) in F_p);
         - for g > s, L_g[mono] = (-1)^{|g||s|} L_s(L_g[m'']) +
           L_[b_g,b_s][m''].
-        The memo `_left_cache` holds the last two cases, keyed by (g, mono),
+        The memo `_gen_cache` holds the last two cases, keyed by (g, mono),
         as the numerator dict alone when the denominator is 1 (always, in
         characteristic p); the raised monomials and the unit cost less than
         their entries would."""
-        hit = self._left_cache.get((g, mono))
+        hit = self._gen_cache.get((g, mono))
         if hit is not None:
             return hit if type(hit) is tuple else (hit, 1)
         s = self._first(mono)
@@ -473,7 +402,7 @@ class Enveloping:
             tn, td = self.left_gen(k, on)
             den = self._acc(acc, den, tn, c, cden * td)
         out = lowest(acc, den)
-        self._left_cache[g, mono] = out if out[1] > 1 else out[0]
+        self._gen_cache[g, mono] = out if out[1] > 1 else out[0]
         return out
 
     def _first(self, mono):
@@ -515,26 +444,23 @@ class Enveloping:
 
     def ad_act_gen(self, g, q):
         """Class of [b_g, lift(q)] in Q: L_g q less (-1)^{|g||m|} c times
-        the reduced b^m b_g over the terms c b^m of q, with L_g the left
-        action of U on Q (`left_gen`, the monomial-keyed twin of
-        `modp.ReducedQ._left_actor`, whose basis-index memo serves the
-        mod-p chain's columns).  For z in m, b^m b_z is ordered and acts on
-        Q by chi(z), so ad z = L_z - chi(z) on Q: the sign (-1)^{|z||m|}
-        is kept, though chi vanishes on odd z."""
+        the class of b^m b_g over the terms c b^m of q, with L_g the left
+        action of U on Q (`left_gen`) and the class of b^m b_g that of b^m
+        acting on the class of b_g (`_lift_apply`).  For z in m, b^m b_z is
+        ordered and acts on Q by chi(z), so ad z = L_z - chi(z) on Q: the
+        sign (-1)^{|z||m|} is kept, though chi vanishes on odd z."""
         nums, den = self._scaled(q.terms)
         acc, out = self._left_apply(g, (nums, den))
         pg = self.parities[g]
-        if g >= self.cobasis_count:
-            cn, cd = self._char_pairs[g]
-            if cn:
-                signed = {m: c if pg and self.mono_parity(m) else -c
-                          for m, c in nums.items()}
-                out = self._acc(acc, out, signed, cn, den * cd)
-        else:
-            for m, c in nums.items():
-                tn, td = self.q_reduce_pair(self.times_gen(m, g))
-                odd = pg and self.mono_parity(m)
-                out = self._acc(acc, out, tn, c if odd else -c, den * td)
+        inside = g >= self.cobasis_count
+        cn, cd = self._char_pairs[g] if inside else (1, 1)
+        if cn:
+            right = {m: c if pg and self.mono_parity(m) else -c
+                     for m, c in nums.items()}
+            if not inside:
+                right, cd = self._lift_apply((right, 1),
+                                             ({self._gen_mono(g): 1}, 1))
+            out = self._acc(acc, out, right, cn, den * cd)
         return Element(self, self._terms(acc, out))
 
     def ad_act(self, z, q):

@@ -139,7 +139,17 @@ def dump_json(data):
 
 
 def atomic_write(path, text):
+    """Write text to path through a temp file renamed over it, so that no
+    partial file is left under path; when the write or the rename raises,
+    the temp file is removed and the error raised again."""
     tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise

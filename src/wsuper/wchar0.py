@@ -307,17 +307,21 @@ class WContext:
     # -- PBW expression -----------------------------------------------------------
 
     def eval_monomial(self, expo):
+        """The class theta^a 1 in Q of the ordered monomial with exponents
+        a, by the left action of U on Q: with k the first generator of a,
+        theta^a 1 = theta_k (theta^{a-e_k} 1), theta_k acting as its lift
+        (`Enveloping.q_mul`), as `modp.ReducedQ.pbw_vectors` does on Q's
+        basis indices.  Memoized per exponent tuple."""
         expo = tuple(expo)
         if expo in self._eval_cache:
             return self._eval_cache[expo]
-        if not any(expo):
+        k = next((i for i, v in enumerate(expo) if v), None)
+        if k is None:
             out = self.engine.unit()
         else:
-            last = max(i for i, v in enumerate(expo) if v)
-            prev = list(expo)
-            prev[last] -= 1
-            left = self.eval_monomial(tuple(prev))
-            out = self.engine.q_mul(left, self.generators()[last].value)
+            prev = self.eval_monomial(expo[:k] + (expo[k] - 1,)
+                                      + expo[k + 1:])
+            out = self.engine.q_mul(self.generators()[k].value, prev)
         self._eval_cache[expo] = out
         return out
 

@@ -433,9 +433,9 @@ def per_monomial_columns(q, g):
     ad, left, mismatch = [], [], None
     for j, m in enumerate(q.basis):
         img = field_ad_act(e, g, {m: one})
-        ad.append({q.index[mm]: c for mm, c in img.items()})
+        ad.append(q.vector_of(img))
         img = field_q_reduce(e, field_mul(e, {e._gen_mono(g): one}, {m: one}))
-        left.append({q.index[mm]: c for mm, c in img.items()})
+        left.append(q.vector_of(img))
         right = field_q_reduce(e, field_times_gen(e, m, g))
         if (mismatch is None and g in q.datum.m_indices
                 and right != ({m: eta_g} if eta_g else {})):
@@ -445,11 +445,22 @@ def per_monomial_columns(q, g):
 
 def pbw_vectors_by_products(q, ctx, expos):
     """The {basis index: c} vector of each PBW monomial theta^a of a
-    WContext on the ReducedQ's engine, as a product in U:
-    `WContext.eval_monomial` forms theta^{a - e_last} theta_last by
-    `Enveloping.q_mul`, and `ReducedQ.vector_of` reads the class on Q's
-    basis.  The oracle of `ReducedQ.pbw_vectors`."""
-    return [q.vector_of(ctx.eval_monomial(a).terms) for a in expos]
+    WContext on the ReducedQ's engine, as a product in U: the class of
+    theta^{a - e_last} times theta_last, formed in U by `field_q_mul`
+    (the right factor is invariant, so any lift of the left one serves),
+    read on Q's basis by `ReducedQ.vector_of`.  Each a - e_last must come
+    before a in expos.  The oracle of `ReducedQ.pbw_vectors`."""
+    e = q.engine
+    thetas = [th.value.terms for th in ctx.generators()]
+    known = {}
+    for a in expos:
+        if not any(a):
+            known[a] = {e.unit_mono: e.field.one}
+            continue
+        last = max(i for i, x in enumerate(a) if x)
+        prev = a[:last] + (a[last] - 1,) + a[last + 1:]
+        known[a] = field_q_mul(e, known[prev], thetas[last])
+    return [q.vector_of(known[a]) for a in expos]
 
 
 def dense_rows(rows, cols):
@@ -521,9 +532,11 @@ def check_p_center_acts_zero(q):
 
 # The engine's per-term loops as they read with Field methods on Element
 # terms (Fractions over Q, residues mod p), the oracle of its integer
-# arithmetic: `field_add` of `Enveloping._add`, `field_acc` of `_acc`,
-# `field_q_reduce` of `q_reduce`, and the normal ordering below of
-# `times_gen`, `_mul`, `q_mul` and `ad_act`.
+# arithmetic: `field_add` of `Enveloping._add`, `field_acc` of `_acc` and
+# `field_q_reduce` of `q_reduce`; and normal ordering in U below, by
+# rightmost-disorder bubbling, an independent route to the classes that
+# the engine's left action of U on Q gives in `q_mul`, `left_gen` and
+# `ad_act`.
 
 def field_add(field, a, b):
     out = dict(a)

@@ -40,8 +40,9 @@ def _report(n, label):
 
 
 def test_acceptance_1_pbw_engine_oracle(nd_gl11_zero):
-    """Multiplication through normal ordering agrees with left-regular matrix
-    multiplication on all basis pairs of the 36-dimensional reduced algebra."""
+    """Multiplication through the left action agrees with left-regular
+    matrix multiplication on all basis pairs of the 36-dimensional reduced
+    algebra (m = 0 for the zero nilpotent, so Q is U)."""
     start = time.time()
     p = 3
     dat = modp.reduce_datum(nd_gl11_zero, p)
@@ -61,7 +62,7 @@ def test_acceptance_1_pbw_engine_oracle(nd_gl11_zero):
     for mu in q.basis:
         lhs_cols = np.zeros((q.dim, q.dim), dtype=np.int64)
         for cidx, nu in enumerate(q.basis):
-            prod = E.q_reduce(E.element({mu: 1}) * E.element({nu: 1}))
+            prod = E.q_mul(E.element({mu: 1}), E.element({nu: 1}))
             for i, c in q.vector_of(prod.terms).items():
                 lhs_cols[i, cidx] = c
         rhs = mats[mu] % p  # columns are exactly the images of the basis

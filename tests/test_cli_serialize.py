@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -372,6 +373,23 @@ def test_internal_error_names_its_stage_and_writes_nothing_after(
     assert captured.err == "internal error: %s: RuntimeError: boom\n" % stage
     assert captured.out == ""
     assert sorted(f.name for f in out.glob("*")) == before
+
+
+def test_a_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    # the rename of the first artifact over its name fails, as on a full
+    # disk: the run exits 5 naming the write, and the output directory holds
+    # neither the artifact nor its temp file
+    def no_space(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(serialize.os, "replace", no_space)
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, ["algebra", "build"] + OSP12_REGULAR[:6]
+                   + ["--out", str(out)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == (
+        "internal error: writing algebra.json: OSError: [Errno %d] %s\n"
+        % (errno.ENOSPC, os.strerror(errno.ENOSPC)))
+    assert list(out.iterdir()) == []
 
 
 SL21_E12 = ["--family", "sl", "--m", "2", "--n", "1", "--nilpotent", "E12"]

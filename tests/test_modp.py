@@ -354,7 +354,7 @@ def test_leading_coefficient_law_mod_p(dat_osp5):
                 if i < E.cobasis_count else 0 for i in range(E.n_gens))
         m1, m2 = rand_mono(), rand_mono()
         combined = tuple(a + b for a, b in zip(m1, m2))
-        prod = E.q_reduce(E.element({m1: 1}) * E.element({m2: 1}))
+        prod = E.q_mul(E.element({m1: 1}), E.element({m2: 1}))
         admissible = all(
             combined[i] <= (1 if E.parities[i] else p - 1)
             for i in range(E.n_gens))

@@ -328,18 +328,21 @@ def test_mprime_check_fails_on_a_basis_missing_a_row(dat_osp3, drop):
 
 @pytest.mark.parametrize("which", ["dat_osp3", "dat_sl3"])
 def test_ad_columns_leave_no_right_product_in_the_memo(request, which):
-    # the right-action check's products m b_z, z in m, are read once and
-    # not kept by the engine; a product the memo held before stays
+    # ad_columns leaves the engine memo as it found it: the right-action
+    # check's products m b_z, z in m, come from Q's own index actor, and an
+    # entry of the engine's left-action memo held before stays as it was
     dat = request.getfixturevalue(which)
     q = modp.build_reduced_q(dat)
     memo = q.engine._gen_cache
-    held = (q.basis[0], q.datum.m_indices[0])
-    q.engine.times_gen(*held)
-    before = set(memo)
+    # b_z on a monomial whose first generator lies below z: a case that
+    # left_gen keeps
+    held = (q.datum.m_indices[0], q.basis[1])
+    q.engine.left_gen(*held)
+    before = dict(memo)
     for g in q.datum.m_indices:
         q.ad_columns(g)
     assert q.right_action_mismatch() is None
-    assert set(memo) == before and held in memo
+    assert memo == before and held in memo
 
 
 def test_invariant_subspace_is_cached_and_read_only(dat_osp3):

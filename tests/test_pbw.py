@@ -29,13 +29,15 @@ def Eo(nd_osp12_reg):
 
 
 def normalize(E, word):
-    """Normal form of a word given as (generator, exponent) pairs, in any
-    order; odd exponents beyond 1 contract, even ones cap mod p."""
-    cur = ({E.unit_mono: 1}, 1)
-    for g, e in word:
+    """The class in Q of a word given as (generator, exponent) pairs, in any
+    order, by the left action: its letters act on the unit from the last
+    one back; odd exponents beyond 1 contract, even ones cap mod p.  For
+    the zero nilpotent m = 0, and the class is the normal form in U."""
+    cur = E.unit()
+    for g, e in reversed(word):
         for _ in range(e):
-            cur = E.times_gen_terms(cur, g)
-    return Element(E, E._terms(*cur))
+            cur = E.q_mul(E.gen(g), cur)
+    return cur
 
 
 def rand_elt(E, rng, nterms=3, emax=2):
@@ -58,26 +60,28 @@ def test_gl11_odd_swap(E):
     # adapted order: x1=E11, x2=E22, y1=E12, y2=E21
     y1, y2 = 2, 3
     res = normalize(E, [(y2, 1), (y1, 1)])
-    want = (E.gen(0) + E.gen(1)) - E.gen(y1) * E.gen(y2)
+    want = (E.gen(0) + E.gen(1)) - E.q_mul(E.gen(y1), E.gen(y2))
     assert res == want
 
 
 def test_odd_square_contracts(E, Eo):
     # [E12, E12] = 0 in gl(1|1)
     assert normalize(E, [(2, 2)]).is_zero()
-    # the odd co-basis vector of osp(1|2) squares to half its bracket
+    # the odd co-basis vector of osp(1|2) squares to half its bracket, whose
+    # class in Q takes chi on m
     v1 = Eo.labels.index("v1")
     sq = normalize(Eo, [(v1, 2)])
     br = Eo.element({Eo._gen_mono(k): Fraction(c, 2)
                      for k, c in Eo.brackets[(v1, v1)].items()})
-    assert sq == br
+    assert sq == Eo.q_reduce(br)
 
 
 def test_unit_is_neutral(Es):
+    # on either side of q_mul the unit gives the class of the other factor
     rng = random.Random(5)
     for _ in range(5):
         a = rand_elt(Es, rng)
-        assert Es.unit() * a == a and a * Es.unit() == a
+        assert Es.q_mul(Es.unit(), a) == Es.q_reduce(a) == Es.q_mul(a, Es.unit())
 
 
 @pytest.fixture(scope="module")
@@ -110,21 +114,24 @@ def _elements(draw, E):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_associativity_random(engines_q_and_mod_p, data):
+    # the module axiom a (b c) = (a b) c of the left action, with the product
+    # a b formed in U by the Field-method oracle
     E = data.draw(st.sampled_from(engines_q_and_mod_p))
     a, b, c = (data.draw(_elements(E)) for _ in range(3))
-    assert (a * b) * c == a * (b * c)
+    assert (E.q_mul(a, E.q_mul(b, c))
+            == E.q_mul(Element(E, field_mul(E, a.terms, b.terms)), c))
 
 
 def test_ambient_mismatch(E, Es):
     with pytest.raises(AmbientMismatch):
-        E.unit() * Es.unit()
+        E.q_mul(E.unit(), Es.unit())
 
 
 def test_filtration_compatibility(Es):
     rng = random.Random(23)
     for _ in range(15):
         a, b = rand_elt(Es, rng), rand_elt(Es, rng)
-        ab = a * b
+        ab = Es.q_mul(a, b)
         if ab.is_zero() or a.is_zero() or b.is_zero():
             continue
         da = max(Es.e_degree(m) for m in a.terms)
@@ -140,7 +147,7 @@ def test_commutator_drops_two_degrees(Es):
         gb = rng.randrange(Es.n_gens)
         a, b = Es.gen(ga), Es.gen(gb)
         sign = -1 if (Es.parities[ga] and Es.parities[gb]) else 1
-        br = a * b - (b * a).scale(Fraction(sign))
+        br = Es.q_mul(a, b) - Es.q_mul(b, a).scale(Fraction(sign))
         if br.is_zero():
             continue
         top = max(Es.e_degree(m) for m in br.terms)
@@ -176,7 +183,8 @@ def test_leading_coefficient_sign_law(Es, Eo):
             m2 = tuple((rng.randint(0, 1) if E.parities[i] else rng.randint(0, 2))
                        if i < cb else 0 for i in range(E.n_gens))
             combined = tuple(a + b for a, b in zip(m1, m2))
-            prod = E.q_reduce(E.element({m1: Fraction(1)}) * E.element({m2: Fraction(1)}))
+            prod = E.q_mul(E.element({m1: Fraction(1)}),
+                           E.element({m2: Fraction(1)}))
             admissible = all(combined[i] <= 1 for i in range(E.n_gens)
                              if E.parities[i])
             got = prod.coefficient(combined)
@@ -194,20 +202,21 @@ def test_q_reduce_examples(Es):
     # the weight -2 generator acts through chi
     w1 = Es.labels.index("w1")
     assert Es.q_reduce(Es.gen(w1)).terms == {Es.unit_mono: f.of(1)}
-    # nilpotent-killing: (z - chi(z)) annihilates everything on the right
+    # nilpotent-killing: (z - chi(z)) annihilates everything on the right,
+    # for products formed in U by the Field-method oracle
     rng = random.Random(4)
     for z in range(Es.cobasis_count, Es.n_gens):
         u = Es.element({tuple(rng.randint(0, 1) for _ in range(Es.n_gens)): f.one})
         n = Es.gen(z) - Es.unit().scale(Es.chi[z])
-        assert Es.q_reduce(u * n).is_zero()
+        assert Es.q_reduce(field_mul(Es, u.terms, n.terms)).is_zero()
 
 
 def test_q_reduce_never_leaves_cobasis(Es):
     rng = random.Random(9)
     for _ in range(20):
         a, b = rand_elt(Es, rng), rand_elt(Es, rng)
-        red = Es.q_reduce(a * b)
-        assert Es.is_q_element(red)
+        red = Es.q_reduce(field_mul(Es, a.terms, b.terms))
+        assert Es.is_q_element(red) and Es.is_q_element(Es.q_mul(a, b))
 
 
 def test_ad_act_examples(Eo, nd_osp12_reg):
@@ -244,10 +253,13 @@ def test_ad_act_lift_independent(Es, nd_sl21_e12):
     junk = rand_elt(Es, rng)
     z0 = Es.gen(nd_sl21_e12.m_indices[0])
     chi0 = Es.chi[nd_sl21_e12.m_indices[0]]
-    lift2 = Es.element(theta.terms) + junk * (z0 - Es.unit().scale(chi0))
+    # the products in U are the Field-method oracle's
+    lift2 = Es.element(theta.terms) + Es.element(
+        field_mul(Es, junk.terms, (z0 - Es.unit().scale(chi0)).terms))
     for z in nd_sl21_e12.m_indices:
         a = Es.ad_act(z, theta)
-        b = Es.q_reduce(Es.gen(z) * lift2) - _signed_right(Es, lift2, z)
+        b = (Es.element(field_q_mul(Es, Es.gen(z).terms, lift2.terms))
+             - _signed_right(Es, lift2, z))
         assert a == b
 
 
@@ -257,8 +269,8 @@ def _signed_right(Es, elt, z):
     pz = Es.parities[z]
     for m, c in elt.terms.items():
         sign = -1 if (pz and Es.mono_parity(m)) else 1
-        term = Es.q_reduce(Es.element({m: c}) * Es.gen(z)).scale(f.of(sign))
-        acc = acc + term
+        term = Es.element(field_q_mul(Es, {m: c}, Es.gen(z).terms))
+        acc = acc + term.scale(f.of(sign))
     return acc
 
 
@@ -282,12 +294,13 @@ def test_pi_project_and_leading(Es):
     assert Es.leading_terms(both) == {m2}
 
 
-# -- closed-form left multiplication: an oracle for normalize -----------------
+# -- closed-form left multiplication against products in U ---------------------
 
 def closed_form_left_multiply(E, w, mono):
     """Left multiplication of a homogeneous element by the closed binomial
     and sign-table formula, bubbling w through the x and y blocks in one
-    step.  Agrees with normal ordering; the tests below check that."""
+    step, with the products in U by the Field-method oracle.  Agrees with
+    normal ordering; the tests below check that."""
     f = E.field
     par_w = w.parity()
     assert par_w is not None, "closed form needs a parity-homogeneous element"
@@ -344,18 +357,19 @@ def closed_form_left_multiply(E, w, mono):
             suffix = [0] * E.n_gens
             for gi in tail:
                 suffix[gi] = mono[gi]
-            term = E.element({tuple(prefix): f.one}) * bracket \
-                * E.element({tuple(suffix): f.one})
-            field_acc(f, acc, term.terms, coeff)
+            term = field_mul(E, field_mul(E, {tuple(prefix): f.one},
+                                          bracket.terms),
+                             {tuple(suffix): f.one})
+            field_acc(f, acc, term, coeff)
     return Element(E, acc)
 
 
 def _ad_in_u(E, g, w):
     """[b_g, w] inside the enveloping algebra."""
     f = E.field
-    left = E.gen(g) * w
+    left = Element(E, field_mul(E, E.gen(g).terms, w.terms))
     sign = -1 if (E.parities[g] and w.parity()) else 1
-    right = (w * E.gen(g)).scale(f.of(sign))
+    right = Element(E, field_mul(E, w.terms, E.gen(g).terms)).scale(f.of(sign))
     return left - right
 
 
@@ -378,18 +392,22 @@ def test_closed_form_left_multiply(Es, Eo):
             mono = tuple((rng.randint(0, 1) if E.parities[i] else rng.randint(0, 2))
                          if i < cb else 0 for i in range(E.n_gens))
             fast = closed_form_left_multiply(E, w, mono)
-            slow = w * E.element({mono: Fraction(1)})
+            slow = Element(E, field_mul(E, w.terms, {mono: Fraction(1)}))
             assert fast == slow
+            # and its class is w acting on b^mono
+            assert (E.q_reduce(fast)
+                    == E.q_mul(w, E.element({mono: Fraction(1)})))
 
 
 def test_closed_form_central_case(E):
-    # the identity matrix is central in gl(1|1): w mon = mon w exactly
+    # the identity matrix is central in gl(1|1): w mon = mon w exactly; m
+    # = 0 for the zero nilpotent, so q_mul is the product in U
     w = E.gen(0) + E.gen(1)
     for mono in [(1, 0, 1, 0), (2, 1, 0, 1), (0, 0, 1, 1)]:
         res = closed_form_left_multiply(E, w, mono)
-        direct = E.element({mono: Fraction(1)}) * w
+        direct = E.q_mul(E.element({mono: Fraction(1)}), w)
         assert res == direct
-        assert res == w * E.element({mono: Fraction(1)})
+        assert res == E.q_mul(w, E.element({mono: Fraction(1)}))
 
 
 def test_mod_p_exponent_cap(nd_gl11_zero):
@@ -412,15 +430,16 @@ def test_filtration_index_identity(Es):
 
 
 def test_odd_left_multiplication_sign(E):
-    # w odd against a single odd letter: w y = -y w + [w, y]
+    # w odd against a single odd letter: w y = -y w + [w, y]; m = 0 for the
+    # zero nilpotent, so q_mul is the product in U
     y1, y2 = 2, 3
     w = E.gen(y2)
     mono = E._gen_mono(y1)
     got = closed_form_left_multiply(E, w, mono)
     bracket = E.element({E._gen_mono(k): c
                          for k, c in E.brackets.get((y2, y1), {}).items()})
-    want = bracket - E.element({mono: Fraction(1)}) * w
-    assert got == want == w * E.element({mono: Fraction(1)})
+    want = bracket - E.q_mul(E.element({mono: Fraction(1)}), w)
+    assert got == want == E.q_mul(w, E.element({mono: Fraction(1)}))
 
 
 @settings(max_examples=200, deadline=None)
@@ -486,11 +505,12 @@ def test_mul_q_mul_and_ad_act_equal_the_field_oracle(oracle_engines, data):
     E = data.draw(st.sampled_from(oracle_engines))
     a = data.draw(_oracle_terms(E, E.n_gens))
     b = data.draw(_oracle_terms(E, E.n_gens))
-    assert E._mul(a, b) == field_mul(E, a, b)
-    # the pair of the product is the lowest-terms pair of the oracle's
-    assert (E._product(E._scaled(a), E._scaled(b))
-            == E._scaled(field_mul(E, a, b)))
-    # a and b have m-part letters: chi (eta) acts on them
+    # a and b have m-part letters: chi (eta) acts on them, and the class of
+    # the product a b is a acting on the class of b
+    assert E.q_mul(Element(E, a), Element(E, b)).terms == field_q_mul(E, a, b)
+    # the pair of the class is the lowest-terms pair of the oracle's
+    assert (E._lift_apply(E._scaled(a), E.q_reduce_pair(E._scaled(b)))
+            == E._scaled(field_q_mul(E, a, b)))
     assert E.q_reduce(Element(E, a)).terms == field_q_reduce(E, a)
     qa = data.draw(_oracle_terms(E, E.cobasis_count))
     qb = data.draw(_oracle_terms(E, E.cobasis_count))
@@ -498,6 +518,22 @@ def test_mul_q_mul_and_ad_act_equal_the_field_oracle(oracle_engines, data):
             == field_q_mul(E, qa, qb))
     g = data.draw(st.integers(0, E.n_gens - 1))
     assert E.ad_act(g, Element(E, qa)).terms == field_ad_act(E, g, qa)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_q_is_a_left_module_on_every_engine(engines_q_and_mod_p,
+                                            oracle_engines, data):
+    # the module axiom a (b c) = (a b) c of the left action of U on Q on
+    # every engine above, over Q and mod p: a and b over every generator,
+    # letters of m included, with the product a b formed in U by the
+    # Field-method oracle, and c a class in Q
+    E = data.draw(st.sampled_from(engines_q_and_mod_p + oracle_engines))
+    a, b = (Element(E, data.draw(_oracle_terms(E, E.n_gens)))
+            for _ in range(2))
+    c = Element(E, data.draw(_oracle_terms(E, E.cobasis_count)))
+    assert (E.q_mul(a, E.q_mul(b, c))
+            == E.q_mul(Element(E, field_mul(E, a.terms, b.terms)), c))
 
 
 @settings(max_examples=30, deadline=None)
@@ -536,24 +572,22 @@ def test_char0_memo_entries_are_in_lowest_terms(oracle_engines, data):
     E = data.draw(st.sampled_from([E for E in oracle_engines
                                    if not E.field.char]))
     a = data.draw(_oracle_terms(E, E.n_gens))
-    # a b with a monomial other than the unit, so that ad_act stores the
-    # product of each of b's monomials with each co-basis generator, and
-    # each g in m a bracket term of the left action, even when no earlier
-    # example has filled the module-scoped engine's memos
+    # a b with a monomial other than the unit, so that ad_act stores, for
+    # each g in m, a bracket term of the left action, even when no earlier
+    # example has filled the module-scoped engine's memo
     b = data.draw(_oracle_terms(E, E.cobasis_count).filter(
         lambda t: any(any(m) for m in t)))
-    E._mul(a, b)
+    E.q_mul(Element(E, a), E.element(b))
     for g in range(E.n_gens):
         E.ad_act(g, E.element(b))
-    assert E._gen_cache and E._left_cache
-    for memo, compute in ((E._gen_cache, E.times_gen),
-                          (E._left_cache, E.left_gen)):
-        # an entry is its numerator dict alone when the denominator is 1
-        bad = [key for key, entry in memo.items()
-               if not _in_lowest_terms(entry if type(entry) is tuple
-                                       else (entry, 1))
-               or type(entry) is tuple and entry[1] == 1]
-        assert not bad
-        assert all(compute(*key) == (entry if type(entry) is tuple
-                                     else (entry, 1))
-                   for key, entry in memo.items())
+    memo = E._gen_cache
+    assert memo
+    # an entry is its numerator dict alone when the denominator is 1
+    bad = [key for key, entry in memo.items()
+           if not _in_lowest_terms(entry if type(entry) is tuple
+                                   else (entry, 1))
+           or type(entry) is tuple and entry[1] == 1]
+    assert not bad
+    assert all(E.left_gen(*key) == (entry if type(entry) is tuple
+                                    else (entry, 1))
+               for key, entry in memo.items())

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import (field_acc, field_add, field_q_reduce,
+from oracle import (field_acc, field_add, field_q_mul, field_q_reduce,
                     pbw_vectors_by_products, per_monomial_columns)
 from wsuper import cli, modp, pbw
 from wsuper.pbw import engine_from_datum, exponent_tuples
@@ -185,14 +185,13 @@ def test_apply_is_the_sum_of_the_left_columns(request, nd, p):
 
 
 class _PublicEngine:
-    """An engine with every private attribute refused but `_gen_cache`, the
-    memo that `ReducedQ.ad_columns` leaves as it found it."""
+    """An engine with every private attribute refused."""
 
     def __init__(self, engine):
         self.__dict__["_PublicEngine__engine"] = engine
 
     def __getattr__(self, name):
-        if name.startswith("_") and name != "_gen_cache":
+        if name.startswith("_"):
             raise AttributeError("private engine attribute %s" % name)
         return getattr(self.__engine, name)
 
@@ -202,7 +201,7 @@ class _PublicEngine:
                                    ("nd_osp22", 3)])
 def test_the_row_reads_only_public_engine_names(request, nd, p):
     # Q's m-chain, its PBW vectors and, for odd r, the m' comparison read
-    # the engine's public names and its memo alone; the thetas are solved
+    # the engine's public names alone; the thetas are solved
     # on the real engine first, and every result equals the unwrapped Q's
     dat = modp.reduce_datum(request.getfixturevalue(nd), p)
     for label, eta in dat.eta_samples():
@@ -228,7 +227,9 @@ def test_the_row_reads_only_public_engine_names(request, nd, p):
 def test_an_element_acts_on_q_as_its_product_in_u(small_qs, data):
     # u v for a random element u of U_eta, in reduced PBW monomials over
     # every generator, and a random sparse vector v of Q, against the
-    # product of u with the lift of v in U, reduced to Q
+    # product of u with the lift of v formed in U by the Field-method
+    # oracle, reduced to Q, and against the engine's q_mul, the same left
+    # action on monomials
     q, _ = data.draw(st.sampled_from(small_qs))
     e = q.engine
     monos = st.tuples(*[st.integers(0, 1 if odd else q.p - 1)
@@ -241,9 +242,33 @@ def test_an_element_acts_on_q_as_its_product_in_u(small_qs, data):
     with _default_recursion_limit():
         got = lift(u, v)
     memo.clear()
-    prod = e.q_mul(e.element(u), e.element({q.basis[j]: c
-                                            for j, c in v.items()}))
-    assert got == q.vector_of(prod.terms)
+    lifted = {q.basis[j]: c for j, c in v.items()}
+    assert got == q.vector_of(field_q_mul(e, u, lifted))
+    assert got == q.vector_of(e.q_mul(e.element(u),
+                                      e.element(lifted)).terms)
+
+
+@pytest.mark.parametrize("nd, p", [("nd_sl21_e12", 3), ("nd_osp12_reg", 5),
+                                   ("nd_gl21_reg", 3)])
+def test_vector_of_refuses_a_monomial_outside_q(request, nd, p):
+    # vector_of reads a monomial by its mixed-radix code: every basis
+    # monomial lands on its own index, while an even exponent p, whose digit
+    # would alias into the next one, and a letter of m, which has no digit,
+    # are a KeyError, as a lookup in a dict of the basis was
+    dat = modp.reduce_datum(request.getfixturevalue(nd), p)
+    q = modp.build_reduced_q(dat)
+    e = q.engine
+    assert (q.vector_of({m: j + 1 for j, m in enumerate(q.basis)})
+            == {j: j + 1 for j in range(q.dim)})
+    bad = []
+    for i in [g for g in range(e.cobasis_count) if not e.parities[g]] + [
+            dat.m_indices[0]]:
+        mono = [0] * e.n_gens
+        mono[i] = 1 if i >= e.cobasis_count else p
+        bad.append(tuple(mono))
+    for mono in bad:
+        with pytest.raises(KeyError):
+            q.vector_of({q.basis[1]: 1, mono: 1})
 
 
 def test_a_basis_out_of_order_is_a_solver_error(monkeypatch, nd_osp12_reg):
