@@ -22,8 +22,14 @@ rewrites row/a over lcm(a, den) (`scalars.widen`): the row is scaled by
 den/gcd(a, den), and every update is an integer multiply-add.  Fractions are
 formed only in the reduced rows `rref` returns.  Over F_p den is 1: each
 entry is reduced mod p when its row enters and after each update, and each
-pivot costs one `field.inv`.  The branch between the two is taken once per
-row or per update call, never per entry.  Python ints do not overflow, so
+pivot costs one `field.inv`.  The forward elimination over F_p is a loop of
+its own in `_echelon`, with the update written inline: no call and no list
+of filled-in columns per pivot row; the row's entry at the pivot column
+cancels against the pivot row's 1 there, and a pivot column that an update
+fills in goes onto the heap as it appears.  Forward elimination over Q, and
+back-substitution over either field, clear a column by `_subtract`.  The
+branch between the fields is taken once per elimination or per update call,
+never per entry.  Python ints do not overflow, so
 the routine is exact for every prime p and puts no bound on it; the size of
 Q, which grows as a power of p, is what bounds p (`modp.q_footprint`).
 """
@@ -64,7 +70,7 @@ def _int_row(row, p):
     sequence) is keyed by position."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
     if p:
-        return {j: x % p for j, x in items if x % p}
+        return {j: y for j, x in items if (y := x % p)}
     items = [(j, x) for j, x in items if x]
     den = lcm(1, *(x.denominator for _, x in items))
     return {j: x.numerator * (den // x.denominator) for j, x in items}
@@ -133,9 +139,39 @@ def _echelon(field, rows):
     dict with den at its pivot column (`_pivot_row`).  Each row is cleared
     of the pivot columns found so far, lowest first (a pivot row fills in
     only to the right of its pivot), and becomes a pivot row at its lowest
-    remaining column."""
+    remaining column.  Over F_p the update is `_subtract`'s, inlined."""
     p = field.char
     pivots = {}
+    if p:
+        # the row loses a times the pivot row of c, added as p - a times it;
+        # its entry at c is left in place and cancels against the 1 there
+        for row in rows:
+            row = _int_row(row, p)
+            get = row.get
+            todo = [c for c in row if c in pivots]
+            heapify(todo)
+            while todo:
+                c = heappop(todo)
+                a = get(c)
+                if a is None:  # cancelled, or pushed twice
+                    continue
+                a = p - a
+                for j, x in pivots[c][0].items():
+                    old = get(j)
+                    if old is None:
+                        row[j] = a * x % p
+                        if j in pivots:
+                            heappush(todo, j)
+                    else:
+                        v = (old + a * x) % p
+                        if v:
+                            row[j] = v
+                        else:
+                            del row[j]
+            if row:
+                c = min(row)
+                pivots[c] = _pivot_row(field, row, c)
+        return pivots
     for row in rows:
         row = _int_row(row, p)
         todo = [c for c in row if c in pivots]

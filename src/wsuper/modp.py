@@ -10,8 +10,9 @@ ever a dense matrix.  The action columns of Q, with their right products
 m b_g, and the vectors of the reduced W-superalgebra's PBW monomials come
 from the left action of U_eta on Q's basis indices (`ReducedQ._left_actor`):
 a basis monomial is a mixed-radix integer over its exponent caps, and the
-action of a generator is memoized per basis index; no product in U is formed
-and no private name of the engine is read.  The Whittaker vectors are the
+action of a generator is memoized per basis index, in one memo per Q that
+the ad columns and the PBW vectors share; no product in U is formed and no
+private name of the engine is read.  The Whittaker vectors are the
 m-kernel, as ad z = L_z - eta(z) for z in m.  Generator solving and the
 relation table reuse the characteristic-zero machinery, the engine's left
 action on Q's monomials, verbatim since it is generic over the base field.
@@ -223,12 +224,14 @@ def pbw_dim(p, parities):
 MONOMIAL_BYTES = 128
 MONOMIAL_BYTES_PER_GEN = 8
 # Bytes one ad column of z in m costs on the way to the m-kernel: the sparse
-# column, kept for every link and the right-action check, and its share of
-# a link's transposed rows, pivot rows and kernel basis.  Measured as the
-# rise in the process's VmHWM over building the columns and the kernel on a
-# built Q: 4.1 KB per column on gl(2|1) regular at p = 7 (2 x 19,208
-# columns), 2.1 KB at p = 5 and 0.7 KB on sl(2|1) E12 at p = 5.  Fill grows
-# with dim Q, so on a larger Q this is a floor, not a bound.
+# column and its share of a link's transposed rows, pivot rows and kernel
+# basis.  Measured as the rise in the process's VmHWM over building the
+# columns and the kernel on a built Q, when every column set was kept for
+# the whole chain: 4.1 KB per column on gl(2|1) regular at p = 7 (2 x 19,208
+# columns), 2.1 KB at p = 5 and 0.7 KB on sl(2|1) E12 at p = 5.  Each link
+# now lets its set go once read, so this over-counts by what the dropped
+# sets held; fill grows with dim Q, so on a larger Q it is a floor, not a
+# bound.
 AD_COLUMN_BYTES = 6144
 
 
@@ -251,8 +254,9 @@ def q_footprint(nd, p):
 
 class ReducedQ:
     """The finite-dimensional induced module at a p-character eta: its
-    monomial basis, checked and laid out once, the sparse ad columns of each
-    generator, and the m-kernel, also the Whittaker space, each built once."""
+    monomial basis, checked and laid out once, one left actor with one memo
+    (`_actor`), the sparse ad columns of each generator, and the m-kernel,
+    also the Whittaker space, each built once."""
 
     def __init__(self, datum, eta, eta_label="chi"):
         datum.validate_eta(eta)
@@ -264,7 +268,9 @@ class ReducedQ:
         self.engine = engine_from_datum(datum, self.eta, datum.pmap_adapted)
         self.basis = self.engine.cobasis_monomials(None)
         self._layout = self._basis_layout()
+        self._acts = None
         self._ad_cols = {}
+        self._right_checked = set()
         self._right_mismatch = {}
         self._inv_dim = {}
         self._inv_basis = {}
@@ -372,13 +378,16 @@ class ReducedQ:
         a {basis index: c} vector v, as a new dict: the last case is
         apply(s, L_g[m''], neg) with neg when g and s are odd, plus the
         bracket terms, and `_lift_actor` acts by apply alone.  Every L_k[i]
-        that act computes is kept in memo, at k * dim Q + i.  A result equal
-        to another L_k[i] may be that dict itself, so results are read-only.
-        Any order of requests gives the same results.  On osp(3|2) at p = 3,
-        sl(2|1) E12 at p = 7, gl(2|1) regular at p = 5 and osp(1|2) regular
-        at p = 11, the recursion was at most 4 calls deep in basis order and
-        23 in reverse order.  `pbw.Enveloping.left_gen` is its twin on
-        monomials, which `q_mul` and `ad_act` use in every characteristic."""
+        that act computes is kept in memo, at k * dim Q + i; an entry set
+        back to None is computed again when asked for.  A result equal to
+        another L_k[i] may be that dict itself, so results are read-only.
+        Any order of requests gives the same results.  Each call makes a
+        fresh actor; Q's own work shares one (`_actor`).  On osp(3|2) at
+        p = 3, sl(2|1) E12 at p = 7, gl(2|1) regular at p = 5 and osp(1|2)
+        regular at p = 11, the recursion was at most 4 calls deep in basis
+        order and 23 in reverse order.  `pbw.Enveloping.left_gen` is its
+        twin on monomials, which `q_mul` and `ad_act` use in every
+        characteristic."""
         first, lower, upper, code, at, radix = self._layout
         dim = self.dim
         p = self.p
@@ -395,7 +404,8 @@ class ReducedQ:
         def apply(g, v, neg=False):
             # b_g only raises a monomial whose first generator is not below g
             # (below its cap), and distinct monomials rise to distinct ones,
-            # so those terms are written without a sum and leave no memo entry
+            # so those terms are written without a sum and leave no memo
+            # entry; the rest are summed as plain ints, reduced once at the end
             w, rest = {}, []
             for j, c in v.items():
                 if neg:
@@ -407,10 +417,14 @@ class ReducedQ:
                     w[upper[j]] = c
                 else:
                     rest.append((j, c))
+            if not rest:
+                return w
+            get = w.get
             row = g * dim
             for j, c in rest:
-                _madd(w, memo[row + j] or act(g, j), c, p)
-            return w
+                for k, t in (memo[row + j] or act(g, j)).items():
+                    w[k] = get(k, 0) + c * t
+            return {k: y for k, x in w.items() if (y := x % p)}
 
         def act(g, j):
             v = memo[g * dim + j]
@@ -450,15 +464,29 @@ class ReducedQ:
 
         return act, apply, memo
 
+    def _actor(self):
+        """This Q's one `_left_actor`, made at its first use: the ad columns
+        and the PBW vectors share its memo of L_g[j], so an image that both
+        need is computed once.  `release_actor` empties it."""
+        if self._acts is None:
+            self._acts = self._left_actor()
+        return self._acts
+
+    def release_actor(self):
+        """Empty the shared memo and let the actor go; the next left action
+        makes a new one.  The memo is emptied here, not when the cyclic
+        garbage collector reaches act, which refers to itself."""
+        if self._acts is not None:
+            self._acts[2].clear()
+            self._acts = None
+
     def _left_action(self, gen_index, right=False):
-        """The columns of left multiplication by b_g on Q, from
-        `_left_actor` in basis order; with right, paired with the classes
+        """The columns of left multiplication by b_g on Q, from the shared
+        actor (`_actor`) in basis order; with right, paired with the classes
         R_g[j] of the right products b^m b_g (m basis monomial j) by the same
         actor: R_g[unit] = L_g[unit], and R_g[j] = L_s(R_g[lower j]) for the
-        first generator s of m.  The memo is emptied once they are built:
-        that frees every L_k[i] no column holds at once, not when the cyclic
-        garbage collector reaches act, which refers to itself."""
-        act, apply, memo = self._left_actor()
+        first generator s of m."""
+        act, apply, _ = self._actor()
         cols = [act(gen_index, j) for j in range(self.dim)]
         if right:
             first, lower = self._layout[:2]
@@ -466,18 +494,17 @@ class ReducedQ:
             for j in range(1, self.dim):
                 rights.append(apply(first[j], rights[lower[j]]))
             cols = cols, rights
-        memo.clear()
         return cols
 
     def _lift_actor(self):
-        """(lift, memo): lift(terms, v) is u v for the element u of U_eta
-        with these {monomial: c} terms and a {basis index: c} vector v of
-        Q, with memo the `_left_actor` memo it fills.  Each term c b^m acts
-        as L_{g_1}(... L_{g_r}(v)), each L_g by the actor's apply; the tails
-        b^{m'} v that the terms share are computed once per call, by the
-        first generator f of m', b^{m'} v = L_f(b^{m' - e_f} v), and dropped
-        when it returns.  The result is a new dict; v is only read."""
-        _, apply, memo = self._left_actor()
+        """lift(terms, v) is u v for the element u of U_eta with these
+        {monomial: c} terms and a {basis index: c} vector v of Q, by the
+        shared actor (`_actor`).  Each term c b^m acts as L_{g_1}(...
+        L_{g_r}(v)), each L_g by the actor's apply; the tails b^{m'} v that
+        the terms share are computed once per call, by the first generator
+        f of m', b^{m'} v = L_f(b^{m' - e_f} v), and dropped when it
+        returns.  The result is a new dict; v is only read."""
+        apply = self._actor()[1]
         p = self.p
         unit = self.engine.unit_mono
 
@@ -497,7 +524,7 @@ class ReducedQ:
                 _madd(out, on(m, tails), c, p)
             return out
 
-        return lift, memo
+        return lift
 
     def pbw_vectors(self, thetas, expos):
         """The {basis index: c} vector of the class theta^a in Q for each
@@ -506,9 +533,9 @@ class ReducedQ:
         where theta_k acts as its lift (`_lift_actor`).  Q is a left
         U_eta-module, so this is the class of the product theta^a in U,
         exactly, and no product in U is formed.  Each a - e_k must come
-        before a in expos, as in (degree, tuple) order.  One memo of L_g[j]
-        serves the whole evaluation and is emptied at its end."""
-        lift, memo = self._lift_actor()
+        before a in expos, as in (degree, tuple) order.  The shared memo
+        serves the whole evaluation, with what the ad columns left in it."""
+        lift = self._lift_actor()
         lifts = [th.value.terms for th in thetas]
         known = {}
         for a in expos:
@@ -519,22 +546,27 @@ class ReducedQ:
             else:
                 known[a] = lift(lifts[k],
                                 known[a[:k] + (a[k] - 1,) + a[k + 1:]])
-        memo.clear()
         return [known[a] for a in expos]
 
     def left_columns(self, gen_index):
-        """Columns of left multiplication by b_g on Q, built afresh by
-        `_left_action`; nothing in the mod-p row reads them."""
+        """Columns of left multiplication by b_g on Q, by `_left_action`;
+        nothing in the mod-p row reads them."""
         return self._left_action(gen_index)
 
     def ad_columns(self, gen_index):
         """Columns of ad b_g on Q: L_g[m] - (-1)^{|g||m|} R_g[m] for each
         basis monomial m, with L_g[m] and the class R_g[m] of the right
         product m b_g both from `_left_action`, so the engine is not asked
-        for either.  For g in m, R_g[m] is compared exactly with eta(g) m;
-        the first column where they differ is kept for
-        `right_action_mismatch`.  A column whose right product is zero is
-        the left column's own dict."""
+        for either; built once and kept until the link of the m-kernel
+        chain that reads them takes them (`_take_ad_columns`).  A column
+        whose right product is zero is the left column's own dict.
+
+        For g in m, R_g[m] is compared exactly with eta(g) m while the set
+        is built, and the first column where they differ is recorded for
+        `right_action_mismatch`.  That check can catch little: R_g[unit] =
+        L_g[unit] is eta(g) 1 with the engine's eta, and every later R_g[j]
+        = L_s(R_g[lower j]) only raises a monomial, so a mismatch can only
+        sit at column 0, where Q's eta and its engine's disagree."""
         cols = self._ad_cols.get(gen_index)
         if cols is None:
             e = self.engine
@@ -549,15 +581,32 @@ class ReducedQ:
                     col = cols[j] = dict(cols[j])
                     _madd(col, right,
                           1 if odd and e.mono_parity(m) else -1, self.p)
+            if check:
+                self._right_checked.add(gen_index)
             self._ad_cols[gen_index] = cols
+        return cols
+
+    def _take_ad_columns(self, gen_index):
+        """`ad_columns` for the one link that reads them: the set leaves Q,
+        and so do the memo's L_g[j], which most of its columns are, so that
+        both are freed once the link drops them.  Asking again builds the
+        set again."""
+        cols = self.ad_columns(gen_index)
+        del self._ad_cols[gen_index]
+        if self._acts is not None:
+            start = gen_index * self.dim
+            self._acts[2][start:start + self.dim] = [None] * self.dim
         return cols
 
     def right_action_mismatch(self):
         """None when right multiplication by every z in m acts on Q by eta(z),
         so that ad z = L_z - eta(z) and the m-invariants are the Whittaker
-        vectors; otherwise (z, column) of the first column where it does not."""
+        vectors; otherwise (z, column) of the first column where it does not.
+        Read off the record `ad_columns` made; a z whose columns were never
+        built has its set built here."""
         for z in self.datum.m_indices:
-            self.ad_columns(z)
+            if z not in self._right_checked:
+                self.ad_columns(z)
             if z in self._right_mismatch:
                 return z, self._right_mismatch[z]
         return None
@@ -577,11 +626,13 @@ class ReducedQ:
         the first and dropped once handed out.  The reduced row echelon form
         does not depend on the order, but the cost does: ad z lowers the
         e-degree and pivots sit at the lowest column, so rows from the top
-        of the basis fill in least."""
+        of the basis fill in least.  cols is let go once the rows are built,
+        before the first is handed out."""
         rows = [{} for _ in range(self.dim)]
         for j, col in enumerate(cols):
             for i, c in col.items():
                 rows[i][j] = c
+        del cols
         while rows:
             yield rows.pop()
 
@@ -599,22 +650,30 @@ class ReducedQ:
         at a time: the canonical kernel basis of ad z_1 from its own dim Q
         sparse rows, then the kernel of each later ad z on the previous
         basis (`_restricted_kernel`).  No elimination sees more than dim Q
-        rows.  With rank_only, the dimension alone, from a rank at the last
-        link; with no generators, the unit basis of Q."""
+        rows.  Each link lets its column set go once its rows are built
+        (`_take_ad_columns`).  With rank_only, the dimension alone, from a
+        rank at the last link; with no generators, the unit basis of Q."""
         if not order:
             return self.dim if rank_only else [{j: self.field.one}
                                                for j in range(self.dim)]
-        rows = self._transposed(self.ad_columns(order[0]))
+        rows = self._transposed(self._take_ad_columns(order[0]))
         if rank_only and len(order) == 1:
             return self.dim - linalg.rank(self.field, rows)
         basis = linalg.kernel_rows(self.field, *linalg.rref(self.field, rows),
                                    self.dim)
         for k, z in enumerate(order[1:], 2):
-            cols = self.ad_columns(z)
             basis = self._restricted_kernel(
-                basis, (self._combine(cols, x) for x in basis),
-                rank_only and k == len(order))
+                basis, self._image(z, basis), rank_only and k == len(order))
         return basis
+
+    def _image(self, gen_index, basis):
+        """The rows ad b_g (x) for the rows x of basis, streamed: each is the
+        combination of the sparse columns of ad b_g that x's entries weight.
+        The columns are taken for this one use (`_take_ad_columns`) and let
+        go with the last row."""
+        cols = self._take_ad_columns(gen_index)
+        for x in basis:
+            yield self._combine(cols, x)
 
     def invariant_dimension(self, sub="m"):
         """Dimension of the joint kernel of ad z over the chosen subalgebra:
@@ -666,27 +725,43 @@ class ReducedQ:
             return len(basis) - linalg.rank(self.field, rows)
         kernel = linalg.kernel_rows(self.field, *linalg.rref(self.field, rows),
                                     len(basis))
-        # copied, because a sum's dict keeps the room of its cancelled terms:
-        # on osp(3|2) at p = 3 the m and m' bases take 4.4 and 4.1 MB
-        # uncopied, 2.9 and 2.0 MB copied
-        return [dict(self._combine(basis, c)) for c in kernel]
+        return [self._combine(basis, c) for c in kernel]
 
     def _combine(self, rows, coeffs):
-        """The sum of c rows[r] over the entries r: c of coeffs, mod p."""
-        out = {}
+        """The sum of c rows[r] over the entries r: c of coeffs, mod p, as a
+        new dict: the products are summed as plain ints and each entry is
+        reduced once, so no entry is dropped and written again on the way."""
+        acc = {}
+        get = acc.get
         for r, c in coeffs.items():
-            _madd(out, rows[r], c, self.p)
-        return out
+            for k, t in rows[r].items():
+                acc[k] = get(k, 0) + c * t
+        p = self.p
+        return {k: y for k, x in acc.items() if (y := x % p)}
 
     def _middle_image(self):
         """Rows ad v_mid (x) for the rows x of the m-invariant basis K (odd
-        r), computed once per Q: each is the combination of the sparse
-        columns of ad v_mid that x's entries weight."""
+        r), computed once per Q (`_image`)."""
         if self._mid_image is None:
-            cols = self.ad_columns(self.datum.v_mid_index)
-            self._mid_image = tuple(self._combine(cols, x)
-                                    for x in self.invariant_subspace("m"))
+            self._mid_image = tuple(self._image(self.datum.v_mid_index,
+                                                self.invariant_subspace("m")))
         return self._mid_image
+
+    def rank_of(self, vectors):
+        """The rank mod p of {basis index: c} vectors on Q, exactly.  When Q
+        already holds the canonical m basis K (odd r), the vectors are first
+        restricted to K's free columns.  The restriction is a linear map, so
+        its rank is at most the full rank, which is at most the count: a
+        restricted rank equal to the count proves the full rank equal to it.
+        Otherwise, or when Q holds no K, the full vectors are ranked."""
+        basis = self._inv_basis.get("m")
+        if basis is not None:
+            free = {max(row) for row in basis}
+            restricted = [{j: c for j, c in v.items() if j in free}
+                          for v in vectors]
+            if linalg.rank_mod_p(restricted, self.p) == len(vectors):
+                return len(vectors)
+        return linalg.rank_mod_p(vectors, self.p)
 
     def whittaker_subspace(self):
         """Vectors on which every z in m acts by eta(z) under left
@@ -733,8 +808,11 @@ def reduced_w(q):
     statement, and compute the relation table.  The PBW statement is the
     rank over F_p of the vectors theta^a 1 in Q of the ordered monomials,
     each from the one before it by the left action of a generator's lift
-    (`ReducedQ.pbw_vectors`), against their count and dim Q^m; the
-    relation table takes its classes from the engine's left action."""
+    (`ReducedQ.pbw_vectors`), against their count and dim Q^m; the rank is
+    read in m-kernel coordinates when Q holds that basis
+    (`ReducedQ.rank_of`).  Q's shared left actor is released after the
+    vectors, the row's last left action on Q; the relation table takes its
+    classes from the engine's left action."""
     datum = q.datum
     warnings = []
     if not datum.p_guard_ok:
@@ -748,7 +826,9 @@ def reduced_w(q):
                                  None, ()))
     # ranked in their degree order; the reverse order fills in far more
     vectors = q.pbw_vectors(thetas, expos)
-    rank = linalg.rank_mod_p(vectors, datum.p)
+    # the row's last left action on Q
+    q.release_actor()
+    rank = q.rank_of(vectors)
     inv_dim = q.invariant_dimension("m")
     pbw_ok = (rank == len(expos) == inv_dim)
     presentation = ctx.commutator_table()

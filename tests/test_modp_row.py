@@ -188,10 +188,10 @@ def test_whittaker_subspace_reads_the_m_kernel(request, monkeypatch, which):
 
 
 def test_odd_r_row_builds_each_left_action_once(monkeypatch, tmp_path):
-    # osp(1|2) regular `modp suite`, both etas: per Q the left action of
-    # each z in m and of v_mid is built once, for its ad columns; the PBW
-    # vectors take one more actor, and the m' witness, a basis monomial,
-    # takes none
+    # osp(1|2) regular `modp suite`, both etas: per Q one left actor
+    # serves the ad columns and the PBW vectors, and the left action of
+    # each z in m and of v_mid is built once, for its ad columns; the m'
+    # witness, a basis monomial, takes none
     monkeypatch.delenv(cli.ENV_OUT, raising=False)
     actions, actors = [], []
     _count(monkeypatch, modp.ReducedQ, "_left_action", actions)
@@ -204,7 +204,7 @@ def test_odd_r_row_builds_each_left_action_once(monkeypatch, tmp_path):
     acted = dat.m_indices + [dat.v_mid_index]
     assert sorted((id(q), g) for q, g in actions) == sorted(
         (i, g) for i in qs for g in acted)
-    assert len(actors) == len(qs) * (len(acted) + 1)
+    assert len(actors) == len(qs)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -21,9 +21,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import (field_acc, field_add, field_q_mul, field_q_reduce,
-                    pbw_vectors_by_products, per_monomial_columns)
-from wsuper import cli, modp, pbw
+from oracle import (dense_rank_mod_p, dense_rows, field_acc, field_add,
+                    field_q_mul, field_q_reduce, pbw_vectors_by_products,
+                    per_monomial_columns)
+from wsuper import cli, linalg, modp, pbw
 from wsuper.pbw import engine_from_datum, exponent_tuples
 from wsuper.scalars import lowest
 from wsuper.wchar0 import SolverError, WContext
@@ -107,6 +108,7 @@ def small_qs(nd_osp12_reg, nd_sl21_e12, nd_gl21_reg, nd_osp22):
         dat = modp.reduce_datum(nd, p)
         q = modp.build_reduced_q(dat, dat.eta_samples()[-1][1])
         out.append((q, [q._left_action(g) for g in range(q.engine.n_gens)]))
+        q.release_actor()
     return out
 
 
@@ -184,6 +186,132 @@ def test_apply_is_the_sum_of_the_left_columns(request, nd, p):
                 assert v == seen
 
 
+# the tier-1 mod-p fixtures: odd r (osp(1|2)), even r with |m| = 1 and 2,
+# odd co-basis generators (gl(2|1)), an odd and an even z in m (osp(2|2))
+SHARED = [("nd_osp12_reg", 3), ("nd_osp12_reg", 5), ("nd_sl21_e12", 3),
+          ("nd_gl21_reg", 3), ("nd_osp22", 3)]
+
+
+def _thetas(q):
+    ctx = WContext(q.datum, engine=q.engine)
+    thetas = ctx.generators()
+    return thetas, list(exponent_tuples(ctx.generator_degrees(),
+                                        [th.parity for th in thetas],
+                                        q.p - 1, None, ()))
+
+
+@pytest.mark.parametrize("nd, p", SHARED)
+def test_the_shared_memo_gives_what_a_fresh_actor_gives(request, nd, p):
+    # one actor per Q serves the ad columns and the PBW vectors; whatever
+    # the memo holds when a request comes, every result equals the one a
+    # fresh actor gives for that request alone, and a column set taken by
+    # its link and built again is the same
+    dat = modp.reduce_datum(request.getfixturevalue(nd), p)
+    acted = _acted_on(dat)
+    for label, eta in dat.eta_samples():
+        fresh = modp.build_reduced_q(dat, eta, label)
+        thetas, expos = _thetas(fresh)
+        want_ad, want_left = {}, {}
+        for g in acted:
+            fresh.release_actor()
+            want_left[g] = fresh._left_action(g)
+            fresh.release_actor()
+            want_ad[g] = fresh._take_ad_columns(g)
+        fresh.release_actor()
+        want_pbw = fresh.pbw_vectors(thetas, expos)
+
+        # basis order: the columns first, then the PBW vectors
+        q = modp.build_reduced_q(dat, eta, label)
+        for g in acted:
+            assert q._left_action(g) == want_left[g]
+            assert q.ad_columns(g) == want_ad[g]
+        assert q.pbw_vectors(thetas, expos) == want_pbw
+        for g in acted:
+            assert q._take_ad_columns(g) == want_ad[g]
+            assert g not in q._ad_cols
+            assert q.ad_columns(g) == want_ad[g]
+
+        # reverse order: each L_g[j] asked for from the last basis index down
+        q = modp.build_reduced_q(dat, eta, label)
+        act = q._actor()[0]
+        with _default_recursion_limit():
+            for g in acted:
+                got = [act(g, j) for j in reversed(range(q.dim))]
+                assert got[::-1] == want_left[g]
+                assert q.ad_columns(g) == want_ad[g]
+        assert q.pbw_vectors(thetas, expos) == want_pbw
+
+        # PBW first, the columns from what the PBW vectors left in the memo
+        q = modp.build_reduced_q(dat, eta, label)
+        assert q.pbw_vectors(thetas, expos) == want_pbw
+        for g in acted:
+            assert q.ad_columns(g) == want_ad[g]
+            assert q._left_action(g) == want_left[g]
+        assert q._actor() is q._actor()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_the_pbw_rank_in_m_kernel_coordinates_is_the_full_rank(
+        monkeypatch, nd_osp12_reg, p):
+    # odd r: Q holds the canonical m basis K once the row has counted it,
+    # and the PBW vectors are ranked once, on K's free columns alone; that
+    # rank is their full rank
+    dat = modp.reduce_datum(nd_osp12_reg, p)
+    seen = []
+    original = linalg.rank_mod_p
+
+    def counted(rows, prime):
+        seen.append(set().union(*rows))
+        return original(rows, prime)
+
+    for label, eta in dat.eta_samples():
+        q = modp.build_reduced_q(dat, eta, label)
+        basis = q.invariant_subspace("m")
+        vectors = q.pbw_vectors(*_thetas(q))
+        full = linalg.rank_mod_p(vectors, p)
+        assert full == len(vectors) == len(basis)
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "rank_mod_p", counted)
+            assert q.rank_of(vectors) == full
+        free = {max(row) for row in basis}
+        assert len(seen) == 1 and seen[0] <= free
+        assert len(free) == len(basis) < q.dim
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_a_vector_outside_the_m_span_takes_the_full_rank(monkeypatch,
+                                                         nd_osp12_reg, p):
+    # a vector pushed off the m basis's span by a basis vector at a column
+    # that is not free keeps its free-column entries, so the restricted
+    # rank falls short and the full vectors are ranked: the true rank is
+    # reported, against the dense oracle, whether it is the count or not
+    dat = modp.reduce_datum(nd_osp12_reg, p)
+    q = modp.build_reduced_q(dat)
+    basis = q.invariant_subspace("m")
+    vectors = q.pbw_vectors(*_thetas(q))
+    free = {max(row) for row in basis}
+    off = next(j for j in range(q.dim) if j not in free)
+    pushed = dict(vectors[0])
+    pushed[off] = (pushed.get(off, 0) + 1) % p
+    pushed = {j: c for j, c in pushed.items() if c}
+    calls = []
+    original = linalg.rank_mod_p
+
+    def counted(rows, prime):
+        calls.append(len(rows))
+        return original(rows, prime)
+
+    monkeypatch.setattr(linalg, "rank_mod_p", counted)
+    for vecs in ([pushed] + vectors, vectors + [vectors[-1]]):
+        calls.clear()
+        want = dense_rank_mod_p(dense_rows(vecs, q.dim), p)
+        assert q.rank_of(vecs) == want
+        assert len(calls) == 2
+    assert q.rank_of([pushed] + vectors) == len(vectors) + 1
+    assert q.rank_of(vectors + [vectors[-1]]) == len(vectors)
+
+
 class _PublicEngine:
     """An engine with every private attribute refused."""
 
@@ -238,10 +366,12 @@ def test_an_element_acts_on_q_as_its_product_in_u(small_qs, data):
     u = data.draw(st.dictionaries(monos, coeffs, min_size=1, max_size=5))
     v = data.draw(st.dictionaries(st.integers(0, q.dim - 1), coeffs,
                                   max_size=6))
-    lift, memo = q._lift_actor()
+    # each example from an empty memo: the memo is Q's shared one now, so
+    # it is emptied through Q, not cleared under the actor's feet
+    q.release_actor()
+    lift = q._lift_actor()
     with _default_recursion_limit():
         got = lift(u, v)
-    memo.clear()
     lifted = {q.basis[j]: c for j, c in v.items()}
     assert got == q.vector_of(field_q_mul(e, u, lifted))
     assert got == q.vector_of(e.q_mul(e.element(u),

@@ -400,6 +400,53 @@ def test_rref_mod_p_does_not_depend_on_the_row_order(case, rng):
     assert linalg.rank(field, iter(shuffled)) == len(want[1])
 
 
+@st.composite
+def _cancelling_rows_mod_p(draw):
+    """(field, cols, rows): rows over F_p that are combinations of up to
+    three of a few base rows, some with one entry more.  Clearing a pivot
+    column from such a row cancels entries and fills in pivot columns that
+    a later pivot row cancels or fills again, so the elimination pushes
+    pivot columns during its updates and pops some that have cancelled."""
+    p = draw(st.sampled_from([3, 5, 11, 2 ** 31 - 1]))
+    cols = draw(st.integers(2, 12))
+    entry = st.integers(1, p - 1)
+    base = draw(st.lists(st.dictionaries(st.integers(0, cols - 1), entry,
+                                         min_size=1, max_size=cols),
+                         min_size=1, max_size=5))
+    rows = []
+    for _ in range(draw(st.integers(1, 14))):
+        row = {}
+        for b, s in draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                            entry), min_size=1, max_size=3)):
+            for c, x in base[b].items():
+                row[c] = (row.get(c, 0) + s * x) % p
+        if draw(st.booleans()):
+            c = draw(st.integers(0, cols - 1))
+            row[c] = (row.get(c, 0) + draw(entry)) % p
+        rows.append({c: x for c, x in row.items() if x})
+    return PrimeField(p), cols, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cancelling_rows_mod_p())
+@example((PrimeField(2 ** 31 - 1), 4,
+          [{0: 1, 1: 1, 2: 1}, {1: 1, 3: 2}, {0: 1, 2: 1, 3: 5},
+           {0: 2, 1: 3, 2: 2, 3: 2}]))
+def test_cancelling_rows_mod_p_match_the_dense_oracle(case):
+    # the F_p update of the forward elimination, at small primes and at
+    # 2^31 - 1, against the Field-method dense oracle: rref and rank, by
+    # the generic entry points and by the F_p ones
+    field, cols, rows = case
+    p = field.p
+    red, piv = dense_rref(field, _dense(field, rows, cols))
+    for got, got_piv in (linalg.rref(field, rows),
+                         linalg.rref_mod_p(rows, p)):
+        assert got_piv == piv
+        assert _dense(field, got, cols) == red[:len(piv)]
+    assert linalg.rank(field, iter(rows[::-1])) == len(piv)
+    assert linalg.rank_mod_p(rows, p) == len(piv)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_field_matrices())
 def test_solve_affine_is_the_particular_solution_of_the_oracle(case):
