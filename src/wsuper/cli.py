@@ -147,12 +147,7 @@ def run_pipeline(cfg):
         with _stage("char-0 solve"):
             ctx = WContext(nd)
             if cfg.char0 >= CHAR0_GRADED:
-                # the generator degrees are known before any is solved
-                top = max(ctx.generator_degrees())
-                if cfg.max_degree < top + 2:
-                    raise ConfigError("max Kazhdan degree %d is below the top"
-                                      " generator degree %d plus two"
-                                      % (cfg.max_degree, top))
+                _check_max_degree(ctx, cfg.max_degree)
     emit("algebra.json",
          lambda: serialize.dump_json(serialize.algebra_to_json(alg)))
     emit("nilpotent.json",
@@ -194,6 +189,39 @@ def run_pipeline(cfg):
              "failures": failures}))
         return EXIT_CHECK_FAILURES, failures, written
     return EXIT_OK, failures, written
+
+
+# The most PBW monomials the graded check may evaluate (`_check_max_degree`).
+MAX_GRADED_MONOMIALS = 1500
+
+
+def _check_max_degree(ctx, max_degree):
+    """ConfigError unless the graded check up to max_degree is admitted,
+    decided from the generator degrees and parities before any generator is
+    solved: max_degree must reach the top generator degree plus two, and the
+    check may evaluate at most MAX_GRADED_MONOMIALS PBW monomials
+    (`WContext.graded_monomial_count`).
+
+    The bound comes from the measured cost.  On gl(3|1) regular, `verify
+    all --primes ""` in process (Python 3.11, one CPU of a shared 2-vCPU
+    host), degree 26 asks 1,431 monomials and took 21.4 s and 317 MB;
+    degree 34 asks 3,660 and was stopped after 184 s at 1.98 GB.  For 2.56
+    times the monomials the time grew at least 8.6 times and the memory 6.2
+    times, about as their square.  So 1,500 admits the measured degree-26
+    run and keeps every admitted run near its cost, (1500/1431)^2 = 1.1
+    times, while degree 34 is refused before its time and memory are
+    spent.  At the default degree 10 the configurations that the tests, the
+    CI and the benchmark run through the graded check ask at most 317
+    (osp(3|2), e the sp(2) root vector), and gl(2|2) regular asks 201."""
+    top = max(ctx.generator_degrees())
+    if max_degree < top + 2:
+        raise ConfigError("max Kazhdan degree %d is below the top generator"
+                          " degree %d plus two" % (max_degree, top))
+    count = ctx.graded_monomial_count(max_degree)
+    if count > MAX_GRADED_MONOMIALS:
+        raise ConfigError("max Kazhdan degree %d asks the graded check for %d"
+                          " PBW monomials, more than the %d it admits"
+                          % (max_degree, count, MAX_GRADED_MONOMIALS))
 
 
 def _preflight(nd, primes):
@@ -247,11 +275,7 @@ def _modp_row(cfg, nd, dat, eta, eta_label, failures):
              invariant_dim=morita.dim_w)
     # right multiplication by z in m acts by eta(z), so ad z = L_z - eta(z):
     # the Whittaker vectors are the m-invariants Morita already counted
-    mismatch = q.right_action_mismatch()
-    if mismatch is not None:
-        z, column = mismatch
-        fail("whittaker_dimension", generator=q.engine.labels[z], column=column)
-    elif morita.dim_w * q.delta() != q.dim:
+    if morita.dim_w * q.delta() != q.dim:
         fail("whittaker_dimension", dim_W=morita.dim_w, delta=q.delta(),
              dim_Q=q.dim)
     return {

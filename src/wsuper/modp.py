@@ -6,16 +6,19 @@ The rational nilpotent datum is reduced coefficient-wise (denominators must be
 units mod p), the p-th power map comes from matrix p-th powers of the
 realization, and every kernel and rank is computed by the sparse exact
 elimination of `linalg` on {column: c} rows mod p; no vector set of a row is
-ever a dense matrix.  The action columns of Q, with their right products
-m b_g, and the vectors of the reduced W-superalgebra's PBW monomials come
-from the left action of U_eta on Q's basis indices (`ReducedQ._left_actor`):
-a basis monomial is a mixed-radix integer over its exponent caps, and the
-action of a generator is memoized per basis index, in one memo per Q that
-the ad columns and the PBW vectors share; no product in U is formed and no
-private name of the engine is read.  The Whittaker vectors are the
-m-kernel, as ad z = L_z - eta(z) for z in m.  Generator solving and the
-relation table reuse the characteristic-zero machinery, the engine's left
-action on Q's monomials, verbatim since it is generic over the base field.
+ever a dense matrix.  The action columns of Q and the vectors of the reduced
+W-superalgebra's PBW monomials come from the left action of U_eta on Q's
+basis indices (`ReducedQ._left_actor`): a basis monomial is a mixed-radix
+integer over its exponent caps, and the action of a generator is memoized
+per basis index, in one memo per Q that the ad columns and the PBW vectors
+share; no product in U is formed and no private name of the engine is read.
+For z in m right multiplication acts on Q by eta(z), so ad z = L_z - eta(z)
+and its columns need no right product; only the middle odd vector's ad
+columns (odd r) take theirs from the same actor.  The Whittaker vectors are
+the m-kernel, worked one generator at a time, each link on the previous
+kernel's free columns.  Generator solving and the relation table reuse the
+characteristic-zero machinery, the engine's left action on Q's monomials,
+verbatim since it is generic over the base field.
 """
 
 from __future__ import annotations
@@ -263,18 +266,21 @@ class ReducedQ:
         self.datum = datum
         self.field = datum.field
         self.p = datum.p
-        self.eta = tuple(eta)
         self.eta_label = eta_label
-        self.engine = engine_from_datum(datum, self.eta, datum.pmap_adapted)
+        self.engine = engine_from_datum(datum, tuple(eta), datum.pmap_adapted)
         self.basis = self.engine.cobasis_monomials(None)
         self._layout = self._basis_layout()
         self._acts = None
         self._ad_cols = {}
-        self._right_checked = set()
-        self._right_mismatch = {}
         self._inv_dim = {}
         self._inv_basis = {}
         self._mid_image = None
+
+    @property
+    def eta(self):
+        """The p-character, read from the engine: the one eta that its left
+        action, and so every column of Q, acts by.  It cannot be set."""
+        return self.engine.eta
 
     @property
     def dim(self):
@@ -555,34 +561,40 @@ class ReducedQ:
 
     def ad_columns(self, gen_index):
         """Columns of ad b_g on Q: L_g[m] - (-1)^{|g||m|} R_g[m] for each
-        basis monomial m, with L_g[m] and the class R_g[m] of the right
-        product m b_g both from `_left_action`, so the engine is not asked
-        for either; built once and kept until the link of the m-kernel
+        basis monomial m, with L_g[m] from `_left_action`, so the engine is
+        not asked for it; built once and kept until the link of the m-kernel
         chain that reads them takes them (`_take_ad_columns`).  A column
         whose right product is zero is the left column's own dict.
 
-        For g in m, R_g[m] is compared exactly with eta(g) m while the set
-        is built, and the first column where they differ is recorded for
-        `right_action_mismatch`.  That check can catch little: R_g[unit] =
-        L_g[unit] is eta(g) 1 with the engine's eta, and every later R_g[j]
-        = L_s(R_g[lower j]) only raises a monomial, so a mismatch can only
-        sit at column 0, where Q's eta and its engine's disagree."""
+        For z in m the right product is known: R_z[unit] = L_z[unit] is
+        eta(z) 1, and each later R_z[j] = L_s(R_z[lower j]) only raises a
+        monomial, so R_z[j] = eta(z) m and column j is L_z[j] - eta(z) e_j,
+        with eta Q's one eta, its engine's (eta vanishes on odd z).  Any
+        other g, the middle odd vector of odd r, takes the classes R_g[m] of
+        its right products m b_g from `_left_action` as well."""
         cols = self._ad_cols.get(gen_index)
         if cols is None:
-            e = self.engine
-            odd = e.parities[gen_index]
-            check = gen_index in self.datum.m_indices
-            eta_g = self.eta[gen_index]
-            cols, rights = self._left_action(gen_index, right=True)
-            for j, (m, right) in enumerate(zip(self.basis, rights)):
-                if check and right != ({j: eta_g} if eta_g else {}):
-                    self._right_mismatch.setdefault(gen_index, j)
-                if right:
-                    col = cols[j] = dict(cols[j])
-                    _madd(col, right,
-                          1 if odd and e.mono_parity(m) else -1, self.p)
-            if check:
-                self._right_checked.add(gen_index)
+            p = self.p
+            if gen_index in self.datum.m_indices:
+                cols = self._left_action(gen_index)
+                eta_z = self.eta[gen_index]
+                if eta_z:
+                    for j, col in enumerate(cols):
+                        col = cols[j] = dict(col)
+                        x = (col.get(j, 0) - eta_z) % p
+                        if x:
+                            col[j] = x
+                        else:
+                            del col[j]
+            else:
+                e = self.engine
+                odd = e.parities[gen_index]
+                cols, rights = self._left_action(gen_index, right=True)
+                for j, (m, right) in enumerate(zip(self.basis, rights)):
+                    if right:
+                        col = cols[j] = dict(cols[j])
+                        _madd(col, right,
+                              1 if odd and e.mono_parity(m) else -1, p)
             self._ad_cols[gen_index] = cols
         return cols
 
@@ -598,19 +610,6 @@ class ReducedQ:
             self._acts[2][start:start + self.dim] = [None] * self.dim
         return cols
 
-    def right_action_mismatch(self):
-        """None when right multiplication by every z in m acts on Q by eta(z),
-        so that ad z = L_z - eta(z) and the m-invariants are the Whittaker
-        vectors; otherwise (z, column) of the first column where it does not.
-        Read off the record `ad_columns` made; a z whose columns were never
-        built has its set built here."""
-        for z in self.datum.m_indices:
-            if z not in self._right_checked:
-                self.ad_columns(z)
-            if z in self._right_mismatch:
-                return z, self._right_mismatch[z]
-        return None
-
     def _sub_key(self, sub):
         # m' = m when r is even
         if sub not in ("m", "mprime"):
@@ -619,16 +618,16 @@ class ReducedQ:
             return "m"
         return "mprime"
 
-    def _transposed(self, cols):
-        """The dim Q rows of the matrix whose sparse columns (vectors on Q)
-        cols streams in, one {column: c} dict per basis monomial, never a
-        dense matrix.  They are handed out from the last basis monomial to
-        the first and dropped once handed out.  The reduced row echelon form
-        does not depend on the order, but the cost does: ad z lowers the
-        e-degree and pivots sit at the lowest column, so rows from the top
-        of the basis fill in least.  cols is let go once the rows are built,
-        before the first is handed out."""
-        rows = [{} for _ in range(self.dim)]
+    def _transposed(self, cols, size):
+        """The size rows of the matrix whose sparse columns (vectors keyed
+        0..size-1) cols streams in, one {column: c} dict per column, never a
+        dense matrix.  They are handed out from the last key to the first
+        and dropped once handed out.  The reduced row echelon form does not
+        depend on the order, but the cost does: ad z lowers the e-degree and
+        pivots sit at the lowest column, so rows from the top of the basis
+        fill in least.  cols is let go once the rows are built, before the
+        first is handed out."""
+        rows = [{} for _ in range(size)]
         for j, col in enumerate(cols):
             for i, c in col.items():
                 rows[i][j] = c
@@ -639,41 +638,119 @@ class ReducedQ:
     def _m_order(self):
         """m's generators sorted by (parity, weight, index), even ones first.
         The chain's result does not depend on the order, but its cost does:
-        on gl(2|1) regular at p = 5 the kernel took 0.7 s with w1 first and
-        1.5 s with v2 first (Python 3.11, a shared 2-vCPU host)."""
+        on gl(2|1) regular at p = 5 the rank-only chain, its ad columns
+        included, took 0.24-0.26 s with w1 first and 0.54-0.56 s with v2
+        first (Python 3.11, one CPU of a shared 2-vCPU host).  In every
+        datum built here m is abelian, so this order meets the hypothesis
+        that `_m_kernel` checks."""
         gens = self.datum.generators
         return sorted(self.datum.m_indices,
                       key=lambda z: (gens[z].parity, gens[z].weight, z))
 
+    def _bracket_outside(self, a, b, span):
+        """Whether [b_a, b_b] leaves the span of the generators in span, or
+        eta does not vanish on it, read from the datum's table in both
+        orders of the pair."""
+        eta = self.eta
+        for key in ((a, b), (b, a)):
+            terms = self.datum.brackets.get(key, {})
+            if (any(t not in span for t in terms)
+                    or sum(c * eta[t] for t, c in terms.items()) % self.p):
+                return True
+        return False
+
     def _m_kernel(self, order, rank_only=False):
         """The joint kernel of ad z over the generators z in order, one link
-        at a time: the canonical kernel basis of ad z_1 from its own dim Q
-        sparse rows, then the kernel of each later ad z on the previous
-        basis (`_restricted_kernel`).  No elimination sees more than dim Q
-        rows.  Each link lets its column set go once its rows are built
-        (`_take_ad_columns`).  With rank_only, the dimension alone, from a
-        rank at the last link; with no generators, the unit basis of Q."""
+        at a time, as a canonical kernel basis on Q; with rank_only, its
+        dimension alone, from a rank at the last link; with no generators,
+        the unit basis of Q.  No elimination sees more than dim Q rows.
+
+        The first link takes the kernel K_1 of ad z_1 from its own dim Q
+        sparse rows.  Each later link k works in K_1's coordinates: the
+        previous kernel K is kept as rows c, canonical over K_1's rows, for
+        the rows sum_r c_r K_1[r]; the images by ad z_k of K's rows are read
+        on K's free columns (`_image`), and the kernel of ad z_k on K comes
+        from their |K| transposed rows (`_restricted_kernel`) as new rows c.
+        The last kernel is lifted to Q once, at the end.  Each link lets its
+        column set go once its images are built (`_take_ad_columns`).
+
+        Why link k may read K's free columns alone: on Q, ad z = L_z - eta(z)
+        for z in m, and L is a representation, so [ad z_i, ad z_k] =
+        ad [z_i, z_k] + eta([z_i, z_k]).  When, for every i < k, [z_i, z_k]
+        lies in the span of z_1, ..., z_{k-1} and eta vanishes on it, that
+        commutator kills K = ker ad z_1 ∩ ... ∩ ker ad z_{k-1}, so for x in K
+        ad z_i (ad z_k x) = ±ad z_k (ad z_i x) = 0: ad z_k maps K into
+        itself.  A vector in the span of a canonical kernel basis is fixed
+        by its entries at the basis's free columns, so ad z_k x is known
+        from those entries, and the kernel of ad z_k on K from them.  The
+        hypothesis is checked from the datum's brackets and eta before any
+        column is built; SolverError names the first pair that breaks it.
+
+        The combinations c of a canonical kernel basis K by the canonical
+        kernel basis of c are canonical again, in the same order: the rows
+        of K are sorted by their free columns f_r, row r is 1 at f_r and 0
+        at the others', so c K is c_r at f_r; a c row with largest key s, 1
+        there and 0 at the other free s', gives a row with largest key f_s,
+        1 there and 0 at the other f_s'.  So are the rows c over K_1, and
+        their lifts to Q."""
+        labels = self.engine.labels
+        for k in range(1, len(order)):
+            for i in range(k):
+                if self._bracket_outside(order[i], order[k], order[:k]):
+                    raise SolverError(
+                        "m-kernel chain: [%s, %s] is not in the span of %s"
+                        " with eta zero on it, so ad %s need not map the"
+                        " kernel of the links before it into itself"
+                        % (labels[order[i]], labels[order[k]],
+                           ", ".join(labels[z] for z in order[:k]),
+                           labels[order[k]]))
         if not order:
             return self.dim if rank_only else [{j: self.field.one}
                                                for j in range(self.dim)]
-        rows = self._transposed(self._take_ad_columns(order[0]))
+        rows = self._transposed(self._take_ad_columns(order[0]), self.dim)
         if rank_only and len(order) == 1:
             return self.dim - linalg.rank(self.field, rows)
-        basis = linalg.kernel_rows(self.field, *linalg.rref(self.field, rows),
-                                   self.dim)
+        base = linalg.kernel_rows(self.field, *linalg.rref(self.field, rows),
+                                  self.dim)
+        coords = None  # K_1 itself
         for k, z in enumerate(order[1:], 2):
-            basis = self._restricted_kernel(
-                basis, self._image(z, basis), rank_only and k == len(order))
-        return basis
+            image = self._image(z, base, coords)
+            size = len(base if coords is None else coords)
+            if rank_only and k == len(order):
+                return size - linalg.rank(self.field,
+                                          self._transposed(image, size))
+            kernel = self._restricted_kernel(size, image)
+            coords = kernel if coords is None else [
+                self._combine(coords, c) for c in kernel]
+        return base if coords is None else [self._combine(base, c)
+                                            for c in coords]
 
-    def _image(self, gen_index, basis):
-        """The rows ad b_g (x) for the rows x of basis, streamed: each is the
-        combination of the sparse columns of ad b_g that x's entries weight.
+    def _image(self, gen_index, base, coords=None):
+        """The images by ad b_g of the rows of a canonical kernel basis K,
+        read on K's free columns and keyed by K's rows, streamed: K's
+        coordinates of each image.  K is base, a canonical kernel basis on
+        Q, or with coords the rows sum_r c_r base[r] for the rows c of
+        coords, canonical over base's rows.  The sparse columns of ad b_g
+        are restricted to K's free columns, in place, and combined by each
+        row of base; with coords, those images are combined by each c, as
+        restricting is linear.  They are ad b_g of K's rows itself when
+        ad b_g maps the span of K into itself, which the caller has checked.
         The columns are taken for this one use (`_take_ad_columns`) and let
-        go with the last row."""
+        go once combined."""
         cols = self._take_ad_columns(gen_index)
-        for x in basis:
-            yield self._combine(cols, x)
+        free = [max(row) for row in base]
+        at = ({f: r for r, f in enumerate(free)} if coords is None
+              else {free[max(c)]: r for r, c in enumerate(coords)})
+        for j, col in enumerate(cols):
+            cols[j] = {at[i]: c for i, c in col.items() if i in at}
+        if coords is None:
+            for x in base:
+                yield self._combine(cols, x)
+            return
+        images = [self._combine(cols, x) for x in base]
+        del cols
+        for c in coords:
+            yield self._combine(images, c)
 
     def invariant_dimension(self, sub="m"):
         """Dimension of the joint kernel of ad z over the chosen subalgebra:
@@ -700,32 +777,24 @@ class ReducedQ:
             if key == "m":
                 basis = self._m_kernel(self._m_order())
             else:
-                basis = self._restricted_kernel(self.invariant_subspace("m"),
-                                                self._middle_image())
+                inv_m = self.invariant_subspace("m")
+                basis = [self._combine(inv_m, c) for c in
+                         self._restricted_kernel(len(inv_m),
+                                                 self._middle_image())]
             basis = self._inv_basis[key] = tuple(basis)
             self._inv_dim[key] = len(basis)
         return basis
 
-    def _restricted_kernel(self, basis, image, rank_only=False):
-        """The kernel of a map on the span of a canonical kernel basis K,
-        given the image of each row of K: the combinations c K with
-        sum_r c_r image_r = 0, so c runs over the kernel of the image's
-        transpose.  The transposed rows are built as the images stream in,
-        and handed to the elimination from the last basis monomial down.
-        With rank_only, the kernel's dimension alone.
-
-        The combinations by the canonical kernel basis of c are canonical
-        again, in the same order: the rows of K are sorted by their free
-        columns f_r, row r is 1 at f_r and 0 at the others', so c K is c_r
-        at f_r; a c row with largest key s, 1 there and 0 at the other free
-        s', gives a row with largest key f_s, 1 there and 0 at the other
-        f_s'."""
-        rows = self._transposed(image)
-        if rank_only:
-            return len(basis) - linalg.rank(self.field, rows)
-        kernel = linalg.kernel_rows(self.field, *linalg.rref(self.field, rows),
-                                    len(basis))
-        return [self._combine(basis, c) for c in kernel]
+    def _restricted_kernel(self, size, image):
+        """The kernel of a map on the span of a canonical kernel basis K of
+        size rows, given the image of each row of K in K's coordinates: the
+        combinations c with sum_r c_r image_r = 0, as the canonical kernel
+        basis of the image's transpose, size rows.  The transposed rows are
+        built as the images stream in, and handed to the elimination from
+        K's last free column down."""
+        rows = self._transposed(image, size)
+        return linalg.kernel_rows(self.field, *linalg.rref(self.field, rows),
+                                  size)
 
     def _combine(self, rows, coeffs):
         """The sum of c rows[r] over the entries r: c of coeffs, mod p, as a
@@ -741,9 +810,22 @@ class ReducedQ:
 
     def _middle_image(self):
         """Rows ad v_mid (x) for the rows x of the m-invariant basis K (odd
-        r), computed once per Q (`_image`)."""
+        r), in K's coordinates, computed once per Q (`_image`).  For z in m,
+        [v_mid, z] lies in m with eta zero on it, so right multiplication by
+        v_mid is well defined on Q and [ad z, ad v_mid] = ad [z, v_mid] kills
+        Q^m: ad v_mid maps Q^m into itself.  That is checked from the
+        datum's brackets and eta first; SolverError names a z that breaks
+        it."""
         if self._mid_image is None:
-            self._mid_image = tuple(self._image(self.datum.v_mid_index,
+            v, m = self.datum.v_mid_index, self.datum.m_indices
+            for z in m:
+                if self._bracket_outside(z, v, m):
+                    labels = self.engine.labels
+                    raise SolverError(
+                        "[%s, %s] is not in m with eta zero on it, so ad %s"
+                        " need not map Q^m into itself"
+                        % (labels[v], labels[z], labels[v]))
+            self._mid_image = tuple(self._image(v,
                                                 self.invariant_subspace("m")))
         return self._mid_image
 
@@ -765,16 +847,9 @@ class ReducedQ:
 
     def whittaker_subspace(self):
         """Vectors on which every z in m acts by eta(z) under left
-        multiplication: `invariant_subspace("m")` itself, since ad z =
-        L_z - eta(z) once `right_action_mismatch` is None; SolverError
-        naming z and the column otherwise."""
-        mismatch = self.right_action_mismatch()
-        if mismatch is not None:
-            z, column = mismatch
-            label = self.engine.labels[z]
-            raise SolverError("right multiplication by %s does not act by"
-                              " eta(%s) on column %d of Q" % (label, label,
-                                                              column))
+        multiplication: `invariant_subspace("m")` itself, since right
+        multiplication by z acts on Q by eta(z), so ad z = L_z - eta(z)
+        (`ad_columns`)."""
         return self.invariant_subspace("m")
 
     def delta(self):
@@ -875,9 +950,14 @@ def mprime_invariants_check(q):
     image = q._middle_image()
     # the image lies in the m'-invariants and has their dimension; the m'
     # kernel is the kernel of c -> sum c_r image_r on the m basis, so by
-    # rank-nullity the image has rank len(inv_m) - len(inv_mp)
+    # rank-nullity the image has rank len(inv_m) - len(inv_mp).  The image
+    # (`ReducedQ._middle_image`) and the m' basis lie in Q^m, so both are
+    # compared in the m basis's coordinates, their entries at its free
+    # columns, where the m' basis is canonical again
+    at = {max(row): r for r, row in enumerate(inv_m)}
+    coords = [{at[j]: c for j, c in row.items() if j in at} for row in inv_mp]
     equal = (len(inv_m) - len(inv_mp) == len(inv_mp)
-             and _in_span(q, inv_mp, image))
+             and _in_span(q, coords, image))
     proper = len(inv_mp) < len(inv_m)
     # witness: the middle vector class, the basis monomial b_mid, is
     # m-invariant but not m'-invariant

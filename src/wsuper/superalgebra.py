@@ -155,6 +155,8 @@ class LieSuperalgebra:
     columns of ad (`_verify_brackets`, `_verify_form`): a pair's identity
     holds exactly when it holds on every (i, j, k), and an error names the
     first failing triple in lexicographic order, or the first failing pair.
+    Super Jacobi is checked on the pairs j >= i, which decide the others
+    once skew-symmetry holds (`_verify_brackets`).
     """
 
     def __init__(self, field, basis, structure, gram=None, realization=None,
@@ -204,6 +206,16 @@ class LieSuperalgebra:
             self._verify_p_map(table, ad)
 
     def _verify_brackets(self, table, ad):
+        """Super skew-symmetry on every pair, then super Jacobi on every b_k
+        at once, as the operator identity J(i, j) = ad_i ad_j - s ad_j ad_i
+        - ad_[b_i,b_j] = 0 with s = (-1)^{|i||j|}, whose column k is the
+        triple (i, j, k), on the pairs with j >= i alone.  Once
+        skew-symmetry holds, the table has [b_j,b_i] = -s [b_i,b_j], so
+        J(j, i) = ad_j ad_i - s ad_i ad_j + s ad_[b_i,b_j] = -s J(i, j):
+        (j, i, k) fails exactly when (i, j, k) does.  So the pairs j >= i
+        decide every pair, and the first failing triple in lexicographic
+        order, the one named, has i <= j: when j < i, (j, i, k) comes
+        before (i, j, k)."""
         p = self.field.char
         d = self.dim
         par = self.parities
@@ -218,10 +230,7 @@ class LieSuperalgebra:
                 if _nonzero(acc, p):
                     raise AlgebraError("super skew-symmetry fails at (%d,%d)" % (i, j))
         for i in range(d):
-            for j in range(d):
-                # super Jacobi on every b_k at once, as the operator identity
-                # ad_i ad_j - (-1)^{|i||j|} ad_j ad_i - ad_[b_i,b_j] = 0;
-                # its column k is the triple (i, j, k)
+            for j in range(i, d):
                 acc = {}
                 _compose(acc, ad[i], ad[j], d, 1)
                 _compose(acc, ad[j], ad[i], d, 1 if par[i] and par[j] else -1)

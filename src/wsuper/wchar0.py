@@ -188,6 +188,21 @@ class WContext:
         return [self.engine.weights[self.leading_gen_index(k)] + 2
                 for k in range(1, self.n_generators() + 1)]
 
+    def generator_parities(self):
+        """The parity of each generator, its leading vector's, known before
+        any generator is solved (`solve_theta` gives it that parity)."""
+        return [self.engine.parities[self.leading_gen_index(k)]
+                for k in range(1, self.n_generators() + 1)]
+
+    def graded_monomial_count(self, max_degree):
+        """The number of PBW monomials that `graded_check` evaluates up to
+        max_degree, read off the generator degrees and parities before any
+        generator is solved: the sum of the supersymmetric series'
+        coefficients, which count the ordered exponent tuples (odd
+        exponents at most 1) of each degree."""
+        return sum(_graded_symmetric_series(
+            self.generator_degrees(), self.generator_parities(), max_degree))
+
     def pure_positions(self):
         """Leading vectors of the centralizer generators (not v_mid)."""
         limit = self.nd.l + self.nd.q
@@ -467,7 +482,7 @@ class WContext:
 
     def graded_check(self, max_degree):
         degrees = self.generator_degrees()
-        odd_flags = [g.parity for g in self.generators()]
+        odd_flags = self.generator_parities()
         series = _graded_symmetric_series(degrees, odd_flags, max_degree)
         counts = [0] * (max_degree + 1)
         independent = True

@@ -506,6 +506,37 @@ def sparse_stacked_kernel(q, sub):
     return linalg.kernel_rows(q.field, reduced, piv, q.dim)
 
 
+def unrestricted_chain(q, order):
+    """The joint kernel of ad z over the generators z in order on a
+    ReducedQ, one link at a time with every image over all of Q: from the
+    unit basis K of Q, each link takes the combinations c K with
+    sum_r c_r ad z(K_r) = 0, c from the dim Q rows of the images' transpose
+    fed from the last basis monomial down, and lifts them to Q.  Valid in
+    any order.  The oracle of `ReducedQ._m_kernel`, which reads each link
+    after the first on the previous kernel's free columns."""
+    p = q.p
+
+    def combine(rows, coeffs):
+        acc = {}
+        for r, c in coeffs.items():
+            for k, t in rows[r].items():
+                acc[k] = (acc.get(k, 0) + c * t) % p
+        return {k: x for k, x in acc.items() if x}
+
+    basis = [{j: 1} for j in range(q.dim)]
+    for z in order:
+        cols = q.ad_columns(z)
+        rows = [{} for _ in range(q.dim)]
+        for r, x in enumerate(basis):
+            for i, c in combine(cols, x).items():
+                rows[i][r] = c
+        reduced, piv = linalg.rref(q.field, reversed(rows))
+        basis = [combine(basis, c)
+                 for c in linalg.kernel_rows(q.field, reduced, piv,
+                                             len(basis))]
+    return basis
+
+
 def check_p_center_acts_zero(q):
     """x^p - x^[p] - eta(x)^p annihilates the reduced module, per even
     generator."""

@@ -12,7 +12,8 @@ import pytest
 
 import loaders
 from loaders import SchemaError
-from wsuper import cli, modp, serialize
+from wsuper import (analyze_nilpotent, build_algebra, cli, modp,
+                    resolve_nilpotent, serialize, sl2_triple)
 from wsuper.cli import (CHAR0_GRADED, EXIT_CONFIG, EXIT_INTERNAL, EXIT_MEMORY,
                         EXIT_OK, EXIT_SOLVER, PipelineConfig, main,
                         run_pipeline)
@@ -21,7 +22,8 @@ from wsuper.nilpotent import FormNormalizationError, NilpotentError
 from wsuper.pbw import AmbientMismatch
 from wsuper.presets import PresetError
 from wsuper.superalgebra import AlgebraError, DegenerateFormError
-from wsuper.wchar0 import LeadingShapeError, NotInvariantError, SolverError
+from wsuper.wchar0 import (LeadingShapeError, NotInvariantError, SolverError,
+                           WContext)
 
 
 def test_algebra_round_trip(sl21):
@@ -166,6 +168,55 @@ def test_cli_rejects_low_degree(tmp_path):
         "--nilpotent", "E12", "--max-degree", "3", "--out", str(tmp_path / "e")])
     assert code == EXIT_CONFIG
     assert list((tmp_path / "e").glob("*")) == []
+
+
+def test_graded_monomial_count_is_read_before_any_solve(monkeypatch):
+    # the counts measured on gl(3|1) regular at degrees 10, 18, 26 and 34,
+    # from the generator degrees and parities alone; at degree 10 the count
+    # is what the graded check evaluates
+    alg = build_algebra("gl", 3, 1)
+    nd = analyze_nilpotent(alg, sl2_triple(alg, resolve_nilpotent(
+        alg, "regular")))
+    ctx = WContext(nd)
+    solved = []
+    with monkeypatch.context() as patch:
+        patch.setattr(WContext, "solve_theta",
+                      lambda self, k: solved.append(k))
+        counts = [ctx.graded_monomial_count(d) for d in (10, 18, 26, 34)]
+    assert counts == [72, 420, 1431, 3660] and not solved
+    assert sum(ctx.graded_check(10).pbw_counts) == counts[0]
+
+
+@pytest.mark.parametrize("degree, bound, code", [
+    ("34", cli.MAX_GRADED_MONOMIALS, EXIT_CONFIG), ("10", 71, EXIT_CONFIG),
+    ("10", 72, EXIT_OK)])
+def test_cli_refuses_a_graded_check_past_the_monomial_bound(
+        tmp_path, capsys, monkeypatch, degree, bound, code):
+    # gl(3|1) regular asks 72 monomials at degree 10 and 3,660 at 34; a
+    # refusal exits 2 before any generator is solved, with no artifact
+    monkeypatch.setattr(cli, "MAX_GRADED_MONOMIALS", bound)
+    solved = []
+    solve = WContext.solve_theta
+
+    def counted(self, k):
+        solved.append(k)
+        return solve(self, k)
+
+    monkeypatch.setattr(WContext, "solve_theta", counted)
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, [
+        "verify", "all", "--family", "gl", "--m", "3", "--n", "1",
+        "--nilpotent", "regular", "--max-degree", degree, "--primes", "",
+        "--out", str(out)]) == code
+    if code == EXIT_CONFIG:
+        asked = 3660 if degree == "34" else 72
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "configuration error: max Kazhdan degree %s asks the graded check"
+            " for %d PBW monomials, more than the %d it admits"
+            % (degree, asked, bound))
+        assert list(out.glob("*")) == [] and not solved
+    else:
+        assert solved
 
 
 @pytest.mark.parametrize("coords", ["x,y,z,1,1,1,1,1,1",

@@ -166,6 +166,32 @@ def test_skew_consistent_change_breaks_jacobi(gl11):
         _rebuild(gl11, structure=structure)
 
 
+@pytest.mark.parametrize("alg, a, b, scale, triple", [
+    ("gl11", "E11", "E12", 2, (0, 1, 2)),
+    ("sl21", "E12", "E23", 3, (0, 1, 2)),
+    ("gl21", "E21", "E13", 2, (1, 2, 3)),
+    ("gl21", "E33", "E13", 5, (1, 5, 8))])
+def test_jacobi_on_half_the_pairs_names_the_first_failing_triple(
+        request, alg, a, b, scale, triple):
+    # [b_a, b_b] scaled, and [b_b, b_a] with it, so skew-symmetry holds and
+    # only Jacobi fails: the pairs j >= i name the same triple as every
+    # pair does, the all-pairs oracle's first in lexicographic order; each
+    # triple is the one named when every pair (i, j) was checked
+    alg = request.getfixturevalue(alg)
+    i, j = label_index(alg, a), label_index(alg, b)
+    structure = _table(alg)
+    sign = -1 if alg.parities[i] and alg.parities[j] else 1
+    structure[(i, j)] = {k: scale * c for k, c in structure[(i, j)].items()}
+    structure[(j, i)] = {k: -sign * c for k, c in structure[(i, j)].items()}
+    message = "super Jacobi fails at (%d,%d,%d)" % triple
+    with pytest.raises(AlgebraError) as oracle:
+        check_axioms(alg.field, alg.parities, structure)
+    assert str(oracle.value) == message
+    with pytest.raises(AlgebraError) as got:
+        _rebuild(alg, structure=structure)
+    assert str(got.value) == message
+
+
 def test_symmetric_gram_change_breaks_invariance(gl11):
     # (E11, E11) = 2 keeps the form even and supersymmetric, but then
     # ([E11, E12], E21) = 1 while (E11, [E12, E21]) = 2

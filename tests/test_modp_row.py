@@ -3,8 +3,9 @@
 Right multiplication by z in m acts on Q by eta(z), so ad z = L_z - eta(z)
 and the Whittaker vectors are the m-invariants.  The row builds Q once and
 the sparse ad columns of each generator once.  It takes the m-kernel one
-generator at a time, even generators first, so that no elimination sees
-more than dim Q rows, and reads the Whittaker dimension from that kernel.
+generator at a time, even generators first, each link after the first on
+the previous kernel's free columns, so that no elimination sees more than
+dim Q rows, and reads the Whittaker dimension from that kernel.
 """
 
 import hashlib
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 
 from oracle import (ad_matrix, dense_nullspace_mod_p, dense_rank_mod_p,
-                    dense_rows, left_matrix, sparse_stacked_kernel,
-                    stacked_ad)
+                    dense_rows, left_matrix, per_monomial_columns,
+                    sparse_stacked_kernel, stacked_ad)
 from wsuper import cli, linalg, modp, pbw, wchar0
 from wsuper.cli import EXIT_CHECK_FAILURES, EXIT_CONFIG, PipelineConfig
 
@@ -150,10 +151,13 @@ def test_reduced_w_forms_no_pbw_monomial_by_products(request, monkeypatch,
 
 @pytest.mark.parametrize("which", ["dat_osp3", "dat_sl3"])
 def test_right_action_is_eta_on_m(request, which):
+    # the oracle forms each right product m b_z in U and finds it eta(z) m,
+    # so ad z = L_z - eta(z), the columns Q builds with no right product
     dat = request.getfixturevalue(which)
     for label, eta in dat.eta_samples():
         q = modp.build_reduced_q(dat, eta, label)
-        assert q.right_action_mismatch() is None
+        assert all(per_monomial_columns(q, z)[2] is None
+                   for z in dat.m_indices)
         eye = np.eye(q.dim, dtype=np.int64)
         for z in dat.m_indices:
             shifted = (left_matrix(q, z) - int(q.eta[z]) * eye) % q.p
@@ -239,9 +243,16 @@ def test_sparse_m_kernel_equals_the_dense_oracle(request, nd, p):
         assert np.array_equal(got, oracle)
         assert q.invariant_dimension("m") == oracle.shape[0]
         if dat.r_odd:
-            ad_v = ad_matrix(q, dat.v_mid_index)
-            image = dense_rows(q._middle_image(), q.dim)
-            assert np.array_equal(image, (oracle @ ad_v.T) % p)
+            # the middle image is read on the m basis's free columns, in its
+            # coordinates; lifted by that basis, it is the full image
+            full = (oracle @ ad_matrix(q, dat.v_mid_index).T) % p
+            basis = q.invariant_subspace("m")
+            free = [max(row) for row in basis]
+            image = q._middle_image()
+            assert np.array_equal(dense_rows(image, len(basis)),
+                                  full[:, free])
+            lifted = [q._combine(basis, v) for v in image]
+            assert np.array_equal(dense_rows(lifted, q.dim), full)
 
 
 def test_odd_r_chain_equals_the_sparse_stacked_kernel(nd_osp32):
@@ -254,6 +265,10 @@ def test_odd_r_chain_equals_the_sparse_stacked_kernel(nd_osp32):
         assert q.invariant_dimension(sub) == len(want)
     assert (len(q.invariant_subspace("m")),
             len(q.invariant_subspace("mprime"))) == (1296, 648)
+    # v_mid as the chain's third link, [v_mid, m] in m: the link runs in
+    # the first kernel's coordinates and gives the m' basis
+    links = q._m_order() + [q.datum.v_mid_index]
+    assert q._m_kernel(links) == list(q.invariant_subspace("mprime"))
     _check_every_order(q)
 
 
@@ -265,6 +280,11 @@ def _check_every_order(q):
     for order in permutations(dat.m_indices):
         assert q._m_kernel(list(order)) == list(basis)
         assert q._m_kernel(list(order), rank_only=True) == len(basis)
+        # a generator taken again is one more link that keeps the kernel;
+        # the links after the second run in the first kernel's coordinates
+        for z in order:
+            assert q._m_kernel([z] + list(order)) == list(basis)
+            assert q._m_kernel(list(order) + [z]) == list(basis)
 
 
 @pytest.mark.parametrize("nd, p", [
@@ -328,9 +348,9 @@ def test_mprime_check_fails_on_a_basis_missing_a_row(dat_osp3, drop):
 
 @pytest.mark.parametrize("which", ["dat_osp3", "dat_sl3"])
 def test_ad_columns_leave_no_right_product_in_the_memo(request, which):
-    # ad_columns leaves the engine memo as it found it: the right-action
-    # check's products m b_z, z in m, come from Q's own index actor, and an
-    # entry of the engine's left-action memo held before stays as it was
+    # ad_columns leaves the engine memo as it found it: the columns of m
+    # and the right products m b_{v_mid} come from Q's own index actor, and
+    # an entry of the engine's left-action memo held before stays as it was
     dat = request.getfixturevalue(which)
     q = modp.build_reduced_q(dat)
     memo = q.engine._gen_cache
@@ -339,9 +359,10 @@ def test_ad_columns_leave_no_right_product_in_the_memo(request, which):
     held = (q.datum.m_indices[0], q.basis[1])
     q.engine.left_gen(*held)
     before = dict(memo)
-    for g in q.datum.m_indices:
+    # for odd r, v_mid's columns take real right products
+    for g in q.datum.m_indices + ([q.datum.v_mid_index] if q.datum.r_odd
+                                  else []):
         q.ad_columns(g)
-    assert q.right_action_mismatch() is None
     assert memo == before and held in memo
 
 
@@ -355,27 +376,30 @@ def test_invariant_subspace_is_cached_and_read_only(dat_osp3):
 
 
 def test_right_action_mismatch_is_a_whittaker_failure(monkeypatch, tmp_path):
+    # no Q can claim a p-character that its engine does not act by: the
+    # claim raises and changes nothing, so the row passes, and the
+    # whittaker_dimension check is the comparison dim W delta = dim Q
     monkeypatch.delenv(cli.ENV_OUT, raising=False)
     build = modp.build_reduced_q
+    claimed = []
 
     def off_by_one(dat, eta=None, eta_label="chi"):
-        # Q claims a p-character that its engine does not act by
         q = build(dat, eta, eta_label)
         z = dat.m_indices[0]
         wrong = list(q.eta)
         wrong[z] = dat.field.add(wrong[z], 1)
-        q.eta = tuple(wrong)
+        with pytest.raises(AttributeError):
+            q.eta = tuple(wrong)
+        claimed.append(q)
         return q
 
     monkeypatch.setattr(modp, "build_reduced_q", off_by_one)
     code, failures, _ = cli.run_pipeline(_suite(tmp_path))
-    assert code == EXIT_CHECK_FAILURES
-    checks = [f for f in failures if f["check"] == "whittaker_dimension"]
-    assert len(checks) == 2
-    # the unit monomial is the first column; w1 spans m
-    assert all(f["detail"] == {"generator": "w1", "column": 0} for f in checks)
-    saved = json.loads((tmp_path / "failures.json").read_text())
-    assert saved["failures"] == failures
+    assert code == cli.EXIT_OK and not failures
+    assert len(claimed) == 2
+    assert all(q.eta is q.engine.eta for q in claimed)
+    rows = json.loads((tmp_path / "modp_report.json").read_text())["rows"]
+    assert all(r["dim_W"] * r["delta"] == r["dim_Q"] for r in rows)
 
 
 @pytest.mark.parametrize("owner, name, change, check, detail", [

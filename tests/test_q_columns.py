@@ -18,12 +18,13 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle import (dense_rank_mod_p, dense_rows, field_acc, field_add,
                     field_q_mul, field_q_reduce, pbw_vectors_by_products,
-                    per_monomial_columns)
+                    per_monomial_columns, unrestricted_chain)
 from wsuper import cli, linalg, modp, pbw
 from wsuper.pbw import engine_from_datum, exponent_tuples
 from wsuper.scalars import lowest
@@ -46,6 +47,9 @@ def _acted_on(dat):
 
 @pytest.mark.parametrize("nd, p", CONFIGS)
 def test_prefix_columns_equal_the_per_monomial_oracle(request, nd, p):
+    # the oracle also forms each right product m b_z, z in m, in U and
+    # finds it eta(z) m on every column: the fact that lets the ad columns
+    # of m be L_z - eta(z) with no right product built
     dat = modp.reduce_datum(request.getfixturevalue(nd), p)
     for label, eta in dat.eta_samples():
         q = modp.build_reduced_q(dat, eta, label)
@@ -53,49 +57,128 @@ def test_prefix_columns_equal_the_per_monomial_oracle(request, nd, p):
             ad, left, mismatch = per_monomial_columns(q, g)
             assert q.ad_columns(g) == ad
             assert q.left_columns(g) == left
-            assert mismatch is None and g not in q._right_mismatch
-        assert q.right_action_mismatch() is None
+            assert mismatch is None
+
+
+def _claim_wrong_eta(q):
+    # Q claims a p-character on m that its engine does not act by
+    z = q.datum.m_indices[0]
+    wrong = list(q.eta)
+    wrong[z] = q.field.add(wrong[z], 1)
+    with pytest.raises(AttributeError):
+        q.eta = tuple(wrong)
 
 
 @pytest.mark.parametrize("nd, p", CONFIGS)
 def test_right_mismatch_under_a_wrong_eta_equals_the_oracle(request, nd, p):
-    # the fault of test_right_action_mismatch_is_a_whittaker_failure: Q
-    # claims a p-character on m that its engine does not act by
+    # Q's eta is its engine's and cannot be set, so Q holds no eta that its
+    # engine does not act by: the claim fails and changes nothing, and the
+    # oracle, which forms each right product m b_z in U at Q's eta, finds
+    # it eta(z) m on every column of every z in m
     dat = modp.reduce_datum(request.getfixturevalue(nd), p)
     q = modp.build_reduced_q(dat)
-    z = dat.m_indices[0]
-    wrong = list(q.eta)
-    wrong[z] = dat.field.add(wrong[z], 1)
-    q.eta = tuple(wrong)
-    oracle = {}
+    assert q.eta is q.engine.eta == dat.eta_chi()
+    _claim_wrong_eta(q)
+    assert q.eta is q.engine.eta == dat.eta_chi()
     for g in dat.m_indices:
         ad, _, mismatch = per_monomial_columns(q, g)
+        assert mismatch is None
         assert q.ad_columns(g) == ad
-        if mismatch is not None:
-            oracle[g] = mismatch
-    assert q._right_mismatch == oracle
-    assert q.right_action_mismatch() == (z, oracle[z])
 
 
 @pytest.mark.parametrize("nd, p", [("nd_sl21_e12", 3), ("nd_osp12_reg", 5),
                                    ("nd_gl21_reg", 3), ("nd_osp22", 3)])
 def test_whittaker_vectors_under_a_wrong_eta_are_a_solver_error(request, nd,
                                                                  p):
-    # the same fault: the Whittaker vectors are the m-kernel only while
-    # right multiplication acts by eta, so they name z and the column the
-    # oracle finds first
+    # a wrong eta can no longer reach the Whittaker vectors: the claim
+    # fails, and they are the m-kernel at the engine's eta, on which each
+    # L_z acts by eta(z) (checked densely against the oracle's columns)
     dat = modp.reduce_datum(request.getfixturevalue(nd), p)
     q = modp.build_reduced_q(dat)
-    z = dat.m_indices[0]
-    wrong = list(q.eta)
-    wrong[z] = dat.field.add(wrong[z], 1)
-    q.eta = tuple(wrong)
-    column = per_monomial_columns(q, z)[2]
-    label = q.engine.labels[z]
+    _claim_wrong_eta(q)
+    wh = q.whittaker_subspace()
+    assert wh is q.invariant_subspace("m")
+    vecs = dense_rows(wh, q.dim)
+    for z in dat.m_indices:
+        left = dense_rows(per_monomial_columns(q, z)[1], q.dim).T
+        assert np.array_equal(vecs @ left.T % p, vecs * int(q.eta[z]) % p)
+
+
+@pytest.mark.parametrize("nd, p", CONFIGS)
+def test_the_chain_on_free_columns_equals_the_unrestricted_chain(request, nd,
+                                                                 p):
+    # each link after the first reads the previous kernel's free columns;
+    # the oracle takes every image over all of Q.  For odd r, m' adds v_mid
+    # as one more link, through the middle image
+    dat = modp.reduce_datum(request.getfixturevalue(nd), p)
+    for label, eta in dat.eta_samples():
+        q = modp.build_reduced_q(dat, eta, label)
+        order = q._m_order()
+        links = order + ([dat.v_mid_index] if dat.r_odd else [])
+        want = unrestricted_chain(modp.build_reduced_q(dat, eta, label),
+                                  order)
+        assert list(q.invariant_subspace("m")) == want
+        rank_only = modp.build_reduced_q(dat, eta, label)
+        assert rank_only._m_kernel(order, rank_only=True) == len(want)
+        want = unrestricted_chain(modp.build_reduced_q(dat, eta, label),
+                                  links)
+        assert list(q.invariant_subspace("mprime")) == want
+        assert modp.build_reduced_q(dat, eta, label)._m_kernel(links) == want
+
+
+def _patch_bracket(dat, a, b, terms):
+    # [b_a, b_b] = terms in the datum's table, and [b_b, b_a] with it
+    sign = -1 if dat.generators[a].parity and dat.generators[b].parity else 1
+    dat.brackets[(a, b)] = dict(terms)
+    dat.brackets[(b, a)] = {k: -sign * c % dat.p for k, c in terms.items()}
+
+
+@pytest.mark.parametrize("nd, p", [("nd_sl21_e12", 5), ("nd_gl21_reg", 3),
+                                   ("nd_osp22", 3)])
+def test_an_order_that_breaks_the_chain_hypothesis_is_a_solver_error(
+        request, nd, p):
+    # m is abelian in every datum here, so a bracket of m is patched; the
+    # left action of m on Q reads no bracket within m, so the patch changes
+    # no column.  With [z1, z2] = z2, the order z1, z2 breaks the
+    # hypothesis and the reversed order keeps it; with [z1, z2] = z1 for an
+    # even z1 with eta(z1) != 0, the bracket lies in the span of z1 but
+    # eta does not vanish on it
+    nd = request.getfixturevalue(nd)
+    plain = modp.build_reduced_q(modp.reduce_datum(nd, p))
+    z1, z2 = plain._m_order()
+    labels = plain.engine.labels
+    for terms in ({z2: 1}, {z1: 1}):
+        dat = modp.reduce_datum(nd, p)
+        if z1 not in terms or dat.eta_chi()[z1]:
+            _patch_bracket(dat, z1, z2, terms)
+            message = re.escape("m-kernel chain: [%s, %s] is not in the span"
+                                " of %s with eta zero on it"
+                                % (labels[z1], labels[z2], labels[z1]))
+            for run in (lambda q: q.invariant_subspace("m"),
+                        lambda q: q.invariant_dimension("m")):
+                q = modp.build_reduced_q(dat)
+                with pytest.raises(SolverError, match=message):
+                    run(q)
+                # refused before any column is built
+                assert not q._ad_cols and q._acts is None
+    dat = modp.reduce_datum(nd, p)
+    _patch_bracket(dat, z1, z2, {z2: 1})
+    q = modp.build_reduced_q(dat)
+    assert q._m_kernel([z2, z1]) == list(plain.invariant_subspace("m"))
+
+
+def test_a_middle_vector_that_leaves_q_m_is_a_solver_error(nd_osp12_reg):
+    # osp(1|2) regular: m = <w1>; with [v_mid, w1] = v_mid, ad v_mid need
+    # not map Q^m into itself, so the middle image is refused
+    dat = modp.reduce_datum(nd_osp12_reg, 3)
+    v, (w,) = dat.v_mid_index, dat.m_indices
+    _patch_bracket(dat, v, w, {v: 1})
+    q = modp.build_reduced_q(dat)
+    labels = q.engine.labels
     with pytest.raises(SolverError, match=re.escape(
-            "right multiplication by %s does not act by eta(%s) on column %d"
-            " of Q" % (label, label, column))):
-        q.whittaker_subspace()
+            "[%s, %s] is not in m with eta zero on it" % (labels[v],
+                                                          labels[w]))):
+        modp.mprime_invariants_check(q)
 
 
 @pytest.fixture(scope="module")
