@@ -17,10 +17,14 @@ b^m b_g, b^m acting on the class of b_g, which for g in m is chi(g) b^m.
 acts on Q's basis indices with the reduced datum's brackets and p-th power
 map and the engine's public eta, for the mod-p chain's action columns.
 
-Inside the engine coefficients are Python-int numerators over one
-denominator per combination, in lowest terms (denominator 1 and residues mod
-p in characteristic p); an Element's terms hold Fractions over Q and residues
-mod p.  Every operation is a pure function of immutable inputs.
+A combination of monomials is a pair (nums, den): Python-int numerators
+over one positive denominator, in lowest terms (denominator 1 and residues
+mod p in characteristic p).  The engine and the char-0 chain of `wchar0`
+(generator solve, PBW descent, relation table, graded check) compute on
+pairs alone.  An `Element`, whose terms hold Fractions over Q and residues
+mod p, is the API's view of a pair: `_scaled` and `_terms` convert at that
+boundary, and an Element has no arithmetic of its own.  Every operation is
+a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -39,33 +43,14 @@ class AmbientMismatch(ValueError):
 
 
 class Element:
-    """A finite linear combination of normal-ordered monomials."""
+    """A finite linear combination of normal-ordered monomials, the API's
+    view of an engine pair: terms hold Fractions over Q, residues mod p."""
 
     __slots__ = ("engine", "terms")
 
     def __init__(self, engine, terms):
         self.engine = engine
         self.terms = terms
-
-    def __add__(self, other):
-        self._check(other)
-        return Element(self.engine, self.engine._add(self.terms, other.terms))
-
-    def __sub__(self, other):
-        self._check(other)
-        f = self.engine.field
-        neg = {m: f.neg(c) for m, c in other.terms.items()}
-        return Element(self.engine, self.engine._add(self.terms, neg))
-
-    def scale(self, c):
-        f = self.engine.field
-        c = f.of(c)
-        out = {}
-        for m, v in self.terms.items():
-            w = f.mul(c, v)
-            if not f.is_zero(w):
-                out[m] = w
-        return Element(self.engine, out)
 
     def __eq__(self, other):
         return (isinstance(other, Element) and self.engine is other.engine
@@ -212,22 +197,8 @@ class Enveloping:
     # lowest terms (den and the numerators coprime, den 1 when empty) with one
     # gcd (`scalars.lowest`).  Characteristic p is the case den = 1, with
     # residues reduced by one % p per update.
-    # Fractions appear only in Element terms (`_terms`), and `_add` below adds
-    # those with the coefficients' own operators.
-
-    def _add(self, a, b):
-        p = self.field.char
-        zero = self.field.zero
-        out = dict(a)
-        for m, c in b.items():
-            v = out.get(m, zero) + c
-            if p:
-                v %= p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return out
+    # Fractions appear only in Element terms, at the API boundary: `_scaled`
+    # turns terms into a pair and `_terms` a pair into terms.
 
     def _scaled(self, terms):
         """The pair of Element terms: integer numerators over the least
@@ -304,12 +275,6 @@ class Enveloping:
                 else:
                     acc.pop(mm, None)
         return lowest(acc, out)
-
-    def q_reduce(self, elt):
-        """Image in Q of an Element (or of Element terms)."""
-        terms = elt.terms if isinstance(elt, Element) else elt
-        return Element(self, self._terms(*self.q_reduce_pair(
-            self._scaled(terms))))
 
     def is_q_element(self, elt):
         return all(all(m[g] == 0 for g in range(self.cobasis_count, self.n_gens))
@@ -442,15 +407,16 @@ class Enveloping:
             out = self._acc(acc, out, tn, c, den * td)
         return acc, out
 
-    def ad_act_gen(self, g, q):
-        """Class of [b_g, lift(q)] in Q: L_g q less (-1)^{|g||m|} c times
-        the class of b^m b_g over the terms c b^m of q, with L_g the left
-        action of U on Q (`left_gen`) and the class of b^m b_g that of b^m
-        acting on the class of b_g (`_lift_apply`).  For z in m, b^m b_z is
-        ordered and acts on Q by chi(z), so ad z = L_z - chi(z) on Q: the
-        sign (-1)^{|z||m|} is kept, though chi vanishes on odd z."""
-        nums, den = self._scaled(q.terms)
-        acc, out = self._left_apply(g, (nums, den))
+    def ad_pair(self, g, pair):
+        """Class of [b_g, lift(q)] in Q for a pair of classes q, as a new
+        pair in lowest terms: L_g q less (-1)^{|g||m|} c times the class of
+        b^m b_g over the terms c b^m of q, with L_g the left action of U on
+        Q (`left_gen`) and the class of b^m b_g that of b^m acting on the
+        class of b_g (`_lift_apply`).  For z in m, b^m b_z is ordered and
+        acts on Q by chi(z), so ad z = L_z - chi(z) on Q: the sign
+        (-1)^{|z||m|} is kept, though chi vanishes on odd z."""
+        nums, den = pair
+        acc, out = self._left_apply(g, pair)
         pg = self.parities[g]
         inside = g >= self.cobasis_count
         cn, cd = self._char_pairs[g] if inside else (1, 1)
@@ -461,16 +427,21 @@ class Enveloping:
                 right, cd = self._lift_apply((right, 1),
                                              ({self._gen_mono(g): 1}, 1))
             out = self._acc(acc, out, right, cn, den * cd)
-        return Element(self, self._terms(acc, out))
+        return lowest(acc, out)
 
-    def ad_act(self, z, q):
-        """Class of [b_z, lift(q)] in Q for the generator index z, after
-        checking that q is a reduced class: `ad_act_gen`, by the left action
-        of U on Q, the route of `modp.ReducedQ._left_actor` in every
-        characteristic."""
+    def q_pair(self, q):
+        """The pair of an Element that is a reduced class; AmbientMismatch
+        otherwise."""
         if not self.is_q_element(q):
             raise AmbientMismatch("ad acts on reduced classes")
-        return self.ad_act_gen(z, q)
+        return self._scaled(q.terms)
+
+    def ad_act(self, z, q):
+        """Class of [b_z, lift(q)] in Q for the generator index z and an
+        Element q, after checking that q is a reduced class: `ad_pair`, by
+        the left action of U on Q, the route of `modp.ReducedQ._left_actor`
+        in every characteristic."""
+        return Element(self, self._terms(*self.ad_pair(z, self.q_pair(q))))
 
     def _gen_mono(self, g):
         m = [0] * self.n_gens
@@ -481,15 +452,14 @@ class Enveloping:
 
     def leading_terms(self, q):
         """Monomials of maximal e-degree and, among those, maximal weight."""
-        return self.leading_data(q)[2] if q.terms else set()
+        return self.leading_data(q.terms)[2] if q.terms else set()
 
-    def leading_data(self, q):
-        """(e-degree, weight, monomials) of the leading terms, or None for
-        zero."""
-        if not q.terms:
-            return None
-        n = max(self.e_degree(m) for m in q.terms)
-        at_top = [m for m in q.terms if self.e_degree(m) == n]
+    def leading_data(self, monos):
+        """(e-degree, weight, monomials) of the leading terms among the
+        nonempty monomials monos (a pair's numerator dict, or an Element's
+        terms)."""
+        n = max(self.e_degree(m) for m in monos)
+        at_top = [m for m in monos if self.e_degree(m) == n]
         big = max(self.weight(m) for m in at_top)
         return n, big, {m for m in at_top if self.weight(m) == big}
 

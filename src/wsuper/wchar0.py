@@ -8,15 +8,27 @@ echelon representative; for an odd-dimensional g(-1) odd part there is one
 extra odd generator whose square is half the middle norm.  Commutators are
 re-expressed in the ordered PBW monomials by descending elimination on
 (e-degree, weight).
+
+The whole chain computes on the engine's pairs (`pbw`): integer numerators
+over one positive denominator, in lowest terms (residues over denominator 1
+mod p).  The solve's rows hold ints, and a Fraction only where a pair's
+denominator exceeds 1; the PBW monomials evaluated in Q are memoized as
+pairs, and the relation table, the descent, its evaluate-back check and the
+graded check's rows read that memo.  Elements and Fractions appear only at
+the API boundary: a generator's `value`, a `ThetaPolynomial`'s
+coefficients, and the public `eval_monomial`, `evaluate`, `super_bracket`,
+`express_in_pbw` and `is_invariant`, each a wrapper over the pair path.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from itertools import groupby
 
 from . import linalg
-from .pbw import engine_from_datum, exponent_tuples
+from .pbw import Element, engine_from_datum, exponent_tuples
+from .scalars import lowest
 
 
 class SolverError(RuntimeError):
@@ -153,13 +165,15 @@ class WPresentation(namedtuple("WPresentation",
 
 class WContext:
     """Shared state for one nilpotent datum: the engine, the solved
-    generators, and a cache of evaluated PBW monomials."""
+    generators with their values as pairs, and the memo of evaluated PBW
+    monomials as pairs."""
 
     def __init__(self, nd, engine=None):
         self.nd = nd
         self.engine = (engine_from_datum(nd, None, None) if engine is None
                        else engine)
         self._gens = None
+        self._values = None
         self._eval_cache = {}
         # adapted index of each generator's leading vector -> its 1-based
         # position among the generators
@@ -211,13 +225,16 @@ class WContext:
     # -- invariance -------------------------------------------------------------
 
     def is_invariant(self, q):
-        """Whether ad z kills q for each z in `m_generators`, which is
-        invariance under all of m."""
-        e = self.engine
-        return all(e.ad_act(z, q).is_zero() for z in m_generators(self.nd))
+        """Whether ad z kills the reduced class q (an Element) for each z in
+        `m_generators`, which is invariance under all of m."""
+        return self._invariant(self.engine.q_pair(q))
 
-    def check_invariant(self, q):
-        if not self.is_invariant(q):
+    def _invariant(self, pair):
+        ad = self.engine.ad_pair
+        return all(not ad(z, pair)[0] for z in m_generators(self.nd))
+
+    def _check_invariant(self, pair):
+        if not self._invariant(pair):
             raise NotInvariantError("element is not invariant under ad m")
 
     # -- candidate spaces -------------------------------------------------------
@@ -247,67 +264,78 @@ class WContext:
         if not 1 <= k <= self.n_generators():
             raise ValueError("generator index out of range")
         lead = self.leading_gen_index(k)
+        target = e.q_reduce_pair(({e._gen_mono(lead): 1}, 1))
         if nd.r_odd and k == nd.l + nd.q + 1:
-            value = e.q_reduce(e.gen(lead))
-            self.check_invariant(value)
-            return self._pack_generator(k, lead, value)
+            self._check_invariant(target)
+            return self._pack_generator(k, lead, target)
         cands = self.candidate_monomials(k)
         zs = m_generators(nd)
-        target = e.q_reduce(e.gen(lead))
         # one sparse equation per (z, monomial) of the ad z images, z in a
-        # generating set of m; the unknowns are the candidates' coefficients
+        # generating set of m; the unknowns are the candidates'
+        # coefficients.  Each entry is an int, or a Fraction where the
+        # image's denominator exceeds 1
         rows, rhs = {}, {}
         for cidx, m in enumerate(cands):
             for z in zs:
-                img = e.ad_act(z, e.element({m: f.one}))
-                for mm, c in img.terms.items():
-                    rows.setdefault((z, mm), {})[cidx] = c
+                nums, den = e.ad_pair(z, ({m: 1}, 1))
+                for mm, c in nums.items():
+                    rows.setdefault((z, mm), {})[cidx] = (
+                        c if den == 1 else Fraction(c, den))
         for z in zs:
-            img = e.ad_act(z, target)
-            for mm, c in img.terms.items():
+            nums, den = e.ad_pair(z, target)
+            for mm, c in nums.items():
                 rows.setdefault((z, mm), {})
-                rhs[(z, mm)] = f.neg(c)
+                rhs[(z, mm)] = -c if den == 1 else Fraction(-c, den)
         sol = linalg.solve_affine(f, list(rows.values()),
                                   [rhs.get(key, f.zero) for key in rows],
                                   len(cands))
         if sol is None:
             raise SolverError("invariance system for generator %d has no"
                               " solution" % k)
-        terms = {self.engine._gen_mono(lead): f.one}
+        terms = {e._gen_mono(lead): f.one}
         for m, c in zip(cands, sol):
             if not f.is_zero(c):
                 terms[m] = c
-        value = e.element(terms)
-        self.check_invariant(value)
+        value = e._scaled(terms)
+        self._check_invariant(value)
         self._check_generator_shape(k, lead, value)
         return self._pack_generator(k, lead, value)
 
-    def _pack_generator(self, k, lead, value):
+    def _pack_generator(self, k, lead, pair):
         e = self.engine
         return WGenerator(
             index=k, leading_gen=lead, label="theta%d" % k,
             parity=e.parities[lead], weight=e.weights[lead],
-            filtration_degree=e.weights[lead] + 2, value=value)
+            filtration_degree=e.weights[lead] + 2,
+            value=Element(e, e._terms(*pair)))
 
-    def _check_generator_shape(self, k, lead, value):
+    def _check_generator_shape(self, k, lead, pair):
         e = self.engine
+        nums, den = pair
         bound = e.weights[lead] + 2
         lead_mono = e._gen_mono(lead)
-        for m, c in value.terms.items():
+        for m in nums:
             d = e.e_degree(m)
             if d > bound:
                 raise SolverError("generator %d exceeds its filtration degree" % k)
             if d == bound and m != lead_mono and sum(m) < 2:
                 raise SolverError("generator %d has a stray linear leading term" % k)
-        if value.coefficient(lead_mono) != e.field.one:
+        # in lowest terms the coefficient is 1 exactly when it is den/den
+        if nums.get(lead_mono) != den:
             raise SolverError("generator %d has leading coefficient != 1" % k)
-        self.check_leading_shape(value)
+        self._check_leading_shape(nums)
 
     def check_leading_shape(self, q):
-        """Leading monomials of an invariant: no u part, the x/y parts inside
-        the centralizer block, and the v part at most the middle vector."""
+        """Leading monomials of an invariant (an Element): no u part, the
+        x/y parts inside the centralizer block, and the v part at most the
+        middle vector."""
+        self._check_leading_shape(q.terms)
+
+    def _check_leading_shape(self, monos):
         e = self.engine
-        for m in e.leading_terms(q):
+        if not monos:
+            return
+        for m in e.leading_data(monos)[2]:
             for i in range(e.n_gens):
                 if m[i] and i not in self._position:
                     raise LeadingShapeError(
@@ -317,26 +345,36 @@ class WContext:
         if self._gens is None:
             self._gens = [self.solve_theta(k)
                           for k in range(1, self.n_generators() + 1)]
+            e = self.engine
+            self._values = [e._scaled(g.value.terms) for g in self._gens]
         return self._gens
 
     # -- PBW expression -----------------------------------------------------------
 
     def eval_monomial(self, expo):
         """The class theta^a 1 in Q of the ordered monomial with exponents
-        a, by the left action of U on Q: with k the first generator of a,
-        theta^a 1 = theta_k (theta^{a-e_k} 1), theta_k acting as its lift
-        (`Enveloping.q_mul`), as `modp.ReducedQ.pbw_vectors` does on Q's
-        basis indices.  Memoized per exponent tuple."""
-        expo = tuple(expo)
-        if expo in self._eval_cache:
-            return self._eval_cache[expo]
+        a, as an Element: `_eval_pair`'s."""
+        e = self.engine
+        return Element(e, e._terms(*self._eval_pair(tuple(expo))))
+
+    def _eval_pair(self, expo):
+        """The class theta^a 1 in Q of the ordered monomial with exponent
+        tuple a, as a pair in lowest terms, by the left action of U on Q:
+        with k the first generator of a, theta^a 1 = theta_k (theta^{a-e_k}
+        1), theta_k acting as its lift (`Enveloping._lift_apply`), as
+        `modp.ReducedQ.pbw_vectors` does on Q's basis indices.  Memoized
+        per exponent tuple; callers do not change the pairs it returns."""
+        hit = self._eval_cache.get(expo)
+        if hit is not None:
+            return hit
+        e = self.engine
         k = next((i for i, v in enumerate(expo) if v), None)
         if k is None:
-            out = self.engine.unit()
+            out = ({e.unit_mono: 1}, 1)
         else:
-            prev = self.eval_monomial(expo[:k] + (expo[k] - 1,)
-                                      + expo[k + 1:])
-            out = self.engine.q_mul(self.generators()[k].value, prev)
+            self.generators()
+            prev = self._eval_pair(expo[:k] + (expo[k] - 1,) + expo[k + 1:])
+            out = e._lift_apply(self._values[k], prev)
         self._eval_cache[expo] = out
         return out
 
@@ -352,57 +390,82 @@ class WContext:
         return tuple(expo)
 
     def express_in_pbw(self, q):
-        """Rewrite an invariant as a polynomial in the ordered generators by
-        descending elimination on (e-degree, weight)."""
+        """Rewrite an invariant (an Element) as a polynomial in the ordered
+        generators: `_express`."""
+        return self._express(self.engine.q_pair(q))
+
+    def _express(self, pair):
+        """The ThetaPolynomial of an invariant given as a pair in lowest
+        terms, by descending elimination on (e-degree, weight): each
+        leading monomial b^m of the remainder is cancelled by the evaluated
+        PBW monomial theta^a whose leading monomial it is, and the
+        polynomial must evaluate back to the pair."""
         e = self.engine
         f = e.field
-        self.check_invariant(q)
-        cur = q
+        self._check_invariant(pair)
+        cur, den = dict(pair[0]), pair[1]
         out = {}
         prev_key = None
-        while not cur.is_zero():
+        while cur:
             n, big, monos = e.leading_data(cur)
             key = (n, big)
             if prev_key is not None and key >= prev_key:
                 raise SolverError("PBW elimination does not descend")
             prev_key = key
             for m in sorted(monos):
-                lam = cur.coefficient(m)
-                if f.is_zero(lam):
+                lam = cur.get(m)
+                if lam is None:
                     continue
                 expo = self._leading_to_expo(m)
-                ev = self.eval_monomial(expo)
-                kappa = ev.coefficient(m)
-                if f.is_zero(kappa):
+                ev, ed = self._eval_pair(expo)
+                kappa = ev.get(m)
+                if kappa is None:
                     raise SolverError("evaluated monomial lost its leading term")
-                coef = f.div(lam, kappa)
-                cur = cur - ev.scale(coef)
+                # cur -= coef theta^a 1 with coef = (lam/den) / (kappa/ed)
+                if f.char:
+                    coef = f.div(lam, kappa)
+                    den = e._acc(cur, den, ev, -coef)
+                else:
+                    coef = Fraction(lam * ed, den * kappa)
+                    den = e._acc(cur, den, ev, -coef.numerator,
+                                 coef.denominator * ed)
                 out[expo] = f.add(out.get(expo, f.zero), coef)
+            den = lowest(cur, den)[1]
         out = {m: c for m, c in out.items() if not f.is_zero(c)}
-        poly = ThetaPolynomial(self.n_generators(), out)
-        if self.evaluate(poly) != q:
+        if self._evaluate(out) != pair:
             raise SolverError("PBW expression does not evaluate back")
-        return poly
+        return ThetaPolynomial(self.n_generators(), out)
 
     def evaluate(self, poly):
+        """The class in Q of a ThetaPolynomial, as an Element: `_evaluate`'s."""
         e = self.engine
-        acc = e.zero()
-        for expo, c in poly.terms.items():
-            acc = acc + self.eval_monomial(expo).scale(c)
-        return acc
+        return Element(e, e._terms(*self._evaluate(poly.terms)))
+
+    def _evaluate(self, terms):
+        """The sum of c theta^a 1 over the terms {a: c} of a polynomial in
+        the generators, as a pair in lowest terms."""
+        e = self.engine
+        acc, den = {}, 1
+        for expo, c in terms.items():
+            nums, d = self._eval_pair(expo)
+            den = e._acc(acc, den, nums, c.numerator, c.denominator * d)
+        return lowest(acc, den)
 
     # -- relations -------------------------------------------------------------
 
     def super_bracket(self, a, b):
+        """[a, b] = ab - (-1)^{|a||b|} ba in Q for homogeneous Elements a
+        and b, each product the lift of its left factor acting on the class
+        of the other."""
         e = self.engine
         pa, pb = a.parity(), b.parity()
         if pa is None or pb is None:
             raise SolverError("super bracket of inhomogeneous elements")
-        left = e.q_mul(a, b)
-        right = e.q_mul(b, a)
-        if pa and pb:
-            return left + right
-        return left - right
+        a._check(b)
+        u, v = e._scaled(a.terms), e._scaled(b.terms)
+        left = e._lift_apply(u, e.q_reduce_pair(v))
+        right = e._lift_apply(v, e.q_reduce_pair(u))
+        return Element(e, e._terms(*_super_sum(e, left, right, pa and pb)))
 
     def centralizer_structure(self, i, j):
         """Coefficients alpha with [Y_i, Y_j] = sum alpha_k Y_k in the
@@ -418,14 +481,37 @@ class WContext:
         return out
 
     def commutator_table(self):
+        """The relation of each pair i <= j: the super bracket [theta_i,
+        theta_j] on pairs, expressed in the PBW monomials (`_express`) and
+        checked (`_check_relation`).  For i < j the product theta_i theta_j
+        is the PBW monomial theta^{e_i + e_j}, read from the evaluation
+        memo, and theta_j theta_i is theta_j's lift acting on theta_i.  For
+        i = j the bracket is 0 for an even theta_i and 2 theta_i^2, its
+        product formed once, for an odd one."""
+        e = self.engine
         gens = self.generators()
+        values = self._values
         ng = self.n_generators()
         degrees = self.generator_degrees()
+        parities = [e.element_parity(nums) for nums, _ in values]
         relations = {}
         for i in range(1, ng + 1):
+            a, pa = values[i - 1], parities[i - 1]
             for j in range(i, ng + 1):
-                br = self.super_bracket(gens[i - 1].value, gens[j - 1].value)
-                poly = self.express_in_pbw(br)
+                b, pb = values[j - 1], parities[j - 1]
+                if pa is None or pb is None:
+                    raise SolverError("super bracket of inhomogeneous elements")
+                if i < j:
+                    expo = [0] * ng
+                    expo[i - 1] = expo[j - 1] = 1
+                    br = _super_sum(e, self._eval_pair(tuple(expo)),
+                                    e._lift_apply(b, a), pa and pb)
+                elif pa:
+                    square = e._lift_apply(a, a)
+                    br = _super_sum(e, square, square, True)
+                else:
+                    br = ({}, 1)
+                poly = self._express(br)
                 self._check_relation(i, j, poly, degrees)
                 relations[(i, j)] = poly
         return WPresentation(generators=gens, relations=relations,
@@ -493,11 +579,12 @@ class WContext:
             key=lambda expo: sum(a * b for a, b in zip(expo, degrees)))
         for d, expos in layers:
             # the degree-d layer of each evaluated monomial, as a sparse row
-            # keyed by PBW monomial
+            # of its numerators keyed by PBW monomial: scaling a row by its
+            # denominator keeps the rank
             vecs = []
             for expo in expos:
-                ev = self.eval_monomial(expo)
-                vecs.append({m: c for m, c in ev.terms.items()
+                nums, _ = self._eval_pair(expo)
+                vecs.append({m: c for m, c in nums.items()
                              if e.e_degree(m) == d})
             counts[d] = len(vecs)
             if linalg.rank(f, vecs) != len(vecs):
@@ -506,6 +593,15 @@ class WContext:
         return GradedReport(max_degree=max_degree, pbw_counts=counts,
                             symmetric_dims=series, leading_independent=independent,
                             ok=ok)
+
+
+def _super_sum(engine, left, right, both_odd):
+    """The super bracket from its two products: left + right when both
+    factors are odd, left - right otherwise, as a pair in lowest terms."""
+    acc = dict(left[0])
+    den = engine._acc(acc, left[1], right[0], 1 if both_odd else -1,
+                      right[1])
+    return lowest(acc, den)
 
 
 class GradedReport(namedtuple("GradedReport", "max_degree pbw_counts"

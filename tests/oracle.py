@@ -22,7 +22,10 @@ from itertools import product
 import numpy as np
 
 from wsuper import linalg
+from wsuper.pbw import Element
 from wsuper.superalgebra import AlgebraError
+from wsuper.wchar0 import (NotInvariantError, SolverError, ThetaPolynomial,
+                           m_generators)
 
 
 def dense_rref(field, mat):
@@ -882,3 +885,178 @@ def dense_nullspace_mod_p(mat, p):
     basis[np.arange(free.size), free] = 1
     basis[:, piv] = (-a[:len(piv), free].T) % p
     return basis
+
+
+# -- the char-0 chain on Elements ---------------------------------------------
+# Element arithmetic through the Field methods, and WContext's generator
+# solve, PBW evaluation, super bracket and PBW descent as they read on
+# Elements, each step through Element terms: the reference that the pair
+# path of `wsuper.wchar0` is tested against.
+
+def elt_add(a, b):
+    """a + b for Elements of one engine."""
+    a._check(b)
+    return Element(a.engine, field_add(a.engine.field, a.terms, b.terms))
+
+
+def elt_scale(a, c):
+    """c a for an Element a and a scalar c."""
+    f = a.engine.field
+    out = {}
+    field_acc(f, out, a.terms, f.of(c))
+    return Element(a.engine, out)
+
+
+def elt_q_reduce(engine, elt):
+    """Image in Q of an Element (or of Element terms), through the engine's
+    pairs."""
+    terms = elt.terms if isinstance(elt, Element) else elt
+    return Element(engine, engine._terms(*engine.q_reduce_pair(
+        engine._scaled(terms))))
+
+
+def elt_sub(a, b):
+    """a - b for Elements of one engine."""
+    return elt_add(a, elt_scale(b, -1))
+
+
+class ElementChain:
+    """The generators and relations of a WContext's datum computed on
+    Elements: each ad image, product and evaluated PBW monomial an Element,
+    each sum and multiple an Element operation.  Raises the pair path's
+    errors with its messages."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.engine = ctx.engine
+        self.memo = {}
+        self.values = [self.solve_theta(k)
+                       for k in range(1, ctx.n_generators() + 1)]
+
+    def is_invariant(self, q):
+        e = self.engine
+        return all(e.ad_act(z, q).is_zero()
+                   for z in m_generators(self.ctx.nd))
+
+    def check_invariant(self, q):
+        if not self.is_invariant(q):
+            raise NotInvariantError("element is not invariant under ad m")
+
+    def solve_theta(self, k):
+        """The value of generator k: the invariance system of
+        `WContext.solve_theta` with Element ad images."""
+        ctx, e = self.ctx, self.engine
+        nd, f = ctx.nd, e.field
+        lead = ctx.leading_gen_index(k)
+        if nd.r_odd and k == nd.l + nd.q + 1:
+            value = elt_q_reduce(e, e.gen(lead))
+            self.check_invariant(value)
+            return value
+        cands = ctx.candidate_monomials(k)
+        zs = m_generators(nd)
+        target = elt_q_reduce(e, e.gen(lead))
+        rows, rhs = {}, {}
+        for cidx, m in enumerate(cands):
+            for z in zs:
+                img = e.ad_act(z, e.element({m: f.one}))
+                for mm, c in img.terms.items():
+                    rows.setdefault((z, mm), {})[cidx] = c
+        for z in zs:
+            img = e.ad_act(z, target)
+            for mm, c in img.terms.items():
+                rows.setdefault((z, mm), {})
+                rhs[(z, mm)] = f.neg(c)
+        sol = linalg.solve_affine(f, list(rows.values()),
+                                  [rhs.get(key, f.zero) for key in rows],
+                                  len(cands))
+        if sol is None:
+            raise SolverError("invariance system for generator %d has no"
+                              " solution" % k)
+        terms = {e._gen_mono(lead): f.one}
+        for m, c in zip(cands, sol):
+            if not f.is_zero(c):
+                terms[m] = c
+        value = e.element(terms)
+        self.check_invariant(value)
+        return value
+
+    def eval_monomial(self, expo):
+        """theta^a 1 = theta_k (theta^{a-e_k} 1), k the first generator of
+        a, the product by `Enveloping.q_mul`; memoized."""
+        expo = tuple(expo)
+        if expo not in self.memo:
+            k = next((i for i, v in enumerate(expo) if v), None)
+            if k is None:
+                self.memo[expo] = self.engine.unit()
+            else:
+                prev = self.eval_monomial(expo[:k] + (expo[k] - 1,)
+                                          + expo[k + 1:])
+                self.memo[expo] = self.engine.q_mul(self.values[k], prev)
+        return self.memo[expo]
+
+    def evaluate(self, poly):
+        acc = self.engine.zero()
+        for expo, c in poly.terms.items():
+            acc = elt_add(acc, elt_scale(self.eval_monomial(expo), c))
+        return acc
+
+    def super_bracket(self, a, b):
+        e = self.engine
+        pa, pb = a.parity(), b.parity()
+        if pa is None or pb is None:
+            raise SolverError("super bracket of inhomogeneous elements")
+        left = e.q_mul(a, b)
+        right = e.q_mul(b, a)
+        if pa and pb:
+            return elt_add(left, right)
+        return elt_sub(left, right)
+
+    def express_in_pbw(self, q):
+        """Descending elimination on (e-degree, weight), one Element
+        subtraction per leading monomial, and the evaluate-back check."""
+        ctx, e = self.ctx, self.engine
+        f = e.field
+        self.check_invariant(q)
+        cur = q
+        out = {}
+        prev_key = None
+        while not cur.is_zero():
+            n, big, monos = e.leading_data(cur.terms)
+            key = (n, big)
+            if prev_key is not None and key >= prev_key:
+                raise SolverError("PBW elimination does not descend")
+            prev_key = key
+            for m in sorted(monos):
+                lam = cur.coefficient(m)
+                if f.is_zero(lam):
+                    continue
+                expo = ctx._leading_to_expo(m)
+                ev = self.eval_monomial(expo)
+                kappa = ev.coefficient(m)
+                if f.is_zero(kappa):
+                    raise SolverError("evaluated monomial lost its leading"
+                                      " term")
+                coef = f.div(lam, kappa)
+                cur = elt_sub(cur, elt_scale(ev, coef))
+                out[expo] = f.add(out.get(expo, f.zero), coef)
+        out = {m: c for m, c in out.items() if not f.is_zero(c)}
+        poly = ThetaPolynomial(ctx.n_generators(), out)
+        if self.evaluate(poly) != q:
+            raise SolverError("PBW expression does not evaluate back")
+        return poly
+
+    def commutator_table(self):
+        """{(i, j): ThetaPolynomial} for i <= j, each bracket from both of
+        its products, each polynomial checked by the WContext's
+        `_check_relation`."""
+        ctx = self.ctx
+        ng = ctx.n_generators()
+        degrees = ctx.generator_degrees()
+        out = {}
+        for i in range(1, ng + 1):
+            for j in range(i, ng + 1):
+                poly = self.express_in_pbw(self.super_bracket(
+                    self.values[i - 1], self.values[j - 1]))
+                ctx._check_relation(i, j, poly, degrees)
+                out[(i, j)] = poly
+        return out

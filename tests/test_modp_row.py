@@ -19,7 +19,7 @@ import pytest
 from oracle import (ad_matrix, dense_nullspace_mod_p, dense_rank_mod_p,
                     dense_rows, left_matrix, per_monomial_columns,
                     sparse_stacked_kernel, stacked_ad)
-from wsuper import cli, linalg, modp, pbw, wchar0
+from wsuper import cli, linalg, modp, wchar0
 from wsuper.cli import EXIT_CHECK_FAILURES, EXIT_CONFIG, PipelineConfig
 
 
@@ -117,17 +117,16 @@ def test_row_builds_q_and_each_ad_column_set_once(monkeypatch, tmp_path,
 def test_reduced_w_forms_no_pbw_monomial_by_products(request, monkeypatch,
                                                      which):
     # the PBW vectors come from the left action of U_eta on Q: during
-    # reduced_w, eval_monomial runs only inside the relation table, and
-    # q_mul runs no more often than in that table alone
+    # reduced_w, the one evaluation memo (`WContext._eval_pair`) is read
+    # only inside the relation table, and it ends holding no more evaluated
+    # monomials than after that table alone
     dat = request.getfixturevalue(which)
-    products, evals, in_table = [], [], [False]
-    _count(monkeypatch, pbw.Enveloping, "q_mul", products)
+    evals, in_table = [], [False]
     ctx = wchar0.WContext(dat, engine=modp.build_reduced_q(dat).engine)
     ctx.generators()
     ctx.commutator_table()
-    alone = len(products)
-    del products[:]
-    evaluate = wchar0.WContext.eval_monomial
+    alone = len(ctx._eval_cache)
+    evaluate = wchar0.WContext._eval_pair
     table = wchar0.WContext.commutator_table
 
     def counted_eval(self, expo):
@@ -141,12 +140,12 @@ def test_reduced_w_forms_no_pbw_monomial_by_products(request, monkeypatch,
         finally:
             in_table[0] = False
 
-    monkeypatch.setattr(wchar0.WContext, "eval_monomial", counted_eval)
+    monkeypatch.setattr(wchar0.WContext, "_eval_pair", counted_eval)
     monkeypatch.setattr(wchar0.WContext, "commutator_table", flagged_table)
     rw = modp.reduced_w(modp.build_reduced_q(dat))
     assert rw.pbw_ok
     assert evals and all(evals)
-    assert 0 < len(products) <= alone
+    assert 0 < len(rw.context._eval_cache) <= alone
 
 
 @pytest.mark.parametrize("which", ["dat_osp3", "dat_sl3"])
