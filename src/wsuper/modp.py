@@ -219,11 +219,14 @@ def pbw_dim(p, parities):
 
 
 # Bytes one basis monomial of Q costs in Python: its exponent tuple (40 plus
-# 8 per generator), its list slot and its entry in the index dict; measured
-# at 198 bytes for the 9 generators of gl(2|1) regular.  The mixed-radix
-# layout of the action columns adds 98 bytes more once built (tracemalloc,
-# gl(2|1) regular at p = 5 and 7); the columns it builds take 0.6 KB less
-# per column of each z in m (AD_COLUMN_BYTES), so the sum is still covered.
+# 8 per generator) and its list slot.  The 198 bytes measured for the 9
+# generators of gl(2|1) regular also counted an entry in a {monomial: index}
+# dict that Q no longer keeps: the `at` list of `_basis_layout` replaced it.
+# That layout of the action columns added 98 bytes more once built
+# (tracemalloc, gl(2|1) regular at p = 5 and 7); the columns it builds take
+# 0.6 KB less per column of each z in m (AD_COLUMN_BYTES), so the sum was
+# covered.  The constant is kept as measured then; ROADMAP item 4 measures
+# it again, with the preflight estimate it feeds.
 MONOMIAL_BYTES = 128
 MONOMIAL_BYTES_PER_GEN = 8
 # Bytes one ad column of z in m costs on the way to the m-kernel: the sparse
@@ -392,8 +395,8 @@ class ReducedQ:
         p = 3, sl(2|1) E12 at p = 7, gl(2|1) regular at p = 5 and osp(1|2)
         regular at p = 11, the recursion was at most 4 calls deep in basis
         order and 23 in reverse order.  `pbw.Enveloping.left_gen` is its
-        twin on monomials, which `q_mul` and `ad_act` use in every
-        characteristic."""
+        twin on monomials, through which the engine's `q_mul` and `ad_act`
+        act on pairs in every characteristic."""
         first, lower, upper, code, at, radix = self._layout
         dim = self.dim
         p = self.p
@@ -542,7 +545,8 @@ class ReducedQ:
         before a in expos, as in (degree, tuple) order.  The shared memo
         serves the whole evaluation, with what the ad columns left in it."""
         lift = self._lift_actor()
-        lifts = [th.value.terms for th in thetas]
+        # mod p a value's pair has denominator 1: its numerators are the lift
+        lifts = [th.value[0] for th in thetas]
         known = {}
         for a in expos:
             k = next((i for i, x in enumerate(a) if x), None)
@@ -961,7 +965,9 @@ def mprime_invariants_check(q):
     proper = len(inv_mp) < len(inv_m)
     # witness: the middle vector class, the basis monomial b_mid, is
     # m-invariant but not m'-invariant
-    wvec = [q.vector_of(q.engine.gen(datum.v_mid_index).terms)]
+    mid = [0] * q.engine.n_gens
+    mid[datum.v_mid_index] = 1
+    wvec = [q.vector_of({tuple(mid): 1})]
     in_m = _in_span(q, inv_m, wvec)
     in_mp = _in_span(q, inv_mp, wvec)
     return RefinedInvariantsReport(

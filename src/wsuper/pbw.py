@@ -19,17 +19,16 @@ map and the engine's public eta, for the mod-p chain's action columns.
 
 A combination of monomials is a pair (nums, den): Python-int numerators
 over one positive denominator, in lowest terms (denominator 1 and residues
-mod p in characteristic p).  The engine and the char-0 chain of `wchar0`
-(generator solve, PBW descent, relation table, graded check) compute on
-pairs alone.  An `Element`, whose terms hold Fractions over Q and residues
-mod p, is the API's view of a pair: `_scaled` and `_terms` convert at that
-boundary, and an Element has no arithmetic of its own.  Every operation is
-a pure function of immutable inputs.
+mod p in characteristic p).  The pair is the only form of a class in Q:
+the engine and the char-0 chain of `wchar0` (generator solve, PBW descent,
+relation table, graded check) compute on pairs alone, and `q_mul` and
+`ad_act` refuse a right operand with a letter of m.  `_scaled` turns a dict
+of Field scalars into a pair.  Every operation is a pure function of
+immutable inputs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .scalars import lowest, widen
@@ -40,40 +39,6 @@ _EMPTY = ({}, 1)
 
 class AmbientMismatch(ValueError):
     pass
-
-
-class Element:
-    """A finite linear combination of normal-ordered monomials, the API's
-    view of an engine pair: terms hold Fractions over Q, residues mod p."""
-
-    __slots__ = ("engine", "terms")
-
-    def __init__(self, engine, terms):
-        self.engine = engine
-        self.terms = terms
-
-    def __eq__(self, other):
-        return (isinstance(other, Element) and self.engine is other.engine
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((id(self.engine), tuple(sorted(self.terms.items()))))
-
-    def is_zero(self):
-        return not self.terms
-
-    def parity(self):
-        return self.engine.element_parity(self.terms)
-
-    def coefficient(self, mono):
-        return self.terms.get(mono, self.engine.field.zero)
-
-    def _check(self, other):
-        if not isinstance(other, Element) or other.engine is not self.engine:
-            raise AmbientMismatch("elements live in different ambients")
-
-    def __repr__(self):
-        return "Element(%s)" % self.engine.format_element(self.terms)
 
 
 class Enveloping:
@@ -118,28 +83,6 @@ class Enveloping:
                                 for g, v in self.pmap.items()}
         self._gen_cache = {}
 
-    # -- construction of elements -------------------------------------------
-
-    def unit(self):
-        return Element(self, {self.unit_mono: self.field.one})
-
-    def zero(self):
-        return Element(self, {})
-
-    def gen(self, i):
-        m = [0] * self.n_gens
-        m[i] = 1
-        return Element(self, {tuple(m): self.field.one})
-
-    def element(self, terms):
-        f = self.field
-        clean = {}
-        for m, c in terms.items():
-            c = f.of(c)
-            if not f.is_zero(c):
-                clean[tuple(m)] = c
-        return Element(self, clean)
-
     # -- labels and grading ---------------------------------------------------
 
     def mono_parity(self, mono):
@@ -174,35 +117,20 @@ class Enveloping:
         return list(exponent_tuples(self.e_degrees[:n], self.parities[:n], cap,
                                     budget, (0,) * (self.n_gens - n)))
 
-    def format_element(self, terms):
-        if not terms:
-            return "0"
-        bits = []
-        for m in sorted(terms):
-            parts = []
-            for i, e in enumerate(m):
-                if e == 1:
-                    parts.append(self.labels[i])
-                elif e > 1:
-                    parts.append("%s^%d" % (self.labels[i], e))
-            mono = "*".join(parts) if parts else "1"
-            bits.append("(%s)%s" % (terms[m], mono))
-        return " + ".join(bits)
-
     # -- core rewriting -------------------------------------------------------
 
-    # Inside the engine a combination of monomials is a pair (nums, den): a
-    # {monomial: int} dict over one positive denominator.  The multiply-adds
-    # are integer operations (`scalars.widen`); each result is brought to
-    # lowest terms (den and the numerators coprime, den 1 when empty) with one
-    # gcd (`scalars.lowest`).  Characteristic p is the case den = 1, with
-    # residues reduced by one % p per update.
-    # Fractions appear only in Element terms, at the API boundary: `_scaled`
-    # turns terms into a pair and `_terms` a pair into terms.
+    # A combination of monomials is a pair (nums, den): a {monomial: int}
+    # dict over one positive denominator.  The multiply-adds are integer
+    # operations (`scalars.widen`); each result is brought to lowest terms
+    # (den and the numerators coprime, den 1 when empty) with one gcd
+    # (`scalars.lowest`).  Characteristic p is the case den = 1, with
+    # residues reduced by one % p per update.  `_scaled` turns a dict of
+    # Field scalars (the datum's brackets, a generator's solved
+    # coefficients) into a pair.
 
     def _scaled(self, terms):
-        """The pair of Element terms: integer numerators over the least
-        common denominator (1 for residues mod p)."""
+        """The pair of {monomial: Field scalar} terms: integer numerators
+        over the least common denominator (1 for residues mod p)."""
         p = self.field.char
         den = lcm(*(c.denominator for c in terms.values()))
         nums = {}
@@ -213,12 +141,6 @@ class Enveloping:
             if v:
                 nums[m] = v
         return nums, den
-
-    def _terms(self, nums, den):
-        """Element terms of a pair: Fractions over Q, residues mod p."""
-        if self.field.char:
-            return nums
-        return {m: Fraction(c, den) for m, c in nums.items()}
 
     def _acc(self, acc, den, terms, c, cden=1):
         """acc/den += (c/cden) terms in place, for integer terms; returns the
@@ -276,28 +198,19 @@ class Enveloping:
                     acc.pop(mm, None)
         return lowest(acc, out)
 
-    def is_q_element(self, elt):
-        return all(all(m[g] == 0 for g in range(self.cobasis_count, self.n_gens))
-                   for m in elt.terms)
-
-    def q_mul(self, a, b):
-        """The class in Q of lift(a) b: a, read as an element of U, acting
-        on the class of b (`_lift_apply`), so that no product in U is formed.
-        For classes a and b it is their product via canonical lifts, well
-        defined when b is invariant."""
-        a._check(b)
-        return Element(self, self._terms(*self._lift_apply(
-            self._scaled(a.terms), self.q_reduce_pair(self._scaled(b.terms)))))
-
-    def _lift_apply(self, u, v):
-        """u v for a pair u over all generators and a pair v of classes in
-        Q, as a new pair in lowest terms: each term c b^m of u acts as
+    def q_mul(self, u, v):
+        """The class in Q of lift(u) v for a pair u over all generators and
+        a pair v of classes in Q, as a new pair in lowest terms: u, read as
+        an element of U, acting on v, so that no product in U is formed; for
+        classes u and v it is their product via canonical lifts, well
+        defined when v is invariant.  Each term c b^m of u acts as
         L_{g_1}(... L_{g_r}(v)) for the letters g_1 <= ... <= g_r of m, each
         L_g by `_left_apply`.  The terms are taken in the order of their
         reversed tuples, so that terms ending in the same letters follow
         each other, and only the current term's chain is kept: b^{m'} v for
         the tails m' of m, which the next term reuses as far as their
-        letters agree."""
+        letters agree.  AmbientMismatch when v has a letter of m."""
+        self._check_class(v[0], "q_mul acts on reduced classes")
         nums, den = u
         acc, out = {}, 1
         # (letter, b^{m'} v) from the unit up; the unit's letter is -1
@@ -407,14 +320,17 @@ class Enveloping:
             out = self._acc(acc, out, tn, c, den * td)
         return acc, out
 
-    def ad_pair(self, g, pair):
-        """Class of [b_g, lift(q)] in Q for a pair of classes q, as a new
-        pair in lowest terms: L_g q less (-1)^{|g||m|} c times the class of
-        b^m b_g over the terms c b^m of q, with L_g the left action of U on
-        Q (`left_gen`) and the class of b^m b_g that of b^m acting on the
-        class of b_g (`_lift_apply`).  For z in m, b^m b_z is ordered and
-        acts on Q by chi(z), so ad z = L_z - chi(z) on Q: the sign
-        (-1)^{|z||m|} is kept, though chi vanishes on odd z."""
+    def ad_act(self, g, pair):
+        """Class of [b_g, lift(q)] in Q for the generator index g and a pair
+        of classes q, as a new pair in lowest terms: L_g q less
+        (-1)^{|g||m|} c times the class of b^m b_g over the terms c b^m of
+        q, with L_g the left action of U on Q (`left_gen`) and the class of
+        b^m b_g that of b^m acting on the class of b_g (`q_mul`), the route
+        of `modp.ReducedQ._left_actor` in every characteristic.  For z in
+        m, b^m b_z is ordered and acts on Q by chi(z), so ad z = L_z -
+        chi(z) on Q: the sign (-1)^{|z||m|} is kept, though chi vanishes on
+        odd z.  AmbientMismatch when q has a letter of m."""
+        self._check_class(pair[0], "ad acts on reduced classes")
         nums, den = pair
         acc, out = self._left_apply(g, pair)
         pg = self.parities[g]
@@ -424,24 +340,18 @@ class Enveloping:
             right = {m: c if pg and self.mono_parity(m) else -c
                      for m, c in nums.items()}
             if not inside:
-                right, cd = self._lift_apply((right, 1),
-                                             ({self._gen_mono(g): 1}, 1))
+                right, cd = self.q_mul((right, 1),
+                                       ({self._gen_mono(g): 1}, 1))
             out = self._acc(acc, out, right, cn, den * cd)
         return lowest(acc, out)
 
-    def q_pair(self, q):
-        """The pair of an Element that is a reduced class; AmbientMismatch
-        otherwise."""
-        if not self.is_q_element(q):
-            raise AmbientMismatch("ad acts on reduced classes")
-        return self._scaled(q.terms)
-
-    def ad_act(self, z, q):
-        """Class of [b_z, lift(q)] in Q for the generator index z and an
-        Element q, after checking that q is a reduced class: `ad_pair`, by
-        the left action of U on Q, the route of `modp.ReducedQ._left_actor`
-        in every characteristic."""
-        return Element(self, self._terms(*self.ad_pair(z, self.q_pair(q))))
+    def _check_class(self, nums, message):
+        """AmbientMismatch(message) unless every monomial of nums is a
+        co-basis monomial, so that nums/den is a class in Q."""
+        cb = self.cobasis_count
+        for m in nums:
+            if any(m[cb:]):
+                raise AmbientMismatch(message)
 
     def _gen_mono(self, g):
         m = [0] * self.n_gens
@@ -450,14 +360,9 @@ class Enveloping:
 
     # -- filtration tools ------------------------------------------------------
 
-    def leading_terms(self, q):
-        """Monomials of maximal e-degree and, among those, maximal weight."""
-        return self.leading_data(q.terms)[2] if q.terms else set()
-
     def leading_data(self, monos):
         """(e-degree, weight, monomials) of the leading terms among the
-        nonempty monomials monos (a pair's numerator dict, or an Element's
-        terms)."""
+        nonempty monomials monos (a pair's numerator dict)."""
         n = max(self.e_degree(m) for m in monos)
         at_top = [m for m in monos if self.e_degree(m) == n]
         big = max(self.weight(m) for m in at_top)

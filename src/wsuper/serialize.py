@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import os
+from fractions import Fraction
 
 from .scalars import format_scalar
 
@@ -105,8 +106,9 @@ def presentation_to_json(pres, ctx):
             {"index": g.index, "label": g.label,
              "leading_label": e.labels[g.leading_gen], "parity": g.parity,
              "weight": g.weight, "filtration_degree": g.filtration_degree,
-             "value": [[list(m), _fmt(f, c)]
-                       for m, c in sorted(g.value.terms.items())]}
+             # the pair (nums, den); den is 1 mod p
+             "value": [[list(m), _fmt(f, Fraction(c, g.value[1]))]
+                       for m, c in sorted(g.value[0].items())]}
             for g in pres.generators
         ],
         "relations": [

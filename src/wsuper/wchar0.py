@@ -14,10 +14,10 @@ over one positive denominator, in lowest terms (residues over denominator 1
 mod p).  The solve's rows hold ints, and a Fraction only where a pair's
 denominator exceeds 1; the PBW monomials evaluated in Q are memoized as
 pairs, and the relation table, the descent, its evaluate-back check and the
-graded check's rows read that memo.  Elements and Fractions appear only at
-the API boundary: a generator's `value`, a `ThetaPolynomial`'s
-coefficients, and the public `eval_monomial`, `evaluate`, `super_bracket`,
-`express_in_pbw` and `is_invariant`, each a wrapper over the pair path.
+graded check's rows read that memo.  A generator's `value` is its pair,
+and `is_invariant`, `check_leading_shape`, `eval_monomial`, `evaluate` and
+`express_in_pbw` take or return pairs; Fractions appear only as a
+`ThetaPolynomial`'s coefficients.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from . import linalg
-from .pbw import Element, engine_from_datum, exponent_tuples
+from .pbw import engine_from_datum, exponent_tuples
 from .scalars import lowest
 
 
@@ -121,7 +121,7 @@ class WGenerator(namedtuple("WGenerator", "index leading_gen label parity"
     """index: 1-based position among the generators; leading_gen: adapted
     generator index of the leading term; weight: m_k, the adjoint weight of
     the leading vector; filtration_degree: m_k + 2; value: the class in Q
-    (an `Element`), applied to the cyclic vector."""
+    applied to the cyclic vector, as a pair (nums, den) in lowest terms."""
     __slots__ = ()
 
 
@@ -159,21 +159,16 @@ class WPresentation(namedtuple("WPresentation",
     """relations: (i, j), 1-based, i <= j -> ThetaPolynomial."""
     __slots__ = ()
 
-    def relation(self, i, j):
-        return self.relations[(i, j)]
-
 
 class WContext:
     """Shared state for one nilpotent datum: the engine, the solved
-    generators with their values as pairs, and the memo of evaluated PBW
-    monomials as pairs."""
+    generators, and the memo of evaluated PBW monomials as pairs."""
 
     def __init__(self, nd, engine=None):
         self.nd = nd
         self.engine = (engine_from_datum(nd, None, None) if engine is None
                        else engine)
         self._gens = None
-        self._values = None
         self._eval_cache = {}
         # adapted index of each generator's leading vector -> its 1-based
         # position among the generators
@@ -224,17 +219,15 @@ class WContext:
 
     # -- invariance -------------------------------------------------------------
 
-    def is_invariant(self, q):
-        """Whether ad z kills the reduced class q (an Element) for each z in
-        `m_generators`, which is invariance under all of m."""
-        return self._invariant(self.engine.q_pair(q))
-
-    def _invariant(self, pair):
-        ad = self.engine.ad_pair
+    def is_invariant(self, pair):
+        """Whether ad z kills the pair of classes for each z in
+        `m_generators`, which is invariance under all of m; AmbientMismatch
+        when the pair has a letter of m."""
+        ad = self.engine.ad_act
         return all(not ad(z, pair)[0] for z in m_generators(self.nd))
 
     def _check_invariant(self, pair):
-        if not self._invariant(pair):
+        if not self.is_invariant(pair):
             raise NotInvariantError("element is not invariant under ad m")
 
     # -- candidate spaces -------------------------------------------------------
@@ -277,12 +270,12 @@ class WContext:
         rows, rhs = {}, {}
         for cidx, m in enumerate(cands):
             for z in zs:
-                nums, den = e.ad_pair(z, ({m: 1}, 1))
+                nums, den = e.ad_act(z, ({m: 1}, 1))
                 for mm, c in nums.items():
                     rows.setdefault((z, mm), {})[cidx] = (
                         c if den == 1 else Fraction(c, den))
         for z in zs:
-            nums, den = e.ad_pair(z, target)
+            nums, den = e.ad_act(z, target)
             for mm, c in nums.items():
                 rows.setdefault((z, mm), {})
                 rhs[(z, mm)] = -c if den == 1 else Fraction(-c, den)
@@ -306,8 +299,7 @@ class WContext:
         return WGenerator(
             index=k, leading_gen=lead, label="theta%d" % k,
             parity=e.parities[lead], weight=e.weights[lead],
-            filtration_degree=e.weights[lead] + 2,
-            value=Element(e, e._terms(*pair)))
+            filtration_degree=e.weights[lead] + 2, value=pair)
 
     def _check_generator_shape(self, k, lead, pair):
         e = self.engine
@@ -323,19 +315,17 @@ class WContext:
         # in lowest terms the coefficient is 1 exactly when it is den/den
         if nums.get(lead_mono) != den:
             raise SolverError("generator %d has leading coefficient != 1" % k)
-        self._check_leading_shape(nums)
+        self.check_leading_shape(pair)
 
-    def check_leading_shape(self, q):
-        """Leading monomials of an invariant (an Element): no u part, the
-        x/y parts inside the centralizer block, and the v part at most the
-        middle vector."""
-        self._check_leading_shape(q.terms)
-
-    def _check_leading_shape(self, monos):
+    def check_leading_shape(self, pair):
+        """Leading monomials of an invariant given as a pair: no u part,
+        the x/y parts inside the centralizer block, and the v part at most
+        the middle vector."""
         e = self.engine
-        if not monos:
+        nums = pair[0]
+        if not nums:
             return
-        for m in e.leading_data(monos)[2]:
+        for m in e.leading_data(nums)[2]:
             for i in range(e.n_gens):
                 if m[i] and i not in self._position:
                     raise LeadingShapeError(
@@ -345,23 +335,15 @@ class WContext:
         if self._gens is None:
             self._gens = [self.solve_theta(k)
                           for k in range(1, self.n_generators() + 1)]
-            e = self.engine
-            self._values = [e._scaled(g.value.terms) for g in self._gens]
         return self._gens
 
     # -- PBW expression -----------------------------------------------------------
 
     def eval_monomial(self, expo):
-        """The class theta^a 1 in Q of the ordered monomial with exponents
-        a, as an Element: `_eval_pair`'s."""
-        e = self.engine
-        return Element(e, e._terms(*self._eval_pair(tuple(expo))))
-
-    def _eval_pair(self, expo):
         """The class theta^a 1 in Q of the ordered monomial with exponent
         tuple a, as a pair in lowest terms, by the left action of U on Q:
         with k the first generator of a, theta^a 1 = theta_k (theta^{a-e_k}
-        1), theta_k acting as its lift (`Enveloping._lift_apply`), as
+        1), theta_k acting as its lift (`Enveloping.q_mul`), as
         `modp.ReducedQ.pbw_vectors` does on Q's basis indices.  Memoized
         per exponent tuple; callers do not change the pairs it returns."""
         hit = self._eval_cache.get(expo)
@@ -372,9 +354,10 @@ class WContext:
         if k is None:
             out = ({e.unit_mono: 1}, 1)
         else:
-            self.generators()
-            prev = self._eval_pair(expo[:k] + (expo[k] - 1,) + expo[k + 1:])
-            out = e._lift_apply(self._values[k], prev)
+            theta = self.generators()[k].value
+            prev = self.eval_monomial(expo[:k] + (expo[k] - 1,)
+                                      + expo[k + 1:])
+            out = e.q_mul(theta, prev)
         self._eval_cache[expo] = out
         return out
 
@@ -389,12 +372,7 @@ class WContext:
             expo[self._position[i] - 1] = a
         return tuple(expo)
 
-    def express_in_pbw(self, q):
-        """Rewrite an invariant (an Element) as a polynomial in the ordered
-        generators: `_express`."""
-        return self._express(self.engine.q_pair(q))
-
-    def _express(self, pair):
+    def express_in_pbw(self, pair):
         """The ThetaPolynomial of an invariant given as a pair in lowest
         terms, by descending elimination on (e-degree, weight): each
         leading monomial b^m of the remainder is cancelled by the evaluated
@@ -417,7 +395,7 @@ class WContext:
                 if lam is None:
                     continue
                 expo = self._leading_to_expo(m)
-                ev, ed = self._eval_pair(expo)
+                ev, ed = self.eval_monomial(expo)
                 kappa = ev.get(m)
                 if kappa is None:
                     raise SolverError("evaluated monomial lost its leading term")
@@ -431,41 +409,24 @@ class WContext:
                                  coef.denominator * ed)
                 out[expo] = f.add(out.get(expo, f.zero), coef)
             den = lowest(cur, den)[1]
-        out = {m: c for m, c in out.items() if not f.is_zero(c)}
-        if self._evaluate(out) != pair:
+        poly = ThetaPolynomial(self.n_generators(),
+                               {m: c for m, c in out.items()
+                                if not f.is_zero(c)})
+        if self.evaluate(poly) != pair:
             raise SolverError("PBW expression does not evaluate back")
-        return ThetaPolynomial(self.n_generators(), out)
+        return poly
 
     def evaluate(self, poly):
-        """The class in Q of a ThetaPolynomial, as an Element: `_evaluate`'s."""
-        e = self.engine
-        return Element(e, e._terms(*self._evaluate(poly.terms)))
-
-    def _evaluate(self, terms):
-        """The sum of c theta^a 1 over the terms {a: c} of a polynomial in
-        the generators, as a pair in lowest terms."""
+        """The class in Q of a ThetaPolynomial: the sum of c theta^a 1 over
+        its terms {a: c}, as a pair in lowest terms."""
         e = self.engine
         acc, den = {}, 1
-        for expo, c in terms.items():
-            nums, d = self._eval_pair(expo)
+        for expo, c in poly.terms.items():
+            nums, d = self.eval_monomial(expo)
             den = e._acc(acc, den, nums, c.numerator, c.denominator * d)
         return lowest(acc, den)
 
     # -- relations -------------------------------------------------------------
-
-    def super_bracket(self, a, b):
-        """[a, b] = ab - (-1)^{|a||b|} ba in Q for homogeneous Elements a
-        and b, each product the lift of its left factor acting on the class
-        of the other."""
-        e = self.engine
-        pa, pb = a.parity(), b.parity()
-        if pa is None or pb is None:
-            raise SolverError("super bracket of inhomogeneous elements")
-        a._check(b)
-        u, v = e._scaled(a.terms), e._scaled(b.terms)
-        left = e._lift_apply(u, e.q_reduce_pair(v))
-        right = e._lift_apply(v, e.q_reduce_pair(u))
-        return Element(e, e._terms(*_super_sum(e, left, right, pa and pb)))
 
     def centralizer_structure(self, i, j):
         """Coefficients alpha with [Y_i, Y_j] = sum alpha_k Y_k in the
@@ -482,15 +443,16 @@ class WContext:
 
     def commutator_table(self):
         """The relation of each pair i <= j: the super bracket [theta_i,
-        theta_j] on pairs, expressed in the PBW monomials (`_express`) and
-        checked (`_check_relation`).  For i < j the product theta_i theta_j
-        is the PBW monomial theta^{e_i + e_j}, read from the evaluation
-        memo, and theta_j theta_i is theta_j's lift acting on theta_i.  For
-        i = j the bracket is 0 for an even theta_i and 2 theta_i^2, its
-        product formed once, for an odd one."""
+        theta_j] on pairs, expressed in the PBW monomials
+        (`express_in_pbw`) and checked (`_check_relation`).  For i < j the
+        product theta_i theta_j is the PBW monomial theta^{e_i + e_j}, read
+        from the evaluation memo, and theta_j theta_i is theta_j's lift
+        acting on theta_i (`Enveloping.q_mul`).  For i = j the bracket is 0
+        for an even theta_i and 2 theta_i^2, its product formed once, for an
+        odd one."""
         e = self.engine
         gens = self.generators()
-        values = self._values
+        values = [g.value for g in gens]
         ng = self.n_generators()
         degrees = self.generator_degrees()
         parities = [e.element_parity(nums) for nums, _ in values]
@@ -504,14 +466,14 @@ class WContext:
                 if i < j:
                     expo = [0] * ng
                     expo[i - 1] = expo[j - 1] = 1
-                    br = _super_sum(e, self._eval_pair(tuple(expo)),
-                                    e._lift_apply(b, a), pa and pb)
+                    br = _super_sum(e, self.eval_monomial(tuple(expo)),
+                                    e.q_mul(b, a), pa and pb)
                 elif pa:
-                    square = e._lift_apply(a, a)
+                    square = e.q_mul(a, a)
                     br = _super_sum(e, square, square, True)
                 else:
                     br = ({}, 1)
-                poly = self._express(br)
+                poly = self.express_in_pbw(br)
                 self._check_relation(i, j, poly, degrees)
                 relations[(i, j)] = poly
         return WPresentation(generators=gens, relations=relations,
@@ -583,7 +545,7 @@ class WContext:
             # denominator keeps the rank
             vecs = []
             for expo in expos:
-                nums, _ = self._eval_pair(expo)
+                nums, _ = self.eval_monomial(expo)
                 vecs.append({m: c for m, c in nums.items()
                              if e.e_degree(m) == d})
             counts[d] = len(vecs)

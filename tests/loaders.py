@@ -114,7 +114,7 @@ def presentation_from_json(data, ctx):
         raise SchemaError("generator count mismatch")
     for g, gd in zip(gens, data["generators"]):
         value = {tuple(m): _parse(f, c) for m, c in gd["value"]}
-        if value != g.value.terms:
+        if ctx.engine._scaled(value) != g.value:
             raise SchemaError("stored generator %s disagrees with the"
                               " deterministic solve" % gd["label"])
     nvars = ctx.n_generators()

@@ -13,16 +13,18 @@ its ad matrices and the sparse stacked kernel, the PBW engine's normal
 ordering and per-term arithmetic through Field methods, the PBW
 exponent tuples as a filtered product, the Lie superalgebra axiom checks
 through Field methods (axiom (b) of the p-map as p brackets in a row, the
-restrictedness oracle), and matrix powers as a loop of products."""
+restrictedness oracle), matrix powers as a loop of products, and the
+char-0 chain of `wsuper.wchar0` on Field terms, with the conversions
+between the engine's pairs and Field terms."""
 
 import weakref
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
 
 import numpy as np
 
 from wsuper import linalg
-from wsuper.pbw import Element
 from wsuper.superalgebra import AlgebraError
 from wsuper.wchar0 import (NotInvariantError, SolverError, ThetaPolynomial,
                            m_generators)
@@ -454,7 +456,7 @@ def pbw_vectors_by_products(q, ctx, expos):
     read on Q's basis by `ReducedQ.vector_of`.  Each a - e_last must come
     before a in expos.  The oracle of `ReducedQ.pbw_vectors`."""
     e = q.engine
-    thetas = [th.value.terms for th in ctx.generators()]
+    thetas = [terms_of(e, th.value) for th in ctx.generators()]
     known = {}
     for a in expos:
         if not any(a):
@@ -564,7 +566,7 @@ def check_p_center_acts_zero(q):
     return True, ""
 
 
-# The engine's per-term loops as they read with Field methods on Element
+# The engine's per-term loops as they read with Field methods on Field
 # terms (Fractions over Q, residues mod p), the oracle of its integer
 # arithmetic: `field_add` of `Enveloping._add`, `field_acc` of `_acc` and
 # `field_q_reduce` of `q_reduce`; and normal ordering in U below, by
@@ -627,7 +629,7 @@ _FIELD_MEMO = weakref.WeakKeyDictionary()
 
 
 def field_times_gen(engine, mono, g):
-    """Normal form of (monomial) * b_g as Element terms: rightmost-disorder
+    """Normal form of (monomial) * b_g as Field terms: rightmost-disorder
     bubbling, odd squares through [g,g]/2 and, mod p, the exponent cap
     through g^p = g^[p] + eta(g)^p, all with Field methods."""
     memo = _FIELD_MEMO.setdefault(engine, {})
@@ -663,7 +665,7 @@ def field_times_gen(engine, mono, g):
 
 
 def field_mul(engine, a, b):
-    """The product of Element terms a and b, pair of terms by pair of terms,
+    """The product of Field terms a and b, pair of terms by pair of terms,
     each monomial of b applied to a monomial of a one generator at a time
     from scratch."""
     f = engine.field
@@ -682,12 +684,12 @@ def field_mul(engine, a, b):
 
 
 def field_q_mul(engine, a, b):
-    """The class in Q of the product of Element terms a and b."""
+    """The class in Q of the product of Field terms a and b."""
     return field_q_reduce(engine, field_mul(engine, a, b))
 
 
 def field_ad_act(engine, g, q):
-    """The class of [b_g, q] in Q for Element terms q on the co-basis: the
+    """The class of [b_g, q] in Q for Field terms q on the co-basis: the
     reduced b_g q less (-1)^{|g||m|} c times the reduced b^m b_g per term."""
     f = engine.field
     out = field_q_mul(engine, {engine._gen_mono(g): f.one}, q)
@@ -887,44 +889,65 @@ def dense_nullspace_mod_p(mat, p):
     return basis
 
 
-# -- the char-0 chain on Elements ---------------------------------------------
-# Element arithmetic through the Field methods, and WContext's generator
-# solve, PBW evaluation, super bracket and PBW descent as they read on
-# Elements, each step through Element terms: the reference that the pair
-# path of `wsuper.wchar0` is tested against.
+# -- pairs and Field terms, and the char-0 chain on Field terms -------------
+# The engine computes on pairs (integer numerators over one denominator);
+# the Field-method oracle on Field terms, {monomial: scalar} dicts holding
+# Fractions over Q and residues mod p.  `pair_of` and `terms_of` convert,
+# and `ElementChain` is WContext's generator solve, PBW evaluation, super
+# bracket and PBW descent on Field terms: the reference that the pair path
+# of `wsuper.wchar0` is tested against.
 
-def elt_add(a, b):
-    """a + b for Elements of one engine."""
-    a._check(b)
-    return Element(a.engine, field_add(a.engine.field, a.terms, b.terms))
+def pair_of(engine, terms):
+    """The engine's pair of {monomial: scalar} terms, each scalar (an int
+    or a Fraction) taken into the engine's field first."""
+    f = engine.field
+    return engine._scaled({m: f.of(c) for m, c in terms.items()})
 
 
-def elt_scale(a, c):
-    """c a for an Element a and a scalar c."""
-    f = a.engine.field
+def terms_of(engine, pair):
+    """The Field terms of a pair: Fractions over Q, residues mod p."""
+    nums, den = pair
+    if engine.field.char:
+        return dict(nums)
+    return {m: Fraction(c, den) for m, c in nums.items()}
+
+
+def gen_pair(engine, g):
+    """The pair of the generator b_g."""
+    return {engine._gen_mono(g): 1}, 1
+
+
+def field_scale(field, a, c):
+    """c a for Field terms a and a scalar c."""
     out = {}
-    field_acc(f, out, a.terms, f.of(c))
-    return Element(a.engine, out)
+    field_acc(field, out, a, field.of(c))
+    return out
 
 
-def elt_q_reduce(engine, elt):
-    """Image in Q of an Element (or of Element terms), through the engine's
-    pairs."""
-    terms = elt.terms if isinstance(elt, Element) else elt
-    return Element(engine, engine._terms(*engine.q_reduce_pair(
-        engine._scaled(terms))))
+def field_sub(field, a, b):
+    """a - b for Field terms."""
+    return field_add(field, a, field_scale(field, b, -1))
 
 
-def elt_sub(a, b):
-    """a - b for Elements of one engine."""
-    return elt_add(a, elt_scale(b, -1))
+def field_super_bracket(engine, a, b):
+    """[a, b] = ab - (-1)^{|a||b|} ba in Q for homogeneous Field terms a
+    and b of classes in Q, each product by `field_q_mul`."""
+    pa, pb = engine.element_parity(a), engine.element_parity(b)
+    if pa is None or pb is None:
+        raise SolverError("super bracket of inhomogeneous elements")
+    f = engine.field
+    right = field_q_mul(engine, b, a)
+    return field_add(f, field_q_mul(engine, a, b),
+                     right if pa and pb else field_scale(f, right, -1))
 
 
 class ElementChain:
-    """The generators and relations of a WContext's datum computed on
-    Elements: each ad image, product and evaluated PBW monomial an Element,
-    each sum and multiple an Element operation.  Raises the pair path's
-    errors with its messages."""
+    """The generators and relations of a WContext's datum computed on Field
+    terms through the Field-method oracle: each ad image by
+    `field_ad_act`, each product by `field_q_mul` on a reduced right
+    factor, each sum and multiple by `field_acc`, so that no left action
+    of the engine is read.  Raises the pair path's errors with its
+    messages."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -935,7 +958,7 @@ class ElementChain:
 
     def is_invariant(self, q):
         e = self.engine
-        return all(e.ad_act(z, q).is_zero()
+        return all(not field_ad_act(e, z, q)
                    for z in m_generators(self.ctx.nd))
 
     def check_invariant(self, q):
@@ -944,26 +967,23 @@ class ElementChain:
 
     def solve_theta(self, k):
         """The value of generator k: the invariance system of
-        `WContext.solve_theta` with Element ad images."""
+        `WContext.solve_theta` with the oracle's ad images."""
         ctx, e = self.ctx, self.engine
         nd, f = ctx.nd, e.field
         lead = ctx.leading_gen_index(k)
+        target = field_q_reduce(e, {e._gen_mono(lead): f.one})
         if nd.r_odd and k == nd.l + nd.q + 1:
-            value = elt_q_reduce(e, e.gen(lead))
-            self.check_invariant(value)
-            return value
+            self.check_invariant(target)
+            return target
         cands = ctx.candidate_monomials(k)
         zs = m_generators(nd)
-        target = elt_q_reduce(e, e.gen(lead))
         rows, rhs = {}, {}
         for cidx, m in enumerate(cands):
             for z in zs:
-                img = e.ad_act(z, e.element({m: f.one}))
-                for mm, c in img.terms.items():
+                for mm, c in field_ad_act(e, z, {m: f.one}).items():
                     rows.setdefault((z, mm), {})[cidx] = c
         for z in zs:
-            img = e.ad_act(z, target)
-            for mm, c in img.terms.items():
+            for mm, c in field_ad_act(e, z, target).items():
                 rows.setdefault((z, mm), {})
                 rhs[(z, mm)] = f.neg(c)
         sol = linalg.solve_affine(f, list(rows.values()),
@@ -976,68 +996,61 @@ class ElementChain:
         for m, c in zip(cands, sol):
             if not f.is_zero(c):
                 terms[m] = c
-        value = e.element(terms)
-        self.check_invariant(value)
-        return value
+        self.check_invariant(terms)
+        return terms
 
     def eval_monomial(self, expo):
         """theta^a 1 = theta_k (theta^{a-e_k} 1), k the first generator of
-        a, the product by `Enveloping.q_mul`; memoized."""
+        a, the product by `field_q_mul`; memoized."""
         expo = tuple(expo)
         if expo not in self.memo:
+            e = self.engine
             k = next((i for i, v in enumerate(expo) if v), None)
             if k is None:
-                self.memo[expo] = self.engine.unit()
+                self.memo[expo] = {e.unit_mono: e.field.one}
             else:
                 prev = self.eval_monomial(expo[:k] + (expo[k] - 1,)
                                           + expo[k + 1:])
-                self.memo[expo] = self.engine.q_mul(self.values[k], prev)
+                self.memo[expo] = field_q_mul(e, self.values[k], prev)
         return self.memo[expo]
 
     def evaluate(self, poly):
-        acc = self.engine.zero()
+        f = self.engine.field
+        acc = {}
         for expo, c in poly.terms.items():
-            acc = elt_add(acc, elt_scale(self.eval_monomial(expo), c))
+            field_acc(f, acc, self.eval_monomial(expo), c)
         return acc
 
     def super_bracket(self, a, b):
-        e = self.engine
-        pa, pb = a.parity(), b.parity()
-        if pa is None or pb is None:
-            raise SolverError("super bracket of inhomogeneous elements")
-        left = e.q_mul(a, b)
-        right = e.q_mul(b, a)
-        if pa and pb:
-            return elt_add(left, right)
-        return elt_sub(left, right)
+        return field_super_bracket(self.engine, a, b)
 
     def express_in_pbw(self, q):
-        """Descending elimination on (e-degree, weight), one Element
-        subtraction per leading monomial, and the evaluate-back check."""
+        """Descending elimination on (e-degree, weight), one subtraction
+        per leading monomial, and the evaluate-back check."""
         ctx, e = self.ctx, self.engine
         f = e.field
         self.check_invariant(q)
-        cur = q
+        cur = dict(q)
         out = {}
         prev_key = None
-        while not cur.is_zero():
-            n, big, monos = e.leading_data(cur.terms)
+        while cur:
+            n, big, monos = e.leading_data(cur)
             key = (n, big)
             if prev_key is not None and key >= prev_key:
                 raise SolverError("PBW elimination does not descend")
             prev_key = key
             for m in sorted(monos):
-                lam = cur.coefficient(m)
+                lam = cur.get(m, f.zero)
                 if f.is_zero(lam):
                     continue
                 expo = ctx._leading_to_expo(m)
                 ev = self.eval_monomial(expo)
-                kappa = ev.coefficient(m)
+                kappa = ev.get(m, f.zero)
                 if f.is_zero(kappa):
                     raise SolverError("evaluated monomial lost its leading"
                                       " term")
                 coef = f.div(lam, kappa)
-                cur = elt_sub(cur, elt_scale(ev, coef))
+                field_acc(f, cur, ev, f.neg(coef))
                 out[expo] = f.add(out.get(expo, f.zero), coef)
         out = {m: c for m, c in out.items() if not f.is_zero(c)}
         poly = ThetaPolynomial(ctx.n_generators(), out)

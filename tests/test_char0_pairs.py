@@ -1,13 +1,14 @@
 """The char-0 chain of `wsuper.wchar0` on the engine's pairs: against the
-Element path it replaced (`oracle.ElementChain`) on every CONFIGS row, in
-characteristic 0 and mod p at each eta sample; the left products that the
-relation table reads from the evaluation memo; and each check of the
-relation table, made to fail on the pair path, raising its own error with
-its own message."""
+same chain on Field terms through the Field-method oracle
+(`oracle.ElementChain`, which reads no left action of the engine) on every
+CONFIGS row, in characteristic 0 and mod p at each eta sample; the left
+products that the relation table reads from the evaluation memo; and each
+check of the relation table, made to fail on the pair path, raising its own
+error with its own message."""
 
 import pytest
 
-from oracle import ElementChain, elt_q_reduce
+from oracle import ElementChain, gen_pair, terms_of
 from test_q_columns import CONFIGS
 from wsuper import (analyze_nilpotent, build_algebra, reduce_datum,
                     resolve_nilpotent, sl2_triple)
@@ -37,6 +38,15 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
+def pair_bracket(engine, a, b):
+    """[a, b] = ab - (-1)^{|a||b|} ba on the pair path, for the pairs of
+    homogeneous classes a and b: each product by `Enveloping.q_mul`, the
+    two summed by the relation table's `_super_sum`."""
+    odd = engine.element_parity(a[0]) and engine.element_parity(b[0])
+    return wchar0._super_sum(engine, engine.q_mul(a, b), engine.q_mul(b, a),
+                             odd)
+
+
 def _unit(ng, *ks):
     expo = [0] * ng
     for k in ks:
@@ -47,26 +57,29 @@ def _unit(ng, *ks):
 @pytest.mark.parametrize("nd, p", CONFIGS)
 def test_pair_path_equals_the_element_path(request, nd, p):
     for label, ctx in _contexts(request.getfixturevalue(nd), p):
+        e = ctx.engine
         ref = ElementChain(ctx)
         gens = ctx.generators()
-        assert [g.value for g in gens] == ref.values, label
-        # the relation table, or the error that stops it, is the Element
-        # path's
+        assert [terms_of(e, g.value) for g in gens] == ref.values, label
+        # the relation table, or the error that stops it, is the oracle
+        # chain's
         got = _outcome(lambda: ctx.commutator_table().relations)
         assert got == _outcome(ref.commutator_table), label
         ng = ctx.n_generators()
         for i in range(ng):
             for j in range(ng):
-                a, b = gens[i].value, gens[j].value
-                br = ctx.super_bracket(a, b)
-                assert br == ref.super_bracket(a, b), (label, i, j)
+                br = pair_bracket(e, gens[i].value, gens[j].value)
+                assert terms_of(e, br) == ref.super_bracket(
+                    ref.values[i], ref.values[j]), (label, i, j)
                 if type(got) is dict and i <= j:
                     poly = got[(i + 1, j + 1)]
-                    assert ctx.evaluate(poly) == ref.evaluate(poly) == br
+                    assert ctx.evaluate(poly) == br
+                    assert terms_of(e, br) == ref.evaluate(poly)
                     assert ctx.express_in_pbw(br) == poly
             assert ctx.is_invariant(gens[i].value)
         for expo in ctx._eval_cache:
-            assert ctx.eval_monomial(expo) == ref.eval_monomial(expo)
+            assert (terms_of(e, ctx.eval_monomial(expo))
+                    == ref.eval_monomial(expo))
 
 
 def test_pair_path_equals_the_element_path_over_denominators(nd_osp32):
@@ -79,7 +92,8 @@ def test_pair_path_equals_the_element_path_over_denominators(nd_osp32):
     for nd in (gl31, nd_osp32):
         ctx = WContext(nd)
         ref = ElementChain(ctx)
-        assert [g.value for g in ctx.generators()] == ref.values
+        assert ([terms_of(ctx.engine, g.value) for g in ctx.generators()]
+                == ref.values)
         assert ctx.commutator_table().relations == ref.commutator_table()
 
 
@@ -136,7 +150,7 @@ def test_a_non_invariant_bracket_is_refused(fresh_ctx, monkeypatch):
     ctx, e = fresh_ctx, fresh_ctx.engine
     p = e.field.char
     g = next(g for g in range(e.cobasis_count)
-             if not ctx.is_invariant(elt_q_reduce(e, e.gen(g))))
+             if not ctx.is_invariant(gen_pair(e, g)))
     junk = e._gen_mono(g)
     bracket = wchar0._super_sum
 
@@ -178,7 +192,7 @@ def test_a_lost_leading_term_is_refused(fresh_ctx):
 
 
 def test_an_evaluate_back_mismatch_is_refused(fresh_ctx, monkeypatch):
-    monkeypatch.setattr(WContext, "_evaluate", lambda self, terms: ({}, 1))
+    monkeypatch.setattr(WContext, "evaluate", lambda self, poly: ({}, 1))
     with pytest.raises(SolverError,
                        match="^PBW expression does not evaluate back$"):
         fresh_ctx.commutator_table()

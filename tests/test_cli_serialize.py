@@ -12,7 +12,7 @@ import pytest
 
 import loaders
 from loaders import SchemaError
-from wsuper import (analyze_nilpotent, build_algebra, cli, modp,
+from wsuper import (analyze_nilpotent, build_algebra, cli, modp, pbw,
                     resolve_nilpotent, serialize, sl2_triple)
 from wsuper.cli import (CHAR0_GRADED, EXIT_CONFIG, EXIT_INTERNAL, EXIT_MEMORY,
                         EXIT_OK, EXIT_SOLVER, PipelineConfig, main,
@@ -289,6 +289,26 @@ def test_bench_workloads_reproduce_reference_digests(tmp_path, monkeypatch):
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in out.iterdir()}
         assert digests == reference[name]["verify"], name
+
+
+def test_char0_chain_calls_the_engine_by_its_public_names(tmp_path,
+                                                         monkeypatch):
+    # gl(3|1) regular `verify all` over Q reaches the engine's pair
+    # operations through the class attributes Enveloping.q_mul and
+    # Enveloping.ad_act, so that a wrapper set on the class, such as the
+    # benchmark tracer's pbw.q_mul and pbw.ad_act spans, sees every call
+    calls = dict.fromkeys(["q_mul", "ad_act"], 0)
+    for name in calls:
+        def counted(self, *args, _name=name,
+                    _orig=getattr(pbw.Enveloping, name)):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(pbw.Enveloping, name, counted)
+    assert run_cli(tmp_path, [
+        "verify", "all", "--family", "gl", "--m", "3", "--n", "1",
+        "--nilpotent", "regular", "--max-degree", "10", "--primes", "",
+        "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert calls["q_mul"] > 0 and calls["ad_act"] > 0, calls
 
 
 def test_readme_library_example_runs():

@@ -117,7 +117,7 @@ def test_row_builds_q_and_each_ad_column_set_once(monkeypatch, tmp_path,
 def test_reduced_w_forms_no_pbw_monomial_by_products(request, monkeypatch,
                                                      which):
     # the PBW vectors come from the left action of U_eta on Q: during
-    # reduced_w, the one evaluation memo (`WContext._eval_pair`) is read
+    # reduced_w, the one evaluation memo (`WContext.eval_monomial`) is read
     # only inside the relation table, and it ends holding no more evaluated
     # monomials than after that table alone
     dat = request.getfixturevalue(which)
@@ -126,7 +126,7 @@ def test_reduced_w_forms_no_pbw_monomial_by_products(request, monkeypatch,
     ctx.generators()
     ctx.commutator_table()
     alone = len(ctx._eval_cache)
-    evaluate = wchar0.WContext._eval_pair
+    evaluate = wchar0.WContext.eval_monomial
     table = wchar0.WContext.commutator_table
 
     def counted_eval(self, expo):
@@ -140,7 +140,7 @@ def test_reduced_w_forms_no_pbw_monomial_by_products(request, monkeypatch,
         finally:
             in_table[0] = False
 
-    monkeypatch.setattr(wchar0.WContext, "_eval_pair", counted_eval)
+    monkeypatch.setattr(wchar0.WContext, "eval_monomial", counted_eval)
     monkeypatch.setattr(wchar0.WContext, "commutator_table", flagged_table)
     rw = modp.reduced_w(modp.build_reduced_q(dat))
     assert rw.pbw_ok

@@ -5,13 +5,13 @@ from math import comb, gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import (elt_add, elt_q_reduce, elt_scale, elt_sub, field_acc,
-                    field_ad_act, field_mul, field_q_mul, field_q_reduce,
-                    product_exponent_tuples)
+from oracle import (field_acc, field_ad_act, field_add, field_mul,
+                    field_q_mul, field_q_reduce, field_scale, field_sub,
+                    gen_pair, pair_of, product_exponent_tuples, terms_of)
 from wsuper import (analyze_nilpotent, build_algebra, reduce_datum,
                     resolve_nilpotent, sl2_triple)
-from wsuper.pbw import (AmbientMismatch, Element, Enveloping,
-                        engine_from_datum, exponent_tuples)
+from wsuper.pbw import (AmbientMismatch, Enveloping, engine_from_datum,
+                        exponent_tuples)
 
 
 @pytest.fixture(scope="module")
@@ -29,61 +29,73 @@ def Eo(nd_osp12_reg):
     return engine_from_datum(nd_osp12_reg, None, None)
 
 
+def unit_pair(E):
+    return {E.unit_mono: 1}, 1
+
+
+def is_class(E, pair):
+    """Whether a pair is a class in Q: no monomial has a letter of m."""
+    return all(not any(m[E.cobasis_count:]) for m in pair[0])
+
+
 def normalize(E, word):
     """The class in Q of a word given as (generator, exponent) pairs, in any
     order, by the left action: its letters act on the unit from the last
     one back; odd exponents beyond 1 contract, even ones cap mod p.  For
     the zero nilpotent m = 0, and the class is the normal form in U."""
-    cur = E.unit()
+    cur = unit_pair(E)
     for g, e in reversed(word):
         for _ in range(e):
-            cur = E.q_mul(E.gen(g), cur)
+            cur = E.q_mul(gen_pair(E, g), cur)
     return cur
 
 
 def rand_elt(E, rng, nterms=3, emax=2):
+    """Field terms of a few random monomials over every generator."""
     t = {}
     for _ in range(nterms):
         mono = tuple(rng.randint(0, 1) if E.parities[i] else rng.randint(0, emax)
                      for i in range(E.n_gens))
         t[mono] = Fraction(rng.randint(-3, 3))
-    return E.element(t)
+    return {m: c for m, c in t.items() if c}
 
 
 def test_normalize_fixed_point(E):
     m = (2, 1, 0, 1)
-    elt = E.element({m: Fraction(1)})
     again = normalize(E, [(i, e) for i, e in enumerate(m)])
-    assert again == elt
+    assert again == ({m: 1}, 1)
 
 
 def test_gl11_odd_swap(E):
     # adapted order: x1=E11, x2=E22, y1=E12, y2=E21
+    f = E.field
     y1, y2 = 2, 3
     res = normalize(E, [(y2, 1), (y1, 1)])
-    want = elt_sub(elt_add(E.gen(0), E.gen(1)), E.q_mul(E.gen(y1), E.gen(y2)))
-    assert res == want
+    prod = terms_of(E, E.q_mul(gen_pair(E, y1), gen_pair(E, y2)))
+    want = field_sub(f, {E._gen_mono(0): f.one, E._gen_mono(1): f.one}, prod)
+    assert terms_of(E, res) == want
 
 
 def test_odd_square_contracts(E, Eo):
     # [E12, E12] = 0 in gl(1|1)
-    assert normalize(E, [(2, 2)]).is_zero()
+    assert normalize(E, [(2, 2)]) == ({}, 1)
     # the odd co-basis vector of osp(1|2) squares to half its bracket, whose
     # class in Q takes chi on m
     v1 = Eo.labels.index("v1")
     sq = normalize(Eo, [(v1, 2)])
-    br = Eo.element({Eo._gen_mono(k): Fraction(c, 2)
-                     for k, c in Eo.brackets[(v1, v1)].items()})
-    assert sq == elt_q_reduce(Eo, br)
+    br = {Eo._gen_mono(k): Fraction(c, 2)
+          for k, c in Eo.brackets[(v1, v1)].items()}
+    assert terms_of(Eo, sq) == field_q_reduce(Eo, br)
 
 
 def test_unit_is_neutral(Es):
     # on either side of q_mul the unit gives the class of the other factor
     rng = random.Random(5)
     for _ in range(5):
-        a = rand_elt(Es, rng)
-        assert (Es.q_mul(Es.unit(), a) == elt_q_reduce(Es, a)
-                == Es.q_mul(a, Es.unit()))
+        a = pair_of(Es, rand_elt(Es, rng))
+        qa = Es.q_reduce_pair(a)
+        assert (Es.q_mul(unit_pair(Es), qa) == qa
+                == Es.q_mul(a, unit_pair(Es)))
 
 
 @pytest.fixture(scope="module")
@@ -110,49 +122,66 @@ def _elements(draw, E):
         mono = tuple(draw(st.integers(0, 1 if odd else top))
                      for odd in E.parities)
         terms[mono] = draw(st.integers(-3, 3))
-    return E.element(terms)
+    return terms_of(E, pair_of(E, terms))
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_associativity_random(engines_q_and_mod_p, data):
     # the module axiom a (b c) = (a b) c of the left action, with the product
-    # a b formed in U by the Field-method oracle
+    # a b formed in U by the Field-method oracle and c's class in Q
     E = data.draw(st.sampled_from(engines_q_and_mod_p))
     a, b, c = (data.draw(_elements(E)) for _ in range(3))
-    assert (E.q_mul(a, E.q_mul(b, c))
-            == E.q_mul(Element(E, field_mul(E, a.terms, b.terms)), c))
+    qc = E.q_reduce_pair(pair_of(E, c))
+    assert (E.q_mul(pair_of(E, a), E.q_mul(pair_of(E, b), qc))
+            == E.q_mul(pair_of(E, field_mul(E, a, b)), qc))
 
 
-def test_ambient_mismatch(E, Es):
-    with pytest.raises(AmbientMismatch):
-        E.q_mul(E.unit(), Es.unit())
+def test_ambient_mismatch(Es, Eo):
+    # a pair with a letter of m is not a class of Q: q_mul and ad_act refuse
+    # it as their right operand, also beside a co-basis monomial, while
+    # q_mul takes it as its left factor, an element of U
+    for E in (Es, Eo):
+        z = E.cobasis_count
+        unit = unit_pair(E)
+        for bad in (gen_pair(E, z), ({E.unit_mono: 1, E._gen_mono(z): 1}, 1)):
+            with pytest.raises(AmbientMismatch,
+                               match="^q_mul acts on reduced classes$"):
+                E.q_mul(unit, bad)
+            for g in (0, z):
+                with pytest.raises(AmbientMismatch,
+                                   match="^ad acts on reduced classes$"):
+                    E.ad_act(g, bad)
+            assert E.q_mul(bad, unit) == E.q_reduce_pair(bad)
 
 
 def test_filtration_compatibility(Es):
     rng = random.Random(23)
     for _ in range(15):
         a, b = rand_elt(Es, rng), rand_elt(Es, rng)
-        ab = Es.q_mul(a, b)
-        if ab.is_zero() or a.is_zero() or b.is_zero():
+        ab = Es.q_mul(pair_of(Es, a), Es.q_reduce_pair(pair_of(Es, b)))
+        if not ab[0] or not a or not b:
             continue
-        da = max(Es.e_degree(m) for m in a.terms)
-        db = max(Es.e_degree(m) for m in b.terms)
-        assert max(Es.e_degree(m) for m in ab.terms) <= da + db
+        da = max(Es.e_degree(m) for m in a)
+        db = max(Es.e_degree(m) for m in b)
+        assert max(Es.e_degree(m) for m in ab[0]) <= da + db
 
 
 def test_commutator_drops_two_degrees(Es):
     # homogeneous a, b: ab -+ ba has e-degree <= deg a + deg b - 2
     rng = random.Random(31)
+    f = Es.field
     for _ in range(20):
         ga = rng.randrange(Es.n_gens)
         gb = rng.randrange(Es.n_gens)
-        a, b = Es.gen(ga), Es.gen(gb)
+        a, b = gen_pair(Es, ga), gen_pair(Es, gb)
         sign = -1 if (Es.parities[ga] and Es.parities[gb]) else 1
-        br = elt_sub(Es.q_mul(a, b), elt_scale(Es.q_mul(b, a), sign))
-        if br.is_zero():
+        ab = terms_of(Es, Es.q_mul(a, Es.q_reduce_pair(b)))
+        ba = terms_of(Es, Es.q_mul(b, Es.q_reduce_pair(a)))
+        br = field_sub(f, ab, field_scale(f, ba, sign))
+        if not br:
             continue
-        top = max(Es.e_degree(m) for m in br.terms)
+        top = max(Es.e_degree(m) for m in br)
         assert top <= Es.e_degrees[ga] + Es.e_degrees[gb] - 2
 
 
@@ -185,11 +214,10 @@ def test_leading_coefficient_sign_law(Es, Eo):
             m2 = tuple((rng.randint(0, 1) if E.parities[i] else rng.randint(0, 2))
                        if i < cb else 0 for i in range(E.n_gens))
             combined = tuple(a + b for a, b in zip(m1, m2))
-            prod = E.q_mul(E.element({m1: Fraction(1)}),
-                           E.element({m2: Fraction(1)}))
+            prod = terms_of(E, E.q_mul(({m1: 1}, 1), ({m2: 1}, 1)))
             admissible = all(combined[i] <= 1 for i in range(E.n_gens)
                              if E.parities[i])
-            got = prod.coefficient(combined)
+            got = prod.get(combined, 0)
             if not admissible:
                 assert got == 0
             else:
@@ -200,42 +228,42 @@ def test_q_reduce_examples(Es):
     f = Es.field
     # co-basis monomial is fixed
     mono = tuple(1 if i == 0 else 0 for i in range(Es.n_gens))
-    assert (elt_q_reduce(Es, Es.element({mono: f.one})).terms
-            == {mono: f.one})
+    assert Es.q_reduce_pair(({mono: 1}, 1)) == ({mono: 1}, 1)
     # the weight -2 generator acts through chi
     w1 = Es.labels.index("w1")
-    assert elt_q_reduce(Es, Es.gen(w1)).terms == {Es.unit_mono: f.of(1)}
+    assert (terms_of(Es, Es.q_reduce_pair(gen_pair(Es, w1)))
+            == {Es.unit_mono: f.of(1)})
     # nilpotent-killing: (z - chi(z)) annihilates everything on the right,
     # for products formed in U by the Field-method oracle
     rng = random.Random(4)
     for z in range(Es.cobasis_count, Es.n_gens):
-        u = Es.element({tuple(rng.randint(0, 1) for _ in range(Es.n_gens)): f.one})
-        n = elt_sub(Es.gen(z), elt_scale(Es.unit(), Es.chi[z]))
-        assert elt_q_reduce(Es, field_mul(Es, u.terms, n.terms)).is_zero()
+        u = {tuple(rng.randint(0, 1) for _ in range(Es.n_gens)): f.one}
+        n = field_sub(f, {Es._gen_mono(z): f.one}, {Es.unit_mono: Es.chi[z]})
+        assert Es.q_reduce_pair(pair_of(Es, field_mul(Es, u, n))) == ({}, 1)
 
 
 def test_q_reduce_never_leaves_cobasis(Es):
     rng = random.Random(9)
     for _ in range(20):
         a, b = rand_elt(Es, rng), rand_elt(Es, rng)
-        red = elt_q_reduce(Es, field_mul(Es, a.terms, b.terms))
-        assert Es.is_q_element(red) and Es.is_q_element(Es.q_mul(a, b))
+        red = Es.q_reduce_pair(pair_of(Es, field_mul(Es, a, b)))
+        ab = Es.q_mul(pair_of(Es, a), Es.q_reduce_pair(pair_of(Es, b)))
+        assert is_class(Es, red) and is_class(Es, ab)
 
 
 def test_ad_act_examples(Eo, nd_osp12_reg):
     f = Eo.field
-    one = Eo.unit()
     for z in nd_osp12_reg.m_indices:
-        assert Eo.ad_act(z, one).is_zero()
+        assert Eo.ad_act(z, unit_pair(Eo)) == ({}, 1)
     v1 = Eo.labels.index("v1")
-    got = Eo.ad_act(v1, elt_q_reduce(Eo, Eo.gen(v1)))
-    assert got.terms == {Eo.unit_mono: f.of(nd_osp12_reg.middle_norm)}
+    got = Eo.ad_act(v1, Eo.q_reduce_pair(gen_pair(Eo, v1)))
+    assert terms_of(Eo, got) == {Eo.unit_mono: f.of(nd_osp12_reg.middle_norm)}
 
 
 def test_ad_act_rejects_an_unreduced_class(Eo, nd_osp12_reg):
     z = nd_osp12_reg.m_indices[0]
     with pytest.raises(AmbientMismatch, match="ad acts on reduced classes"):
-        Eo.ad_act(z, Eo.gen(z))
+        Eo.ad_act(z, gen_pair(Eo, z))
 
 
 def test_reduced_engine_needs_eta_and_p_map(nd_osp12_reg):
@@ -250,63 +278,61 @@ def test_reduced_engine_needs_eta_and_p_map(nd_osp12_reg):
 def test_ad_act_lift_independent(Es, nd_sl21_e12):
     # the class of [z, lift] does not depend on the lift of an invariant
     from wsuper.wchar0 import WContext
+    f = Es.field
     ctx = WContext(nd_sl21_e12, engine=Es)
     theta = ctx.generators()[1].value
     rng = random.Random(12)
     junk = rand_elt(Es, rng)
-    z0 = Es.gen(nd_sl21_e12.m_indices[0])
-    chi0 = Es.chi[nd_sl21_e12.m_indices[0]]
+    z0 = nd_sl21_e12.m_indices[0]
+    kill = field_sub(f, {Es._gen_mono(z0): f.one},
+                     {Es.unit_mono: Es.chi[z0]})
     # the products in U are the Field-method oracle's
-    lift2 = elt_add(Es.element(theta.terms), Es.element(field_mul(
-        Es, junk.terms, elt_sub(z0, elt_scale(Es.unit(), chi0)).terms)))
+    lift2 = field_add(f, terms_of(Es, theta), field_mul(Es, junk, kill))
     for z in nd_sl21_e12.m_indices:
         a = Es.ad_act(z, theta)
-        b = elt_sub(Es.element(field_q_mul(Es, Es.gen(z).terms,
-                                           lift2.terms)),
-                    _signed_right(Es, lift2, z))
-        assert a == b
+        b = field_sub(f, field_q_mul(Es, {Es._gen_mono(z): f.one}, lift2),
+                      _signed_right(Es, lift2, z))
+        assert terms_of(Es, a) == b
 
 
-def _signed_right(Es, elt, z):
+def _signed_right(Es, terms, z):
     f = Es.field
-    acc = Es.zero()
+    acc = {}
     pz = Es.parities[z]
-    for m, c in elt.terms.items():
+    for m, c in terms.items():
         sign = -1 if (pz and Es.mono_parity(m)) else 1
-        term = Es.element(field_q_mul(Es, {m: c}, Es.gen(z).terms))
-        acc = elt_add(acc, elt_scale(term, f.of(sign)))
+        term = field_q_mul(Es, {m: c}, {Es._gen_mono(z): f.one})
+        field_acc(f, acc, term, f.of(sign))
     return acc
 
 
 def _pi_project(E, q, i, j):
-    # the monomials of q with e-degree i and weight j
-    return E.element({m: c for m, c in q.terms.items()
-                      if E.e_degree(m) == i and E.weight(m) == j})
+    # the monomials of the Field terms q with e-degree i and weight j
+    return {m: c for m, c in q.items()
+            if E.e_degree(m) == i and E.weight(m) == j}
 
 
 def test_pi_project_and_leading(Es):
     f = Es.field
     mono = tuple(1 if i == 0 else 0 for i in range(Es.n_gens))
-    q = Es.element({mono: f.one})
+    q = {mono: f.one}
     i, j = Es.e_degree(mono), Es.weight(mono)
     assert _pi_project(Es, q, i, j) == q
-    assert _pi_project(Es, q, i + 1, j).is_zero()
-    assert Es.leading_terms(Es.zero()) == set()
+    assert not _pi_project(Es, q, i + 1, j)
     # max selection between two degrees
     m2 = tuple(2 if i == 0 else 0 for i in range(Es.n_gens))
-    both = Es.element({mono: f.one, m2: f.one})
-    assert Es.leading_terms(both) == {m2}
+    assert Es.leading_data({mono: 1, m2: 1})[2] == {m2}
 
 
 # -- closed-form left multiplication against products in U ---------------------
 
 def closed_form_left_multiply(E, w, mono):
-    """Left multiplication of a homogeneous element by the closed binomial
-    and sign-table formula, bubbling w through the x and y blocks in one
-    step, with the products in U by the Field-method oracle.  Agrees with
-    normal ordering; the tests below check that."""
+    """Left multiplication of homogeneous Field terms w by the closed
+    binomial and sign-table formula, bubbling w through the x and y blocks
+    in one step, with the products in U by the Field-method oracle.  Agrees
+    with normal ordering; the tests below check that."""
     f = E.field
-    par_w = w.parity()
+    par_w = E.element_parity(w)
     assert par_w is not None, "closed form needs a parity-homogeneous element"
     # block boundaries inside the co-basis: x then y then u then v
     xs = [i for i in range(E.cobasis_count) if E.labels[i][0] == "x"]
@@ -351,7 +377,7 @@ def closed_form_left_multiply(E, w, mono):
             for tpos in range(len(ys)):
                 for _ in range(jvec[tpos]):
                     bracket = _ad_in_u(E, ys[tpos], bracket)
-            if bracket.is_zero():
+            if not bracket:
                 continue
             prefix = [0] * E.n_gens
             for gi, ai, ii in zip(xs, a, ivec):
@@ -362,20 +388,19 @@ def closed_form_left_multiply(E, w, mono):
             for gi in tail:
                 suffix[gi] = mono[gi]
             term = field_mul(E, field_mul(E, {tuple(prefix): f.one},
-                                          bracket.terms),
+                                          bracket),
                              {tuple(suffix): f.one})
             field_acc(f, acc, term, coeff)
-    return Element(E, acc)
+    return acc
 
 
 def _ad_in_u(E, g, w):
-    """[b_g, w] inside the enveloping algebra."""
+    """[b_g, w] inside the enveloping algebra, for Field terms w."""
     f = E.field
-    left = Element(E, field_mul(E, E.gen(g).terms, w.terms))
-    sign = -1 if (E.parities[g] and w.parity()) else 1
-    right = elt_scale(Element(E, field_mul(E, w.terms, E.gen(g).terms)),
-                      f.of(sign))
-    return elt_sub(left, right)
+    gen = {E._gen_mono(g): f.one}
+    sign = -1 if (E.parities[g] and E.element_parity(w)) else 1
+    return field_sub(f, field_mul(E, gen, w),
+                     field_scale(f, field_mul(E, w, gen), sign))
 
 
 def _box(bounds):
@@ -393,26 +418,27 @@ def test_closed_form_left_multiply(Es, Eo):
     for E in (Es, Eo):
         cb = E.cobasis_count
         for _ in range(25):
-            w = E.gen(rng.randrange(E.n_gens))
+            g = rng.randrange(E.n_gens)
+            w = {E._gen_mono(g): E.field.one}
             mono = tuple((rng.randint(0, 1) if E.parities[i] else rng.randint(0, 2))
                          if i < cb else 0 for i in range(E.n_gens))
             fast = closed_form_left_multiply(E, w, mono)
-            slow = Element(E, field_mul(E, w.terms, {mono: Fraction(1)}))
+            slow = field_mul(E, w, {mono: Fraction(1)})
             assert fast == slow
             # and its class is w acting on b^mono
-            assert (elt_q_reduce(E, fast)
-                    == E.q_mul(w, E.element({mono: Fraction(1)})))
+            assert (E.q_reduce_pair(pair_of(E, fast))
+                    == E.q_mul(gen_pair(E, g), ({mono: 1}, 1)))
 
 
 def test_closed_form_central_case(E):
     # the identity matrix is central in gl(1|1): w mon = mon w exactly; m
     # = 0 for the zero nilpotent, so q_mul is the product in U
-    w = elt_add(E.gen(0), E.gen(1))
+    f = E.field
+    w = {E._gen_mono(0): f.one, E._gen_mono(1): f.one}
     for mono in [(1, 0, 1, 0), (2, 1, 0, 1), (0, 0, 1, 1)]:
-        res = closed_form_left_multiply(E, w, mono)
-        direct = E.q_mul(E.element({mono: Fraction(1)}), w)
-        assert res == direct
-        assert res == E.q_mul(w, E.element({mono: Fraction(1)}))
+        res = pair_of(E, closed_form_left_multiply(E, w, mono))
+        assert res == E.q_mul(({mono: 1}, 1), pair_of(E, w))
+        assert res == E.q_mul(pair_of(E, w), ({mono: 1}, 1))
 
 
 def test_mod_p_exponent_cap(nd_gl11_zero):
@@ -422,7 +448,7 @@ def test_mod_p_exponent_cap(nd_gl11_zero):
     E = q.engine
     # x1^3 = x1^[3] + eta(x1)^3 = x1 since E11^3 = E11 and eta = 0
     got = normalize(E, [(0, 3)])
-    assert got == E.gen(0)
+    assert got == gen_pair(E, 0)
 
 
 def test_filtration_index_identity(Es):
@@ -437,14 +463,16 @@ def test_filtration_index_identity(Es):
 def test_odd_left_multiplication_sign(E):
     # w odd against a single odd letter: w y = -y w + [w, y]; m = 0 for the
     # zero nilpotent, so q_mul is the product in U
+    f = E.field
     y1, y2 = 2, 3
-    w = E.gen(y2)
     mono = E._gen_mono(y1)
-    got = closed_form_left_multiply(E, w, mono)
-    bracket = E.element({E._gen_mono(k): c
-                         for k, c in E.brackets.get((y2, y1), {}).items()})
-    want = elt_sub(bracket, E.q_mul(E.element({mono: Fraction(1)}), w))
-    assert got == want == E.q_mul(w, E.element({mono: Fraction(1)}))
+    got = closed_form_left_multiply(E, {E._gen_mono(y2): f.one}, mono)
+    bracket = {E._gen_mono(k): c
+               for k, c in E.brackets.get((y2, y1), {}).items()}
+    want = field_sub(f, bracket,
+                     terms_of(E, E.q_mul(({mono: 1}, 1), gen_pair(E, y2))))
+    assert got == want == terms_of(E, E.q_mul(gen_pair(E, y2),
+                                              ({mono: 1}, 1)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -484,7 +512,7 @@ def oracle_engines(nd_gl21_reg, nd_osp12_reg):
 
 @st.composite
 def _oracle_terms(draw, E, span):
-    """Element terms over the first `span` generators: a few monomials of at
+    """Field terms over the first `span` generators: a few monomials of at
     most three letters (even exponents up to the cap p - 1 mod p, so that
     products reach g^p), with coefficients over denominators 1, 2, 3, 4, 6
     and 9 over Q and residues mod p."""
@@ -501,7 +529,7 @@ def _oracle_terms(draw, E, span):
             c = Fraction(draw(st.integers(-6, 6)),
                          draw(st.sampled_from([1, 2, 3, 4, 6, 9])))
         terms[tuple(mono)] = c
-    return E.element(terms).terms
+    return terms_of(E, pair_of(E, terms))
 
 
 @settings(max_examples=200, deadline=None)
@@ -511,18 +539,17 @@ def test_mul_q_mul_and_ad_act_equal_the_field_oracle(oracle_engines, data):
     a = data.draw(_oracle_terms(E, E.n_gens))
     b = data.draw(_oracle_terms(E, E.n_gens))
     # a and b have m-part letters: chi (eta) acts on them, and the class of
-    # the product a b is a acting on the class of b
-    assert E.q_mul(Element(E, a), Element(E, b)).terms == field_q_mul(E, a, b)
-    # the pair of the class is the lowest-terms pair of the oracle's
-    assert (E._lift_apply(E._scaled(a), E.q_reduce_pair(E._scaled(b)))
-            == E._scaled(field_q_mul(E, a, b)))
-    assert elt_q_reduce(E, Element(E, a)).terms == field_q_reduce(E, a)
+    # the product a b is a acting on the class of b, whose pair is the
+    # lowest-terms pair of the oracle's
+    assert (E.q_mul(pair_of(E, a), E.q_reduce_pair(pair_of(E, b)))
+            == pair_of(E, field_q_mul(E, a, b)))
+    assert terms_of(E, E.q_reduce_pair(pair_of(E, a))) == field_q_reduce(E, a)
     qa = data.draw(_oracle_terms(E, E.cobasis_count))
     qb = data.draw(_oracle_terms(E, E.cobasis_count))
-    assert (E.q_mul(Element(E, qa), Element(E, qb)).terms
-            == field_q_mul(E, qa, qb))
+    assert (E.q_mul(pair_of(E, qa), pair_of(E, qb))
+            == pair_of(E, field_q_mul(E, qa, qb)))
     g = data.draw(st.integers(0, E.n_gens - 1))
-    assert E.ad_act(g, Element(E, qa)).terms == field_ad_act(E, g, qa)
+    assert E.ad_act(g, pair_of(E, qa)) == pair_of(E, field_ad_act(E, g, qa))
 
 
 @settings(max_examples=100, deadline=None)
@@ -534,11 +561,10 @@ def test_q_is_a_left_module_on_every_engine(engines_q_and_mod_p,
     # letters of m included, with the product a b formed in U by the
     # Field-method oracle, and c a class in Q
     E = data.draw(st.sampled_from(engines_q_and_mod_p + oracle_engines))
-    a, b = (Element(E, data.draw(_oracle_terms(E, E.n_gens)))
-            for _ in range(2))
-    c = Element(E, data.draw(_oracle_terms(E, E.cobasis_count)))
-    assert (E.q_mul(a, E.q_mul(b, c))
-            == E.q_mul(Element(E, field_mul(E, a.terms, b.terms)), c))
+    a, b = (data.draw(_oracle_terms(E, E.n_gens)) for _ in range(2))
+    c = pair_of(E, data.draw(_oracle_terms(E, E.cobasis_count)))
+    assert (E.q_mul(pair_of(E, a), E.q_mul(pair_of(E, b), c))
+            == E.q_mul(pair_of(E, field_mul(E, a, b)), c))
 
 
 @settings(max_examples=30, deadline=None)
@@ -558,9 +584,9 @@ def test_ad_act_of_every_generator_equals_the_field_oracle(oracle_engines,
         capped[s] = 1 if E.parities[s] else (p - 1 if p else 2)
         q[tuple(capped)] = E.field.one
         for g in range(E.n_gens):
-            assert (E.ad_act(g, Element(E, q)).terms
-                    == field_ad_act(E, g, q))
-            assert (E._terms(*E.left_gen(g, E.unit_mono))
+            assert (E.ad_act(g, pair_of(E, q))
+                    == pair_of(E, field_ad_act(E, g, q)))
+            assert (terms_of(E, E.left_gen(g, E.unit_mono))
                     == field_q_mul(E, {E._gen_mono(g): E.field.one},
                                    {E.unit_mono: E.field.one}))
 
@@ -582,9 +608,9 @@ def test_char0_memo_entries_are_in_lowest_terms(oracle_engines, data):
     # example has filled the module-scoped engine's memo
     b = data.draw(_oracle_terms(E, E.cobasis_count).filter(
         lambda t: any(any(m) for m in t)))
-    E.q_mul(Element(E, a), E.element(b))
+    E.q_mul(pair_of(E, a), pair_of(E, b))
     for g in range(E.n_gens):
-        E.ad_act(g, E.element(b))
+        E.ad_act(g, pair_of(E, b))
     memo = E._gen_cache
     assert memo
     # an entry is its numerator dict alone when the denominator is 1

@@ -22,9 +22,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import (dense_rank_mod_p, dense_rows, elt_q_reduce, field_acc,
-                    field_add, field_q_mul, field_q_reduce,
-                    pbw_vectors_by_products, per_monomial_columns,
+from oracle import (dense_rank_mod_p, dense_rows, field_acc, field_add,
+                    field_q_mul, field_q_reduce, pair_of,
+                    pbw_vectors_by_products, per_monomial_columns, terms_of,
                     unrestricted_chain)
 from wsuper import cli, linalg, modp, pbw
 from wsuper.pbw import engine_from_datum, exponent_tuples
@@ -458,8 +458,8 @@ def test_an_element_acts_on_q_as_its_product_in_u(small_qs, data):
         got = lift(u, v)
     lifted = {q.basis[j]: c for j, c in v.items()}
     assert got == q.vector_of(field_q_mul(e, u, lifted))
-    assert got == q.vector_of(e.q_mul(e.element(u),
-                                      e.element(lifted)).terms)
+    assert got == q.vector_of(terms_of(e, e.q_mul(pair_of(e, u),
+                                                  pair_of(e, lifted))))
 
 
 @pytest.mark.parametrize("nd, p", [("nd_sl21_e12", 3), ("nd_osp12_reg", 5),
@@ -551,9 +551,10 @@ def test_operator_arithmetic_equals_the_field_methods(engines, data):
     coeff = Fraction(coeff)
     den = e._acc(got, den, bnums, coeff.numerator, coeff.denominator * bden)
     assert lowest(got, den) == e._scaled(want)
-    assert elt_q_reduce(e, b).terms == field_q_reduce(e, b)
+    assert terms_of(e, e.q_reduce_pair(e._scaled(b))) == field_q_reduce(e, b)
     merged = field_add(e.field, a, b)
-    assert elt_q_reduce(e, merged).terms == field_q_reduce(e, merged)
+    assert (terms_of(e, e.q_reduce_pair(e._scaled(merged)))
+            == field_q_reduce(e, merged))
 
 
 # ---------------------------------------------------------------------------
