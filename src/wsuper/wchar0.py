@@ -373,13 +373,21 @@ class WContext:
         return tuple(expo)
 
     def express_in_pbw(self, pair):
-        """The ThetaPolynomial of an invariant given as a pair in lowest
-        terms, by descending elimination on (e-degree, weight): each
-        leading monomial b^m of the remainder is cancelled by the evaluated
-        PBW monomial theta^a whose leading monomial it is, and the
-        polynomial must evaluate back to the pair."""
+        """The ThetaPolynomial of an invariant given as a pair, by
+        descending elimination on (e-degree, weight): each leading monomial
+        b^m of the remainder is cancelled by the evaluated PBW monomial
+        theta^a whose leading monomial it is, and the polynomial must
+        evaluate back to the pair, brought first to lowest terms (mod p, to
+        residues in [0, p) over denominator 1)."""
         e = self.engine
         f = e.field
+        p = f.char
+        if p:
+            inv = pow(pair[1], -1, p)
+            cur = {m: c * inv % p for m, c in pair[0].items()}
+            pair = {m: c for m, c in cur.items() if c}, 1
+        else:
+            pair = lowest({m: c for m, c in pair[0].items() if c}, pair[1])
         self._check_invariant(pair)
         cur, den = dict(pair[0]), pair[1]
         out = {}

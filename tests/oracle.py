@@ -27,7 +27,7 @@ import numpy as np
 from wsuper import linalg
 from wsuper.superalgebra import AlgebraError
 from wsuper.wchar0 import (NotInvariantError, SolverError, ThetaPolynomial,
-                           m_generators)
+                           _super_sum, m_generators)
 
 
 def dense_rref(field, mat):
@@ -893,9 +893,11 @@ def dense_nullspace_mod_p(mat, p):
 # The engine computes on pairs (integer numerators over one denominator);
 # the Field-method oracle on Field terms, {monomial: scalar} dicts holding
 # Fractions over Q and residues mod p.  `pair_of` and `terms_of` convert,
-# and `ElementChain` is WContext's generator solve, PBW evaluation, super
+# and `FieldChain` is WContext's generator solve, PBW evaluation, super
 # bracket and PBW descent on Field terms: the reference that the pair path
-# of `wsuper.wchar0` is tested against.
+# of `wsuper.wchar0` is tested against.  `pair_bracket` is the one helper
+# here on the pair path: the super bracket of two generators' pairs by the
+# engine's own `q_mul`, which the relation-table tests expand.
 
 def pair_of(engine, terms):
     """The engine's pair of {monomial: scalar} terms, each scalar (an int
@@ -941,7 +943,15 @@ def field_super_bracket(engine, a, b):
                      right if pa and pb else field_scale(f, right, -1))
 
 
-class ElementChain:
+def pair_bracket(engine, a, b):
+    """[a, b] = ab - (-1)^{|a||b|} ba on the pair path, for the pairs of
+    homogeneous classes a and b: each product by `Enveloping.q_mul`, the
+    two summed by the relation table's `wchar0._super_sum`."""
+    odd = engine.element_parity(a[0]) and engine.element_parity(b[0])
+    return _super_sum(engine, engine.q_mul(a, b), engine.q_mul(b, a), odd)
+
+
+class FieldChain:
     """The generators and relations of a WContext's datum computed on Field
     terms through the Field-method oracle: each ad image by
     `field_ad_act`, each product by `field_q_mul` on a reduced right

@@ -1,6 +1,6 @@
 """The char-0 chain of `wsuper.wchar0` on the engine's pairs: against the
 same chain on Field terms through the Field-method oracle
-(`oracle.ElementChain`, which reads no left action of the engine) on every
+(`oracle.FieldChain`, which reads no left action of the engine) on every
 CONFIGS row, in characteristic 0 and mod p at each eta sample; the left
 products that the relation table reads from the evaluation memo; and each
 check of the relation table, made to fail on the pair path, raising its own
@@ -8,7 +8,7 @@ error with its own message."""
 
 import pytest
 
-from oracle import ElementChain, gen_pair, terms_of
+from oracle import FieldChain, gen_pair, pair_bracket, terms_of
 from test_q_columns import CONFIGS
 from wsuper import (analyze_nilpotent, build_algebra, reduce_datum,
                     resolve_nilpotent, sl2_triple)
@@ -38,15 +38,6 @@ def _outcome(run):
         return type(exc), str(exc)
 
 
-def pair_bracket(engine, a, b):
-    """[a, b] = ab - (-1)^{|a||b|} ba on the pair path, for the pairs of
-    homogeneous classes a and b: each product by `Enveloping.q_mul`, the
-    two summed by the relation table's `_super_sum`."""
-    odd = engine.element_parity(a[0]) and engine.element_parity(b[0])
-    return wchar0._super_sum(engine, engine.q_mul(a, b), engine.q_mul(b, a),
-                             odd)
-
-
 def _unit(ng, *ks):
     expo = [0] * ng
     for k in ks:
@@ -58,7 +49,7 @@ def _unit(ng, *ks):
 def test_pair_path_equals_the_element_path(request, nd, p):
     for label, ctx in _contexts(request.getfixturevalue(nd), p):
         e = ctx.engine
-        ref = ElementChain(ctx)
+        ref = FieldChain(ctx)
         gens = ctx.generators()
         assert [terms_of(e, g.value) for g in gens] == ref.values, label
         # the relation table, or the error that stops it, is the oracle
@@ -91,7 +82,7 @@ def test_pair_path_equals_the_element_path_over_denominators(nd_osp32):
         alg, "regular")))
     for nd in (gl31, nd_osp32):
         ctx = WContext(nd)
-        ref = ElementChain(ctx)
+        ref = FieldChain(ctx)
         assert ([terms_of(ctx.engine, g.value) for g in ctx.generators()]
                 == ref.values)
         assert ctx.commutator_table().relations == ref.commutator_table()

@@ -330,6 +330,19 @@ def test_reduced_w_product_table(dat_osp5):
     assert all(sum(m) >= 1 for m in prod.terms)
 
 
+def test_reduced_w_express_takes_unreduced_residues(dat_osp5):
+    # residues outside [0, p), or a denominator other than 1, are brought
+    # to residues over denominator 1 before the descent and its check
+    ctx = modp.reduced_w(modp.build_reduced_q(dat_osp5)).context
+    t3 = (0, 0, 1)
+    nums, den = ctx.eval_monomial(t3)
+    assert den == 1
+    want = ctx.express_in_pbw((nums, 1))
+    assert want.terms == {t3: 1}
+    assert ctx.express_in_pbw(({m: c + 5 for m, c in nums.items()}, 1)) == want
+    assert ctx.express_in_pbw(({m: 2 * c for m, c in nums.items()}, 2)) == want
+
+
 def _tau_sign(E, m1, m2):
     src = []
     for tag, m in ((0, m1), (1, m2)):

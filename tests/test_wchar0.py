@@ -10,8 +10,7 @@ import pytest
 
 from oracle import (dense_bracket, dense_invert, dense_nullspace, field_acc,
                     field_add, field_mul, field_q_mul, field_sub, gen_pair,
-                    mat_vec, pair_of, terms_of)
-from test_char0_pairs import pair_bracket
+                    mat_vec, pair_bracket, pair_of, terms_of)
 from wsuper import (analyze_nilpotent, build_algebra, cli, linalg,
                     resolve_nilpotent, sl2_triple, wchar0)
 from wsuper.scalars import QQ
@@ -128,6 +127,17 @@ def test_express_trivial_cases(ctx_osp12):
     p = ctx_osp12.express_in_pbw(th2.value)
     assert p.terms == {(0, 1, 0): Fraction(1)}
     assert ctx_osp12.express_in_pbw(({}, 1)).is_zero()
+
+
+def test_express_takes_a_pair_not_in_lowest_terms(ctx_osp12):
+    # a common factor of numerators and denominator, or a zero numerator,
+    # leaves the expression unchanged
+    nums, den = ctx_osp12.generators()[1].value
+    wide = {m: 6 * c for m, c in nums.items()}
+    wide[ctx_osp12.engine.unit_mono] = 0
+    want = ctx_osp12.express_in_pbw((nums, den))
+    assert ctx_osp12.express_in_pbw((wide, 6 * den)) == want
+    assert want.terms == {(0, 1, 0): Fraction(1)}
 
 
 def test_express_rejects_non_invariant(ctx_osp12):
