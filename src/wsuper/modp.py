@@ -218,15 +218,18 @@ def pbw_dim(p, parities):
     return p ** parities.count(0) * 2 ** parities.count(1)
 
 
-# Bytes one basis monomial of Q costs in Python: its exponent tuple (40 plus
-# 8 per generator) and its list slot.  The 198 bytes measured for the 9
-# generators of gl(2|1) regular also counted an entry in a {monomial: index}
-# dict that Q no longer keeps: the `at` list of `_basis_layout` replaced it.
-# That layout of the action columns added 98 bytes more once built
-# (tracemalloc, gl(2|1) regular at p = 5 and 7); the columns it builds take
-# 0.6 KB less per column of each z in m (AD_COLUMN_BYTES), so the sum was
-# covered.  The constant is kept as measured then; ROADMAP item 4 measures
-# it again, with the preflight estimate it feeds.
+# Bytes one basis monomial of Q costs in Python, measured when it was an
+# exponent tuple (40 plus 8 per generator) with its list slot; the packed
+# int that replaced the tuple takes 24 bytes plus 4 per 30 bits of its
+# fields, so the estimate now over-counts the basis.  The 198 bytes
+# measured for the 9 generators of gl(2|1) regular also counted an entry in
+# a {monomial: index} dict that Q no longer keeps: the `at` list of
+# `_basis_layout` replaced it.  That layout of the action columns added 98
+# bytes more once built (tracemalloc, gl(2|1) regular at p = 5 and 7); the
+# columns it builds take 0.6 KB less per column of each z in m
+# (AD_COLUMN_BYTES), so the sum was covered.  The constant is kept as
+# measured then; ROADMAP item 4 measures it again, with the preflight
+# estimate it feeds.
 MONOMIAL_BYTES = 128
 MONOMIAL_BYTES_PER_GEN = 8
 # Bytes one ad column of z in m costs on the way to the m-kernel: the sparse
@@ -294,27 +297,36 @@ class ReducedQ:
 
     def vector_of(self, terms):
         """The {basis index: c} row of the class in Q with these terms, each
-        monomial read by its mixed-radix code (`_basis_layout`).  KeyError
-        for a monomial that is not a basis monomial of Q: one with a letter
-        of m, or with an exponent past its cap, whose digit would alias
-        into the next one."""
+        packed monomial read by its mixed-radix code (`_basis_layout`).
+        KeyError, with the exponent tuple, for a monomial that is not a
+        basis monomial of Q: one with a letter of m, or with an exponent
+        past its cap, whose digit would alias into the next one."""
         at, radix = self._layout[4], self._layout[5]
-        cb = len(radix)
-        caps = [2 if odd else self.p for odd in self.engine.parities[:cb]]
+        e = self.engine
+        caps = [2 if odd else self.p for odd in e.parities[:len(radix)]]
+        places = list(zip(e.shifts, caps, radix))
+        mask = e.digit_mask
         out = {}
         for m, c in terms.items():
-            if any(m[cb:]) or not all(0 <= x < b for x, b in zip(m, caps)):
-                raise KeyError(m)
-            out[at[sum(x * r for x, r in zip(m, radix))]] = c
+            code = 0
+            for shift, cap, r in places:
+                x = m >> shift & mask
+                if x >= cap:
+                    raise KeyError(e.decode(m))
+                code += x * r
+            if m & e.m_mask or m >> e.width * e.n_gens:
+                raise KeyError(e.decode(m))
+            out[at[code]] = c
         return out
 
     # -- action matrices, as sparse columns ------------------------------------
 
     def _basis_layout(self):
         """Q's basis read as mixed-radix integers, built once, when Q is.  The
-        code of a monomial has the exponent of co-basis generator i as its
-        digit i, in base p for an even and 2 for an odd generator, the first
-        generator the most significant.  Returned as (first, lower, upper,
+        code of a monomial has the exponent of co-basis generator i, read
+        from its packed field by shift and mask, as its digit i, in base p
+        for an even and 2 for an odd generator, the first generator the
+        most significant.  Returned as (first, lower, upper,
         code, at, radix): per basis index j the first generator s of its
         monomial (the co-basis count for the unit), the indices of the
         monomial with s's exponent lowered and raised by one (-1 past the
@@ -330,16 +342,16 @@ class ReducedQ:
         for i in range(cb - 2, -1, -1):
             radix[i] = radix[i + 1] * base[i + 1]
         size = radix[0] * base[0] if cb else 1
-        tail = (0,) * (e.n_gens - cb)
+        shifts, mask = e.shifts, e.digit_mask
         at = [-1] * size
         first, code = [], []
         prev = None
         for j, m in enumerate(self.basis):
             c, s, deg = 0, cb, 0
-            ok = m[cb:] == tail
+            ok = not m & e.m_mask and 0 <= m < 1 << e.width * e.n_gens
             for i in range(cb if ok else 0):
-                x = m[i]
-                if not 0 <= x < base[i]:
+                x = m >> shifts[i] & mask
+                if x >= base[i]:
                     ok = False
                     break
                 if x:
@@ -351,7 +363,8 @@ class ReducedQ:
             if not ok or (prev is not None and key <= prev):
                 raise SolverError(
                     "Q's basis has %s at index %d, out of the (e-degree,"
-                    " tuple) order of the reduced PBW monomials" % (m, j))
+                    " tuple) order of the reduced PBW monomials"
+                    % (e.decode(m), j))
             prev = key
             at[c] = j
             first.append(s)
@@ -515,19 +528,18 @@ class ReducedQ:
         returns.  The result is a new dict; v is only read."""
         apply = self._actor()[1]
         p = self.p
-        unit = self.engine.unit_mono
+        first, units = self.engine.first, self.engine.units
 
         def on(m, tails):
             # b^m v, with tails holding b^{m'} v for the unit m' among others
             w = tails.get(m)
             if w is None:
-                f = next(i for i, x in enumerate(m) if x)
-                w = tails[m] = apply(
-                    f, on(m[:f] + (m[f] - 1,) + m[f + 1:], tails))
+                f = first(m)
+                w = tails[m] = apply(f, on(m - units[f], tails))
             return w
 
         def lift(terms, v):
-            tails = {unit: v}
+            tails = {0: v}
             out = {}
             for m, c in terms.items():
                 _madd(out, on(m, tails), c, p)
@@ -965,9 +977,7 @@ def mprime_invariants_check(q):
     proper = len(inv_mp) < len(inv_m)
     # witness: the middle vector class, the basis monomial b_mid, is
     # m-invariant but not m'-invariant
-    mid = [0] * q.engine.n_gens
-    mid[datum.v_mid_index] = 1
-    wvec = [q.vector_of({tuple(mid): 1})]
+    wvec = [q.vector_of({q.engine.units[datum.v_mid_index]: 1})]
     in_m = _in_span(q, inv_m, wvec)
     in_mp = _in_span(q, inv_mp, wvec)
     return RefinedInvariantsReport(

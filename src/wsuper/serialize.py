@@ -107,7 +107,7 @@ def presentation_to_json(pres, ctx):
              "leading_label": e.labels[g.leading_gen], "parity": g.parity,
              "weight": g.weight, "filtration_degree": g.filtration_degree,
              # the pair (nums, den); den is 1 mod p
-             "value": [[list(m), _fmt(f, Fraction(c, g.value[1]))]
+             "value": [[list(e.decode(m)), _fmt(f, Fraction(c, g.value[1]))]
                        for m, c in sorted(g.value[0].items())]}
             for g in pres.generators
         ],

@@ -10,14 +10,15 @@ re-expressed in the ordered PBW monomials by descending elimination on
 (e-degree, weight).
 
 The whole chain computes on the engine's pairs (`pbw`): integer numerators
-over one positive denominator, in lowest terms (residues over denominator 1
-mod p).  The solve's rows hold ints, and a Fraction only where a pair's
-denominator exceeds 1; the PBW monomials evaluated in Q are memoized as
-pairs, and the relation table, the descent, its evaluate-back check and the
-graded check's rows read that memo.  A generator's `value` is its pair,
-and `is_invariant`, `check_leading_shape`, `eval_monomial`, `evaluate` and
-`express_in_pbw` take or return pairs; Fractions appear only as a
-`ThetaPolynomial`'s coefficients.
+keyed by packed monomial over one positive denominator, in lowest terms
+(residues over denominator 1 mod p).  The solve's rows hold ints, and a
+Fraction only where a pair's denominator exceeds 1; the PBW monomials
+evaluated in Q are memoized as pairs, and the relation table, the descent,
+its evaluate-back check and the graded check's rows read that memo.  A
+generator's `value` is its pair, and `is_invariant`, `check_leading_shape`,
+`eval_monomial`, `evaluate` and `express_in_pbw` take or return pairs;
+Fractions appear only as a `ThetaPolynomial`'s coefficients, whose
+exponents are tuples over the generators.
 """
 
 from __future__ import annotations
@@ -162,18 +163,30 @@ class WPresentation(namedtuple("WPresentation",
 
 class WContext:
     """Shared state for one nilpotent datum: the engine, the solved
-    generators, and the memo of evaluated PBW monomials as pairs."""
+    generators, and the memo of evaluated PBW monomials as pairs.
 
-    def __init__(self, nd, engine=None):
+    Without an engine the context builds one over Q whose packed exponents
+    hold every monomial the chain forms: the relation table forms classes
+    of e-degree at most twice the top co-basis e-degree and the graded
+    check up to max_degree, and every co-basis generator has e-degree at
+    least 1, so no exponent passes the larger of the two."""
+
+    def __init__(self, nd, engine=None, max_degree=None):
         self.nd = nd
-        self.engine = (engine_from_datum(nd, None, None) if engine is None
-                       else engine)
+        if engine is None:
+            top = max(g.weight for g in nd.generators[:nd.cobasis_count]) + 2
+            engine = engine_from_datum(nd, None, None,
+                                       max(2 * top, max_degree or 0))
+        self.engine = engine
         self._gens = None
         self._eval_cache = {}
         # adapted index of each generator's leading vector -> its 1-based
         # position among the generators
         self._position = {self.leading_gen_index(k): k
                           for k in range(1, self.n_generators() + 1)}
+        # the fields of the generators outside the centralizer block
+        self._outside = engine.fields_of(
+            i for i in range(engine.n_gens) if i not in self._position)
 
     # -- generator bookkeeping ------------------------------------------------
 
@@ -222,9 +235,11 @@ class WContext:
     def is_invariant(self, pair):
         """Whether ad z kills the pair of classes for each z in
         `m_generators`, which is invariance under all of m; AmbientMismatch
-        when the pair has a letter of m."""
+        when the pair has a letter of m.  Only the emptiness of each image
+        is read, so `Enveloping.ad_act` skips its final gcd."""
         ad = self.engine.ad_act
-        return all(not ad(z, pair)[0] for z in m_generators(self.nd))
+        # the third argument is lowest_terms
+        return all(not ad(z, pair, False)[0] for z in m_generators(self.nd))
 
     def _check_invariant(self, pair):
         if not self.is_invariant(pair):
@@ -240,11 +255,13 @@ class WContext:
         lead = self.leading_gen_index(k)
         bound = e.weights[lead] + 2
         pure = self.pure_positions()
+        impure = e.fields_of(i for i in range(e.n_gens) if i not in pure)
         cands = []
         for m in e.cobasis_monomials(bound):
-            if all(m[i] == 0 or i in pure for i in range(e.n_gens)):
+            if not m & impure:
                 continue
-            if e.e_degree(m) == bound and sum(m) < 2:
+            # a single letter: the linear terms of the top layer
+            if e.e_degree(m) == bound and m in e.units:
                 continue
             cands.append(m)
         return cands
@@ -257,7 +274,7 @@ class WContext:
         if not 1 <= k <= self.n_generators():
             raise ValueError("generator index out of range")
         lead = self.leading_gen_index(k)
-        target = e.q_reduce_pair(({e._gen_mono(lead): 1}, 1))
+        target = e.q_reduce_pair(({e.units[lead]: 1}, 1))
         if nd.r_odd and k == nd.l + nd.q + 1:
             self._check_invariant(target)
             return self._pack_generator(k, lead, target)
@@ -285,7 +302,7 @@ class WContext:
         if sol is None:
             raise SolverError("invariance system for generator %d has no"
                               " solution" % k)
-        terms = {e._gen_mono(lead): f.one}
+        terms = {e.units[lead]: f.one}
         for m, c in zip(cands, sol):
             if not f.is_zero(c):
                 terms[m] = c
@@ -305,12 +322,12 @@ class WContext:
         e = self.engine
         nums, den = pair
         bound = e.weights[lead] + 2
-        lead_mono = e._gen_mono(lead)
+        lead_mono = e.units[lead]
         for m in nums:
             d = e.e_degree(m)
             if d > bound:
                 raise SolverError("generator %d exceeds its filtration degree" % k)
-            if d == bound and m != lead_mono and sum(m) < 2:
+            if d == bound and m != lead_mono and (not m or m in e.units):
                 raise SolverError("generator %d has a stray linear leading term" % k)
         # in lowest terms the coefficient is 1 exactly when it is den/den
         if nums.get(lead_mono) != den:
@@ -326,10 +343,10 @@ class WContext:
         if not nums:
             return
         for m in e.leading_data(nums)[2]:
-            for i in range(e.n_gens):
-                if m[i] and i not in self._position:
-                    raise LeadingShapeError(
-                        "leading monomial involves generator %s" % e.labels[i])
+            if m & self._outside:
+                raise LeadingShapeError(
+                    "leading monomial involves generator %s"
+                    % e.labels[e.first(m & self._outside)])
 
     def generators(self):
         if self._gens is None:
@@ -362,14 +379,15 @@ class WContext:
         return out
 
     def _leading_to_expo(self, mono):
+        """The exponent tuple over the generators of a packed monomial in
+        their leading vectors."""
+        tup = self.engine.decode(mono)
+        if mono & self._outside:
+            raise LeadingShapeError(
+                "monomial outside the centralizer block: %s" % (tup,))
         expo = [0] * self.n_generators()
-        for i, a in enumerate(mono):
-            if not a:
-                continue
-            if i not in self._position:
-                raise LeadingShapeError(
-                    "monomial outside the centralizer block: %s" % (mono,))
-            expo[self._position[i] - 1] = a
+        for i, k in self._position.items():
+            expo[k - 1] = tup[i]
         return tuple(expo)
 
     def express_in_pbw(self, pair):
@@ -537,6 +555,11 @@ class WContext:
     # -- graded dimension check --------------------------------------------------
 
     def graded_check(self, max_degree):
+        """The PBW monomials' layers up to max_degree against the
+        supersymmetric series.  Over Q the engine holds the exponents of a
+        check up to the max_degree the context was built with (127 at
+        least); past it an exponent that passes the bound is a
+        `pbw.ExponentOverflow`."""
         degrees = self.generator_degrees()
         odd_flags = self.generator_parities()
         series = _graded_symmetric_series(degrees, odd_flags, max_degree)

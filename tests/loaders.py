@@ -113,7 +113,7 @@ def presentation_from_json(data, ctx):
     if len(gens) != len(data["generators"]):
         raise SchemaError("generator count mismatch")
     for g, gd in zip(gens, data["generators"]):
-        value = {tuple(m): _parse(f, c) for m, c in gd["value"]}
+        value = {ctx.engine.encode(m): _parse(f, c) for m, c in gd["value"]}
         if ctx.engine._scaled(value) != g.value:
             raise SchemaError("stored generator %s disagrees with the"
                               " deterministic solve" % gd["label"])

@@ -15,7 +15,9 @@ exponent tuples as a filtered product, the Lie superalgebra axiom checks
 through Field methods (axiom (b) of the p-map as p brackets in a row, the
 restrictedness oracle), matrix powers as a loop of products, and the
 char-0 chain of `wsuper.wchar0` on Field terms, with the conversions
-between the engine's pairs and Field terms."""
+between the engine's pairs and Field terms.  The Field terms here are keyed
+by exponent tuple, the engine's pairs by packed monomial: `pair_of` and
+`packed` encode, `terms_of` decodes."""
 
 import weakref
 from fractions import Fraction
@@ -436,11 +438,12 @@ def per_monomial_columns(q, g):
     one = e.field.one
     eta_g = q.eta[g]
     ad, left, mismatch = [], [], None
-    for j, m in enumerate(q.basis):
+    for j, m in enumerate(map(e.decode, q.basis)):
         img = field_ad_act(e, g, {m: one})
-        ad.append(q.vector_of(img))
-        img = field_q_reduce(e, field_mul(e, {e._gen_mono(g): one}, {m: one}))
-        left.append(q.vector_of(img))
+        ad.append(q.vector_of(packed(e, img)))
+        img = field_q_reduce(e, field_mul(e, {gen_tuple(e, g): one},
+                                          {m: one}))
+        left.append(q.vector_of(packed(e, img)))
         right = field_q_reduce(e, field_times_gen(e, m, g))
         if (mismatch is None and g in q.datum.m_indices
                 and right != ({m: eta_g} if eta_g else {})):
@@ -460,12 +463,12 @@ def pbw_vectors_by_products(q, ctx, expos):
     known = {}
     for a in expos:
         if not any(a):
-            known[a] = {e.unit_mono: e.field.one}
+            known[a] = {unit_tuple(e): e.field.one}
             continue
         last = max(i for i, x in enumerate(a) if x)
         prev = a[:last] + (a[last] - 1,) + a[last + 1:]
         known[a] = field_q_mul(e, known[prev], thetas[last])
-    return [q.vector_of(known[a]) for a in expos]
+    return [q.vector_of(packed(e, known[a])) for a in expos]
 
 
 def dense_rows(rows, cols):
@@ -692,9 +695,9 @@ def field_ad_act(engine, g, q):
     """The class of [b_g, q] in Q for Field terms q on the co-basis: the
     reduced b_g q less (-1)^{|g||m|} c times the reduced b^m b_g per term."""
     f = engine.field
-    out = field_q_mul(engine, {engine._gen_mono(g): f.one}, q)
+    out = field_q_mul(engine, {gen_tuple(engine, g): f.one}, q)
     for m, c in q.items():
-        odd = engine.parities[g] and engine.mono_parity(m)
+        odd = engine.parities[g] and tuple_parity(engine, m)
         field_acc(f, out, field_q_reduce(engine, field_times_gen(engine, m, g)),
                   c if odd else f.neg(c))
     return out
@@ -900,23 +903,52 @@ def dense_nullspace_mod_p(mat, p):
 # engine's own `q_mul`, which the relation-table tests expand.
 
 def pair_of(engine, terms):
-    """The engine's pair of {monomial: scalar} terms, each scalar (an int
-    or a Fraction) taken into the engine's field first."""
+    """The engine's pair of {exponent tuple: scalar} terms, each scalar (an
+    int or a Fraction) taken into the engine's field first."""
     f = engine.field
-    return engine._scaled({m: f.of(c) for m, c in terms.items()})
+    return engine._scaled({engine.encode(m): f.of(c)
+                           for m, c in terms.items()})
 
 
 def terms_of(engine, pair):
-    """The Field terms of a pair: Fractions over Q, residues mod p."""
+    """The Field terms of a pair, keyed by exponent tuple: Fractions over
+    Q, residues mod p."""
     nums, den = pair
     if engine.field.char:
-        return dict(nums)
-    return {m: Fraction(c, den) for m, c in nums.items()}
+        return {engine.decode(m): c for m, c in nums.items()}
+    return {engine.decode(m): Fraction(c, den) for m, c in nums.items()}
+
+
+def packed(engine, terms):
+    """Terms keyed by exponent tuple, keyed by packed monomial instead."""
+    return {engine.encode(m): c for m, c in terms.items()}
+
+
+def unit_tuple(engine):
+    """The exponent tuple of the unit."""
+    return (0,) * engine.n_gens
+
+
+def gen_tuple(engine, g):
+    """The exponent tuple of the generator b_g."""
+    return tuple(int(i == g) for i in range(engine.n_gens))
+
+
+def tuple_parity(engine, mono):
+    """The parity of the monomial with this exponent tuple."""
+    return sum(a for a, odd in zip(mono, engine.parities) if odd) & 1
+
+
+def tuple_element_parity(engine, terms):
+    """The parity of terms keyed by exponent tuple, None when they mix
+    parities; 0 for no term."""
+    pars = {tuple_parity(engine, m) for m in terms}
+    return None if len(pars) > 1 else pars.pop() if pars else 0
 
 
 def gen_pair(engine, g):
     """The pair of the generator b_g."""
-    return {engine._gen_mono(g): 1}, 1
+    return {engine.units[g]: 1}, 1
 
 
 def field_scale(field, a, c):
@@ -934,7 +966,7 @@ def field_sub(field, a, b):
 def field_super_bracket(engine, a, b):
     """[a, b] = ab - (-1)^{|a||b|} ba in Q for homogeneous Field terms a
     and b of classes in Q, each product by `field_q_mul`."""
-    pa, pb = engine.element_parity(a), engine.element_parity(b)
+    pa, pb = tuple_element_parity(engine, a), tuple_element_parity(engine, b)
     if pa is None or pb is None:
         raise SolverError("super bracket of inhomogeneous elements")
     f = engine.field
@@ -981,11 +1013,11 @@ class FieldChain:
         ctx, e = self.ctx, self.engine
         nd, f = ctx.nd, e.field
         lead = ctx.leading_gen_index(k)
-        target = field_q_reduce(e, {e._gen_mono(lead): f.one})
+        target = field_q_reduce(e, {gen_tuple(e, lead): f.one})
         if nd.r_odd and k == nd.l + nd.q + 1:
             self.check_invariant(target)
             return target
-        cands = ctx.candidate_monomials(k)
+        cands = [e.decode(m) for m in ctx.candidate_monomials(k)]
         zs = m_generators(nd)
         rows, rhs = {}, {}
         for cidx, m in enumerate(cands):
@@ -1002,7 +1034,7 @@ class FieldChain:
         if sol is None:
             raise SolverError("invariance system for generator %d has no"
                               " solution" % k)
-        terms = {e._gen_mono(lead): f.one}
+        terms = {gen_tuple(e, lead): f.one}
         for m, c in zip(cands, sol):
             if not f.is_zero(c):
                 terms[m] = c
@@ -1017,7 +1049,7 @@ class FieldChain:
             e = self.engine
             k = next((i for i, v in enumerate(expo) if v), None)
             if k is None:
-                self.memo[expo] = {e.unit_mono: e.field.one}
+                self.memo[expo] = {unit_tuple(e): e.field.one}
             else:
                 prev = self.eval_monomial(expo[:k] + (expo[k] - 1,)
                                           + expo[k + 1:])
@@ -1044,16 +1076,16 @@ class FieldChain:
         out = {}
         prev_key = None
         while cur:
-            n, big, monos = e.leading_data(cur)
+            n, big, monos = e.leading_data(packed(e, cur))
             key = (n, big)
             if prev_key is not None and key >= prev_key:
                 raise SolverError("PBW elimination does not descend")
             prev_key = key
-            for m in sorted(monos):
+            for m in sorted(map(e.decode, monos)):
                 lam = cur.get(m, f.zero)
                 if f.is_zero(lam):
                     continue
-                expo = ctx._leading_to_expo(m)
+                expo = ctx._leading_to_expo(e.encode(m))
                 ev = self.eval_monomial(expo)
                 kappa = ev.get(m, f.zero)
                 if f.is_zero(kappa):

@@ -142,7 +142,7 @@ def test_a_non_invariant_bracket_is_refused(fresh_ctx, monkeypatch):
     p = e.field.char
     g = next(g for g in range(e.cobasis_count)
              if not ctx.is_invariant(gen_pair(e, g)))
-    junk = e._gen_mono(g)
+    junk = e.units[g]
     bracket = wchar0._super_sum
 
     def tainted(engine, left, right, both_odd):
@@ -165,8 +165,9 @@ def test_a_non_descending_elimination_is_refused(fresh_ctx):
     ctx = fresh_ctx
     a, m = _descent_target(ctx)
     nums, den = ctx._eval_cache[a]
-    # a term above theta^a's leading one, which its subtraction leaves
-    ctx._eval_cache[a] = ({**nums, tuple(2 * x for x in m): 1}, den)
+    # a term above theta^a's leading one, which its subtraction leaves: m
+    # with every exponent doubled, each field of the packed 2 m
+    ctx._eval_cache[a] = ({**nums, 2 * m: 1}, den)
     with pytest.raises(SolverError,
                        match="^PBW elimination does not descend$"):
         ctx.commutator_table()

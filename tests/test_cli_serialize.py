@@ -219,6 +219,31 @@ def test_cli_refuses_a_graded_check_past_the_monomial_bound(
         assert solved
 
 
+def test_graded_check_past_the_default_exponent_bound(tmp_path, monkeypatch):
+    # osp(1|2) regular at degree 260 evaluates theta_1^65, whose terms reach
+    # exponent 130 of x2, past the 127 that an engine over Q holds by
+    # default: the CLI states its max degree, so the packed fields are wide
+    # enough, and the check passes with no failure
+    built = []
+    init = pbw.Enveloping.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(pbw.Enveloping, "__init__", recorded)
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, [
+        "verify", "all", "--family", "osp", "--m", "1", "--n", "2",
+        "--nilpotent", "regular", "--max-degree", "260", "--primes", "",
+        "--out", str(out)]) == EXIT_OK
+    assert not (out / "failures.json").exists()
+    [engine] = built
+    assert engine.max_exponent == 511
+    # the graded check graded every monomial of the evaluated PBW monomials
+    assert max(max(engine.decode(m)) for m in engine._grades) == 130
+
+
 @pytest.mark.parametrize("coords", ["x,y,z,1,1,1,1,1,1",
                                     "1/0,0,0,0,0,0,0,0,0"])
 def test_cli_rejects_malformed_coordinates(tmp_path, coords):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import comb, gcd
 
@@ -7,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracle import (field_acc, field_ad_act, field_add, field_mul,
                     field_q_mul, field_q_reduce, field_scale, field_sub,
-                    gen_pair, pair_of, product_exponent_tuples, terms_of)
+                    gen_pair, gen_tuple, pair_of, product_exponent_tuples,
+                    terms_of, tuple_element_parity, tuple_parity, unit_tuple)
 from wsuper import (analyze_nilpotent, build_algebra, reduce_datum,
                     resolve_nilpotent, sl2_triple)
-from wsuper.pbw import (AmbientMismatch, Enveloping, engine_from_datum,
-                        exponent_tuples)
+from wsuper.pbw import (AmbientMismatch, Enveloping, ExponentOverflow,
+                        engine_from_datum, exponent_tuples)
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +37,7 @@ def unit_pair(E):
 
 def is_class(E, pair):
     """Whether a pair is a class in Q: no monomial has a letter of m."""
-    return all(not any(m[E.cobasis_count:]) for m in pair[0])
+    return all(not m & E.m_mask for m in pair[0])
 
 
 def normalize(E, word):
@@ -63,7 +65,7 @@ def rand_elt(E, rng, nterms=3, emax=2):
 def test_normalize_fixed_point(E):
     m = (2, 1, 0, 1)
     again = normalize(E, [(i, e) for i, e in enumerate(m)])
-    assert again == ({m: 1}, 1)
+    assert again == pair_of(E, {m: 1})
 
 
 def test_gl11_odd_swap(E):
@@ -72,7 +74,7 @@ def test_gl11_odd_swap(E):
     y1, y2 = 2, 3
     res = normalize(E, [(y2, 1), (y1, 1)])
     prod = terms_of(E, E.q_mul(gen_pair(E, y1), gen_pair(E, y2)))
-    want = field_sub(f, {E._gen_mono(0): f.one, E._gen_mono(1): f.one}, prod)
+    want = field_sub(f, {gen_tuple(E, 0): f.one, gen_tuple(E, 1): f.one}, prod)
     assert terms_of(E, res) == want
 
 
@@ -83,7 +85,7 @@ def test_odd_square_contracts(E, Eo):
     # class in Q takes chi on m
     v1 = Eo.labels.index("v1")
     sq = normalize(Eo, [(v1, 2)])
-    br = {Eo._gen_mono(k): Fraction(c, 2)
+    br = {gen_tuple(Eo, k): Fraction(c, 2)
           for k, c in Eo.brackets[(v1, v1)].items()}
     assert terms_of(Eo, sq) == field_q_reduce(Eo, br)
 
@@ -144,7 +146,7 @@ def test_ambient_mismatch(Es, Eo):
     for E in (Es, Eo):
         z = E.cobasis_count
         unit = unit_pair(E)
-        for bad in (gen_pair(E, z), ({E.unit_mono: 1, E._gen_mono(z): 1}, 1)):
+        for bad in (gen_pair(E, z), ({E.unit_mono: 1, E.units[z]: 1}, 1)):
             with pytest.raises(AmbientMismatch,
                                match="^q_mul acts on reduced classes$"):
                 E.q_mul(unit, bad)
@@ -162,8 +164,8 @@ def test_filtration_compatibility(Es):
         ab = Es.q_mul(pair_of(Es, a), Es.q_reduce_pair(pair_of(Es, b)))
         if not ab[0] or not a or not b:
             continue
-        da = max(Es.e_degree(m) for m in a)
-        db = max(Es.e_degree(m) for m in b)
+        da = max(Es.e_degree(Es.encode(m)) for m in a)
+        db = max(Es.e_degree(Es.encode(m)) for m in b)
         assert max(Es.e_degree(m) for m in ab[0]) <= da + db
 
 
@@ -181,7 +183,7 @@ def test_commutator_drops_two_degrees(Es):
         br = field_sub(f, ab, field_scale(f, ba, sign))
         if not br:
             continue
-        top = max(Es.e_degree(m) for m in br)
+        top = max(Es.e_degree(Es.encode(m)) for m in br)
         assert top <= Es.e_degrees[ga] + Es.e_degrees[gb] - 2
 
 
@@ -214,7 +216,8 @@ def test_leading_coefficient_sign_law(Es, Eo):
             m2 = tuple((rng.randint(0, 1) if E.parities[i] else rng.randint(0, 2))
                        if i < cb else 0 for i in range(E.n_gens))
             combined = tuple(a + b for a, b in zip(m1, m2))
-            prod = terms_of(E, E.q_mul(({m1: 1}, 1), ({m2: 1}, 1)))
+            prod = terms_of(E, E.q_mul(pair_of(E, {m1: 1}),
+                                       pair_of(E, {m2: 1})))
             admissible = all(combined[i] <= 1 for i in range(E.n_gens)
                              if E.parities[i])
             got = prod.get(combined, 0)
@@ -227,18 +230,19 @@ def test_leading_coefficient_sign_law(Es, Eo):
 def test_q_reduce_examples(Es):
     f = Es.field
     # co-basis monomial is fixed
-    mono = tuple(1 if i == 0 else 0 for i in range(Es.n_gens))
+    mono = Es.units[0]
     assert Es.q_reduce_pair(({mono: 1}, 1)) == ({mono: 1}, 1)
     # the weight -2 generator acts through chi
     w1 = Es.labels.index("w1")
     assert (terms_of(Es, Es.q_reduce_pair(gen_pair(Es, w1)))
-            == {Es.unit_mono: f.of(1)})
+            == {unit_tuple(Es): f.of(1)})
     # nilpotent-killing: (z - chi(z)) annihilates everything on the right,
     # for products formed in U by the Field-method oracle
     rng = random.Random(4)
     for z in range(Es.cobasis_count, Es.n_gens):
         u = {tuple(rng.randint(0, 1) for _ in range(Es.n_gens)): f.one}
-        n = field_sub(f, {Es._gen_mono(z): f.one}, {Es.unit_mono: Es.chi[z]})
+        n = field_sub(f, {gen_tuple(Es, z): f.one},
+                      {unit_tuple(Es): Es.chi[z]})
         assert Es.q_reduce_pair(pair_of(Es, field_mul(Es, u, n))) == ({}, 1)
 
 
@@ -257,7 +261,8 @@ def test_ad_act_examples(Eo, nd_osp12_reg):
         assert Eo.ad_act(z, unit_pair(Eo)) == ({}, 1)
     v1 = Eo.labels.index("v1")
     got = Eo.ad_act(v1, Eo.q_reduce_pair(gen_pair(Eo, v1)))
-    assert terms_of(Eo, got) == {Eo.unit_mono: f.of(nd_osp12_reg.middle_norm)}
+    assert terms_of(Eo, got) == {unit_tuple(Eo):
+                                 f.of(nd_osp12_reg.middle_norm)}
 
 
 def test_ad_act_rejects_an_unreduced_class(Eo, nd_osp12_reg):
@@ -284,13 +289,13 @@ def test_ad_act_lift_independent(Es, nd_sl21_e12):
     rng = random.Random(12)
     junk = rand_elt(Es, rng)
     z0 = nd_sl21_e12.m_indices[0]
-    kill = field_sub(f, {Es._gen_mono(z0): f.one},
-                     {Es.unit_mono: Es.chi[z0]})
+    kill = field_sub(f, {gen_tuple(Es, z0): f.one},
+                     {unit_tuple(Es): Es.chi[z0]})
     # the products in U are the Field-method oracle's
     lift2 = field_add(f, terms_of(Es, theta), field_mul(Es, junk, kill))
     for z in nd_sl21_e12.m_indices:
         a = Es.ad_act(z, theta)
-        b = field_sub(f, field_q_mul(Es, {Es._gen_mono(z): f.one}, lift2),
+        b = field_sub(f, field_q_mul(Es, {gen_tuple(Es, z): f.one}, lift2),
                       _signed_right(Es, lift2, z))
         assert terms_of(Es, a) == b
 
@@ -300,8 +305,8 @@ def _signed_right(Es, terms, z):
     acc = {}
     pz = Es.parities[z]
     for m, c in terms.items():
-        sign = -1 if (pz and Es.mono_parity(m)) else 1
-        term = field_q_mul(Es, {m: c}, {Es._gen_mono(z): f.one})
+        sign = -1 if (pz and tuple_parity(Es, m)) else 1
+        term = field_q_mul(Es, {m: c}, {gen_tuple(Es, z): f.one})
         field_acc(f, acc, term, f.of(sign))
     return acc
 
@@ -309,19 +314,20 @@ def _signed_right(Es, terms, z):
 def _pi_project(E, q, i, j):
     # the monomials of the Field terms q with e-degree i and weight j
     return {m: c for m, c in q.items()
-            if E.e_degree(m) == i and E.weight(m) == j}
+            if E.grade(E.encode(m)) == (i, j)}
 
 
 def test_pi_project_and_leading(Es):
     f = Es.field
     mono = tuple(1 if i == 0 else 0 for i in range(Es.n_gens))
     q = {mono: f.one}
-    i, j = Es.e_degree(mono), Es.weight(mono)
+    i, j = Es.grade(Es.encode(mono))
     assert _pi_project(Es, q, i, j) == q
     assert not _pi_project(Es, q, i + 1, j)
     # max selection between two degrees
     m2 = tuple(2 if i == 0 else 0 for i in range(Es.n_gens))
-    assert Es.leading_data({mono: 1, m2: 1})[2] == {m2}
+    assert (Es.leading_data({Es.encode(mono): 1, Es.encode(m2): 1})[2]
+            == {Es.encode(m2)})
 
 
 # -- closed-form left multiplication against products in U ---------------------
@@ -332,7 +338,7 @@ def closed_form_left_multiply(E, w, mono):
     in one step, with the products in U by the Field-method oracle.  Agrees
     with normal ordering; the tests below check that."""
     f = E.field
-    par_w = E.element_parity(w)
+    par_w = tuple_element_parity(E, w)
     assert par_w is not None, "closed form needs a parity-homogeneous element"
     # block boundaries inside the co-basis: x then y then u then v
     xs = [i for i in range(E.cobasis_count) if E.labels[i][0] == "x"]
@@ -397,8 +403,8 @@ def closed_form_left_multiply(E, w, mono):
 def _ad_in_u(E, g, w):
     """[b_g, w] inside the enveloping algebra, for Field terms w."""
     f = E.field
-    gen = {E._gen_mono(g): f.one}
-    sign = -1 if (E.parities[g] and E.element_parity(w)) else 1
+    gen = {gen_tuple(E, g): f.one}
+    sign = -1 if (E.parities[g] and tuple_element_parity(E, w)) else 1
     return field_sub(f, field_mul(E, gen, w),
                      field_scale(f, field_mul(E, w, gen), sign))
 
@@ -419,7 +425,7 @@ def test_closed_form_left_multiply(Es, Eo):
         cb = E.cobasis_count
         for _ in range(25):
             g = rng.randrange(E.n_gens)
-            w = {E._gen_mono(g): E.field.one}
+            w = {gen_tuple(E, g): E.field.one}
             mono = tuple((rng.randint(0, 1) if E.parities[i] else rng.randint(0, 2))
                          if i < cb else 0 for i in range(E.n_gens))
             fast = closed_form_left_multiply(E, w, mono)
@@ -427,18 +433,18 @@ def test_closed_form_left_multiply(Es, Eo):
             assert fast == slow
             # and its class is w acting on b^mono
             assert (E.q_reduce_pair(pair_of(E, fast))
-                    == E.q_mul(gen_pair(E, g), ({mono: 1}, 1)))
+                    == E.q_mul(gen_pair(E, g), pair_of(E, {mono: 1})))
 
 
 def test_closed_form_central_case(E):
     # the identity matrix is central in gl(1|1): w mon = mon w exactly; m
     # = 0 for the zero nilpotent, so q_mul is the product in U
     f = E.field
-    w = {E._gen_mono(0): f.one, E._gen_mono(1): f.one}
+    w = {gen_tuple(E, 0): f.one, gen_tuple(E, 1): f.one}
     for mono in [(1, 0, 1, 0), (2, 1, 0, 1), (0, 0, 1, 1)]:
         res = pair_of(E, closed_form_left_multiply(E, w, mono))
-        assert res == E.q_mul(({mono: 1}, 1), pair_of(E, w))
-        assert res == E.q_mul(pair_of(E, w), ({mono: 1}, 1))
+        assert res == E.q_mul(pair_of(E, {mono: 1}), pair_of(E, w))
+        assert res == E.q_mul(pair_of(E, w), pair_of(E, {mono: 1}))
 
 
 def test_mod_p_exponent_cap(nd_gl11_zero):
@@ -457,7 +463,8 @@ def test_filtration_index_identity(Es):
     for _ in range(20):
         mono = tuple(rng.randint(0, 1) if Es.parities[i] else rng.randint(0, 3)
                      for i in range(Es.n_gens))
-        assert Es.e_degree(mono) == Es.weight(mono) + 2 * sum(mono)
+        e_degree, weight = Es.grade(Es.encode(mono))
+        assert e_degree == weight + 2 * sum(mono)
 
 
 def test_odd_left_multiplication_sign(E):
@@ -465,14 +472,14 @@ def test_odd_left_multiplication_sign(E):
     # zero nilpotent, so q_mul is the product in U
     f = E.field
     y1, y2 = 2, 3
-    mono = E._gen_mono(y1)
-    got = closed_form_left_multiply(E, {E._gen_mono(y2): f.one}, mono)
-    bracket = {E._gen_mono(k): c
+    mono = gen_tuple(E, y1)
+    got = closed_form_left_multiply(E, {gen_tuple(E, y2): f.one}, mono)
+    bracket = {gen_tuple(E, k): c
                for k, c in E.brackets.get((y2, y1), {}).items()}
     want = field_sub(f, bracket,
-                     terms_of(E, E.q_mul(({mono: 1}, 1), gen_pair(E, y2))))
+                     terms_of(E, E.q_mul(gen_pair(E, y1), gen_pair(E, y2))))
     assert got == want == terms_of(E, E.q_mul(gen_pair(E, y2),
-                                              ({mono: 1}, 1)))
+                                              gen_pair(E, y1)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -485,8 +492,12 @@ def test_exponent_tuples_match_the_filtered_product(gens, cap, budget):
         budget = 12
     degrees = [d for d, _ in gens]
     parities = [odd for _, odd in gens]
-    assert (list(exponent_tuples(degrees, parities, cap, budget, ()))
-            == product_exponent_tuples(degrees, parities, cap, budget))
+    want = product_exponent_tuples(degrees, parities, cap, budget)
+    assert list(exponent_tuples(degrees, parities, cap, budget, ())) == want
+    # packed into 5-bit fields, which hold every exponent up to 12
+    places = [1 << 5 * (len(gens) - 1 - i) for i in range(len(gens))]
+    assert (list(exponent_tuples(degrees, parities, cap, budget, 0, places))
+            == [sum(e * u for e, u in zip(expo, places)) for expo in want])
 
 
 # -- the integer engine against the Field-method oracle -----------------------
@@ -587,8 +598,8 @@ def test_ad_act_of_every_generator_equals_the_field_oracle(oracle_engines,
             assert (E.ad_act(g, pair_of(E, q))
                     == pair_of(E, field_ad_act(E, g, q)))
             assert (terms_of(E, E.left_gen(g, E.unit_mono))
-                    == field_q_mul(E, {E._gen_mono(g): E.field.one},
-                                   {E.unit_mono: E.field.one}))
+                    == field_q_mul(E, {gen_tuple(E, g): E.field.one},
+                                   {unit_tuple(E): E.field.one}))
 
 
 def _in_lowest_terms(pair):
@@ -622,3 +633,88 @@ def test_char0_memo_entries_are_in_lowest_terms(oracle_engines, data):
     assert all(E.left_gen(*key) == (entry if type(entry) is tuple
                                     else (entry, 1))
                for key, entry in memo.items())
+
+
+# -- packed monomials ---------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def E33():
+    """The engine of gl(3|3) regular over Q: 36 generators in 8-bit fields,
+    the widest packed monomials of the north-star run."""
+    alg = build_algebra("gl", 3, 3)
+    nd = analyze_nilpotent(alg, sl2_triple(alg, resolve_nilpotent(alg,
+                                                                 "regular")))
+    return engine_from_datum(nd, None, None)
+
+
+def _expos(E):
+    """Exponent tuples over every generator of E, each exponent up to the
+    engine's bound."""
+    return st.tuples(*[st.integers(0, E.max_exponent)] * E.n_gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_packing_round_trips_and_keeps_tuple_order(E33, data):
+    E = E33
+    assert (E.n_gens, E.width, E.max_exponent) == (36, 8, 127)
+    expos = data.draw(st.lists(_expos(E), min_size=2, max_size=6))
+    monos = [E.encode(a) for a in expos]
+    assert [E.decode(m) for m in monos] == expos
+    # int order is tuple order, so a sort by monomial is a sort by tuple
+    assert sorted(monos) == [E.encode(a) for a in sorted(expos)]
+    a, m = expos[0], monos[0]
+    assert E.first(m) == next((i for i, x in enumerate(a) if x),
+                              E.cobasis_count)
+    assert E.mono_parity(m) == sum(
+        x for x, odd in zip(a, E.parities) if odd) % 2
+    assert E.grade(m) == (sum(x * d for x, d in zip(a, E.e_degrees)),
+                          sum(x * w for x, w in zip(a, E.weights)))
+    assert bool(m & E.m_mask) == any(a[E.cobasis_count:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_raise_into_the_guard_bit_is_an_overflow(E33, data):
+    E = E33
+    top = E.max_exponent
+    g = data.draw(st.sampled_from([i for i in range(E.cobasis_count)
+                                   if not E.parities[i]]))
+    expo = list(data.draw(_expos(E)))
+    expo[g] = top
+    m = E.encode(tuple(expo))
+    named = "generator %s " % re.escape(E.labels[g])
+    with pytest.raises(ExponentOverflow, match=named):
+        E.raised(m, g)
+    # top + 1 is g's guard bit alone: no field changes but g's, the
+    # neighbouring one above it included
+    bumped = list(E.decode(m + E.units[g]))
+    assert bumped[g] == top + 1 == 1 << (E.width - 1)
+    assert bumped[:g] + bumped[g + 1:] == expo[:g] + expo[g + 1:]
+    with pytest.raises(ExponentOverflow, match=named):
+        E.encode(tuple(bumped))
+    # the left action raises b_g^top through `left_gen` and `_left_apply`
+    power = top * E.units[g]
+    with pytest.raises(ExponentOverflow, match=named):
+        E.left_gen(g, power)
+    with pytest.raises(ExponentOverflow, match=named):
+        E.q_mul(gen_pair(E, g), ({power: 1}, 1))
+
+
+def test_a_reduced_engine_at_211_holds_exponent_210(nd_sl21_e12):
+    dat = reduce_datum(nd_sl21_e12, 211)
+    E = engine_from_datum(dat, dat.eta_chi(), dat.pmap_adapted)
+    assert (E.max_exponent, E.width) == (210, 9)
+    f = E.field
+    for g in range(E.cobasis_count):
+        if E.parities[g]:
+            continue
+        top = 210 * E.units[g]
+        assert E.decode(top) == tuple(210 * x for x in gen_tuple(E, g))
+        assert E.encode(E.decode(top)) == top
+        # b_g raises b_g^209 to b_g^210 exactly, and on b_g^210 contracts
+        # b_g^211 through the p-th power map, as the Field-method oracle does
+        assert E.left_gen(g, top - E.units[g]) == ({top: 1}, 1)
+        assert (terms_of(E, E.left_gen(g, top))
+                == field_q_mul(E, {gen_tuple(E, g): f.one},
+                               {E.decode(top): f.one}))

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle import (dense_rank_mod_p, dense_rows, field_acc, field_add,
-                    field_q_mul, field_q_reduce, pair_of,
+                    field_q_mul, field_q_reduce, packed, pair_of,
                     pbw_vectors_by_products, per_monomial_columns, terms_of,
                     unrestricted_chain)
 from wsuper import cli, linalg, modp, pbw
@@ -455,20 +455,21 @@ def test_an_element_acts_on_q_as_its_product_in_u(small_qs, data):
     q.release_actor()
     lift = q._lift_actor()
     with _default_recursion_limit():
-        got = lift(u, v)
-    lifted = {q.basis[j]: c for j, c in v.items()}
-    assert got == q.vector_of(field_q_mul(e, u, lifted))
-    assert got == q.vector_of(terms_of(e, e.q_mul(pair_of(e, u),
-                                                  pair_of(e, lifted))))
+        got = lift(packed(e, u), v)
+    lifted = {e.decode(q.basis[j]): c for j, c in v.items()}
+    assert got == q.vector_of(packed(e, field_q_mul(e, u, lifted)))
+    # mod p a pair's denominator is 1
+    assert got == q.vector_of(e.q_mul(pair_of(e, u), pair_of(e, lifted))[0])
 
 
 @pytest.mark.parametrize("nd, p", [("nd_sl21_e12", 3), ("nd_osp12_reg", 5),
                                    ("nd_gl21_reg", 3)])
 def test_vector_of_refuses_a_monomial_outside_q(request, nd, p):
-    # vector_of reads a monomial by its mixed-radix code: every basis
-    # monomial lands on its own index, while an even exponent p, whose digit
-    # would alias into the next one, and a letter of m, which has no digit,
-    # are a KeyError, as a lookup in a dict of the basis was
+    # vector_of reads a packed monomial by its mixed-radix code: every
+    # basis monomial lands on its own index, while an even exponent p, which
+    # its field holds but whose digit would alias into the next one, and a
+    # letter of m, which has no digit, are a KeyError, as a lookup in a dict
+    # of the basis was
     dat = modp.reduce_datum(request.getfixturevalue(nd), p)
     q = modp.build_reduced_q(dat)
     e = q.engine
@@ -477,9 +478,7 @@ def test_vector_of_refuses_a_monomial_outside_q(request, nd, p):
     bad = []
     for i in [g for g in range(e.cobasis_count) if not e.parities[g]] + [
             dat.m_indices[0]]:
-        mono = [0] * e.n_gens
-        mono[i] = 1 if i >= e.cobasis_count else p
-        bad.append(tuple(mono))
+        bad.append((1 if i >= e.cobasis_count else p) * e.units[i])
     for mono in bad:
         with pytest.raises(KeyError):
             q.vector_of({q.basis[1]: 1, mono: 1})
@@ -490,12 +489,14 @@ def test_a_basis_out_of_order_is_a_solver_error(monkeypatch, nd_osp12_reg):
     # tuple) order; build_reduced_q refuses any other enumeration by its
     # first monomial out of place, or by its length
     dat = modp.reduce_datum(nd_osp12_reg, 3)
-    basis = modp.build_reduced_q(dat).basis
+    q = modp.build_reduced_q(dat)
+    basis, e = q.basis, q.engine
     top = basis[-1]
-    over = (3,) + basis[1][1:]
-    for wrong, name in ((basis[::-1], basis[-2]),
-                        (basis[:1] + [over] + basis[2:], over),
-                        (basis[:5] + basis[6:] + [top], top),
+    # basis[1] with the exponent 3 of its first generator, past the cap
+    over = basis[1] + (3 - e.exponent(basis[1], 0)) * e.units[0]
+    for wrong, name in ((basis[::-1], e.decode(basis[-2])),
+                        (basis[:1] + [over] + basis[2:], e.decode(over)),
+                        (basis[:5] + basis[6:] + [top], e.decode(top)),
                         (basis[:-1], "%d monomials" % (len(basis) - 1))):
         monkeypatch.setattr(pbw.Enveloping, "cobasis_monomials",
                             lambda self, budget, wrong=wrong: list(wrong))
@@ -551,9 +552,10 @@ def test_operator_arithmetic_equals_the_field_methods(engines, data):
     coeff = Fraction(coeff)
     den = e._acc(got, den, bnums, coeff.numerator, coeff.denominator * bden)
     assert lowest(got, den) == e._scaled(want)
-    assert terms_of(e, e.q_reduce_pair(e._scaled(b))) == field_q_reduce(e, b)
+    assert (terms_of(e, e.q_reduce_pair(e._scaled(packed(e, b))))
+            == field_q_reduce(e, b))
     merged = field_add(e.field, a, b)
-    assert (terms_of(e, e.q_reduce_pair(e._scaled(merged)))
+    assert (terms_of(e, e.q_reduce_pair(e._scaled(packed(e, merged))))
             == field_q_reduce(e, merged))
 
 
@@ -592,8 +594,8 @@ def test_q_basis_keeps_the_product_and_sort_order(request, nd, p):
     ranges = [range(2) if odd else range(p)
               for odd in e.parities[: e.cobasis_count]]
     want = sorted((c + tail for c in product(*ranges)),
-                  key=lambda m: (e.e_degree(m), m))
-    assert q.basis == want
+                  key=lambda m: (e.e_degree(e.encode(m)), m))
+    assert [e.decode(m) for m in q.basis] == want
 
 
 def _limit_address_space():
