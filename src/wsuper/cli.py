@@ -145,9 +145,8 @@ def run_pipeline(cfg):
     datums = _preflight(nd, cfg.primes)
     if cfg.char0 >= CHAR0_SOLVE:
         with _stage("char-0 solve"):
-            graded = cfg.char0 >= CHAR0_GRADED
-            ctx = WContext(nd, max_degree=cfg.max_degree if graded else None)
-            if graded:
+            ctx = WContext(nd)
+            if cfg.char0 >= CHAR0_GRADED:
                 _check_max_degree(ctx, cfg.max_degree)
     emit("algebra.json",
          lambda: serialize.dump_json(serialize.algebra_to_json(alg)))

@@ -23,8 +23,8 @@ CHAR0_MAX_EXPONENT and the max_exponent the caller states, rounded up to
 2^k - 1, the most that the bits below the guard hold: every co-basis
 generator has e-degree at least 1 and the rewriting respects the Kazhdan
 filtration, so a run that forms classes of e-degree at most D reaches no
-exponent above D (`wchar0.WContext` states the degree of its relation table
-and graded check).  Only an exponent raised in place can pass the bound,
+exponent above D (`wchar0.WContext` states the degree of its relation
+table, and its graded check runs on an engine that holds its degree).  Only an exponent raised in place can pass the bound,
 from max_exponent into the guard bit; `encode` refuses a larger exponent
 and each such raise tests its guard bit, so an overflow is an
 ExponentOverflow naming the generator and never a carry into the next
@@ -217,8 +217,8 @@ class Enveloping:
         monomial); in characteristic p even exponents stop at p - 1."""
         n = self.cobasis_count
         cap = self.field.char - 1 if self.field.char else None
-        return list(exponent_tuples(self.e_degrees[:n], self.parities[:n], cap,
-                                    budget, 0, self.units[:n]))
+        return list(packed_monomials(self.e_degrees[:n], self.parities[:n],
+                                     cap, budget, self.units[:n]))
 
     # -- core rewriting -------------------------------------------------------
 
@@ -435,7 +435,7 @@ class Enveloping:
             out = self._acc(acc, out, tn, c, den * td)
         return acc, out
 
-    def ad_act(self, g, pair, lowest_terms=True):
+    def ad_act(self, g, pair):
         """Class of [b_g, lift(q)] in Q for the generator index g and a pair
         of classes q, as a new pair in lowest terms: L_g q less
         (-1)^{|g||m|} c times the class of b^m b_g over the terms c b^m of
@@ -444,9 +444,7 @@ class Enveloping:
         of `modp.ReducedQ._left_actor` in every characteristic.  For z in
         m, b^m b_z is ordered and acts on Q by chi(z), so ad z = L_z -
         chi(z) on Q: the sign (-1)^{|z||m|} is kept, though chi vanishes on
-        odd z.  With lowest_terms False the pair skips the final gcd, for a
-        caller that only asks whether the image is 0: its numerators hold
-        no zero.  AmbientMismatch when q has a letter of m."""
+        odd z.  AmbientMismatch when q has a letter of m."""
         self._check_class(pair[0], "ad acts on reduced classes")
         nums, den = pair
         acc, out = self._left_apply(g, pair)
@@ -462,7 +460,7 @@ class Enveloping:
             if not inside:
                 right, cd = self.q_mul((right, 1), ({self.units[g]: 1}, 1))
             out = self._acc(acc, out, right, cn, den * cd)
-        return lowest(acc, out) if lowest_terms else (acc, out)
+        return lowest(acc, out)
 
     def _check_class(self, nums, message):
         """AmbientMismatch(message) unless every monomial of nums is a
@@ -507,32 +505,41 @@ def engine_from_datum(nd, eta, pmap, max_exponent=None):
     )
 
 
-def exponent_tuples(degrees, parities, cap, budget, tail, places=None):
+def packed_monomials(degrees, parities, cap, budget, places):
     """The ordered PBW monomials over generators of the given degrees (each
-    at least 1) and parities: exponent tuples with odd exponents at most 1,
-    even ones at most cap (None: no cap) and degree sum(e_i d_i) at most
-    budget (None: no bound, which needs a cap), yielded in (degree, tuple)
-    order, each followed by tail.  With places, each is instead the int
-    tail + sum(e_i places[i]): packed monomials, built without a tuple when
-    the places are an engine's `units`."""
+    at least 1) and parities, each the int sum(e_i places[i]) of its
+    exponent tuple e: odd exponents at most 1, even ones at most cap (None:
+    no cap) and degree sum(e_i d_i) at most budget (None: no bound, which
+    needs a cap), yielded in (degree, tuple) order when the places pack
+    generator 0 most significant, as an engine's `units` do."""
     tops = [1 if odd else cap for odd in parities]
     if budget is None:
         budget = sum(t * d for t, d in zip(tops, degrees))
-    if places is None:
-        places = [None] * len(degrees)
     # degree -> the monomials over the last generators placed so far;
     # putting k in front, k ascending, keeps each list in tuple order
-    suffixes = {0: [tail]}
+    suffixes = {0: [0]}
     for d, top, place in zip(degrees[::-1], tops[::-1], places[::-1]):
         grown = {}
         hi = budget // d if top is None else min(top, budget // d)
         for k in range(hi + 1):
-            step = None if place is None else k * place
+            step = k * place
             for left, known in suffixes.items():
                 if left + k * d <= budget:
                     grown.setdefault(left + k * d, []).extend(
-                        [(k,) + t for t in known] if step is None
-                        else [step + t for t in known] if k else known)
+                        [step + t for t in known] if k else known)
         suffixes = grown
     for total in sorted(suffixes):
         yield from suffixes[total]
+
+
+def exponent_tuples(degrees, parities, cap, budget, tail):
+    """The monomials of `packed_monomials` as exponent tuples, each
+    followed by tail: packed in fields that hold every exponent, then read
+    back."""
+    width = max((1 if odd else budget // d if cap is None else cap
+                 for d, odd in zip(degrees, parities)), default=0).bit_length()
+    shifts = [width * (len(degrees) - 1 - i) for i in range(len(degrees))]
+    mask = (1 << width) - 1
+    for mono in packed_monomials(degrees, parities, cap, budget,
+                                 [1 << s for s in shifts]):
+        yield tuple(mono >> s & mask for s in shifts) + tail

@@ -166,17 +166,17 @@ class WContext:
     generators, and the memo of evaluated PBW monomials as pairs.
 
     Without an engine the context builds one over Q whose packed exponents
-    hold every monomial the chain forms: the relation table forms classes
-    of e-degree at most twice the top co-basis e-degree and the graded
-    check up to max_degree, and every co-basis generator has e-degree at
-    least 1, so no exponent passes the larger of the two."""
+    hold every monomial of the solve and the relation table: these form
+    classes of e-degree at most twice the top co-basis e-degree, and every
+    co-basis generator has e-degree at least 1, so no exponent passes it.
+    A graded check past that degree runs on a wider engine
+    (`graded_check`)."""
 
-    def __init__(self, nd, engine=None, max_degree=None):
+    def __init__(self, nd, engine=None):
         self.nd = nd
         if engine is None:
             top = max(g.weight for g in nd.generators[:nd.cobasis_count]) + 2
-            engine = engine_from_datum(nd, None, None,
-                                       max(2 * top, max_degree or 0))
+            engine = engine_from_datum(nd, None, None, 2 * top)
         self.engine = engine
         self._gens = None
         self._eval_cache = {}
@@ -235,11 +235,9 @@ class WContext:
     def is_invariant(self, pair):
         """Whether ad z kills the pair of classes for each z in
         `m_generators`, which is invariance under all of m; AmbientMismatch
-        when the pair has a letter of m.  Only the emptiness of each image
-        is read, so `Enveloping.ad_act` skips its final gcd."""
+        when the pair has a letter of m."""
         ad = self.engine.ad_act
-        # the third argument is lowest_terms
-        return all(not ad(z, pair, False)[0] for z in m_generators(self.nd))
+        return all(not ad(z, pair)[0] for z in m_generators(self.nd))
 
     def _check_invariant(self, pair):
         if not self.is_invariant(pair):
@@ -556,16 +554,19 @@ class WContext:
 
     def graded_check(self, max_degree):
         """The PBW monomials' layers up to max_degree against the
-        supersymmetric series.  Over Q the engine holds the exponents of a
-        check up to the max_degree the context was built with (127 at
-        least); past it an exponent that passes the bound is a
-        `pbw.ExponentOverflow`."""
+        supersymmetric series.  The check forms classes of e-degree at most
+        max_degree, so no exponent passes max_degree (see `WContext`); over
+        Q, past the engine's bound it runs in a context over an engine that
+        holds max_degree, with this context's generators re-encoded, and
+        leaves this context as it was."""
+        e = self.engine
+        if not e.field.char and max_degree > e.max_exponent:
+            return self._widened(max_degree).graded_check(max_degree)
         degrees = self.generator_degrees()
         odd_flags = self.generator_parities()
         series = _graded_symmetric_series(degrees, odd_flags, max_degree)
         counts = [0] * (max_degree + 1)
         independent = True
-        e = self.engine
         f = e.field
         layers = groupby(
             exponent_tuples(degrees, odd_flags, None, max_degree, ()),
@@ -586,6 +587,19 @@ class WContext:
         return GradedReport(max_degree=max_degree, pbw_counts=counts,
                             symmetric_dims=series, leading_independent=independent,
                             ok=ok)
+
+    def _widened(self, max_exponent):
+        """A context over Q on the engine that holds exponents up to
+        max_exponent, with the generators of this context, solved once."""
+        e = self.engine
+        wide = engine_from_datum(self.nd, None, None, max_exponent)
+        ctx = WContext(self.nd, engine=wide)
+        ctx._gens = [
+            th._replace(value=({wide.encode(e.decode(m)): c
+                                for m, c in th.value[0].items()},
+                               th.value[1]))
+            for th in self.generators()]
+        return ctx
 
 
 def _super_sum(engine, left, right, both_odd):

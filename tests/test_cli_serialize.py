@@ -221,9 +221,9 @@ def test_cli_refuses_a_graded_check_past_the_monomial_bound(
 
 def test_graded_check_past_the_default_exponent_bound(tmp_path, monkeypatch):
     # osp(1|2) regular at degree 260 evaluates theta_1^65, whose terms reach
-    # exponent 130 of x2, past the 127 that an engine over Q holds by
-    # default: the CLI states its max degree, so the packed fields are wide
-    # enough, and the check passes with no failure
+    # exponent 130 of x2, past the 127 that the context's engine over Q
+    # holds: the graded check runs on a wider engine, and the check passes
+    # with no failure
     built = []
     init = pbw.Enveloping.__init__
 
@@ -238,10 +238,10 @@ def test_graded_check_past_the_default_exponent_bound(tmp_path, monkeypatch):
         "--nilpotent", "regular", "--max-degree", "260", "--primes", "",
         "--out", str(out)]) == EXIT_OK
     assert not (out / "failures.json").exists()
-    [engine] = built
-    assert engine.max_exponent == 511
+    narrow, wide = built
+    assert (narrow.max_exponent, wide.max_exponent) == (127, 511)
     # the graded check graded every monomial of the evaluated PBW monomials
-    assert max(max(engine.decode(m)) for m in engine._grades) == 130
+    assert max(max(wide.decode(m)) for m in wide._grades) == 130
 
 
 @pytest.mark.parametrize("coords", ["x,y,z,1,1,1,1,1,1",

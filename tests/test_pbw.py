@@ -13,7 +13,8 @@ from oracle import (field_acc, field_ad_act, field_add, field_mul,
 from wsuper import (analyze_nilpotent, build_algebra, reduce_datum,
                     resolve_nilpotent, sl2_triple)
 from wsuper.pbw import (AmbientMismatch, Enveloping, ExponentOverflow,
-                        engine_from_datum, exponent_tuples)
+                        engine_from_datum, exponent_tuples,
+                        packed_monomials)
 
 
 @pytest.fixture(scope="module")
@@ -496,7 +497,7 @@ def test_exponent_tuples_match_the_filtered_product(gens, cap, budget):
     assert list(exponent_tuples(degrees, parities, cap, budget, ())) == want
     # packed into 5-bit fields, which hold every exponent up to 12
     places = [1 << 5 * (len(gens) - 1 - i) for i in range(len(gens))]
-    assert (list(exponent_tuples(degrees, parities, cap, budget, 0, places))
+    assert (list(packed_monomials(degrees, parities, cap, budget, places))
             == [sum(e * u for e, u in zip(expo, places)) for expo in want])
 
 

@@ -14,6 +14,7 @@ from oracle import (dense_bracket, dense_invert, dense_nullspace, field_acc,
                     unit_tuple)
 from wsuper import (analyze_nilpotent, build_algebra, cli, linalg,
                     resolve_nilpotent, sl2_triple, wchar0)
+from wsuper.pbw import ExponentOverflow
 from wsuper.scalars import QQ
 from wsuper.wchar0 import (LeadingShapeError, NotInvariantError, SolverError,
                            ThetaPolynomial, WContext)
@@ -338,6 +339,25 @@ def test_graded_check_osp12(ctx_osp12):
     oracle = series_product([("even", 4), ("odd", 3), ("odd", 1)], 10)
     assert oracle == [1, 1, 0, 1, 2, 1, 0, 1, 2, 1, 0]
     assert rep.pbw_counts == oracle
+
+
+def test_graded_check_past_the_engine_bound(nd_osp12_reg):
+    # degree 256 evaluates theta_1^64, whose terms reach exponent 128 of x2,
+    # one past the 127 that this context's engine over Q holds: the check
+    # runs on a wider engine and leaves the context's engine and generators as
+    # they were
+    ctx = WContext(nd_osp12_reg)
+    engine = ctx.engine
+    values = [th.value for th in ctx.generators()]
+    assert engine.max_exponent == 127
+    rep = ctx.graded_check(256)
+    assert rep.ok
+    assert rep.pbw_counts == series_product(
+        [("even", 4), ("odd", 3), ("odd", 1)], 256)
+    assert ctx.engine is engine
+    assert [th.value for th in ctx.generators()] == values
+    with pytest.raises(ExponentOverflow, match="generator x2"):
+        ctx.eval_monomial((64, 0, 0))
 
 
 def test_graded_check_zero_nilpotent(nd_gl11_zero):
