@@ -290,13 +290,26 @@ def _modp_row(cfg, nd, dat, eta, eta_label, failures):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser():
+def build_parser(argv=None):
+    """The parser of every command, or, when argv[:2] names a `COMMANDS`
+    entry, of that one command alone: a run parses the same either way (the
+    top-level usage still lists every command), and building one subparser
+    instead of ten is most of the parser's cost."""
     parser = argparse.ArgumentParser(
         prog="wsuper",
         description="exact finite W-superalgebra computations over Q and F_p")
-    sub = parser.add_subparsers(dest="command", required=True)
+    only = tuple(argv[:2]) if argv is not None else None
+    if only in COMMANDS:
+        # an error's usage line still lists every command
+        metavar = "{%s}" % ",".join(dict.fromkeys(c for c, _ in COMMANDS))
+    else:
+        only = metavar = None
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
     actions = {}
     for (command, action), (_, groups) in COMMANDS.items():
+        if only is not None and (command, action) != only:
+            continue
         if command not in actions:
             actions[command] = sub.add_parser(command).add_subparsers(
                 dest="action", required=True)
@@ -338,7 +351,9 @@ def config_from_args(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         code, failures, written = run_pipeline(config_from_args(args))
     except CONFIG_ERRORS as exc:

@@ -20,7 +20,8 @@ den) in lowest terms with den > 0 its entry at the pivot, so that row/den is
 a pivot column from a row whose entry a there is not a multiple of den first
 rewrites row/a over lcm(a, den) (`scalars.widen`): the row is scaled by
 den/gcd(a, den), and every update is an integer multiply-add.  Fractions are
-formed only in the reduced rows `rref` returns.  Over F_p den is 1: each
+formed only in the reduced rows `rref` returns, and only for the entries
+that den does not divide; the others are ints.  Over F_p den is 1: each
 entry is reduced mod p when its row enters and after each update, and each
 pivot costs one `field.inv`.  The forward elimination over F_p is a loop of
 its own in `_echelon`, with the update written inline: no call and no list
@@ -195,7 +196,9 @@ def rref(field, rows):
     rows are {column: coefficient} dicts or dense sequences; columns are any
     mutually comparable keys, pivoted in increasing order.  Returns (reduced,
     pivots): the nonzero RREF rows as dicts, in the order of the sorted pivot
-    columns, with Fraction entries over Q and residues over F_p.
+    columns, with canonical entries over Q (an int where the row's
+    denominator divides the numerator, else a Fraction) and residues over
+    F_p.
     Back-substitution runs from the highest pivot down, so each row is
     cleared with rows already reduced and gains no pivot column; a row
     rescaled on the way is brought back to lowest terms over its entry at
@@ -211,7 +214,9 @@ def rref(field, rows):
     reduced = [pivots[c] for c in order]
     if p:
         return [row for row, _ in reduced], order
-    return [{j: Fraction(x, den) for j, x in row.items()}
+    return [row if den == 1 else
+            {j: Fraction(x, den) if x % den else x // den
+             for j, x in row.items()}
             for row, den in reduced], order
 
 

@@ -12,7 +12,10 @@ at all is already verified.
 
 The analysis is rational and sparse.  An algebra over F_p is refused with
 NilpotentError; the mod-p layer reduces the rational datum instead.  Every
-vector is a {basis index: Fraction} dict without zeros: brackets go through
+vector is a {basis index: c} dict without zeros, each c in canonical form
+(`scalars.exact`: an int where integral, else a Fraction), and every
+division goes through `QQ.div`, so no quotient of ints becomes a float; the
+datum handed out is canonical throughout.  Brackets go through
 `superalgebra._bracket`, the form through the rows of the gram, and every
 span, rank and kernel through `linalg.rref`, `rank` and `kernel_rows`.  Dense
 coordinate tuples appear only where the datum is stored, in `Sl2Triple` and
@@ -22,14 +25,13 @@ coordinate tuples appear only where the datum is stored, in `Sl2Triple` and
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from . import linalg
-from .scalars import QQ, is_rational_square
+from .scalars import QQ, exact, is_rational_square
 from .superalgebra import AlgebraError, _bracket
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 class NilpotentError(ValueError):
@@ -85,16 +87,17 @@ def _combine(terms):
     for c, v in terms:
         for k, x in v.items():
             out[k] = out.get(k, 0) + c * x
-    return {k: x for k, x in out.items() if x}
+    return {k: exact(x) for k, x in out.items() if x}
 
 
 def _dot(u, v):
-    return sum((c * v[k] for k, c in u.items() if k in v), ZERO)
+    return exact(sum((c * v[k] for k, c in u.items() if k in v), ZERO))
 
 
 def _br(alg, v, w):
     """[v, w] without zeros."""
-    return {k: c for k, c in _bracket(alg.structure, v, w, {}).items() if c}
+    return {k: exact(c) for k, c in _bracket(alg.structure, v, w, {}).items()
+            if c}
 
 
 def _ad_columns(alg, v):
@@ -257,7 +260,8 @@ def _reduce_against_pair(form, vecs, a, b):
     (a, b).  form(a,b) is -1 in the symplectic convention, 1 in the symmetric
     one; the formulas below only use the actual pair values."""
     fab, fba = form(a, b), form(b, a)
-    out = [_combine([(1, w), (-form(w, b) / fab, a), (-form(w, a) / fba, b)])
+    out = [_combine([(1, w), (QQ.div(-form(w, b), fab), a),
+                     (QQ.div(-form(w, a), fba), b)])
            for w in vecs]
     return linalg.rref(QQ, out)[0]
 
@@ -279,7 +283,7 @@ def symplectic_normal_basis(vectors, form):
             raise NilpotentError("degenerate symplectic form")
         beta = form(a, partner)
         # scale so that form(a, b) = -1
-        b = {k: -x / beta for k, x in partner.items()}
+        b = {k: QQ.div(-x, beta) for k, x in partner.items()}
         firsts.append(a)
         seconds.append(b)
         rest = [w for w in work if w is not a and w is not partner]
@@ -307,9 +311,9 @@ def _find_rational_isotropic(work, form):
             if not b:
                 if not c:
                     continue
-                t = -a / (2 * c)
+                t = QQ.div(-a, 2 * c)
             else:
-                t = (root - c) / b
+                t = QQ.div(root - c, b)
             return _combine([(1, wi), (t, wj)])
     return None
 
@@ -337,9 +341,9 @@ def symmetric_normal_basis(vectors, form):
         beta = form(a, partner)
         zz = form(partner, partner)
         # make the partner isotropic, then scale the pairing to 1
-        bp = _combine([(1, partner), (-zz / (2 * beta), a)])
+        bp = _combine([(1, partner), (QQ.div(-zz, 2 * beta), a)])
         fabp = form(a, bp)
-        b = {k: x / fabp for k, x in bp.items()}
+        b = {k: QQ.div(x, fabp) for k, x in bp.items()}
         firsts.append(a)
         seconds.append(b)
         work = _reduce_against_pair(form, work, a, b)
@@ -356,7 +360,7 @@ def symmetric_normal_basis(vectors, form):
             raise NilpotentError("degenerate symmetric form on the middle line")
         square, root = is_rational_square(c)
         if square:
-            m = {k: x / root for k, x in m.items()}
+            m = {k: QQ.div(x, root) for k, x in m.items()}
             middle_norm = ONE
         else:
             middle_norm = c
@@ -378,8 +382,9 @@ def _diagonalized_gram(work, form):
             break
         faa = form(a, a)
         diag.append(faa)
-        vecs = linalg.rref(QQ, [_combine([(1, w), (-form(w, a) / faa, a)])
-                                for w in vecs if w is not a])[0]
+        vecs = linalg.rref(QQ, [
+            _combine([(1, w), (QQ.div(-form(w, a), faa), a)])
+            for w in vecs if w is not a])[0]
     return diag
 
 
@@ -469,8 +474,8 @@ def analyze_nilpotent(alg, triple):
     if not zero_case:
         ef = _dot(_covector(gram_rows, e), fv)
         if ef:
-            scale = 1 / ef
-            gram_rows = [{j: scale * c for j, c in row.items()}
+            scale = QQ.inv(ef)
+            gram_rows = [{j: exact(scale * c) for j, c in row.items()}
                          for row in gram_rows]
         else:
             ef_normalized = False

@@ -1,13 +1,18 @@
 """Exact scalar fields: the rationals and prime fields F_p.
 
-Every coefficient the package hands out is either a fractions.Fraction
-(characteristic zero) or a python int in 0..p-1 (characteristic p).  A Field
-object bundles the arithmetic so that the code is generic over the two
-cases.  The PBW engine (`pbw.Enveloping`) and the rational elimination
-(`linalg`) keep their coefficients inside as int numerators over one
-positive denominator, {key: int} dicts brought together by `widen` and to
-lowest terms by `lowest`, and form Fractions only in what they return.  No
-floating point is used anywhere.
+Over Q a coefficient is in canonical form: a python int exactly when it is
+integral, else a fractions.Fraction with denominator > 1 (`exact`); in
+characteristic p it is a python int in 0..p-1.  Integral rationals, by far the
+most common ones, so cost int arithmetic and no Fraction.  A Field object
+bundles the arithmetic so that the code is generic over the two cases; over Q
+`div` and `inv` are exact, so no quotient of two ints becomes a float.  What
+`superalgebra`, `nilpotent` and `linalg` hand out is canonical.  The PBW
+engine (`pbw.Enveloping`) and the rational elimination (`linalg`) keep their
+coefficients inside as int numerators over one positive denominator, {key:
+int} dicts brought together by `widen` and to lowest terms by `lowest`; the
+W-chain keeps those pairs throughout and forms Fractions only for a
+`ThetaPolynomial`'s coefficients.  No floating point is used anywhere, and
+`format_scalar` refuses a float or a bool.
 """
 
 from __future__ import annotations
@@ -17,30 +22,35 @@ from fractions import Fraction
 from math import gcd
 
 
+def exact(x):
+    """The rational x in canonical form: its numerator, an int, when it is
+    integral, else x itself, a Fraction with denominator > 1."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class Rationals:
-    """Arithmetic wrapper around fractions.Fraction."""
+    """The rationals in canonical form (`exact`): Python ints for integral
+    values, fractions.Fraction for the rest."""
 
     char = 0
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def of(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
+        if isinstance(x, (int, Fraction)):
+            return exact(x)
         raise TypeError("cannot coerce %r into the rationals" % (x,))
 
     def add(self, a, b):
-        return a + b
+        return exact(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return exact(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return exact(a * b)
 
     def neg(self, a):
         return -a
@@ -48,13 +58,18 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return self.div(1, a)
 
     def div(self, a, b):
-        return a / self.of(b) if not isinstance(b, Fraction) else a / b
+        """a / b in canonical form; Fraction refuses a float argument."""
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            if not r:
+                return q
+        return exact(Fraction(a, b))
 
     def pow(self, a, n):
-        return a ** n
+        return exact(a ** n)
 
     def is_zero(self, a):
         return a == 0
@@ -195,10 +210,14 @@ def _is_prime(n):
 
 
 def format_scalar(x, p=None):
-    """Render a scalar for JSON: "num/den" over Q, a residue string mod p."""
+    """Render a scalar for JSON: "num/den" over Q, a residue string mod p.
+    TypeError for anything but an int or a Fraction: a float or a bool here
+    is a fault upstream, however exact its value."""
+    if type(x) is not int and not isinstance(x, Fraction):
+        raise TypeError("not an exact scalar: %r of type %s"
+                        % (x, type(x).__name__))
     if p is None:
-        f = Fraction(x)
-        return "%d/%d" % (f.numerator, f.denominator)
+        return "%d/%d" % (x.numerator, x.denominator)
     return "%d" % (x % p)
 
 
@@ -211,7 +230,7 @@ def is_rational_square(x):
     rd = _isqrt_exact(f.denominator)
     if rn is None or rd is None:
         return False, None
-    return True, Fraction(rn, rd)
+    return True, exact(Fraction(rn, rd))
 
 
 def _isqrt_exact(n):

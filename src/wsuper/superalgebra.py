@@ -1,7 +1,8 @@
 """Basic Lie superalgebras gl(m|n), sl(m|n), osp(m|2k) from matrix realizations.
 
-A supermatrix of size (m|n) is a list of m+n rows of Fractions; indices below m
-are even, the rest odd.  An algebra is built by picking a basis of homogeneous
+A supermatrix of size (m|n) is a list of m+n rows of rationals in canonical
+form (`scalars.exact`: ints where integral); indices below m are even, the
+rest odd.  An algebra is built by picking a basis of homogeneous
 supermatrices, computing structure constants from supercommutators and the
 invariant form from the supertrace.  Both read sparse views of the
 realization's matrices ({row: {column: c}}, `_sparse`): a supercommutator is
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from . import linalg
 from .scalars import QQ
@@ -444,7 +444,7 @@ def _elementary_units(family, m, n, diagonal):
             parity = 0 if (i < m) == (j < m) else 1
             basis.append(BasisVector(len(basis), parity, "E%d%d" % (i + 1, j + 1)))
             mat = zero_matrix(N)
-            mat[i][j] = Fraction(1)
+            mat[i][j] = 1
             realization.append(mat)
     return basis, realization
 
@@ -461,8 +461,8 @@ def build_sl(m, n):
     for i in range(N - 1):
         # str-homogeneous diagonal: E_ii - E_{i+1,i+1}, sign-flipped at the block edge
         mat = zero_matrix(N)
-        mat[i][i] = Fraction(1)
-        mat[i + 1][i + 1] = Fraction(-1) if (i + 1 != m) else Fraction(1)
+        mat[i][i] = 1
+        mat[i + 1][i + 1] = -1 if (i + 1 != m) else 1
         basis.append(BasisVector(len(basis), 0, "H%d" % (i + 1)))
         realization.append(mat)
     return _matrix_algebra("sl", (m, n), basis, realization)
@@ -474,11 +474,11 @@ def osp_form_matrix(m, two_k):
     N = m + two_k
     B = zero_matrix(N)
     for i in range(m):
-        B[i][m - 1 - i] = Fraction(1)
+        B[i][m - 1 - i] = 1
     k = two_k // 2
     for i in range(k):
-        B[m + i][m + k + i] = Fraction(1)
-        B[m + k + i][m + i] = Fraction(-1)
+        B[m + i][m + k + i] = 1
+        B[m + k + i][m + i] = -1
     return B
 
 
@@ -500,12 +500,12 @@ def build_osp(m, n):
                 row = []
                 sgn = -1 if (target_parity == 1 and a >= m) else 1
                 for (i, j) in positions:
-                    coef = Fraction(0)
+                    coef = 0
                     # (X^T B)_{a,b}: X_{i,a} B_{i,b} contribution when i == ... expand
                     if a == j:
                         coef += B[i][b_ix]
                     if b_ix == j:
-                        coef += Fraction(sgn) * B[a][i]
+                        coef += sgn * B[a][i]
                     row.append(coef)
                 rows.append(row)
         for v in linalg.kernel_rows(QQ, *linalg.rref(QQ, rows), len(positions)):

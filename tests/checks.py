@@ -1,9 +1,18 @@
-"""Property checks of the restricted structures mod p that only the tests
-run: the three restrictedness axioms on random elements, with the Jacobson
-summands of axiom (c), and the graded p-th power map of a reduced datum."""
+"""Property checks that only the tests run: the canonical form of a
+rational, and, for the restricted structures mod p, the three restrictedness
+axioms on random elements, with the Jacobson summands of axiom (c), and the
+graded p-th power map of a reduced datum."""
+
+from fractions import Fraction
 
 from oracle import dense_bracket
 from wsuper.modp import p_power_coords
+
+
+def canonical(x):
+    """Whether the rational x is in canonical form: an int (not a bool)
+    exactly when it is integral, else a Fraction with denominator > 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 def jacobson_summands(alg, x, y):

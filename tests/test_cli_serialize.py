@@ -631,3 +631,43 @@ def test_each_command_writes_its_artifacts(tmp_path):
             relations[command, action] = data["relations"]
     assert relations[("w", "solve")] == []
     assert relations[("w", "relations")] == relations[("verify", "all")] != []
+
+
+GL11 = ["--family", "gl", "--m", "1", "--n", "1"]
+PARSER_CASES = (
+    [[c, a, *GL11, "--out", "o"] for c, a in cli.COMMANDS]
+    + [["verify", "all", *GL11, "--nilpotent", "regular", "--max-degree",
+        "4", "--primes", "3,5", "--eta-sweep"]]
+    + [["-h"], []]
+    + [[c, "-h"] for c in dict.fromkeys(c for c, _ in cli.COMMANDS)]
+    + [[c, a, "-h"] for c, a in cli.COMMANDS]
+    + [["nope"], ["verify", "al", *GL11], ["verify", "all", "--family", "gl",
+                                             "--m", "1"],
+       ["verify", "all", "--family", "gl", "--m", "x", "--n", "1"],
+       ["w", "solve", "--family", "e8", "--m", "1", "--n", "1"],
+       ["algebra", "build", *GL11, "--primes", "3"]])
+
+
+def _main_outcome(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_the_one_command_parser_behaves_as_the_full_one(argv, monkeypatch,
+                                                        capsys):
+    # each run "writes" its parsed config, so stdout shows what was parsed
+    monkeypatch.setattr(cli, "run_pipeline",
+                        lambda cfg: (EXIT_OK, [], [repr(cfg)]))
+    monkeypatch.setenv("COLUMNS", "80")
+    one = _main_outcome(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+    assert one == _main_outcome(argv, capsys)
+    built = list(full(argv)._subparsers._group_actions[0].choices)
+    every = list(dict.fromkeys(c for c, _ in cli.COMMANDS))
+    assert built == ([argv[0]] if tuple(argv[:2]) in cli.COMMANDS else every)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from checks import canonical
 from oracle import (check_axioms, check_p_map, dense_ad, dense_bracket,
                     dense_form, dense_gram, dense_structure, naive_mat_pow,
                     supertrace)
@@ -385,8 +386,8 @@ def _halved(alg, label):
     """The structure constants and the supertrace gram of alg's realization
     with the basis vector `label` divided by 2."""
     t = label_index(alg, label)
-    realization = [[[c / 2 for c in row] for row in mat] if b == t else mat
-                   for b, mat in enumerate(alg.realization)]
+    realization = [[[Fraction(c, 2) for c in row] for row in mat] if b == t
+                   else mat for b, mat in enumerate(alg.realization)]
     return (structure_from_realization(QQ, realization, alg.parities),
             supertrace_gram(QQ, realization, alg.shape[0]))
 
@@ -425,10 +426,10 @@ SHAPES = [("gl", 1, 1), ("gl", 2, 1), ("gl", 2, 2), ("sl", 2, 1),
           ("osp", 1, 4)]
 
 
-def _fractions_only(structure, gram):
-    return (all(type(c) is Fraction for entries in structure.values()
+def _canonical_only(structure, gram):
+    return (all(canonical(c) for entries in structure.values()
                 for c in entries.values())
-            and all(type(c) is Fraction for row in gram for c in row))
+            and all(canonical(c) for row in gram for c in row))
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "%s%d%d" % s)
@@ -437,7 +438,7 @@ def test_sparse_structure_and_gram_equal_the_dense_oracle(shape):
     realization = alg.realization
     assert alg.structure == dense_structure(QQ, realization, alg.parities)
     assert alg.gram == dense_gram(QQ, realization, shape[1])
-    assert _fractions_only(alg.structure, alg.gram)
+    assert _canonical_only(alg.structure, alg.gram)
 
 
 @pytest.mark.parametrize("shape, label", [
@@ -451,12 +452,12 @@ def test_sparse_structure_and_gram_equal_the_dense_oracle_rescaled(shape,
     alg = build_algebra(*shape)
     structure, gram = _halved(alg, label)
     t = label_index(alg, label)
-    realization = [[[c / 2 for c in row] for row in mat] if b == t else mat
-                   for b, mat in enumerate(alg.realization)]
+    realization = [[[Fraction(c, 2) for c in row] for row in mat] if b == t
+                   else mat for b, mat in enumerate(alg.realization)]
     assert structure == dense_structure(QQ, realization, alg.parities)
     assert gram == dense_gram(QQ, realization, shape[1])
     assert structure != alg.structure
-    assert _fractions_only(structure, gram)
+    assert _canonical_only(structure, gram)
 
 
 def test_coordinates_of_a_matrix_outside_the_algebra_are_refused(sl21):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from checks import canonical
 from loaders import parse_scalar
 from oracle import (_echelon_mod_p, _reduce, dense_invert,
                     dense_nullspace_mod_p, dense_rank_mod_p, dense_rows,
@@ -24,6 +25,61 @@ def test_scalar_roundtrip():
         assert parse_scalar(format_scalar(x)) == x
     assert parse_scalar("5") == Fraction(5)
     assert parse_scalar("2", 7) == 2
+
+
+def test_format_scalar_refuses_a_float_or_a_bool():
+    # 0.5 would render as "1/2" through Fraction(x): refused, like any float
+    for x in (0.5, 2.0, True, False):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            format_scalar(x)
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            format_scalar(x, 7)
+    assert format_scalar(3) == "3/1"
+    assert format_scalar(-2) == "-2/1"
+    assert format_scalar(Fraction(-6, 4)) == "-3/2"
+    assert format_scalar(Fraction(4)) == "4/1"
+    assert format_scalar(-1, 5) == "4"
+
+
+def test_rational_arithmetic_is_exact_and_canonical():
+    assert QQ.zero == 0 and type(QQ.zero) is int
+    assert QQ.one == 1 and type(QQ.one) is int
+    for x in (0, 3, -4, True, Fraction(6, 3), Fraction(1, 2), Fraction(-5, 4)):
+        assert QQ.of(x) == x and canonical(QQ.of(x))
+    for bad in (0.5, 2.0, "1"):
+        with pytest.raises(TypeError):
+            QQ.of(bad)
+    assert QQ.div(6, 3) == 2 and type(QQ.div(6, 3)) is int
+    assert QQ.div(1, 2) == Fraction(1, 2)
+    assert type(QQ.div(Fraction(3, 2), Fraction(3, 4))) is int
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    assert QQ.inv(-2) == Fraction(-1, 2)
+    for a, b in ((1, 0), (Fraction(1, 2), 0)):
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(a, b)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    with pytest.raises(TypeError):
+        QQ.div(1.0, 2)
+    ok, root = is_rational_square(Fraction(16, 4))
+    assert ok and root == 2 and type(root) is int
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-50, 50),
+                          st.builds(Fraction, st.integers(-50, 50),
+                                    st.integers(1, 12))),
+                min_size=2, max_size=2))
+def test_rational_operations_agree_with_fraction_and_stay_canonical(pair):
+    a, b = pair
+    fa, fb = Fraction(a), Fraction(b)
+    for got, want in ((QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb),
+                      (QQ.mul(a, b), fa * fb), (QQ.neg(QQ.of(a)), -fa),
+                      (QQ.pow(a, 3), fa ** 3)):
+        assert got == want and canonical(got)
+    if b:
+        assert QQ.div(a, b) == fa / fb and canonical(QQ.div(a, b))
+        assert QQ.inv(b) == 1 / fb and canonical(QQ.inv(b))
 
 
 def test_zero_denominator_rejected():
@@ -524,8 +580,8 @@ def _rational_rows(draw, max_rows=10, max_cols=6):
     return rows, cols
 
 
-def _all_fractions(rows):
-    return all(type(x) is Fraction for row in rows for x in row.values())
+def _all_canonical(rows):
+    return all(canonical(x) for row in rows for x in row.values())
 
 
 @settings(max_examples=300, deadline=None)
@@ -538,11 +594,11 @@ def test_rational_rref_and_rank_match_the_fraction_oracle(case, dense):
     want = fraction_rref(QQ, rows)
     got = linalg.rref(QQ, rows)
     assert got == want
-    assert _all_fractions(got[0])
+    assert _all_canonical(got[0])
     assert linalg.rank(QQ, rows) == fraction_rank(QQ, rows) == len(want[1])
     kernel = linalg.kernel_rows(QQ, *got, cols)
     assert kernel == linalg.kernel_rows(QQ, *want, cols)
-    assert _all_fractions(kernel)
+    assert _all_canonical(kernel)
 
 
 @settings(max_examples=300, deadline=None)
@@ -555,7 +611,7 @@ def test_rational_solve_affine_matches_the_fraction_oracle(case, data):
     got = linalg.solve_affine(QQ, rows, rhs, cols)
     assert got == want
     if got is not None:
-        assert all(type(x) is Fraction for x in got)
+        assert all(canonical(x) for x in got)
 
 
 @settings(max_examples=300, deadline=None)
@@ -571,7 +627,7 @@ def test_rational_invert_matches_the_fraction_oracle(mat):
         return
     got = linalg.invert(QQ, mat)
     assert got == want
-    assert _all_fractions(got)
+    assert _all_canonical(got)
 
 
 _FRACTION_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from checks import canonical
 from oracle import (dense_bracket, dense_invert, dense_nullspace, field_acc,
                     field_add, field_mul, field_q_mul, field_sub, gen_pair,
                     gen_tuple, mat_vec, pair_bracket, pair_of, terms_of,
@@ -502,6 +503,94 @@ def _fresh_datum(family, m, n, nilpotent):
     alg = build_algebra(family, m, n)
     return analyze_nilpotent(alg, sl2_triple(alg, resolve_nilpotent(
         alg, nilpotent)))
+
+
+# the set-up rows: every CHAR0_CONFIGS row and osp(1|4) with e the first
+# root vector (odd r, whose normalization divides)
+SETUP_CONFIGS = CHAR0_CONFIGS + [("osp", 1, 4, "1,0,0,0,0,0,0,0,0,0,0,0,0,0")]
+
+# sha256 of (algebra.json, nilpotent.json) from `nilpotent analyze`, recorded
+# while every rational of the set-up was a Fraction, before integral ones
+# became ints
+SETUP_DIGESTS = {
+    ("gl", 1, 1, "zero"):
+        ("f75142502f72decddcc86d1536fcdea34ba2fdd8b63f0d83976ceb60aa1b2217",
+         "ed84673e14fa5cb75dd48a92b3a075d9c46d52a8a2f6b05a81045a18f386d2a1"),
+    ("sl", 2, 1, "E12"):
+        ("1d8763e15247d1f68d17eba5cc8bff4e0504f64d879daca25fa981bda0cffc5c",
+         "2ce1b440503b41cab7ff48e43ff3b6e7372de2dfccef98bb7c75c2293348f70f"),
+    ("osp", 1, 2, "regular"):
+        ("10b0ec85d171feea791a6c9a45206afec51a67bb29064e5fa058b4c57a89345d",
+         "5c0ce665e986eb585dd734db8370f079c8bc1e5a525f42965eb4aa2a33e90f92"),
+    ("gl", 2, 1, "regular"):
+        ("640a17fb451e586bb98be5567990fa9cbd99b4927fbe942393c0f7d7827b14cf",
+         "c321a28ea377327057db38f8932c6d60ca5a63dba941ecba45dd4b26daa6c269"),
+    ("osp", 2, 2, "0,1,0,0,0,0,0,0"):
+        ("73fad24e723b61c7c43b32a74932049c87d93a7447f5c9c71b130d4198f0c372",
+         "9a6cd5f074d836349440c769b8114e14483c656d9276984c17b15c2f1599a6ed"),
+    ("osp", 3, 2, "0,0,0,1,0,0,0,0,0,0,0,0"):
+        ("3e6d13a7aadf4e9723984cde64caec718b9e8438630fe2ba890e17bd902d9597",
+         "6de2da0dd45259eac853c9fa21685c37bd1ee2650ffc4e257cde6cd6893c70e8"),
+    ("gl", 3, 1, "E12"):
+        ("3956a1e09a6a6c7a602573b1522ca59be226f32225306a1d20ee48008d833e8b",
+         "3896ef4d64b4cec5ce843275a850aa6e0aff1075e0804b0a1f47b71fad408ebd"),
+    ("gl", 3, 1, "E13"):
+        ("3956a1e09a6a6c7a602573b1522ca59be226f32225306a1d20ee48008d833e8b",
+         "58a82304afbf1e94507e29bd0255861eb0a8b4aa7696d1221a841fcbc6a3da94"),
+    ("gl", 3, 1, "regular"):
+        ("3956a1e09a6a6c7a602573b1522ca59be226f32225306a1d20ee48008d833e8b",
+         "ad1896b8c929c984c36eaca3317a6f18646da7cbf81052a1c8a627c60652ca4f"),
+    ("gl", 4, 1, "regular"):
+        ("b7d6120a4e3314483edf5c55239fb2fa296cc1775ee44db9bb2e8dcf01607045",
+         "5db9432c98a9d085cb73bdf756b122903e8fbc5f6fcef1731f7ce236ef851298"),
+    ("gl", 3, 2, "regular"):
+        ("f523878346d4fb8d8ec73583e7829f7e50264c52998efcfbb9dfdb7c4cc41ff4",
+         "2245962aa3cccd0c18dcccd3bd6f7f52eb3c8300eb300e5c5164d2f857a127a6"),
+    ("osp", 1, 4, "1,0,0,0,0,0,0,0,0,0,0,0,0,0"):
+        ("200d32a2c7528539415eb42b23f4871c238e0ddfe6f70ed3d4b1c97164102044",
+         "33e234ac0e8b7aa90d1789d99a0482a9a1f7d8a4c354d760301399967ebdb934"),
+}
+
+SETUP_IDS = ["%s%d%d-%s" % c for c in SETUP_CONFIGS]
+
+
+@pytest.mark.parametrize("config", SETUP_CONFIGS, ids=SETUP_IDS)
+def test_setup_artifacts_reproduce_their_digests(config, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.delenv(cli.ENV_OUT, raising=False)
+    family, m, n, nilpotent = config
+    assert cli.main(["nilpotent", "analyze", "--family", family,
+                     "--m", str(m), "--n", str(n), "--nilpotent", nilpotent,
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    digest = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+    assert (digest("algebra.json"), digest("nilpotent.json")) == \
+        SETUP_DIGESTS[config]
+
+
+@pytest.mark.parametrize("config", SETUP_CONFIGS, ids=SETUP_IDS)
+def test_setup_hands_out_canonical_rationals(config):
+    # a float of dyadic value (0.5) renders as "1/2" and would pass the
+    # digests; every value must be an int exactly when integral, else a
+    # Fraction, and never a float or a bool
+    nd = _fresh_datum(*config)
+    alg = nd.alg
+    values = {
+        "structure": [c for entries in alg.structure.values()
+                      for c in entries.values()],
+        "gram": [c for row in alg.gram for c in row],
+        "realization": [c for mat in alg.realization for row in mat
+                        for c in row],
+        "triple": [c for vec in nd.triple for c in vec],
+        "chi": list(nd.chi),
+        "brackets": [c for entries in nd.brackets.values()
+                     for c in entries.values()],
+        "generators": [c for g in nd.generators for c in g.vector],
+        "form_scale": [nd.form_scale],
+        "middle_norm": [] if nd.middle_norm is None else [nd.middle_norm],
+    }
+    for name, vals in values.items():
+        bad = [c for c in vals if not canonical(c)]
+        assert not bad, (name, bad[:3])
 
 
 @pytest.mark.parametrize("config", CHAR0_CONFIGS,
