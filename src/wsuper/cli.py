@@ -203,16 +203,18 @@ def _check_max_degree(ctx, max_degree):
     (`WContext.graded_monomial_count`).
 
     The bound comes from the measured cost.  On gl(3|1) regular, `verify
-    all --primes ""` in process (Python 3.11, one CPU of a shared 2-vCPU
-    host), degree 26 asks 1,431 monomials and took 21.4 s and 317 MB;
-    degree 34 asks 3,660 and was stopped after 184 s at 1.98 GB.  For 2.56
-    times the monomials the time grew at least 8.6 times and the memory 6.2
-    times, about as their square.  So 1,500 admits the measured degree-26
-    run and keeps every admitted run near its cost, (1500/1431)^2 = 1.1
-    times, while degree 34 is refused before its time and memory are
-    spent.  At the default degree 10 the configurations that the tests, the
-    CI and the benchmark run through the graded check ask at most 317
-    (osp(3|2), e the sp(2) root vector), and gl(2|2) regular asks 201."""
+    all --primes ""` in process (`python -O`, Python 3.11, one CPU of a
+    shared 2-vCPU host), degree 26 asks 1,431 monomials and took 4.6 s and
+    171 MB, degree 30 asks 2,352 and took 18.4 s and 497 MB, and degree 34
+    asks 3,660 and took 51 s and 1.38 GB.  For 2.56 times the monomials
+    the time grew 11 times and the memory 8.1 times, about as their 2.5th
+    power and their square.  So 1,500 admits the measured degree-26 run
+    and keeps every admitted run near its cost, (1500/1431)^2.5 = 1.1
+    times, while degree 28 (1,849) and past are refused before their time
+    and memory are spent.  At the default degree 10 the configurations that
+    the tests, the CI and the benchmark run through the graded check ask at
+    most 317 (osp(3|2), e the sp(2) root vector), and gl(2|2) regular asks
+    201."""
     top = max(ctx.generator_degrees())
     if max_degree < top + 2:
         raise ConfigError("max Kazhdan degree %d is below the top generator"

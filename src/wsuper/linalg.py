@@ -9,8 +9,11 @@ module Q (`modp.ReducedQ._m_kernel`): the transposed sparse ad columns of
 the first generator, then the transposed images of each kernel basis under
 the next one, each at most dim Q rows and streamed in as a generator.  The
 PBW monomial vectors of `modp.reduced_w` go through `rank_mod_p`, one of the
-two entry points over F_p, as a list.  The RREF is unique, so echelon bases
-and particular solutions do not depend on the order of the rows; the cost
+two entry points over F_p, as a list: first restricted to their leading
+columns, |W| of them, and whole only when that restricted rank falls short
+of the count, since the rank of a restriction never exceeds the full rank
+(`modp.ReducedQ.rank_of`).  The RREF is unique, so echelon bases and
+particular solutions do not depend on the order of the rows; the cost
 does.
 
 Inside, every row is a {column: int} dict.  Over Q a row enters as its

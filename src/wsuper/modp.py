@@ -228,7 +228,7 @@ def pbw_dim(p, parities):
 # bytes more once built (tracemalloc, gl(2|1) regular at p = 5 and 7); the
 # columns it builds take 0.6 KB less per column of each z in m
 # (AD_COLUMN_BYTES), so the sum was covered.  The constant is kept as
-# measured then; ROADMAP item 4 measures it again, with the preflight
+# measured then; ROADMAP item 5 measures it again, with the preflight
 # estimate it feeds.
 MONOMIAL_BYTES = 128
 MONOMIAL_BYTES_PER_GEN = 8
@@ -277,7 +277,6 @@ class ReducedQ:
         self.basis = self.engine.cobasis_monomials(None)
         self._layout = self._basis_layout()
         self._acts = None
-        self._ad_cols = {}
         self._inv_dim = {}
         self._inv_basis = {}
         self._mid_image = None
@@ -578,9 +577,11 @@ class ReducedQ:
     def ad_columns(self, gen_index):
         """Columns of ad b_g on Q: L_g[m] - (-1)^{|g||m|} R_g[m] for each
         basis monomial m, with L_g[m] from `_left_action`, so the engine is
-        not asked for it; built once and kept until the link of the m-kernel
-        chain that reads them takes them (`_take_ad_columns`).  A column
-        whose right product is zero is the left column's own dict.
+        not asked for it.  Built on each call, for the one link of the
+        m-kernel chain that reads them; the memo's L_g[j], which most of
+        the columns are, leave the memo with them, so that both are freed
+        once the link drops the set.  A column whose right product is zero
+        is the left column's own dict.
 
         For z in m the right product is known: R_z[unit] = L_z[unit] is
         eta(z) 1, and each later R_z[j] = L_s(R_z[lower j]) only raises a
@@ -588,42 +589,29 @@ class ReducedQ:
         with eta Q's one eta, its engine's (eta vanishes on odd z).  Any
         other g, the middle odd vector of odd r, takes the classes R_g[m] of
         its right products m b_g from `_left_action` as well."""
-        cols = self._ad_cols.get(gen_index)
-        if cols is None:
-            p = self.p
-            if gen_index in self.datum.m_indices:
-                cols = self._left_action(gen_index)
-                eta_z = self.eta[gen_index]
-                if eta_z:
-                    for j, col in enumerate(cols):
-                        col = cols[j] = dict(col)
-                        x = (col.get(j, 0) - eta_z) % p
-                        if x:
-                            col[j] = x
-                        else:
-                            del col[j]
-            else:
-                e = self.engine
-                odd = e.parities[gen_index]
-                cols, rights = self._left_action(gen_index, right=True)
-                for j, (m, right) in enumerate(zip(self.basis, rights)):
-                    if right:
-                        col = cols[j] = dict(cols[j])
-                        _madd(col, right,
-                              1 if odd and e.mono_parity(m) else -1, p)
-            self._ad_cols[gen_index] = cols
-        return cols
-
-    def _take_ad_columns(self, gen_index):
-        """`ad_columns` for the one link that reads them: the set leaves Q,
-        and so do the memo's L_g[j], which most of its columns are, so that
-        both are freed once the link drops them.  Asking again builds the
-        set again."""
-        cols = self.ad_columns(gen_index)
-        del self._ad_cols[gen_index]
-        if self._acts is not None:
-            start = gen_index * self.dim
-            self._acts[2][start:start + self.dim] = [None] * self.dim
+        p = self.p
+        if gen_index in self.datum.m_indices:
+            cols = self._left_action(gen_index)
+            eta_z = self.eta[gen_index]
+            if eta_z:
+                for j, col in enumerate(cols):
+                    col = cols[j] = dict(col)
+                    x = (col.get(j, 0) - eta_z) % p
+                    if x:
+                        col[j] = x
+                    else:
+                        del col[j]
+        else:
+            e = self.engine
+            odd = e.parities[gen_index]
+            cols, rights = self._left_action(gen_index, right=True)
+            for j, (m, right) in enumerate(zip(self.basis, rights)):
+                if right:
+                    col = cols[j] = dict(cols[j])
+                    _madd(col, right, 1 if odd and e.mono_parity(m) else -1,
+                          p)
+        start = gen_index * self.dim
+        self._acts[2][start:start + self.dim] = [None] * self.dim
         return cols
 
     def _sub_key(self, sub):
@@ -688,7 +676,7 @@ class ReducedQ:
         on K's free columns (`_image`), and the kernel of ad z_k on K comes
         from their |K| transposed rows (`_restricted_kernel`) as new rows c.
         The last kernel is lifted to Q once, at the end.  Each link lets its
-        column set go once its images are built (`_take_ad_columns`).
+        column set go once its images are built (`ad_columns`).
 
         Why link k may read K's free columns alone: on Q, ad z = L_z - eta(z)
         for z in m, and L is a representation, so [ad z_i, ad z_k] =
@@ -723,7 +711,7 @@ class ReducedQ:
         if not order:
             return self.dim if rank_only else [{j: self.field.one}
                                                for j in range(self.dim)]
-        rows = self._transposed(self._take_ad_columns(order[0]), self.dim)
+        rows = self._transposed(self.ad_columns(order[0]), self.dim)
         if rank_only and len(order) == 1:
             return self.dim - linalg.rank(self.field, rows)
         base = linalg.kernel_rows(self.field, *linalg.rref(self.field, rows),
@@ -751,9 +739,9 @@ class ReducedQ:
         row of base; with coords, those images are combined by each c, as
         restricting is linear.  They are ad b_g of K's rows itself when
         ad b_g maps the span of K into itself, which the caller has checked.
-        The columns are taken for this one use (`_take_ad_columns`) and let
-        go once combined."""
-        cols = self._take_ad_columns(gen_index)
+        The columns are built for this one use (`ad_columns`) and let go
+        once combined."""
+        cols = self.ad_columns(gen_index)
         free = [max(row) for row in base]
         at = ({f: r for r, f in enumerate(free)} if coords is None
               else {free[max(c)]: r for r, c in enumerate(coords)})
@@ -845,20 +833,32 @@ class ReducedQ:
                                                 self.invariant_subspace("m")))
         return self._mid_image
 
-    def rank_of(self, vectors):
-        """The rank mod p of {basis index: c} vectors on Q, exactly.  When Q
-        already holds the canonical m basis K (odd r), the vectors are first
-        restricted to K's free columns.  The restriction is a linear map, so
-        its rank is at most the full rank, which is at most the count: a
-        restricted rank equal to the count proves the full rank equal to it.
-        Otherwise, or when Q holds no K, the full vectors are ranked."""
-        basis = self._inv_basis.get("m")
-        if basis is not None:
-            free = {max(row) for row in basis}
-            restricted = [{j: c for j, c in v.items() if j in free}
-                          for v in vectors]
-            if linalg.rank_mod_p(restricted, self.p) == len(vectors):
-                return len(vectors)
+    def leading_columns(self, thetas, expos):
+        """The basis index of x^a for each exponent tuple a of expos, with
+        x_k the leading generator of theta_k (`WGenerator.leading_gen`):
+        the leading monomial of theta^a.  Every leading generator is a
+        co-basis generator and a's exponents lie inside Q's caps, so x^a is
+        a basis monomial, read by its mixed-radix code (`_basis_layout`)."""
+        at, radix = self._layout[4], self._layout[5]
+        places = [radix[th.leading_gen] for th in thetas]
+        return [at[sum(x * r for x, r in zip(a, places))] for a in expos]
+
+    def rank_of(self, vectors, columns):
+        """The rank mod p of {basis index: c} vectors on Q, exactly, read
+        first on the given columns alone.  Restricting to columns is a
+        linear map, so the restricted rank is at most the full rank, which
+        is at most the count: a restricted rank equal to the count proves
+        the full rank equal to it.  Otherwise the full vectors are ranked.
+        `reduced_w` passes the leading columns x^a of the PBW vectors
+        theta^a 1 (`leading_columns`), one per vector, whatever the parity
+        of r, so the first rank is of a square |W| x |W| block, each vector
+        1 at its own column; the full vectors are ranked only when that
+        block is singular.  No kernel held by Q is read."""
+        keep = set(columns)
+        restricted = [{j: c for j, c in v.items() if j in keep}
+                      for v in vectors]
+        if linalg.rank_mod_p(restricted, self.p) == len(vectors):
+            return len(vectors)
         return linalg.rank_mod_p(vectors, self.p)
 
     def whittaker_subspace(self):
@@ -900,10 +900,11 @@ def reduced_w(q):
     rank over F_p of the vectors theta^a 1 in Q of the ordered monomials,
     each from the one before it by the left action of a generator's lift
     (`ReducedQ.pbw_vectors`), against their count and dim Q^m; the rank is
-    read in m-kernel coordinates when Q holds that basis
-    (`ReducedQ.rank_of`).  Q's shared left actor is released after the
-    vectors, the row's last left action on Q; the relation table takes its
-    classes from the engine's left action."""
+    read on the vectors' leading columns x^a first, for both parities of r,
+    and on all of Q only when those fall short (`ReducedQ.rank_of`).  Q's
+    shared left actor is released after the vectors, the row's last left
+    action on Q; the relation table takes its classes from the engine's
+    left action."""
     datum = q.datum
     warnings = []
     if not datum.p_guard_ok:
@@ -919,7 +920,7 @@ def reduced_w(q):
     vectors = q.pbw_vectors(thetas, expos)
     # the row's last left action on Q
     q.release_actor()
-    rank = q.rank_of(vectors)
+    rank = q.rank_of(vectors, q.leading_columns(thetas, expos))
     inv_dim = q.invariant_dimension("m")
     pbw_ok = (rank == len(expos) == inv_dim)
     presentation = ctx.commutator_table()

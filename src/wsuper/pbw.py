@@ -268,40 +268,6 @@ class Enveloping:
 
     # -- the induced module Q -------------------------------------------------
 
-    def q_reduce_pair(self, pair):
-        """Image in Q of a pair, as a new pair in lowest terms: trailing
-        m-part generators act through chi (or eta)."""
-        nums, den = pair
-        f = self.field
-        p = f.char
-        inside = range(self.cobasis_count, self.n_gens)
-        char_pairs = self._char_pairs
-        tail_mask = self.m_mask
-        acc, out = {}, den
-        for m, c in nums.items():
-            cden = den
-            tail = m & tail_mask
-            for g in inside if tail else ():
-                e = self.exponent(tail, g)
-                if e:
-                    cn, cd = char_pairs[g]
-                    if not cn:  # the term dies in Q
-                        break
-                    c *= f.pow(cn, e)
-                    cden *= cd ** e
-            else:
-                if out % cden:
-                    out = widen(acc, out, cden)
-                m -= tail
-                v = acc.get(m, 0) + c * (out // cden)
-                if p:
-                    v %= p
-                if v:
-                    acc[m] = v
-                else:
-                    acc.pop(m, None)
-        return lowest(acc, out)
-
     def q_mul(self, u, v):
         """The class in Q of lift(u) v for a pair u over all generators and
         a pair v of classes in Q, as a new pair in lowest terms: u, read as

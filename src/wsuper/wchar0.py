@@ -272,7 +272,8 @@ class WContext:
         if not 1 <= k <= self.n_generators():
             raise ValueError("generator index out of range")
         lead = self.leading_gen_index(k)
-        target = e.q_reduce_pair(({e.units[lead]: 1}, 1))
+        # the unit monomial of a co-basis lead is already a class in Q
+        target = ({e.units[lead]: 1}, 1)
         if nd.r_odd and k == nd.l + nd.q + 1:
             self._check_invariant(target)
             return self._pack_generator(k, lead, target)

@@ -23,8 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle import (dense_rank_mod_p, dense_rows, field_acc, field_add,
-                    field_q_mul, field_q_reduce, packed, pair_of,
-                    pbw_vectors_by_products, per_monomial_columns, terms_of,
+                    field_q_mul, packed, pair_of, pbw_vectors_by_products,
+                    per_monomial_columns, terms_of, unit_tuple,
                     unrestricted_chain)
 from wsuper import cli, linalg, modp, pbw
 from wsuper.pbw import engine_from_datum, exponent_tuples
@@ -137,7 +137,7 @@ def _patch_bracket(dat, a, b, terms):
 @pytest.mark.parametrize("nd, p", [("nd_sl21_e12", 5), ("nd_gl21_reg", 3),
                                    ("nd_osp22", 3)])
 def test_an_order_that_breaks_the_chain_hypothesis_is_a_solver_error(
-        request, nd, p):
+        monkeypatch, request, nd, p):
     # m is abelian in every datum here, so a bracket of m is patched; the
     # left action of m on Q reads no bracket within m, so the patch changes
     # no column.  With [z1, z2] = z2, the order z1, z2 breaks the
@@ -148,6 +148,14 @@ def test_an_order_that_breaks_the_chain_hypothesis_is_a_solver_error(
     plain = modp.build_reduced_q(modp.reduce_datum(nd, p))
     z1, z2 = plain._m_order()
     labels = plain.engine.labels
+    built = []
+    ad_columns = modp.ReducedQ.ad_columns
+
+    def counted_columns(q, g):
+        built.append(g)
+        return ad_columns(q, g)
+
+    monkeypatch.setattr(modp.ReducedQ, "ad_columns", counted_columns)
     for terms in ({z2: 1}, {z1: 1}):
         dat = modp.reduce_datum(nd, p)
         if z1 not in terms or dat.eta_chi()[z1]:
@@ -161,7 +169,7 @@ def test_an_order_that_breaks_the_chain_hypothesis_is_a_solver_error(
                 with pytest.raises(SolverError, match=message):
                     run(q)
                 # refused before any column is built
-                assert not q._ad_cols and q._acts is None
+                assert not built and q._acts is None
     dat = modp.reduce_datum(nd, p)
     _patch_bracket(dat, z1, z2, {z2: 1})
     q = modp.build_reduced_q(dat)
@@ -288,8 +296,8 @@ def _thetas(q):
 def test_the_shared_memo_gives_what_a_fresh_actor_gives(request, nd, p):
     # one actor per Q serves the ad columns and the PBW vectors; whatever
     # the memo holds when a request comes, every result equals the one a
-    # fresh actor gives for that request alone, and a column set taken by
-    # its link and built again is the same
+    # fresh actor gives for that request alone, and a column set, whose
+    # images leave the memo with it, built again is the same
     dat = modp.reduce_datum(request.getfixturevalue(nd), p)
     acted = _acted_on(dat)
     for label, eta in dat.eta_samples():
@@ -300,7 +308,7 @@ def test_the_shared_memo_gives_what_a_fresh_actor_gives(request, nd, p):
             fresh.release_actor()
             want_left[g] = fresh._left_action(g)
             fresh.release_actor()
-            want_ad[g] = fresh._take_ad_columns(g)
+            want_ad[g] = fresh.ad_columns(g)
         fresh.release_actor()
         want_pbw = fresh.pbw_vectors(thetas, expos)
 
@@ -311,8 +319,9 @@ def test_the_shared_memo_gives_what_a_fresh_actor_gives(request, nd, p):
             assert q.ad_columns(g) == want_ad[g]
         assert q.pbw_vectors(thetas, expos) == want_pbw
         for g in acted:
-            assert q._take_ad_columns(g) == want_ad[g]
-            assert g not in q._ad_cols
+            assert q.ad_columns(g) == want_ad[g]
+            memo = q._actor()[2]
+            assert all(v is None for v in memo[g * q.dim:(g + 1) * q.dim])
             assert q.ad_columns(g) == want_ad[g]
 
         # reverse order: each L_g[j] asked for from the last basis index down
@@ -334,66 +343,70 @@ def test_the_shared_memo_gives_what_a_fresh_actor_gives(request, nd, p):
         assert q._actor() is q._actor()
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_the_pbw_rank_in_m_kernel_coordinates_is_the_full_rank(
-        monkeypatch, nd_osp12_reg, p):
-    # odd r: Q holds the canonical m basis K once the row has counted it,
-    # and the PBW vectors are ranked once, on K's free columns alone; that
-    # rank is their full rank
-    dat = modp.reduce_datum(nd_osp12_reg, p)
-    seen = []
+def _counted_ranks(monkeypatch, seen):
+    # each call of linalg.rank_mod_p logs the columns its rows touch
     original = linalg.rank_mod_p
 
     def counted(rows, prime):
         seen.append(set().union(*rows))
         return original(rows, prime)
 
-    for label, eta in dat.eta_samples():
-        q = modp.build_reduced_q(dat, eta, label)
-        basis = q.invariant_subspace("m")
-        vectors = q.pbw_vectors(*_thetas(q))
-        full = linalg.rank_mod_p(vectors, p)
-        assert full == len(vectors) == len(basis)
-        seen.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(linalg, "rank_mod_p", counted)
-            assert q.rank_of(vectors) == full
-        free = {max(row) for row in basis}
-        assert len(seen) == 1 and seen[0] <= free
-        assert len(free) == len(basis) < q.dim
-
-
-@pytest.mark.parametrize("p", [3, 5])
-def test_a_vector_outside_the_m_span_takes_the_full_rank(monkeypatch,
-                                                         nd_osp12_reg, p):
-    # a vector pushed off the m basis's span by a basis vector at a column
-    # that is not free keeps its free-column entries, so the restricted
-    # rank falls short and the full vectors are ranked: the true rank is
-    # reported, against the dense oracle, whether it is the count or not
-    dat = modp.reduce_datum(nd_osp12_reg, p)
-    q = modp.build_reduced_q(dat)
-    basis = q.invariant_subspace("m")
-    vectors = q.pbw_vectors(*_thetas(q))
-    free = {max(row) for row in basis}
-    off = next(j for j in range(q.dim) if j not in free)
-    pushed = dict(vectors[0])
-    pushed[off] = (pushed.get(off, 0) + 1) % p
-    pushed = {j: c for j, c in pushed.items() if c}
-    calls = []
-    original = linalg.rank_mod_p
-
-    def counted(rows, prime):
-        calls.append(len(rows))
-        return original(rows, prime)
-
     monkeypatch.setattr(linalg, "rank_mod_p", counted)
-    for vecs in ([pushed] + vectors, vectors + [vectors[-1]]):
-        calls.clear()
+
+
+@pytest.mark.parametrize("nd, p", CONFIGS)
+def test_the_pbw_rank_is_read_on_the_leading_columns(monkeypatch, request,
+                                                      nd, p):
+    # one rule for both parities of r: the vectors theta^a 1 are ranked
+    # once, on the |W| leading columns x^a alone, each vector 1 at its own,
+    # and the rank is the dense oracle's, with or without the m basis
+    # computed on Q first
+    dat = modp.reduce_datum(request.getfixturevalue(nd), p)
+    for label, eta in dat.eta_samples():
+        want = None
+        for prior in (False, True):
+            q = modp.build_reduced_q(dat, eta, label)
+            if prior:
+                q.invariant_subspace("m")
+            thetas, expos = _thetas(q)
+            vectors = q.pbw_vectors(thetas, expos)
+            leads = q.leading_columns(thetas, expos)
+            assert len(set(leads)) == len(vectors) == len(expos)
+            assert all(v.get(j) == 1 for v, j in zip(vectors, leads))
+            if want is None:
+                want = dense_rank_mod_p(dense_rows(vectors, q.dim), p)
+            seen = []
+            with monkeypatch.context() as patch:
+                _counted_ranks(patch, seen)
+                assert q.rank_of(vectors, leads) == want == len(vectors)
+            assert seen == [set(leads)]
+
+
+@pytest.mark.parametrize("nd, p", [("nd_osp12_reg", 3), ("nd_osp12_reg", 5),
+                                   ("nd_sl21_e12", 5), ("nd_osp22", 3)])
+def test_a_singular_leading_block_takes_the_full_rank(monkeypatch, request,
+                                                      nd, p):
+    # a duplicated vector, and the unit vector with its leading entry moved
+    # to a column that leads no vector, leave the block on the leading
+    # columns short of the count, so the full vectors are ranked next; the
+    # rank reported is the dense oracle's, |W| in both cases, which for the
+    # moved vector is one more than the block's (odd r for osp(1|2), even r
+    # otherwise)
+    q = modp.build_reduced_q(modp.reduce_datum(request.getfixturevalue(nd),
+                                               p))
+    thetas, expos = _thetas(q)
+    vectors = q.pbw_vectors(thetas, expos)
+    leads = q.leading_columns(thetas, expos)
+    assert vectors[0] == {leads[0]: 1}
+    off = next(j for j in range(q.dim) if j not in set(leads))
+    seen = []
+    _counted_ranks(monkeypatch, seen)
+    for vecs in (vectors + [vectors[-1]], [{off: 1}] + vectors[1:]):
+        seen.clear()
         want = dense_rank_mod_p(dense_rows(vecs, q.dim), p)
-        assert q.rank_of(vecs) == want
-        assert len(calls) == 2
-    assert q.rank_of([pushed] + vectors) == len(vectors) + 1
-    assert q.rank_of(vectors + [vectors[-1]]) == len(vectors)
+        assert q.rank_of(vecs, leads) == want == len(vectors)
+        assert len(seen) == 2 and seen[0] <= set(leads)
+    assert q.rank_of(vectors, leads) == len(vectors)
 
 
 class _PublicEngine:
@@ -552,11 +565,13 @@ def test_operator_arithmetic_equals_the_field_methods(engines, data):
     coeff = Fraction(coeff)
     den = e._acc(got, den, bnums, coeff.numerator, coeff.denominator * bden)
     assert lowest(got, den) == e._scaled(want)
-    assert (terms_of(e, e.q_reduce_pair(e._scaled(packed(e, b))))
-            == field_q_reduce(e, b))
+    # the class in Q of b and of a + b, each acting on the unit, against
+    # the product with the unit formed in U by the Field methods
+    unit = {e.unit_mono: 1}, 1
     merged = field_add(e.field, a, b)
-    assert (terms_of(e, e.q_reduce_pair(e._scaled(packed(e, merged))))
-            == field_q_reduce(e, merged))
+    for terms in (b, merged):
+        assert (terms_of(e, e.q_mul(e._scaled(packed(e, terms)), unit))
+                == field_q_mul(e, {unit_tuple(e): e.field.one}, terms))
 
 
 # ---------------------------------------------------------------------------
