@@ -3,18 +3,18 @@
 `rref` is sparse Gauss-Jordan elimination on {column: coefficient} rows over
 Q or F_p.  It serves every system wsuper solves: the rational ones (the
 generator solves, the graded check, the nilpotent analysis, the coordinates
-of a realization) and every mod-p one of a `verify all` row.  The largest of
-those are the links of the joint kernel of ad z, z in m, on the reduced
-module Q (`modp.ReducedQ._m_kernel`): the transposed sparse ad columns of
-the first generator, then the transposed images of each kernel basis under
-the next one, each at most dim Q rows and streamed in as a generator.  The
-PBW monomial vectors of `modp.reduced_w` go through `rank_mod_p`, one of the
-two entry points over F_p, as a list: first restricted to their leading
-columns, |W| of them, and whole only when that restricted rank falls short
-of the count, since the rank of a restriction never exceeds the full rank
-(`modp.ReducedQ.rank_of`).  The RREF is unique, so echelon bases and
+of a realization) and every mod-p one of a `verify all` row.  A system given
+by its sparse columns is turned into rows by `transposed`, which hands them
+out last row first; `kernel` eliminates them into a canonical kernel basis.
+The largest such systems are the links of the joint kernel of ad z, z in m,
+on the reduced module Q (`modp.ReducedQ._m_kernel`), each at most dim Q
+rows streamed in; the nilpotent analysis and the osp realization take their
+kernels the same way.  The PBW monomial vectors of `modp.reduced_w` go
+through `rank_mod_p` as a list: first restricted to their leading columns,
+|W| of them, and whole only when that restricted rank falls short of the
+count (`modp.ReducedQ.rank_of`).  The RREF is unique, so echelon bases and
 particular solutions do not depend on the order of the rows; the cost
-does.
+does, and `transposed` is where that order is decided.
 
 Inside, every row is a {column: int} dict.  Over Q a row enters as its
 numerators over the lcm of its denominators; a pivot row is a pair (row,
@@ -22,20 +22,15 @@ den) in lowest terms with den > 0 its entry at the pivot, so that row/den is
 1 there (`scalars.lowest`, the helper of the PBW engine's pairs).  Clearing
 a pivot column from a row whose entry a there is not a multiple of den first
 rewrites row/a over lcm(a, den) (`scalars.widen`): the row is scaled by
-den/gcd(a, den), and every update is an integer multiply-add.  Fractions are
-formed only in the reduced rows `rref` returns, and only for the entries
-that den does not divide; the others are ints.  Over F_p den is 1: each
-entry is reduced mod p when its row enters and after each update, and each
-pivot costs one `field.inv`.  The forward elimination over F_p is a loop of
-its own in `_echelon`, with the update written inline: no call and no list
-of filled-in columns per pivot row; the row's entry at the pivot column
-cancels against the pivot row's 1 there, and a pivot column that an update
-fills in goes onto the heap as it appears.  Forward elimination over Q, and
-back-substitution over either field, clear a column by `_subtract`.  The
-branch between the fields is taken once per elimination or per update call,
-never per entry.  Python ints do not overflow, so
-the routine is exact for every prime p and puts no bound on it; the size of
-Q, which grows as a power of p, is what bounds p (`modp.q_footprint`).
+den/gcd(a, den), and every update is an integer multiply-add (`_subtract`).
+Fractions are formed only in the reduced rows `rref` returns, and only for
+the entries that den does not divide; the others are ints.  Over F_p den is
+1: each entry is reduced mod p when its row enters and after each update,
+each pivot costs one `field.inv`, and there is one row update,
+`_clear_mod_p`, for the forward elimination and the back-substitution
+alike.  Python ints do not overflow, so the routine is exact for every
+prime p and puts no bound on it; the size of Q, which grows as a power of
+p, is what bounds p (`modp.q_footprint`).
 """
 from __future__ import annotations
 
@@ -80,46 +75,59 @@ def _int_row(row, p):
     return {j: x.numerator * (den // x.denominator) for j, x in items}
 
 
-def _subtract(p, row, a, pivot, lead):
-    """Clear column `lead`, whose entry a has been popped, from row with the
-    pivot row of `lead`, a pair (src, den) with den at `lead`, in place and
-    mod p when p > 0; returns the columns it filled in.  Over Q row/a is
-    first rewritten over lcm(a, den) when den does not divide a, so that
-    row is scaled by den/g and loses (a/g) src, g = gcd(a, den); over F_p
-    den is 1 and row loses a src."""
+def _subtract(row, a, pivot, lead):
+    """Clear column `lead`, whose entry a has been popped, from an int row
+    over Q with the pivot row of `lead`, a pair (src, den) with den at
+    `lead`, in place; returns the columns it filled in.  row/a is first
+    rewritten over lcm(a, den) when den does not divide a, so that row is
+    scaled by den/g and loses (a/g) src, g = gcd(a, den)."""
     src, den = pivot
     if den > 1:
         a = widen(row, a, den) // den if a % den else a // den
     new = []
-    if p:
-        for j, x in src.items():
-            if j == lead:
-                continue
-            old = row.get(j)
-            if old is None:
-                row[j] = -a * x % p
-                new.append(j)
+    for j, x in src.items():
+        if j == lead:
+            continue
+        old = row.get(j)
+        if old is None:
+            row[j] = -a * x
+            new.append(j)
+        else:
+            v = old - a * x
+            if v:
+                row[j] = v
             else:
-                v = (old - a * x) % p
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-    else:
-        for j, x in src.items():
-            if j == lead:
-                continue
-            old = row.get(j)
-            if old is None:
-                row[j] = -a * x
-                new.append(j)
-            else:
-                v = old - a * x
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
+                del row[j]
     return new
+
+
+def _clear_mod_p(p, row, pivots, todo):
+    """Clear a row over F_p, in place, of the pivot columns in todo and of
+    each pivot column that an update fills in, lowest first, from a heap:
+    where the row holds a at a pivot column c it loses a times the pivot
+    row of c, added as p - a times it.  Its entry at c is left in place
+    and cancels against the 1 there, so no update pops it or lists the
+    columns it fills in."""
+    get = row.get
+    heapify(todo)
+    while todo:
+        c = heappop(todo)
+        a = get(c)
+        if a is None:  # cancelled, or pushed twice
+            continue
+        a = p - a
+        for j, x in pivots[c][0].items():
+            old = get(j)
+            if old is None:
+                row[j] = a * x % p
+                if j in pivots:
+                    heappush(todo, j)
+            else:
+                v = (old + a * x) % p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
 
 
 def _pivot_row(field, row, c):
@@ -143,50 +151,23 @@ def _echelon(field, rows):
     dict with den at its pivot column (`_pivot_row`).  Each row is cleared
     of the pivot columns found so far, lowest first (a pivot row fills in
     only to the right of its pivot), and becomes a pivot row at its lowest
-    remaining column.  Over F_p the update is `_subtract`'s, inlined."""
+    remaining column."""
     p = field.char
     pivots = {}
-    if p:
-        # the row loses a times the pivot row of c, added as p - a times it;
-        # its entry at c is left in place and cancels against the 1 there
-        for row in rows:
-            row = _int_row(row, p)
-            get = row.get
-            todo = [c for c in row if c in pivots]
-            heapify(todo)
-            while todo:
-                c = heappop(todo)
-                a = get(c)
-                if a is None:  # cancelled, or pushed twice
-                    continue
-                a = p - a
-                for j, x in pivots[c][0].items():
-                    old = get(j)
-                    if old is None:
-                        row[j] = a * x % p
-                        if j in pivots:
-                            heappush(todo, j)
-                    else:
-                        v = (old + a * x) % p
-                        if v:
-                            row[j] = v
-                        else:
-                            del row[j]
-            if row:
-                c = min(row)
-                pivots[c] = _pivot_row(field, row, c)
-        return pivots
     for row in rows:
         row = _int_row(row, p)
         todo = [c for c in row if c in pivots]
-        heapify(todo)
-        while todo:
-            c = heappop(todo)
-            a = row.pop(c, None)
-            if a is not None:  # None: cancelled, or pushed twice
-                for j in _subtract(p, row, a, pivots[c], c):
-                    if j in pivots:
-                        heappush(todo, j)
+        if p:
+            _clear_mod_p(p, row, pivots, todo)
+        else:
+            heapify(todo)
+            while todo:
+                c = heappop(todo)
+                a = row.pop(c, None)
+                if a is not None:  # None: cancelled, or pushed twice
+                    for j in _subtract(row, a, pivots[c], c):
+                        if j in pivots:
+                            heappush(todo, j)
         if row:
             c = min(row)
             pivots[c] = _pivot_row(field, row, c)
@@ -211,8 +192,12 @@ def rref(field, rows):
     order = sorted(pivots)
     for c in reversed(order):
         row = pivots[c][0]
-        for j in [j for j in row if j != c and j in pivots]:
-            _subtract(p, row, row.pop(j), pivots[j], j)
+        todo = [j for j in row if j != c and j in pivots]
+        if p:
+            _clear_mod_p(p, row, pivots, todo)
+        else:
+            for j in todo:
+                _subtract(row, row.pop(j), pivots[j], j)
         pivots[c] = lowest(row, row[c])
     reduced = [pivots[c] for c in order]
     if p:
@@ -240,6 +225,29 @@ def kernel_rows(field, reduced, piv, cols):
             if j != pc:
                 basis[j][pc] = field.neg(c)
     return list(basis.values())
+
+
+def kernel(field, rows, cols):
+    """The canonical kernel basis (`kernel_rows`) on columns 0..cols-1 of
+    the matrix with the given rows, a list or a stream."""
+    return kernel_rows(field, *rref(field, rows), cols)
+
+
+def transposed(columns, n):
+    """The n rows, {column: c} dicts, of the matrix whose sparse columns
+    ({row: c} dicts keyed 0..n-1) `columns` streams in, handed out from the
+    last row to the first and dropped once handed out; `columns` is let go
+    before the first.  This is the one row order of every transposed
+    system; the RREF does not depend on it, but the cost does: on Q, ad z
+    lowers the e-degree and pivots sit at the lowest column, so rows from
+    the top of the basis fill in least."""
+    rows = [{} for _ in range(n)]
+    for j, col in enumerate(columns):
+        for i, c in col.items():
+            rows[i][j] = c
+    del columns
+    while rows:
+        yield rows.pop()
 
 
 def _copy(row):
@@ -295,10 +303,13 @@ def intersect_zero(field, vectors_a, vectors_b):
 # ---------------------------------------------------------------------------
 
 def rank_mod_p(rows, p):
-    """`rank` over F_p of a list of {column: c} rows."""
+    """`rank` over F_p of a list of {column: c} rows.  Kept as a name of
+    its own because `bench/benchtrace.py` wraps it (ROADMAP items 1, 7)."""
     return rank(PrimeField(p), rows)
 
 
 def rref_mod_p(rows, p):
-    """`rref` over F_p of a list of {column: c} rows: (reduced, pivots)."""
+    """`rref` over F_p of a list of {column: c} rows: (reduced, pivots).
+    Nothing in `src/` calls it; it stays because `bench/benchtrace.py`
+    wraps it (ROADMAP items 1, 7)."""
     return rref(PrimeField(p), rows)

@@ -571,7 +571,8 @@ class ReducedQ:
 
     def left_columns(self, gen_index):
         """Columns of left multiplication by b_g on Q, by `_left_action`;
-        nothing in the mod-p row reads them."""
+        nothing in the mod-p row reads them.  It stays because
+        `bench/benchtrace.py` wraps it (ROADMAP items 1, 7)."""
         return self._left_action(gen_index)
 
     def ad_columns(self, gen_index):
@@ -622,23 +623,6 @@ class ReducedQ:
             return "m"
         return "mprime"
 
-    def _transposed(self, cols, size):
-        """The size rows of the matrix whose sparse columns (vectors keyed
-        0..size-1) cols streams in, one {column: c} dict per column, never a
-        dense matrix.  They are handed out from the last key to the first
-        and dropped once handed out.  The reduced row echelon form does not
-        depend on the order, but the cost does: ad z lowers the e-degree and
-        pivots sit at the lowest column, so rows from the top of the basis
-        fill in least.  cols is let go once the rows are built, before the
-        first is handed out."""
-        rows = [{} for _ in range(size)]
-        for j, col in enumerate(cols):
-            for i, c in col.items():
-                rows[i][j] = c
-        del cols
-        while rows:
-            yield rows.pop()
-
     def _m_order(self):
         """m's generators sorted by (parity, weight, index), even ones first.
         The chain's result does not depend on the order, but its cost does:
@@ -669,12 +653,13 @@ class ReducedQ:
         dimension alone, from a rank at the last link; with no generators,
         the unit basis of Q.  No elimination sees more than dim Q rows.
 
-        The first link takes the kernel K_1 of ad z_1 from its own dim Q
-        sparse rows.  Each later link k works in K_1's coordinates: the
-        previous kernel K is kept as rows c, canonical over K_1's rows, for
-        the rows sum_r c_r K_1[r]; the images by ad z_k of K's rows are read
-        on K's free columns (`_image`), and the kernel of ad z_k on K comes
-        from their |K| transposed rows (`_restricted_kernel`) as new rows c.
+        Each link is `linalg.kernel` of `linalg.transposed` columns.  The
+        first takes the kernel K_1 of ad z_1 from its own dim Q sparse
+        rows.  Each later link k works in K_1's coordinates: the previous
+        kernel K is kept as rows c, canonical over K_1's rows, for the rows
+        sum_r c_r K_1[r]; the images by ad z_k of K's rows are read on K's
+        free columns (`_image`), and the kernel of ad z_k on K comes from
+        their |K| transposed rows as new rows c.
         The last kernel is lifted to Q once, at the end.  Each link lets its
         column set go once its images are built (`ad_columns`).
 
@@ -711,19 +696,17 @@ class ReducedQ:
         if not order:
             return self.dim if rank_only else [{j: self.field.one}
                                                for j in range(self.dim)]
-        rows = self._transposed(self.ad_columns(order[0]), self.dim)
+        rows = linalg.transposed(self.ad_columns(order[0]), self.dim)
         if rank_only and len(order) == 1:
             return self.dim - linalg.rank(self.field, rows)
-        base = linalg.kernel_rows(self.field, *linalg.rref(self.field, rows),
-                                  self.dim)
+        base = linalg.kernel(self.field, rows, self.dim)
         coords = None  # K_1 itself
         for k, z in enumerate(order[1:], 2):
-            image = self._image(z, base, coords)
             size = len(base if coords is None else coords)
+            rows = linalg.transposed(self._image(z, base, coords), size)
             if rank_only and k == len(order):
-                return size - linalg.rank(self.field,
-                                          self._transposed(image, size))
-            kernel = self._restricted_kernel(size, image)
+                return size - linalg.rank(self.field, rows)
+            kernel = linalg.kernel(self.field, rows, size)
             coords = kernel if coords is None else [
                 self._combine(coords, c) for c in kernel]
         return base if coords is None else [self._combine(base, c)
@@ -782,23 +765,12 @@ class ReducedQ:
                 basis = self._m_kernel(self._m_order())
             else:
                 inv_m = self.invariant_subspace("m")
+                rows = linalg.transposed(self._middle_image(), len(inv_m))
                 basis = [self._combine(inv_m, c) for c in
-                         self._restricted_kernel(len(inv_m),
-                                                 self._middle_image())]
+                         linalg.kernel(self.field, rows, len(inv_m))]
             basis = self._inv_basis[key] = tuple(basis)
             self._inv_dim[key] = len(basis)
         return basis
-
-    def _restricted_kernel(self, size, image):
-        """The kernel of a map on the span of a canonical kernel basis K of
-        size rows, given the image of each row of K in K's coordinates: the
-        combinations c with sum_r c_r image_r = 0, as the canonical kernel
-        basis of the image's transpose, size rows.  The transposed rows are
-        built as the images stream in, and handed to the elimination from
-        K's last free column down."""
-        rows = self._transposed(image, size)
-        return linalg.kernel_rows(self.field, *linalg.rref(self.field, rows),
-                                  size)
 
     def _combine(self, rows, coeffs):
         """The sum of c rows[r] over the entries r: c of coeffs, mod p, as a
@@ -865,7 +837,8 @@ class ReducedQ:
         """Vectors on which every z in m acts by eta(z) under left
         multiplication: `invariant_subspace("m")` itself, since right
         multiplication by z acts on Q by eta(z), so ad z = L_z - eta(z)
-        (`ad_columns`)."""
+        (`ad_columns`).  It stays because `bench/benchtrace.py` wraps it
+        (ROADMAP items 1, 7)."""
         return self.invariant_subspace("m")
 
     def delta(self):
@@ -915,7 +888,7 @@ def reduced_w(q):
     thetas = ctx.generators()
     expos = list(exponent_tuples(ctx.generator_degrees(),
                                  [th.parity for th in thetas], datum.p - 1,
-                                 None, ()))
+                                 None))
     # ranked in their degree order; the reverse order fills in far more
     vectors = q.pbw_vectors(thetas, expos)
     # the row's last left action on Q

@@ -17,9 +17,10 @@ vector is a {basis index: c} dict without zeros, each c in canonical form
 division goes through `QQ.div`, so no quotient of ints becomes a float; the
 datum handed out is canonical throughout.  Brackets go through
 `superalgebra._bracket`, the form through the rows of the gram, and every
-span, rank and kernel through `linalg.rref`, `rank` and `kernel_rows`.  Dense
-coordinate tuples appear only where the datum is stored, in `Sl2Triple` and
-`AdaptedGenerator.vector`.
+span, rank and kernel through `linalg.rref`, `rank` and `kernel`; a system
+given by its columns is transposed by `linalg.transposed`, which decides the
+order of its rows.  Dense coordinate tuples appear only where the datum is
+stored, in `Sl2Triple` and `AdaptedGenerator.vector`.
 """
 
 from __future__ import annotations
@@ -105,20 +106,10 @@ def _ad_columns(alg, v):
     return [_br(alg, v, {j: ONE}) for j in range(alg.dim)]
 
 
-def _rows(columns, n):
-    """The n rows of the matrix with the given {row: c} columns."""
-    rows = [{} for _ in range(n)]
-    for c, col in enumerate(columns):
-        for r, x in col.items():
-            rows[r][c] = x
-    return rows
-
-
 def _kernel(columns, n):
     """The canonical kernel basis, as {column: c} rows, of the matrix with n
     rows and the given columns."""
-    reduced, piv = linalg.rref(QQ, _rows(columns, n))
-    return linalg.kernel_rows(QQ, reduced, piv, len(columns))
+    return linalg.kernel(QQ, linalg.transposed(columns, n), len(columns))
 
 
 def _covector(gram_rows, v):
@@ -145,8 +136,10 @@ def is_nilpotent_element(alg, e):
 def _solve_even(even, columns, rhs):
     """The vector sum_c x_c b_{even[c]} for the particular solution x (free
     variables zero) of the system with one column per index in `even`, or
-    None when the system is inconsistent."""
-    sol = linalg.solve_affine(QQ, _rows(columns, len(rhs)), rhs, len(even))
+    None when the system is inconsistent.  The rows come last row first
+    (`linalg.transposed`), so the right-hand side is reversed to match."""
+    sol = linalg.solve_affine(QQ, list(linalg.transposed(columns, len(rhs))),
+                              rhs[::-1], len(even))
     if sol is None:
         return None
     return {i: x for i, x in zip(even, sol) if x}
@@ -692,8 +685,8 @@ def _verify_datum(nd, layers, gram_rows):
             raise NilpotentError("y%d is not in the centralizer" % (k + 1))
 
     # m-annihilator decomposition: ann(m) = [m', e] + g^f, direct, per parity
-    ann = linalg.kernel_rows(QQ, *linalg.rref(
-        QQ, [_covector(gram_rows, vecs[i]) for i in nd.m_indices]), dim)
+    ann = linalg.kernel(
+        QQ, [_covector(gram_rows, vecs[i]) for i in nd.m_indices], dim)
     bracket_img = [_br(alg, vecs[i], e) for i in nd.mprime_indices]
     gf = _kernel(_ad_columns(alg, fv), dim)
     for par in (0, 1):

@@ -498,14 +498,13 @@ def packed_monomials(degrees, parities, cap, budget, places):
         yield from suffixes[total]
 
 
-def exponent_tuples(degrees, parities, cap, budget, tail):
-    """The monomials of `packed_monomials` as exponent tuples, each
-    followed by tail: packed in fields that hold every exponent, then read
-    back."""
+def exponent_tuples(degrees, parities, cap, budget):
+    """The monomials of `packed_monomials` as exponent tuples: packed in
+    fields that hold every exponent, then read back."""
     width = max((1 if odd else budget // d if cap is None else cap
                  for d, odd in zip(degrees, parities)), default=0).bit_length()
     shifts = [width * (len(degrees) - 1 - i) for i in range(len(degrees))]
     mask = (1 << width) - 1
     for mono in packed_monomials(degrees, parities, cap, budget,
                                  [1 << s for s in shifts]):
-        yield tuple(mono >> s & mask for s in shifts) + tail
+        yield tuple(mono >> s & mask for s in shifts)

@@ -26,8 +26,9 @@ is taken once per even basis vector x by the repeated squaring of `mat_pow`,
 about 2·log2(p) products of d × d matrices, and its column j is compared
 with [x^[p], b_j].  The checks run in Python ints: over Q on the table and
 the gram each scaled by the lcm of its denominators, over F_p on the
-residues.  One sparse bracket, `_bracket`, serves the p-map check and the
-nilpotent analysis.
+residues.  One sparse bracket, `_bracket`, serves the p-map check, the
+nilpotent analysis and the closure of m's generators
+(`wchar0.check_generates_m`).
 """
 
 from __future__ import annotations
@@ -508,7 +509,7 @@ def build_osp(m, n):
                         coef += sgn * B[a][i]
                     row.append(coef)
                 rows.append(row)
-        for v in linalg.kernel_rows(QQ, *linalg.rref(QQ, rows), len(positions)):
+        for v in linalg.kernel(QQ, rows, len(positions)):
             mat = zero_matrix(N)
             for t, c in v.items():
                 i, j = positions[t]

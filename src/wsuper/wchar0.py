@@ -30,6 +30,7 @@ from itertools import groupby
 from . import linalg
 from .pbw import engine_from_datum, exponent_tuples
 from .scalars import lowest
+from .superalgebra import _bracket
 
 
 class SolverError(RuntimeError):
@@ -86,12 +87,13 @@ def check_generates_m(nd, gens):
     """gens, once the span of their closure under brackets is checked to be
     m; SolverError otherwise.  The closure is the smallest subspace that
     holds gens and is stable under ad s for each s in gens, grown one round
-    of brackets at a time."""
+    of brackets at a time.  `linalg.rref` reduces each bracket mod p over
+    F_p and drops the zeros that `_bracket` leaves."""
     f = nd.field
     m = nd.m_indices
     basis = [{z: f.one} for z in gens]
     while True:
-        grown = basis + [_bracket_with(f, nd.brackets, s, v)
+        grown = basis + [_bracket(nd.brackets, {s: f.one}, v, {})
                          for s in gens for v in basis]
         reduced, piv = linalg.rref(f, grown)
         if len(piv) == len(basis):
@@ -105,16 +107,6 @@ def check_generates_m(nd, gens):
             " %d" % ([nd.generators[z].label for z in gens], len(basis),
                      len(m)))
     return list(gens)
-
-
-def _bracket_with(f, brackets, s, v):
-    """[b_s, v] for a {adapted index: c} vector v; `linalg.rref` drops the
-    zeros it may hold."""
-    out = {}
-    for j, c in v.items():
-        for k, b in brackets.get((s, j), {}).items():
-            out[k] = f.add(out.get(k, f.zero), f.mul(c, b))
-    return out
 
 
 class WGenerator(namedtuple("WGenerator", "index leading_gen label parity"
@@ -570,7 +562,7 @@ class WContext:
         independent = True
         f = e.field
         layers = groupby(
-            exponent_tuples(degrees, odd_flags, None, max_degree, ()),
+            exponent_tuples(degrees, odd_flags, None, max_degree),
             key=lambda expo: sum(a * b for a, b in zip(expo, degrees)))
         for d, expos in layers:
             # the degree-d layer of each evaluated monomial, as a sparse row

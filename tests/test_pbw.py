@@ -499,7 +499,7 @@ def test_exponent_tuples_match_the_filtered_product(gens, cap, budget):
     degrees = [d for d, _ in gens]
     parities = [odd for _, odd in gens]
     want = product_exponent_tuples(degrees, parities, cap, budget)
-    assert list(exponent_tuples(degrees, parities, cap, budget, ())) == want
+    assert list(exponent_tuples(degrees, parities, cap, budget)) == want
     # packed into 5-bit fields, which hold every exponent up to 12
     places = [1 << 5 * (len(gens) - 1 - i) for i in range(len(gens))]
     assert (list(packed_monomials(degrees, parities, cap, budget, places))

@@ -246,7 +246,7 @@ def test_pbw_vectors_equal_the_product_oracle(request, nd, p):
         thetas = ctx.generators()
         expos = list(exponent_tuples(ctx.generator_degrees(),
                                      [th.parity for th in thetas], p - 1,
-                                     None, ()))
+                                     None))
         assert q.pbw_vectors(thetas, expos) == pbw_vectors_by_products(
             q, ctx, expos)
 
@@ -289,7 +289,7 @@ def _thetas(q):
     thetas = ctx.generators()
     return thetas, list(exponent_tuples(ctx.generator_degrees(),
                                         [th.parity for th in thetas],
-                                        q.p - 1, None, ()))
+                                        q.p - 1, None))
 
 
 @pytest.mark.parametrize("nd, p", SHARED)
@@ -436,7 +436,7 @@ def test_the_row_reads_only_public_engine_names(request, nd, p):
         thetas = ctx.generators()
         expos = list(exponent_tuples(ctx.generator_degrees(),
                                      [th.parity for th in thetas], p - 1,
-                                     None, ()))
+                                     None))
         q.engine = _PublicEngine(q.engine)
         assert q.whittaker_subspace() == plain.whittaker_subspace()
         assert q.invariant_dimension("m") == plain.invariant_dimension("m")

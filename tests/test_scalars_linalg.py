@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -530,13 +532,83 @@ def test_nullspace_is_the_identity_on_the_free_columns(case):
     field, a, cols = case
     _, piv = dense_rref(field, a)
     free = [j for j in range(cols) if j not in piv]
-    ns = _dense(field, linalg.kernel_rows(field, *linalg.rref(field, a), cols),
-                cols)
+    kernel = linalg.kernel_rows(field, *linalg.rref(field, a), cols)
+    assert linalg.kernel(field, a, cols) == kernel
+    assert linalg.kernel(field, iter(a), cols) == kernel
+    ns = _dense(field, kernel, cols)
     assert len(ns) == len(free)
     for v, j in zip(ns, free):
         assert [v[k] for k in free] == [field.one if k == j else field.zero
                                         for k in free]
         assert all(field.is_zero(x) for x in mat_vec(field, a, v))
+
+
+class _Columns(list):
+    """A list that a weak reference can watch."""
+
+
+@settings(max_examples=200, deadline=None)
+@given(_field_matrices())
+def test_transposed_streams_the_rows_last_first_and_lets_the_columns_go(
+        case):
+    # the one row order of every transposed system: the columns of a, as a
+    # list or a stream, give a's rows from the last to the first, and the
+    # kernel of those rows is a's
+    field, a, cols = case
+    n = len(a)
+    columns = _Columns({i: a[i][j] for i in range(n)
+                        if not field.is_zero(a[i][j])} for j in range(cols))
+    want = [{j: x for j, x in enumerate(a[i]) if not field.is_zero(x)}
+            for i in reversed(range(n))]
+    assert list(linalg.transposed(iter(columns), n)) == want
+    kernel = linalg.kernel_rows(field, *linalg.rref(field, a), cols)
+    assert linalg.kernel(field, linalg.transposed(columns, n), cols) == kernel
+    assert linalg.kernel(field, want, cols) == kernel
+    if n:
+        watch = weakref.ref(columns)
+        rows = linalg.transposed(columns, n)
+        del columns
+        assert next(rows) == want[0]
+        gc.collect()
+        assert watch() is None
+
+
+def test_rref_and_rank_over_f_p_update_rows_by_one_routine(monkeypatch,
+                                                          nd_sl21_e12):
+    # over F_p the forward elimination and the back-substitution both clear
+    # a row by `_clear_mod_p`; `_subtract`, the update over Q, never runs:
+    # on the transposed ad columns of sl(2|1) E12 at p = 5, and on random
+    # systems at small primes and at 2^31 - 1
+    from wsuper import modp
+    q = modp.build_reduced_q(modp.reduce_datum(nd_sl21_e12, 5))
+    systems = [(q.field, list(linalg.transposed(q.ad_columns(z), q.dim)))
+               for z in q.datum.m_indices]
+    rng = random.Random(33)
+    for p in (3, 5, 7, 2 ** 31 - 1):
+        for _ in range(20):
+            cols = rng.randint(1, 12)
+            systems.append((PrimeField(p), [
+                {rng.randrange(cols): rng.randrange(1, p)
+                 for _ in range(rng.randint(0, 4))}
+                for _ in range(rng.randint(1, 15))]))
+    want = [(linalg.rref(field, rows), linalg.rank(field, rows))
+            for field, rows in systems]
+    subtracted, cleared = [], []
+
+    def counted(original, log):
+        def run(*args):
+            log.append(args[0])
+            return original(*args)
+        return run
+
+    monkeypatch.setattr(linalg, "_subtract",
+                        counted(linalg._subtract, subtracted))
+    monkeypatch.setattr(linalg, "_clear_mod_p",
+                        counted(linalg._clear_mod_p, cleared))
+    got = [(linalg.rref(field, rows), linalg.rank(field, rows))
+           for field, rows in systems]
+    assert got == want
+    assert cleared and not subtracted
 
 
 # -- the integer elimination over Q against the Fraction oracle ---------------
@@ -640,7 +712,8 @@ def test_rational_elimination_does_no_fraction_arithmetic(monkeypatch,
                                                           nd_sl21_e12):
     # the rational systems of an algebra build, a nilpotent analysis and a
     # generator solve: while a row is eliminated (`_echelon`, and each
-    # `_subtract` of the back-substitution) no Fraction operator runs
+    # `_subtract` of the back-substitution, the update over Q alone) no
+    # Fraction operator runs
     from wsuper import analyze_nilpotent, build_algebra, resolve_nilpotent
     from wsuper import sl2_triple
     from wsuper.wchar0 import WContext
@@ -676,5 +749,5 @@ def test_rational_elimination_does_no_fraction_arithmetic(monkeypatch,
         alg, "regular")))
     WContext(nd).generators()
     WContext(nd_sl21_e12).generators()
-    assert updates and not any(updates)  # every update over Q (p = 0)
+    assert updates  # the rational updates ran
     assert not ops
